@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from arlas_proc_ray.cdc.events import ChangelogConfig, generate_changelog_tables, key_repo_path
@@ -33,17 +34,15 @@ class Sizes:
     # which Ray Data fetches Parquet metadata with extra tasks
     repos: int = 2_000
     bootstrap_events: int = 40_000  # one epoch; ~35 MB of Arrow events
-    base_events: int = 20_000       # base snapshot for tail and serve
+    base_events: int = 20_000       # base snapshot for tail
     segment_events: int = 2_000     # one tail epoch
     tail_epochs: int = 6            # segments per tail cycle
-    serve_epoch_events: int = 32    # one serve epoch
-    serve_epochs: int = 8           # epochs per serve cycle
-    # (lookups, scans) per read probe: bootstrap and tail probe once per
-    # cycle, serve after every epoch. About 50 lookups a run put the
-    # highest percentile with ten samples beyond it near p80, which whole-
-    # run slowdowns of this shared host move far less than p95.
+    # (lookups, scans) per read probe: bootstrap probes once per cycle,
+    # tail after every epoch. About 40 lookups a run put the highest
+    # percentile with ten samples beyond it near p75, which whole-run
+    # slowdowns of this shared host move far less than p95.
     probes: dict = field(default_factory=lambda: {
-        "bootstrap": (6, 3), "tail": (12, 3), "serve": (2, 1),
+        "bootstrap": (6, 6), "tail": (2, 1),
     })
     setup_reps: int = 3
 
@@ -51,9 +50,8 @@ class Sizes:
 FULL = Sizes()
 TOY = Sizes(
     partitions=8, repos=20, bootstrap_events=2_000, base_events=1_000,
-    segment_events=200, tail_epochs=2, serve_epoch_events=16,
-    serve_epochs=2, setup_reps=1,
-    probes={"bootstrap": (4, 1), "tail": (4, 1), "serve": (4, 1)},
+    segment_events=200, tail_epochs=2, setup_reps=1,
+    probes={"bootstrap": (4, 1), "tail": (2, 1)},
 )
 
 
@@ -93,13 +91,30 @@ def _state_as_events(state: pa.Table) -> pa.Table:
     })
 
 
+def _keys(t: pa.Table) -> pa.ChunkedArray:
+    return pc.binary_join_element_wise(t.column("repo"), t.column("path"), "\x00")
+
+
 def chain_oracle(start: pa.Table | None, epochs: list, partitions: int) -> list:
-    """Oracle state after each epoch of ``epochs`` (lists of tables)."""
+    """Oracle state after each epoch of ``epochs`` (lists of tables).
+
+    After the first state, an epoch is replayed over the prior rows of the
+    keys it touches only; the other rows carry over unchanged, as they do
+    in a full replay (last-writer-wins is per key).
+    """
     out = []
     state = start
     for tables in epochs:
-        prior = [] if state is None else [_state_as_events(state)]
-        state = oracle_final_state(prior + list(tables))
+        tables = list(tables)
+        if state is None:
+            state = oracle_final_state(tables)
+        else:
+            touched = pc.is_in(_keys(state), value_set=pa.concat_arrays(
+                [k for t in tables for k in _keys(t).chunks]))
+            replayed = oracle_final_state(
+                [_state_as_events(state.filter(touched))] + tables)
+            state = pa.concat_tables([state.filter(pc.invert(touched)), replayed]).sort_by(
+                [("repo", "ascending"), ("path", "ascending")])
         out.append(OracleState(state, partitions))
     return out
 
@@ -149,7 +164,7 @@ class Inputs:
             self.states = chain_oracle(None, [tables], z.partitions)
             self.states[0].prepare_reads()
             return
-        # tail and serve start from the same kind of base snapshot
+        # tail: segments onto a base snapshot ten times their size
         self.key_cfg = ChangelogConfig(
             num_events=z.base_events, num_keys=z.base_events,
             num_repos=z.repos, seed=seed, hot_fraction=0.0,
@@ -157,18 +172,12 @@ class Inputs:
         base = generate_changelog_tables(self.key_cfg)
         self.base_files = write_parquet(base, f"{in_dir}/base")
         self.base_state = chain_oracle(None, [base], z.partitions)[0]
-        n, size = (
-            (z.tail_epochs, z.segment_events) if workload == "tail"
-            else (z.serve_epochs, z.serve_epoch_events)
-        )
         # the default skewed mix (hot monorepo keys, deletes, out-of-order
-        # delivery) over the base key space, LSNs after the base. Serve's
-        # few hundred updates a cycle carry fixed-size content, so that
-        # write_amp measures the rewrite policy, not the seed's record sizes.
-        content = {"min_content": 800, "max_content": 800} if workload == "serve" else {}
+        # delivery) over the base key space, LSNs after the base
+        n, size = z.tail_epochs, z.segment_events
         stream = ChangelogConfig(
             num_events=z.base_events + n * size, num_keys=z.base_events,
-            num_repos=z.repos, seed=seed, v2_start_lsn=0, **content,
+            num_repos=z.repos, seed=seed, v2_start_lsn=0,
         )
         lo = z.base_events
         epochs = [
@@ -177,16 +186,9 @@ class Inputs:
         ]
         self.epoch_events = [sum(t.num_rows for t in e) for e in epochs]
         self.epoch_bytes = [event_bytes(e) for e in epochs]
-        if workload == "tail":
-            self.payloads = [jsonl_payload(e) for e in epochs]
-        else:
-            self.epoch_files = [
-                write_parquet(e, f"{in_dir}/serve-{i:03d}")
-                for i, e in enumerate(epochs)
-            ]
+        self.payloads = [jsonl_payload(e) for e in epochs]
         self.states = chain_oracle(self.base_state.table, epochs, z.partitions)
-        # tail probes its last state, serve every state
-        for st in self.states[-1:] if workload == "tail" else self.states:
+        for st in self.states:  # a read probe follows every epoch
             st.prepare_reads()
 
     # ---- reads -----------------------------------------------------------

@@ -1,6 +1,6 @@
 """CDC ingest benchmark: one workload, one seed, one Ray session.
 
-    python3 perfbench/run.py --workload bootstrap|tail|serve --seed N \\
+    python3 perfbench/run.py --workload bootstrap|tail --seed N \\
         --seconds S --trace 0|1
     python3 perfbench/run.py --smoke     # toy sizes, every workload, both modes
 
@@ -25,20 +25,6 @@ import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, ROOT)
-
-import arlas_proc_ray  # noqa: E402,F401  (fail fast outside a checkout)
-import ray  # noqa: E402
-
-from perfbench import inputs as inputs_mod  # noqa: E402
-from perfbench import tracer  # noqa: E402
-from perfbench.workloads import Workload, events_dataset  # noqa: E402
-
-WORKLOADS = ("bootstrap", "tail", "serve")
-# Ray's unix socket paths must stay under 107 bytes
-_RAY_SOCKET_SUFFIX = len("/session_2026-01-01_00-00-00_000000_0000000/sockets/plasma_store")
-
 
 def nproc() -> int:
     """What ``nproc`` prints: it honours OMP_NUM_THREADS and CPU affinity."""
@@ -47,6 +33,36 @@ def nproc() -> int:
                                   timeout=10).stdout)
     except (OSError, ValueError):
         return len(os.sched_getaffinity(0))
+
+
+def pin_cpus() -> None:
+    """Run this process, and every process and thread it starts, on the
+    last ``nproc`` CPUs it may use.
+
+    The host may have more CPUs than ``nproc`` grants the benchmark. Ray's
+    processes spread over all of them would wait on each other's vCPUs,
+    and the host-speed probe would sample only the driver's (hostspeed.py).
+    """
+    cpus = sorted(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, cpus[-min(nproc(), len(cpus)):])
+
+
+if __name__ == "__main__":
+    pin_cpus()  # before any import starts a thread
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+import arlas_proc_ray  # noqa: E402,F401  (fail fast outside a checkout)
+import ray  # noqa: E402
+
+from perfbench import hostspeed, tracer  # noqa: E402
+from perfbench import inputs as inputs_mod  # noqa: E402
+from perfbench.workloads import Workload, events_dataset  # noqa: E402
+
+WORKLOADS = ("bootstrap", "tail")
+# Ray's unix socket paths must stay under 107 bytes
+_RAY_SOCKET_SUFFIX = len("/session_2026-01-01_00-00-00_000000_0000000/sockets/plasma_store")
 
 
 def host_stamp(seed: int) -> dict:
@@ -61,6 +77,7 @@ def host_stamp(seed: int) -> dict:
         commit = None
     return {
         "nproc": nproc(),
+        "cpus": sorted(os.sched_getaffinity(0)),
         "loadavg_before": os.getloadavg(),
         "ray": ray.__version__,
         "pyarrow": pyarrow.__version__,
@@ -71,7 +88,8 @@ def host_stamp(seed: int) -> dict:
 
 
 def start_ray(trace_dir: str | None) -> float:
-    """A session sized to this host; returns its start-up seconds."""
+    """A session sized to this host; returns its start-up seconds (steal
+    excluded)."""
     temp = os.path.join(ROOT, ".bench_ray")
     env = {"PYTHONPATH": os.pathsep.join(
         [ROOT] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -83,16 +101,15 @@ def start_ray(trace_dir: str | None) -> float:
     kwargs = {}
     if len(temp) + _RAY_SOCKET_SUFFIX <= 107:
         kwargs["_temp_dir"] = temp
-    t0 = time.perf_counter()
-    ray.init(
+    _, seconds = hostspeed.unstolen(lambda: ray.init(
         address="local", num_cpus=nproc(), object_store_memory=512 * 1024**2,
         include_dashboard=False, logging_level="ERROR", log_to_driver=False,
         runtime_env=runtime_env, **kwargs,
-    )
+    ))
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    return time.perf_counter() - t0
+    return seconds
 
 
 def _descendants() -> set:
@@ -166,19 +183,17 @@ def hi_percentile(values: list) -> tuple:
 
 
 def end_to_end(w: Workload, setup_s: float) -> dict:
+    """The run's metrics, operation times without steal and scaled to the
+    reference speed (hostspeed.py); the unscaled values are printed beside
+    them.
+
+    Set-up time (steal excluded) is not scaled: the few probes set-up
+    would allow, taken while Ray spawns its processes, spread it more than
+    they steady it.
+    """
     epoch_hi, epoch_pct, n_epochs = hi_percentile(w.epoch_s)
     look_hi, look_pct, n_look = hi_percentile(w.lookup_s)
-    print(json.dumps({
-        "samples": {
-            "epochs": n_epochs, "epoch_hi_percentile": round(epoch_pct, 1),
-            "lookups": n_look, "lookup_hi_percentile": round(look_pct, 1),
-            "scans": len(w.scan_s), "cycles": len(w.write_amp),
-        },
-        "epoch_s": [round(x, 4) for x in w.epoch_s],
-        "scan_s": [round(x, 4) for x in w.scan_s],
-        "write_amp": [round(x, 4) for x in w.write_amp],
-    }))
-    return {
+    unscaled = {
         "setup_s": (setup_s, "s"),
         "events_per_s": (statistics.median(w.epoch_rate), "events/s"),
         "epoch_p50_s": (statistics.median(w.epoch_s), "s"),
@@ -188,6 +203,23 @@ def end_to_end(w: Workload, setup_s: float) -> dict:
         "lookup_hi_ms": (1e3 * look_hi, "ms"),
         "scan_p50_s": (statistics.median(w.scan_s), "s"),
     }
+    f = w.meter.slowdown()
+    scale = {"s": 1 / f, "ms": 1 / f, "events/s": f, "ratio": 1.0}
+    print(json.dumps({
+        "samples": {
+            "epochs": n_epochs, "epoch_hi_percentile": round(epoch_pct, 1),
+            "lookups": n_look, "lookup_hi_percentile": round(look_pct, 1),
+            "scans": len(w.scan_s), "cycles": len(w.write_amp),
+        },
+        "host_speed": w.meter.summary(),
+        "unscaled": {k: v for k, (v, _) in unscaled.items()},
+        "epoch_s": [round(x, 4) for x in w.epoch_s],
+        "scan_s": [round(x, 4) for x in w.scan_s],
+        "write_amp": [round(x, 4) for x in w.write_amp],
+    }))
+    out = {k: (v * scale[u], u) for k, (v, u) in unscaled.items()}
+    out["setup_s"] = unscaled["setup_s"]
+    return out
 
 
 # ------------------------------------------------------------------- floors
@@ -280,10 +312,7 @@ def _measure(name: str, inp, work: str, seed: int, seconds: float,
              trace, ray_s: float, warm: bool) -> dict:
     """Set up and measure one workload in the running session."""
     info = {"workload": name, "host": host_stamp(seed), "gen_s": inp.gen_s}
-    t0 = time.perf_counter()
-    if warm:
-        warm_up(name, work, seed)
-    warm_s = time.perf_counter() - t0
+    warm_s = hostspeed.unstolen(lambda: warm_up(name, work, seed))[1] if warm else 0.0
     w = Workload(name, inp, os.path.join(work, name))
     base = ([w.build_base() for _ in range(inp.sizes.setup_reps)]
             if name != "bootstrap" else [0.0])

@@ -50,3 +50,16 @@ def test_hi_percentile_keeps_ten_samples_beyond_it():
 
     assert run.hi_percentile(list(range(1, 101))) == (90, 90.0, 100)
     assert run.hi_percentile([3, 1, 2]) == (2, 50.0, 3)
+
+
+def test_host_speed_meter():
+    from perfbench import hostspeed
+
+    m = hostspeed.Meter()
+    assert m.slowdown() == 1.0
+    out, t0, t1, stolen = m.timed(lambda: 42)
+    assert out == 42 and t1 >= t0 and 0.0 <= stolen <= (t1 - t0) / 1e9
+    m.probes = [hostspeed.REFERENCE_S * 2] * 3 + [hostspeed.REFERENCE_S]
+    m.wall_s, m.stolen_s = 10.0, 1.0
+    assert m.slowdown() == 2.0
+    assert m.summary() == {"slowdown": 2.0, "steal_share": 0.1, "probes": 4}

@@ -1,20 +1,19 @@
-"""The three workloads: cycles of timed operations on the public CDC API.
+"""The two workloads: cycles of timed operations on the public CDC API.
 
 A workload is a fixed script of operations, a *cycle*, that starts from a
 fixed store state: empty for ``bootstrap``, a copy of the base snapshot
-for ``tail`` and ``serve``. Cycles repeat until the run's seconds are
-spent, so every cycle sees the same states and the oracle is computed once
-per seed. Each operation (an epoch, a lookup, a scan) is timed on its own
-and checked against the oracle before the next one starts (closed loop,
-one client).
+for ``tail``. Cycles repeat until the run's seconds are spent, so every
+cycle sees the same states and the oracle is computed once per seed.
+Each operation (an epoch, a lookup, a scan) is timed on its own and
+checked against the oracle before the next one starts (closed loop, one
+client). A host-speed probe (hostspeed.py) runs before each timed
+operation, outside its timing.
 
 - ``bootstrap``: one large low-duplication epoch from Parquet into an
   empty store through ``apply_epoch_staged``, then a read probe.
 - ``tail``: Debezium JSON-lines segments land one at a time and
   ``SegmentTailer.poll`` applies each with its default ``apply_epoch``;
-  a read probe follows the last epoch.
-- ``serve``: small ``apply_epoch_staged(delta=True)`` epochs, each
-  followed by a read probe against the new snapshot.
+  a read probe follows every epoch.
 
 A read probe is single-key ``CdcEngine.lookup`` calls and pruned
 ``CdcEngine.scan(predicate=...).count()`` calls.
@@ -31,7 +30,7 @@ from arlas_proc_ray.cdc.tailer import SegmentTailer
 from arlas_proc_ray.model import DataModel
 from arlas_proc_ray.sources.io import read_parquet
 
-from perfbench import tracer
+from perfbench import hostspeed, tracer
 from perfbench.inputs import Inputs
 
 FINAL_COLS = ["repo", "path", "commit", "language", "content",
@@ -59,6 +58,7 @@ class Workload:
 
     def __init__(self, name: str, inputs: Inputs, work_dir: str):
         self.name = name
+        self.meter = hostspeed.Meter()
         self.inp = inputs
         self.dm = DataModel(num_partitions=inputs.sizes.partitions)
         self.store_dir = os.path.join(work_dir, "store")
@@ -79,11 +79,11 @@ class Workload:
 
     # ---- bookkeeping -------------------------------------------------
     def _timed(self, fn):
-        t0 = time.perf_counter_ns()
-        out = fn()
-        t1 = time.perf_counter_ns()
+        """Probe the host's speed, then run and time ``fn``; returns its
+        output and its wall seconds less the seconds stolen from it."""
+        out, t0, t1, stolen = self.meter.timed(fn)
         self.windows.append((t0, t1))
-        return out, (t1 - t0) / 1e9
+        return out, (t1 - t0) / 1e9 - stolen
 
     def _check(self, ok: bool, what: str) -> None:
         self.attempted += 1
@@ -102,12 +102,13 @@ class Workload:
 
     # ---- setup -------------------------------------------------------
     def build_base(self) -> float:
-        """Load the base snapshot into a fresh store; returns seconds."""
+        """Load the base snapshot into a fresh store; returns its seconds
+        (steal excluded)."""
         shutil.rmtree(self.base_dir, ignore_errors=True)
         eng = CdcEngine(self.base_dir, self.dm)
-        t0 = time.perf_counter()
-        summary = eng.apply_epoch_staged(events_dataset(self.inp.base_files), epoch=1)
-        dt = time.perf_counter() - t0
+        summary, dt = hostspeed.unstolen(
+            lambda: eng.apply_epoch_staged(events_dataset(self.inp.base_files), epoch=1)
+        )
         self._check_commit(summary, self.inp.base_state)
         return dt
 
@@ -158,24 +159,7 @@ class Workload:
             self._check(r["applied"] and r["epoch"] == first + k,
                         f"tail: poll {k} returned {r}")
             self._epoch_done(eng.store.read_epoch_summary(r["epoch"]), k, dt)
-        self.write_amp.append(
-            (dir_bytes(self.store_dir) - before) / sum(self.inp.epoch_bytes)
-        )
-        self._probe(eng, self.inp.states[-1], index)
-
-    def _cycle_serve(self, index: int) -> None:
-        eng = self._fresh_store()
-        before = dir_bytes(self.store_dir)
-        first = eng.store.latest_committed_epoch() + 1
-        n = len(self.inp.epoch_files)
-        for k, files in enumerate(self.inp.epoch_files):
-            summary, dt = self._timed(
-                lambda: eng.apply_epoch_staged(
-                    events_dataset(files), epoch=first + k, delta=True
-                )
-            )
-            self._epoch_done(summary, k, dt)
-            self._probe(eng, self.inp.states[k], index * n + k)
+            self._probe(eng, self.inp.states[k], index * len(self.inp.payloads) + k)
         self.write_amp.append(
             (dir_bytes(self.store_dir) - before) / sum(self.inp.epoch_bytes)
         )
