@@ -163,11 +163,13 @@ class MergeActor:
 
         watermark = max(self.last_lsn, self.epoch_max_lsn)
         inputs = []
+        applied = 0
         buffered = self._buffered_tables()
         if buffered:
             ev = pa.concat_tables(buffered, promote_options="default")
             if self.last_lsn >= 0:
                 ev = ev.filter(pc.greater(ev.column("lsn"), pa.scalar(self.last_lsn)))
+            applied = ev.num_rows
             inputs.append(_events_as_merge_rows(ev))
         if self.state is not None and self.state.num_rows:
             inputs.append(_state_as_merge_rows(self.state))
@@ -184,9 +186,10 @@ class MergeActor:
         m = self.store.write_partition(
             epoch, self.part, final, last_lsn=watermark,
             metrics={
-                # post-compaction buffered rows (compaction may have
-                # collapsed the raw epoch events), plus spill telemetry
-                "events_applied": int(sum(t.num_rows for t in buffered)),
+                # post-compaction buffered rows past the fence
+                # (compaction may have collapsed the raw epoch events),
+                # plus spill telemetry
+                "events_applied": applied,
                 "spilled_files": len(self.spilled_files),
             },
         )

@@ -7,7 +7,8 @@ One `apply_epoch` call = one fenced unit of exactly-once work:
       → per-batch LWW combiner                            [map_batches]
       → _part_id = hash(repo, path) % P                   [map_batches]
       → groupby(_part_id).map_groups(merge_partition)     [ONE shuffle]
-            inside each group (vectorized, whole partition):
+            inside each group, ``apply_partition`` — the kernel every
+            exchange path shares (vectorized, whole partition):
               · fence: if this epoch's manifest for p exists → skip (resume)
               · read partition p of the previous committed snapshot
               · drop events with lsn <= prior manifest last_lsn
@@ -86,6 +87,89 @@ def _events_as_merge_rows(events: pa.Table) -> pa.Table:
         ),
     }
     return pa.table(cols)
+
+
+def apply_partition(store: SnapshotStore, dm: DataModel, epoch: int,
+                    part: int, events, prior_src, *, delta: bool = False,
+                    fault_hook=None):
+    """Apply one partition's events of one epoch: the step every exchange
+    path (Dataset groupby, staged one- and two-level) ends in.
+
+    ``events`` is a list of event tables routed to ``part`` (any may be
+    empty); ``prior_src`` is the epoch holding the partition's committed
+    file (``None`` on an empty store). In order:
+
+    - fence: this epoch's manifest for ``part`` exists → return it (resume);
+    - prior read: state and applied-LSN watermark of ``prior_src``;
+    - watermark: ``max(prior, max event lsn)`` taken BEFORE tombstone drop
+      and the dedup filter, so a DELETE holding the top LSN still advances it;
+    - dedup filter: events with lsn ≤ the prior watermark are dropped and
+      counted in ``fence_dropped`` (an event never applies twice);
+    - nothing survives the filter: with ``delta`` and a prior file, return
+      ``int(prior_src)`` (reference it, no rewrite); otherwise carry the
+      prior state forward unchanged;
+    - else finalize events ∪ prior (LWW, tombstones out, hash new rows);
+    - ``fault_hook(epoch, part)``, then the atomic write + manifest.
+
+    Every written manifest carries the same metrics: ``events_in``,
+    ``fence_dropped``, ``events_applied`` and ``apply_s``.
+    """
+    if store.partition_done(epoch, part):  # crash-resume fence
+        return store.read_manifest(epoch, part)
+    t0 = time.perf_counter()
+    prior, prior_last = None, -1
+    if prior_src is not None:
+        prior = store.read_partition(prior_src, part)
+        pm = store.read_manifest(prior_src, part)
+        prior_last = pm.last_lsn if pm else -1
+    live = [t for t in events if t.num_rows]
+    ev = pa.concat_tables(live, promote_options="default") if live else None
+    events_in = ev.num_rows if ev is not None else 0
+    watermark = prior_last
+    if ev is not None:
+        watermark = max(prior_last, int(pc.max(ev.column("lsn")).as_py()))
+        if prior_last >= 0:
+            ev = ev.filter(pc.greater(ev.column("lsn"), pa.scalar(prior_last)))
+    applied = ev.num_rows if ev is not None else 0
+    if applied:
+        inputs = [_events_as_merge_rows(ev)]
+        if prior is not None and prior.num_rows:
+            inputs.append(_state_as_merge_rows(prior))
+        final = finalize_partition_table(
+            pa.concat_tables(inputs, promote_options="default"), dm
+        )
+    elif delta and prior_src is not None:
+        return int(prior_src)
+    else:
+        final = prior if prior is not None else FINAL_STATE_SCHEMA.empty_table()
+    if fault_hook is not None:
+        fault_hook(epoch, part)
+    return store.write_partition(
+        epoch, part, final, last_lsn=watermark,
+        metrics={
+            "events_in": events_in,
+            "fence_dropped": events_in - applied,
+            "events_applied": applied,
+            "apply_s": round(time.perf_counter() - t0, 4),
+        },
+    )
+
+
+def open_epoch(store: SnapshotStore, dm: DataModel, epoch: int):
+    """Check that ``epoch`` may be applied on top of the store; return
+    ``(prev_epoch, prior_src)``: the latest committed epoch and a function
+    mapping a partition to the epoch holding its committed file (``None``
+    on an empty store)."""
+    prev = store.latest_committed_epoch()
+    if prev is not None and prev >= epoch:
+        raise ValueError(f"epoch {epoch} already committed (latest {prev})")
+    check_committed_fanout(store, dm, prev)
+    sources = store.resolve_sources(prev) if prev is not None else {}
+
+    def prior_src(part: int):
+        return None if prev is None else sources.get(part, prev)
+
+    return prev, prior_src
 
 
 class EpochAuditError(RuntimeError):
@@ -219,13 +303,7 @@ class CdcEngine:
         dm = self.dm
         store = self.store
         fault_hook = self.fault_hook
-        prev_epoch = store.latest_committed_epoch()
-        if prev_epoch is not None and prev_epoch >= epoch:
-            raise ValueError(f"epoch {epoch} already committed (latest {prev_epoch})")
-        check_committed_fanout(store, dm, prev_epoch)
-        prev_sources = (
-            store.resolve_sources(prev_epoch) if prev_epoch is not None else {}
-        )
+        prev_epoch, prior_src = open_epoch(store, dm, epoch)
 
         # structural validity (DLQ) or plain alignment, then table
         # constraints — one shared head (see _ingest_fn)
@@ -243,44 +321,9 @@ class CdcEngine:
 
         def merge_partition(group: pa.Table) -> pa.Table:
             part = int(group.column(PART_COL)[0].as_py())
-            if store.partition_done(epoch, part):  # crash-resume fence
-                m = store.read_manifest(epoch, part)
-                return _manifest_row(m)
-
-            prior = None
-            prior_last = -1
-            if prev_epoch is not None:
-                src = prev_sources.get(part, prev_epoch)
-                prior = store.read_partition(src, part)
-                pm = store.read_manifest(src, part)
-                prior_last = pm.last_lsn if pm else -1
-
-            t_part0 = time.perf_counter()
-            ev = group.drop_columns([PART_COL])
-            # applied watermark: BEFORE tombstone drop and dedup filter, so
-            # a DELETE holding the top LSN still advances the fence
-            max_ev_lsn = (
-                int(pc.max(ev.column("lsn")).as_py()) if ev.num_rows else -1
-            )
-            watermark = max(prior_last, max_ev_lsn)
-            if prior_last >= 0:
-                # never apply an event twice across runs/epochs
-                ev = ev.filter(pc.greater(ev.column("lsn"), pa.scalar(prior_last)))
-
-            merged_inputs = [_events_as_merge_rows(ev)]
-            if prior is not None and prior.num_rows:
-                merged_inputs.append(_state_as_merge_rows(prior))
-            merged = pa.concat_tables(merged_inputs, promote_options="default")
-
-            final = finalize_partition_table(merged, dm)
-            if fault_hook is not None:
-                fault_hook(epoch, part)
-            m = store.write_partition(
-                epoch, part, final, last_lsn=watermark,
-                metrics={
-                    "events_applied": int(ev.num_rows),
-                    "apply_s": round(time.perf_counter() - t_part0, 4),
-                },
+            m = apply_partition(
+                store, dm, epoch, part, [group.drop_columns([PART_COL])],
+                prior_src(part), fault_hook=fault_hook,
             )
             return _manifest_row(m)
 
@@ -297,22 +340,9 @@ class CdcEngine:
 
         @ray.remote(num_cpus=0.5)
         def carry_forward(part: int):
-            if store.partition_done(epoch, part):
-                return part
-            prior = None
-            prior_last = -1
-            if prev_epoch is not None:
-                src = prev_sources.get(part, prev_epoch)
-                prior = store.read_partition(src, part)
-                pm = store.read_manifest(src, part)
-                prior_last = pm.last_lsn if pm else -1
-            carried = prior if prior is not None else FINAL_STATE_SCHEMA.empty_table()
-            if fault_hook is not None:
-                fault_hook(epoch, part)
-            # propagate the applied watermark, not the surviving-row max
-            store.write_partition(
-                epoch, part, carried, last_lsn=prior_last,
-                metrics={"events_applied": 0, "carried_forward": True},
+            apply_partition(
+                store, dm, epoch, part, [], prior_src(part),
+                fault_hook=fault_hook,
             )
             return part
 
@@ -323,7 +353,7 @@ class CdcEngine:
         ]
         if delta and prev_epoch is not None:
             # untouched partitions stay where they are; only reference them
-            sources = {p: prev_sources.get(p, prev_epoch) for p in pending}
+            sources = {p: prior_src(p) for p in pending}
             if delta_max_age is not None:
                 # compaction policy: refresh references older than max_age
                 stale = [
@@ -629,9 +659,12 @@ class CdcEngine:
         Same guarantees (fences, manifests, exactly-once); measured ~3.7x
         the Dataset-groupby path at 20M events/epoch on one node.
 
-        The exchange creates ``blocks × P`` intermediate objects and
-        per-object overhead dominates past ~10k of them, so past that knee
-        this auto-switches to the TWO-LEVEL exchange (``blocks × √P + P``
+        The exchange runs G = min(P, CPUs in ``ray.cluster_resources()``)
+        merge tasks, each applying a contiguous group of partitions in
+        turn, and creates ``blocks × G`` intermediate objects (one per
+        block per group, not per partition). Per-object overhead dominates
+        past ~10k objects, so when ``blocks × G > 10 000`` this
+        auto-switches to the TWO-LEVEL exchange (``blocks × √P + √P``
         objects — measured 2.3× at P=256/B=128, 2.0× at P=512; the extra
         level costs a re-materialization, so below the knee one level
         wins: 3.1 s vs 5.2 s at P=64/B=64, 20M events). Pass
@@ -659,20 +692,11 @@ class CdcEngine:
         overrides the detected object-store size (tests).
         """
         from arlas_proc_ray.cdc.sizing import plan_epoch_chunks
-        from arlas_proc_ray.cdc.staged import (
-            staged_apply_epoch,
-            staged_apply_epoch_two_level,
-        )
 
         # validate BEFORE any execution: retrying an already-committed
         # epoch (the documented resume pattern) must reject with zero
         # upstream work, not after generating/reading the whole input
-        prev_epoch = self.store.latest_committed_epoch()
-        if prev_epoch is not None and prev_epoch >= epoch:
-            raise ValueError(
-                f"epoch {epoch} already committed (latest {prev_epoch})"
-            )
-        check_committed_fanout(self.store, self.dm, prev_epoch)
+        open_epoch(self.store, self.dm, epoch)
 
         # materialize ONCE: on a lazy dataset num_blocks() executes the
         # whole upstream and to_arrow_refs() would then re-execute it —
@@ -725,19 +749,24 @@ class CdcEngine:
                 dead_letter_dir=dead_letter_dir, publish=publish,
                 delta=delta,
             )
-        if two_level is None:
-            two_level = (
-                events_ds.num_blocks() * self.dm.num_partitions > 10_000
-            )
-        if two_level:
-            return staged_apply_epoch_two_level(
-                self, events_ds, epoch, dead_letter_dir=dead_letter_dir,
-                publish=publish, delta=delta,
-            )
-        return staged_apply_epoch(
+        return self._staged_exchange(events_ds, two_level)(
             self, events_ds, epoch, dead_letter_dir=dead_letter_dir,
             publish=publish, delta=delta,
         )
+
+    def _staged_exchange(self, events_ds, two_level: bool | None):
+        """The staged exchange for a materialized input: two-level when
+        the one-level exchange would create more than
+        ``staged.TWO_LEVEL_OBJECTS`` (10 000) objects — blocks × G, with
+        G = min(P, session CPUs) merge groups — or when forced."""
+        from arlas_proc_ray.cdc import staged
+
+        if two_level is None:
+            G = len(staged.session_groups(self.dm.num_partitions))
+            two_level = events_ds.num_blocks() * G > staged.TWO_LEVEL_OBJECTS
+        if two_level:
+            return staged.staged_apply_epoch_two_level
+        return staged.staged_apply_epoch
 
     def _apply_epoch_chunked(
         self, events_box, epoch: int, plan, *, dead_letter_dir, two_level,
@@ -765,10 +794,6 @@ class CdcEngine:
         import ray.data as rd
 
         from arlas_proc_ray.cdc.sizing import lsn_cutpoints, lsn_range_refs
-        from arlas_proc_ray.cdc.staged import (
-            staged_apply_epoch,
-            staged_apply_epoch_two_level,
-        )
 
         events_mat = events_box.pop()
         refs = events_mat.to_arrow_refs()
@@ -843,18 +868,7 @@ class CdcEngine:
                         delta=delta,
                     )
                 else:
-                    tl = two_level
-                    if tl is None:
-                        tl = (
-                            chunk_ds.num_blocks() * self.dm.num_partitions
-                            > 10_000
-                        )
-                    fn = (
-                        staged_apply_epoch_two_level
-                        if tl
-                        else staged_apply_epoch
-                    )
-                    summary = fn(
+                    summary = self._staged_exchange(chunk_ds, two_level)(
                         self, chunk_ds, e, dead_letter_dir=dead_letter_dir,
                         publish=True, delta=delta,
                     )

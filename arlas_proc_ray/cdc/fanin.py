@@ -20,7 +20,8 @@ Everything above W stays in the sources' spools for a later epoch.
 
 Scale shape: the cut itself is pure metadata — one int per source on
 the driver, nothing buffers driver-side. Event rows stream through one
-vectorized lsn-range filter per source Dataset plus a lazy union; the
+vectorized lsn-range filter per source Dataset plus a union, materialized
+once in the object store to read the highest lsn the cut carries; the
 per-source Datasets are whatever the caller's spool serves (the
 directory tailer's parquet-bytes segments, a read_parquet over spool
 files, a decoded wire feed), re-servable by range exactly like
@@ -46,19 +47,21 @@ def fanin_cut(
     schema version, each ordered or not — only the range filter cares);
     ``highwater`` maps the SAME names → the highest lsn that source has
     durably delivered so far (its spool cursor). Returns
-    ``(epoch_ds, new_cut)`` with ``epoch_ds`` carrying exactly the rows
-    ``prev_cut < lsn ≤ new_cut`` across all sources, or ``(None,
-    prev_cut)`` when no source progress is cuttable yet (the lagging
-    shard gates the watermark — correctness over freshness).
+    ``(epoch_ds, new_cut)`` with ``epoch_ds`` (materialized) carrying
+    exactly the rows ``prev_cut < lsn ≤ new_cut`` across all sources, or
+    ``(None, prev_cut)`` when no source progress is cuttable yet (the
+    lagging shard gates the watermark — correctness over freshness) or
+    the cuttable range holds no event. ``new_cut`` is the highest lsn
+    the epoch carries — a real log position, never a high-water sentinel.
 
     Applying each returned epoch in order keeps every partition's
     applied-lsn watermark monotone, so the engine's idempotency fence
     never mistakes late shard data for replay duplicates.
 
     Closed-source convention: a source that has reached end-of-stream
-    must report the GLOBAL max (conceptually +∞) as its high-water —
-    otherwise its last own lsn gates W forever and the other shards'
-    tail events never cut (pinned in the drain test).
+    must report the GLOBAL max (or any larger value, conceptually +∞) as
+    its high-water — otherwise its last own lsn gates W forever and the
+    other shards' tail events never cut (pinned in the drain test).
     """
     if set(sources) != set(highwater):
         raise ValueError("sources and highwater must cover the same keys")
@@ -82,7 +85,14 @@ def fanin_cut(
             in_range, batch_format="pyarrow", batch_size=None
         )
         out = sl if out is None else out.union(sl)
-    return out, w
+    # clamp W to the highest REAL lsn the cut carries (as FaninTailer
+    # does), so a closed source's +inf high-water never becomes the cut:
+    # a persisted sentinel cut would gate every later epoch for ever
+    out = out.materialize()
+    real = out.max(lsn_col) if out.count() else None
+    if real is None:
+        return None, prev_cut
+    return out, int(real)
 
 
 class FaninTailer:

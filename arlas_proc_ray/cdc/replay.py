@@ -337,12 +337,21 @@ def finalize_partition_table(table: pa.Table, dm: DataModel) -> pa.Table:
 
 
 def _final_state_from_live(live: pa.Table, dm: DataModel) -> pa.Table:
-    if "content_sha256" in live.column_names:
-        sha = live.column("content_sha256")
-        if sha.null_count > 0:
-            sha = pc.coalesce(sha, sha256_hex(live.column("content")))
-    else:
+    sha = (
+        live.column("content_sha256")
+        if "content_sha256" in live.column_names
+        else None
+    )
+    if sha is None or sha.null_count == live.num_rows:
         sha = sha256_hex(live.column("content"))
+    elif sha.null_count:
+        # hash only the new survivors; carried rows keep their digest
+        sha = sha.combine_chunks()
+        new = pc.is_null(sha)
+        sha = pc.replace_with_mask(
+            sha, new,
+            sha256_hex(live.column("content").filter(new)).combine_chunks(),
+        )
 
     last_lsn = live.column(dm.order_col)
     arrays = []

@@ -7,41 +7,64 @@ aggregation paths) — measured ~56 MB/s end-to-end at 20M events where the
 map phase alone runs at >1 GB/s. The fix is the classic two-phase external
 shuffle expressed directly in Ray Core (the justified "raw tasks" escape
 hatch: a fixed-fan-out exchange needs no ordering, no sampling, no
-aggregation — exactly what the Dataset groupby cannot skip):
+aggregation — exactly what the Dataset groupby cannot skip).
+
+The exchange is sized to the session, not to the key space (the
+FP-Hadoop move: group the reduce work into units sized to the cluster).
+The P partitions are cut into G = min(P, CPUs in
+``ray.cluster_resources()``) contiguous groups (:func:`group_plan`):
 
   phase 1  split:  one task per input block → P zero-copy slices by
-                   ``_part_id`` (ONE argsort per block), returned as P
-                   separate objects (``num_returns=P``) so each lands in
-                   the object store individually addressable;
-  phase 2  merge:  one task per partition gathers its B slices, runs the
-                   SAME merge/fence/finalize/write as the engine's
-                   map_groups path (cdc/engine.py), writes the fenced
-                   snapshot + manifest.
+                   ``_part_id`` (ONE argsort per block), returned as G
+                   objects (``num_returns=G``), each a ``{partition:
+                   slice}`` dict of one group — B×G objects, not B×P;
+  phase 2  merge:  one task per group (G tasks, not P) runs the engine's
+                   per-partition kernel (``cdc.engine.apply_partition``:
+                   fence, watermark, dedup, finalize, fenced write +
+                   manifest) over its partitions in turn.
 
-Partition routing is the same stable hash; resume fences are the same
-manifests — the two paths are interchangeable per epoch on one store.
+Within a group the partitions apply sequentially, in ascending order;
+across groups they run in parallel. Fences, watermarks and manifests stay
+per partition, so a crash inside a group leaves the group's earlier
+partitions committed and resume skips them. Partition routing is the same
+stable hash as the Dataset path; the paths are interchangeable per epoch
+on one store.
+
+Past ~10 000 exchange objects (B×G) per-object overhead dominates and
+``CdcEngine.apply_epoch_staged`` switches to the two-level exchange below.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 
-from arlas_proc_ray.cdc.engine import (
-    _events_as_merge_rows,
-    _state_as_merge_rows,
-    check_committed_fanout,
-)
-from arlas_proc_ray.cdc.events import FINAL_STATE_SCHEMA
-from arlas_proc_ray.cdc.replay import (
-    finalize_partition_table,
-    lww_reduce_table,
-)
+from arlas_proc_ray.cdc.engine import apply_partition, open_epoch
+from arlas_proc_ray.cdc.replay import lww_reduce_table
 from arlas_proc_ray.functions.hashing import partition_ids
 from arlas_proc_ray.model import DataModel
+
+# object count (blocks × groups) above which the one-level exchange's
+# per-object overhead dominates and the two-level exchange wins
+TWO_LEVEL_OBJECTS = 10_000
+
+
+def group_plan(num_partitions: int, num_groups: int) -> list[range]:
+    """Cut partitions ``0..P-1`` into ``min(P, G)`` contiguous ranges whose
+    sizes differ by at most one."""
+    P = num_partitions
+    G = max(1, min(P, num_groups))
+    return [range(g * P // G, (g + 1) * P // G) for g in range(G)]
+
+
+def session_groups(num_partitions: int) -> list[range]:
+    """The merge groups for this Ray session: one per CPU, at most P."""
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    return group_plan(num_partitions, cpus)
 
 
 def _split_block(table: pa.Table, dm: DataModel, align) -> list[pa.Table]:
@@ -61,6 +84,56 @@ def _split_block(table: pa.Table, dm: DataModel, align) -> list[pa.Table]:
     ]
 
 
+class _Epoch:
+    """What every exchange task of one staged epoch needs to know."""
+
+    def __init__(self, engine, epoch: int, dead_letter_dir, delta: bool):
+        self.store, self.dm, self.epoch, self.delta = (
+            engine.store, engine.dm, epoch, delta
+        )
+        self.fault_hook = engine.fault_hook
+        self.prev_epoch, self.prior_src = open_epoch(self.store, self.dm, epoch)
+        # shared ingest head: structural validity (DLQ) or alignment, then
+        # table-constraint enforcement (engine._ingest_fn / cdc/constraints.py)
+        self.align = engine._ingest_fn(epoch, dead_letter_dir)
+
+    def finish(self, engine, results: list, publish: bool) -> dict:
+        # a kernel returns an int source epoch for a referenced partition
+        sources = {
+            p: r for p, r in enumerate(results) if isinstance(r, int)
+        } or None
+        if not publish:
+            return engine._stage_epoch(self.epoch, sources, self.prev_epoch)
+        return self.store.commit_epoch(
+            self.epoch, self.dm.num_partitions, sources=sources,
+            expected_prev=self.prev_epoch,
+        )
+
+
+@ray.remote
+def _merge_group(ctx: _Epoch, parts: range, *inputs: dict) -> list:
+    """Apply partitions ``parts`` in order; ``inputs`` are the
+    ``{partition: events}`` dicts routed to this group."""
+    return [
+        apply_partition(
+            ctx.store, ctx.dm, ctx.epoch, p, [d[p] for d in inputs if p in d],
+            ctx.prior_src(p), delta=ctx.delta, fault_hook=ctx.fault_hook,
+        )
+        for p in parts
+    ]
+
+
+def _run_groups(ctx: _Epoch, groups: list[range], inputs_of) -> list:
+    """One merge task per group; ``inputs_of(g)`` lists group g's refs.
+    Returns the kernels' results in partition order."""
+    ctx_ref = ray.put(ctx)
+    out = ray.get([
+        _merge_group.remote(ctx_ref, grp, *inputs_of(g))
+        for g, grp in enumerate(groups)
+    ])
+    return [r for group_results in out for r in group_results]
+
+
 def staged_apply_epoch(engine, events_ds, epoch: int, *,
                       dead_letter_dir: str | None = None,
                       publish: bool = True, delta: bool = False) -> dict:
@@ -77,101 +150,25 @@ def staged_apply_epoch(engine, events_ds, epoch: int, *,
     provably unchanged. At low change rates this removes the dominant
     copy-forward cost from the staged path too.
     """
-    dm = engine.dm
-    store = engine.store
-    fault_hook = engine.fault_hook
-    prev_epoch = store.latest_committed_epoch()
-    if prev_epoch is not None and prev_epoch >= epoch:
-        raise ValueError(f"epoch {epoch} already committed (latest {prev_epoch})")
-    check_committed_fanout(store, dm, prev_epoch)
-    prev_sources = store.resolve_sources(prev_epoch) if prev_epoch is not None else {}
+    ctx = _Epoch(engine, epoch, dead_letter_dir, delta)
+    dm, align = ctx.dm, ctx.align
+    groups = session_groups(dm.num_partitions)
+    G = len(groups)
 
-    # shared ingest head: structural validity (DLQ) or alignment, then
-    # table-constraint enforcement (engine._ingest_fn / cdc/constraints.py)
-    align = engine._ingest_fn(epoch, dead_letter_dir)
-    P = dm.num_partitions
-
-    @ray.remote(num_returns=P)
+    @ray.remote(num_returns=G)
     def split(block: pa.Table):
         parts = _split_block(block, dm, align)
-        return tuple(parts) if P > 1 else parts[0]
+        out = [{p: parts[p] for p in grp if parts[p].num_rows} for grp in groups]
+        return tuple(out) if G > 1 else out[0]
 
-    @ray.remote
-    def merge(part: int, *slices: pa.Table):
-        if store.partition_done(epoch, part):  # crash-resume fence
-            m = store.read_manifest(epoch, part)
-            return m
-        prior = None
-        prior_last = -1
-        src = None
-        if prev_epoch is not None:
-            src = prev_sources.get(part, prev_epoch)
-            prior = store.read_partition(src, part)
-            pm = store.read_manifest(src, part)
-            prior_last = pm.last_lsn if pm else -1
-        ev = pa.concat_tables(
-            [s for s in slices if s.num_rows], promote_options="default"
-        ) if any(s.num_rows for s in slices) else None
-        # applied watermark BEFORE tombstone drop / dedup filter
-        watermark = max(
-            prior_last,
-            int(pc.max(ev.column("lsn")).as_py()) if ev is not None else -1,
-        )
-        inputs = []
-        if ev is not None:
-            if prior_last >= 0:
-                ev = ev.filter(pc.greater(ev.column("lsn"), pa.scalar(prior_last)))
-            inputs.append(_events_as_merge_rows(ev))
-        if delta and src is not None and (
-            ev is None or ev.num_rows == 0
-        ):
-            # untouched (or fully-fenced duplicate) partition: reference
-            # the prior epoch's file instead of rewriting it
-            return int(src)
-        if prior is not None and prior.num_rows:
-            inputs.append(_state_as_merge_rows(prior))
-        final = (
-            finalize_partition_table(
-                pa.concat_tables(inputs, promote_options="default"), dm
-            )
-            if inputs
-            else FINAL_STATE_SCHEMA.empty_table()
-        )
-        if fault_hook is not None:
-            fault_hook(epoch, part)
-        return store.write_partition(
-            epoch, part, final, last_lsn=watermark,
-            metrics={
-                "events_applied": int(ev.num_rows) if ev is not None else 0
-            },
-        )
-
-    # phase 1: one split task per input block (refs, never driver-local)
-    block_refs = events_ds.to_arrow_refs()
-    split_out = [split.remote(ref) for ref in block_refs]
-
-    # phase 2: per-partition merges over the transposed ref matrix.
-    # num_returns=1 hands back a bare ObjectRef (not a 1-list) — index
-    # only when P > 1.
-    merge_refs = [
-        merge.remote(
-            p,
-            *[
-                (split_out[b] if P == 1 else split_out[b][p])
-                for b in range(len(split_out))
-            ],
-        )
-        for p in range(P)
-    ]
-    results = ray.get(merge_refs)
-    sources = {
-        p: r for p, r in enumerate(results) if isinstance(r, int)
-    } or None
-    if not publish:
-        return engine._stage_epoch(epoch, sources, prev_epoch)
-    return store.commit_epoch(
-        epoch, P, sources=sources, expected_prev=prev_epoch
-    )
+    # phase 1: one split task per input block (refs, never driver-local);
+    # num_returns=1 hands back a bare ObjectRef, not a 1-list
+    split_out = [split.remote(ref) for ref in events_ds.to_arrow_refs()]
+    if G == 1:
+        split_out = [[r] for r in split_out]
+    # phase 2: one merge task per group over the transposed ref matrix
+    results = _run_groups(ctx, groups, lambda g: [s[g] for s in split_out])
+    return ctx.finish(engine, results, publish)
 
 
 def staged_apply_epoch_two_level(
@@ -179,153 +176,72 @@ def staged_apply_epoch_two_level(
     dead_letter_dir: str | None = None,
     publish: bool = True, delta: bool = False,
 ) -> dict:
-    """Two-level staged exchange for LARGE partition fan-outs.
+    """Two-level staged exchange for LARGE block counts.
 
-    The one-level exchange creates ``blocks × P`` objects; past ~10k
+    The one-level exchange creates ``blocks × G`` objects; past ~10k
     objects the per-object overhead dominates (measured in round 1:
     400×128 spent 116 s in the split wave alone). Two levels cut that to
-    ``blocks × G + P`` objects (G ≈ √P super-groups):
+    ``blocks × S + S`` objects (S ≈ √P super-groups, or ``groups``):
 
-      level 1  split:    one task per block → G super-group slices
-                         (partition_id // (P/G) buckets), num_returns=G;
+      level 1  split:    one task per block → S super-group slices
+                         (partition_id // ⌈P/S⌉ buckets), num_returns=S;
       level 2  sub-split: one task per super-group gathers its B slices,
-                         concats, ONE argsort → its P/G partition tables,
-                         num_returns=P/G;
-      level 3  merge:    the same per-partition fence/merge/finalize/write
-                         as the one-level path.
+                         concats, ONE argsort → one ``{partition: table}``
+                         dict of its partitions;
+      level 3  merge:    the one-level path's merge groups (one task per
+                         CPU, :func:`session_groups`), each fed the level-2
+                         dicts that hold its partitions.
 
-    For P=512, B=400: one-level 204 800 objects; two-level 400×23 + 512 ≈
-    9 700. Same guarantees (idempotent, resumable, exactly-once) — the
-    merge phase is shared code.
+    For P=512, B=400: one-level at 32 CPUs 12 800 objects; two-level
+    400×23 + 23 ≈ 9 200. Same guarantees (idempotent, resumable,
+    exactly-once) — the merge phase is the same kernel.
     """
-    import math
-
-    dm = engine.dm
-    store = engine.store
-    fault_hook = engine.fault_hook
-    prev_epoch = store.latest_committed_epoch()
-    if prev_epoch is not None and prev_epoch >= epoch:
-        raise ValueError(f"epoch {epoch} already committed (latest {prev_epoch})")
-    check_committed_fanout(store, dm, prev_epoch)
-    prev_sources = store.resolve_sources(prev_epoch) if prev_epoch is not None else {}
-
-    # shared ingest head: structural validity (DLQ) or alignment, then
-    # table-constraint enforcement (engine._ingest_fn / cdc/constraints.py)
-    align = engine._ingest_fn(epoch, dead_letter_dir)
+    ctx = _Epoch(engine, epoch, dead_letter_dir, delta)
+    dm, align = ctx.dm, ctx.align
     P = dm.num_partitions
-    G = groups or max(1, int(math.isqrt(P)))
-    G = min(G, P)
-    per_group = math.ceil(P / G)
+    S = min(groups or max(1, math.isqrt(P)), P)
+    per_super = math.ceil(P / S)
+    S = math.ceil(P / per_super)  # no empty trailing super-group
 
-    @ray.remote(num_returns=max(G, 1))
+    @ray.remote(num_returns=S)
     def split_l1(block: pa.Table):
         table = align(block)
         table = lww_reduce_table(table, dm.key_cols, dm.order_col)
-        pids = partition_ids(table, dm.key_list, dm.num_partitions)
-        gids = pids // per_group
-        order = np.argsort(gids, kind="stable")
-        sorted_gids = gids[order]
-        bounds = np.searchsorted(sorted_gids, np.arange(G + 1))
-        # append _part_id so level 2 need not re-hash
+        pids = partition_ids(table, dm.key_list, P)
+        sids = pids // per_super
+        order = np.argsort(sids, kind="stable")
+        bounds = np.searchsorted(sids[order], np.arange(S + 1))
+        # append _pid so level 2 need not re-hash
         table = table.append_column("_pid", pa.array(pids, type=pa.int32()))
         parts = [
-            table.take(pa.array(order[bounds[g] : bounds[g + 1]]))
-            for g in range(G)
+            table.take(pa.array(order[bounds[s] : bounds[s + 1]]))
+            for s in range(S)
         ]
-        return tuple(parts) if G > 1 else parts[0]
+        return tuple(parts) if S > 1 else parts[0]
 
-    @ray.remote(num_returns=max(per_group, 1))
-    def split_l2(g: int, *slices: pa.Table):
+    @ray.remote
+    def split_l2(*slices: pa.Table) -> dict:
         live = [s for s in slices if s.num_rows]
         if not live:
-            empty = slices[0].slice(0, 0).drop_columns(["_pid"])
-            out = [empty] * per_group
-            return tuple(out) if per_group > 1 else out[0]
+            return {}
         t = pa.concat_tables(live, promote_options="default")
         pids = t.column("_pid").to_numpy()
         t = t.drop_columns(["_pid"])
-        local = pids - g * per_group
-        order = np.argsort(local, kind="stable")
-        sorted_local = local[order]
-        bounds = np.searchsorted(sorted_local, np.arange(per_group + 1))
-        parts = [
-            t.take(pa.array(order[bounds[i] : bounds[i + 1]]))
-            for i in range(per_group)
-        ]
-        return tuple(parts) if per_group > 1 else parts[0]
+        order = np.argsort(pids, kind="stable")
+        present, starts = np.unique(pids[order], return_index=True)
+        ends = [*starts[1:], len(order)]
+        return {
+            int(p): t.take(pa.array(order[a:b]))
+            for p, a, b in zip(present, starts, ends)
+        }
 
-    @ray.remote
-    def merge(part: int, *slices: pa.Table):
-        if store.partition_done(epoch, part):  # crash-resume fence
-            return store.read_manifest(epoch, part)
-        prior = None
-        prior_last = -1
-        src = None
-        if prev_epoch is not None:
-            src = prev_sources.get(part, prev_epoch)
-            prior = store.read_partition(src, part)
-            pm = store.read_manifest(src, part)
-            prior_last = pm.last_lsn if pm else -1
-        ev = (
-            pa.concat_tables(
-                [s for s in slices if s.num_rows], promote_options="default"
-            )
-            if any(s.num_rows for s in slices)
-            else None
-        )
-        watermark = max(
-            prior_last,
-            int(pc.max(ev.column("lsn")).as_py()) if ev is not None else -1,
-        )
-        inputs = []
-        if ev is not None:
-            if prior_last >= 0:
-                ev = ev.filter(pc.greater(ev.column("lsn"), pa.scalar(prior_last)))
-            inputs.append(_events_as_merge_rows(ev))
-        if delta and src is not None and (ev is None or ev.num_rows == 0):
-            return int(src)  # untouched: reference, don't rewrite
-        if prior is not None and prior.num_rows:
-            inputs.append(_state_as_merge_rows(prior))
-        final = (
-            finalize_partition_table(
-                pa.concat_tables(inputs, promote_options="default"), dm
-            )
-            if inputs
-            else FINAL_STATE_SCHEMA.empty_table()
-        )
-        if fault_hook is not None:
-            fault_hook(epoch, part)
-        return store.write_partition(
-            epoch, part, final, last_lsn=watermark,
-            metrics={
-                "events_applied": int(ev.num_rows) if ev is not None else 0
-            },
-        )
+    l1 = [split_l1.remote(ref) for ref in events_ds.to_arrow_refs()]
+    if S == 1:
+        l1 = [[r] for r in l1]
+    l2 = [split_l2.remote(*[b[s] for b in l1]) for s in range(S)]
 
-    block_refs = events_ds.to_arrow_refs()
-    B = len(block_refs)
-    l1 = [split_l1.remote(ref) for ref in block_refs]  # B × G objects
-
-    def _l1(b, g):
-        return l1[b] if G == 1 else l1[b][g]
-
-    l2 = [
-        split_l2.remote(g, *[_l1(b, g) for b in range(B)]) for g in range(G)
-    ]  # G tasks → P objects
-
-    def _l2(g, i):
-        return l2[g] if per_group == 1 else l2[g][i]
-
-    merge_refs = []
-    for part in range(P):
-        g, i = part // per_group, part % per_group
-        merge_refs.append(merge.remote(part, _l2(g, i)))
-    results = ray.get(merge_refs)
-    sources = {
-        p: r for p, r in enumerate(results) if isinstance(r, int)
-    } or None
-    if not publish:
-        return engine._stage_epoch(epoch, sources, prev_epoch)
-    return store.commit_epoch(
-        epoch, P, sources=sources, expected_prev=prev_epoch
-    )
+    merge_groups = session_groups(P)
+    results = _run_groups(ctx, merge_groups, lambda g: l2[
+        merge_groups[g][0] // per_super : merge_groups[g][-1] // per_super + 1
+    ])
+    return ctx.finish(engine, results, publish)

@@ -14368,8 +14368,10 @@ def q_cdc_fanin_replay(sf_dir: str):
         cut, epoch = -1, 0
         for fr in rounds:
             sources = {f"s{s}": shard_prefix(s, fr[s]) for s in range(K)}
+            # a drained shard reports the global max (closed-source
+            # convention), so the final cut lands exactly on it
             hw = {
-                f"s{s}": ((1 << 62) if fr[s] >= 1.0 else int(m * fr[s]))
+                f"s{s}": (m if fr[s] >= 1.0 else int(m * fr[s]))
                 for s in range(K)
             }
             ds, new_cut = fanin_cut(sources, hw, prev_cut=cut)

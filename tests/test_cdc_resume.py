@@ -25,16 +25,16 @@ CFG = ChangelogConfig(num_events=4_000, num_keys=300, seed=5)
 DM = DataModel(num_partitions=8)
 
 
-class CrashAt:
-    """Picklable fault hook: raise when committing partitions >= threshold."""
+def crash_at(epoch: int, part_threshold: int):
+    """Fault hook: raise when committing partitions >= threshold. A
+    closure, so Ray workers unpickle it by value (they cannot import
+    this test module by name)."""
 
-    def __init__(self, epoch: int, part_threshold: int):
-        self.epoch = epoch
-        self.part_threshold = part_threshold
+    def hook(e: int, part: int):
+        if e == epoch and part >= part_threshold:
+            raise RuntimeError(f"injected crash at epoch={e} part={part}")
 
-    def __call__(self, epoch: int, part: int):
-        if epoch == self.epoch and part >= self.part_threshold:
-            raise RuntimeError(f"injected crash at epoch={epoch} part={part}")
+    return hook
 
 
 def test_resume_from_checkpoint(tmp_path):
@@ -52,8 +52,8 @@ def test_resume_from_checkpoint(tmp_path):
     assert s1["last_lsn"] == half - 1
 
     # epoch 2 crashes midway: partitions >= 4 fail
-    crashy = CdcEngine(snap, DM, fault_hook=CrashAt(epoch=2, part_threshold=4))
-    with pytest.raises(Exception):
+    crashy = CdcEngine(snap, DM, fault_hook=crash_at(epoch=2, part_threshold=4))
+    with pytest.raises(Exception, match="injected crash"):
         crashy.apply_epoch(rd.from_arrow(e2), epoch=2)
     assert crashy.store.latest_committed_epoch() == 1  # epoch 2 not visible
 
@@ -230,8 +230,8 @@ def test_two_level_crash_resume(tmp_path):
     staged_apply_epoch_two_level(
         eng, rd.from_arrow(generate_changelog_tables(cfg, 0, 1500)), 1
     )
-    crashy = CdcEngine(snap, dm, fault_hook=CrashAt(epoch=2, part_threshold=5))
-    with pytest.raises(Exception):
+    crashy = CdcEngine(snap, dm, fault_hook=crash_at(epoch=2, part_threshold=5))
+    with pytest.raises(Exception, match="injected crash"):
         staged_apply_epoch_two_level(
             crashy, rd.from_arrow(generate_changelog_tables(cfg, 1500, 3000)), 2
         )
@@ -289,8 +289,8 @@ def test_purge_crash_resume(tmp_path):
     before = eng.final_state().to_pandas()
     victims = before[["repo", "path"]].head(9)
 
-    crashy = CdcEngine(snap, dm, fault_hook=CrashAt(epoch=2, part_threshold=3))
-    with pytest.raises(Exception):
+    crashy = CdcEngine(snap, dm, fault_hook=crash_at(epoch=2, part_threshold=3))
+    with pytest.raises(Exception, match="injected crash"):
         crashy.purge_keys(victims, epoch=2)
     assert crashy.store.latest_committed_epoch() == 1
 

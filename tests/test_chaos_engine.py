@@ -173,7 +173,10 @@ def test_engine_chaos_with_crashes(tmp_path, ray_session, seed):
 def test_all_apply_paths_identical(tmp_path, ray_session, seed):
     """Cross-path equivalence: the Dataset, staged, two-level-staged,
     write-audit-publish and warm-cache-actor paths produce byte-identical
-    final states and equal commit summaries for the same epochs."""
+    final states and equal commit summaries for the same epochs. Every
+    path through the shared partition kernel (all but warm-cache, which
+    keeps its own merge) writes the same manifest metric keys and the
+    same counts."""
     import ray.data as rd
 
     cfg = ChangelogConfig(num_events=3000, num_keys=300, seed=300 + seed)
@@ -182,7 +185,7 @@ def test_all_apply_paths_identical(tmp_path, ray_session, seed):
     def run(mode):
         snap = str(tmp_path / mode)
         eng = CdcEngine(snap, DataModel(num_partitions=4))
-        summaries = []
+        summaries, metrics = [], []
         for i, t in enumerate(tables, start=1):
             ds = rd.from_arrow(t)
             if mode == "dataset":
@@ -199,17 +202,29 @@ def test_all_apply_paths_identical(tmp_path, ray_session, seed):
             summaries.append(
                 {k: s[k] for k in ("row_count", "last_lsn", "rollup")}
             )
+            metrics.append([
+                eng.store.read_manifest(i, p).metrics for p in range(4)
+            ])
         if mode == "warm":
             # epochs 2+ must have been served from the actor cache
             stats = eng.warm_cache_stats()
             assert sum(st["hits"] for st in stats) > 0
             eng.shutdown_warm_pool()
-        return eng.final_state().to_pandas(), summaries
+        return eng.final_state().to_pandas(), summaries, metrics
 
-    base_state, base_sum = run("dataset")
+    def counts(metrics):
+        # apply_s is a duration: its key must match, not its value
+        return [[{**m, "apply_s": None} for m in ep] for ep in metrics]
+
+    base_state, base_sum, base_metrics = run("dataset")
     exp = oracle_final_state(tables).to_pandas()
     pd.testing.assert_frame_equal(base_state, exp)
+    assert {k for ep in base_metrics for m in ep for k in m} == {
+        "events_in", "fence_dropped", "events_applied", "apply_s"
+    }
     for mode in ("staged", "two_level", "wap", "warm"):
-        state, summ = run(mode)
+        state, summ, metrics = run(mode)
         pd.testing.assert_frame_equal(state, base_state)
         assert summ == base_sum, mode
+        if mode != "warm":
+            assert counts(metrics) == counts(base_metrics), mode

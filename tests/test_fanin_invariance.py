@@ -190,6 +190,30 @@ def test_fanin_cut_metadata_semantics(ray_session):
     assert isinstance(a, rd.Dataset)
 
 
+def test_fanin_cut_is_never_the_closed_sentinel(ray_session):
+    """Closed sources may report +inf as their high-water; the cut a
+    caller persists is still the highest real lsn, so a source that
+    joins later with real high-waters cuts again."""
+    cfg = ChangelogConfig(num_events=400, num_keys=30, seed=9)
+    inf = 1 << 62
+    a = _source_ds(cfg, hi=300, source=0, k=2)
+    b = _source_ds(cfg, hi=300, source=1, k=2)
+    ds, cut = fanin_cut({"a": a, "b": b}, {"a": inf, "b": inf})
+    assert cut == 299 == ds.max("lsn")
+
+    # nothing new behind the closed gates: no epoch, the cut stays put
+    assert fanin_cut({"a": a, "b": b}, {"a": inf, "b": inf},
+                     prev_cut=cut) == (None, cut)
+
+    late = changelog_dataset(cfg, lo=300, hi=400)
+    ds2, cut2 = fanin_cut(
+        {"a": a, "b": b, "c": late}, {"a": inf, "b": inf, "c": 399},
+        prev_cut=cut,
+    )
+    lsns = ds2.to_pandas()["lsn"]
+    assert cut2 == 399 and lsns.min() == 300 and len(lsns) == 100
+
+
 # ---------------------------------------------------------------------------
 # FaninTailer: shard DIRECTORIES through watermark cuts
 # ---------------------------------------------------------------------------
