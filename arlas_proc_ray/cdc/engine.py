@@ -57,10 +57,9 @@ def _state_as_merge_rows(state: pa.Table) -> pa.Table:
 
     Keeps their content_sha256 so unchanged rows are never re-hashed.
     """
-    n = state.num_rows
     cols = {
         "lsn": state.column("last_lsn"),
-        "op": pa.chunked_array([pa.array(["UPDATE"] * n, type=pa.string())]),
+        "op": pa.repeat(pa.scalar("UPDATE", pa.string()), state.num_rows),
         "repo": state.column("repo"),
         "path": state.column("path"),
         "commit": state.column("commit"),
@@ -662,8 +661,13 @@ class CdcEngine:
         The exchange runs G = min(P, CPUs in ``ray.cluster_resources()``)
         merge tasks, each applying a contiguous group of partitions in
         turn, and creates ``blocks × G`` intermediate objects (one per
-        block per group, not per partition). Per-object overhead dominates
-        past ~10k objects, so when ``blocks × G > 10 000`` this
+        block per group, not per partition). Each object is ``(first
+        partition, table, bounds)``: the group's rows as one contiguous
+        table sorted by partition, plus the offsets where each partition
+        starts; the merge task cuts per-partition views from it locally.
+        Not a ``{partition: table}`` dict, because Ray pays a fixed cost
+        per serialized table (see cdc/staged.py). Per-object overhead
+        dominates past ~10k objects, so when ``blocks × G > 10 000`` this
         auto-switches to the TWO-LEVEL exchange (``blocks × √P + √P``
         objects — measured 2.3× at P=256/B=128, 2.0× at P=512; the extra
         level costs a re-materialization, so below the knee one level

@@ -353,15 +353,13 @@ def _final_state_from_live(live: pa.Table, dm: DataModel) -> pa.Table:
             sha256_hex(live.column("content").filter(new)).combine_chunks(),
         )
 
-    last_lsn = live.column(dm.order_col)
     arrays = []
     for f in FINAL_STATE_SCHEMA:
         if f.name == "content_sha256":
             arrays.append(sha)
-        elif f.name == "last_lsn":
-            arrays.append(pc.cast(last_lsn, pa.int64()))
-        else:
-            arrays.append(pc.cast(live.column(f.name), f.type))
+            continue
+        col = live.column(dm.order_col if f.name == "last_lsn" else f.name)
+        arrays.append(col if col.type == f.type else pc.cast(col, f.type))
     return pa.Table.from_arrays(arrays, schema=FINAL_STATE_SCHEMA)
 
 

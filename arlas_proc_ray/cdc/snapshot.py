@@ -29,7 +29,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -158,7 +158,9 @@ def _bloom_positions(vals, num_bits: int, num_hashes: int):
 
     from arlas_proc_ray.functions.hashing import sha256_prefix_int
 
-    hv = sha256_prefix_int(pc.cast(vals, pa.string()))
+    if vals.type != pa.string():
+        vals = pc.cast(vals, pa.string())
+    hv = sha256_prefix_int(vals)
     null = hv < 0
     h1 = hv % num_bits
     h2 = (hv // num_bits) % num_bits | np.int64(1)
@@ -181,10 +183,11 @@ def _bloom_build(col, num_rows: int) -> dict:
     bits = _BLOOM_MIN_BITS
     while bits < num_rows * 8 and bits < _BLOOM_MAX_BITS:
         bits <<= 1
-    bm = np.zeros(bits // 8, dtype=np.uint8)
+    hit = np.zeros(bits, dtype=bool)
     for pos in _bloom_positions(col, bits, _BLOOM_HASHES):
-        pos = pos[pos >= 0]
-        np.bitwise_or.at(bm, pos >> 3, np.uint8(1) << (pos & 7).astype(np.uint8))
+        hit[pos[pos >= 0]] = True
+    # bit p lives in byte p >> 3 at position p & 7
+    bm = np.packbits(hit, bitorder="little")
     return {
         "m": bits,
         "k": _BLOOM_HASHES,
@@ -406,7 +409,6 @@ class SnapshotStore:
             ]
             if sort_keys:
                 table = table.sort_by(sort_keys)
-        shas = table.column("content_sha256").to_pylist() if table.num_rows else []
         surviving = (
             int(pa.compute.max(table.column("last_lsn")).as_py())
             if table.num_rows
@@ -417,7 +419,9 @@ class SnapshotStore:
             epoch=epoch,
             last_lsn=surviving if last_lsn is None else max(int(last_lsn), surviving),
             row_count=table.num_rows,
-            sha256_rollup=sha256_rollup(shas),
+            sha256_rollup=sha256_rollup(
+                table.column("content_sha256") if table.num_rows else []
+            ),
             max_surviving_lsn=surviving,
             metrics=dict(metrics or {}),
             col_stats=_column_stats(table),
@@ -432,20 +436,23 @@ class SnapshotStore:
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(data_path), suffix=".parquet.tmp"
         )
-        os.close(fd)
         try:
             pq.write_table(
                 table, tmp, compression=self.compression,
                 row_group_size=self.row_group_rows,
             )
+            # durable before it is visible: the manifest written next
+            # certifies these bytes
+            os.fsync(fd)
             os.replace(tmp, data_path)
         finally:
+            os.close(fd)
             if os.path.exists(tmp):
                 os.unlink(tmp)
         # manifest LAST: its existence certifies the data file is complete
         _atomic_write_bytes(
             self.part_manifest_path(epoch, part),
-            json.dumps(asdict(manifest)).encode(),
+            json.dumps(vars(manifest)).encode(),
         )
         return manifest
 
@@ -527,7 +534,8 @@ class SnapshotStore:
         p = self.part_data_path(epoch, part)
         if not os.path.exists(p):
             return None
-        return pq.read_table(p)
+        with pq.ParquetFile(p) as f:
+            return f.read()
 
     def read_epoch_summary(self, epoch: int) -> dict:
         with open(self.commit_marker_path(epoch)) as f:

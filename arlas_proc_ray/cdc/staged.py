@@ -14,14 +14,28 @@ FP-Hadoop move: group the reduce work into units sized to the cluster).
 The P partitions are cut into G = min(P, CPUs in
 ``ray.cluster_resources()``) contiguous groups (:func:`group_plan`):
 
-  phase 1  split:  one task per input block → P zero-copy slices by
-                   ``_part_id`` (ONE argsort per block), returned as G
-                   objects (``num_returns=G``), each a ``{partition:
-                   slice}`` dict of one group — B×G objects, not B×P;
-  phase 2  merge:  one task per group (G tasks, not P) runs the engine's
-                   per-partition kernel (``cdc.engine.apply_partition``:
-                   fence, watermark, dedup, finalize, fenced write +
-                   manifest) over its partitions in turn.
+  phase 1  split:  one task per input block routes its rows (ONE stable
+                   argsort by ``_part_id``) and returns G objects
+                   (``num_returns=G``), one per group: ``(first_partition,
+                   table, bounds)`` — the group's rows as ONE contiguous
+                   table sorted by partition, and the row offsets where
+                   each of its partitions starts (``len(group) + 1``
+                   ints) — B×G objects, not B×P;
+  phase 2  merge:  one task per group (G tasks, not P) cuts each
+                   partition's rows out of its inputs as zero-copy views
+                   and runs the engine's per-partition kernel
+                   (``cdc.engine.apply_partition``: fence, watermark,
+                   dedup, finalize, fenced write + manifest) over its
+                   partitions in turn.
+
+An exchange object is one table plus bounds, not a ``{partition: table}``
+dict, because Ray pays a fixed cost for every Arrow table it serializes:
+on one CPU, the two split outputs of a 27 MB bootstrap epoch took 195 ms
+to ``ray.put`` + ``ray.get`` as two dicts of 64 tables and 17 ms as two
+contiguous tables with bounds. The per-partition views are cut inside the
+merge task and never pass through the object store. The group table is a
+``take`` (a copy), never a ``slice()`` of the block: a pyarrow slice
+pickles its whole parent buffer, a G× blow-up when G > 1.
 
 Within a group the partitions apply sequentially, in ascending order;
 across groups they run in parallel. Fences, watermarks and manifests stay
@@ -67,20 +81,47 @@ def session_groups(num_partitions: int) -> list[range]:
     return group_plan(num_partitions, cpus)
 
 
-def _split_block(table: pa.Table, dm: DataModel, align) -> list[pa.Table]:
-    """normalize → combine → ONE argsort by partition → P zero-copy slices."""
+def _route(table: pa.Table, dm: DataModel, align) -> tuple[pa.Table, np.ndarray]:
+    """normalize → combine → partition id per row."""
     table = align(table)
     table = lww_reduce_table(table, dm.key_cols, dm.order_col)
-    pids = partition_ids(table, dm.key_list, dm.num_partitions)
+    return table, partition_ids(table, dm.key_list, dm.num_partitions)
+
+
+def _partition_order(pids: np.ndarray, lo: int, hi: int):
+    """ONE stable argsort of ``pids`` (all in ``[lo, hi)``) → the row
+    order and the ``hi - lo + 1`` offsets where each partition starts."""
     order = np.argsort(pids, kind="stable")
-    sorted_pids = pids[order]
-    bounds = np.searchsorted(sorted_pids, np.arange(dm.num_partitions + 1))
-    # per-partition take() — NOT slice(): a pyarrow slice pickles the whole
-    # underlying buffer (P× blow-up through the object store); take copies
-    # exactly the partition's rows
+    return order, np.searchsorted(pids[order], np.arange(lo, hi + 1))
+
+
+def _split_block(table: pa.Table, dm: DataModel, align) -> list[pa.Table]:
+    """normalize → combine → ONE argsort by partition → P tables, each a
+    copy (``take``) of exactly its partition's rows."""
+    table, pids = _route(table, dm, align)
+    order, bounds = _partition_order(pids, 0, dm.num_partitions)
     return [
-        table.take(pa.array(order[bounds[p] : bounds[p + 1]]))
+        table.take(order[bounds[p] : bounds[p + 1]])
         for p in range(dm.num_partitions)
+    ]
+
+
+def _exchange_object(first: int, table: pa.Table, order: np.ndarray,
+                     bounds: np.ndarray) -> tuple:
+    """``(first, rows, offsets)`` for partitions ``first .. first +
+    len(bounds) - 2``: ONE ``take`` of their rows (a copy, never a slice
+    of ``table``) in partition order, and offsets rebased to it."""
+    rows = table.take(order[bounds[0] : bounds[-1]])
+    return first, rows, bounds - bounds[0]
+
+
+def _partition_views(inputs, p: int) -> list[pa.Table]:
+    """Partition ``p``'s rows in every exchange object that covers it, as
+    zero-copy slices."""
+    return [
+        t.slice(b[p - lo], b[p - lo + 1] - b[p - lo])
+        for lo, t, b in inputs
+        if lo <= p < lo + len(b) - 1
     ]
 
 
@@ -111,12 +152,13 @@ class _Epoch:
 
 
 @ray.remote
-def _merge_group(ctx: _Epoch, parts: range, *inputs: dict) -> list:
+def _merge_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
     """Apply partitions ``parts`` in order; ``inputs`` are the
-    ``{partition: events}`` dicts routed to this group."""
+    ``(first_partition, table, bounds)`` exchange objects routed to this
+    group."""
     return [
         apply_partition(
-            ctx.store, ctx.dm, ctx.epoch, p, [d[p] for d in inputs if p in d],
+            ctx.store, ctx.dm, ctx.epoch, p, _partition_views(inputs, p),
             ctx.prior_src(p), delta=ctx.delta, fault_hook=ctx.fault_hook,
         )
         for p in parts
@@ -157,8 +199,13 @@ def staged_apply_epoch(engine, events_ds, epoch: int, *,
 
     @ray.remote(num_returns=G)
     def split(block: pa.Table):
-        parts = _split_block(block, dm, align)
-        out = [{p: parts[p] for p in grp if parts[p].num_rows} for grp in groups]
+        table, pids = _route(block, dm, align)
+        order, bounds = _partition_order(pids, 0, dm.num_partitions)
+        out = [
+            _exchange_object(grp[0], table, order,
+                             bounds[grp.start : grp.stop + 1])
+            for grp in groups
+        ]
         return tuple(out) if G > 1 else out[0]
 
     # phase 1: one split task per input block (refs, never driver-local);
@@ -186,11 +233,12 @@ def staged_apply_epoch_two_level(
       level 1  split:    one task per block → S super-group slices
                          (partition_id // ⌈P/S⌉ buckets), num_returns=S;
       level 2  sub-split: one task per super-group gathers its B slices,
-                         concats, ONE argsort → one ``{partition: table}``
-                         dict of its partitions;
+                         concats, ONE argsort → one ``(first_partition,
+                         table, bounds)`` exchange object, the one-level
+                         shape over the super-group's partitions;
       level 3  merge:    the one-level path's merge groups (one task per
                          CPU, :func:`session_groups`), each fed the level-2
-                         dicts that hold its partitions.
+                         objects that hold its partitions.
 
     For P=512, B=400: one-level at 32 CPUs 12 800 objects; two-level
     400×23 + 23 ≈ 9 200. Same guarantees (idempotent, resumable,
@@ -205,9 +253,7 @@ def staged_apply_epoch_two_level(
 
     @ray.remote(num_returns=S)
     def split_l1(block: pa.Table):
-        table = align(block)
-        table = lww_reduce_table(table, dm.key_cols, dm.order_col)
-        pids = partition_ids(table, dm.key_list, P)
+        table, pids = _route(block, dm, align)
         sids = pids // per_super
         order = np.argsort(sids, kind="stable")
         bounds = np.searchsorted(sids[order], np.arange(S + 1))
@@ -220,25 +266,20 @@ def staged_apply_epoch_two_level(
         return tuple(parts) if S > 1 else parts[0]
 
     @ray.remote
-    def split_l2(*slices: pa.Table) -> dict:
-        live = [s for s in slices if s.num_rows]
-        if not live:
-            return {}
-        t = pa.concat_tables(live, promote_options="default")
+    def split_l2(s: int, *slices: pa.Table) -> tuple:
+        t = pa.concat_tables(
+            [b for b in slices if b.num_rows] or slices[:1],
+            promote_options="default",
+        )
         pids = t.column("_pid").to_numpy()
-        t = t.drop_columns(["_pid"])
-        order = np.argsort(pids, kind="stable")
-        present, starts = np.unique(pids[order], return_index=True)
-        ends = [*starts[1:], len(order)]
-        return {
-            int(p): t.take(pa.array(order[a:b]))
-            for p, a, b in zip(present, starts, ends)
-        }
+        lo, hi = s * per_super, min(P, (s + 1) * per_super)
+        order, bounds = _partition_order(pids, lo, hi)
+        return _exchange_object(lo, t.drop_columns(["_pid"]), order, bounds)
 
     l1 = [split_l1.remote(ref) for ref in events_ds.to_arrow_refs()]
     if S == 1:
         l1 = [[r] for r in l1]
-    l2 = [split_l2.remote(*[b[s] for b in l1]) for s in range(S)]
+    l2 = [split_l2.remote(s, *[b[s] for b in l1]) for s in range(S)]
 
     merge_groups = session_groups(P)
     results = _run_groups(ctx, merge_groups, lambda g: l2[

@@ -19,6 +19,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def _sha256_string_array(arr: pa.Array) -> list[str | None]:
@@ -59,9 +60,23 @@ def sha256_rollup(hex_digests) -> str:
     """Order-free rollup of per-row sha256 hex digests for a manifest.
 
     sha256 over the *sorted* digests — deterministic regardless of row order
-    (FIXTURES.md §4: "xor/sorted-concat hash of row sha256s").
+    (FIXTURES.md §4: "xor/sorted-concat hash of row sha256s"). Takes any
+    iterable of hex strings (``None`` skipped) or an Arrow string column
+    (nulls skipped): the column's digests are sorted in Arrow and the
+    sorted data buffer is hashed in one call — the same bytes, so the
+    same hex, as the iterable form.
     """
     h = hashlib.sha256()
+    if isinstance(hex_digests, (pa.Array, pa.ChunkedArray)):
+        arr = pc.drop_null(hex_digests)
+        if isinstance(arr, pa.ChunkedArray):
+            arr = arr.combine_chunks()
+        arr = arr.cast(pa.string()).sort()
+        if len(arr):
+            offs = np.frombuffer(arr.buffers()[1], dtype=np.int32,
+                                 count=len(arr) + 1)
+            h.update(memoryview(arr.buffers()[2])[offs[0] : offs[-1]])
+        return h.hexdigest()
     for d in sorted(x for x in hex_digests if x is not None):
         h.update(d.encode("ascii"))
     return h.hexdigest()

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from arlas_proc_ray.functions.hashing import (
     partition_ids,
@@ -38,6 +39,25 @@ def test_rollup_is_order_free():
     a = ["d1", "d2", "d3"]
     assert sha256_rollup(a) == sha256_rollup(list(reversed(a)))
     assert sha256_rollup(a) != sha256_rollup(a[:2])
+
+
+@pytest.mark.parametrize("shape", ["array", "chunked", "nulls", "sliced", "empty"])
+def test_rollup_of_arrow_column_equals_rollup_of_list(shape):
+    rng = np.random.default_rng(7)
+    digests = [hashlib.sha256(rng.bytes(8)).hexdigest() for _ in range(500)]
+    if shape == "array":
+        col = pa.array(digests)
+    elif shape == "chunked":
+        col = pa.chunked_array([pa.array(digests[:123]), pa.array(digests[123:])])
+    elif shape == "nulls":
+        digests[::7] = [None] * len(digests[::7])
+        col = pa.chunked_array([pa.array(digests[:250]), pa.array(digests[250:])])
+    elif shape == "sliced":
+        col = pa.array(digests).slice(41, 300)
+        digests = digests[41:341]
+    else:
+        col, digests = pa.chunked_array([], type=pa.string()), []
+    assert sha256_rollup(col) == sha256_rollup(digests)
 
 
 def test_partition_ids_stable_and_in_range():

@@ -3,22 +3,25 @@
 Every exchange path (Dataset groupby, staged one- and two-level) ends in
 ``cdc.engine.apply_partition``; the staged paths run it in one merge task
 per CPU over a contiguous group of partitions. These tests pin the group
-plan, P > session CPUs on every path, a crash in the middle of a group,
-the kernel's manifest metrics under redelivery, and that finalize hashes
-only the rows that have no digest yet.
+plan, the shape of the staged exchange objects, P > session CPUs on every
+path, a crash in the middle of a group, the kernel's manifest metrics
+under redelivery, and that finalize hashes only the rows that have no
+digest yet.
 """
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
+import ray
 import ray.data as rd
 
-from arlas_proc_ray.cdc import replay
+from arlas_proc_ray.cdc import replay, staged
 from arlas_proc_ray.cdc.engine import CdcEngine
 from arlas_proc_ray.cdc.events import ChangelogConfig, generate_changelog_tables
 from arlas_proc_ray.cdc.oracle import oracle_final_state
-from arlas_proc_ray.cdc.staged import group_plan, session_groups
+from arlas_proc_ray.cdc.staged import _split_block, group_plan, session_groups
 from arlas_proc_ray.functions.hashing import sha256_hex
 from arlas_proc_ray.model import DataModel
 
@@ -42,6 +45,58 @@ def test_session_groups_follow_cpus():
         list(range(i, i + 4)) for i in range(0, P, 4)
     ]
     assert len(session_groups(2)) == 2
+
+
+@pytest.mark.parametrize("two_level", [False, True])
+@pytest.mark.parametrize("parts,one_group", [(1, False), (P, False), (P, True)])
+def test_exchange_objects_are_contiguous_partition_sorted_tables(
+    tmp_path, monkeypatch, two_level, parts, one_group
+):
+    """Every object a merge group receives is ``(first_partition, table,
+    bounds)``: one single-chunk table whose bounds cover its rows exactly
+    once, and whose view of each partition equals the rows
+    ``_split_block`` routes to that partition."""
+    if one_group:
+        monkeypatch.setattr(staged, "session_groups",
+                            lambda n: group_plan(n, 1))
+    received = {}
+    run_groups = staged._run_groups
+
+    def capture(ctx, groups, inputs_of):
+        for g, grp in enumerate(groups):
+            received[grp] = ray.get(list(inputs_of(g)))
+        return run_groups(ctx, groups, inputs_of)
+
+    monkeypatch.setattr(staged, "_run_groups", capture)
+    cfg = ChangelogConfig(num_events=3000, num_keys=300, seed=49)
+    tables = generate_changelog_tables(cfg)
+    assert len(tables) > 1  # more than one block per exchange
+    eng = CdcEngine(str(tmp_path), DataModel(num_partitions=parts))
+    eng.apply_epoch_staged(rd.from_arrow(tables), 1, two_level=two_level)
+
+    groups = staged.session_groups(parts)
+    assert list(received) == groups
+    align = eng._ingest_fn(1, None)
+    routed = [_split_block(t, eng.dm, align) for t in tables]
+    for grp, inputs in received.items():
+        covered = set()
+        for obj in inputs:
+            first, table, bounds = obj
+            assert isinstance(first, int) and isinstance(bounds, np.ndarray)
+            assert all(c.num_chunks == 1 for c in table.columns)
+            assert bounds[0] == 0 and bounds[-1] == table.num_rows
+            assert (np.diff(bounds) >= 0).all()
+            covered |= set(range(first, first + len(bounds) - 1))
+            if not two_level:  # one object per block, exactly the group
+                assert range(first, first + len(bounds) - 1) == grp
+        assert covered >= set(grp)
+        for p in grp:
+            views = staged._partition_views(inputs, p)
+            want = pa.concat_tables([r[p] for r in routed])
+            assert pa.concat_tables(views).equals(want), p
+    pd.testing.assert_frame_equal(
+        eng.final_state().to_pandas(), oracle_final_state(tables).to_pandas()
+    )
 
 
 def _apply(eng, mode, ds, epoch):
