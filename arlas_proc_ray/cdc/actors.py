@@ -24,6 +24,8 @@ express (Ray Data actor pools are per-execution).
 
 from __future__ import annotations
 
+import time
+
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -41,7 +43,10 @@ from arlas_proc_ray.functions.hashing import partition_ids
 from arlas_proc_ray.model import DataModel
 
 
-@ray.remote(num_cpus=0.5)
+# num_cpus=0: a long-lived actor must not hold CPU that the epoch's
+# tasks wait for — with a reservation, P actors on a 1-CPU session
+# starve the routing task and the epoch never finishes.
+@ray.remote(num_cpus=0)
 class MergeActor:
     """Owns one partition: buffered epoch events + current LWW state.
 
@@ -161,12 +166,14 @@ class MergeActor:
             self.last_lsn = m.last_lsn
             return {"partition_id": self.part, "row_count": m.row_count}
 
+        t0 = time.perf_counter()
         watermark = max(self.last_lsn, self.epoch_max_lsn)
         inputs = []
-        applied = 0
+        events_in = applied = 0
         buffered = self._buffered_tables()
         if buffered:
             ev = pa.concat_tables(buffered, promote_options="default")
+            events_in = ev.num_rows
             if self.last_lsn >= 0:
                 ev = ev.filter(pc.greater(ev.column("lsn"), pa.scalar(self.last_lsn)))
             applied = ev.num_rows
@@ -186,10 +193,13 @@ class MergeActor:
         m = self.store.write_partition(
             epoch, self.part, final, last_lsn=watermark,
             metrics={
-                # post-compaction buffered rows past the fence
-                # (compaction may have collapsed the raw epoch events),
-                # plus spill telemetry
+                # the kernel's schema (engine.apply_partition) over the
+                # buffered rows that reach commit — compaction may have
+                # collapsed the raw epoch events — plus spill telemetry
+                "events_in": events_in,
+                "fence_dropped": events_in - applied,
                 "events_applied": applied,
+                "apply_s": round(time.perf_counter() - t0, 4),
                 "spilled_files": len(self.spilled_files),
             },
         )

@@ -205,18 +205,7 @@ class CdcEngine:
         compression: str = "snappy",
         constraints: dict | None = None,
         on_violation: str = "fail",
-        warm_cache: bool = False,
-        warm_groups: int | None = None,
     ):
-        # warm_cache: route staged merges through a pool of long-lived
-        # PartitionCacheActors that keep each partition's latest written
-        # state in memory (cdc/warmcache.py design doc) — skips the
-        # per-epoch prior-state parquet read on cache hit; any miss falls
-        # back to merge-on-read, so it is a perf flag, never a
-        # correctness one.
-        self.warm_cache = warm_cache
-        self.warm_groups = warm_groups
-        self._warm_pool_actors = None
         self.dm = dm or DataModel()
         # blooms over the key columns: == point lookups prune partitions
         # zone maps never can (hash partitioning spreads every key range).
@@ -607,50 +596,11 @@ class CdcEngine:
             self.discard_staged(epoch)
         raise EpochAuditError(report)
 
-    def _warm_pool(self):
-        """Lazily create the warm-cache actor pool (cdc/warmcache.py)."""
-        if self._warm_pool_actors is None:
-            import ray
-
-            from arlas_proc_ray.cdc.warmcache import PartitionCacheActor
-
-            g = self.warm_groups
-            if g is None:
-                # one actor per core by default: the pool must not be
-                # narrower than the task-based merge wave it replaces
-                # (measured: G=16 actors on 32 cpus ran 0.84x the cold
-                # path; G=32 restored parity — BASELINE.md r4 addendum)
-                g = int(ray.cluster_resources().get("CPU", 8))
-            g = max(1, min(g, self.dm.num_partitions))
-            self._warm_pool_actors = [
-                PartitionCacheActor.remote(
-                    self.store.root, self.dm, self.fault_hook
-                )
-                for _ in range(g)
-            ]
-        return self._warm_pool_actors
-
-    def warm_cache_stats(self) -> list[dict]:
-        import ray
-
-        if self._warm_pool_actors is None:
-            return []
-        return ray.get([a.stats.remote() for a in self._warm_pool_actors])
-
-    def shutdown_warm_pool(self):
-        import ray
-
-        if self._warm_pool_actors is not None:
-            for a in self._warm_pool_actors:
-                ray.kill(a)
-            self._warm_pool_actors = None
-
     def apply_epoch_staged(
         self, events_ds, epoch: int, *, two_level: bool | None = None,
         dead_letter_dir: str | None = None, publish: bool = True,
         auto_split: bool | int | None = None,
         budget_bytes: int | None = None,
-        warm_cache: bool | None = None,
         delta: bool = False,
     ) -> dict:
         """High-volume variant: raw-task staged shuffle (cdc/staged.py).
@@ -732,7 +682,6 @@ class CdcEngine:
                     RuntimeWarning,
                 )
                 plan = None
-        warm = self.warm_cache if warm_cache is None else warm_cache
         if plan is not None and plan.chunks > 1:
             # hand ownership through a box so this frame drops its
             # reference — the chunked path frees the pinned input once
@@ -742,15 +691,6 @@ class CdcEngine:
             return self._apply_epoch_chunked(
                 box, epoch, plan,
                 dead_letter_dir=dead_letter_dir, two_level=two_level,
-                warm=warm, delta=delta,
-            )
-
-        if warm:
-            from arlas_proc_ray.cdc.warmcache import staged_apply_epoch_warm
-
-            return staged_apply_epoch_warm(
-                self, events_ds, epoch, pool=self._warm_pool(),
-                dead_letter_dir=dead_letter_dir, publish=publish,
                 delta=delta,
             )
         return self._staged_exchange(events_ds, two_level)(
@@ -774,7 +714,7 @@ class CdcEngine:
 
     def _apply_epoch_chunked(
         self, events_box, epoch: int, plan, *, dead_letter_dir, two_level,
-        warm: bool = False, delta: bool = False,
+        delta: bool = False,
     ) -> dict:
         """Apply an oversized epoch as LSN-range sub-epochs (see
         ``apply_epoch_staged``). ``events_box`` is a 1-list holding the
@@ -861,21 +801,10 @@ class CdcEngine:
                 if chunk_ds.count() == 0:
                     del chunk_ds
                     continue
-                if warm:
-                    from arlas_proc_ray.cdc.warmcache import (
-                        staged_apply_epoch_warm,
-                    )
-
-                    summary = staged_apply_epoch_warm(
-                        self, chunk_ds, e, pool=self._warm_pool(),
-                        dead_letter_dir=dead_letter_dir, publish=True,
-                        delta=delta,
-                    )
-                else:
-                    summary = self._staged_exchange(chunk_ds, two_level)(
-                        self, chunk_ds, e, dead_letter_dir=dead_letter_dir,
-                        publish=True, delta=delta,
-                    )
+                summary = self._staged_exchange(chunk_ds, two_level)(
+                    self, chunk_ds, e, dead_letter_dir=dead_letter_dir,
+                    publish=True, delta=delta,
+                )
                 committed.append(e)
                 e += 1
                 del chunk_ds  # unpin this chunk before the next

@@ -42,7 +42,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from arlas_proc_ray.cdc.engine import check_committed_fanout
+from arlas_proc_ray.cdc.engine import open_epoch
 from arlas_proc_ray.cdc.events import FINAL_STATE_SCHEMA
 from arlas_proc_ray.model import DataModel
 
@@ -106,13 +106,15 @@ def merge_into(
     fault_hook = engine.fault_hook
     key_cols = dm.key_list
 
-    prev_epoch = store.latest_committed_epoch()
-    if prev_epoch is not None and prev_epoch >= epoch:
-        raise ValueError(f"epoch {epoch} already committed (latest {prev_epoch})")
-    check_committed_fanout(store, dm, prev_epoch)
-    prev_sources = (
-        store.resolve_sources(prev_epoch) if prev_epoch is not None else {}
-    )
+    prev_epoch, prior_src = open_epoch(store, dm, epoch)
+
+    def read_prior(part: int):
+        """Committed state of ``part`` and its applied-LSN watermark."""
+        src_e = prior_src(part)
+        if src_e is None:
+            return None, -1
+        pm = store.read_manifest(src_e, part)
+        return store.read_partition(src_e, part), pm.last_lsn if pm else -1
 
     from arlas_proc_ray.cdc.replay import add_partition_stage
 
@@ -123,14 +125,7 @@ def merge_into(
         if store.partition_done(epoch, part):  # crash-resume fence
             return pa.table({"partition_id": pa.array([part], pa.int32())})
 
-        prior = None
-        prior_last = -1
-        if prev_epoch is not None:
-            src_e = prev_sources.get(part, prev_epoch)
-            prior = store.read_partition(src_e, part)
-            pm = store.read_manifest(src_e, part)
-            prior_last = pm.last_lsn if pm else -1
-
+        prior, prior_last = read_prior(part)
         t0 = time.perf_counter()
         src = group.drop_columns([PART_COL]).to_pandas()
         # dedup source per key: highest source lsn wins (deterministic)
@@ -187,13 +182,7 @@ def merge_into(
         """No-source-rows partition: carry forward, or sync-delete all."""
         if store.partition_done(epoch, part):
             return part
-        prior = None
-        prior_last = -1
-        if prev_epoch is not None:
-            src_e = prev_sources.get(part, prev_epoch)
-            prior = store.read_partition(src_e, part)
-            pm = store.read_manifest(src_e, part)
-            prior_last = pm.last_lsn if pm else -1
+        prior, prior_last = read_prior(part)
         if when_not_matched_by_source == "delete":
             carried = FINAL_STATE_SCHEMA.empty_table()
         else:
@@ -219,7 +208,7 @@ def merge_into(
         and pending
     ):
         # untouched partitions: metadata-only delta references
-        sources = {p: prev_sources.get(p, prev_epoch) for p in pending}
+        sources = {p: prior_src(p) for p in pending}
         return store.commit_epoch(
             epoch, dm.num_partitions, sources=sources, expected_prev=prev_epoch
         )

@@ -1391,12 +1391,13 @@ def q_cdc_autosplit_replay(sf_dir: str):
 
 
 def q_cdc_warm_replay(sf_dir: str):
-    """The SAME deterministic events-derived replay, two staged epochs
-    through the warm partition-state cache (cdc/warmcache.py,
-    ``CdcEngine(warm_cache=True)``): epoch 2's prior state is served
-    from the cache actors, and the final state must stay hash-identical
-    to the SQL LWW oracle — driver-visible verification of the warm
-    path."""
+    """The SAME deterministic events-derived replay, as two staged epochs
+    split at the LSN midpoint, so epoch 2 merges over epoch 1's committed
+    snapshot (merge-on-read); the final state must stay hash-identical to
+    the SQL LWW oracle. The name is kept from the removed warm
+    partition-state cache, which this query used to drive: it never beat
+    merge-on-read (0.99x at 32 CPUs) and its long-lived cache actors held
+    CPU the epoch's split tasks needed, so it deadlocked on one CPU."""
     import shutil
     import tempfile
 
@@ -1404,21 +1405,15 @@ def q_cdc_warm_replay(sf_dir: str):
     from arlas_proc_ray.model import DataModel
 
     snap = tempfile.mkdtemp(prefix="cdc_warm_replay_")
-    eng = None
     try:
         changelog = _events_changelog_v1(sf_dir).materialize()
         mid = int(changelog.max("lsn") or 0) // 2
-        eng = CdcEngine(snap, DataModel(num_partitions=NP), warm_cache=True)
+        eng = CdcEngine(snap, DataModel(num_partitions=NP))
         eng.apply_epoch_staged(changelog.filter(expr=f"lsn <= {mid}"), 1)
         eng.apply_epoch_staged(changelog.filter(expr=f"lsn > {mid}"), 2)
-        stats = eng.warm_cache_stats()
-        if sum(st["hits"] for st in stats) == 0:
-            raise RuntimeError(f"warm cache never hit: {stats}")
         out = eng.final_state()
         return out.to_pandas() if hasattr(out, "to_pandas") else out
     finally:
-        if eng is not None:
-            eng.shutdown_warm_pool()
         shutil.rmtree(snap, ignore_errors=True)
 
 
@@ -5281,7 +5276,7 @@ def _movement_oracle() -> str:
 ORACLE_SQL["movement_courses"] = _movement_oracle()
 
 # Scale-path queries share the exact paths' oracles: auto-split and
-# warm-cache replays must be hash-identical to the single-path LWW
+# two-epoch staged replays must be hash-identical to the single-path LWW
 # state, and hashed decontamination to the exact string mode.
 ORACLE_SQL["cdc_autosplit_replay"] = ORACLE_SQL["cdc_engine_replay"]
 ORACLE_SQL["cdc_warm_replay"] = ORACLE_SQL["cdc_engine_replay"]

@@ -140,44 +140,38 @@ def test_delta_max_age_compaction_policy(tmp_path):
 import pytest
 
 
-@pytest.mark.parametrize("mode", ["staged", "two_level", "warm"])
+@pytest.mark.parametrize("mode", ["staged", "two_level"])
 def test_staged_delta_references_untouched_partitions(tmp_path, mode):
-    """delta=True on the STAGED paths (one-level / two-level / warm
-    cache): a single-key epoch rewrites exactly one partition file; the
-    rest are metadata references to epoch 1; state matches the Dataset
-    delta path byte-for-byte."""
+    """delta=True on the STAGED paths (one-level / two-level): a
+    single-key epoch rewrites exactly one partition file; the rest are
+    metadata references to epoch 1; state matches the Dataset delta path
+    byte-for-byte."""
     snap = str(tmp_path / mode)
-    engine = CdcEngine(snap, DM, warm_cache=(mode == "warm"))
-    try:
-        kw = {"two_level": mode == "two_level"} if mode != "warm" else {}
-        engine.apply_epoch_staged(
-            rd.from_arrow(generate_changelog_tables(CFG)), epoch=1, **kw
-        )
-        engine.apply_epoch_staged(
-            rd.from_arrow([_one_key_event(10_000)]), epoch=2, delta=True,
-            **kw,
-        )
-        files_e2 = [
-            f for f in os.listdir(engine.store.epoch_dir(2))
-            if f.endswith(".parquet")
-        ]
-        assert len(files_e2) == 1
-        srcs = engine.store.resolve_sources(2)
-        assert sorted(srcs.values()).count(1) == DM.num_partitions - 1
+    engine = CdcEngine(snap, DM)
+    kw = {"two_level": mode == "two_level"}
+    engine.apply_epoch_staged(
+        rd.from_arrow(generate_changelog_tables(CFG)), epoch=1, **kw
+    )
+    engine.apply_epoch_staged(
+        rd.from_arrow([_one_key_event(10_000)]), epoch=2, delta=True, **kw
+    )
+    files_e2 = [
+        f for f in os.listdir(engine.store.epoch_dir(2))
+        if f.endswith(".parquet")
+    ]
+    assert len(files_e2) == 1
+    srcs = engine.store.resolve_sources(2)
+    assert sorted(srcs.values()).count(1) == DM.num_partitions - 1
 
-        # reference: the Dataset delta path on a sibling store
-        ref = CdcEngine(str(tmp_path / "ref"), DM)
-        ref.apply_epoch(
-            rd.from_arrow(generate_changelog_tables(CFG)), epoch=1
-        )
-        ref.apply_epoch(
-            rd.from_arrow([_one_key_event(10_000)]), epoch=2, delta=True
-        )
-        got = engine.final_state().to_pandas()
-        exp = ref.final_state().to_pandas()
-        pd.testing.assert_frame_equal(got, exp)
-    finally:
-        engine.shutdown_warm_pool()
+    # reference: the Dataset delta path on a sibling store
+    ref = CdcEngine(str(tmp_path / "ref"), DM)
+    ref.apply_epoch(rd.from_arrow(generate_changelog_tables(CFG)), epoch=1)
+    ref.apply_epoch(
+        rd.from_arrow([_one_key_event(10_000)]), epoch=2, delta=True
+    )
+    got = engine.final_state().to_pandas()
+    exp = ref.final_state().to_pandas()
+    pd.testing.assert_frame_equal(got, exp)
 
 
 def test_staged_delta_duplicate_epoch_is_all_references(tmp_path):

@@ -4,9 +4,9 @@ Every exchange path (Dataset groupby, staged one- and two-level) ends in
 ``cdc.engine.apply_partition``; the staged paths run it in one merge task
 per CPU over a contiguous group of partitions. These tests pin the group
 plan, the shape of the staged exchange objects, P > session CPUs on every
-path, a crash in the middle of a group, the kernel's manifest metrics
-under redelivery, and that finalize hashes only the rows that have no
-digest yet.
+path, a crash in the middle of a group, the manifest metrics under
+redelivery (the kernel's, and the actor path's, which share one schema),
+and that finalize hashes only the rows that have no digest yet.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ import ray
 import ray.data as rd
 
 from arlas_proc_ray.cdc import replay, staged
+from arlas_proc_ray.cdc.actors import StreamingCdcEngine
 from arlas_proc_ray.cdc.engine import CdcEngine
 from arlas_proc_ray.cdc.events import ChangelogConfig, generate_changelog_tables
 from arlas_proc_ray.cdc.oracle import oracle_final_state
@@ -100,7 +101,7 @@ def test_exchange_objects_are_contiguous_partition_sorted_tables(
 
 
 def _apply(eng, mode, ds, epoch):
-    if mode == "dataset":
+    if mode in ("dataset", "actors"):
         return eng.apply_epoch(ds, epoch)
     return eng.apply_epoch_staged(ds, epoch, two_level=(mode == "two_level"))
 
@@ -174,7 +175,7 @@ def test_crash_mid_group_resumes_to_oracle(tmp_path, two_level):
     assert deep["ok"], deep["failed"]
 
 
-@pytest.mark.parametrize("mode", ["dataset", "staged", "two_level"])
+@pytest.mark.parametrize("mode", ["dataset", "staged", "two_level", "actors"])
 def test_redelivery_counts_exact_fence_drops(tmp_path, mode):
     """Epoch 2 redelivers epoch 1's events together with newer ones, in
     one block. The combiner keeps one row per key, the newest; a key
@@ -185,9 +186,14 @@ def test_redelivery_counts_exact_fence_drops(tmp_path, mode):
     )
     (old,) = generate_changelog_tables(cfg, 0, 1500)
     (both,) = generate_changelog_tables(cfg, 0, 3000)
-    eng = CdcEngine(str(tmp_path / mode), DataModel(num_partitions=P))
-    _apply(eng, mode, rd.from_arrow(old), 1)
-    _apply(eng, mode, rd.from_arrow(both), 2)
+    engine = StreamingCdcEngine if mode == "actors" else CdcEngine
+    eng = engine(str(tmp_path / mode), DataModel(num_partitions=P))
+    try:
+        _apply(eng, mode, rd.from_arrow(old), 1)
+        _apply(eng, mode, rd.from_arrow(both), 2)
+    finally:
+        if mode == "actors":
+            eng.shutdown()
 
     def keys(t):
         return set(zip(t.column("repo").to_pylist(), t.column("path").to_pylist()))
