@@ -177,8 +177,8 @@ def make_ingest_head(
 ):
     """The canonical per-batch ingest head every engine shares:
     structural validity (DLQ) or plain schema alignment, then
-    table-constraint enforcement. Used by CdcEngine (Dataset + both
-    staged paths) and StreamingCdcEngine (apply_epoch + tail)."""
+    table-constraint enforcement. Used by CdcEngine (both staged
+    exchanges) and StreamingCdcEngine (apply_epoch + tail)."""
     from arlas_proc_ray.cdc.replay import (
         make_align_fn,
         make_dead_letter_fn,

@@ -94,10 +94,9 @@ def demux_epoch(
     default: at low core counts concurrent applies just contend.
 
     ``apply_fn``: per-table apply override ``(engine, slice_ds, epoch) ->
-    summary`` — e.g. ``lambda e, ds, ep: e.apply_epoch_staged(ds, ep)``
-    to run big slices through the staged exchange (which needs no
-    ``delta``: it carries every partition forward itself). Default is
-    the Dataset path ``apply_epoch(..., delta=delta)``.
+    summary``. Default is ``apply_epoch(..., delta=delta)``, which runs
+    the staged exchange and commits exactly ``epoch``; an override must
+    keep that contract (see the lockstep guard below).
 
     ``txn_log`` (a ``cdc.txn.TxnLog``): after EVERY table committed, one
     atomic cross-table record ``{table: epoch}`` is published under

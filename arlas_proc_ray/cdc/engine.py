@@ -1,14 +1,15 @@
 """CdcEngine — epoch-driven incremental ingest with crash-resume.
 
-One `apply_epoch` call = one fenced unit of exactly-once work:
+One `apply_epoch` call = one fenced unit of exactly-once work, run by the
+staged exchange (cdc/staged.py) in raw Ray tasks:
 
     events (Dataset, any schema version, out-of-order within the epoch)
-      → normalize (schema registry align)                 [map_batches]
-      → per-batch LWW combiner                            [map_batches]
-      → _part_id = hash(repo, path) % P                   [map_batches]
-      → groupby(_part_id).map_groups(merge_partition)     [ONE shuffle]
-            inside each group, ``apply_partition`` — the kernel every
-            exchange path shares (vectorized, whole partition):
+      → materialize; one split task per block:
+          normalize (schema registry align) → per-block LWW combiner
+          → _part_id = hash(repo, path) % P → ONE argsort by partition
+      → G = min(P, CPUs) merge tasks, each over a contiguous group of
+        partitions, each partition through ``apply_partition`` — the
+        one kernel (vectorized, whole partition):
               · fence: if this epoch's manifest for p exists → skip (resume)
               · read partition p of the previous committed snapshot
               · drop events with lsn <= prior manifest last_lsn
@@ -42,12 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from arlas_proc_ray.cdc.events import FINAL_STATE_SCHEMA, default_registry
-from arlas_proc_ray.cdc.replay import (
-    PART_COL,
-    add_partition_stage,
-    finalize_partition_table,
-    lww_reduce_table,
-)
+from arlas_proc_ray.cdc.replay import PART_COL, finalize_partition_table
 from arlas_proc_ray.cdc.snapshot import SnapshotStore
 from arlas_proc_ray.model import DataModel
 
@@ -91,8 +87,8 @@ def _events_as_merge_rows(events: pa.Table) -> pa.Table:
 def apply_partition(store: SnapshotStore, dm: DataModel, epoch: int,
                     part: int, events, prior_src, *, delta: bool = False,
                     fault_hook=None):
-    """Apply one partition's events of one epoch: the step every exchange
-    path (Dataset groupby, staged one- and two-level) ends in.
+    """Apply one partition's events of one epoch: the step both staged
+    exchanges (one- and two-level) end in.
 
     ``events`` is a list of event tables routed to ``part`` (any may be
     empty); ``prior_src`` is the epoch holding the partition's committed
@@ -240,8 +236,8 @@ class CdcEngine:
     # ------------------------------------------------------------------
 
     def _ingest_fn(self, epoch: int, dead_letter_dir: str | None):
-        """The canonical per-batch ingest head, shared by the Dataset and
-        both staged paths: structural validity (DLQ) or plain schema
+        """The canonical per-batch ingest head, run by the split tasks of
+        both staged exchanges: structural validity (DLQ) or plain schema
         alignment, then table-constraint enforcement
         (cdc/constraints.py:make_ingest_head)."""
         from arlas_proc_ray.cdc.constraints import make_ingest_head
@@ -266,6 +262,11 @@ class CdcEngine:
     ) -> dict:
         """Apply one epoch of events; idempotent, resumable, exactly-once.
 
+        Runs the staged exchange (cdc/staged.py) and commits exactly
+        ``epoch``: unlike ``apply_epoch_staged`` it never splits an
+        oversized input into sub-epochs, so a caller that numbers epochs
+        itself (jobs, tailers, demux) stays in lockstep with the store.
+
         ``publish=False`` (write-audit-publish): every partition file and
         manifest is written exactly as usual, but the ``_COMMITTED``
         marker is withheld — a ``_STAGED`` marker records the pending
@@ -274,96 +275,27 @@ class CdcEngine:
         inspects it, ``discard_staged`` drops it. Re-running the same
         staged epoch resumes through the normal partition fences.
 
-        ``delta=True``: partitions untouched by this epoch are NOT
-        rewritten — the commit marker's source map points at the epoch that
-        last wrote them (metadata-chained compaction). At low change rates
-        this removes the dominant copy-forward cost; ``SnapshotStore.vacuum``
-        respects the chain.
+        ``delta=True``: a partition with no surviving events this epoch
+        (untouched, or every event at or below its fence) is NOT
+        rewritten — the commit marker's source map points at the epoch
+        that last wrote it (metadata-chained compaction). At low change
+        rates this removes the dominant copy-forward cost;
+        ``SnapshotStore.vacuum`` respects the chain.
 
         ``delta_max_age`` (with ``delta=True``): automatic compaction
-        policy — an untouched partition whose file lives in an epoch older
+        policy — such a partition whose file lives in an epoch older
         than ``epoch - delta_max_age`` is refreshed (carried forward into
         this epoch) instead of referenced, bounding how far back the
         source map reaches so ``vacuum`` can reclaim old epoch dirs. Cost
         amortizes: each partition is rewritten at most once per
         ``delta_max_age`` epochs even if never touched.
         """
-        dm = self.dm
-        store = self.store
-        fault_hook = self.fault_hook
-        prev_epoch, prior_src = open_epoch(store, dm, epoch)
-
-        # structural validity (DLQ) or plain alignment, then table
-        # constraints — one shared head (see _ingest_fn)
-        ds = events_ds.map_batches(
-            self._ingest_fn(epoch, dead_letter_dir),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        ds = ds.map_batches(
-            lambda t: lww_reduce_table(t, dm.key_cols, dm.order_col),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        ds = add_partition_stage(ds, dm)
-
-        def merge_partition(group: pa.Table) -> pa.Table:
-            part = int(group.column(PART_COL)[0].as_py())
-            m = apply_partition(
-                store, dm, epoch, part, [group.drop_columns([PART_COL])],
-                prior_src(part), fault_hook=fault_hook,
-            )
-            return _manifest_row(m)
-
-        # run the epoch: the group output is just the tiny manifest table
-        manifests = ds.groupby(PART_COL).map_groups(
-            merge_partition, batch_format="pyarrow"
-        )
-        done = {r["partition_id"] for r in manifests.take_all()}
-
-        # partitions that received no events still need this epoch's
-        # snapshot (carry prior state forward) so the epoch is complete —
-        # fanned out as Ray tasks (the driver never reads partition data)
-        import ray
-
-        @ray.remote(num_cpus=0.5)
-        def carry_forward(part: int):
-            apply_partition(
-                store, dm, epoch, part, [], prior_src(part),
-                fault_hook=fault_hook,
-            )
-            return part
-
-        pending = [
-            p
-            for p in range(dm.num_partitions)
-            if p not in done and not store.partition_done(epoch, p)
-        ]
-        if delta and prev_epoch is not None:
-            # untouched partitions stay where they are; only reference them
-            sources = {p: prior_src(p) for p in pending}
-            if delta_max_age is not None:
-                # compaction policy: refresh references older than max_age
-                stale = [
-                    p for p, e in sources.items() if e < epoch - delta_max_age
-                ]
-                if stale:
-                    ray.get([carry_forward.remote(p) for p in stale])
-                    for p in stale:
-                        del sources[p]
-            if not publish:
-                return self._stage_epoch(epoch, sources, prev_epoch)
-            return store.commit_epoch(
-                epoch, dm.num_partitions, sources=sources,
-                expected_prev=prev_epoch,
-            )
-        if pending:
-            ray.get([carry_forward.remote(p) for p in pending])
-
-        if not publish:
-            return self._stage_epoch(epoch, None, prev_epoch)
-        return store.commit_epoch(
-            epoch, dm.num_partitions, expected_prev=prev_epoch
+        # validate BEFORE any upstream work: retrying a committed epoch
+        # must reject without reading or generating the input
+        open_epoch(self.store, self.dm, epoch)
+        return self._staged_exchange(
+            events_ds.materialize(), epoch, dead_letter_dir=dead_letter_dir,
+            publish=publish, delta=delta, delta_max_age=delta_max_age,
         )
 
     # ---------------------------------------------------- write-audit-publish
@@ -603,11 +535,10 @@ class CdcEngine:
         budget_bytes: int | None = None,
         delta: bool = False,
     ) -> dict:
-        """High-volume variant: raw-task staged shuffle (cdc/staged.py).
+        """``apply_epoch`` with the exchange's knobs, and the one entry
+        point that may split an oversized epoch into sub-epochs.
 
-        Same guarantees (fences, manifests, exactly-once); measured ~3.7x
-        the Dataset-groupby path at 20M events/epoch on one node.
-
+        Same exchange and guarantees (fences, manifests, exactly-once).
         The exchange runs G = min(P, CPUs in ``ray.cluster_resources()``)
         merge tasks, each applying a contiguous group of partitions in
         turn, and creates ``blocks × G`` intermediate objects (one per
@@ -640,7 +571,7 @@ class CdcEngine:
         at ``latest+1`` — already-applied LSNs are fenced per partition.
 
         ``auto_split``: None = size automatically (default); False =
-        never split (round-2 behavior); int = force that many chunks.
+        never split (as ``apply_epoch``); int = force that many chunks.
         Splitting needs sequential commits, so with ``publish=False``
         an oversized epoch warns and runs unsplit. ``budget_bytes``
         overrides the detected object-store size (tests).
@@ -693,24 +624,27 @@ class CdcEngine:
                 dead_letter_dir=dead_letter_dir, two_level=two_level,
                 delta=delta,
             )
-        return self._staged_exchange(events_ds, two_level)(
-            self, events_ds, epoch, dead_letter_dir=dead_letter_dir,
-            publish=publish, delta=delta,
+        return self._staged_exchange(
+            events_ds, epoch, two_level=two_level,
+            dead_letter_dir=dead_letter_dir, publish=publish, delta=delta,
         )
 
-    def _staged_exchange(self, events_ds, two_level: bool | None):
-        """The staged exchange for a materialized input: two-level when
-        the one-level exchange would create more than
-        ``staged.TWO_LEVEL_OBJECTS`` (10 000) objects — blocks × G, with
-        G = min(P, session CPUs) merge groups — or when forced."""
+    def _staged_exchange(self, events_ds, epoch: int, *,
+                         two_level: bool | None = None, **kwargs) -> dict:
+        """Apply and commit exactly ``epoch`` from a materialized input
+        with the staged exchange: two-level when the one-level exchange
+        would create more than ``staged.TWO_LEVEL_OBJECTS`` (10 000)
+        objects — blocks × G, with G = min(P, session CPUs) merge
+        groups — or when forced. The exchange is looked up on the module
+        at call time, so wrappers installed there see every epoch."""
         from arlas_proc_ray.cdc import staged
 
         if two_level is None:
             G = len(staged.session_groups(self.dm.num_partitions))
             two_level = events_ds.num_blocks() * G > staged.TWO_LEVEL_OBJECTS
-        if two_level:
-            return staged.staged_apply_epoch_two_level
-        return staged.staged_apply_epoch
+        run = (staged.staged_apply_epoch_two_level if two_level
+               else staged.staged_apply_epoch)
+        return run(self, events_ds, epoch, **kwargs)
 
     def _apply_epoch_chunked(
         self, events_box, epoch: int, plan, *, dead_letter_dir, two_level,
@@ -801,9 +735,9 @@ class CdcEngine:
                 if chunk_ds.count() == 0:
                     del chunk_ds
                     continue
-                summary = self._staged_exchange(chunk_ds, two_level)(
-                    self, chunk_ds, e, dead_letter_dir=dead_letter_dir,
-                    publish=True, delta=delta,
+                summary = self._staged_exchange(
+                    chunk_ds, e, two_level=two_level,
+                    dead_letter_dir=dead_letter_dir, delta=delta,
                 )
                 committed.append(e)
                 e += 1

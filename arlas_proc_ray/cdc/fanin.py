@@ -116,9 +116,11 @@ class FaninTailer:
     Crash accounting mirrors SegmentTailer: an INTENT ``{epoch, lo, hi,
     files}`` lands atomically before the apply — resume re-applies the
     SAME cut under the SAME epoch (partition fences skip finished
-    partitions); the cursor ``{cut, consumed-per-shard}`` advances only
-    after the commit, marking fully-below-cut segments consumed so a
-    10^10-event tail never re-reads applied terabytes.
+    partitions; ``apply_epoch`` commits exactly that epoch, never
+    auto-split sub-epochs a resume would skip); the cursor ``{cut,
+    consumed-per-shard}`` advances only after the commit, marking
+    fully-below-cut segments consumed so a 10^10-event tail never
+    re-reads applied terabytes.
     """
 
     def __init__(
@@ -127,7 +129,6 @@ class FaninTailer:
         shard_dirs: dict,
         *,
         lsn_col: str = "lsn",
-        apply=None,
         committed_fn=None,
     ):
         if not shard_dirs:
@@ -135,7 +136,6 @@ class FaninTailer:
         self.engine = engine
         self.shard_dirs = dict(shard_dirs)
         self.lsn_col = lsn_col
-        self.apply = apply
         self.committed_fn = committed_fn
 
     # ---- state -----------------------------------------------------------
@@ -251,11 +251,6 @@ class FaninTailer:
             out = ds if out is None else out.union(ds)
         return out
 
-    def _apply(self, ds, epoch: int) -> dict:
-        if self.apply is not None:
-            return self.apply(self.engine, ds, epoch)
-        return self.engine.apply_epoch(ds, epoch)
-
     def _advance(self, files: dict, cut: int) -> None:
         import os
 
@@ -283,7 +278,7 @@ class FaninTailer:
             e, lo, hi = int(intent["epoch"]), int(intent["lo"]), int(intent["hi"])
             files = {s: list(v) for s, v in intent["files"].items()}
             if committed is None or committed < e:
-                self._apply(self._dataset_for(files, lo, hi), e)
+                self.engine.apply_epoch(self._dataset_for(files, lo, hi), e)
             self._advance(files, hi)
             os.unlink(self._intent_path)
             return {"epoch": e, "lo": lo, "hi": hi, "files": files,
@@ -327,7 +322,7 @@ class FaninTailer:
             self._intent_path,
             {"epoch": epoch, "lo": cut, "hi": w, "files": files},
         )
-        self._apply(self._dataset_for(files, cut, w), epoch)
+        self.engine.apply_epoch(self._dataset_for(files, cut, w), epoch)
         self._advance(files, w)
         os.unlink(self._intent_path)
         return {"epoch": epoch, "lo": cut, "hi": w, "files": files,

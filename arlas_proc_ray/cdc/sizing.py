@@ -26,7 +26,7 @@ This module makes the rule executable instead of documentation:
 
 Used by ``CdcEngine.apply_epoch_staged`` (cdc/engine.py) to auto-split
 oversized epochs into LSN-range sub-epochs, and by
-``MergeActorPool.tail`` (cdc/actors.py) for the auto commit cadence.
+``StreamingCdcEngine.tail`` (cdc/actors.py) for the auto commit cadence.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
-"""Staged shuffle for high-volume epochs — raw Ray tasks, no sort machinery.
+"""The staged exchange — every CDC epoch's shuffle, in raw Ray tasks.
 
-At tens of millions of events per epoch, `groupby(_part_id).map_groups`
-becomes the wall: Ray Data's sort-based exchange sorts and re-blocks the
-full payload (and the hash-shuffle aggregator actors serialize on hot
-aggregation paths) — measured ~56 MB/s end-to-end at 20M events where the
-map phase alone runs at >1 GB/s. The fix is the classic two-phase external
-shuffle expressed directly in Ray Core (the justified "raw tasks" escape
-hatch: a fixed-fan-out exchange needs no ordering, no sampling, no
-aggregation — exactly what the Dataset groupby cannot skip).
+``CdcEngine.apply_epoch`` and ``apply_epoch_staged`` both run it. It is
+the classic two-phase external shuffle expressed directly in Ray Core: a
+fixed-fan-out exchange needs no ordering, no sampling and no aggregation,
+which a Ray Data keyed groupby cannot skip (its sort-based exchange sorts
+and re-blocks the full payload — measured ~56 MB/s end-to-end at 20M
+events where the map phase alone runs at >1 GB/s).
 
 The exchange is sized to the session, not to the key space (the
 FP-Hadoop move: group the reduce work into units sized to the cluster).
@@ -41,8 +39,8 @@ Within a group the partitions apply sequentially, in ascending order;
 across groups they run in parallel. Fences, watermarks and manifests stay
 per partition, so a crash inside a group leaves the group's earlier
 partitions committed and resume skips them. Partition routing is the same
-stable hash as the Dataset path; the paths are interchangeable per epoch
-on one store.
+stable hash (``partition_ids``) as every other writer of the store; the
+one- and two-level exchanges are interchangeable per epoch on one store.
 
 Past ~10 000 exchange objects (B×G) per-object overhead dominates and
 ``CdcEngine.apply_epoch_staged`` switches to the two-level exchange below.
@@ -128,15 +126,26 @@ def _partition_views(inputs, p: int) -> list[pa.Table]:
 class _Epoch:
     """What every exchange task of one staged epoch needs to know."""
 
-    def __init__(self, engine, epoch: int, dead_letter_dir, delta: bool):
+    def __init__(self, engine, epoch: int, dead_letter_dir, delta: bool,
+                 delta_max_age: int | None):
         self.store, self.dm, self.epoch, self.delta = (
             engine.store, engine.dm, epoch, delta
         )
+        self.delta_max_age = delta_max_age
         self.fault_hook = engine.fault_hook
         self.prev_epoch, self.prior_src = open_epoch(self.store, self.dm, epoch)
         # shared ingest head: structural validity (DLQ) or alignment, then
         # table-constraint enforcement (engine._ingest_fn / cdc/constraints.py)
         self.align = engine._ingest_fn(epoch, dead_letter_dir)
+
+    def delta_for(self, part: int) -> bool:
+        """Whether ``part`` may be referenced instead of rewritten: with
+        ``delta``, unless its file is older than ``epoch -
+        delta_max_age`` (then it is carried forward: compaction)."""
+        if not self.delta or self.delta_max_age is None:
+            return self.delta
+        src = self.prior_src(part)
+        return src is None or src >= self.epoch - self.delta_max_age
 
     def finish(self, engine, results: list, publish: bool) -> dict:
         # a kernel returns an int source epoch for a referenced partition
@@ -159,7 +168,8 @@ def _merge_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
     return [
         apply_partition(
             ctx.store, ctx.dm, ctx.epoch, p, _partition_views(inputs, p),
-            ctx.prior_src(p), delta=ctx.delta, fault_hook=ctx.fault_hook,
+            ctx.prior_src(p), delta=ctx.delta_for(p),
+            fault_hook=ctx.fault_hook,
         )
         for p in parts
     ]
@@ -178,21 +188,21 @@ def _run_groups(ctx: _Epoch, groups: list[range], inputs_of) -> list:
 
 def staged_apply_epoch(engine, events_ds, epoch: int, *,
                       dead_letter_dir: str | None = None,
-                      publish: bool = True, delta: bool = False) -> dict:
-    """Apply one epoch with the staged shuffle; same guarantees as
-    ``CdcEngine.apply_epoch`` (idempotent, resumable, exactly-once).
-    ``publish=False`` stages the cut for write-audit-publish exactly as
-    the Dataset path does (engine._stage_epoch).
+                      publish: bool = True, delta: bool = False,
+                      delta_max_age: int | None = None) -> dict:
+    """Apply and commit one epoch with the one-level staged exchange
+    (idempotent, resumable, exactly-once). ``publish=False`` stages the
+    cut for write-audit-publish (engine._stage_epoch).
 
     ``delta=True``: a partition that received NO surviving events this
     epoch is not rewritten — the commit marker's source map references
-    the epoch that last wrote it (the same metadata chain as the Dataset
-    path's ``delta``). A re-delivered duplicate (every event ≤ the
-    partition fence) also references: the state AND watermark are
-    provably unchanged. At low change rates this removes the dominant
-    copy-forward cost from the staged path too.
+    the epoch that last wrote it. A re-delivered duplicate (every event
+    ≤ the partition fence) also references: the state AND watermark are
+    provably unchanged. ``delta_max_age`` carries forward a partition
+    whose file is older than ``epoch - delta_max_age`` instead
+    (:meth:`_Epoch.delta_for`).
     """
-    ctx = _Epoch(engine, epoch, dead_letter_dir, delta)
+    ctx = _Epoch(engine, epoch, dead_letter_dir, delta, delta_max_age)
     dm, align = ctx.dm, ctx.align
     groups = session_groups(dm.num_partitions)
     G = len(groups)
@@ -222,6 +232,7 @@ def staged_apply_epoch_two_level(
     engine, events_ds, epoch: int, *, groups: int | None = None,
     dead_letter_dir: str | None = None,
     publish: bool = True, delta: bool = False,
+    delta_max_age: int | None = None,
 ) -> dict:
     """Two-level staged exchange for LARGE block counts.
 
@@ -244,7 +255,7 @@ def staged_apply_epoch_two_level(
     400×23 + 23 ≈ 9 200. Same guarantees (idempotent, resumable,
     exactly-once) — the merge phase is the same kernel.
     """
-    ctx = _Epoch(engine, epoch, dead_letter_dir, delta)
+    ctx = _Epoch(engine, epoch, dead_letter_dir, delta, delta_max_age)
     dm, align = ctx.dm, ctx.align
     P = dm.num_partitions
     S = min(groups or max(1, math.isqrt(P)), P)

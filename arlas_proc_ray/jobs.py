@@ -6,7 +6,7 @@ Usage (each command owns the Ray session; on a cluster, submit with
     # apply one epoch of a Parquet changelog to a snapshot store
     python -m arlas_proc_ray.jobs replay \
         --events /data/changelog/epoch3/*.parquet \
-        --snapshot /data/snapshot --epoch 3 [--staged] [--delta] \
+        --snapshot /data/snapshot --epoch 3 [--delta] \
         [--partitions 256]
 
     # synthesize a deterministic changelog slice to Parquet (drills/bench)
@@ -129,13 +129,9 @@ def cmd_replay(args) -> dict:
             "already_committed": True,
             "latest_committed": latest,
         }
+    # apply_epoch commits exactly args.epoch (it never auto-splits), so
+    # the idempotence check above stays true for the next job's epoch
     ds = read_parquet(args.events)
-    if args.staged:
-        return engine.apply_epoch_staged(
-            ds, epoch=args.epoch, dead_letter_dir=args.dead_letter_dir,
-            publish=not getattr(args, "stage", False),
-            delta=args.delta,
-        )
     return engine.apply_epoch(
         ds, epoch=args.epoch, delta=args.delta,
         dead_letter_dir=args.dead_letter_dir,
@@ -881,7 +877,6 @@ def main(argv=None) -> int:
     r.add_argument("--snapshot", required=True)
     r.add_argument("--epoch", type=int, required=True)
     r.add_argument("--partitions", type=int, default=64)
-    r.add_argument("--staged", action="store_true")
     r.add_argument("--stage", action="store_true",
                    help="write-audit-publish: withhold the commit marker; "
                         "finish with `jobs publish`")

@@ -36,22 +36,8 @@ def run_bench() -> dict:
     )
     from ray.data import DataContext
 
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
+    DataContext.get_current().enable_progress_bars = False
     scaling_mode = bool(os.environ.get("GRAFT_SCALING_MODE"))
-    if not scaling_mode:
-        # hash-partitioned shuffle beats sort-based for keyed groupbys at
-        # high core counts; its fixed aggregator actor pool starves small
-        # machines, so the N-vs-4N scaling legs keep the default sort
-        # shuffle (identical strategy at both levels = a fair comparison)
-        try:
-            from ray.data.context import ShuffleStrategy
-
-            ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-            ctx.max_hash_shuffle_aggregators = max(4, num_cpus // 2)
-            ctx.default_hash_shuffle_parallelism = max(32, num_cpus * 2)
-        except Exception:
-            pass
 
     from arlas_proc_ray.cdc import ChangelogConfig, CdcEngine, changelog_dataset
     from arlas_proc_ray.model import DataModel
@@ -83,11 +69,11 @@ def run_bench() -> dict:
 
     for t in ("events", "lineitem", "documents", "embeddings"):
         pq.read_table(f"{sf_dir}/{t}.parquet")
-    # warm with the SAME shape as the headline (hash-shuffle aggregator
-    # actors + merge/write path), against a throwaway snapshot dir
+    # warm with the SAME path as the headline (staged exchange + merge/
+    # write), against a throwaway snapshot dir
     warm_cfg = ChangelogConfig(num_events=100_000, num_keys=10_000, seed=1, **content_kwargs)
     shutil.rmtree("/tmp/bench_cdc_warm", ignore_errors=True)
-    CdcEngine("/tmp/bench_cdc_warm", dm).apply_epoch(
+    CdcEngine("/tmp/bench_cdc_warm", dm).apply_epoch_staged(
         changelog_dataset(warm_cfg, override_num_blocks=num_cpus * 2), epoch=1
     )
 
@@ -105,26 +91,14 @@ def run_bench() -> dict:
         engine = CdcEngine(snap, dm)
         engines.append(engine)
         t0 = time.perf_counter()
-        if num_events > 1_000_000 and not scaling_mode:
-            # staged raw-task shuffle wins at high volume (block count ~2x
-            # cores). Scaling mode measures the Dataset-pipeline path
-            # instead: staged is fast enough to saturate one box's DRAM
-            # even on small payloads, which caps the 4N leg at a hardware
-            # ceiling that does not exist across 4N real nodes; the
-            # pipeline path is CPU-bound and representative of the
-            # distributed plan (see BASELINE.md).
-            summary = engine.apply_epoch_staged(
-                changelog_dataset(cfg, override_num_blocks=num_cpus * 2), epoch=1
-            )
-        else:
-            # cluster-proportional generation parallelism (2 blocks/cpu,
-            # the same policy at every cluster size): past ~10k shuffle
-            # objects (blocks x partitions) the one-level sort shuffle
-            # degrades, which silently broke the 16M-event scaling leg
-            # (0.76 -> 1.0 efficiency with this override)
-            summary = engine.apply_epoch(
-                changelog_dataset(cfg, override_num_blocks=num_cpus * 2), epoch=1
-            )
+        # cluster-proportional generation parallelism (2 blocks/cpu, the
+        # same policy at every cluster size). The scaling legs run this
+        # same staged exchange; on ONE box it can saturate DRAM even on
+        # small payloads, a ceiling 4N real nodes do not share (see
+        # BASELINE.md).
+        summary = engine.apply_epoch_staged(
+            changelog_dataset(cfg, override_num_blocks=num_cpus * 2), epoch=1
+        )
         headline_sec = min(headline_sec, time.perf_counter() - t0)
     events_per_sec = num_events / headline_sec
 
@@ -143,22 +117,11 @@ def run_bench() -> dict:
             cfg2, lo=num_events, hi=num_events * 2,
             override_num_blocks=num_cpus * 2,
         )
+        # an oversized epoch 1 may have auto-split into sub-epochs
+        nxt = eng.store.latest_committed_epoch() + 1
         t0 = time.perf_counter()
-        if num_events > 1_000_000 and not scaling_mode:
-            eng.apply_epoch_staged(incr_ds, epoch=2)
-        else:
-            eng.apply_epoch(incr_ds, epoch=2)
+        eng.apply_epoch_staged(incr_ds, epoch=nxt)
         epoch2_sec = min(epoch2_sec, time.perf_counter() - t0)
-
-    # restore the default shuffle for the mixed query catalog (hash-shuffle
-    # aggregator pools interact badly with per-query actor pools on a
-    # shared machine; the headline keyed pipeline is where it wins)
-    try:
-        from ray.data.context import ShuffleStrategy
-
-        ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
-    except Exception:
-        pass
 
     # ---- query catalog timings ------------------------------------------
     bench_queries = [

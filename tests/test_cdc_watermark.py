@@ -5,8 +5,9 @@ the max over SURVIVING rows. A DELETE holding the partition's top LSN
 lowered the fence, so at-least-once redelivery of an already-applied older
 upsert passed the ``lsn > prior_last`` filter and resurrected the deleted
 key. The fence is now ``max(prior watermark, max event lsn applied this
-epoch)`` computed BEFORE tombstone drop, on all three engines (batch
-groupby, staged raw-task shuffle, streaming actors) and on carry-forward.
+epoch)`` computed BEFORE tombstone drop, on every apply path
+(``apply_epoch``, ``apply_epoch_staged``, streaming actors) and on
+carry-forward.
 """
 
 import pyarrow as pa

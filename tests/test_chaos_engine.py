@@ -1,7 +1,7 @@
 """Chaos sequences over the whole engine surface.
 
 A CDC engine's correctness claim is not per-feature but per-LIFETIME: any
-interleaving of epoch applies (Dataset / staged / delta), fan-out
+interleaving of epoch applies (plain / staged / delta / WAP), fan-out
 rewrites, optimizes, tags, vacuums and purges must converge to exactly
 the state an independent oracle computes from the raw change log. Each
 seed drives a different deterministic interleaving.
@@ -41,7 +41,7 @@ def test_engine_lifetime_chaos(tmp_path, ray_session, seed):
     for i in range(n_epochs):
         epoch += 1
         ds = changelog_dataset(cfg, lo=bounds[i], hi=bounds[i + 1])
-        mode = rng.choice(["dataset", "staged", "delta", "wap"])
+        mode = rng.choice(["apply_epoch", "staged", "delta", "wap"])
         if mode == "staged":
             eng.apply_epoch_staged(ds, epoch)
         elif mode == "delta":
@@ -171,11 +171,11 @@ def test_engine_chaos_with_crashes(tmp_path, ray_session, seed):
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_all_apply_paths_identical(tmp_path, ray_session, seed):
-    """Cross-path equivalence: the Dataset, staged, two-level-staged and
-    write-audit-publish paths produce byte-identical final states and
-    equal commit summaries for the same epochs, and write the same
-    manifest metric keys and the same counts (every one goes through the
-    shared partition kernel)."""
+    """Cross-path equivalence: ``apply_epoch``, the staged one- and
+    two-level exchanges and write-audit-publish produce the oracle's
+    final state, byte-identical, with equal commit summaries for the same
+    epochs, and write the same manifest metric keys and the same counts
+    (every one goes through the shared partition kernel)."""
     import ray.data as rd
 
     cfg = ChangelogConfig(num_events=3000, num_keys=300, seed=300 + seed)
@@ -187,7 +187,7 @@ def test_all_apply_paths_identical(tmp_path, ray_session, seed):
         summaries, metrics = [], []
         for i, t in enumerate(tables, start=1):
             ds = rd.from_arrow(t)
-            if mode == "dataset":
+            if mode == "apply_epoch":
                 s = eng.apply_epoch(ds, i)
             elif mode == "staged":
                 s = eng.apply_epoch_staged(ds, i, two_level=False)
@@ -208,7 +208,7 @@ def test_all_apply_paths_identical(tmp_path, ray_session, seed):
         # apply_s is a duration: its key must match, not its value
         return [[{**m, "apply_s": None} for m in ep] for ep in metrics]
 
-    base_state, base_sum, base_metrics = run("dataset")
+    base_state, base_sum, base_metrics = run("apply_epoch")
     exp = oracle_final_state(tables).to_pandas()
     pd.testing.assert_frame_equal(base_state, exp)
     assert {k for ep in base_metrics for m in ep for k in m} == {

@@ -175,7 +175,7 @@ def test_dlq_all_bad_block_and_filename_collision(tmp_path, ray_session):
 
     all_bad = pa.concat_tables([bad_row(f"p{i}") for i in range(5)])
     mixed = tables + [all_bad]
-    for cls, snap in [("dataset", "s1"), ("staged", "s2"), ("stream", "s3")]:
+    for cls, snap in [("apply_epoch", "s1"), ("staged", "s2"), ("stream", "s3")]:
         eng_dir = str(tmp_path / snap)
         d2 = str(tmp_path / f"dlq_{snap}")
         if cls == "stream":

@@ -142,9 +142,9 @@ import pytest
 
 @pytest.mark.parametrize("mode", ["staged", "two_level"])
 def test_staged_delta_references_untouched_partitions(tmp_path, mode):
-    """delta=True on the STAGED paths (one-level / two-level): a
+    """delta=True on the staged exchanges (one-level / two-level): a
     single-key epoch rewrites exactly one partition file; the rest are
-    metadata references to epoch 1; state matches the Dataset delta path
+    metadata references to epoch 1; state matches the oracle
     byte-for-byte."""
     snap = str(tmp_path / mode)
     engine = CdcEngine(snap, DM)
@@ -163,32 +163,37 @@ def test_staged_delta_references_untouched_partitions(tmp_path, mode):
     srcs = engine.store.resolve_sources(2)
     assert sorted(srcs.values()).count(1) == DM.num_partitions - 1
 
-    # reference: the Dataset delta path on a sibling store
-    ref = CdcEngine(str(tmp_path / "ref"), DM)
-    ref.apply_epoch(rd.from_arrow(generate_changelog_tables(CFG)), epoch=1)
-    ref.apply_epoch(
-        rd.from_arrow([_one_key_event(10_000)]), epoch=2, delta=True
+    exp = oracle_final_state(
+        generate_changelog_tables(CFG) + [_one_key_event(10_000)]
+    ).to_pandas()
+    got = (
+        engine.final_state()
+        .to_pandas()
+        .sort_values(["repo", "path"])
+        .reset_index(drop=True)[list(exp.columns)]
     )
-    got = engine.final_state().to_pandas()
-    exp = ref.final_state().to_pandas()
     pd.testing.assert_frame_equal(got, exp)
 
 
 def test_staged_delta_duplicate_epoch_is_all_references(tmp_path):
     """Re-delivering an already-applied window as a new delta epoch
     (at-least-once upstream): every event is below the fences, so NO
-    partition is rewritten — the epoch is pure metadata."""
-    snap = str(tmp_path / "s")
-    engine = CdcEngine(snap, DM)
+    partition is rewritten — the epoch is pure metadata — through both
+    ``apply_epoch_staged`` and ``apply_epoch``."""
     tables = generate_changelog_tables(CFG)
-    engine.apply_epoch_staged(rd.from_arrow(tables), epoch=1)
-    before = engine.final_state().to_pandas()
-    engine.apply_epoch_staged(rd.from_arrow(tables), epoch=2, delta=True)
-    files_e2 = [
-        f for f in os.listdir(engine.store.epoch_dir(2))
-        if f.endswith(".parquet")
-    ]
-    assert files_e2 == []
-    srcs = engine.store.resolve_sources(2)
-    assert all(e == 1 for e in srcs.values())
-    pd.testing.assert_frame_equal(engine.final_state().to_pandas(), before)
+    for name in ("apply_epoch_staged", "apply_epoch"):
+        engine = CdcEngine(str(tmp_path / name), DM)
+        apply = getattr(engine, name)
+        apply(rd.from_arrow(tables), epoch=1)
+        before = engine.final_state().to_pandas()
+        apply(rd.from_arrow(tables), epoch=2, delta=True)
+        files_e2 = [
+            f for f in os.listdir(engine.store.epoch_dir(2))
+            if f.endswith(".parquet")
+        ]
+        assert files_e2 == [], name
+        srcs = engine.store.resolve_sources(2)
+        assert all(e == 1 for e in srcs.values()), name
+        pd.testing.assert_frame_equal(
+            engine.final_state().to_pandas(), before
+        )

@@ -435,3 +435,55 @@ def test_jobs_cli_sync(tmp_path, capsys):
     assert out[-2]["mode"] == "bootstrap"
     assert out[-1]["mode"] == "noop"
     assert main(["verify", "--snapshot", dst]) == 0
+
+
+def test_jobs_replay_commits_exactly_its_epoch_under_a_small_budget(
+    tmp_path, capsys, monkeypatch
+):
+    """Two daily ``jobs replay`` runs, epochs 1 and 2, with an object-store
+    budget so small that an auto-splitting apply would commit day 1 as
+    epochs 1..3. ``replay`` must commit exactly ``--epoch``: otherwise the
+    job's idempotence check reports day 2 as already committed and its
+    events are never applied."""
+    from arlas_proc_ray.cdc import (
+        ChangelogConfig,
+        generate_changelog_tables,
+        oracle_final_state,
+        sizing,
+    )
+    from arlas_proc_ray.cdc.engine import CdcEngine
+    from arlas_proc_ray.jobs import main
+    from arlas_proc_ray.model import DataModel
+    from arlas_proc_ray.sources.io import read_parquet
+
+    n, keys = 2000, 400
+    days = [str(tmp_path / "day1"), str(tmp_path / "day2")]
+    for day, (lo, hi) in zip(days, [(0, n // 2), (n // 2, n)]):
+        assert main([
+            "synthesize", "--out", day, "--events", str(n),
+            "--keys", str(keys), "--lo", str(lo), "--hi", str(hi),
+        ]) == 0
+    day1_bytes = read_parquet(days[0]).materialize().size_bytes()
+    budget = 4 * day1_bytes
+    assert sizing.plan_epoch_chunks(day1_bytes, budget).chunks > 1
+    monkeypatch.setattr(sizing, "object_store_bytes", lambda *a, **k: budget)
+    capsys.readouterr()
+
+    snap = str(tmp_path / "snap")
+    for epoch, day in enumerate(days, start=1):
+        assert main([
+            "replay", "--events", day, "--snapshot", snap,
+            "--epoch", str(epoch), "--partitions", "8",
+        ]) == 0
+    day1, day2 = [
+        json.loads(line)
+        for line in capsys.readouterr().out.strip().splitlines()
+    ]
+    assert day1["epoch"] == 1 and "auto_split" not in day1
+    assert day2["epoch"] == 2 and not day2.get("already_committed")
+
+    got = CdcEngine(snap, DataModel(num_partitions=8)).final_state()
+    exp = oracle_final_state(generate_changelog_tables(
+        ChangelogConfig(num_events=n, num_keys=keys, seed=42)
+    ))
+    pd.testing.assert_frame_equal(got.to_pandas(), exp.to_pandas())

@@ -1,7 +1,7 @@
 """The shared partition-apply kernel and the grouped staged exchange.
 
-Every exchange path (Dataset groupby, staged one- and two-level) ends in
-``cdc.engine.apply_partition``; the staged paths run it in one merge task
+Both exchanges (staged one- and two-level; ``apply_epoch`` runs the same
+staged exchange) end in ``cdc.engine.apply_partition``, in one merge task
 per CPU over a contiguous group of partitions. These tests pin the group
 plan, the shape of the staged exchange objects, P > session CPUs on every
 path, a crash in the middle of a group, the manifest metrics under
@@ -101,7 +101,7 @@ def test_exchange_objects_are_contiguous_partition_sorted_tables(
 
 
 def _apply(eng, mode, ds, epoch):
-    if mode in ("dataset", "actors"):
+    if mode in ("apply_epoch", "actors"):
         return eng.apply_epoch(ds, epoch)
     return eng.apply_epoch_staged(ds, epoch, two_level=(mode == "two_level"))
 
@@ -123,7 +123,7 @@ def test_more_partitions_than_cpus_all_paths_identical(tmp_path):
         assert eng.store.verify_deep(recompute_hashes=True)["ok"]
         return eng.final_state().to_pandas(), sums
 
-    base_state, base_sums = run("dataset")
+    base_state, base_sums = run("apply_epoch")
     pd.testing.assert_frame_equal(base_state, exp)
     for mode in ("staged", "two_level"):
         state, sums = run(mode)
@@ -175,7 +175,7 @@ def test_crash_mid_group_resumes_to_oracle(tmp_path, two_level):
     assert deep["ok"], deep["failed"]
 
 
-@pytest.mark.parametrize("mode", ["dataset", "staged", "two_level", "actors"])
+@pytest.mark.parametrize("mode", ["staged", "two_level", "actors"])
 def test_redelivery_counts_exact_fence_drops(tmp_path, mode):
     """Epoch 2 redelivers epoch 1's events together with newer ones, in
     one block. The combiner keeps one row per key, the newest; a key

@@ -166,8 +166,8 @@ def test_staged_epoch_crash_resume(tmp_path, ray_session):
 
 
 def test_staged_exchange_supports_wap(tmp_path, ray_session):
-    """Both raw-task staged exchanges honor publish=False; the published
-    cut equals the Dataset path's."""
+    """Both raw-task staged exchanges honor publish=False; each published
+    cut equals the oracle's state."""
     tables = _tables()
     for two_level in (False, True):
         eng = CdcEngine(
@@ -183,12 +183,10 @@ def test_staged_exchange_supports_wap(tmp_path, ray_session):
         assert eng.audit_staged(1, min_rows=1)["ok"]
         eng.publish_epoch(1)
         assert eng.store.latest_committed_epoch() == 1
-    ref = CdcEngine(str(tmp_path / "ref"), DataModel(num_partitions=4))
-    ref.apply_epoch(rd.from_arrow(tables[0]), 1)
-    a = CdcEngine(str(tmp_path / "s0"), DataModel(num_partitions=4))
-    pd.testing.assert_frame_equal(
-        a.final_state().to_pandas(), ref.final_state().to_pandas()
-    )
+        pd.testing.assert_frame_equal(
+            eng.final_state().to_pandas(),
+            oracle_final_state([tables[0]]).to_pandas(),
+        )
 
 
 def test_gc_can_reclaim_abandoned_staged(tmp_path, ray_session):

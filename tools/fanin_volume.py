@@ -98,10 +98,7 @@ def mode_gen():
 
 def mode_tail():
     eng = CdcEngine(f"{BASE}/snap", DM)
-    t = FaninTailer(
-        eng, shard_dirs(),
-        apply=lambda e, ds, ep: e.apply_epoch_staged(ds, ep),
-    )
+    t = FaninTailer(eng, shard_dirs())
     t0 = time.perf_counter()
     results = t.run_until_idle()
     dt = time.perf_counter() - t0
@@ -176,10 +173,7 @@ def mode_interleaved():
             for d in dirs.values():
                 open(os.path.join(d, "_CLOSED"), "w").close()
         eng = CdcEngine(f"{BASE}/snap", DM)
-        t = FaninTailer(
-            eng, dirs,
-            apply=lambda e, ds, ep: e.apply_epoch_staged(ds, ep),
-        )
+        t = FaninTailer(eng, dirs)
         r = t.poll()
         cuts.append((w, r["applied"], t._cursor()["cut"]))
     dt = time.perf_counter() - t0

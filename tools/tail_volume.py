@@ -3,8 +3,8 @@
 The FULL streaming story at volume (BASELINE.md round-4 addendum):
 Debezium-JSONL segments land in a directory (gen) → SegmentTailer polls,
 wire-decodes, demuxes the multiplexed stream into two per-table engines
-(staged applies, auto-sized epochs), publishes a cross-table txn cut per
-epoch (tail) → final states are compared byte-for-byte against direct
+(one staged-exchange epoch per poll), publishes a cross-table txn cut
+per epoch (tail) → final states are compared byte-for-byte against direct
 per-table replays plus a sha256 deep-verify (verify).
 
 tools/tail_chaos.sh choreographs the kill/resume run: segments fed in
@@ -77,10 +77,8 @@ def mode_tail():
     engs = engines()
     txn = TxnLog(TXN)
     def apply_demux(_e, ds, epoch):
-        # staged exchange per table (auto-sized epochs)
         return demux_epoch(
             ds, engs, epoch, spool_dir=SPOOL, txn_log=txn,
-            apply_fn=lambda e, sds, ep: e.apply_epoch_staged(sds, ep),
             parallel_tables=False,
         )
     t = SegmentTailer(
