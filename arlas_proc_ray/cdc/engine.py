@@ -1051,17 +1051,25 @@ class CdcEngine:
 
     # ------------------------------------------------------------------
 
-    def lookup(self, keys, epoch: int | None = None) -> pa.Table:
+    def lookup(self, keys, epoch: int | str | None = None) -> pa.Table:
         """Point reads with partition pruning — the serving path.
 
         ``keys`` is a list of key tuples (ordered as ``dm.key_cols``).
         The requested keys are hash-routed with the SAME ``partition_ids``
         kernel every write uses, so only the ≤ ``len(keys)`` partition
-        files that can contain them are opened — at P=64 a point read
-        touches 1/64th of a 100-TB snapshot, independent of table size.
-        Missing and deleted keys simply return no row. ``epoch`` time-
-        travels to any committed epoch (merge-on-read resolved).
+        files that can contain them are candidates — at P=64 a point read
+        touches 1/64th of a 100-TB snapshot, independent of table size. A
+        candidate whose manifest blooms prove every key routed to it
+        absent is not opened. Each opened file is read in this process and
+        its matching rows kept with an Arrow semi join on the key columns
+        (byte-exact), in file order, partitions ascending. Missing and
+        deleted keys simply return no row; a repeated key returns its row
+        once. ``epoch`` (an epoch number or a ref name; default latest)
+        time-travels to any committed epoch (merge-on-read resolved).
         """
+        import numpy as np
+
+        from arlas_proc_ray.cdc.snapshot import blooms_exclude, summary_sources
         from arlas_proc_ray.functions.hashing import partition_ids
 
         key_cols = list(self.dm.key_cols)
@@ -1070,36 +1078,28 @@ class CdcEngine:
         req = pa.table(
             {c: pa.array([k[i] for k in keys]) for i, c in enumerate(key_cols)}
         )
-        e = self.store.latest_committed_epoch() if epoch is None else epoch
+        e = self.store._resolve_epoch_arg(epoch)
         if e is None:
             raise RuntimeError("no committed epoch")
         # route with the fan-out the snapshot was COMMITTED with (may differ
         # from dm.num_partitions after a repartition_snapshot)
-        committed_p = int(self.store.read_epoch_summary(e)["num_partitions"])
-        pids = partition_ids(req, key_cols, committed_p)
-        from arlas_proc_ray.stages.keyed import (
-            byte_exact_group_cols,
-            restore_object_cols,
-        )
-
-        reqdf = byte_exact_group_cols(
-            req.to_pandas().drop_duplicates(), key_cols
-        )
+        summary = self.store.read_epoch_summary(e)
+        sources = summary_sources(summary, e)
+        pids = partition_ids(req, key_cols, int(summary["num_partitions"]))
         out = []
-        for p in sorted(set(int(x) for x in pids)):
+        for p in np.unique(pids).tolist():
+            routed = req.filter(pa.array(pids == p))
+            m = self.store.read_manifest(sources.get(p, e), p)
+            if m is not None and (
+                m.row_count == 0 or blooms_exclude(m.blooms, routed)
+            ):
+                continue
             t = self.store.read_partition_resolved(e, p)
             if t is None or t.num_rows == 0:
                 continue
-            tdf = byte_exact_group_cols(t.to_pandas(), key_cols)
-            hit = tdf.merge(reqdf, on=key_cols, how="inner")
-            if len(hit):
-                out.append(
-                    pa.Table.from_pandas(
-                        restore_object_cols(hit, key_cols),
-                        schema=t.schema,
-                        preserve_index=False,
-                    )
-                )
+            hit = _rows_with_keys(t, routed)
+            if hit.num_rows:
+                out.append(hit)
         if not out:
             return FINAL_STATE_SCHEMA.empty_table()
         return pa.concat_tables(out)
@@ -1118,6 +1118,20 @@ class CdcEngine:
             t, sort_keys=[("repo", "ascending"), ("path", "ascending")]
         )
         return t.take(idx)
+
+
+def _rows_with_keys(table: pa.Table, keys: pa.Table) -> pa.Table:
+    """The rows of ``table`` whose key columns equal some row of ``keys``,
+    byte for byte, in ``table``'s row order."""
+    import numpy as np
+
+    cols = keys.column_names
+    keys = keys.cast(pa.schema([(c, table.schema.field(c).type) for c in cols]))
+    rows = table.select(cols).append_column(
+        "_row", pa.array(np.arange(table.num_rows))
+    )
+    hit = rows.join(keys, keys=cols, join_type="left semi")
+    return table.take(np.sort(hit.column("_row").to_numpy()))
 
 
 def check_committed_fanout(store: SnapshotStore, dm: DataModel, prev_epoch) -> None:

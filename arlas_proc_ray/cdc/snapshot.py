@@ -148,28 +148,35 @@ _BLOOM_MAX_BITS = 1 << 20  # 128 KiB
 _BLOOM_HASHES = 3
 
 
-def _bloom_positions(vals, num_bits: int, num_hashes: int):
-    """Kirsch-Mitzenmacher double hashing over one sha256-prefix int per
-    value — the SAME published scheme as stages/bloom.py:_salted_positions,
-    so a bloom built here is reproducible from SQL the same way. Values
-    are cast to string first (one canonical byte form per value)."""
-    import numpy as np
+def _bloom_hashes(vals):
+    """One sha256-prefix int per value (-1 for null), the input of
+    ``_hash_positions``. Values are cast to string first (one canonical
+    byte form per value)."""
     import pyarrow.compute as pc
 
     from arlas_proc_ray.functions.hashing import sha256_prefix_int
 
     if vals.type != pa.string():
         vals = pc.cast(vals, pa.string())
-    hv = sha256_prefix_int(vals)
-    null = hv < 0
+    return sha256_prefix_int(vals)
+
+
+def _hash_positions(hv, num_bits: int, num_hashes: int):
+    """Kirsch-Mitzenmacher double hashing of ``_bloom_hashes`` output —
+    the SAME published scheme as stages/bloom.py:_salted_positions, so a
+    bloom built here is reproducible from SQL the same way. Returns a
+    ``(num_hashes, len(hv))`` array; null values get position -1."""
+    import numpy as np
+
     h1 = hv % num_bits
     h2 = (hv // num_bits) % num_bits | np.int64(1)
-    out = []
-    for i in range(num_hashes):
-        pos = (h1 + np.int64(i) * h2) % num_bits
-        pos[null] = -1
-        out.append(pos)
-    return out
+    pos = (h1 + np.arange(num_hashes, dtype=np.int64)[:, None] * h2) % num_bits
+    pos[:, hv < 0] = -1
+    return pos
+
+
+def _bloom_positions(vals, num_bits: int, num_hashes: int):
+    return _hash_positions(_bloom_hashes(vals), num_bits, num_hashes)
 
 
 def _bloom_build(col, num_rows: int) -> dict:
@@ -195,21 +202,64 @@ def _bloom_build(col, num_rows: int) -> dict:
     }
 
 
-def _bloom_may_contain(bloom: dict, value) -> bool:
-    """False only when the bloom PROVES the value absent."""
+def _bloom_absent(bloom: dict, positions):
+    """Per probe value, True only where ``bloom`` PROVES it absent.
+
+    ``positions`` is ``_hash_positions(hashes, bloom["m"], bloom["k"])``;
+    a null probe (position -1) says nothing, so it is never absent."""
     import base64
 
     import numpy as np
 
     bm = np.frombuffer(base64.b64decode(bloom["b64"]), dtype=np.uint8)
-    col = pa.array([value])
-    for pos in _bloom_positions(col, int(bloom["m"]), int(bloom["k"])):
-        p = int(pos[0])
-        if p < 0:  # null probe value: bloom says nothing
-            return True
-        if not (bm[p >> 3] >> (p & 7)) & 1:
-            return False
-    return True
+    p = np.maximum(positions, 0)
+    unset = ((bm[p >> 3] >> (p & 7).astype(np.uint8)) & 1) == 0
+    return (unset & (positions >= 0)).any(axis=0)
+
+
+def blooms_exclude(blooms: dict, keys: pa.Table) -> bool:
+    """True when a partition's manifest ``blooms`` prove every row of
+    ``keys`` absent: for each key, some column's bloom misses its value."""
+    import numpy as np
+
+    absent = np.zeros(keys.num_rows, dtype=bool)
+    for col in keys.column_names:
+        bloom = blooms.get(col)
+        if bloom is not None:
+            positions = _hash_positions(
+                _bloom_hashes(keys.column(col)), int(bloom["m"]), int(bloom["k"])
+            )
+            absent |= _bloom_absent(bloom, positions)
+    return bool(absent.all())
+
+
+class _BloomProbes:
+    """The ``==`` clauses of one scan plan, tested against many manifests.
+
+    Each probe value is hashed once per plan and its bit positions are
+    computed once per bloom shape ``(m, k)``; a manifest then costs only
+    the bit tests on its decoded bitmap."""
+
+    def __init__(self, predicate):
+        self.eq = [(col, val) for col, op, val in predicate or () if op == "=="]
+        self._hashes: dict = {}
+        self._positions: dict = {}
+
+    def __call__(self, blooms: dict) -> bool:
+        """True when some ``==`` clause's bloom proves its value absent."""
+        for i, (col, val) in enumerate(self.eq):
+            bloom = blooms.get(col)
+            if bloom is None:
+                continue
+            shape = (i, int(bloom["m"]), int(bloom["k"]))
+            if shape not in self._positions:
+                if i not in self._hashes:
+                    self._hashes[i] = _bloom_hashes(pa.array([val]))
+                self._positions[shape] = _hash_positions(
+                    self._hashes[i], shape[1], shape[2])
+            if _bloom_absent(bloom, self._positions[shape])[0]:
+                return True
+        return False
 
 
 def _stats_may_match(col_stats: dict, predicate) -> bool:
@@ -301,6 +351,34 @@ def _predicate_to_expr(predicate):
     return expr
 
 
+# Plans up to this many bytes on disk are read in the calling process. After
+# decompression that is at most about one Ray Data target block (128 MiB),
+# and it skips the streaming executor's start-up, which costs far more
+# than reading a few MB: the perfbench scans read 1-2 MB. A file count
+# would not bound that process's memory (at P=64 and 100 TB one file is
+# ~1.5 TB).
+SMALL_SCAN_BYTES = 32 << 20
+
+
+def _read_small(files, columns, clauses, expr) -> pa.Table:
+    """``scan``'s in-process read: each file at the ``ParquetFile.read``
+    floor, then the residual filter and projection in Arrow."""
+    need = None
+    if columns is not None:
+        need = list(dict.fromkeys([*columns, *(c for c, _, _ in clauses)]))
+    tables = []
+    for f in files:
+        with pq.ParquetFile(f) as pf:
+            tables.append(pf.read(columns=need))
+    table = pa.concat_tables(tables, promote_options="default")
+    if expr is not None:
+        table = table.filter(expr)
+    if columns is not None:
+        table = table.select(columns)
+    # one chunk per column: Ray serializes every chunk as its own array
+    return table.combine_chunks()
+
+
 def _atomic_write_bytes(path: str, payload: bytes) -> None:
     d = os.path.dirname(path)
     os.makedirs(d, exist_ok=True)
@@ -314,6 +392,13 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def summary_sources(summary: dict, epoch: int) -> dict[int, int]:
+    """partition → epoch holding its current file, from an epoch summary."""
+    if "sources" in summary:
+        return {int(p): int(e) for p, e in summary["sources"].items()}
+    return {p: epoch for p in range(summary["num_partitions"])}
 
 
 class ConcurrentCommitError(RuntimeError):
@@ -519,16 +604,20 @@ class SnapshotStore:
             return PartitionManifest(**json.load(f))
 
     def latest_committed_epoch(self) -> int | None:
-        best = None
+        """Highest epoch with a ``_COMMITTED`` marker. Markers are checked
+        newest first, so the usual call stats one file however many
+        epochs the store keeps (uncommitted leftovers cost one each)."""
         if not os.path.isdir(self.root):
             return None
-        for name in os.listdir(self.root):
-            if not name.startswith("epoch="):
-                continue
-            e = int(name.split("=", 1)[1])
+        epochs = sorted(
+            (int(name.split("=", 1)[1]) for name in os.listdir(self.root)
+             if name.startswith("epoch=")),
+            reverse=True,
+        )
+        for e in epochs:
             if os.path.exists(self.commit_marker_path(e)):
-                best = e if best is None else max(best, e)
-        return best
+                return e
+        return None
 
     def read_partition(self, epoch: int, part: int) -> pa.Table | None:
         p = self.part_data_path(epoch, part)
@@ -543,10 +632,7 @@ class SnapshotStore:
 
     def resolve_sources(self, epoch: int) -> dict[int, int]:
         """partition → epoch holding its current file, for a committed epoch."""
-        summary = self.read_epoch_summary(epoch)
-        if "sources" in summary:
-            return {int(p): int(e) for p, e in summary["sources"].items()}
-        return {p: epoch for p in range(summary["num_partitions"])}
+        return summary_sources(self.read_epoch_summary(epoch), epoch)
 
     def read_partition_resolved(self, epoch: int, part: int) -> pa.Table | None:
         return self.read_partition(self.resolve_sources(epoch).get(part, epoch), part)
@@ -821,6 +907,8 @@ class SnapshotStore:
           clauses zone maps cannot — hash-partitioned key columns span
           the full domain in every partition, but a bloom miss proves
           the key absent (false-positive keeps, never false prunes).
+          Each ``==`` value is hashed once per plan, not once per
+          manifest.
 
         Returns ``{"epoch", "files", "partitions_total", "pruned_lsn",
         "pruned_stats", "pruned_bloom", "pruned_empty"}``. Pruning is
@@ -831,8 +919,10 @@ class SnapshotStore:
         e = self._resolve_epoch_arg(epoch)
         if e is None:
             raise RuntimeError("no committed epoch")
-        sources = self.resolve_sources(e)
-        num_partitions = self.read_epoch_summary(e)["num_partitions"]
+        summary = self.read_epoch_summary(e)
+        sources = summary_sources(summary, e)
+        num_partitions = summary["num_partitions"]
+        bloom_prunes = _BloomProbes(predicate)
         files: list[str] = []
         pruned_lsn = pruned_stats = pruned_empty = pruned_bloom = 0
         for p in range(num_partitions):
@@ -849,11 +939,7 @@ class SnapshotStore:
             if predicate and not _stats_may_match(m.col_stats, predicate):
                 pruned_stats += 1
                 continue
-            if predicate and m.blooms and any(
-                op == "==" and col in m.blooms
-                and not _bloom_may_contain(m.blooms[col], val)
-                for col, op, val in predicate
-            ):
+            if m.blooms and bloom_prunes(m.blooms):
                 pruned_bloom += 1
                 continue
             files.append(self.part_data_path(src, p))
@@ -876,15 +962,26 @@ class SnapshotStore:
         changed_rows_only: bool = False,
         columns: list[str] | None = None,
     ):
-        """Pruned streaming read of a committed snapshot as a Ray Dataset.
+        """Pruned read of a committed snapshot as a Ray Dataset.
 
-        Partition files are pruned by ``plan_scan`` (zone maps + applied-LSN
-        watermarks, manifests only); the surviving files are read with
-        ``ray.data.read_parquet`` with the SAME predicate pushed down as a
-        pyarrow dataset filter (row-group/page pruning inside each file) and
-        ``columns=`` projection — so at 100 TB a selective scan touches only
-        the partitions, row groups and columns it needs, and the result is a
-        lazy Dataset the streaming executor pipelines.
+        Partition files are pruned by ``plan_scan`` (zone maps, blooms and
+        applied-LSN watermarks, manifests only). How the surviving files
+        are read depends on their size on disk:
+
+        - up to ``SMALL_SCAN_BYTES``, eagerly in this process: each file
+          with ``pq.ParquetFile.read`` (``columns=`` plus the predicate's
+          columns), the predicate applied as an Arrow filter, and the
+          table wrapped with ``ray.data.from_arrow``. A selective scan
+          then costs its I/O, not the streaming executor's start-up;
+        - above it, lazily with ``ray.data.read_parquet``, the SAME
+          predicate pushed down as a pyarrow dataset filter (row-group/
+          page pruning inside each file) and ``columns=`` projection, so
+          at 100 TB a selective scan touches only the partitions, row
+          groups and columns it needs and the streaming executor
+          pipelines the rest.
+
+        Both reads return the same rows with the file schema (no hive
+        ``epoch`` column).
 
         ``changed_rows_only=True`` (requires ``changed_since_lsn``) further
         filters to rows with ``last_lsn > changed_since_lsn`` — a true
@@ -916,6 +1013,8 @@ class SnapshotStore:
             if columns:
                 empty = empty.select(columns)
             return rd.from_arrow(empty)
+        if sum(os.stat(f).st_size for f in plan["files"]) <= SMALL_SCAN_BYTES:
+            return rd.from_arrow(_read_small(plan["files"], columns, clauses, expr))
         # partitioning=None: the hive-style ``epoch=N`` path segment must
         # not be inferred as a column — scan schema equals file schema.
         # (Ray 2.49 can't combine partitioning=None with columns=; with a

@@ -17,7 +17,8 @@ def test_layer_bench_smoke(capsys):
     assert [r["kernel"] for r in rows] == [
         "split.per_partition", "split.exchange", "exchange.dict",
         "exchange.object", "write.write_partition", "read.read_partition",
-        "read.read_table", "bloom.build",
+        "read.read_table", "lookup.engine", "scan.engine", "scan.engine.lazy",
+        "bloom.build",
     ]
     for r in rows:
         for k in ("s", "floor_s", "ratio", "rows_per_s", "mb_per_s"):

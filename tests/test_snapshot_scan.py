@@ -3,9 +3,11 @@
 Pins: per-partition [min, max] zone maps are collected at write time;
 plan_scan prunes partitions from MANIFESTS ONLY (predicate zone-map
 overlap, changed-since-LSN watermark, empty partitions); scan() returns
-a lazy Ray Dataset whose rows equal a full read + row filter; manifests
-written before zone maps existed never prune (conservative); delta
-epochs resolve source files through the metadata chain.
+a Ray Dataset whose rows equal a full read + row filter, read in process
+for small plans and through ``read_parquet`` above ``SMALL_SCAN_BYTES``,
+with the same rows and schema on both paths; manifests written before
+zone maps existed never prune (conservative); delta epochs resolve
+source files through the metadata chain.
 """
 
 import json
@@ -381,3 +383,77 @@ def test_jobs_sql_cli(tmp_path, capsys):
     ]) == 0
     out = [_json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
     assert out[-1]["data"] == [{"n": 100}]
+
+
+def _scan_both_paths(store, monkeypatch, **kw):
+    """``scan(**kw)`` read in process (the default for these small
+    stores) and through ``ray.data.read_parquet`` (threshold 0)."""
+    from arlas_proc_ray.cdc import snapshot
+
+    eager = store.scan(**kw)
+    with monkeypatch.context() as m:
+        m.setattr(snapshot, "SMALL_SCAN_BYTES", 0)
+        lazy = store.scan(**kw)
+    plan = store.plan_scan(
+        epoch=kw.get("epoch"), predicate=kw.get("predicate"),
+        changed_since_lsn=kw.get("changed_since_lsn"),
+    )
+    assert eager._logical_plan.dag.name == "FromArrow"
+    assert lazy._logical_plan.dag.name == (
+        "ReadParquet" if plan["files"] else "FromArrow"
+    )
+    return eager, lazy
+
+
+def _sorted_rows(ds) -> pa.Table:
+    t = pa.concat_tables(
+        [ds.schema().base_schema.empty_table(),
+         *ds.iter_batches(batch_format="pyarrow")]
+    )
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
+@pytest.mark.parametrize("kw", [
+    {"predicate": [("v", "==", 150)]},
+    {"predicate": [("key", "==", "k02-017")]},
+    {"predicate": [("v", ">=", 150), ("v", "<", 320)]},
+    {"predicate": [("v", "!=", 150)]},
+    {"predicate": [("v", ">=", 250)], "columns": ["key"]},
+    {"predicate": [("v", "<", 180)], "columns": ["v", "key"]},
+    {"changed_since_lsn": 250, "changed_rows_only": True},
+    {"changed_since_lsn": 250, "changed_rows_only": True, "columns": ["key"]},
+    {"predicate": [("v", ">", 10_000)]},
+    {"predicate": [("v", ">", 10_000)], "columns": ["key", "v"]},
+    {},
+], ids=["eq-int", "eq-str", "range", "ne", "unprojected-pred",
+        "reordered-cols", "changed-rows", "changed-rows-cols", "empty-plan",
+        "empty-plan-cols", "full"])
+def test_scan_paths_agree(store, monkeypatch, kw):
+    eager, lazy = _scan_both_paths(store, monkeypatch, **kw)
+    assert eager.schema().base_schema.equals(lazy.schema().base_schema)
+    got, want = _sorted_rows(eager), _sorted_rows(lazy)
+    assert got.equals(want)
+    assert got.column_names == (kw.get("columns") or
+                                ["key", "v", "last_lsn", "content_sha256"])
+
+
+def test_scan_paths_agree_on_delta_epoch(store, monkeypatch):
+    t = _part_table(0, 400)
+    t = t.set_column(1, "v", pa.array(range(1000, 1100), pa.int64()))
+    store.write_partition(1, 0, t, last_lsn=499)
+    store.commit_epoch(1, 4, sources={1: 0, 2: 0, 3: 0})
+    for kw in ({"predicate": [("v", "<", 200)]}, {"changed_since_lsn": 350},
+               {"epoch": 0, "predicate": [("v", "<", 200)]}):
+        eager, lazy = _scan_both_paths(store, monkeypatch, **kw)
+        assert _sorted_rows(eager).equals(_sorted_rows(lazy))
+    assert _sorted_rows(store.scan(predicate=[("v", "<", 200)])).num_rows == 100
+
+
+def test_scan_over_threshold_stays_lazy(store, monkeypatch):
+    from arlas_proc_ray.cdc import snapshot
+
+    # the threshold is inclusive and counts bytes on disk, not files
+    [one] = store.plan_scan(predicate=[("v", "==", 150)])["files"]
+    monkeypatch.setattr(snapshot, "SMALL_SCAN_BYTES", os.path.getsize(one))
+    assert store.scan(predicate=[("v", "==", 150)])._logical_plan.dag.name == "FromArrow"
+    assert store.scan()._logical_plan.dag.name == "ReadParquet"

@@ -84,3 +84,67 @@ def test_partition_file_is_fsynced_before_it_is_visible(tmp_path, state,
     size = os.path.getsize(data_path)
     assert (size, False) in synced
     assert len(synced) == 2  # the data file, then the manifest
+
+
+def _may_contain_reference(bloom: dict, value) -> bool:
+    """The per-value probe ``plan_scan`` used to run for every manifest:
+    hash the value, then test its bits one by one."""
+    import base64
+
+    bm = base64.b64decode(bloom["b64"])
+    for pos in snapshot._bloom_positions(pa.array([value]), bloom["m"], bloom["k"]):
+        p = int(pos[0])
+        if p < 0:
+            return True
+        if not (bm[p >> 3] >> (p & 7)) & 1:
+            return False
+    return True
+
+
+def test_bloom_probes_prune_like_the_per_value_probe():
+    """Hashing each probe once per plan changes no pruning decision."""
+    blooms = [
+        snapshot._bloom_build(pa.chunked_array([pa.array(
+            [f"k{v}" for v in range(p, 3000, 7)])]), 3000 // 7)
+        for p in range(7)
+    ] + [snapshot._bloom_build(pa.chunked_array([pa.array(range(5000))]), 5000)]
+    probes = [f"k{v}" for v in range(0, 4000, 13)] + [None, 17, 4999, 6001]
+    for value in probes:
+        pruner = snapshot._BloomProbes([("c", "==", value)])
+        for bloom in blooms:
+            assert pruner({"c": bloom}) == (not _may_contain_reference(bloom, value))
+    # non-== clauses and other columns never prune
+    assert not snapshot._BloomProbes([("c", ">", "zzz")])({"c": blooms[0]})
+    assert not snapshot._BloomProbes([("d", "==", "k0")])({"c": blooms[0]})
+
+
+def _commit(store: SnapshotStore, epoch: int, table: pa.Table) -> None:
+    store.write_partition(epoch, 0, table)
+    store.commit_epoch(epoch, 1)
+
+
+def test_latest_committed_epoch_skips_uncommitted_and_staged(tmp_path, state):
+    store = SnapshotStore(str(tmp_path))
+    for e in (1, 2, 3):
+        _commit(store, e, state)
+    store.write_partition(5, 0, state)  # crash leftover: no marker
+    store.write_partition(4, 0, state)  # staged cut: marker withheld
+    open(os.path.join(store.epoch_dir(4), "_STAGED"), "w").close()
+    assert store.latest_committed_epoch() == 3
+
+
+def test_latest_committed_epoch_stats_one_marker(tmp_path, monkeypatch):
+    store = SnapshotStore(str(tmp_path))
+    for e in range(1, 201):
+        os.makedirs(store.epoch_dir(e))
+        open(store.commit_marker_path(e), "w").close()
+    stats = []
+    exists = os.path.exists
+
+    def spy(path):
+        stats.append(path)
+        return exists(path)
+
+    monkeypatch.setattr(os.path, "exists", spy)
+    assert store.latest_committed_epoch() == 200
+    assert stats == [store.commit_marker_path(200)]

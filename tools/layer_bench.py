@@ -21,6 +21,13 @@ library call that does the same job on the same bytes:
   write.write_partition ``SnapshotStore.write_partition`` of P partitions
                         (stats, blooms, rollup, fsynced file + manifest)
       floor: ``pq.write_table`` of the same tables
+  lookup.engine         ``CdcEngine.lookup`` of one stored key per partition
+      floor: ``pq.ParquetFile(path).read()`` of the P files it opens
+  scan.engine           ``CdcEngine.scan(predicate=[("repo", "==", r)])``
+                        ``.count()`` of four repos, read in process
+  scan.engine.lazy      the same scans through ``ray.data.read_parquet``
+                        (``SMALL_SCAN_BYTES`` set to 0)
+      floor: ``pq.ParquetFile(path).read()`` of the files the plans keep
   bloom.build           the store's bloom build over the key columns
       floor: the sha256 prefix hash it needs per value
 
@@ -81,7 +88,7 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
             seed: int) -> list[dict]:
     import ray
 
-    from arlas_proc_ray.cdc.engine import _events_as_merge_rows
+    from arlas_proc_ray.cdc.engine import CdcEngine, _events_as_merge_rows
     from arlas_proc_ray.cdc.replay import finalize_partition_table
     from arlas_proc_ray.cdc.snapshot import SnapshotStore, _bloom_build
     from arlas_proc_ray.cdc.staged import _exchange_object, group_plan
@@ -160,6 +167,9 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
             _median_s(lambda: [pq.read_table(f) for f in paths], repeats),
             floor_read, s_rows, s_bytes)
 
+        store.commit_epoch(1, partitions)
+        _serving_rows(row, CdcEngine(store.root, dm), states, repeats)
+
     keys = [(t.column(c), t.num_rows) for t in states if t.num_rows
             for c in dm.key_list]
     k_bytes = sum(col.nbytes for col, _ in keys)
@@ -168,6 +178,49 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
         _median_s(lambda: [sha256_prefix_int(c) for c, _ in keys], repeats),
         s_rows * len(dm.key_list), k_bytes)
     return rows_out
+
+
+def _serving_rows(row, engine, states, repeats: int) -> None:
+    """``lookup`` of one stored key per partition, and pruned ``scan``s of
+    four repos on both scan paths, each against ``ParquetFile.read`` of
+    the files it opens."""
+    from arlas_proc_ray.cdc import snapshot
+
+    store = engine.store
+    live = [(p, t) for p, t in enumerate(states) if t.num_rows]
+
+    def floor_of(files):
+        def read():
+            return [pq.ParquetFile(f).read() for f in files]
+        tables = read()
+        return (_median_s(read, repeats), sum(t.num_rows for t in tables),
+                sum(t.nbytes for t in tables))
+
+    keys = [tuple(t.select(engine.dm.key_list).slice(0, 1).to_pylist()[0].values())
+            for _, t in live]
+    floor_s, n_rows, n_bytes = floor_of(
+        [store.part_data_path(1, p) for p, _ in live])
+    row("lookup.engine", "ParquetFile.read",
+        _median_s(lambda: [engine.lookup([k]) for k in keys], repeats),
+        floor_s, n_rows, n_bytes)
+
+    preds = [[("repo", "==", t.column("repo")[0].as_py())]
+             for _, t in live[:: max(1, len(live) // 4)][:4]]
+    floor_s, n_rows, n_bytes = floor_of(
+        [f for pred in preds for f in store.plan_scan(predicate=pred)["files"]])
+
+    def scans():
+        return [engine.scan(predicate=pred).count() for pred in preds]
+
+    row("scan.engine", "ParquetFile.read", _median_s(scans, repeats),
+        floor_s, n_rows, n_bytes)
+    small = snapshot.SMALL_SCAN_BYTES
+    snapshot.SMALL_SCAN_BYTES = 0  # every plan takes the read_parquet path
+    try:
+        row("scan.engine.lazy", "ParquetFile.read", _median_s(scans, repeats),
+            floor_s, n_rows, n_bytes)
+    finally:
+        snapshot.SMALL_SCAN_BYTES = small
 
 
 def render(rows: list[dict]) -> str:
