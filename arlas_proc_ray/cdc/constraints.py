@@ -175,10 +175,10 @@ def make_ingest_head(
     constraints: dict | None,
     on_violation: str = "fail",
 ):
-    """The canonical per-batch ingest head every engine shares:
-    structural validity (DLQ) or plain schema alignment, then
-    table-constraint enforcement. Used by CdcEngine (both staged
-    exchanges) and StreamingCdcEngine (apply_epoch + tail)."""
+    """The canonical per-batch ingest head: structural validity (DLQ)
+    or plain schema alignment, then table-constraint enforcement. Every
+    CdcEngine epoch runs it (``apply_epoch`` and both staged
+    exchanges)."""
     from arlas_proc_ray.cdc.replay import (
         make_align_fn,
         make_dead_letter_fn,

@@ -21,7 +21,7 @@ staged exchange (cdc/staged.py) in raw Ray tasks:
       → driver writes the epoch _COMMITTED marker
 
 State lives in the partitioned snapshot on disk (merge-on-read compaction,
-lakehouse-style) — NOT in long-lived actors — so a crashed run loses
+lakehouse-style), never in a worker's memory, so a crashed run loses
 nothing: rerunning the same epoch skips finished partitions and
 re-executes unfinished ones idempotently. This is the design that survives
 a 256-node cluster: per-partition work is independent, the only all-to-all

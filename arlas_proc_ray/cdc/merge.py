@@ -31,6 +31,11 @@ Scale design (identical skeleton to ``CdcEngine.apply_epoch``):
   ``when_not_matched_by_source="delete"`` forces a full pass (every
   partition must drop unmatched rows — there is no metadata shortcut
   for global sync, and the code refuses to pretend otherwise).
+
+Manifests carry the kernel's metrics (``apply_partition``): ``events_in``
+(source rows routed to the partition), ``fence_dropped`` (always 0: MERGE
+has no LSN fence), ``events_applied`` (rows left after the per-key dedup)
+and ``apply_s``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ import time
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from arlas_proc_ray.cdc.engine import open_epoch
 from arlas_proc_ray.cdc.events import FINAL_STATE_SCHEMA
@@ -56,11 +60,14 @@ _ACTIONS_BY_SOURCE = ("ignore", "delete")
 _PAYLOAD_COLS = ("commit", "language", "content", "content_size")
 
 
-def _final_state_frame(rows: dict) -> pa.Table:
-    cols = {}
-    for f in FINAL_STATE_SCHEMA:
-        cols[f.name] = pa.array(rows.get(f.name, []), f.type)
-    return pa.table(cols)
+def _metrics(events_in: int, applied: int, t0: float) -> dict:
+    """The apply kernel's manifest metrics (see the module docstring)."""
+    return {
+        "events_in": int(events_in),
+        "fence_dropped": 0,
+        "events_applied": int(applied),
+        "apply_s": round(time.perf_counter() - t0, 4),
+    }
 
 
 def merge_into(
@@ -125,8 +132,8 @@ def merge_into(
         if store.partition_done(epoch, part):  # crash-resume fence
             return pa.table({"partition_id": pa.array([part], pa.int32())})
 
-        prior, prior_last = read_prior(part)
         t0 = time.perf_counter()
+        prior, prior_last = read_prior(part)
         src = group.drop_columns([PART_COL]).to_pandas()
         # dedup source per key: highest source lsn wins (deterministic)
         if source_lsn_col in src.columns:
@@ -163,10 +170,7 @@ def merge_into(
             fault_hook(epoch, part)
         store.write_partition(
             epoch, part, final, last_lsn=watermark,
-            metrics={
-                "merge_source_rows": int(len(src)),
-                "apply_s": round(time.perf_counter() - t0, 4),
-            },
+            metrics=_metrics(group.num_rows, len(src), t0),
         )
         return pa.table({"partition_id": pa.array([part], pa.int32())})
 
@@ -182,6 +186,7 @@ def merge_into(
         """No-source-rows partition: carry forward, or sync-delete all."""
         if store.partition_done(epoch, part):
             return part
+        t0 = time.perf_counter()
         prior, prior_last = read_prior(part)
         if when_not_matched_by_source == "delete":
             carried = FINAL_STATE_SCHEMA.empty_table()
@@ -193,7 +198,7 @@ def merge_into(
             fault_hook(epoch, part)
         store.write_partition(
             epoch, part, carried, last_lsn=prior_last,
-            metrics={"merge_source_rows": 0, "carried_forward": True},
+            metrics=_metrics(0, 0, t0),
         )
         return part
 

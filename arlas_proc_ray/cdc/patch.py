@@ -28,8 +28,7 @@ Two kernels, split by WHERE they may run:
   the subset's max-LSN full image (op != PATCH) is dead in the FULL
   stream too. Output per key: one winning barrier row + all unfolded
   patches above it — still a strong combiner on the patch-light streams
-  patches occur in (the MergeActor's spill budget backstops adversarial
-  all-patch streams).
+  patches occur in.
 
 - ``patch_fold_table`` — the per-partition finalize, where the keyed
   exchange guarantees every event of a key is present. Fully vectorized

@@ -21,12 +21,9 @@ This module makes the rule executable instead of documentation:
     boundaries MUST be LSN-valued: the per-partition fence drops
     ``lsn <= watermark``, so a later chunk may only carry strictly
     higher LSNs or its events would be dropped as already-applied.
-  * ``auto_epoch_bytes()`` — the byte cadence for ``tail(...,
-    epoch_every_events="auto")``.
 
 Used by ``CdcEngine.apply_epoch_staged`` (cdc/engine.py) to auto-split
-oversized epochs into LSN-range sub-epochs, and by
-``StreamingCdcEngine.tail`` (cdc/actors.py) for the auto commit cadence.
+oversized epochs into LSN-range sub-epochs.
 """
 
 from __future__ import annotations
@@ -66,17 +63,6 @@ def object_store_bytes(default: int = 2 * 1024**3) -> int:
     except Exception:
         pass
     return int(default)
-
-
-def max_epoch_bytes(budget_bytes: int | None = None) -> int:
-    """Largest epoch byte volume the 4×-rule admits without splitting."""
-    b = budget_bytes if budget_bytes is not None else object_store_bytes()
-    return int(b * HEADROOM / AMPLIFICATION)
-
-
-def auto_epoch_bytes(budget_bytes: int | None = None) -> int:
-    """Byte cadence for ``tail(epoch_every_events="auto")`` — same rule."""
-    return max_epoch_bytes(budget_bytes)
 
 
 @dataclass(frozen=True)

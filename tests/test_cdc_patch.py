@@ -375,32 +375,6 @@ def _patch_stream(tables, n_patch=60, lsn_base=None):
     return pa.Table.from_pylist(rows, schema=EVENT_SCHEMA_V2)
 
 
-def test_streaming_engine_applies_patches(tmp_path):
-    """MergeActor ingest-compaction + commit fold handle PATCH rows."""
-    from arlas_proc_ray.cdc.actors import StreamingCdcEngine
-    from arlas_proc_ray.cdc.events import ChangelogConfig, generate_changelog_tables
-
-    cfg = ChangelogConfig(num_events=3_000, num_keys=500, seed=17)
-    tables = generate_changelog_tables(cfg)
-    patches = _patch_stream(tables)
-    exp = oracle_final_state(tables + [patches]).to_pandas()
-
-    dm = DataModel(num_partitions=4)
-    engine = StreamingCdcEngine(str(tmp_path / "snap"), dm)
-    try:
-        engine.apply_epoch(rd.from_arrow(tables), epoch=1)
-        engine.apply_epoch(rd.from_arrow([patches]), epoch=2)
-        got = (
-            engine.final_state()
-            .to_pandas()
-            .sort_values(["repo", "path"])
-            .reset_index(drop=True)[list(exp.columns)]
-        )
-        pd.testing.assert_frame_equal(got, exp)
-    finally:
-        engine.shutdown()
-
-
 def test_staged_engines_apply_patches(tmp_path):
     """Both staged exchanges fold PATCH rows (mixed into one epoch)."""
     from arlas_proc_ray.cdc import CdcEngine

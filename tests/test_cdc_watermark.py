@@ -12,11 +12,9 @@ carry-forward.
 
 import pyarrow as pa
 import pytest
-import ray
 import ray.data as rd
 
 from arlas_proc_ray.cdc import CdcEngine
-from arlas_proc_ray.cdc.actors import MergeActor, StreamingCdcEngine
 from arlas_proc_ray.cdc.events import CANONICAL_EVENT_SCHEMA
 from arlas_proc_ray.model import DataModel
 
@@ -60,20 +58,32 @@ def _assert_no_resurrection(final: pa.Table):
     )
 
 
-@pytest.mark.parametrize("parts", [1, 2])
-def test_batch_engine_delete_holds_fence(tmp_path, parts):
+@pytest.mark.parametrize(
+    "parts,fresh_engine",
+    [(1, False), (2, False), (1, True), (2, True)],
+    ids=["1", "2", "1-fresh", "2-fresh"],
+)
+def test_batch_engine_delete_holds_fence(tmp_path, parts, fresh_engine):
+    """With ``fresh_engine`` every epoch runs through a new CdcEngine over
+    the same store (a restart between epochs): the fence must come back
+    from the committed manifests, not from anything the engine held."""
     dm = DataModel(num_partitions=parts)
-    eng = CdcEngine(str(tmp_path / "s"), dm)
-    eng.apply_epoch(rd.from_arrow(events(E1)), 1)
-    eng.apply_epoch(rd.from_arrow(events(E2)), 2)
+    snap = str(tmp_path / "s")
+    first = CdcEngine(snap, dm)
+
+    def eng():
+        return CdcEngine(snap, dm) if fresh_engine else first
+
+    eng().apply_epoch(rd.from_arrow(events(E1)), 1)
+    eng().apply_epoch(rd.from_arrow(events(E2)), 2)
     # the fence must record the DELETE's lsn even though it survives no row
-    assert eng.store.read_epoch_summary(2)["last_lsn"] == 12
-    eng.apply_epoch(rd.from_arrow(events(E3_REDELIVERED)), 3)
-    _assert_no_resurrection(eng.final_state())
+    assert eng().store.read_epoch_summary(2)["last_lsn"] == 12
+    eng().apply_epoch(rd.from_arrow(events(E3_REDELIVERED)), 3)
+    _assert_no_resurrection(eng().final_state())
     # and the watermark still fences after an epoch that touched nothing
-    eng.apply_epoch(rd.from_arrow(events([])), 4)
-    eng.apply_epoch(rd.from_arrow(events(E3_REDELIVERED)), 5)
-    _assert_no_resurrection(eng.final_state())
+    eng().apply_epoch(rd.from_arrow(events([])), 4)
+    eng().apply_epoch(rd.from_arrow(events(E3_REDELIVERED)), 5)
+    _assert_no_resurrection(eng().final_state())
 
 
 @pytest.mark.parametrize("parts", [1, 2])
@@ -88,38 +98,6 @@ def test_staged_engine_delete_holds_fence(tmp_path, parts):
     _assert_no_resurrection(eng.final_state())
 
 
-def test_streaming_engine_delete_holds_fence(tmp_path):
-    dm = DataModel(num_partitions=2)
-    eng = StreamingCdcEngine(str(tmp_path / "s"), dm)
-    try:
-        eng.apply_epoch(rd.from_arrow(events(E1)), 1)
-        eng.apply_epoch(rd.from_arrow(events(E2)), 2)
-        assert eng.store.read_epoch_summary(2)["last_lsn"] == 12
-        eng.apply_epoch(rd.from_arrow(events(E3_REDELIVERED)), 3)
-        _assert_no_resurrection(eng.final_state())
-    finally:
-        eng.shutdown()
-
-
-def test_streaming_engine_reload_uses_watermark(tmp_path):
-    """Fresh actor pool (crash-restart) reloads the watermark, not the
-    surviving max, from the last committed manifest."""
-    dm = DataModel(num_partitions=2)
-    snap = str(tmp_path / "s")
-    eng = StreamingCdcEngine(snap, dm)
-    try:
-        eng.apply_epoch(rd.from_arrow(events(E1)), 1)
-        eng.apply_epoch(rd.from_arrow(events(E2)), 2)
-    finally:
-        eng.shutdown()
-    eng2 = StreamingCdcEngine(snap, dm)
-    try:
-        eng2.apply_epoch(rd.from_arrow(events(E3_REDELIVERED)), 3)
-        _assert_no_resurrection(eng2.final_state())
-    finally:
-        eng2.shutdown()
-
-
 def test_delta_epoch_carry_preserves_watermark(tmp_path):
     """delta=True leaves untouched partitions where they are; their fence
     must still be the old watermark when later epochs rewrite them."""
@@ -129,42 +107,3 @@ def test_delta_epoch_carry_preserves_watermark(tmp_path):
     eng.apply_epoch(rd.from_arrow(events(E2)), 2, delta=True)
     eng.apply_epoch(rd.from_arrow(events(E3_REDELIVERED)), 3, delta=True)
     _assert_no_resurrection(eng.final_state())
-
-
-def test_merge_actor_buffer_is_bounded(tmp_path):
-    """Ingesting many batches totaling >> compact_rows keeps the buffer at
-    O(distinct keys) rows and produces the same final state."""
-    dm = DataModel(num_partitions=1)
-    actor = MergeActor.remote(0, str(tmp_path / "s"), dm, 500)
-    lsn = 0
-    for _ in range(40):  # 40 x 200 = 8000 events over 100 keys
-        rows = [
-            (lsn + i, "UPDATE", "o/r", f"f{(lsn + i) % 100}.py", f"v{lsn + i}")
-            for i in range(200)
-        ]
-        ray.get(actor.ingest.remote(events(rows)))
-        lsn += 200
-    stats = ray.get(actor.buffer_stats.remote())
-    assert stats["rows"] <= 500 + 200  # compacted: never grows past bound+batch
-    assert stats["epoch_max_lsn"] == 7999
-    ray.get(actor.commit_epoch.remote(1))
-    from arlas_proc_ray.cdc.snapshot import SnapshotStore
-
-    state = SnapshotStore(str(tmp_path / "s")).read_partition(1, 0)
-    assert state.num_rows == 100  # one surviving row per key
-    # every surviving row carries its key's max lsn
-    assert set(state.column("last_lsn").to_pylist()) == set(range(7900, 8000))
-    ray.kill(actor)
-
-
-def test_streaming_route_tolerates_empty_blocks(tmp_path):
-    """Empty blocks are legal in Ray Data (e.g. after a filter)."""
-    dm = DataModel(num_partitions=2)
-    eng = StreamingCdcEngine(str(tmp_path / "s"), dm)
-    try:
-        ds = rd.from_arrow(events(E1)).filter(lambda r: r["lsn"] != 5)
-        summary = eng.apply_epoch(ds, 1)
-        assert summary["routed_events"] == 1
-        assert _keys(eng.final_state()) == {"o/victim"}
-    finally:
-        eng.shutdown()

@@ -195,35 +195,3 @@ def test_in_clause(ray_session, tmp_path):
     # everything quarantined is exactly the md-language upserts
     lang = dl["lang"] if "lang" in dl.columns else dl["language"]
     assert (lang == "md").all() and len(dl) > 0
-
-
-def test_streaming_engine_enforces_constraints(tmp_path, ray_session):
-    """StreamingCdcEngine shares the ingest head: the actor-pool path
-    produces the same constraint-filtered state, and tail() quarantines
-    per commit window."""
-    import ray
-
-    from arlas_proc_ray.cdc.actors import StreamingCdcEngine
-
-    tables = _stream()
-    dlq = str(tmp_path / "dlq")
-    eng = StreamingCdcEngine(
-        str(tmp_path / "snap"), DataModel(num_partitions=4),
-        constraints=CHECKS, on_violation="dead_letter",
-    )
-    try:
-        for i, t in enumerate(tables, start=1):
-            eng.apply_epoch(rd.from_arrow(t), i, dead_letter_dir=dlq)
-        got = (
-            eng.final_state().to_pandas()
-            if hasattr(eng, "final_state")
-            else CdcEngine(
-                str(tmp_path / "snap"), DataModel(num_partitions=4)
-            ).final_state().to_pandas()
-        )
-        pd.testing.assert_frame_equal(got, _filtered_oracle(tables))
-        dl = read_dead_letters(dlq).to_pandas()
-        assert set(dl["dlq_reason"]) == {"check:no_md_lang"}
-    finally:
-        for a in eng.actors:
-            ray.kill(a)

@@ -120,21 +120,6 @@ def test_dlq_on_staged_paths(tmp_path, ray_session, two_level):
     assert len(read_dead_letters(dlq)) == 4
 
 
-def test_dlq_on_streaming_engine(tmp_path, ray_session):
-    from arlas_proc_ray.cdc.actors import StreamingCdcEngine
-
-    corrupted, clean = _corrupted_stream()
-    dlq = str(tmp_path / "dlq")
-    eng = StreamingCdcEngine(
-        str(tmp_path / "snap"), DataModel(num_partitions=4)
-    )
-    eng.apply_epoch(rd.from_arrow(corrupted), 1, dead_letter_dir=dlq)
-    got = eng.final_state().to_pandas()
-    exp = oracle_final_state(clean).to_pandas()
-    pd.testing.assert_frame_equal(got, exp)
-    assert len(read_dead_letters(dlq)) == 4
-
-
 def test_dlq_all_bad_block_and_filename_collision(tmp_path, ray_session):
     """(a) a block whose rows are ALL quarantined must not crash any
     engine; (b) two batches whose bad rows share (lsn, reason) but differ
@@ -170,25 +155,18 @@ def test_dlq_all_bad_block_and_filename_collision(tmp_path, ray_session):
     assert len(dl) == 2, "distinct bad rows must not collide on one DLQ file"
     assert sorted(dl["path"].fillna("pathA")) == ["pathA", "pathB"]
 
-    # an all-bad BLOCK through each engine (streaming is the fragile one)
-    from arlas_proc_ray.cdc.actors import StreamingCdcEngine
-
+    # an all-bad BLOCK through each apply path
     all_bad = pa.concat_tables([bad_row(f"p{i}") for i in range(5)])
     mixed = tables + [all_bad]
-    for cls, snap in [("apply_epoch", "s1"), ("staged", "s2"), ("stream", "s3")]:
+    for cls, snap in [("apply_epoch", "s1"), ("staged", "s2")]:
         eng_dir = str(tmp_path / snap)
         d2 = str(tmp_path / f"dlq_{snap}")
-        if cls == "stream":
-            e = StreamingCdcEngine(eng_dir, DataModel(num_partitions=4))
-            e.apply_epoch(rd.from_arrow(mixed), 1, dead_letter_dir=d2)
-            got = e.final_state().to_pandas()
+        e = CdcEngine(eng_dir, DataModel(num_partitions=4))
+        if cls == "staged":
+            e.apply_epoch_staged(rd.from_arrow(mixed), 1, dead_letter_dir=d2)
         else:
-            e = CdcEngine(eng_dir, DataModel(num_partitions=4))
-            if cls == "staged":
-                e.apply_epoch_staged(rd.from_arrow(mixed), 1, dead_letter_dir=d2)
-            else:
-                e.apply_epoch(rd.from_arrow(mixed), 1, dead_letter_dir=d2)
-            got = e.final_state().to_pandas()
+            e.apply_epoch(rd.from_arrow(mixed), 1, dead_letter_dir=d2)
+        got = e.final_state().to_pandas()
         exp = oracle_final_state(tables).to_pandas()
         pd.testing.assert_frame_equal(got, exp)
         assert len(read_dead_letters(d2)) == 5
@@ -216,33 +194,3 @@ def test_empty_block_alignment(tmp_path, ray_session):
     got = eng.final_state().to_pandas()
     exp = oracle_final_state(tables).to_pandas()
     pd.testing.assert_frame_equal(got, exp)
-
-
-def test_dlq_on_streaming_tail(tmp_path, ray_session):
-    """tail(): garbage is quarantined under the epoch window open when it
-    arrived; valid rows commit on cadence and match the clean oracle."""
-    from arlas_proc_ray.cdc.actors import StreamingCdcEngine
-
-    tables = generate_changelog_tables(CFG)
-    t = tables[-1]
-    bad = {k: list(v) for k, v in t.slice(0, 1).to_pydict().items()}
-    bad["op"] = ["JUNK"]
-    bad_t = pa.Table.from_pydict(bad, schema=t.schema)
-
-    dlq = str(tmp_path / "dlq")
-    eng = StreamingCdcEngine(str(tmp_path / "snap"), DataModel(num_partitions=4))
-    # feed: clean tables, garbage arrives in the SECOND window. Cadence
-    # counts ROUTED (post-combine) rows ≈ unique keys per batch (~200
-    # here), so a threshold of 150 closes window 1 after the first table.
-    feed = [tables[0], [bad_t], *tables[1:]]
-    summaries = list(eng.tail(
-        feed, epoch_every_events=150, dead_letter_dir=dlq
-    ))
-    assert len(summaries) >= 2
-    got = eng.final_state().to_pandas()
-    exp = oracle_final_state(tables).to_pandas()
-    pd.testing.assert_frame_equal(got, exp)
-    dl = read_dead_letters(dlq).to_pandas()
-    assert list(dl["dlq_reason"]) == ["invalid_op"]
-    # the junk arrived after window 1 filled -> attributed to window 2
-    assert dl["dlq_epoch"].iloc[0] == summaries[0]["epoch"] + 1

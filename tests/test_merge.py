@@ -206,6 +206,24 @@ def test_duplicate_source_keys_highest_lsn_wins(tmp_path):
     assert row["content"] == "v2" and row["last_lsn"] == 100_002
 
 
+def test_manifests_carry_kernel_metrics(tmp_path):
+    """Every manifest of a MERGE epoch, routed or not, has exactly the
+    metric keys the apply kernel writes, and the source rows add up."""
+    eng = _engine(tmp_path, n_events=500)
+    st = _state(eng)
+    src = _source_from_state(st.iloc[:4], mutate_frac=1.0, new_rows=2)
+    src = pd.concat([src, src.iloc[[0]].assign(lsn=99_999)], ignore_index=True)
+    # a full sync writes every partition, most with no source rows
+    merge_into(eng, rd.from_pandas(src), 2, when_not_matched_by_source="delete")
+    P = eng.dm.num_partitions
+    kernel = [eng.store.read_manifest(1, p).metrics for p in range(P)]
+    merged = [eng.store.read_manifest(2, p).metrics for p in range(P)]
+    assert all(set(m) == set(kernel[0]) for m in kernel + merged)
+    assert sum(m["events_in"] for m in merged) == len(src)
+    assert sum(m["events_applied"] for m in merged) == len(src) - 1
+    assert sum(m["fence_dropped"] for m in merged) == 0
+
+
 def test_crash_resume_identical(tmp_path):
     cfg = dict(n_events=2000, seed=77)
     eng_a = _engine(tmp_path / "a", **cfg)

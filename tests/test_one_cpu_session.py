@@ -1,9 +1,12 @@
-"""Every apply path finishes an epoch on a 1-CPU Ray session.
+"""Every store writer finishes on a 1-CPU Ray session.
 
-A long-lived actor that reserves CPU starves the epoch's tasks when the
-session has one CPU: the epoch then never finishes. The shared test
-session has 4 CPUs and cannot show this, so the epochs run in a
-subprocess with its own ``ray.init(num_cpus=1)`` under a timeout.
+A writer whose tasks or actors reserve more CPU than the session has left
+starves the epoch's other tasks: on one CPU the epoch then never finishes,
+with no error. The shared test session has 4 CPUs and cannot show this,
+so the writers run in a subprocess with its own ``ray.init(num_cpus=1)``
+under a timeout: the three apply paths, then ``merge_into``,
+``repartition_snapshot`` and ``purge_keys`` over the same store, each
+checked against a pandas oracle and ``verify_deep``.
 """
 
 import os
@@ -16,8 +19,12 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+LEGS = ("apply_epoch", "staged", "two_level", "merge_into",
+        "repartition_snapshot", "purge_keys")
+
 SCRIPT = textwrap.dedent(
     """
+    import hashlib
     import sys
 
     import pandas as pd
@@ -28,12 +35,12 @@ SCRIPT = textwrap.dedent(
              logging_level="ERROR", object_store_memory=200 * 1024**2)
     rd.DataContext.get_current().enable_progress_bars = False
 
-    from arlas_proc_ray.cdc.actors import StreamingCdcEngine
     from arlas_proc_ray.cdc.engine import CdcEngine
     from arlas_proc_ray.cdc.events import (
         ChangelogConfig,
         generate_changelog_tables,
     )
+    from arlas_proc_ray.cdc.merge import merge_into
     from arlas_proc_ray.cdc.oracle import oracle_final_state
     from arlas_proc_ray.model import DataModel
 
@@ -42,6 +49,15 @@ SCRIPT = textwrap.dedent(
     )
     exp = oracle_final_state(tables).to_pandas()
     dm = DataModel(num_partitions=4)
+
+    def check(eng, want, name):
+        pd.testing.assert_frame_equal(
+            eng.final_state().to_pandas(), want.reset_index(drop=True)
+        )
+        deep = eng.store.verify_deep(recompute_hashes=True)
+        assert deep["ok"], deep["failed"]
+        print("ok", name, flush=True)
+
     paths = {
         "apply_epoch": lambda e, ds: e.apply_epoch(ds, 1),
         "staged": lambda e, ds: e.apply_epoch_staged(ds, 1, two_level=False),
@@ -50,13 +66,30 @@ SCRIPT = textwrap.dedent(
     for name, apply in paths.items():
         eng = CdcEngine(f"{sys.argv[1]}/{name}", dm)
         apply(eng, rd.from_arrow(tables))
-        pd.testing.assert_frame_equal(eng.final_state().to_pandas(), exp)
-        print("ok", name, flush=True)
-    eng = StreamingCdcEngine(f"{sys.argv[1]}/actors", dm)
-    eng.apply_epoch(rd.from_arrow(tables), 1)
-    pd.testing.assert_frame_equal(eng.final_state().to_pandas(), exp)
-    eng.shutdown()
-    print("ok actors", flush=True)
+        check(eng, exp, name)
+
+    # merge_into: new content for every third key, as upserts above the
+    # store's watermark
+    src = exp.iloc[::3][["repo", "path", "commit", "language", "content"]]
+    src = src.assign(content="M:" + src["path"],
+                     lsn=range(10**6, 10**6 + len(src)))
+    merge_into(eng, rd.from_pandas(src.reset_index(drop=True)), 2)
+    want = exp.copy()
+    want.loc[src.index, "content"] = src["content"]
+    want.loc[src.index, "content_size"] = src["content"].str.len()
+    want.loc[src.index, "content_sha256"] = [
+        hashlib.sha256(c.encode()).hexdigest() for c in src["content"]
+    ]
+    want.loc[src.index, "last_lsn"] = src["lsn"]
+    check(eng, want, "merge_into")
+
+    eng.repartition_snapshot(8, epoch=3)
+    eng = CdcEngine(eng.store.root, DataModel(num_partitions=8))
+    check(eng, want, "repartition_snapshot")
+
+    victims = want.iloc[::5][["repo", "path"]]
+    eng.purge_keys(victims, epoch=4)
+    check(eng, want.drop(index=victims.index), "purge_keys")
     ray.shutdown()
     """
 )
@@ -76,4 +109,4 @@ def test_every_apply_path_finishes_on_one_cpu(tmp_path):
         out, _ = proc.communicate()
         pytest.fail(f"epoch unfinished after 120 s on 1 CPU; done: {out!r}")
     assert proc.returncode == 0, err[-2000:]
-    assert "ok actors" in out, out
+    assert out.split() == [w for leg in LEGS for w in ("ok", leg)], out

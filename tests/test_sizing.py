@@ -2,8 +2,7 @@
 
 Pins the sizing decision (pure function) and proves the auto-split
 apply paths — in-memory LSN chunks and parquet-scratch chunks — are
-byte-equivalent to the unsplit apply on the same change log, plus the
-``tail(epoch_every_events="auto")`` byte cadence.
+byte-equivalent to the unsplit apply on the same change log.
 """
 
 import numpy as np
@@ -23,10 +22,8 @@ from arlas_proc_ray.cdc.sizing import (
     AMPLIFICATION,
     HEADROOM,
     EpochPlan,
-    auto_epoch_bytes,
     lsn_cutpoints,
     lsn_range_refs,
-    max_epoch_bytes,
     plan_epoch_chunks,
 )
 from arlas_proc_ray.model import DataModel
@@ -66,8 +63,6 @@ def test_plan_boundary_is_exact():
 def test_rule_constants_match_documented_rule():
     # the measured rule: 4x bytes <= 0.85x store (BASELINE.md r3 addendum)
     assert AMPLIFICATION == 4.0 and HEADROOM == 0.85
-    assert max_epoch_bytes(1000) == int(1000 * 0.85 / 4)
-    assert auto_epoch_bytes(1000) == max_epoch_bytes(1000)
 
 
 def test_default_budget_reads_the_live_object_store():
@@ -200,51 +195,3 @@ def test_publish_false_refuses_to_split_and_warns(tmp_path):
         )
     ).to_pandas()
     pd.testing.assert_frame_equal(_final(eng)[list(exp.columns)], exp)
-
-
-# --------------------------------------------------------- tail auto cadence
-
-
-def test_tail_auto_cadence_commits_by_bytes(tmp_path):
-    from arlas_proc_ray.cdc.actors import StreamingCdcEngine
-
-    cfg = ChangelogConfig(num_events=2_600, num_keys=300, seed=3)
-    dm = DataModel(num_partitions=4)
-    exp = oracle_final_state(generate_changelog_tables(cfg)).to_pandas()
-    chunks = [
-        generate_changelog_tables(cfg, i * 200, (i + 1) * 200)
-        for i in range(13)
-    ]
-    per_chunk = sum(t.nbytes for t in chunks[0])
-    eng = StreamingCdcEngine(str(tmp_path / "s"), dm)
-    try:
-        # cadence ~= 3 chunks of bytes -> expect >= 3 epochs, not 13
-        budget = int(per_chunk * 3 * AMPLIFICATION / HEADROOM)
-        summaries = list(
-            eng.tail(chunks, epoch_every_events="auto", budget_bytes=budget)
-        )
-        assert 2 <= len(summaries) < 13
-        epochs = [s["epoch"] for s in summaries]
-        assert epochs == sorted(epochs) and len(set(epochs)) == len(epochs)
-        got = (
-            eng.final_state()
-            .to_pandas()
-            .sort_values(["repo", "path"])
-            .reset_index(drop=True)[list(exp.columns)]
-        )
-        pd.testing.assert_frame_equal(got, exp)
-    finally:
-        eng.shutdown()
-
-
-def test_tail_rejects_bad_cadence(tmp_path):
-    from arlas_proc_ray.cdc.actors import StreamingCdcEngine
-
-    eng = StreamingCdcEngine(
-        str(tmp_path / "s"), DataModel(num_partitions=2)
-    )
-    try:
-        with pytest.raises(ValueError, match="auto"):
-            list(eng.tail([], epoch_every_events="sometimes"))
-    finally:
-        eng.shutdown()

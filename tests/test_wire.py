@@ -363,48 +363,6 @@ def test_wire_roundtrip_property(rows):
         assert g == w, f"{col}: {g!r} != {w!r}"
 
 
-def test_streaming_engine_tails_decoded_wire(tmp_path):
-    """Raw Debezium chunks → batch-level decode → StreamingCdcEngine.tail
-    commit cadence — the long-running wire-tail composition."""
-    from arlas_proc_ray.cdc.actors import StreamingCdcEngine
-    from arlas_proc_ray.cdc.wire import make_decode_fn, make_encode_fn
-
-    cfg = ChangelogConfig(num_events=2500, seed=57)
-    tables = generate_changelog_tables(cfg)
-    encode = make_encode_fn()
-    decode = make_decode_fn()
-
-    def decoded_chunks():
-        # the wire arrives in ~400-line chunks; each chunk may span the
-        # v1/v2 boundary (decode yields per-version tables)
-        for t in tables:
-            for lo in range(0, t.num_rows, 400):
-                chunk = t.slice(lo, 400)
-                for out in decode(encode(chunk)):
-                    if out.num_rows:
-                        yield out
-
-    eng = StreamingCdcEngine(str(tmp_path / "snap"), DataModel(num_partitions=4))
-    summaries = list(
-        eng.tail(decoded_chunks(), epoch_every_events=900)
-    )
-    assert len(summaries) >= 2  # cadence produced multiple epochs
-    got = (
-        eng.final_state()
-        .to_pandas()
-        .sort_values(["repo", "path"])
-        .reset_index(drop=True)
-    )
-    want = (
-        oracle_final_state(tables)
-        .to_pandas()
-        .sort_values(["repo", "path"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-    eng.shutdown()
-
-
 def test_ranged_jsonl_reader_matches_readlines(tmp_path):
     """Byte-range sharding owns every line exactly once regardless of
     where the cuts land: tiny target_bytes (cuts inside lines, ranges
