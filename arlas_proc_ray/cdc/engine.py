@@ -9,7 +9,8 @@ staged exchange (cdc/staged.py) in raw Ray tasks:
           → _part_id = hash(repo, path) % P → ONE argsort by partition
       → G = min(P, CPUs) merge tasks, each over a contiguous group of
         partitions, each partition through ``apply_partition`` — the
-        one kernel (vectorized, whole partition):
+        one kernel of every store writer (vectorized, whole partition),
+        here with CDC's fold (``cdc_fold``):
               · fence: if this epoch's manifest for p exists → skip (resume)
               · read partition p of the previous committed snapshot
               · drop events with lsn <= prior manifest last_lsn
@@ -43,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from arlas_proc_ray.cdc.events import FINAL_STATE_SCHEMA, default_registry
-from arlas_proc_ray.cdc.replay import PART_COL, finalize_partition_table
+from arlas_proc_ray.cdc.replay import finalize_partition_table
 from arlas_proc_ray.cdc.snapshot import SnapshotStore
 from arlas_proc_ray.model import DataModel
 
@@ -84,26 +85,67 @@ def _events_as_merge_rows(events: pa.Table) -> pa.Table:
     return pa.table(cols)
 
 
-def apply_partition(store: SnapshotStore, dm: DataModel, epoch: int,
-                    part: int, events, prior_src, *, delta: bool = False,
-                    fault_hook=None):
-    """Apply one partition's events of one epoch: the step both staged
-    exchanges (one- and two-level) end in.
+def cdc_fold(dm: DataModel, ev, prior, prior_last: int):
+    """CDC's fold (see ``apply_partition``): the exactly-once fence, then
+    LWW of the surviving events over the prior state.
 
-    ``events`` is a list of event tables routed to ``part`` (any may be
-    empty); ``prior_src`` is the epoch holding the partition's committed
-    file (``None`` on an empty store). In order:
+    - watermark: ``max(prior, max event lsn)`` taken BEFORE tombstone drop
+      and the fence filter, so a DELETE holding the top LSN still advances
+      it;
+    - fence: events with lsn ≤ the prior watermark are dropped and counted
+      in ``fence_dropped`` (an event never applies twice);
+    - nothing survives the fence: the state is unchanged;
+    - else finalize events ∪ prior (LWW, tombstones out, hash new rows).
+    """
+    if ev is None:
+        return None, prior_last, (0, 0, 0)
+    events_in = ev.num_rows
+    watermark = max(prior_last, int(pc.max(ev.column("lsn")).as_py()))
+    if prior_last >= 0:
+        ev = ev.filter(pc.greater(ev.column("lsn"), pa.scalar(prior_last)))
+    applied = ev.num_rows
+    if not applied:
+        return None, watermark, (events_in, events_in, 0)
+    inputs = [_events_as_merge_rows(ev)]
+    if prior is not None and prior.num_rows:
+        inputs.append(_state_as_merge_rows(prior))
+    final = finalize_partition_table(
+        pa.concat_tables(inputs, promote_options="default"), dm
+    )
+    return final, watermark, (events_in, events_in - applied, applied)
+
+
+def copy_fold(watermark: int, ev, prior, prior_last: int):
+    """``repartition_snapshot``'s fold: the routed live rows as they are,
+    under the source epoch's global watermark. No event is applied."""
+    rows = (
+        ev.replace_schema_metadata(None) if ev is not None
+        else FINAL_STATE_SCHEMA.empty_table()
+    )
+    return rows, watermark, (0, 0, 0)
+
+
+def apply_partition(store: SnapshotStore, epoch: int, part: int, events,
+                    prior_src, fold, *, delta: bool = False,
+                    fault_hook=None):
+    """Apply one partition of one epoch: the step every writer of the
+    store ends in (CDC epochs, ``merge_into``, ``repartition_snapshot``),
+    after the staged exchange (cdc/staged.py) routed ``events`` to it.
+
+    ``events`` is a list of tables routed to ``part`` (any may be empty);
+    ``prior_src`` is the epoch holding the partition's committed file
+    (``None`` on an empty store, or for a writer that reads no prior
+    state). ``fold(events, prior, prior_last)`` is the writer's own step:
+    it gets the concatenated events (``None`` if there are none), the
+    prior state and its applied-LSN watermark, and returns ``(final,
+    watermark, (events_in, fence_dropped, events_applied))``, where
+    ``final`` is the new state or ``None`` for "unchanged". In order:
 
     - fence: this epoch's manifest for ``part`` exists → return it (resume);
     - prior read: state and applied-LSN watermark of ``prior_src``;
-    - watermark: ``max(prior, max event lsn)`` taken BEFORE tombstone drop
-      and the dedup filter, so a DELETE holding the top LSN still advances it;
-    - dedup filter: events with lsn ≤ the prior watermark are dropped and
-      counted in ``fence_dropped`` (an event never applies twice);
-    - nothing survives the filter: with ``delta`` and a prior file, return
-      ``int(prior_src)`` (reference it, no rewrite); otherwise carry the
-      prior state forward unchanged;
-    - else finalize events ∪ prior (LWW, tombstones out, hash new rows);
+    - fold;
+    - unchanged: with ``delta`` and a prior file, return ``int(prior_src)``
+      (reference it, no rewrite); otherwise carry the prior state forward;
     - ``fault_hook(epoch, part)``, then the atomic write + manifest.
 
     Every written manifest carries the same metrics: ``events_in``,
@@ -119,23 +161,12 @@ def apply_partition(store: SnapshotStore, dm: DataModel, epoch: int,
         prior_last = pm.last_lsn if pm else -1
     live = [t for t in events if t.num_rows]
     ev = pa.concat_tables(live, promote_options="default") if live else None
-    events_in = ev.num_rows if ev is not None else 0
-    watermark = prior_last
-    if ev is not None:
-        watermark = max(prior_last, int(pc.max(ev.column("lsn")).as_py()))
-        if prior_last >= 0:
-            ev = ev.filter(pc.greater(ev.column("lsn"), pa.scalar(prior_last)))
-    applied = ev.num_rows if ev is not None else 0
-    if applied:
-        inputs = [_events_as_merge_rows(ev)]
-        if prior is not None and prior.num_rows:
-            inputs.append(_state_as_merge_rows(prior))
-        final = finalize_partition_table(
-            pa.concat_tables(inputs, promote_options="default"), dm
-        )
-    elif delta and prior_src is not None:
-        return int(prior_src)
-    else:
+    final, watermark, (events_in, dropped, applied) = fold(
+        ev, prior, prior_last
+    )
+    if final is None:
+        if delta and prior_src is not None:
+            return int(prior_src)
         final = prior if prior is not None else FINAL_STATE_SCHEMA.empty_table()
     if fault_hook is not None:
         fault_hook(epoch, part)
@@ -143,7 +174,7 @@ def apply_partition(store: SnapshotStore, dm: DataModel, epoch: int,
         epoch, part, final, last_lsn=watermark,
         metrics={
             "events_in": events_in,
-            "fence_dropped": events_in - applied,
+            "fence_dropped": dropped,
             "events_applied": applied,
             "apply_s": round(time.perf_counter() - t0, 4),
         },
@@ -529,7 +560,7 @@ class CdcEngine:
         raise EpochAuditError(report)
 
     def apply_epoch_staged(
-        self, events_ds, epoch: int, *, two_level: bool | None = None,
+        self, events_ds, epoch: int, *,
         dead_letter_dir: str | None = None, publish: bool = True,
         auto_split: bool | int | None = None,
         budget_bytes: int | None = None,
@@ -552,8 +583,7 @@ class CdcEngine:
         auto-switches to the TWO-LEVEL exchange (``blocks × √P + √P``
         objects — measured 2.3× at P=256/B=128, 2.0× at P=512; the extra
         level costs a re-materialization, so below the knee one level
-        wins: 3.1 s vs 5.2 s at P=64/B=64, 20M events). Pass
-        ``two_level=`` to override.
+        wins: 3.1 s vs 5.2 s at P=64/B=64, 20M events).
 
         **Object-store auto-sizing** (cdc/sizing.py): the exchange holds
         ≈4× the epoch's bytes in flight; an epoch past the plasma budget
@@ -621,33 +651,34 @@ class CdcEngine:
             events_ds = None
             return self._apply_epoch_chunked(
                 box, epoch, plan,
-                dead_letter_dir=dead_letter_dir, two_level=two_level,
-                delta=delta,
+                dead_letter_dir=dead_letter_dir, delta=delta,
             )
         return self._staged_exchange(
-            events_ds, epoch, two_level=two_level,
+            events_ds, epoch,
             dead_letter_dir=dead_letter_dir, publish=publish, delta=delta,
         )
 
-    def _staged_exchange(self, events_ds, epoch: int, *,
-                         two_level: bool | None = None, **kwargs) -> dict:
+    def _staged_exchange(self, events_ds, epoch: int, *, writer=None,
+                         **kwargs) -> dict:
         """Apply and commit exactly ``epoch`` from a materialized input
         with the staged exchange: two-level when the one-level exchange
         would create more than ``staged.TWO_LEVEL_OBJECTS`` (10 000)
         objects — blocks × G, with G = min(P, session CPUs) merge
-        groups — or when forced. The exchange is looked up on the module
-        at call time, so wrappers installed there see every epoch."""
+        groups. ``writer`` is the epoch's ``staged._Epoch`` (a CDC epoch
+        when ``None``; ``merge_into`` and ``repartition_snapshot`` pass
+        their own). The exchange is looked up on the module at call
+        time, so wrappers installed there see every epoch."""
         from arlas_proc_ray.cdc import staged
 
-        if two_level is None:
-            G = len(staged.session_groups(self.dm.num_partitions))
-            two_level = events_ds.num_blocks() * G > staged.TWO_LEVEL_OBJECTS
-        run = (staged.staged_apply_epoch_two_level if two_level
+        P = writer.num_partitions if writer else self.dm.num_partitions
+        G = len(staged.session_groups(P))
+        run = (staged.staged_apply_epoch_two_level
+               if events_ds.num_blocks() * G > staged.TWO_LEVEL_OBJECTS
                else staged.staged_apply_epoch)
-        return run(self, events_ds, epoch, **kwargs)
+        return run(self, events_ds, epoch, writer=writer, **kwargs)
 
     def _apply_epoch_chunked(
-        self, events_box, epoch: int, plan, *, dead_letter_dir, two_level,
+        self, events_box, epoch: int, plan, *, dead_letter_dir,
         delta: bool = False,
     ) -> dict:
         """Apply an oversized epoch as LSN-range sub-epochs (see
@@ -736,7 +767,7 @@ class CdcEngine:
                     del chunk_ds
                     continue
                 summary = self._staged_exchange(
-                    chunk_ds, e, two_level=two_level,
+                    chunk_ds, e,
                     dead_letter_dir=dead_letter_dir, delta=delta,
                 )
                 committed.append(e)
@@ -764,12 +795,14 @@ class CdcEngine:
 
         A growing table eventually outgrows its partition count (and a
         shrunken one wastes it); this rewrites the latest committed state
-        as ONE full epoch hash-routed over ``new_num_partitions`` with the
-        same ``partition_ids`` kernel every write uses — one all-to-all
-        exchange of the LIVE rows only (tombstones are long gone), fenced
-        and crash-resumable exactly like ``apply_epoch``: finished
-        partitions of a crashed rewrite are skipped on re-run, and the
-        epoch is invisible until ``_COMMITTED``.
+        as ONE full epoch hash-routed over ``new_num_partitions`` through
+        the staged exchange and ``apply_partition`` that every epoch runs
+        (its fold is :func:`copy_fold`) — one all-to-all exchange of the
+        LIVE rows only (tombstones are long gone), fenced and
+        crash-resumable exactly like ``apply_epoch``: finished partitions
+        of a crashed rewrite are skipped on re-run, and the epoch is
+        invisible until ``_COMMITTED``. Its manifests carry the kernel's
+        metrics with no event applied.
 
         Every new partition's applied watermark is set to the GLOBAL
         watermark of the source epoch (per-source-partition fences cannot
@@ -785,12 +818,11 @@ class CdcEngine:
 
         Returns the commit summary of the rewrite epoch.
         """
-        import ray
+        from functools import partial
 
-        from arlas_proc_ray.functions.hashing import partition_ids
+        from arlas_proc_ray.cdc.staged import _Epoch
 
         store = self.store
-        fault_hook = self.fault_hook
         latest = store.latest_committed_epoch()
         if latest is None:
             raise RuntimeError("no committed epoch to repartition")
@@ -805,60 +837,17 @@ class CdcEngine:
                 f"epoch {epoch} already committed (latest {latest}); "
                 f"repartition writes a NEW epoch"
             )
-        summary = store.read_epoch_summary(latest)
-        watermark = int(summary.get("last_lsn", -1))
         new_p = int(new_num_partitions)
         if new_p < 1:
             raise ValueError("new_num_partitions must be >= 1")
-        key_cols = self.dm.key_list
-
-        ds = store.scan(epoch=latest)
-
-        def route(batch: pa.Table) -> pa.Table:
-            pids = partition_ids(batch, key_cols, new_p)
-            batch = batch.append_column(PART_COL, pa.array(pids, pa.int32()))
-            return batch.replace_schema_metadata(None)
-
-        ds = ds.map_batches(route, batch_format="pyarrow", batch_size=None)
-
-        def write_part(group: pa.Table) -> pa.Table:
-            p = int(group.column(PART_COL)[0].as_py())
-            if store.partition_done(epoch, p):  # crash-resume fence
-                return _manifest_row(store.read_manifest(epoch, p))
-            if fault_hook is not None:
-                fault_hook(epoch, p)
-            m = store.write_partition(
-                epoch, p, group.drop_columns([PART_COL]),
-                last_lsn=watermark,
-                metrics={"repartitioned_from": latest, "source_fanout":
-                         int(summary["num_partitions"])},
-            )
-            return _manifest_row(m)
-
-        manifests = ds.groupby(PART_COL).map_groups(
-            write_part, batch_format="pyarrow"
+        watermark = int(store.read_epoch_summary(latest).get("last_lsn", -1))
+        writer = _Epoch(
+            self, epoch, partial(copy_fold, watermark), prev_epoch=latest,
+            num_partitions=new_p,
         )
-        done = {r["partition_id"] for r in manifests.take_all()}
-
-        @ray.remote(num_cpus=0.25)
-        def write_empty(p: int):
-            if not store.partition_done(epoch, p):
-                if fault_hook is not None:
-                    fault_hook(epoch, p)
-                store.write_partition(
-                    epoch, p, FINAL_STATE_SCHEMA.empty_table(),
-                    last_lsn=watermark,
-                    metrics={"repartitioned_from": latest},
-                )
-            return p
-
-        pending = [
-            p for p in range(new_p)
-            if p not in done and not store.partition_done(epoch, p)
-        ]
-        if pending:
-            ray.get([write_empty.remote(p) for p in pending])
-        return store.commit_epoch(epoch, new_p, expected_prev=latest)
+        return self._staged_exchange(
+            store.scan(epoch=latest).materialize(), epoch, writer=writer
+        )
 
     # ------------------------------------------------------------------
 
@@ -1152,14 +1141,3 @@ def check_committed_fanout(store: SnapshotStore, dm: DataModel, prev_epoch) -> N
             f"or repartition_snapshot() first"
         )
 
-
-def _manifest_row(m) -> pa.Table:
-    return pa.table(
-        {
-            "partition_id": pa.array([m.partition_id], type=pa.int32()),
-            "epoch": pa.array([m.epoch], type=pa.int64()),
-            "last_lsn": pa.array([m.last_lsn], type=pa.int64()),
-            "row_count": pa.array([m.row_count], type=pa.int64()),
-            "sha256_rollup": pa.array([m.sha256_rollup], type=pa.string()),
-        }
-    )

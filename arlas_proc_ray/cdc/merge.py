@@ -18,29 +18,31 @@ the dedup-and-overwrite DataFrameFormatter pass. This operator follows
 the PUBLIC semantics of ANSI SQL:2003 MERGE (and its Delta/Iceberg
 incarnations), implemented Ray-Data-first.
 
-Scale design (identical skeleton to ``CdcEngine.apply_epoch``):
+Scale design: ``merge_into`` is one more writer on the staged exchange
+(cdc/staged.py) and the partition kernel (``cdc.engine.apply_partition``)
+that every CDC epoch runs, so it shares their fence, prior read, fenced
+write, manifests and crash-resume:
 
 - source rows hash-partition ONCE on the store's key columns — the one
-  all-to-all exchange; each partition task reads ONLY its resolved
-  prior-state file, merges vectorized (pandas keyed join + boolean
-  masks, no row loops), re-hashes only written images, and commits
-  through the store's fenced ``write_partition`` — so a crashed merge
-  resumes, a retried task rewrites identical bytes, and OCC
-  (``expected_prev``) rejects interleaved writers.
-- untouched partitions are delta-referenced (metadata only) unless
-  ``when_not_matched_by_source="delete"`` forces a full pass (every
-  partition must drop unmatched rows — there is no metadata shortcut
-  for global sync, and the code refuses to pretend otherwise).
+  all-to-all exchange, G = min(P, CPUs) merge tasks; each partition
+  reads ONLY its resolved prior-state file and folds the source into it
+  (:func:`merge_fold`: vectorized pandas keyed join + boolean masks, no
+  row loops, re-hashing only written images). A crashed merge resumes,
+  a retried task rewrites identical bytes, and OCC (``expected_prev``)
+  rejects interleaved writers.
+- partitions with no source rows are delta-referenced (metadata only)
+  unless ``when_not_matched_by_source="delete"`` forces a full pass
+  (every partition must drop unmatched rows — there is no metadata
+  shortcut for global sync, and the code refuses to pretend otherwise).
 
-Manifests carry the kernel's metrics (``apply_partition``): ``events_in``
-(source rows routed to the partition), ``fence_dropped`` (always 0: MERGE
-has no LSN fence), ``events_applied`` (rows left after the per-key dedup)
-and ``apply_s``.
+Manifests carry the kernel's metrics: ``events_in`` (source rows routed
+to the partition), ``fence_dropped`` (always 0: MERGE has no LSN fence),
+``events_applied`` (rows left after the per-key dedup) and ``apply_s``.
 """
 
 from __future__ import annotations
 
-import time
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -48,9 +50,6 @@ import pyarrow as pa
 
 from arlas_proc_ray.cdc.engine import open_epoch
 from arlas_proc_ray.cdc.events import FINAL_STATE_SCHEMA
-from arlas_proc_ray.model import DataModel
-
-PART_COL = DataModel.PARTITION_COL
 
 _ACTIONS_MATCHED = ("update", "delete", "ignore")
 _ACTIONS_NOT_MATCHED = ("insert", "ignore")
@@ -58,16 +57,6 @@ _ACTIONS_BY_SOURCE = ("ignore", "delete")
 
 # payload columns a source may provide (key cols come from the DataModel)
 _PAYLOAD_COLS = ("commit", "language", "content", "content_size")
-
-
-def _metrics(events_in: int, applied: int, t0: float) -> dict:
-    """The apply kernel's manifest metrics (see the module docstring)."""
-    return {
-        "events_in": int(events_in),
-        "fence_dropped": 0,
-        "events_applied": int(applied),
-        "apply_s": round(time.perf_counter() - t0, 4),
-    }
 
 
 def merge_into(
@@ -108,120 +97,55 @@ def merge_into(
             f"when_not_matched_by_source must be one of {_ACTIONS_BY_SOURCE}"
         )
 
-    dm = engine.dm
-    store = engine.store
-    fault_hook = engine.fault_hook
-    key_cols = dm.key_list
+    from arlas_proc_ray.cdc.staged import _Epoch
 
-    prev_epoch, prior_src = open_epoch(store, dm, epoch)
-
-    def read_prior(part: int):
-        """Committed state of ``part`` and its applied-LSN watermark."""
-        src_e = prior_src(part)
-        if src_e is None:
-            return None, -1
-        pm = store.read_manifest(src_e, part)
-        return store.read_partition(src_e, part), pm.last_lsn if pm else -1
-
-    from arlas_proc_ray.cdc.replay import add_partition_stage
-
-    ds = add_partition_stage(source_ds, dm)
-
-    def merge_partition(group: pa.Table) -> pa.Table:
-        part = int(group.column(PART_COL)[0].as_py())
-        if store.partition_done(epoch, part):  # crash-resume fence
-            return pa.table({"partition_id": pa.array([part], pa.int32())})
-
-        t0 = time.perf_counter()
-        prior, prior_last = read_prior(part)
-        src = group.drop_columns([PART_COL]).to_pandas()
-        # dedup source per key: highest source lsn wins (deterministic)
-        if source_lsn_col in src.columns:
-            src = src.sort_values(source_lsn_col, kind="mergesort")
-        src = src.drop_duplicates(subset=key_cols, keep="last")
-
-        tgt = (
-            prior.to_pandas()
-            if prior is not None and prior.num_rows
-            else pd.DataFrame(
-                {f.name: pd.Series([], dtype=object) for f in FINAL_STATE_SCHEMA}
-            )
-        )
-
-        final = _merge_frames(
-            src,
-            tgt,
-            key_cols=key_cols,
-            when_matched=when_matched,
-            when_not_matched=when_not_matched,
-            when_not_matched_by_source=when_not_matched_by_source,
-            matched_condition=matched_condition,
-            source_lsn_col=source_lsn_col,
-            prior_last=prior_last,
-        )
-
-        src_max = (
-            int(src[source_lsn_col].max())
-            if source_lsn_col in src.columns and len(src)
-            else -1
-        )
-        watermark = max(prior_last, src_max)
-        if fault_hook is not None:
-            fault_hook(epoch, part)
-        store.write_partition(
-            epoch, part, final, last_lsn=watermark,
-            metrics=_metrics(group.num_rows, len(src), t0),
-        )
-        return pa.table({"partition_id": pa.array([part], pa.int32())})
-
-    manifests = ds.groupby(PART_COL).map_groups(
-        merge_partition, batch_format="pyarrow"
+    prev_epoch, prior_src = open_epoch(engine.store, engine.dm, epoch)
+    fold = partial(
+        merge_fold,
+        key_cols=engine.dm.key_list,
+        when_matched=when_matched,
+        when_not_matched=when_not_matched,
+        when_not_matched_by_source=when_not_matched_by_source,
+        matched_condition=matched_condition,
+        source_lsn_col=source_lsn_col,
     )
-    done = {r["partition_id"] for r in manifests.take_all()}
+    writer = _Epoch(engine, epoch, fold, prev_epoch=prev_epoch,
+                    prior_src=prior_src, delta=True)
+    return engine._staged_exchange(
+        source_ds.materialize(), epoch, writer=writer
+    )
 
-    import ray
 
-    @ray.remote(num_cpus=0.5)
-    def finish_partition(part: int):
-        """No-source-rows partition: carry forward, or sync-delete all."""
-        if store.partition_done(epoch, part):
-            return part
-        t0 = time.perf_counter()
-        prior, prior_last = read_prior(part)
+def merge_fold(ev, prior, prior_last: int, *, key_cols: list[str],
+               when_not_matched_by_source: str, source_lsn_col: str,
+               **actions):
+    """One partition's MERGE as a kernel fold (``apply_partition``):
+    the routed source rows ``ev`` into the prior state, duplicate keys
+    resolved by :func:`_merge_frames`. A partition with no source rows is
+    unchanged, or emptied by a full sync."""
+    if ev is None:
         if when_not_matched_by_source == "delete":
-            carried = FINAL_STATE_SCHEMA.empty_table()
-        else:
-            carried = (
-                prior if prior is not None else FINAL_STATE_SCHEMA.empty_table()
-            )
-        if fault_hook is not None:
-            fault_hook(epoch, part)
-        store.write_partition(
-            epoch, part, carried, last_lsn=prior_last,
-            metrics=_metrics(0, 0, t0),
+            return FINAL_STATE_SCHEMA.empty_table(), prior_last, (0, 0, 0)
+        return None, prior_last, (0, 0, 0)
+    src = ev.replace_schema_metadata(None).to_pandas()
+    tgt = (
+        prior.to_pandas()
+        if prior is not None and prior.num_rows
+        else pd.DataFrame(
+            {f.name: pd.Series([], dtype=object) for f in FINAL_STATE_SCHEMA}
         )
-        return part
-
-    pending = [
-        p
-        for p in range(dm.num_partitions)
-        if p not in done and not store.partition_done(epoch, p)
-    ]
-    if (
-        when_not_matched_by_source == "ignore"
-        and prev_epoch is not None
-        and pending
-    ):
-        # untouched partitions: metadata-only delta references
-        sources = {p: prior_src(p) for p in pending}
-        return store.commit_epoch(
-            epoch, dm.num_partitions, sources=sources, expected_prev=prev_epoch
-        )
-    if pending:
-        ray.get([finish_partition.remote(p) for p in pending])
-    return store.commit_epoch(
-        epoch, dm.num_partitions, expected_prev=prev_epoch
     )
+    final = _merge_frames(
+        src, tgt, key_cols=key_cols,
+        when_not_matched_by_source=when_not_matched_by_source,
+        source_lsn_col=source_lsn_col, prior_last=prior_last, **actions,
+    )
+    src_max = (
+        int(src[source_lsn_col].max()) if source_lsn_col in src.columns else -1
+    )
+    # rows left after _merge_frames' per-key dedup
+    applied = len(src.drop_duplicates(subset=key_cols))
+    return final, max(prior_last, src_max), (ev.num_rows, 0, applied)
 
 
 def _merge_frames(
@@ -239,9 +163,8 @@ def _merge_frames(
     """One partition's merge, fully vectorized. Returns final-state rows.
 
     Self-contained: duplicate source keys are resolved here
-    (highest-``source_lsn_col`` wins) even though ``merge_into``'s
-    partition path already dedups — a direct caller must get the same
-    semantics (the Hypothesis property caught the implicit contract).
+    (highest-``source_lsn_col`` wins), for ``merge_fold`` and a direct
+    caller alike (the Hypothesis property pins it).
     """
     from arlas_proc_ray.cdc.publish import stable_doc_ids
     from arlas_proc_ray.functions.hashing import sha256_hex

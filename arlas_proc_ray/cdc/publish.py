@@ -40,6 +40,7 @@ shuffle-free — and the next incremental publish re-aligns.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from typing import Callable, Sequence
@@ -49,7 +50,7 @@ import pandas as pd
 import pyarrow as pa
 
 from arlas_proc_ray.cdc.snapshot import SnapshotStore, _atomic_write_bytes
-from arlas_proc_ray.sources.elastic import EsWriteAbort
+from arlas_proc_ray.sources.elastic import EsWriteAbort, _bulk_ndjson
 
 
 # ---- doc ids ---------------------------------------------------------------
@@ -232,34 +233,20 @@ def send_change_actions(
     failures raise ``EsWriteAbort`` (RestTool.scala:39-45 policy); per-
     record rejections are counted and the publish continues (:61-73).
     """
-    from arlas_proc_ray.sources.elastic import _jsonable
-
     excluded = set(mapping_excluded) | {op_col}
     ids = stable_doc_ids(pdf, key_cols)
     ops = pdf[op_col].to_numpy()
-    doc_cols = [c for c in pdf.columns if c not in excluded]
     indexed = deleted = rejected = 0
     for start in range(0, len(pdf), chunk_rows):
         chunk = pdf.iloc[start : start + chunk_rows]
-        chunk_ids = ids.iloc[start : start + chunk_rows]
         chunk_ops = ops[start : start + chunk_rows]
-        lines = []
-        for (_, row), _id, op in zip(
-            chunk[doc_cols].iterrows(), chunk_ids, chunk_ops
-        ):
-            if op == "D":
-                lines.append(
-                    json.dumps({"delete": {"_index": index, "_id": _id}})
-                )
-            else:
-                lines.append(
-                    json.dumps({"index": {"_index": index, "_id": _id}})
-                )
-                lines.append(
-                    json.dumps({k: _jsonable(v) for k, v in row.items()})
-                )
+        body = _bulk_ndjson(
+            chunk, index_for_row=itertools.repeat(index),
+            id_series=ids.iloc[start : start + chunk_rows],
+            excluded=excluded, deletes=chunk_ops == "D",
+        )
         try:
-            resp = transport.bulk("\n".join(lines) + "\n")
+            resp = transport.bulk(body)
         except (ConnectionError, TimeoutError) as ex:
             raise EsWriteAbort(str(ex)) from ex
         n_del = int((chunk_ops == "D").sum())

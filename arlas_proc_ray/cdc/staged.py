@@ -1,7 +1,14 @@
-"""The staged exchange — every CDC epoch's shuffle, in raw Ray tasks.
+"""The staged exchange — the one shuffle of every writer of the store, in
+raw Ray tasks.
 
-``CdcEngine.apply_epoch`` and ``apply_epoch_staged`` both run it. It is
-the classic two-phase external shuffle expressed directly in Ray Core: a
+Every writer runs it: CDC epochs (``CdcEngine.apply_epoch``,
+``apply_epoch_staged`` and ``purge_keys``), ``merge_into`` and
+``repartition_snapshot``. A writer is an :class:`_Epoch`: an optional
+per-block step run before routing (a CDC epoch's ingest head and LWW
+combiner; nothing for MERGE or a repartition), the fan-out, where prior
+state lives (none for a repartition) and its per-partition fold, which
+``cdc.engine.apply_partition`` runs between the fence and the write. It
+is the classic two-phase external shuffle expressed directly in Ray Core: a
 fixed-fan-out exchange needs no ordering, no sampling and no aggregation,
 which a Ray Data keyed groupby cannot skip (its sort-based exchange sorts
 and re-blocks the full payload — measured ~56 MB/s end-to-end at 20M
@@ -12,8 +19,9 @@ FP-Hadoop move: group the reduce work into units sized to the cluster).
 The P partitions are cut into G = min(P, CPUs in
 ``ray.cluster_resources()``) contiguous groups (:func:`group_plan`):
 
-  phase 1  split:  one task per input block routes its rows (ONE stable
-                   argsort by ``_part_id``) and returns G objects
+  phase 1  split:  one task per input block runs the writer's per-block
+                   step, routes its rows (ONE stable argsort by
+                   ``_part_id``) and returns G objects
                    (``num_returns=G``), one per group: ``(first_partition,
                    table, bounds)`` — the group's rows as ONE contiguous
                    table sorted by partition, and the row offsets where
@@ -21,9 +29,9 @@ The P partitions are cut into G = min(P, CPUs in
                    ints) — B×G objects, not B×P;
   phase 2  merge:  one task per group (G tasks, not P) cuts each
                    partition's rows out of its inputs as zero-copy views
-                   and runs the engine's per-partition kernel
-                   (``cdc.engine.apply_partition``: fence, watermark,
-                   dedup, finalize, fenced write + manifest) over its
+                   and runs the per-partition kernel
+                   (``cdc.engine.apply_partition``: fence, prior read,
+                   the writer's fold, fenced write + manifest) over its
                    partitions in turn.
 
 An exchange object is one table plus bounds, not a ``{partition: table}``
@@ -38,24 +46,25 @@ pickles its whole parent buffer, a G× blow-up when G > 1.
 Within a group the partitions apply sequentially, in ascending order;
 across groups they run in parallel. Fences, watermarks and manifests stay
 per partition, so a crash inside a group leaves the group's earlier
-partitions committed and resume skips them. Partition routing is the same
-stable hash (``partition_ids``) as every other writer of the store; the
-one- and two-level exchanges are interchangeable per epoch on one store.
+partitions committed and resume skips them. Partition routing is the
+stable hash (``partition_ids``) that point lookups route by too; the one-
+and two-level exchanges are interchangeable per epoch on one store.
 
 Past ~10 000 exchange objects (B×G) per-object overhead dominates and
-``CdcEngine.apply_epoch_staged`` switches to the two-level exchange below.
+``CdcEngine._staged_exchange`` switches to the two-level exchange below.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 
 import ray
 
-from arlas_proc_ray.cdc.engine import apply_partition, open_epoch
+from arlas_proc_ray.cdc.engine import apply_partition, cdc_fold, open_epoch
 from arlas_proc_ray.cdc.replay import lww_reduce_table
 from arlas_proc_ray.functions.hashing import partition_ids
 from arlas_proc_ray.model import DataModel
@@ -79,10 +88,15 @@ def session_groups(num_partitions: int) -> list[range]:
     return group_plan(num_partitions, cpus)
 
 
+def _combine(dm: DataModel, align, table: pa.Table) -> pa.Table:
+    """A CDC epoch's per-block step: the ingest head, then the LWW
+    combiner."""
+    return lww_reduce_table(align(table), dm.key_cols, dm.order_col)
+
+
 def _route(table: pa.Table, dm: DataModel, align) -> tuple[pa.Table, np.ndarray]:
     """normalize → combine → partition id per row."""
-    table = align(table)
-    table = lww_reduce_table(table, dm.key_cols, dm.order_col)
+    table = _combine(dm, align, table)
     return table, partition_ids(table, dm.key_list, dm.num_partitions)
 
 
@@ -124,19 +138,35 @@ def _partition_views(inputs, p: int) -> list[pa.Table]:
 
 
 class _Epoch:
-    """What every exchange task of one staged epoch needs to know."""
+    """What every exchange task of one epoch of one writer needs to know.
 
-    def __init__(self, engine, epoch: int, dead_letter_dir, delta: bool,
-                 delta_max_age: int | None):
-        self.store, self.dm, self.epoch, self.delta = (
-            engine.store, engine.dm, epoch, delta
+    The writer supplies ``fold`` (its per-partition step, see
+    ``cdc.engine.apply_partition``), and optionally ``head`` (a
+    per-block step the split tasks run before routing), the fan-out
+    ``num_partitions`` (the engine's by default) and ``prior_src``
+    (partition → epoch of its committed file; ``None`` reads no prior
+    state). ``prev_epoch`` is the commit's ``expected_prev``.
+    """
+
+    def __init__(self, engine, epoch: int, fold, *, head=None,
+                 num_partitions: int | None = None, prev_epoch=None,
+                 prior_src=None, delta: bool = False,
+                 delta_max_age: int | None = None):
+        self.store, self.epoch, self.fold, self.head = (
+            engine.store, epoch, fold, head
         )
-        self.delta_max_age = delta_max_age
+        self.key_list = engine.dm.key_list
+        self.num_partitions = num_partitions or engine.dm.num_partitions
+        self.prev_epoch = prev_epoch
+        self.prior_src = prior_src or (lambda part: None)
+        self.delta, self.delta_max_age = delta, delta_max_age
         self.fault_hook = engine.fault_hook
-        self.prev_epoch, self.prior_src = open_epoch(self.store, self.dm, epoch)
-        # shared ingest head: structural validity (DLQ) or alignment, then
-        # table-constraint enforcement (engine._ingest_fn / cdc/constraints.py)
-        self.align = engine._ingest_fn(epoch, dead_letter_dir)
+
+    def route(self, table: pa.Table) -> tuple[pa.Table, np.ndarray]:
+        """The per-block step, then the partition id of every row."""
+        if self.head is not None:
+            table = self.head(table)
+        return table, partition_ids(table, self.key_list, self.num_partitions)
 
     def delta_for(self, part: int) -> bool:
         """Whether ``part`` may be referenced instead of rewritten: with
@@ -155,9 +185,24 @@ class _Epoch:
         if not publish:
             return engine._stage_epoch(self.epoch, sources, self.prev_epoch)
         return self.store.commit_epoch(
-            self.epoch, self.dm.num_partitions, sources=sources,
+            self.epoch, self.num_partitions, sources=sources,
             expected_prev=self.prev_epoch,
         )
+
+
+def cdc_epoch(engine, epoch: int, dead_letter_dir=None, delta: bool = False,
+              delta_max_age: int | None = None) -> _Epoch:
+    """A CDC epoch: the engine's ingest head and LWW combiner per block,
+    the fence and finalize per partition (``cdc.engine.cdc_fold``)."""
+    prev_epoch, prior_src = open_epoch(engine.store, engine.dm, epoch)
+    # shared ingest head: structural validity (DLQ) or alignment, then
+    # table-constraint enforcement (engine._ingest_fn / cdc/constraints.py)
+    align = engine._ingest_fn(epoch, dead_letter_dir)
+    return _Epoch(
+        engine, epoch, partial(cdc_fold, engine.dm),
+        head=partial(_combine, engine.dm, align), prev_epoch=prev_epoch,
+        prior_src=prior_src, delta=delta, delta_max_age=delta_max_age,
+    )
 
 
 @ray.remote
@@ -167,8 +212,8 @@ def _merge_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
     group."""
     return [
         apply_partition(
-            ctx.store, ctx.dm, ctx.epoch, p, _partition_views(inputs, p),
-            ctx.prior_src(p), delta=ctx.delta_for(p),
+            ctx.store, ctx.epoch, p, _partition_views(inputs, p),
+            ctx.prior_src(p), ctx.fold, delta=ctx.delta_for(p),
             fault_hook=ctx.fault_hook,
         )
         for p in parts
@@ -186,7 +231,7 @@ def _run_groups(ctx: _Epoch, groups: list[range], inputs_of) -> list:
     return [r for group_results in out for r in group_results]
 
 
-def staged_apply_epoch(engine, events_ds, epoch: int, *,
+def staged_apply_epoch(engine, events_ds, epoch: int, *, writer=None,
                       dead_letter_dir: str | None = None,
                       publish: bool = True, delta: bool = False,
                       delta_max_age: int | None = None) -> dict:
@@ -201,16 +246,21 @@ def staged_apply_epoch(engine, events_ds, epoch: int, *,
     provably unchanged. ``delta_max_age`` carries forward a partition
     whose file is older than ``epoch - delta_max_age`` instead
     (:meth:`_Epoch.delta_for`).
+
+    ``writer``: the epoch's :class:`_Epoch` when it is not a CDC epoch
+    (``merge_into``, ``repartition_snapshot``); the CDC options are then
+    unused.
     """
-    ctx = _Epoch(engine, epoch, dead_letter_dir, delta, delta_max_age)
-    dm, align = ctx.dm, ctx.align
-    groups = session_groups(dm.num_partitions)
+    ctx = writer or cdc_epoch(engine, epoch, dead_letter_dir, delta,
+                              delta_max_age)
+    P, route = ctx.num_partitions, ctx.route
+    groups = session_groups(P)
     G = len(groups)
 
     @ray.remote(num_returns=G)
     def split(block: pa.Table):
-        table, pids = _route(block, dm, align)
-        order, bounds = _partition_order(pids, 0, dm.num_partitions)
+        table, pids = route(block)
+        order, bounds = _partition_order(pids, 0, P)
         out = [
             _exchange_object(grp[0], table, order,
                              bounds[grp.start : grp.stop + 1])
@@ -229,7 +279,7 @@ def staged_apply_epoch(engine, events_ds, epoch: int, *,
 
 
 def staged_apply_epoch_two_level(
-    engine, events_ds, epoch: int, *, groups: int | None = None,
+    engine, events_ds, epoch: int, *, writer=None, groups: int | None = None,
     dead_letter_dir: str | None = None,
     publish: bool = True, delta: bool = False,
     delta_max_age: int | None = None,
@@ -255,16 +305,16 @@ def staged_apply_epoch_two_level(
     400×23 + 23 ≈ 9 200. Same guarantees (idempotent, resumable,
     exactly-once) — the merge phase is the same kernel.
     """
-    ctx = _Epoch(engine, epoch, dead_letter_dir, delta, delta_max_age)
-    dm, align = ctx.dm, ctx.align
-    P = dm.num_partitions
+    ctx = writer or cdc_epoch(engine, epoch, dead_letter_dir, delta,
+                              delta_max_age)
+    P, route = ctx.num_partitions, ctx.route
     S = min(groups or max(1, math.isqrt(P)), P)
     per_super = math.ceil(P / S)
     S = math.ceil(P / per_super)  # no empty trailing super-group
 
     @ray.remote(num_returns=S)
     def split_l1(block: pa.Table):
-        table, pids = _route(block, dm, align)
+        table, pids = route(block)
         sids = pids // per_super
         order = np.argsort(sids, kind="stable")
         bounds = np.searchsorted(sids[order], np.arange(S + 1))

@@ -23,6 +23,7 @@ an http transport plugs into the same seam.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Callable
 
@@ -144,10 +145,21 @@ def _bulk_ndjson(
     index_for_row,
     id_series: pd.Series,
     excluded: set[str],
+    deletes=None,
 ) -> str:
+    """One ``_bulk`` NDJSON body: an ``index`` action and its source line
+    per row, or, where ``deletes`` (a boolean per row) is true, a
+    ``delete`` action with no source line."""
     docs = pdf.drop(columns=[c for c in excluded if c in pdf.columns])
+    if deletes is None:
+        deletes = itertools.repeat(False)
     lines = []
-    for (_, row), _id, _ix in zip(docs.iterrows(), id_series, index_for_row):
+    for (_, row), _id, _ix, dead in zip(
+        docs.iterrows(), id_series, index_for_row, deletes
+    ):
+        if dead:
+            lines.append(json.dumps({"delete": {"_index": _ix, "_id": _id}}))
+            continue
         lines.append(json.dumps({"index": {"_index": _ix, "_id": _id}}))
         lines.append(json.dumps({k: _jsonable(v) for k, v in row.items()}))
     return "\n".join(lines) + "\n"

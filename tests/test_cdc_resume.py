@@ -253,7 +253,8 @@ def test_two_level_crash_resume(tmp_path):
 
 def test_manifests_carry_apply_metrics(tmp_path):
     """Per-partition lineage + metrics (north rule): every committed
-    manifest records events_applied and apply_s."""
+    manifest records events_applied and apply_s; a repartition's
+    manifests carry exactly the kernel's keys, with nothing applied."""
     import ray.data as rd
 
     from arlas_proc_ray.cdc import ChangelogConfig, CdcEngine, generate_changelog_tables
@@ -271,6 +272,14 @@ def test_manifests_carry_apply_metrics(tmp_path):
         total += m.metrics["events_applied"]
     # pre-shuffle LWW combining may collapse events; never exceeds input
     assert 0 < total <= cfg.num_events
+
+    eng.repartition_snapshot(6, epoch=2)
+    for p in range(6):
+        m = eng.store.read_manifest(2, p).metrics
+        assert set(m) == {
+            "events_in", "fence_dropped", "events_applied", "apply_s"
+        }, p
+        assert m["events_applied"] == 0
 
 
 def test_purge_crash_resume(tmp_path):

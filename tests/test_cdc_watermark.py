@@ -6,8 +6,8 @@ lowered the fence, so at-least-once redelivery of an already-applied older
 upsert passed the ``lsn > prior_last`` filter and resurrected the deleted
 key. The fence is now ``max(prior watermark, max event lsn applied this
 epoch)`` computed BEFORE tombstone drop, on every apply path
-(``apply_epoch``, ``apply_epoch_staged``, streaming actors) and on
-carry-forward.
+(``apply_epoch``, ``apply_epoch_staged``, also with a fresh engine per
+epoch) and on carry-forward.
 """
 
 import pyarrow as pa

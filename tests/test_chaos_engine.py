@@ -170,13 +170,18 @@ def test_engine_chaos_with_crashes(tmp_path, ray_session, seed):
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
-def test_all_apply_paths_identical(tmp_path, ray_session, seed):
+def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
     """Cross-path equivalence: ``apply_epoch``, the staged one- and
     two-level exchanges and write-audit-publish produce the oracle's
     final state, byte-identical, with equal commit summaries for the same
     epochs, and write the same manifest metric keys and the same counts
-    (every one goes through the shared partition kernel)."""
+    (every one goes through the shared partition kernel). ``merge_into``
+    and ``repartition_snapshot`` then give the same state, manifests and
+    source maps on the one- and two-level exchanges."""
     import ray.data as rd
+
+    from arlas_proc_ray.cdc import staged
+    from arlas_proc_ray.cdc.merge import merge_into
 
     cfg = ChangelogConfig(num_events=3000, num_keys=300, seed=300 + seed)
     tables = generate_changelog_tables(cfg)
@@ -190,9 +195,11 @@ def test_all_apply_paths_identical(tmp_path, ray_session, seed):
             if mode == "apply_epoch":
                 s = eng.apply_epoch(ds, i)
             elif mode == "staged":
-                s = eng.apply_epoch_staged(ds, i, two_level=False)
+                s = eng.apply_epoch_staged(ds, i)
             elif mode == "two_level":
-                s = eng.apply_epoch_staged(ds, i, two_level=True)
+                s = staged.staged_apply_epoch_two_level(
+                    eng, ds.materialize(), i
+                )
             else:  # wap
                 eng.apply_epoch(ds, i, publish=False)
                 s = eng.publish_epoch(i)
@@ -219,3 +226,34 @@ def test_all_apply_paths_identical(tmp_path, ray_session, seed):
         pd.testing.assert_frame_equal(state, base_state)
         assert summ == base_sum, mode
         assert counts(metrics) == counts(base_metrics), mode
+
+    # MERGE (an update of every other key, a stale duplicate and an
+    # insert) then a fan-out change, on the stores the two exchanges built
+    e = len(tables)
+    src = base_state.iloc[::2][["repo", "path", "commit", "language"]]
+    src = src.assign(content="M:" + src["path"], lsn=10**6)
+    src = pd.concat([
+        src, src.iloc[:1].assign(content="stale", lsn=1),
+        src.iloc[:1].assign(path="new/key", lsn=10**6 + 1),
+    ], ignore_index=True)
+
+    def writers(mode):
+        eng = CdcEngine(str(tmp_path / mode), DataModel(num_partitions=4))
+        with monkeypatch.context() as m:
+            if mode == "two_level":  # every epoch past the object threshold
+                m.setattr(staged, "TWO_LEVEL_OBJECTS", -1)
+            merge_into(eng, rd.from_pandas(src), e + 1)
+            eng.repartition_snapshot(6, epoch=e + 2)
+        out = [eng.final_state().to_pandas()]
+        for ep, parts in ((e + 1, 4), (e + 2, 6)):
+            out.append(eng.store.resolve_sources(ep))
+            for p in range(parts):
+                mf = eng.store.read_manifest(ep, p)
+                out.append((mf.row_count, mf.last_lsn, mf.sha256_rollup,
+                            {**mf.metrics, "apply_s": None}))
+        return out
+
+    one, two = writers("staged"), writers("two_level")
+    pd.testing.assert_frame_equal(one[0], two[0])
+    assert len(one[0]) == len(base_state) + 1
+    assert one[1:] == two[1:]

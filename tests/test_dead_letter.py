@@ -10,6 +10,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from arlas_proc_ray.cdc import staged
 from arlas_proc_ray.cdc.engine import CdcEngine
 from arlas_proc_ray.cdc.events import (
     ChangelogConfig,
@@ -110,10 +111,9 @@ def test_dlq_on_staged_paths(tmp_path, ray_session, two_level):
     snap = str(tmp_path / "snap")
     dlq = str(tmp_path / "dlq")
     eng = CdcEngine(snap, DataModel(num_partitions=4))
-    eng.apply_epoch_staged(
-        rd.from_arrow(corrupted), 1,
-        two_level=two_level, dead_letter_dir=dlq,
-    )
+    run = (staged.staged_apply_epoch_two_level if two_level
+           else staged.staged_apply_epoch)
+    run(eng, rd.from_arrow(corrupted).materialize(), 1, dead_letter_dir=dlq)
     got = eng.final_state().to_pandas()
     exp = oracle_final_state(clean).to_pandas()
     pd.testing.assert_frame_equal(got, exp)

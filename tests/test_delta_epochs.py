@@ -11,6 +11,7 @@ from arlas_proc_ray.cdc import (
     CdcEngine,
     generate_changelog_tables,
     oracle_final_state,
+    staged,
 )
 from arlas_proc_ray.cdc.events import EVENT_SCHEMA_V1
 from arlas_proc_ray.model import DataModel
@@ -141,19 +142,22 @@ import pytest
 
 
 @pytest.mark.parametrize("mode", ["staged", "two_level"])
-def test_staged_delta_references_untouched_partitions(tmp_path, mode):
+def test_staged_delta_references_untouched_partitions(
+    tmp_path, monkeypatch, mode
+):
     """delta=True on the staged exchanges (one-level / two-level): a
     single-key epoch rewrites exactly one partition file; the rest are
     metadata references to epoch 1; state matches the oracle
     byte-for-byte."""
     snap = str(tmp_path / mode)
     engine = CdcEngine(snap, DM)
-    kw = {"two_level": mode == "two_level"}
+    if mode == "two_level":  # every epoch past the object threshold
+        monkeypatch.setattr(staged, "TWO_LEVEL_OBJECTS", -1)
     engine.apply_epoch_staged(
-        rd.from_arrow(generate_changelog_tables(CFG)), epoch=1, **kw
+        rd.from_arrow(generate_changelog_tables(CFG)), epoch=1
     )
     engine.apply_epoch_staged(
-        rd.from_arrow([_one_key_event(10_000)]), epoch=2, delta=True, **kw
+        rd.from_arrow([_one_key_event(10_000)]), epoch=2, delta=True
     )
     files_e2 = [
         f for f in os.listdir(engine.store.epoch_dir(2))

@@ -35,6 +35,7 @@ SCRIPT = textwrap.dedent(
              logging_level="ERROR", object_store_memory=200 * 1024**2)
     rd.DataContext.get_current().enable_progress_bars = False
 
+    from arlas_proc_ray.cdc import staged
     from arlas_proc_ray.cdc.engine import CdcEngine
     from arlas_proc_ray.cdc.events import (
         ChangelogConfig,
@@ -60,8 +61,10 @@ SCRIPT = textwrap.dedent(
 
     paths = {
         "apply_epoch": lambda e, ds: e.apply_epoch(ds, 1),
-        "staged": lambda e, ds: e.apply_epoch_staged(ds, 1, two_level=False),
-        "two_level": lambda e, ds: e.apply_epoch_staged(ds, 1, two_level=True),
+        "staged": lambda e, ds: e.apply_epoch_staged(ds, 1),
+        "two_level": lambda e, ds: staged.staged_apply_epoch_two_level(
+            e, ds.materialize(), 1
+        ),
     }
     for name, apply in paths.items():
         eng = CdcEngine(f"{sys.argv[1]}/{name}", dm)

@@ -1,12 +1,14 @@
 """The shared partition-apply kernel and the grouped staged exchange.
 
-Both exchanges (staged one- and two-level; ``apply_epoch`` runs the same
-staged exchange) end in ``cdc.engine.apply_partition``, in one merge task
-per CPU over a contiguous group of partitions. These tests pin the group
-plan, the shape of the staged exchange objects, P > session CPUs on every
-path, a crash in the middle of a group, the manifest metrics under
-redelivery, and that finalize hashes only the rows that have no digest
-yet.
+Every writer of the store (CDC epochs, ``merge_into``,
+``repartition_snapshot``) runs the staged exchange, one- or two-level,
+and ends in ``cdc.engine.apply_partition``, in one merge task per CPU
+over a contiguous group of partitions. These tests pin the group plan,
+the shape of the staged exchange objects, P > session CPUs on every
+path, a crash in the middle of a group for every writer, the manifest
+metrics under redelivery, that finalize hashes only the rows that have
+no digest yet, and, read from the source, that ``apply_partition`` is
+the only caller of ``write_partition``.
 """
 
 import numpy as np
@@ -59,6 +61,8 @@ def test_exchange_objects_are_contiguous_partition_sorted_tables(
     if one_group:
         monkeypatch.setattr(staged, "session_groups",
                             lambda n: group_plan(n, 1))
+    if two_level:  # every epoch past the object threshold
+        monkeypatch.setattr(staged, "TWO_LEVEL_OBJECTS", -1)
     received = {}
     run_groups = staged._run_groups
 
@@ -72,7 +76,7 @@ def test_exchange_objects_are_contiguous_partition_sorted_tables(
     tables = generate_changelog_tables(cfg)
     assert len(tables) > 1  # more than one block per exchange
     eng = CdcEngine(str(tmp_path), DataModel(num_partitions=parts))
-    eng.apply_epoch_staged(rd.from_arrow(tables), 1, two_level=two_level)
+    eng.apply_epoch_staged(rd.from_arrow(tables), 1)
 
     groups = staged.session_groups(parts)
     assert list(received) == groups
@@ -102,7 +106,9 @@ def test_exchange_objects_are_contiguous_partition_sorted_tables(
 def _apply(eng, mode, ds, epoch):
     if mode == "apply_epoch":
         return eng.apply_epoch(ds, epoch)
-    return eng.apply_epoch_staged(ds, epoch, two_level=(mode == "two_level"))
+    if mode == "two_level":
+        return staged.staged_apply_epoch_two_level(eng, ds.materialize(), epoch)
+    return eng.apply_epoch_staged(ds, epoch)
 
 
 def test_more_partitions_than_cpus_all_paths_identical(tmp_path):
@@ -141,37 +147,74 @@ def crash_at(crash_epoch: int, crash_part: int):
     return hook
 
 
+def assert_crashed_mid_group(store, epoch: int, fault: int, parts: int):
+    """The crash at ``fault`` left ``epoch`` uncommitted; its merge group
+    ran in order, so the partitions before the fault committed and the
+    fault and the rest of the group never did."""
+    assert store.latest_committed_epoch() == epoch - 1
+    (group,) = [g for g in session_groups(parts) if fault in g]
+    assert group[0] < fault  # the fault is not first in its group
+    for part in group:
+        assert store.partition_done(epoch, part) == (part < fault), part
+
+
 @pytest.mark.parametrize("two_level", [False, True])
-def test_crash_mid_group_resumes_to_oracle(tmp_path, two_level):
+def test_crash_mid_group_resumes_to_oracle(tmp_path, monkeypatch, two_level):
+    """Every store writer, a CDC epoch, ``merge_into`` and
+    ``repartition_snapshot``, crashes in the middle of a merge group and
+    is resumed by a fresh engine to the oracle's state."""
+    from arlas_proc_ray.cdc.merge import merge_into
+
+    if two_level:  # every epoch past the object threshold
+        monkeypatch.setattr(staged, "TWO_LEVEL_OBJECTS", -1)
     cfg = ChangelogConfig(num_events=3000, num_keys=300, seed=43)
     exp = oracle_final_state(generate_changelog_tables(cfg)).to_pandas()
     snap = str(tmp_path / "snap")
     dm = DataModel(num_partitions=P)
+    fault = 5  # second partition of group [4, 8)
 
     def epoch_ds(lo, hi):
         return rd.from_arrow(generate_changelog_tables(cfg, lo, hi))
 
-    CdcEngine(snap, dm).apply_epoch_staged(
-        epoch_ds(0, 1500), 1, two_level=two_level
-    )
-    fault = 5  # second partition of group [4, 8)
+    def check(eng, want):
+        pd.testing.assert_frame_equal(eng.final_state().to_pandas(), want)
+        deep = eng.store.verify_deep(recompute_hashes=True)
+        assert deep["ok"], deep["failed"]
+
+    CdcEngine(snap, dm).apply_epoch_staged(epoch_ds(0, 1500), 1)
     crashy = CdcEngine(snap, dm, fault_hook=crash_at(2, fault))
     with pytest.raises(Exception, match="injected crash"):
-        crashy.apply_epoch_staged(epoch_ds(1500, 3000), 2, two_level=two_level)
-    store = crashy.store
-    assert store.latest_committed_epoch() == 1
-    # the group runs its partitions in order: the one before the fault
-    # committed, the fault and the rest of its group never did
-    assert store.partition_done(2, fault - 1)
-    for part in range(fault, 8):
-        assert not store.partition_done(2, part), part
-
+        crashy.apply_epoch_staged(epoch_ds(1500, 3000), 2)
+    assert_crashed_mid_group(crashy.store, 2, fault, P)
     resumed = CdcEngine(snap, dm)
-    resumed.apply_epoch_staged(epoch_ds(1500, 3000), 2, two_level=two_level)
-    assert resumed.store.latest_committed_epoch() == 2
-    pd.testing.assert_frame_equal(resumed.final_state().to_pandas(), exp)
-    deep = resumed.store.verify_deep(recompute_hashes=True)
-    assert deep["ok"], deep["failed"]
+    resumed.apply_epoch_staged(epoch_ds(1500, 3000), 2)
+    check(resumed, exp)
+
+    # merge_into: new content for every key, so every partition is written
+    src = exp[["repo", "path", "commit", "language"]].assign(
+        content="M:" + exp["path"], lsn=np.arange(len(exp)) + 10**6
+    )
+    want = exp.assign(
+        content=src["content"], content_size=src["content"].str.len(),
+        content_sha256=sha256_hex(
+            pa.array(src["content"], pa.string())).to_pylist(),
+        last_lsn=src["lsn"],
+    )
+    with pytest.raises(Exception, match="injected crash"):
+        merge_into(CdcEngine(snap, dm, fault_hook=crash_at(3, fault)),
+                   rd.from_pandas(src), 3)
+    assert_crashed_mid_group(crashy.store, 3, fault, P)
+    merge_into(CdcEngine(snap, dm), rd.from_pandas(src), 3)
+    check(CdcEngine(snap, dm), want)
+
+    # repartition_snapshot to P/2: groups of two, the fault second in one
+    with pytest.raises(Exception, match="injected crash"):
+        CdcEngine(snap, dm, fault_hook=crash_at(4, fault)).repartition_snapshot(
+            P // 2, epoch=4
+        )
+    assert_crashed_mid_group(crashy.store, 4, fault, P // 2)
+    CdcEngine(snap, dm).repartition_snapshot(P // 2, epoch=4)
+    check(CdcEngine(snap, DataModel(num_partitions=P // 2)), want)
 
 
 @pytest.mark.parametrize("mode", ["staged", "two_level"])
@@ -255,3 +298,52 @@ def test_finalize_hashes_only_new_survivors(monkeypatch):
     )
     assert hashed == [boot.num_rows]  # all new: the direct whole-column call
     assert boot.equals(prior)
+
+
+def _calls(root: str, attr: str) -> set[tuple[str, str]]:
+    """``(file, enclosing function)`` of every call of a method named
+    ``attr`` in the Python sources under ``root``, read with ``ast``."""
+    import ast
+    import os
+
+    found = set()
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path) as f:
+                tree = ast.parse(f.read(), path)
+
+            def visit(node, scope):
+                for child in ast.iter_child_nodes(node):
+                    inner = scope
+                    if isinstance(child, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef)):
+                        inner = f"{scope}.{child.name}" if scope else child.name
+                    if (isinstance(child, ast.Call)
+                            and isinstance(child.func, ast.Attribute)
+                            and child.func.attr == attr):
+                        found.add((os.path.relpath(path, root), scope))
+                    visit(child, inner)
+
+            visit(tree, "")
+    return found
+
+
+def test_one_kernel_writes_and_one_exchange_routes_the_store():
+    """Every writer of the snapshot store ends in ``apply_partition``:
+    it is the only caller of ``SnapshotStore.write_partition`` in the
+    package. Under ``cdc/`` the only Ray Data ``map_groups`` exchange left
+    is the sinkless replay, which writes no store."""
+    import os
+
+    import arlas_proc_ray
+
+    pkg = os.path.dirname(arlas_proc_ray.__file__)
+    assert _calls(pkg, "write_partition") == {
+        (os.path.join("cdc", "engine.py"), "apply_partition")
+    }
+    assert _calls(os.path.join(pkg, "cdc"), "map_groups") == {
+        ("replay.py", "replay_to_dataset")
+    }

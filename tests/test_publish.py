@@ -251,3 +251,54 @@ def test_stable_doc_ids_no_composite_collision():
     pdf = pd.DataFrame({"a": ["x#y", "x"], "b": ["z", "y#z"]})
     ids = stable_doc_ids(pdf, ["a", "b"])
     assert ids.nunique() == 2
+
+
+def test_bulk_body_bytes_are_pinned():
+    """``send_change_actions`` encodes its ``_bulk`` NDJSON with the
+    connector's encoder: index actions with a source line for I/U rows,
+    a bare delete action for D rows, nulls as ``null``, timestamps in ISO
+    form, excluded columns left out. The bodies are pinned byte for
+    byte, chunked at 3 rows."""
+    import numpy as np
+
+    from arlas_proc_ray.cdc.publish import send_change_actions
+
+    pdf = pd.DataFrame({
+        "repo": ["r1", "r1", "r2", "r/3"],
+        "path": ["a.py", "b|c.py", "d.py", "é.py"],
+        "op": ["I", "U", "D", "U"],
+        "commit": ["c1", None, "c3", "c4"],
+        "lsn": np.array([1, 2, 3, 2**53 + 1], dtype=np.int64),
+        "content_size": [10.0, np.nan, 3.0, 0.5],
+        "updated": [
+            pd.Timestamp("2024-01-02 03:04:05"), pd.NaT,
+            pd.Timestamp("2024-05-06", tz="UTC"),
+            pd.Timestamp("2024-07-08 09:10:11.123456"),
+        ],
+        "secret": ["x", "y", "z", "w"],
+    })
+    bodies = []
+
+    class Capture:
+        def bulk(self, body):
+            bodies.append(body)
+            return {"errors": False, "items": []}
+
+    out = send_change_actions(
+        pdf, transport=Capture(), index="idx", key_cols=KEY,
+        mapping_excluded=["secret"], chunk_rows=3,
+    )
+    assert out == {"indexed": 3, "deleted": 1, "rejected": 0}
+    assert bodies == [
+        '{"index": {"_index": "idx", "_id": "r1#a.py"}}\n'
+        '{"repo": "r1", "path": "a.py", "commit": "c1", "lsn": 1, '
+        '"content_size": 10.0, "updated": "2024-01-02T03:04:05"}\n'
+        '{"index": {"_index": "idx", "_id": "r1#b|c.py"}}\n'
+        '{"repo": "r1", "path": "b|c.py", "commit": null, "lsn": 2, '
+        '"content_size": null, "updated": null}\n'
+        '{"delete": {"_index": "idx", "_id": "r2#d.py"}}\n',
+        '{"index": {"_index": "idx", "_id": "r/3#\\u00e9.py"}}\n'
+        '{"repo": "r/3", "path": "\\u00e9.py", "commit": "c4", '
+        '"lsn": 9007199254740993, "content_size": 0.5, '
+        '"updated": "2024-07-08T09:10:11.123456"}\n',
+    ]

@@ -14,6 +14,7 @@ from arlas_proc_ray.cdc import (
     ChangelogConfig,
     generate_changelog_tables,
     oracle_final_state,
+    staged,
 )
 from arlas_proc_ray.cdc.engine import CdcEngine, EpochAuditError
 from arlas_proc_ray.model import DataModel
@@ -174,10 +175,10 @@ def test_staged_exchange_supports_wap(tmp_path, ray_session):
             str(tmp_path / f"s{int(two_level)}"),
             DataModel(num_partitions=4),
         )
-        r = eng.apply_epoch_staged(
-            rd.from_arrow(tables[0]), 1, two_level=two_level,
-            publish=False,
-        )
+        run = (staged.staged_apply_epoch_two_level if two_level
+               else staged.staged_apply_epoch)
+        r = run(eng, rd.from_arrow(tables[0]).materialize(), 1,
+                publish=False)
         assert r["staged"]
         assert eng.store.latest_committed_epoch() is None
         assert eng.audit_staged(1, min_rows=1)["ok"]
