@@ -21,6 +21,11 @@ staged exchange (cdc/staged.py) in raw Ray tasks:
               · atomic write part-p.parquet then manifest-p.json
       → driver writes the epoch _COMMITTED marker
 
+With one merge group (a 1-CPU session, or P = 1) and at most
+``sizing.INLINE_BYTES`` (8 MiB) of input, the split and the merge run as
+plain calls in the calling process instead: the same route, exchange
+object and group body, without the two task round trips.
+
 State lives in the partitioned snapshot on disk (merge-on-read compaction,
 lakehouse-style), never in a worker's memory, so a crashed run loses
 nothing: rerunning the same epoch skips finished partitions and
@@ -45,7 +50,7 @@ import pyarrow.compute as pc
 
 from arlas_proc_ray.cdc.events import FINAL_STATE_SCHEMA, default_registry
 from arlas_proc_ray.cdc.replay import finalize_partition_table
-from arlas_proc_ray.cdc.snapshot import SnapshotStore
+from arlas_proc_ray.cdc.snapshot import SnapshotStore, summary_sources
 from arlas_proc_ray.model import DataModel
 
 
@@ -189,8 +194,11 @@ def open_epoch(store: SnapshotStore, dm: DataModel, epoch: int):
     prev = store.latest_committed_epoch()
     if prev is not None and prev >= epoch:
         raise ValueError(f"epoch {epoch} already committed (latest {prev})")
-    check_committed_fanout(store, dm, prev)
-    sources = store.resolve_sources(prev) if prev is not None else {}
+    sources = {}
+    if prev is not None:  # one summary read: the fan-out and the sources
+        summary = store.read_epoch_summary(prev)
+        check_committed_fanout(dm, prev, summary)
+        sources = summary_sources(summary, prev)
 
     def prior_src(part: int):
         return None if prev is None else sources.get(part, prev)
@@ -321,12 +329,14 @@ class CdcEngine:
         amortizes: each partition is rewritten at most once per
         ``delta_max_age`` epochs even if never touched.
         """
+        from arlas_proc_ray.cdc.staged import cdc_epoch
+
         # validate BEFORE any upstream work: retrying a committed epoch
         # must reject without reading or generating the input
-        open_epoch(self.store, self.dm, epoch)
+        writer = cdc_epoch(self, epoch, dead_letter_dir, delta, delta_max_age,
+                           opened=open_epoch(self.store, self.dm, epoch))
         return self._staged_exchange(
-            events_ds.materialize(), epoch, dead_letter_dir=dead_letter_dir,
-            publish=publish, delta=delta, delta_max_age=delta_max_age,
+            _materialized(events_ds), epoch, writer=writer, publish=publish,
         )
 
     # ---------------------------------------------------- write-audit-publish
@@ -607,18 +617,19 @@ class CdcEngine:
         overrides the detected object-store size (tests).
         """
         from arlas_proc_ray.cdc.sizing import plan_epoch_chunks
+        from arlas_proc_ray.cdc.staged import cdc_epoch
 
         # validate BEFORE any execution: retrying an already-committed
         # epoch (the documented resume pattern) must reject with zero
         # upstream work, not after generating/reading the whole input
-        open_epoch(self.store, self.dm, epoch)
+        opened = open_epoch(self.store, self.dm, epoch)
 
         # materialize ONCE: on a lazy dataset num_blocks() executes the
         # whole upstream and to_arrow_refs() would then re-execute it —
         # measured 2× the generation cost on the 2M-event headline. The
         # staged exchange needs the blocks resident anyway (its split
         # tasks consume the refs); oversized epochs are split below.
-        events_ds = events_ds.materialize()
+        events_ds = _materialized(events_ds)
 
         plan = None
         if auto_split is not False:
@@ -653,10 +664,9 @@ class CdcEngine:
                 box, epoch, plan,
                 dead_letter_dir=dead_letter_dir, delta=delta,
             )
-        return self._staged_exchange(
-            events_ds, epoch,
-            dead_letter_dir=dead_letter_dir, publish=publish, delta=delta,
-        )
+        writer = cdc_epoch(self, epoch, dead_letter_dir, delta, opened=opened)
+        return self._staged_exchange(events_ds, epoch, writer=writer,
+                                     publish=publish)
 
     def _staged_exchange(self, events_ds, epoch: int, *, writer=None,
                          **kwargs) -> dict:
@@ -846,7 +856,7 @@ class CdcEngine:
             num_partitions=new_p,
         )
         return self._staged_exchange(
-            store.scan(epoch=latest).materialize(), epoch, writer=writer
+            _materialized(store.scan(epoch=latest)), epoch, writer=writer
         )
 
     # ------------------------------------------------------------------
@@ -1058,7 +1068,7 @@ class CdcEngine:
         """
         import numpy as np
 
-        from arlas_proc_ray.cdc.snapshot import blooms_exclude, summary_sources
+        from arlas_proc_ray.cdc.snapshot import blooms_exclude
         from arlas_proc_ray.functions.hashing import partition_ids
 
         key_cols = list(self.dm.key_cols)
@@ -1083,7 +1093,7 @@ class CdcEngine:
                 m.row_count == 0 or blooms_exclude(m.blooms, routed)
             ):
                 continue
-            t = self.store.read_partition_resolved(e, p)
+            t = self.store.read_partition(sources.get(p, e), p)
             if t is None or t.num_rows == 0:
                 continue
             hit = _rows_with_keys(t, routed)
@@ -1109,6 +1119,16 @@ class CdcEngine:
         return t.take(idx)
 
 
+def _materialized(ds):
+    """``ds`` with its blocks in the object store. A
+    ``MaterializedDataset`` (``from_arrow``, a small ``scan``, a prior
+    ``materialize``) already is one; materializing it again only
+    deep-copies its plan."""
+    from ray.data.dataset import MaterializedDataset
+
+    return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+
+
 def _rows_with_keys(table: pa.Table, keys: pa.Table) -> pa.Table:
     """The rows of ``table`` whose key columns equal some row of ``keys``,
     byte for byte, in ``table``'s row order."""
@@ -1123,16 +1143,16 @@ def _rows_with_keys(table: pa.Table, keys: pa.Table) -> pa.Table:
     return table.take(np.sort(hit.column("_row").to_numpy()))
 
 
-def check_committed_fanout(store: SnapshotStore, dm: DataModel, prev_epoch) -> None:
-    """Reject writes whose DataModel fan-out disagrees with the snapshot.
+def check_committed_fanout(dm: DataModel, prev_epoch: int,
+                           summary: dict) -> None:
+    """Reject writes whose DataModel fan-out disagrees with the snapshot,
+    given ``summary``, the commit summary of ``prev_epoch``.
 
     After ``repartition_snapshot`` the committed fan-out changes; an engine
     still configured with the old ``num_partitions`` would route keys to
     the wrong partitions (silent key splits). Guard every write path.
     """
-    if prev_epoch is None:
-        return
-    committed_p = int(store.read_epoch_summary(prev_epoch)["num_partitions"])
+    committed_p = int(summary["num_partitions"])
     if committed_p != dm.num_partitions:
         raise ValueError(
             f"snapshot fan-out is {committed_p} partitions (epoch "

@@ -339,6 +339,8 @@ class FaninTailer:
 
 
 def _fanin_atomic_write(path: str, payload: dict) -> None:
-    from arlas_proc_ray.cdc.tailer import _atomic_write_json
+    import json
 
-    _atomic_write_json(path, payload)
+    from arlas_proc_ray.cdc.snapshot import _atomic_write_bytes
+
+    _atomic_write_bytes(path, json.dumps(payload).encode())

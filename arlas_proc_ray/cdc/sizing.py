@@ -24,11 +24,16 @@ This module makes the rule executable instead of documentation:
 
 Used by ``CdcEngine.apply_epoch_staged`` (cdc/engine.py) to auto-split
 oversized epochs into LSN-range sub-epochs.
+
+The other end of the scale: ``runs_in_process(tasks, bytes)`` is the one
+rule by which a stage that would be a single task (a one-group staged
+exchange, a one-range jsonl read) runs in the calling process instead.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +49,32 @@ HEADROOM = 0.85
 # (1×) plus one chunk's filtered copy (1/K) on top of the exchange's
 # AMPLIFICATION/K — see plan_epoch_chunks.
 _INMEM_PER_CHUNK = AMPLIFICATION + 1.0
+# Input bytes up to which a stage that would run as one task runs in the
+# calling process (``runs_in_process``). One task buys no parallelism,
+# only its round trips: on one CPU the in-process jsonl read and exchange
+# were no slower than the tasks at any size measured, 2k to 40k events
+# (2-40 MB of JSONL, 1.7-33 MiB of Arrow; tools/layer_bench.py's read.*
+# and epoch.* rows). So this is no speed crossover but a bound on the
+# caller's heap: past it the input stays in the object store, which can
+# spill.
+INLINE_BYTES = 8 << 20
+
+
+def session_cpus() -> int:
+    """CPUs of the current Ray session; the machine's when none is up
+    yet, as Ray's auto-init would start it."""
+    import ray
+
+    if ray.is_initialized():
+        return int(ray.cluster_resources().get("CPU", 1))
+    return os.cpu_count() or 1
+
+
+def runs_in_process(tasks: int, nbytes: int | None) -> bool:
+    """Whether a stage of ``tasks`` parallel tasks over ``nbytes`` of input
+    runs in the caller: only a single task's worth of a known size of at
+    most ``INLINE_BYTES``. An unknown size (``None``) keeps the tasks."""
+    return tasks == 1 and nbytes is not None and nbytes <= INLINE_BYTES
 
 
 def object_store_bytes(default: int = 2 * 1024**3) -> int:

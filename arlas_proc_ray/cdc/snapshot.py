@@ -61,10 +61,14 @@ class PartitionManifest:
     # Purely an OPTIMIZATION surface for scan-time partition pruning —
     # absence (older manifests) just means "cannot prune".
     col_stats: dict = field(default_factory=dict)
-    # Bloom filters: {column: {"m": bits, "k": hashes, "b64": bitmap}} over
-    # the partition's surviving rows, for point-lookup (==) pruning. Zone
-    # maps cannot prune equality predicates on hash-partitioned key columns
-    # (every partition spans the full key domain); blooms can. Same
+    # Bloom filters: {column: {"m": bits, "k": hashes, "b64": bitmap,
+    # "h": "siphash:<key>"}} over the partition's surviving rows, for
+    # point-lookup (==) pruning. Zone maps cannot prune equality
+    # predicates on hash-partitioned key columns (every partition spans
+    # the full key domain); blooms can. "h" names the value hash:
+    # pandas' siphash under the named 16-byte key, a key apart from the
+    # one partition routing uses; a bloom without it (written before the
+    # tag) hashed with a sha256 prefix and is still probed that way. Same
     # optimization-only contract as col_stats: absence = cannot prune.
     blooms: dict = field(default_factory=dict)
 
@@ -148,24 +152,54 @@ _BLOOM_MAX_BITS = 1 << 20  # 128 KiB
 _BLOOM_HASHES = 3
 
 
-def _bloom_hashes(vals):
-    """One sha256-prefix int per value (-1 for null), the input of
+# the value hash of new blooms, tagged as "h" in each: pandas' siphash
+# under a key of its own. Under the router's key a partition's values
+# would share the low hash bits that picked the partition, and with them
+# part of every position. A bloom without the tag hashed with "sha256".
+_BLOOM_KEY = "arlas.cdc.bloom1"
+_BLOOM_SCHEME = "siphash:" + _BLOOM_KEY
+
+
+def _bloom_hashes(vals, scheme: str = _BLOOM_SCHEME):
+    """One non-negative 60-bit int per value (-1 for null), the input of
     ``_hash_positions``. Values are cast to string first (one canonical
-    byte form per value)."""
+    byte form per value). ``"siphash:<key>"`` is ``pd.util.hash_array``
+    under that 16-byte key, shifted to 60 bits; ``"sha256"`` is the first
+    15 hex digits of the value's sha256 (``sha256_prefix_int``), which
+    blooms written before the scheme tag used."""
+    import numpy as np
+    import pandas as pd
     import pyarrow.compute as pc
 
     from arlas_proc_ray.functions.hashing import sha256_prefix_int
 
+    if isinstance(vals, pa.ChunkedArray):
+        vals = vals.combine_chunks()
     if vals.type != pa.string():
         vals = pc.cast(vals, pa.string())
-    return sha256_prefix_int(vals)
+    if scheme == "sha256":
+        return sha256_prefix_int(vals)
+    hv = pd.util.hash_array(
+        vals.to_numpy(zero_copy_only=False),
+        hash_key=scheme.removeprefix("siphash:"), categorize=False,
+    )
+    hv = (hv >> np.uint64(4)).astype(np.int64)
+    if vals.null_count:
+        hv[~vals.is_valid().to_numpy(zero_copy_only=False)] = -1
+    return hv
+
+
+def _scheme(bloom: dict) -> str:
+    return bloom.get("h", "sha256")
 
 
 def _hash_positions(hv, num_bits: int, num_hashes: int):
     """Kirsch-Mitzenmacher double hashing of ``_bloom_hashes`` output —
-    the SAME published scheme as stages/bloom.py:_salted_positions, so a
-    bloom built here is reproducible from SQL the same way. Returns a
-    ``(num_hashes, len(hv))`` array; null values get position -1."""
+    the same published scheme as stages/bloom.py:_salted_positions. The
+    positions are reproducible wherever the value hash is: pandas'
+    keyed ``hash_array`` for ``"siphash:<key>"`` blooms, and SQL's
+    ``sha256`` for the untagged ones. Returns a ``(num_hashes, len(hv))`` array; null
+    values get position -1."""
     import numpy as np
 
     h1 = hv % num_bits
@@ -175,14 +209,16 @@ def _hash_positions(hv, num_bits: int, num_hashes: int):
     return pos
 
 
-def _bloom_positions(vals, num_bits: int, num_hashes: int):
-    return _hash_positions(_bloom_hashes(vals), num_bits, num_hashes)
+def _bloom_positions(vals, num_bits: int, num_hashes: int,
+                     scheme: str = _BLOOM_SCHEME):
+    return _hash_positions(_bloom_hashes(vals, scheme), num_bits, num_hashes)
 
 
 def _bloom_build(col, num_rows: int) -> dict:
     """One packed base64 bitmap for a column; ~8 bits/row (FP ≈ 3% at
     k=3), clamped to [1 KiB, 128 KiB] and rounded up to a power of two
-    (h2 is odd, hence coprime with a power-of-two m)."""
+    (h2 is odd, hence coprime with a power-of-two m). Tagged ``"h"``
+    with its value hash, ``_BLOOM_SCHEME``."""
     import base64
 
     import numpy as np
@@ -199,14 +235,16 @@ def _bloom_build(col, num_rows: int) -> dict:
         "m": bits,
         "k": _BLOOM_HASHES,
         "b64": base64.b64encode(bm.tobytes()).decode(),
+        "h": _BLOOM_SCHEME,
     }
 
 
 def _bloom_absent(bloom: dict, positions):
     """Per probe value, True only where ``bloom`` PROVES it absent.
 
-    ``positions`` is ``_hash_positions(hashes, bloom["m"], bloom["k"])``;
-    a null probe (position -1) says nothing, so it is never absent."""
+    ``positions`` is ``_bloom_positions(values, bloom["m"], bloom["k"],
+    _scheme(bloom))``; a null probe (position -1) says nothing, so it is
+    never absent."""
     import base64
 
     import numpy as np
@@ -226,8 +264,9 @@ def blooms_exclude(blooms: dict, keys: pa.Table) -> bool:
     for col in keys.column_names:
         bloom = blooms.get(col)
         if bloom is not None:
-            positions = _hash_positions(
-                _bloom_hashes(keys.column(col)), int(bloom["m"]), int(bloom["k"])
+            positions = _bloom_positions(
+                keys.column(col), int(bloom["m"]), int(bloom["k"]),
+                _scheme(bloom),
             )
             absent |= _bloom_absent(bloom, positions)
     return bool(absent.all())
@@ -236,9 +275,9 @@ def blooms_exclude(blooms: dict, keys: pa.Table) -> bool:
 class _BloomProbes:
     """The ``==`` clauses of one scan plan, tested against many manifests.
 
-    Each probe value is hashed once per plan and its bit positions are
-    computed once per bloom shape ``(m, k)``; a manifest then costs only
-    the bit tests on its decoded bitmap."""
+    Each probe value is hashed once per plan and hash scheme, and its bit
+    positions are computed once per bloom shape ``(scheme, m, k)``; a
+    manifest then costs only the bit tests on its decoded bitmap."""
 
     def __init__(self, predicate):
         self.eq = [(col, val) for col, op, val in predicate or () if op == "=="]
@@ -251,12 +290,14 @@ class _BloomProbes:
             bloom = blooms.get(col)
             if bloom is None:
                 continue
-            shape = (i, int(bloom["m"]), int(bloom["k"]))
+            scheme = _scheme(bloom)
+            shape = (i, scheme, int(bloom["m"]), int(bloom["k"]))
             if shape not in self._positions:
-                if i not in self._hashes:
-                    self._hashes[i] = _bloom_hashes(pa.array([val]))
+                if (i, scheme) not in self._hashes:
+                    self._hashes[i, scheme] = _bloom_hashes(
+                        pa.array([val]), scheme)
                 self._positions[shape] = _hash_positions(
-                    self._hashes[i], shape[1], shape[2])
+                    self._hashes[i, scheme], shape[2], shape[3])
             if _bloom_absent(bloom, self._positions[shape])[0]:
                 return True
         return False

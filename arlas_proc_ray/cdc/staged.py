@@ -50,6 +50,16 @@ partitions committed and resume skips them. Partition routing is the
 stable hash (``partition_ids``) that point lookups route by too; the one-
 and two-level exchanges are interchangeable per epoch on one store.
 
+One group in the session (G = 1: one CPU, or P = 1) and an input of at
+most ``sizing.INLINE_BYTES`` (8 MiB, by ``size_bytes()``; an unknown size
+stays remote): the exchange runs in the calling process
+(:func:`_inline_exchange`). Each block goes through the same route,
+``_partition_order`` and ``_exchange_object`` a split task runs, then
+the group's body (:func:`_apply_group`, which the merge task wraps)
+applies every partition. One task buys no parallelism there, only two
+task round trips, which dominate a tail-sized epoch. Larger inputs,
+G > 1 and the two-level exchange keep the remote tasks.
+
 Past ~10 000 exchange objects (B×G) per-object overhead dominates and
 ``CdcEngine._staged_exchange`` switches to the two-level exchange below.
 """
@@ -66,6 +76,7 @@ import ray
 
 from arlas_proc_ray.cdc.engine import apply_partition, cdc_fold, open_epoch
 from arlas_proc_ray.cdc.replay import lww_reduce_table
+from arlas_proc_ray.cdc.sizing import runs_in_process, session_cpus
 from arlas_proc_ray.functions.hashing import partition_ids
 from arlas_proc_ray.model import DataModel
 
@@ -84,8 +95,7 @@ def group_plan(num_partitions: int, num_groups: int) -> list[range]:
 
 def session_groups(num_partitions: int) -> list[range]:
     """The merge groups for this Ray session: one per CPU, at most P."""
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    return group_plan(num_partitions, cpus)
+    return group_plan(num_partitions, session_cpus())
 
 
 def _combine(dm: DataModel, align, table: pa.Table) -> pa.Table:
@@ -191,10 +201,12 @@ class _Epoch:
 
 
 def cdc_epoch(engine, epoch: int, dead_letter_dir=None, delta: bool = False,
-              delta_max_age: int | None = None) -> _Epoch:
+              delta_max_age: int | None = None, opened=None) -> _Epoch:
     """A CDC epoch: the engine's ingest head and LWW combiner per block,
-    the fence and finalize per partition (``cdc.engine.cdc_fold``)."""
-    prev_epoch, prior_src = open_epoch(engine.store, engine.dm, epoch)
+    the fence and finalize per partition (``cdc.engine.cdc_fold``).
+    ``opened`` is ``open_epoch``'s result when the caller has already
+    validated the epoch; it is opened here otherwise."""
+    prev_epoch, prior_src = opened or open_epoch(engine.store, engine.dm, epoch)
     # shared ingest head: structural validity (DLQ) or alignment, then
     # table-constraint enforcement (engine._ingest_fn / cdc/constraints.py)
     align = engine._ingest_fn(epoch, dead_letter_dir)
@@ -205,11 +217,10 @@ def cdc_epoch(engine, epoch: int, dead_letter_dir=None, delta: bool = False,
     )
 
 
-@ray.remote
-def _merge_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
+def _apply_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
     """Apply partitions ``parts`` in order; ``inputs`` are the
     ``(first_partition, table, bounds)`` exchange objects routed to this
-    group."""
+    group. The body of a merge task, and of the in-process exchange."""
     return [
         apply_partition(
             ctx.store, ctx.epoch, p, _partition_views(inputs, p),
@@ -218,6 +229,23 @@ def _merge_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
         )
         for p in parts
     ]
+
+
+_merge_group = ray.remote(_apply_group)
+
+
+def _inline_exchange(ctx: _Epoch, events_ds) -> list:
+    """The one-group exchange as plain calls in this process: each block
+    is routed and cut into one exchange object, as a split task would,
+    and the group's body applies every partition. Returns the kernels'
+    results in partition order."""
+    P = ctx.num_partitions
+    inputs = []
+    for block in ray.get(events_ds.to_arrow_refs()):
+        table, pids = ctx.route(block)
+        order, bounds = _partition_order(pids, 0, P)
+        inputs.append(_exchange_object(0, table, order, bounds))
+    return _apply_group(ctx, range(P), *inputs)
 
 
 def _run_groups(ctx: _Epoch, groups: list[range], inputs_of) -> list:
@@ -237,7 +265,9 @@ def staged_apply_epoch(engine, events_ds, epoch: int, *, writer=None,
                       delta_max_age: int | None = None) -> dict:
     """Apply and commit one epoch with the one-level staged exchange
     (idempotent, resumable, exactly-once). ``publish=False`` stages the
-    cut for write-audit-publish (engine._stage_epoch).
+    cut for write-audit-publish (engine._stage_epoch). A one-group
+    epoch of at most ``sizing.INLINE_BYTES`` runs in this process
+    (:func:`_inline_exchange`).
 
     ``delta=True``: a partition that received NO surviving events this
     epoch is not rewritten — the commit marker's source map references
@@ -256,6 +286,8 @@ def staged_apply_epoch(engine, events_ds, epoch: int, *, writer=None,
     P, route = ctx.num_partitions, ctx.route
     groups = session_groups(P)
     G = len(groups)
+    if runs_in_process(G, events_ds.size_bytes()):
+        return ctx.finish(engine, _inline_exchange(ctx, events_ds), publish)
 
     @ray.remote(num_returns=G)
     def split(block: pa.Table):

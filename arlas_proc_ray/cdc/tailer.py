@@ -33,20 +33,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
-
-def _atomic_write_json(path: str, payload: dict) -> None:
-    d = os.path.dirname(path)
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".json.tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(payload, f)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+from arlas_proc_ray.cdc.snapshot import _atomic_write_bytes
 
 
 class SegmentTailer:
@@ -176,7 +164,10 @@ class SegmentTailer:
             return {"epoch": committed, "files": [], "applied": False}
 
         epoch = (committed or 0) + 1
-        _atomic_write_json(self._intent_path, {"epoch": epoch, "files": fresh})
+        _atomic_write_bytes(
+            self._intent_path,
+            json.dumps({"epoch": epoch, "files": fresh}).encode(),
+        )
         self._apply(self._dataset_for(fresh), epoch)
         self._advance_cursor(fresh)
         os.unlink(self._intent_path)
@@ -184,7 +175,8 @@ class SegmentTailer:
 
     def _advance_cursor(self, files: list[str]) -> None:
         merged = sorted(self.consumed() | set(files))
-        _atomic_write_json(self._cursor_path, {"files": merged})
+        _atomic_write_bytes(self._cursor_path,
+                           json.dumps({"files": merged}).encode())
 
     def run_until_idle(self, max_polls: int = 1_000_000) -> list[dict]:
         """Poll until a cadence applies nothing; returns all results."""

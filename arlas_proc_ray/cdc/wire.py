@@ -52,6 +52,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.json as pj
 
+from arlas_proc_ray.cdc import sizing
 from arlas_proc_ray.cdc.events import (
     CANONICAL_EVENT_SCHEMA,
     EVENT_SCHEMA_V1,
@@ -457,19 +458,40 @@ def read_changelog_jsonl(paths, *, target_bytes: int = 64 * 1024 * 1024,
     events Dataset. Files are sharded into ``target_bytes`` byte ranges
     (newline-aligned, so one 10 GB segment parallelizes like 160 small
     ones) and each range splits its lines with one Arrow kernel; decode
-    runs per batch with the C++ fast path."""
+    runs per batch with the C++ fast path.
+
+    A read that would be one task (one range, or one CPU in the session)
+    over at most ``sizing.INLINE_BYTES`` is read and decoded in this
+    process (``sizing.runs_in_process``), one decode and one block per
+    range as the Ray Data path runs them, and comes back as a
+    ``from_arrow`` Dataset (unless ``batch_size`` asks for Ray Data's
+    re-batching)."""
     import ray.data as rd
 
     plans = _jsonl_range_plans(
         [paths] if isinstance(paths, str) else list(paths), target_bytes
     )
     if not plans:  # empty directory: typed empty stream
-        import ray.data as _rd
-
         return decode_debezium(
-            _rd.from_arrow(pa.table({"text": pa.array([], pa.string())})),
+            rd.from_arrow(pa.table({"text": pa.array([], pa.string())})),
             json_col="text", **decode_kwargs,
         )
+    tasks = min(len(plans), sizing.session_cpus())
+    if decode_kwargs.get("batch_size") is None and sizing.runs_in_process(
+            tasks, sum(p["hi"] - p["lo"] for p in plans)):
+        kw = {k: v for k, v in decode_kwargs.items() if k != "batch_size"}
+        decode = make_decode_fn(json_col="text", **kw)
+        decoded = [
+            list(decode(pa.table(
+                {"text": _read_jsonl_range(p["path"], p["lo"], p["hi"])})))
+            for p in plans
+        ]
+        # one block per range that decoded to anything, its version
+        # tables concatenated as Ray Data's block builder does
+        return rd.from_arrow([
+            pa.concat_tables(tables, promote_options="default")
+            for tables in decoded if tables
+        ] or CANONICAL_EVENT_SCHEMA.empty_table())
 
     def read_ranges(batch: pa.Table) -> pa.Table:
         parts = [

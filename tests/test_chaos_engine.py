@@ -172,12 +172,15 @@ def test_engine_chaos_with_crashes(tmp_path, ray_session, seed):
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
     """Cross-path equivalence: ``apply_epoch``, the staged one- and
-    two-level exchanges and write-audit-publish produce the oracle's
-    final state, byte-identical, with equal commit summaries for the same
-    epochs, and write the same manifest metric keys and the same counts
-    (every one goes through the shared partition kernel). ``merge_into``
-    and ``repartition_snapshot`` then give the same state, manifests and
-    source maps on the one- and two-level exchanges."""
+    two-level exchanges, write-audit-publish and the in-process exchange
+    of a one-group session produce the oracle's final state,
+    byte-identical, with equal commit summaries for the same epochs, and
+    write the same manifest metric keys and the same counts (every one
+    goes through the shared partition kernel); the in-process manifests
+    equal the remote ones field for field, ``apply_s`` aside.
+    ``merge_into`` and ``repartition_snapshot`` then give the same state,
+    manifests and source maps on the one- and two-level and the
+    in-process exchanges."""
     import ray.data as rd
 
     from arlas_proc_ray.cdc import staged
@@ -186,14 +189,21 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
     cfg = ChangelogConfig(num_events=3000, num_keys=300, seed=300 + seed)
     tables = generate_changelog_tables(cfg)
 
+    def one_group(num_partitions):
+        return staged.group_plan(num_partitions, 1)
+
     def run(mode):
         snap = str(tmp_path / mode)
         eng = CdcEngine(snap, DataModel(num_partitions=4))
-        summaries, metrics = [], []
+        summaries, metrics, manifests = [], [], []
         for i, t in enumerate(tables, start=1):
             ds = rd.from_arrow(t)
             if mode == "apply_epoch":
                 s = eng.apply_epoch(ds, i)
+            elif mode == "inline":
+                with monkeypatch.context() as m:
+                    m.setattr(staged, "session_groups", one_group)
+                    s = eng.apply_epoch(ds, i)
             elif mode == "staged":
                 s = eng.apply_epoch_staged(ds, i)
             elif mode == "two_level":
@@ -209,23 +219,32 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
             metrics.append([
                 eng.store.read_manifest(i, p).metrics for p in range(4)
             ])
-        return eng.final_state().to_pandas(), summaries, metrics
+            manifests.append([
+                vars(eng.store.read_manifest(i, p)) for p in range(4)
+            ])
+        return eng.final_state().to_pandas(), summaries, metrics, manifests
 
     def counts(metrics):
         # apply_s is a duration: its key must match, not its value
         return [[{**m, "apply_s": None} for m in ep] for ep in metrics]
 
-    base_state, base_sum, base_metrics = run("apply_epoch")
+    def untimed(manifests):
+        return [[{**m, "metrics": {**m["metrics"], "apply_s": None}}
+                 for m in ep] for ep in manifests]
+
+    base_state, base_sum, base_metrics, base_manifests = run("apply_epoch")
     exp = oracle_final_state(tables).to_pandas()
     pd.testing.assert_frame_equal(base_state, exp)
     assert {k for ep in base_metrics for m in ep for k in m} == {
         "events_in", "fence_dropped", "events_applied", "apply_s"
     }
-    for mode in ("staged", "two_level", "wap"):
-        state, summ, metrics = run(mode)
+    for mode in ("staged", "two_level", "wap", "inline"):
+        state, summ, metrics, manifests = run(mode)
         pd.testing.assert_frame_equal(state, base_state)
         assert summ == base_sum, mode
         assert counts(metrics) == counts(base_metrics), mode
+        if mode == "inline":
+            assert untimed(manifests) == untimed(base_manifests)
 
     # MERGE (an update of every other key, a stale duplicate and an
     # insert) then a fan-out change, on the stores the two exchanges built
@@ -242,6 +261,8 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
         with monkeypatch.context() as m:
             if mode == "two_level":  # every epoch past the object threshold
                 m.setattr(staged, "TWO_LEVEL_OBJECTS", -1)
+            if mode == "inline":
+                m.setattr(staged, "session_groups", one_group)
             merge_into(eng, rd.from_pandas(src), e + 1)
             eng.repartition_snapshot(6, epoch=e + 2)
         out = [eng.final_state().to_pandas()]
@@ -253,7 +274,9 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
                             {**mf.metrics, "apply_s": None}))
         return out
 
-    one, two = writers("staged"), writers("two_level")
-    pd.testing.assert_frame_equal(one[0], two[0])
+    one = writers("staged")
     assert len(one[0]) == len(base_state) + 1
-    assert one[1:] == two[1:]
+    for mode in ("two_level", "inline"):
+        other = writers(mode)
+        pd.testing.assert_frame_equal(one[0], other[0])
+        assert one[1:] == other[1:], mode

@@ -18,7 +18,8 @@ def test_layer_bench_smoke(capsys):
         "split.per_partition", "split.exchange", "exchange.dict",
         "exchange.object", "write.write_partition", "read.read_partition",
         "read.read_table", "lookup.engine", "scan.engine", "scan.engine.lazy",
-        "bloom.build",
+        "bloom.build", "read.inline.2k", "epoch.inline.2k", "read.remote.2k",
+        "epoch.remote.2k",
     ]
     for r in rows:
         for k in ("s", "floor_s", "ratio", "rows_per_s", "mb_per_s"):

@@ -1,6 +1,7 @@
 """Engine point lookup (cdc/engine.py:lookup): parity with final_state,
 partition pruning (only routed files opened, bloom-proven misses not
-even those), epoch time travel by number and by ref, byte-exact keys."""
+even those), one summary read per lookup, epoch time travel by number
+and by ref, byte-exact keys."""
 
 import pandas as pd
 import pyarrow as pa
@@ -61,16 +62,33 @@ def test_lookup_prunes_partitions(engine, monkeypatch):
     state = engine.final_state().to_pandas()
     one = [tuple(state[["repo", "path"]].iloc[0])]
     opened = []
-    orig = engine.store.read_partition_resolved
+    orig = engine.store.read_partition
 
     def spy(e, p):
         opened.append(p)
         return orig(e, p)
 
-    monkeypatch.setattr(engine.store, "read_partition_resolved", spy)
+    monkeypatch.setattr(engine.store, "read_partition", spy)
     got = engine.lookup(one)
     assert got.num_rows == 1
     assert len(opened) == 1  # exactly one partition file touched
+
+
+def test_lookup_reads_the_summary_once(engine, monkeypatch):
+    """The commit summary is read once per lookup, however many
+    partition files the keys open: each file is read from its epoch in
+    the summary's source map."""
+    state = engine.final_state().to_pandas()
+    keys = list(state[["repo", "path"]].iloc[::7].itertuples(index=False,
+                                                            name=None))
+    reads, opened = [], []
+    summary, partition = engine.store.read_epoch_summary, engine.store.read_partition
+    monkeypatch.setattr(engine.store, "read_epoch_summary",
+                        lambda e: reads.append(e) or summary(e))
+    monkeypatch.setattr(engine.store, "read_partition",
+                        lambda e, p: opened.append(p) or partition(e, p))
+    assert engine.lookup(keys).num_rows == len(keys)
+    assert reads == [1] and len(opened) > 1
 
 
 def test_lookup_time_travel_epoch(engine):
@@ -125,13 +143,13 @@ def test_lookup_duplicate_key_returns_one_row(engine):
 def test_lookup_skips_file_when_bloom_proves_key_absent(engine, monkeypatch):
     key = ("no-such-repo", "no-such-path")
     opened = []
-    orig = engine.store.read_partition_resolved
+    orig = engine.store.read_partition
 
     def spy(e, p):
         opened.append(p)
         return orig(e, p)
 
-    monkeypatch.setattr(engine.store, "read_partition_resolved", spy)
+    monkeypatch.setattr(engine.store, "read_partition", spy)
     assert engine.lookup([key]).num_rows == 0
     assert opened == []
 

@@ -6,7 +6,9 @@ with no error. The shared test session has 4 CPUs and cannot show this,
 so the writers run in a subprocess with its own ``ray.init(num_cpus=1)``
 under a timeout: the three apply paths, then ``merge_into``,
 ``repartition_snapshot`` and ``purge_keys`` over the same store, each
-checked against a pandas oracle and ``verify_deep``.
+checked against a pandas oracle and ``verify_deep``. One CPU is one merge
+group, so these small epochs run their exchange in process; a second leg
+forces the remote tasks (``sizing.INLINE_BYTES = -1``).
 """
 
 import os
@@ -35,7 +37,7 @@ SCRIPT = textwrap.dedent(
              logging_level="ERROR", object_store_memory=200 * 1024**2)
     rd.DataContext.get_current().enable_progress_bars = False
 
-    from arlas_proc_ray.cdc import staged
+    from arlas_proc_ray.cdc import sizing, staged
     from arlas_proc_ray.cdc.engine import CdcEngine
     from arlas_proc_ray.cdc.events import (
         ChangelogConfig,
@@ -44,6 +46,12 @@ SCRIPT = textwrap.dedent(
     from arlas_proc_ray.cdc.merge import merge_into
     from arlas_proc_ray.cdc.oracle import oracle_final_state
     from arlas_proc_ray.model import DataModel
+
+    if sys.argv[2] == "remote":
+        sizing.INLINE_BYTES = -1
+    inline_runs = []
+    run_inline = staged._inline_exchange
+    staged._inline_exchange = lambda *a: inline_runs.append(1) or run_inline(*a)
 
     tables = generate_changelog_tables(
         ChangelogConfig(num_events=2000, num_keys=200, seed=51)
@@ -93,6 +101,7 @@ SCRIPT = textwrap.dedent(
     victims = want.iloc[::5][["repo", "path"]]
     eng.purge_keys(victims, epoch=4)
     check(eng, want.drop(index=victims.index), "purge_keys")
+    print("inline", len(inline_runs))
     ray.shutdown()
     """
 )
@@ -100,16 +109,23 @@ SCRIPT = textwrap.dedent(
 
 def test_every_apply_path_finishes_on_one_cpu(tmp_path):
     env = {**os.environ, "PYTHONPATH": ROOT}
-    proc = subprocess.Popen(
-        [sys.executable, "-c", SCRIPT, str(tmp_path)],
-        cwd=ROOT, env=env, text=True, start_new_session=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    try:
-        out, err = proc.communicate(timeout=120)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        out, _ = proc.communicate()
-        pytest.fail(f"epoch unfinished after 120 s on 1 CPU; done: {out!r}")
-    assert proc.returncode == 0, err[-2000:]
-    assert out.split() == [w for leg in LEGS for w in ("ok", leg)], out
+    for leg in ("inline", "remote"):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SCRIPT, str(tmp_path / leg), leg],
+            cwd=ROOT, env=env, text=True, start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            out, _ = proc.communicate()
+            pytest.fail(f"{leg}: epoch unfinished after 120 s on 1 CPU; "
+                        f"done: {out!r}")
+        assert proc.returncode == 0, (leg, err[-2000:])
+        words = out.split()
+        assert words[:-2] == [w for name in LEGS for w in ("ok", name)], (
+            leg, out)
+        # every one-level epoch in process, or none: apply_epoch, staged,
+        # merge_into, repartition_snapshot, purge_keys
+        assert words[-2:] == ["inline", "5" if leg == "inline" else "0"], out

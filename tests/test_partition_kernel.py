@@ -19,7 +19,7 @@ import pytest
 import ray
 import ray.data as rd
 
-from arlas_proc_ray.cdc import replay, staged
+from arlas_proc_ray.cdc import replay, sizing, staged
 from arlas_proc_ray.cdc.engine import CdcEngine
 from arlas_proc_ray.cdc.events import ChangelogConfig, generate_changelog_tables
 from arlas_proc_ray.cdc.oracle import oracle_final_state
@@ -58,9 +58,9 @@ def test_exchange_objects_are_contiguous_partition_sorted_tables(
     bounds)``: one single-chunk table whose bounds cover its rows exactly
     once, and whose view of each partition equals the rows
     ``_split_block`` routes to that partition."""
+    monkeypatch.setattr(sizing, "INLINE_BYTES", -1)  # the remote exchange
     if one_group:
-        monkeypatch.setattr(staged, "session_groups",
-                            lambda n: group_plan(n, 1))
+        monkeypatch.setattr(staged, "session_groups", one_group_plan)
     if two_level:  # every epoch past the object threshold
         monkeypatch.setattr(staged, "TWO_LEVEL_OBJECTS", -1)
     received = {}
@@ -103,37 +103,91 @@ def test_exchange_objects_are_contiguous_partition_sorted_tables(
     )
 
 
+def one_group_plan(num_partitions: int) -> list[range]:
+    """A ``session_groups`` stand-in for a one-CPU session."""
+    return group_plan(num_partitions, 1)
+
+
+def test_in_process_rule():
+    """A stage runs in the caller only as one task over a known size of
+    at most ``INLINE_BYTES``; an unknown size keeps the tasks."""
+    limit = sizing.INLINE_BYTES
+    assert sizing.runs_in_process(1, 0) and sizing.runs_in_process(1, limit)
+    assert not sizing.runs_in_process(1, limit + 1)
+    assert not sizing.runs_in_process(2, 1)
+    assert not sizing.runs_in_process(1, None)
+
+
+def test_unknown_input_size_takes_the_remote_exchange(tmp_path, monkeypatch):
+    """A one-group epoch whose ``size_bytes()`` is unknown (``None``) runs
+    the split and merge tasks instead of pulling its input into the
+    caller."""
+    monkeypatch.setattr(staged, "session_groups", one_group_plan)
+    remote = []
+    run_groups = staged._run_groups
+    monkeypatch.setattr(staged, "_run_groups",
+                        lambda *a: remote.append(1) or run_groups(*a))
+    tables = generate_changelog_tables(
+        ChangelogConfig(num_events=600, num_keys=60, seed=47))
+    eng = CdcEngine(str(tmp_path), DataModel(num_partitions=4))
+    small = rd.from_arrow(tables).materialize()
+    staged.staged_apply_epoch(eng, small, 1)
+    assert remote == []  # known and small: in process
+    unknown = rd.from_arrow(tables).materialize()
+    monkeypatch.setattr(unknown, "size_bytes", lambda: None)
+    staged.staged_apply_epoch(eng, unknown, 2)
+    assert remote == [1]
+    pd.testing.assert_frame_equal(
+        eng.final_state().to_pandas(), oracle_final_state(tables).to_pandas())
+
+
+def untimed(manifest) -> dict:
+    """A manifest's fields, its ``apply_s`` duration blanked."""
+    return {**vars(manifest),
+            "metrics": {**manifest.metrics, "apply_s": None}}
+
+
 def _apply(eng, mode, ds, epoch):
-    if mode == "apply_epoch":
+    if mode in ("apply_epoch", "inline"):
         return eng.apply_epoch(ds, epoch)
     if mode == "two_level":
         return staged.staged_apply_epoch_two_level(eng, ds.materialize(), epoch)
     return eng.apply_epoch_staged(ds, epoch)
 
 
-def test_more_partitions_than_cpus_all_paths_identical(tmp_path):
+def test_more_partitions_than_cpus_all_paths_identical(tmp_path, monkeypatch):
+    """The remote exchange over 4 groups, the staged and two-level paths,
+    and the in-process one-group exchange write the same store."""
     cfg = ChangelogConfig(num_events=3000, num_keys=300, seed=41)
     tables = generate_changelog_tables(cfg)
     exp = oracle_final_state(tables).to_pandas()
 
     def run(mode):
         eng = CdcEngine(str(tmp_path / mode), DataModel(num_partitions=P))
-        sums = [
-            {k: s[k] for k in ("row_count", "last_lsn", "rollup")}
-            for s in (
-                _apply(eng, mode, rd.from_arrow(t), i)
-                for i, t in enumerate(tables, start=1)
-            )
-        ]
+        with monkeypatch.context() as m:
+            if mode == "inline":
+                m.setattr(staged, "session_groups", one_group_plan)
+            sums = [
+                {k: s[k] for k in ("row_count", "last_lsn", "rollup")}
+                for s in (
+                    _apply(eng, mode, rd.from_arrow(t), i)
+                    for i, t in enumerate(tables, start=1)
+                )
+            ]
         assert eng.store.verify_deep(recompute_hashes=True)["ok"]
-        return eng.final_state().to_pandas(), sums
+        manifests = [
+            untimed(eng.store.read_manifest(i, p))
+            for i in range(1, len(tables) + 1) for p in range(P)
+        ]
+        return eng.final_state().to_pandas(), sums, manifests
 
-    base_state, base_sums = run("apply_epoch")
+    base_state, base_sums, base_manifests = run("apply_epoch")
     pd.testing.assert_frame_equal(base_state, exp)
-    for mode in ("staged", "two_level"):
-        state, sums = run(mode)
+    for mode in ("staged", "two_level", "inline"):
+        state, sums, manifests = run(mode)
         pd.testing.assert_frame_equal(state, base_state)
         assert sums == base_sums, mode
+        assert manifests == base_manifests, mode
 
 
 def crash_at(crash_epoch: int, crash_part: int):
@@ -152,7 +206,7 @@ def assert_crashed_mid_group(store, epoch: int, fault: int, parts: int):
     ran in order, so the partitions before the fault committed and the
     fault and the rest of the group never did."""
     assert store.latest_committed_epoch() == epoch - 1
-    (group,) = [g for g in session_groups(parts) if fault in g]
+    (group,) = [g for g in staged.session_groups(parts) if fault in g]
     assert group[0] < fault  # the fault is not first in its group
     for part in group:
         assert store.partition_done(epoch, part) == (part < fault), part
@@ -163,10 +217,22 @@ def test_crash_mid_group_resumes_to_oracle(tmp_path, monkeypatch, two_level):
     """Every store writer, a CDC epoch, ``merge_into`` and
     ``repartition_snapshot``, crashes in the middle of a merge group and
     is resumed by a fresh engine to the oracle's state."""
-    from arlas_proc_ray.cdc.merge import merge_into
-
     if two_level:  # every epoch past the object threshold
         monkeypatch.setattr(staged, "TWO_LEVEL_OBJECTS", -1)
+    _crash_mid_group_and_resume(tmp_path)
+
+
+def test_crash_mid_group_resumes_to_oracle_inline(tmp_path, monkeypatch):
+    """The same crashes in the in-process exchange of a one-group
+    session: the crash raises in the caller, the partitions before the
+    fault are committed and a fresh engine resumes to the oracle."""
+    monkeypatch.setattr(staged, "session_groups", one_group_plan)
+    _crash_mid_group_and_resume(tmp_path)
+
+
+def _crash_mid_group_and_resume(tmp_path):
+    from arlas_proc_ray.cdc.merge import merge_into
+
     cfg = ChangelogConfig(num_events=3000, num_keys=300, seed=43)
     exp = oracle_final_state(generate_changelog_tables(cfg)).to_pandas()
     snap = str(tmp_path / "snap")

@@ -4,9 +4,13 @@ Reads go straight to ``pq.ParquetFile.read`` and must return the same
 table as ``pq.read_table``. Writes build the bloom bitmap with one
 boolean scatter, and fsync the Parquet file before the rename that
 makes it visible, since the manifest written after it certifies the
-bytes.
+bytes. Blooms hash with a siphash keyed apart from the router's and
+say so; a store whose blooms predate the tag (sha256) prunes and looks
+up as it did.
 """
 
+import contextlib
+import json
 import os
 
 import numpy as np
@@ -92,7 +96,8 @@ def _may_contain_reference(bloom: dict, value) -> bool:
     import base64
 
     bm = base64.b64decode(bloom["b64"])
-    for pos in snapshot._bloom_positions(pa.array([value]), bloom["m"], bloom["k"]):
+    for pos in snapshot._bloom_positions(pa.array([value]), bloom["m"],
+                                         bloom["k"], snapshot._scheme(bloom)):
         p = int(pos[0])
         if p < 0:
             return True
@@ -101,13 +106,32 @@ def _may_contain_reference(bloom: dict, value) -> bool:
     return True
 
 
-def test_bloom_probes_prune_like_the_per_value_probe():
-    """Hashing each probe once per plan changes no pruning decision."""
-    blooms = [
-        snapshot._bloom_build(pa.chunked_array([pa.array(
+@contextlib.contextmanager
+def _sha256_blooms(monkeypatch):
+    """A context in which the store builds blooms over the sha256 prefix
+    hash, as it did before the scheme tag; the caller drops their "h"."""
+    hashes = snapshot._bloom_hashes
+    with monkeypatch.context() as m:
+        m.setattr(snapshot, "_bloom_hashes",
+                  lambda vals, scheme=None: hashes(vals, "sha256"))
+        yield
+
+
+def test_bloom_probes_prune_like_the_per_value_probe(monkeypatch):
+    """Hashing each probe once per plan and scheme changes no pruning
+    decision, with blooms of both schemes in one plan."""
+    def build(p):
+        return snapshot._bloom_build(pa.chunked_array([pa.array(
             [f"k{v}" for v in range(p, 3000, 7)])]), 3000 // 7)
-        for p in range(7)
-    ] + [snapshot._bloom_build(pa.chunked_array([pa.array(range(5000))]), 5000)]
+
+    with _sha256_blooms(monkeypatch):
+        untagged = [build(p) for p in range(7)]
+    for b in untagged:
+        del b["h"]
+    blooms = untagged + [build(p) for p in range(7)] + [
+        snapshot._bloom_build(pa.chunked_array([pa.array(range(5000))]), 5000)]
+    assert {snapshot._scheme(b) for b in blooms} == {
+        snapshot._BLOOM_SCHEME, "sha256"}
     probes = [f"k{v}" for v in range(0, 4000, 13)] + [None, 17, 4999, 6001]
     for value in probes:
         pruner = snapshot._BloomProbes([("c", "==", value)])
@@ -148,3 +172,127 @@ def test_latest_committed_epoch_stats_one_marker(tmp_path, monkeypatch):
     monkeypatch.setattr(os.path, "exists", spy)
     assert store.latest_committed_epoch() == 200
     assert stats == [store.commit_marker_path(200)]
+
+
+def _sha256_may_contain(bloom: dict, value) -> bool:
+    """How an untagged bloom was probed before the scheme tag existed:
+    the value's sha256 prefix, double-hashed, bit by bit."""
+    import base64
+
+    from arlas_proc_ray.functions.hashing import sha256_prefix_int
+
+    bm = base64.b64decode(bloom["b64"])
+    hv = sha256_prefix_int(pa.array([value]).cast(pa.string()))
+    for pos in snapshot._hash_positions(hv, bloom["m"], bloom["k"]):
+        p = int(pos[0])
+        if p >= 0 and not (bm[p >> 3] >> (p & 7)) & 1:
+            return False
+    return True
+
+
+def test_sha256_bloom_store_prunes_and_looks_up_as_before(tmp_path,
+                                                          monkeypatch):
+    """A store whose blooms were written before the scheme tag (sha256,
+    untagged) keeps its pruning decisions and lookups: every probe of it
+    is the sha256 probe, while new writes carry siphash blooms."""
+    import ray.data as rd
+
+    from arlas_proc_ray.cdc.engine import CdcEngine
+    from arlas_proc_ray.functions.hashing import partition_ids
+    from arlas_proc_ray.model import DataModel
+
+    cfg = ChangelogConfig(num_events=3000, num_keys=600, seed=53)
+    dm = DataModel(num_partitions=8)
+    # the store an engine wrote before the tag: the oracle's state,
+    # routed, with sha256 blooms
+    rows = oracle_final_state(generate_changelog_tables(cfg))
+    pids = partition_ids(rows, dm.key_list, 8)
+    store = SnapshotStore(str(tmp_path / "old"), bloom_cols=dm.key_list)
+    with _sha256_blooms(monkeypatch):
+        for p in range(8):
+            store.write_partition(1, p, rows.filter(pa.array(pids == p)))
+    for p in range(8):
+        path = store.part_manifest_path(1, p)
+        with open(path) as f:
+            mf = json.load(f)
+        for b in mf["blooms"].values():
+            del b["h"]
+        with open(path, "w") as f:
+            json.dump(mf, f)
+    store.commit_epoch(1, 8)
+    old = CdcEngine(store.root, dm)
+    manifests = [old.store.read_manifest(1, p) for p in range(8)]
+    assert all(set(b) == {"m", "k", "b64"}
+               for mf in manifests for b in mf.blooms.values())
+
+    state = old.final_state()
+    present = state.select(["repo", "path"]).to_pylist()[::9]
+    absent = [{"repo": r["repo"], "path": r["path"] + ".gone"}
+              for r in present]
+    probes = [(c, r[c]) for r in present + absent for c in ("repo", "path")]
+    pruned = 0
+    for col, value in probes:
+        prune = snapshot._BloomProbes([(col, "==", value)])
+        for mf in manifests:
+            want = not _sha256_may_contain(mf.blooms[col], value)
+            assert prune(mf.blooms) == want, (col, value, mf.partition_id)
+            pruned += want
+    assert pruned > len(probes) * 8 // 2  # the blooms do prune
+
+    keys = [tuple(r.values()) for r in present + absent]
+    got = old.lookup(keys).select(state.column_names)
+    assert got.sort_by([("repo", "ascending"), ("path", "ascending")]).equals(
+        state.filter(pa.compute.is_in(
+            state.column("path"),
+            value_set=pa.array([r["path"] for r in present]))))
+    for key in keys[len(present):]:
+        assert old.lookup([key]).num_rows == 0
+
+    # a redelivered slice: every partition is carried into epoch 2 and
+    # written with keyed siphash blooms
+    old.apply_epoch(rd.from_arrow(generate_changelog_tables(cfg, 0, 300)), 2)
+    assert {snapshot._scheme(b) for p in range(8)
+            for b in old.store.read_manifest(2, p).blooms.values()} == {
+        snapshot._BLOOM_SCHEME}
+
+
+def _bloom_absent_vals(bloom: dict, vals: pa.Array):
+    """Per value, True where ``bloom`` proves it absent (the probe
+    ``blooms_exclude`` runs for a lookup)."""
+    return snapshot._bloom_absent(bloom, snapshot._bloom_positions(
+        vals, bloom["m"], bloom["k"], snapshot._scheme(bloom)))
+
+
+@pytest.mark.parametrize("partitions,num_keys", [
+    (16, 20_000), (64, 128_000), (256, 512_000)])
+def test_bloom_pruning_has_no_false_negatives_and_few_false_positives(
+        partitions, num_keys):
+    """Random ``==`` predicates on a single key column: a key's own
+    partition is never pruned, and at most 5% of absent keys survive the
+    bloom of the partition they route to, the one ``lookup`` probes. At
+    P=64 and P=256 a partition holds ~2 000 keys (~8 bits a key), where a
+    value hash sharing the router's bits would crowd each partition's
+    positions into a fraction of its bitmap."""
+    from arlas_proc_ray.functions.hashing import partition_ids
+
+    def route(vals):
+        return partition_ids(pa.table({"k": vals}), ["k"], partitions)
+
+    rng = np.random.default_rng(57)
+    keys = pa.array([f"repo{v}/src/f{v}.py" for v in
+                     rng.choice(10**9, num_keys, replace=False)])
+    misses = pa.array([f"repo{v}/src/f{v}.py" for v in
+                       rng.integers(10**9, 2 * 10**9, 20_000)])
+    parts, miss_parts = route(keys), route(misses)
+    survived = 0
+    for p in range(partitions):
+        own = keys.filter(pa.array(parts == p))
+        bloom = snapshot._bloom_build(own, len(own))
+        assert bloom["h"] == snapshot._BLOOM_SCHEME
+        assert not _bloom_absent_vals(bloom, own).any(), p
+        survived += int((~_bloom_absent_vals(
+            bloom, misses.filter(pa.array(miss_parts == p)))).sum())
+        if p == 0:  # the scan planner's per-value probe agrees
+            for v in own.to_pylist()[:200]:
+                assert not snapshot._BloomProbes([("k", "==", v)])({"k": bloom})
+    assert survived <= 0.05 * len(misses), survived / len(misses)

@@ -118,6 +118,38 @@ def test_crash_after_commit_fast_forwards_cursor(tmp_path):
     assert t.poll()["applied"] is False
 
 
+def test_intent_and_cursor_are_fsynced_before_they_are_visible(
+    tmp_path, monkeypatch
+):
+    """A power loss cannot leave an empty intent or cursor for the next
+    poll to choke on: each file's bytes are synced before the rename
+    that makes it visible."""
+    seg = str(tmp_path / "wal")
+    _write_segments(seg, 0, 500, "seg-a")
+    eng = CdcEngine(str(tmp_path / "snap"), DataModel(num_partitions=2))
+    intent_size = []
+
+    def apply(engine, ds, epoch):
+        intent_size.append(os.path.getsize(t._intent_path))
+        return engine.apply_epoch(ds, epoch)
+
+    t = SegmentTailer(eng, seg, apply=apply)
+    synced = []
+    fsync = os.fsync
+
+    def recording(fd):
+        synced.append((os.fstat(fd).st_size, os.path.exists(t._intent_path),
+                       os.path.exists(t._cursor_path)))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    assert t.poll()["applied"]
+    # the intent first, before any partition is written; the cursor
+    # last, while the intent still stands
+    assert synced[0] == (intent_size[0], False, False)
+    assert synced[-1] == (os.path.getsize(t._cursor_path), True, False)
+
+
 def test_run_until_idle(tmp_path):
     seg = str(tmp_path / "wal")
     _write_segments(seg, 0, 2000, "a")

@@ -403,3 +403,52 @@ def test_ranged_jsonl_reader_matches_readlines(tmp_path):
                 _read_jsonl_range(pl["path"], pl["lo"], pl["hi"]).to_pylist()
             )
         assert got == lines, f"no-trailing-newline target={target}"
+
+
+def test_small_read_in_process_equals_ray_data_read(tmp_path, monkeypatch):
+    """A read that would be one task (one CPU, or one range) of at most
+    ``sizing.INLINE_BYTES`` is read and decoded in the caller: the same
+    blocks and the same dead-letter files as the Ray Data read,
+    malformed lines included. Several ranges on several CPUs keep Ray
+    Data's parallel read."""
+    import ray
+
+    from arlas_proc_ray.cdc import sizing, wire
+
+    seg = str(tmp_path / "seg")
+    write_changelog_jsonl(changelog_dataset(ChangelogConfig(num_events=1500,
+                                                            seed=5)), seg)
+    with open(os.path.join(seg, "part-bad.jsonl"), "w") as f:
+        f.write('{not json\n{"payload": {"op": "z", "after": {"repo": "r"}}}\n')
+    in_caller = []
+    read_range = wire._read_jsonl_range
+    monkeypatch.setattr(wire, "_read_jsonl_range",
+                        lambda *a: in_caller.append(a) or read_range(*a))
+
+    def read(dlq):
+        ds = wire.read_changelog_jsonl(seg, dead_letter_dir=dlq, epoch=3,
+                                       target_bytes=1 << 14)
+        # the Ray Data read keeps an empty block for an all-bad range
+        blocks = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+        files = {
+            name: open(os.path.join(dlq, "epoch=3", name), "rb").read()
+            for name in os.listdir(os.path.join(dlq, "epoch=3"))
+        }
+        return sorted(blocks, key=lambda t: t.column("lsn")[0].as_py()), files
+
+    with monkeypatch.context() as m:
+        m.setattr(sizing, "session_cpus", lambda: 1)
+        fast, fast_dlq = read(str(tmp_path / "dlq-fast"))
+    ranges = len(in_caller)
+    assert ranges > len(os.listdir(seg))  # several ranges per segment
+    slow, slow_dlq = read(str(tmp_path / "dlq-slow"))
+    assert len(in_caller) == ranges  # the ranges were read in tasks
+    one_file = os.path.join(seg, min(set(os.listdir(seg)) - {"part-bad.jsonl"}))
+    assert wire.read_changelog_jsonl(one_file).count() > 0
+    assert len(in_caller) == ranges + 1  # one range: in the caller
+    monkeypatch.setattr(sizing, "INLINE_BYTES", -1)
+    wire.read_changelog_jsonl(one_file).count()
+    assert len(in_caller) == ranges + 1
+    assert len(fast) == len(slow)
+    assert all(a.equals(b) for a, b in zip(fast, slow))
+    assert fast_dlq == slow_dlq and len(fast_dlq) == 1

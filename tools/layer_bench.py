@@ -29,7 +29,25 @@ library call that does the same job on the same bytes:
                         (``SMALL_SCAN_BYTES`` set to 0)
       floor: ``pq.ParquetFile(path).read()`` of the files the plans keep
   bloom.build           the store's bloom build over the key columns
-      floor: the sha256 prefix hash it needs per value
+      floor: the keyed siphash value hash the build needs
+                        (``_bloom_hashes``)
+
+Both sides of the one-task rule (``sizing.runs_in_process``), at 2k, 20k
+and 40k events (2k alone with ``--smoke``), ``<n>`` in thousands:
+
+  read.inline.<n>k      ``read_changelog_jsonl`` of one n-event JSONL
+                        segment, decoded in process, materialized
+  read.remote.<n>k      the same read through Ray Data tasks
+      floor: the decode function over the segment's lines, bare
+  epoch.inline.<n>k     one n-event epoch (P=64) through
+                        ``staged_apply_epoch`` in one merge group, its
+                        exchange in process, into a fresh store
+  epoch.remote.<n>k     the same epoch as split and merge tasks
+      floor: ``pq.write_table`` of the epoch's 64 partition files
+
+Each inline row runs whatever its size (``sizing.INLINE_BYTES`` raised
+past it) and each remote row with ``INLINE_BYTES`` set to -1; MB/s is of
+the JSONL bytes for reads and of the Arrow input for epochs.
 
 The routing (align, combine, partition ids) and the argsort run once,
 outside every timed region. Times are medians over ``--repeats`` runs;
@@ -40,6 +58,7 @@ current Ray session, or starts a one-CPU local one.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import statistics
 import sys
@@ -50,6 +69,10 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import pyarrow as pa  # noqa: E402
 import pyarrow.parquet as pq  # noqa: E402
+
+
+# input sizes of the read.* and epoch.* rows, and the epochs' partitions
+EPOCH_EVENTS, EPOCH_PARTITIONS = (2000, 20_000, 40_000), 64
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -85,14 +108,17 @@ def _routed(events: int, partitions: int, seed: int):
 
 
 def measure(events: int, partitions: int, groups: int, repeats: int,
-            seed: int) -> list[dict]:
+            seed: int, epoch_events=EPOCH_EVENTS) -> list[dict]:
     import ray
 
     from arlas_proc_ray.cdc.engine import CdcEngine, _events_as_merge_rows
     from arlas_proc_ray.cdc.replay import finalize_partition_table
-    from arlas_proc_ray.cdc.snapshot import SnapshotStore, _bloom_build
+    from arlas_proc_ray.cdc.snapshot import (
+        SnapshotStore,
+        _bloom_build,
+        _bloom_hashes,
+    )
     from arlas_proc_ray.cdc.staged import _exchange_object, group_plan
-    from arlas_proc_ray.functions.hashing import sha256_prefix_int
 
     dm, table, order, bounds = _routed(events, partitions, seed)
     plan = group_plan(partitions, groups)
@@ -173,11 +199,81 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
     keys = [(t.column(c), t.num_rows) for t in states if t.num_rows
             for c in dm.key_list]
     k_bytes = sum(col.nbytes for col, _ in keys)
-    row("bloom.build", "sha256 prefix",
+    row("bloom.build", "siphash hash",
         _median_s(lambda: [_bloom_build(c, n) for c, n in keys], repeats),
-        _median_s(lambda: [sha256_prefix_int(c) for c, _ in keys], repeats),
+        _median_s(lambda: [_bloom_hashes(c) for c, _ in keys], repeats),
         s_rows * len(dm.key_list), k_bytes)
+    for n in epoch_events:
+        _one_task_rows(row, n, repeats, seed)
     return rows_out
+
+
+def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
+    """An n-event JSONL segment read, and an n-event epoch applied through
+    ``staged_apply_epoch`` with one merge group into a fresh store each
+    repeat, both once in process and once as Ray tasks."""
+    import ray.data as rd
+
+    from arlas_proc_ray.cdc import sizing, staged
+    from arlas_proc_ray.cdc.engine import CdcEngine
+    from arlas_proc_ray.cdc.events import (
+        ChangelogConfig,
+        generate_changelog_tables,
+    )
+    from arlas_proc_ray.cdc.wire import (
+        _read_jsonl_range,
+        make_decode_fn,
+        make_encode_fn,
+        read_changelog_jsonl,
+    )
+    from arlas_proc_ray.model import DataModel
+
+    dm = DataModel(num_partitions=EPOCH_PARTITIONS)
+    tables = generate_changelog_tables(
+        ChangelogConfig(num_events=n, num_keys=n, seed=seed))
+    events = rd.from_arrow(tables).materialize()
+    tag = f"{n // 1000}k"
+    groups, inline_bytes = staged.session_groups, sizing.INLINE_BYTES
+    staged.session_groups = lambda p: staged.group_plan(p, 1)
+    try:
+        with tempfile.TemporaryDirectory() as d:
+            seg = os.path.join(d, "seg.jsonl")
+            encode = make_encode_fn()
+            with open(seg, "w") as f:
+                for t in tables:
+                    f.write("\n".join(encode(t).column("value").to_pylist()))
+                    f.write("\n")
+            seg_bytes = os.path.getsize(seg)
+            decode = make_decode_fn(json_col="text")
+            decode_s = _median_s(lambda: list(decode(pa.table(
+                {"text": _read_jsonl_range(seg, 0, seg_bytes)}))), repeats)
+            runs = itertools.count()
+
+            def epoch():
+                eng = CdcEngine(os.path.join(d, str(next(runs))), dm)
+                staged.staged_apply_epoch(eng, events, 1)
+                return eng
+
+            sizing.INLINE_BYTES = 1 << 62
+            store = epoch().store
+            files = [store.read_partition(1, p) for p in range(dm.num_partitions)]
+
+            def write_floor():
+                for p, t in enumerate(files):
+                    pq.write_table(t, os.path.join(d, f"floor-{p}.parquet"),
+                                   compression=store.compression)
+
+            floor_s = _median_s(write_floor, repeats)
+            for path, inline in (("inline", 1 << 62), ("remote", -1)):
+                sizing.INLINE_BYTES = inline
+                row(f"read.{path}.{tag}", "decode, bare",
+                    _median_s(lambda: read_changelog_jsonl(seg).materialize(),
+                              repeats),
+                    decode_s, n, seg_bytes)
+                row(f"epoch.{path}.{tag}", "pq.write_table",
+                    _median_s(epoch, repeats), floor_s, n, events.size_bytes())
+    finally:
+        staged.session_groups, sizing.INLINE_BYTES = groups, inline_bytes
 
 
 def _serving_rows(row, engine, states, repeats: int) -> None:
@@ -245,7 +341,8 @@ def main(argv=None) -> list[dict]:
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--smoke", action="store_true",
-                    help="toy sizes: 2k events, P=8, G=2, 2 repeats")
+                    help="toy sizes: 2k events, P=8, G=2, 2 repeats, "
+                         "one-task rows at 2k events only")
     args = ap.parse_args(argv)
     if args.smoke:
         args.events, args.partitions, args.groups, args.repeats = 2000, 8, 2, 2
@@ -256,7 +353,7 @@ def main(argv=None) -> list[dict]:
         ray.init(address="local", num_cpus=1, include_dashboard=False,
                  logging_level="ERROR")
     rows = measure(args.events, args.partitions, args.groups, args.repeats,
-                   args.seed)
+                   args.seed, EPOCH_EVENTS[:1] if args.smoke else EPOCH_EVENTS)
     print(f"events={args.events} partitions={args.partitions} "
           f"groups={args.groups} repeats={args.repeats} seed={args.seed}")
     print(render(rows))
