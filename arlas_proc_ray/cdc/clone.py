@@ -1,6 +1,6 @@
 """Snapshot clone / fork: materialize a committed cut as a new store.
 
-``clone_snapshot`` copies the RESOLVED partition files and manifests of
+``clone_snapshot`` copies the RESOLVED partition files of
 one committed epoch (or named ref) into a fresh store root, committed
 there as epoch 0 with the source's fences intact. The clone is a fully
 independent table:
@@ -12,12 +12,12 @@ independent table:
 - **fan-out change on the cheap**: clone then ``repartition_snapshot``
   without risking the production store.
 
-Scale design: one Ray task per partition copies file + manifest
-(byte-for-byte — content hashes and rollups carry over unchanged, so a
-post-clone ``verify_deep`` certifies the copy); the driver touches only
-manifests and the commit marker. Resumable: a crashed clone re-runs and
-skips partitions whose destination fence is already written; the commit
-marker lands last.
+Scale design: one Ray task per partition copies its file (byte-for-byte,
+manifest footer included — content hashes and rollups carry over
+unchanged, so a post-clone ``verify_deep`` certifies the copy); the
+driver touches only the epoch indexes and the commit marker. Resumable: a
+crashed clone re-runs and skips partitions whose destination fence is
+already written; the index and the commit marker land last.
 
 Reference parity note: ARLAS-proc has no snapshot management at all
 (append-mode Parquet, ``sql/WritableDataFrame.scala:68-76``); cloning
@@ -48,8 +48,9 @@ def clone_snapshot(
     e = src_store._resolve_epoch_arg(epoch)
     if e is None:
         raise RuntimeError("source store has no committed epoch")
-    sources = src_store.resolve_sources(e)
-    num_parts = src_store.read_epoch_summary(e)["num_partitions"]
+    index = src_store.epoch_index(e)
+    num_parts = len(index)
+    srcs = [m.epoch for m in index]
 
     dest = SnapshotStore(
         dest_root,
@@ -65,45 +66,50 @@ def clone_snapshot(
     src_root = src_store.root
 
     @ray.remote(num_cpus=0.25)
-    def copy_part(part: int) -> dict:
-        # fresh store handles inside the task (no driver state shipped)
-        s = SnapshotStore(src_root)
-        d = SnapshotStore(dest_root)
-        if d.partition_done(dest_epoch, part):  # crash-resume fence
-            m = d.read_manifest(dest_epoch, part)
-            return {"rows": m.row_count, "bytes": 0, "skipped": True}
-        src_e = sources.get(part, e)
-        m = s.read_manifest(src_e, part)
-        data_src = s.part_data_path(src_e, part)
-        out_dir = d.epoch_dir(dest_epoch)
-        os.makedirs(out_dir, exist_ok=True)
-        n_bytes = 0
-        data_dst = d.part_data_path(dest_epoch, part)
-        if os.path.exists(data_src):
-            tmp = data_dst + ".tmp"
-            shutil.copyfile(data_src, tmp)  # byte-for-byte: hashes carry
-            os.replace(tmp, data_dst)
-            n_bytes = os.path.getsize(data_dst)
-        # manifest last (it IS the fence): epoch renumbered, rest intact
-        import json
+    def copy_part(part: int) -> int:
+        return _copy_partition(src_root, srcs[part], dest_root, dest_epoch,
+                               part)
 
-        cloned = dataclasses.replace(m, epoch=dest_epoch)
-        payload = json.dumps(dataclasses.asdict(cloned))
-        tmp = d.part_manifest_path(dest_epoch, part) + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(payload)
-        os.replace(tmp, d.part_manifest_path(dest_epoch, part))
-        return {"rows": m.row_count, "bytes": n_bytes, "skipped": False}
-
-    results = ray.get([copy_part.remote(p) for p in range(num_parts)])
-    dest.commit_epoch(dest_epoch, num_parts)
+    copied = ray.get([copy_part.remote(p) for p in range(num_parts)])
+    dest.commit_epoch(dest_epoch, num_parts, _manifests={
+        p: dataclasses.replace(m, epoch=dest_epoch) for p, m in enumerate(index)
+    })
     return {
         "epoch": dest_epoch,
         "source_epoch": e,
         "partitions": num_parts,
-        "rows": sum(r["rows"] for r in results),
-        "bytes": sum(r["bytes"] for r in results),
+        "rows": sum(m.row_count for m in index),
+        "bytes": sum(copied),
     }
+
+
+def _copy_partition(src_root: str, src_epoch: int, dest_root: str,
+                    dest_epoch: int, part: int) -> int:
+    """Copy one partition's file byte for byte into ``dest_epoch`` of the
+    store at ``dest_root``, unless it is already there (crash-resume);
+    returns the bytes copied. A file from a store written before the
+    epoch index has its JSON manifest copied after it, renumbered, as
+    its fence."""
+    import json
+
+    from arlas_proc_ray.cdc.snapshot import SnapshotStore, _atomic_write_bytes
+
+    # fresh store handles inside the task (no driver state shipped)
+    s, d = SnapshotStore(src_root), SnapshotStore(dest_root)
+    if d.partition_done(dest_epoch, part):
+        return 0
+    os.makedirs(d.epoch_dir(dest_epoch), exist_ok=True)
+    data_src = s.part_data_path(src_epoch, part)
+    data_dst = d.part_data_path(dest_epoch, part)
+    tmp = data_dst + ".tmp"
+    shutil.copyfile(data_src, tmp)  # byte-for-byte: hashes carry
+    os.replace(tmp, data_dst)
+    if os.path.exists(s.part_manifest_path(src_epoch, part)):
+        m = dataclasses.replace(s.read_manifest(src_epoch, part),
+                                epoch=dest_epoch)
+        _atomic_write_bytes(d.part_manifest_path(dest_epoch, part),
+                            json.dumps(dataclasses.asdict(m)).encode())
+    return os.path.getsize(data_dst)
 
 
 def sync_snapshot(
@@ -120,7 +126,7 @@ def sync_snapshot(
     commits one new destination epoch whose source map DELTA-REFERENCES
     the prior destination epoch for unchanged partitions (the same
     metadata-chain mechanism as ``apply_epoch(delta=True)``), so an
-    idle source costs one manifest pass and zero data bytes. A source
+    idle source costs one index read and zero data bytes. A source
     fan-out change forces a full re-copy into the new destination epoch
     (pre-images across a repartition are not comparable). The synced
     source epoch is recorded in ``<dest>/_SYNC`` — the destination
@@ -162,15 +168,16 @@ def sync_snapshot(
         return {"mode": "noop", "epoch": dest_tip, "source_epoch": e,
                 "partitions_copied": 0}
 
-    num_parts = src_store.read_epoch_summary(e)["num_partitions"]
+    index = src_store.epoch_index(e)
+    srcs = [m.epoch for m in index]
+    num_parts = len(index)
     prev_parts = src_store.read_epoch_summary(prev_src)["num_partitions"]
-    cur_sources = src_store.resolve_sources(e)
     full = num_parts != prev_parts
     if not full:
         prev_sources = src_store.resolve_sources(prev_src)
         changed = [
             p for p in range(num_parts)
-            if cur_sources.get(p, e) != prev_sources.get(p, prev_src)
+            if srcs[p] != prev_sources.get(p, prev_src)
         ]
     else:
         changed = list(range(num_parts))
@@ -179,39 +186,20 @@ def sync_snapshot(
     src_root = src_store.root
 
     @ray.remote(num_cpus=0.25)
-    def copy_part(part: int) -> dict:
-        s = SnapshotStore(src_root)
-        d = SnapshotStore(dest_root)
-        if d.partition_done(dest_epoch, part):  # crash-resume fence
-            m = d.read_manifest(dest_epoch, part)
-            return {"rows": m.row_count, "bytes": 0}
-        src_e = cur_sources.get(part, e)
-        m = s.read_manifest(src_e, part)
-        os.makedirs(d.epoch_dir(dest_epoch), exist_ok=True)
-        n_bytes = 0
-        data_src = s.part_data_path(src_e, part)
-        data_dst = d.part_data_path(dest_epoch, part)
-        if os.path.exists(data_src):
-            tmp = data_dst + ".tmp"
-            shutil.copyfile(data_src, tmp)
-            os.replace(tmp, data_dst)
-            n_bytes = os.path.getsize(data_dst)
-        cloned = dataclasses.replace(m, epoch=dest_epoch)
-        payload = json.dumps(dataclasses.asdict(cloned))
-        tmp = d.part_manifest_path(dest_epoch, part) + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(payload)
-        os.replace(tmp, d.part_manifest_path(dest_epoch, part))
-        return {"rows": m.row_count, "bytes": n_bytes}
+    def copy_part(part: int) -> int:
+        return _copy_partition(src_root, srcs[part], dest_root, dest_epoch,
+                               part)
 
-    results = ray.get([copy_part.remote(p) for p in changed])
+    copied = ray.get([copy_part.remote(p) for p in changed])
     sources = {
         p: dest_prev_sources.get(p, dest_tip)
         for p in range(num_parts)
         if p not in set(changed)
     } if not full else None
     dest.commit_epoch(
-        dest_epoch, num_parts, sources=sources, expected_prev=dest_tip
+        dest_epoch, num_parts, sources=sources, expected_prev=dest_tip,
+        _manifests={p: dataclasses.replace(index[p], epoch=dest_epoch)
+                    for p in changed},
     )
     _atomic_write_bytes(
         sync_path, json.dumps({"src_epoch": int(e)}).encode()
@@ -222,5 +210,5 @@ def sync_snapshot(
         "source_epoch": e,
         "partitions_copied": len(changed),
         "partitions_referenced": num_parts - len(changed),
-        "bytes": sum(r["bytes"] for r in results),
+        "bytes": sum(copied),
     }

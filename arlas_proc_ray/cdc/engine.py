@@ -11,15 +11,15 @@ staged exchange (cdc/staged.py) in raw Ray tasks:
         partitions, each partition through ``apply_partition`` — the
         one kernel of every store writer (vectorized, whole partition),
         here with CDC's fold (``cdc_fold``):
-              · fence: if this epoch's manifest for p exists → skip (resume)
+              · fence: if this epoch's file for p exists → skip (resume)
               · read partition p of the previous committed snapshot
-              · drop events with lsn <= prior manifest last_lsn
-                (an event is never applied twice across runs)
+              · drop events with lsn <= its last_lsn in the previous
+                epoch's index (an event is never applied twice across runs)
               · union prior state (as lsn=last_lsn upsert rows) + events,
                 exact LWW by lsn, drop DELETE tombstones, sha256 only the
                 newly-surviving rows
-              · atomic write part-p.parquet then manifest-p.json
-      → driver writes the epoch _COMMITTED marker
+              · atomic write of part-p.parquet, its manifest in the footer
+      → driver writes the epoch index, then the _COMMITTED marker
 
 With one merge group (a 1-CPU session, or P = 1) and at most
 ``sizing.INLINE_BYTES`` (8 MiB) of input, the split and the merge run as
@@ -50,7 +50,7 @@ import pyarrow.compute as pc
 
 from arlas_proc_ray.cdc.events import FINAL_STATE_SCHEMA, default_registry
 from arlas_proc_ray.cdc.replay import finalize_partition_table
-from arlas_proc_ray.cdc.snapshot import SnapshotStore, summary_sources
+from arlas_proc_ray.cdc.snapshot import SnapshotStore
 from arlas_proc_ray.model import DataModel
 
 
@@ -131,27 +131,30 @@ def copy_fold(watermark: int, ev, prior, prior_last: int):
 
 
 def apply_partition(store: SnapshotStore, epoch: int, part: int, events,
-                    prior_src, fold, *, delta: bool = False,
+                    prior, fold, *, delta: bool = False,
                     fault_hook=None):
     """Apply one partition of one epoch: the step every writer of the
     store ends in (CDC epochs, ``merge_into``, ``repartition_snapshot``),
     after the staged exchange (cdc/staged.py) routed ``events`` to it.
 
     ``events`` is a list of tables routed to ``part`` (any may be empty);
-    ``prior_src`` is the epoch holding the partition's committed file
-    (``None`` on an empty store, or for a writer that reads no prior
-    state). ``fold(events, prior, prior_last)`` is the writer's own step:
+    ``prior`` is ``(source epoch, applied watermark)`` of the partition's
+    committed file, from the previous epoch's index (``None`` on an empty
+    store, or for a writer that reads no prior state). ``fold(events,
+    prior, prior_last)`` is the writer's own step:
     it gets the concatenated events (``None`` if there are none), the
     prior state and its applied-LSN watermark, and returns ``(final,
     watermark, (events_in, fence_dropped, events_applied))``, where
     ``final`` is the new state or ``None`` for "unchanged". In order:
 
-    - fence: this epoch's manifest for ``part`` exists → return it (resume);
-    - prior read: state and applied-LSN watermark of ``prior_src``;
+    - fence: this epoch's file for ``part`` exists → return its manifest,
+      rebuilt from the file (resume);
+    - prior read: the state in the prior source epoch's file;
     - fold;
-    - unchanged: with ``delta`` and a prior file, return ``int(prior_src)``
-      (reference it, no rewrite); otherwise carry the prior state forward;
-    - ``fault_hook(epoch, part)``, then the atomic write + manifest.
+    - unchanged: with ``delta`` and a prior file, return the prior source
+      epoch (reference it, no rewrite); otherwise carry the prior state
+      forward;
+    - ``fault_hook(epoch, part)``, then the atomic write.
 
     Every written manifest carries the same metrics: ``events_in``,
     ``fence_dropped``, ``events_applied`` and ``apply_s``.
@@ -159,20 +162,19 @@ def apply_partition(store: SnapshotStore, epoch: int, part: int, events,
     if store.partition_done(epoch, part):  # crash-resume fence
         return store.read_manifest(epoch, part)
     t0 = time.perf_counter()
-    prior, prior_last = None, -1
-    if prior_src is not None:
-        prior = store.read_partition(prior_src, part)
-        pm = store.read_manifest(prior_src, part)
-        prior_last = pm.last_lsn if pm else -1
+    state, prior_last = None, -1
+    if prior is not None:
+        state = store.read_partition(prior[0], part)
+        prior_last = prior[1]
     live = [t for t in events if t.num_rows]
     ev = pa.concat_tables(live, promote_options="default") if live else None
     final, watermark, (events_in, dropped, applied) = fold(
-        ev, prior, prior_last
+        ev, state, prior_last
     )
     if final is None:
-        if delta and prior_src is not None:
-            return int(prior_src)
-        final = prior if prior is not None else FINAL_STATE_SCHEMA.empty_table()
+        if delta and prior is not None:
+            return int(prior[0])
+        final = state if state is not None else FINAL_STATE_SCHEMA.empty_table()
     if fault_hook is not None:
         fault_hook(epoch, part)
     return store.write_partition(
@@ -188,22 +190,18 @@ def apply_partition(store: SnapshotStore, epoch: int, part: int, events,
 
 def open_epoch(store: SnapshotStore, dm: DataModel, epoch: int):
     """Check that ``epoch`` may be applied on top of the store; return
-    ``(prev_epoch, prior_src)``: the latest committed epoch and a function
-    mapping a partition to the epoch holding its committed file (``None``
+    ``(prev_epoch, prior)``: the latest committed epoch and, from its
+    index, each partition's ``(source epoch, applied watermark)`` (empty
     on an empty store)."""
     prev = store.latest_committed_epoch()
     if prev is not None and prev >= epoch:
         raise ValueError(f"epoch {epoch} already committed (latest {prev})")
-    sources = {}
-    if prev is not None:  # one summary read: the fan-out and the sources
-        summary = store.read_epoch_summary(prev)
-        check_committed_fanout(dm, prev, summary)
-        sources = summary_sources(summary, prev)
-
-    def prior_src(part: int):
-        return None if prev is None else sources.get(part, prev)
-
-    return prev, prior_src
+    prior = {}
+    if prev is not None:  # one index: the fan-out, sources and fences
+        index = store.epoch_index(prev)
+        check_committed_fanout(dm, prev, len(index))
+        prior = {p: (m.epoch, m.last_lsn) for p, m in enumerate(index)}
+    return prev, prior
 
 
 class EpochAuditError(RuntimeError):
@@ -306,10 +304,10 @@ class CdcEngine:
         oversized input into sub-epochs, so a caller that numbers epochs
         itself (jobs, tailers, demux) stays in lockstep with the store.
 
-        ``publish=False`` (write-audit-publish): every partition file and
-        manifest is written exactly as usual, but the ``_COMMITTED``
-        marker is withheld — a ``_STAGED`` marker records the pending
-        commit arguments instead. The cut is invisible to every reader
+        ``publish=False`` (write-audit-publish): every partition file is
+        written exactly as usual, but the epoch index and the
+        ``_COMMITTED`` marker are withheld — a ``_STAGED`` marker records
+        the pending commit arguments instead. The cut is invisible to every reader
         (snapshot isolation) until ``publish_epoch``; ``audit_staged``
         inspects it, ``discard_staged`` drops it. Re-running the same
         staged epoch resumes through the normal partition fences.
@@ -364,17 +362,7 @@ class CdcEngine:
         _atomic_write_bytes(
             self._staged_marker_path(epoch), json.dumps(payload).encode()
         )
-        rows = sum(
-            m.row_count
-            for m in (
-                self.store.read_manifest(
-                    payload["sources"].get(str(p), epoch), p
-                )
-                for p in range(self.dm.num_partitions)
-            )
-            if m is not None
-        )
-        return {**payload, "staged": True, "row_count": rows}
+        return {**payload, "staged": True, "row_count": self._staged_rows(epoch)}
 
     def read_staged(self, epoch: int) -> dict | None:
         import json
@@ -396,6 +384,13 @@ class CdcEngine:
             for p in range(st["num_partitions"])
         ]
         return [f for f in files if os.path.exists(f)]
+
+    def _staged_rows(self, epoch: int) -> int:
+        """Rows of the staged cut, from its files' Parquet footers."""
+        import pyarrow.parquet as pq
+
+        return sum(pq.read_metadata(f).num_rows
+                   for f in self._staged_files(epoch))
 
     def staged_state(self, epoch: int, columns=None):
         """The staged (uncommitted) cut as a pruned-column Dataset."""
@@ -446,7 +441,7 @@ class CdcEngine:
     ) -> dict:
         """Audit a staged cut before publishing (the A of WAP).
 
-        Manifest-only checks (no data read): ``min_rows`` / ``max_rows``
+        Footer-only checks (no data read): ``min_rows`` / ``max_rows``
         bounds on the staged total, and ``max_shrink_fraction`` — the
         classic mass-delete guard: fail when the staged cut lost more
         than that fraction of the previously committed rows (a buggy
@@ -461,16 +456,7 @@ class CdcEngine:
         st = self.read_staged(epoch)
         if st is None:
             raise RuntimeError(f"epoch {epoch} is not staged")
-        rows = sum(
-            m.row_count
-            for m in (
-                self.store.read_manifest(
-                    int(st["sources"].get(str(p), epoch)), p
-                )
-                for p in range(st["num_partitions"])
-            )
-            if m is not None
-        )
+        rows = self._staged_rows(epoch)
         if min_rows is not None:
             checks.append({"name": "min_rows", "ok": rows >= min_rows,
                            "detail": f"{rows} >= {min_rows}"})
@@ -1058,12 +1044,12 @@ class CdcEngine:
         kernel every write uses, so only the ≤ ``len(keys)`` partition
         files that can contain them are candidates — at P=64 a point read
         touches 1/64th of a 100-TB snapshot, independent of table size. A
-        candidate whose manifest blooms prove every key routed to it
-        absent is not opened. Each opened file is read in this process and
-        its matching rows kept with an Arrow semi join on the key columns
-        (byte-exact), in file order, partitions ascending. Missing and
-        deleted keys simply return no row; a repeated key returns its row
-        once. ``epoch`` (an epoch number or a ref name; default latest)
+        candidate whose blooms in the epoch index prove every key routed
+        to it absent is not opened. Each opened file is read in this
+        process and its matching rows kept with an Arrow semi join on the
+        key columns (byte-exact), in file order, partitions ascending.
+        Missing and deleted keys simply return no row; a repeated key
+        returns its row once. ``epoch`` (an epoch number or a ref name; default latest)
         time-travels to any committed epoch (merge-on-read resolved).
         """
         import numpy as np
@@ -1082,18 +1068,15 @@ class CdcEngine:
             raise RuntimeError("no committed epoch")
         # route with the fan-out the snapshot was COMMITTED with (may differ
         # from dm.num_partitions after a repartition_snapshot)
-        summary = self.store.read_epoch_summary(e)
-        sources = summary_sources(summary, e)
-        pids = partition_ids(req, key_cols, int(summary["num_partitions"]))
+        index = self.store.epoch_index(e)
+        pids = partition_ids(req, key_cols, len(index))
         out = []
         for p in np.unique(pids).tolist():
             routed = req.filter(pa.array(pids == p))
-            m = self.store.read_manifest(sources.get(p, e), p)
-            if m is not None and (
-                m.row_count == 0 or blooms_exclude(m.blooms, routed)
-            ):
+            m = index[p]
+            if m.row_count == 0 or blooms_exclude(m.blooms, routed):
                 continue
-            t = self.store.read_partition(sources.get(p, e), p)
+            t = self.store.read_partition(m.epoch, p)
             if t is None or t.num_rows == 0:
                 continue
             hit = _rows_with_keys(t, routed)
@@ -1106,7 +1089,8 @@ class CdcEngine:
     def scan(self, **kwargs):
         """Pruned streaming read of the committed snapshot (see
         SnapshotStore.scan): zone-map + applied-LSN partition pruning from
-        manifests only, pushdown residual filter, lazy Ray Dataset out."""
+        the epoch index only, pushdown residual filter, lazy Ray Dataset
+        out."""
         return self.store.scan(**kwargs)
 
     def final_state(self, epoch: int | None = None) -> pa.Table:
@@ -1144,15 +1128,14 @@ def _rows_with_keys(table: pa.Table, keys: pa.Table) -> pa.Table:
 
 
 def check_committed_fanout(dm: DataModel, prev_epoch: int,
-                           summary: dict) -> None:
+                           committed_p: int) -> None:
     """Reject writes whose DataModel fan-out disagrees with the snapshot,
-    given ``summary``, the commit summary of ``prev_epoch``.
+    given ``committed_p``, the partition count of ``prev_epoch``.
 
     After ``repartition_snapshot`` the committed fan-out changes; an engine
     still configured with the old ``num_partitions`` would route keys to
     the wrong partitions (silent key splits). Guard every write path.
     """
-    committed_p = int(summary["num_partitions"])
     if committed_p != dm.num_partitions:
         raise ValueError(
             f"snapshot fan-out is {committed_p} partitions (epoch "

@@ -99,7 +99,7 @@ def merge_into(
 
     from arlas_proc_ray.cdc.staged import _Epoch
 
-    prev_epoch, prior_src = open_epoch(engine.store, engine.dm, epoch)
+    prev_epoch, prior = open_epoch(engine.store, engine.dm, epoch)
     fold = partial(
         merge_fold,
         key_cols=engine.dm.key_list,
@@ -110,7 +110,7 @@ def merge_into(
         source_lsn_col=source_lsn_col,
     )
     writer = _Epoch(engine, epoch, fold, prev_epoch=prev_epoch,
-                    prior_src=prior_src, delta=True)
+                    prior=prior, delta=True)
     return engine._staged_exchange(
         source_ds.materialize(), epoch, writer=writer
     )

@@ -1,16 +1,39 @@
-"""Epoch-fenced Parquet snapshot store with per-partition manifests.
+"""Epoch-fenced Parquet snapshot store: one data file per partition, one
+index per epoch.
 
 The exactly-once sink (BASELINE.json north_star): Ray tasks are
-at-least-once, so correctness comes from *idempotent* writes —
+at-least-once, so correctness comes from *idempotent* writes. An epoch
+``e`` lives under ``snapshot_dir/epoch=<e>/``:
 
-- each epoch writes under ``snapshot_dir/epoch=<e>/``: one Parquet file and
-  one JSON manifest per partition, each written to a ``.tmp`` path, fsynced,
-  then atomically ``os.replace``d (a retried task overwrites with identical
-  bytes — harmless);
-- a partition whose manifest for epoch e already exists is SKIPPED on
-  re-run (crash-resume: finished partitions cost nothing);
+- ``part-<p>.parquet``, one per partition written this epoch, is the only
+  durable file a partition write makes: written to a ``.tmp`` path,
+  fsynced, then atomically ``os.replace``d (a retried task overwrites
+  with identical bytes — harmless). Its Parquet key-value footer carries
+  what the rows cannot give back (``_FOOTER_KEY``): the applied-LSN
+  watermark ``last_lsn``, ``max_surviving_lsn``, ``row_count``, the
+  apply ``metrics`` and which columns have blooms;
+- a partition whose data file exists with that footer is SKIPPED on
+  re-run (crash-resume: finished partitions cost nothing), and only
+  then is its manifest rebuilt, from the footer plus the same rollup,
+  bloom and zone-map function the write ran;
+- ``_index.arrow`` (``INDEX_NAME``), written by ``commit_epoch`` just
+  before the marker, is the epoch's columnar index: an Arrow IPC table
+  with one row per partition — source epoch, counts, LSNs, rollup, zone
+  maps, raw bloom bitmaps and metrics — from the manifests the kernels
+  returned and, for partitions a delta epoch references, from the
+  previous index. Planning, lookups, stats, history and audits read it,
+  never a per-partition file;
 - the epoch becomes visible only when the ``_COMMITTED`` marker (written
   last, atomically) exists; readers resolve ``latest_committed_epoch``.
+
+So a 64-partition epoch is 66 files. Each store handle keeps the last
+index it committed or read in memory, checked against the marker's inode
+and mtime; it is never pickled into a task.
+
+Stores written before the index kept one ``manifest-<p>.json`` beside
+each data file and no ``_index.arrow``. They still read: such a manifest
+is returned as it is, and an epoch without an index has its index built
+in memory from its manifests (``_load_index``).
 
 Manifest per partition (FIXTURES.md §4): ``partition_id, last_lsn,
 row_count, sha256_rollup`` — the rollup is an order-free hash of the
@@ -57,57 +80,88 @@ class PartitionManifest:
     # observational, never read by the fence/resume logic.
     metrics: dict = field(default_factory=dict)
     # Zone maps: {column: [min, max]} over the partition's surviving rows,
-    # for int/float columns and short strings (both bounds ≤ 64 chars).
+    # for int/float columns and short strings (both bounds ≤ 64 chars),
+    # taken from the Parquet writer's row-group statistics (``_zone_maps``).
     # Purely an OPTIMIZATION surface for scan-time partition pruning —
     # absence (older manifests) just means "cannot prune".
     col_stats: dict = field(default_factory=dict)
-    # Bloom filters: {column: {"m": bits, "k": hashes, "b64": bitmap,
-    # "h": "siphash:<key>"}} over the partition's surviving rows, for
+    # Bloom filters: {column: {"m": bits, "k": hashes, "h": "siphash:<key>",
+    # "bits": bitmap bytes}} over the partition's surviving rows, for
     # point-lookup (==) pruning. Zone maps cannot prune equality
     # predicates on hash-partitioned key columns (every partition spans
     # the full key domain); blooms can. "h" names the value hash:
     # pandas' siphash under the named 16-byte key, a key apart from the
     # one partition routing uses; a bloom without it (written before the
-    # tag) hashed with a sha256 prefix and is still probed that way. Same
+    # tag) hashed with a sha256 prefix and is still probed that way. A
+    # bloom read from an old JSON manifest holds its bitmap base64-encoded
+    # as "b64" instead of "bits" (``_bloom_bytes``). Same
     # optimization-only contract as col_stats: absence = cannot prune.
     blooms: dict = field(default_factory=dict)
 
 
 _STATS_MAX_STR = 64
+# the Parquet writer's default statistics size limit: a string bound
+# longer than this many bytes is not kept, and reads back as ""
+_STATS_MAX_BYTES = 4096
 
 
-def _column_stats(table: pa.Table) -> dict:
-    """JSON-serializable per-column [min, max] zone maps.
+def _zone_maps(md: pq.FileMetaData, schema: pa.Schema) -> dict:
+    """JSON-serializable per-column [min, max] zone maps of one file, from
+    the row-group statistics its writer kept: no pass over the rows.
 
-    Collected with the Arrow min_max kernel (vectorized, no Python rows).
-    Long strings (e.g. file content) are skipped: a truncated max is not a
-    valid upper bound, and nobody range-filters on them anyway."""
-    import pyarrow.compute as pc
+    The same bounds the Arrow ``min_max`` kernel gives over the whole
+    table, for int, float and string columns: NaN never bounds (a column
+    whose only values are NaN gets ``[inf, -inf]``, which nothing
+    matches), an all-null column has none, and strings are kept only when
+    both bounds are at most 64 chars (a truncated max is not a valid
+    upper bound, and nobody range-filters on file content). A string
+    bound over ``_STATS_MAX_BYTES`` is not stored by the writer and reads
+    back as "", so a row group whose bounds read "" for a column chunk of
+    more than that many bytes leaves the column unbounded."""
     import pyarrow.types as pt
 
     stats: dict = {}
-    if table.num_rows == 0:
+    if md.num_rows == 0:
         return stats
-    for name in table.column_names:
-        col = table.column(name)
-        t = col.type
-        if not (pt.is_integer(t) or pt.is_floating(t) or pt.is_string(t)
-                or pt.is_large_string(t)):
+    leaf = {md.schema.column(i).path: i for i in range(md.num_columns)}
+    for f in schema:
+        t = f.type
+        is_str = pt.is_string(t) or pt.is_large_string(t)
+        is_float = pt.is_floating(t)
+        if f.name not in leaf or not (pt.is_integer(t) or is_float or is_str):
             continue
-        try:
-            mm = pc.min_max(col)
-        except pa.ArrowNotImplementedError:  # pragma: no cover
+        ci = leaf[f.name]
+        lo = hi = None
+        known, valued = True, False
+        for rg in range(md.num_row_groups):
+            col = md.row_group(rg).column(ci)
+            st = col.statistics
+            if st is None:
+                known = False
+                break
+            if st.num_values == 0:  # only nulls
+                continue
+            valued = True
+            if not st.has_min_max:
+                known = is_float  # floats: every value was NaN
+                if not known:
+                    break
+                continue
+            a, b = st.min, st.max
+            if is_str and b == "" and (
+                a != "" or col.total_uncompressed_size > _STATS_MAX_BYTES
+            ):
+                known = False  # a dropped long bound
+                break
+            lo = a if lo is None else min(lo, a)
+            hi = b if hi is None else max(hi, b)
+        if not known or not valued:
             continue
-        lo, hi = mm["min"].as_py(), mm["max"].as_py()
-        if lo is None or hi is None:  # all-null column
+        if lo is None:  # NaN-only, as min_max reports it
+            lo, hi = float("inf"), float("-inf")
+        if is_str and (len(lo) > _STATS_MAX_STR or len(hi) > _STATS_MAX_STR):
             continue
-        if isinstance(lo, str) and (
-            len(lo) > _STATS_MAX_STR or len(hi) > _STATS_MAX_STR
-        ):
-            continue
-        if isinstance(lo, float) and (lo != lo or hi != hi):  # NaN bounds
-            continue
-        stats[name] = [lo, hi]
+        stats[f.name] = [lo, hi]
     return stats
 
 
@@ -215,12 +269,10 @@ def _bloom_positions(vals, num_bits: int, num_hashes: int,
 
 
 def _bloom_build(col, num_rows: int) -> dict:
-    """One packed base64 bitmap for a column; ~8 bits/row (FP ≈ 3% at
-    k=3), clamped to [1 KiB, 128 KiB] and rounded up to a power of two
-    (h2 is odd, hence coprime with a power-of-two m). Tagged ``"h"``
-    with its value hash, ``_BLOOM_SCHEME``."""
-    import base64
-
+    """One packed bitmap for a column; ~8 bits/row (FP ≈ 3% at k=3),
+    clamped to [1 KiB, 128 KiB] and rounded up to a power of two (h2 is
+    odd, hence coprime with a power-of-two m). Tagged ``"h"`` with its
+    value hash, ``_BLOOM_SCHEME``."""
     import numpy as np
 
     bits = _BLOOM_MIN_BITS
@@ -231,12 +283,17 @@ def _bloom_build(col, num_rows: int) -> dict:
         hit[pos[pos >= 0]] = True
     # bit p lives in byte p >> 3 at position p & 7
     bm = np.packbits(hit, bitorder="little")
-    return {
-        "m": bits,
-        "k": _BLOOM_HASHES,
-        "b64": base64.b64encode(bm.tobytes()).decode(),
-        "h": _BLOOM_SCHEME,
-    }
+    return {"m": bits, "k": _BLOOM_HASHES, "h": _BLOOM_SCHEME,
+            "bits": bm.tobytes()}
+
+
+def _bloom_bytes(bloom: dict) -> bytes:
+    """A bloom's packed bitmap: ``"bits"``, or an old JSON manifest's
+    base64 ``"b64"``."""
+    import base64
+
+    bits = bloom.get("bits")
+    return base64.b64decode(bloom["b64"]) if bits is None else bits
 
 
 def _bloom_absent(bloom: dict, positions):
@@ -245,11 +302,9 @@ def _bloom_absent(bloom: dict, positions):
     ``positions`` is ``_bloom_positions(values, bloom["m"], bloom["k"],
     _scheme(bloom))``; a null probe (position -1) says nothing, so it is
     never absent."""
-    import base64
-
     import numpy as np
 
-    bm = np.frombuffer(base64.b64decode(bloom["b64"]), dtype=np.uint8)
+    bm = np.frombuffer(_bloom_bytes(bloom), dtype=np.uint8)
     p = np.maximum(positions, 0)
     unset = ((bm[p >> 3] >> (p & 7).astype(np.uint8)) & 1) == 0
     return (unset & (positions >= 0)).any(axis=0)
@@ -442,6 +497,88 @@ def summary_sources(summary: dict, epoch: int) -> dict[int, int]:
     return {p: epoch for p in range(summary["num_partitions"])}
 
 
+# the footer key-value entry holding a partition's non-derivable manifest
+# fields, and the file name of an epoch's index
+_FOOTER_KEY = b"arlas.cdc.manifest"
+INDEX_NAME = "_index.arrow"
+
+
+def _derived_manifest(epoch: int, part: int, footer: dict, rows: pa.Table,
+                      md: pq.FileMetaData, schema: pa.Schema) -> PartitionManifest:
+    """A partition's manifest from its footer fields plus what they leave
+    out: the rollup of the ``content_sha256`` column, the blooms of the
+    footer's ``bloom_cols`` and the zone maps of the file's row-group
+    statistics ``md``. The one derivation of both the write and a
+    resume, so a rebuilt manifest equals the written one."""
+    n = footer["row_count"]
+    return PartitionManifest(
+        partition_id=part,
+        epoch=epoch,
+        last_lsn=footer["last_lsn"],
+        row_count=n,
+        sha256_rollup=sha256_rollup(rows.column("content_sha256") if n else []),
+        max_surviving_lsn=footer["max_surviving_lsn"],
+        metrics=footer["metrics"],
+        col_stats=_zone_maps(md, schema),
+        blooms={c: _bloom_build(rows.column(c), n) for c in footer["bloom_cols"]},
+    )
+
+
+_BLOOM_TYPE = pa.list_(pa.struct([
+    ("column", pa.string()), ("m", pa.int64()), ("k", pa.int64()),
+    ("h", pa.string()), ("bits", pa.binary()),
+]))
+
+
+def _index_bytes(manifests: list[PartitionManifest]) -> pa.Buffer:
+    """An epoch index as an Arrow IPC file: row p is partition p, its
+    ``source_epoch`` the epoch holding the file. Zone maps and metrics are
+    JSON text, blooms their raw bitmaps."""
+    table = pa.table({
+        "partition_id": pa.array([m.partition_id for m in manifests], pa.int32()),
+        "source_epoch": pa.array([m.epoch for m in manifests], pa.int64()),
+        "row_count": pa.array([m.row_count for m in manifests], pa.int64()),
+        "last_lsn": pa.array([m.last_lsn for m in manifests], pa.int64()),
+        "max_surviving_lsn": pa.array(
+            [m.max_surviving_lsn for m in manifests], pa.int64()),
+        "sha256_rollup": pa.array([m.sha256_rollup for m in manifests], pa.string()),
+        "col_stats": pa.array([json.dumps(m.col_stats) for m in manifests], pa.string()),
+        "blooms": pa.array([
+            [{"column": c, "m": int(b["m"]), "k": int(b["k"]), "h": _scheme(b),
+              "bits": _bloom_bytes(b)} for c, b in m.blooms.items()]
+            for m in manifests
+        ], _BLOOM_TYPE),
+        "metrics": pa.array([json.dumps(m.metrics) for m in manifests], pa.string()),
+    })
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_file(sink, table.schema) as w:
+        w.write_table(table)
+    return sink.getvalue()
+
+
+def _index_manifests(table: pa.Table) -> list[PartitionManifest]:
+    """The manifests of an epoch index table, in partition order."""
+    cols = table.to_pydict()
+    return [
+        PartitionManifest(
+            partition_id=p, epoch=e, last_lsn=lsn, row_count=n,
+            sha256_rollup=rollup, max_surviving_lsn=surviving,
+            metrics=json.loads(metrics), col_stats=json.loads(stats),
+            blooms={b.pop("column"): b for b in blooms},
+        )
+        for p, e, n, lsn, surviving, rollup, stats, blooms, metrics in zip(
+            cols["partition_id"], cols["source_epoch"], cols["row_count"],
+            cols["last_lsn"], cols["max_surviving_lsn"], cols["sha256_rollup"],
+            cols["col_stats"], cols["blooms"], cols["metrics"],
+        )
+    ]
+
+
+def _version(path: str) -> tuple:
+    st = os.stat(path)
+    return st.st_ino, st.st_mtime_ns
+
+
 class ConcurrentCommitError(RuntimeError):
     """Another writer committed an epoch since this writer planned its own."""
 
@@ -493,6 +630,9 @@ class SnapshotStore:
         # of object-store footprint and scan I/O. A store can be rewritten
         # to a new codec with `jobs optimize --compression`.
         self.compression = compression
+        # (epoch, marker version, index) of the last index committed or
+        # read through this handle (``epoch_index``)
+        self._index = None
         os.makedirs(root, exist_ok=True)
 
     # ---- paths -----------------------------------------------------------
@@ -504,15 +644,32 @@ class SnapshotStore:
         return os.path.join(self.epoch_dir(epoch), f"part-{part:05d}.parquet")
 
     def part_manifest_path(self, epoch: int, part: int) -> str:
+        """Where a store written before the epoch index kept a partition's
+        JSON manifest (read, never written)."""
         return os.path.join(self.epoch_dir(epoch), f"manifest-{part:05d}.json")
+
+    def index_path(self, epoch: int) -> str:
+        return os.path.join(self.epoch_dir(epoch), INDEX_NAME)
 
     def commit_marker_path(self, epoch: int) -> str:
         return os.path.join(self.epoch_dir(epoch), "_COMMITTED")
 
+    def __getstate__(self):
+        # a task reads what it needs itself: the cached index stays here
+        return {**self.__dict__, "_index": None}
+
     # ---- write path ------------------------------------------------------
 
     def partition_done(self, epoch: int, part: int) -> bool:
-        return os.path.exists(self.part_manifest_path(epoch, part))
+        """Whether ``part`` of ``epoch`` is written: its data file exists
+        and carries its manifest, in the footer or, in an old store, as a
+        JSON file beside it."""
+        path = self.part_data_path(epoch, part)
+        if not os.path.exists(path):
+            return False
+        if os.path.exists(self.part_manifest_path(epoch, part)):
+            return True
+        return _FOOTER_KEY in (pq.read_metadata(path).metadata or {})
 
     def write_partition(
         self, epoch: int, part: int, table: pa.Table, *, last_lsn: int | None = None,
@@ -525,6 +682,10 @@ class SnapshotStore:
         computed by the caller BEFORE tombstones are dropped. When omitted
         (legacy/bootstrap callers) it falls back to the max surviving row
         lsn, which is only safe when no DELETE can hold the top LSN.
+
+        One durable file: the manifest's non-derivable fields ride in its
+        footer, and the rest is derived from the rows and the writer's
+        own statistics (``_derived_manifest``).
         """
         if self.cluster_zorder and table.num_rows > 1:
             table = _zorder_cluster(table, self.cluster_zorder)
@@ -540,47 +701,38 @@ class SnapshotStore:
             if table.num_rows
             else -1
         )
-        manifest = PartitionManifest(
-            partition_id=part,
-            epoch=epoch,
-            last_lsn=surviving if last_lsn is None else max(int(last_lsn), surviving),
-            row_count=table.num_rows,
-            sha256_rollup=sha256_rollup(
-                table.column("content_sha256") if table.num_rows else []
-            ),
-            max_surviving_lsn=surviving,
-            metrics=dict(metrics or {}),
-            col_stats=_column_stats(table),
-            blooms={
-                c: _bloom_build(table.column(c), table.num_rows)
-                for c in self.bloom_cols
-                if c in table.column_names and table.num_rows
-            },
-        )
+        footer = {
+            "last_lsn": surviving if last_lsn is None else max(int(last_lsn), surviving),
+            "max_surviving_lsn": surviving,
+            "row_count": table.num_rows,
+            "metrics": dict(metrics or {}),
+            "bloom_cols": [c for c in self.bloom_cols
+                           if c in table.column_names and table.num_rows],
+        }
+        table = table.replace_schema_metadata({
+            **(table.schema.metadata or {}),
+            _FOOTER_KEY: json.dumps(footer).encode(),
+        })
         data_path = self.part_data_path(epoch, part)
         os.makedirs(os.path.dirname(data_path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(data_path), suffix=".parquet.tmp"
         )
+        written: list = []
         try:
             pq.write_table(
                 table, tmp, compression=self.compression,
-                row_group_size=self.row_group_rows,
+                row_group_size=self.row_group_rows, metadata_collector=written,
             )
-            # durable before it is visible: the manifest written next
-            # certifies these bytes
+            # durable before it is visible: its existence is the fence
             os.fsync(fd)
             os.replace(tmp, data_path)
         finally:
             os.close(fd)
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        # manifest LAST: its existence certifies the data file is complete
-        _atomic_write_bytes(
-            self.part_manifest_path(epoch, part),
-            json.dumps(vars(manifest)).encode(),
-        )
-        return manifest
+        return _derived_manifest(epoch, part, footer, table, written[0],
+                                 table.schema)
 
     def commit_epoch(
         self,
@@ -588,8 +740,11 @@ class SnapshotStore:
         num_partitions: int,
         sources: dict[int, int] | None = None,
         expected_prev: int | None | type(...) = ...,
+        *,
+        _manifests: dict | None = None,
     ) -> dict:
-        """Write the _COMMITTED marker once every partition manifest exists.
+        """Write the epoch index, then the _COMMITTED marker, once every
+        partition is written.
 
         ``sources`` (delta epochs): partition → epoch whose file holds that
         partition's current state. Partitions untouched by this epoch point
@@ -605,6 +760,12 @@ class SnapshotStore:
         silently mixed state. A single-writer retry never reaches here
         (the engine rejects re-applying a committed epoch earlier).
         Default ``...`` skips the check (legacy callers).
+
+        ``_manifests``: partition → the manifest its kernel returned for
+        this epoch, handed over by the exchange so that no metadata is
+        read back. A written partition missing from it (a clone, a
+        staged publish) has its manifest rebuilt from its file; a
+        referenced one comes from the index that lists it.
         """
         if expected_prev is not ...:
             latest = self.latest_committed_epoch()
@@ -615,10 +776,16 @@ class SnapshotStore:
                     f"on top of the current state"
                 )
         sources = {int(p): int(e) for p, e in (sources or {}).items()}
-        manifests = [
-            self.read_manifest(sources.get(p, epoch), p)
-            for p in range(num_partitions)
-        ]
+        written = _manifests or {}
+        indexes: dict = {}
+        manifests = []
+        for p in range(num_partitions):
+            src = sources.get(p, epoch)
+            if src != epoch:
+                m = self._indexed_manifest(src, p, indexes)
+            else:
+                m = written.get(p) or self.read_manifest(epoch, p)
+            manifests.append(m)
         missing = [p for p, m in enumerate(manifests) if m is None]
         if missing:
             raise RuntimeError(f"epoch {epoch}: partitions not done: {missing[:10]}")
@@ -630,19 +797,88 @@ class SnapshotStore:
             "rollup": sha256_rollup([m.sha256_rollup for m in manifests]),
             "sources": {str(p): sources.get(p, epoch) for p in range(num_partitions)},
         }
-        _atomic_write_bytes(
-            self.commit_marker_path(epoch), json.dumps(summary).encode()
-        )
+        _atomic_write_bytes(self.index_path(epoch), _index_bytes(manifests))
+        marker = self.commit_marker_path(epoch)
+        _atomic_write_bytes(marker, json.dumps(summary).encode())
+        self._index = (epoch, _version(marker), manifests)
         return summary
+
+    def _indexed_manifest(self, src: int, part: int, indexes: dict):
+        """The manifest of ``part`` as written by epoch ``src``: from the
+        cached index when it lists that file, else from ``src``'s own
+        index (loaded once per commit into ``indexes``), else from the
+        file."""
+        if src not in indexes:
+            cached = self._index[2] if self._index else None
+            if cached and part < len(cached) and cached[part].epoch == src:
+                return cached[part]
+            indexes[src] = (self._load_index(src)
+                            if os.path.exists(self.commit_marker_path(src))
+                            else None)
+        idx = indexes[src]
+        if idx is not None and part < len(idx) and idx[part].epoch == src:
+            return idx[part]
+        return self.read_manifest(src, part)
 
     # ---- read path -------------------------------------------------------
 
     def read_manifest(self, epoch: int, part: int) -> PartitionManifest | None:
+        """The manifest of the file ``epoch`` wrote for ``part``, or None:
+        an old store's JSON manifest as it is, else one rebuilt from the
+        data file's footer and rows (``_derived_manifest``). For the cold
+        callers and resume; planning and lookups read the epoch index."""
         p = self.part_manifest_path(epoch, part)
-        if not os.path.exists(p):
+        if os.path.exists(p):
+            with open(p) as f:
+                return PartitionManifest(**json.load(f))
+        path = self.part_data_path(epoch, part)
+        if not os.path.exists(path):
             return None
-        with open(p) as f:
-            return PartitionManifest(**json.load(f))
+        with pq.ParquetFile(path) as f:
+            meta = f.metadata.metadata or {}
+            if _FOOTER_KEY not in meta:
+                return None
+            footer = json.loads(meta[_FOOTER_KEY])
+            cols = ["content_sha256", *footer["bloom_cols"]]
+            rows = f.read(columns=list(dict.fromkeys(cols))
+                          if footer["row_count"] else [])
+            return _derived_manifest(epoch, part, footer, rows, f.metadata,
+                                     f.schema_arrow)
+
+    def epoch_index(self, epoch: int) -> list[PartitionManifest]:
+        """The committed ``epoch``'s index: partition p's manifest at
+        position p, its ``epoch`` being the epoch that holds the file.
+
+        The last index this handle committed or loaded is kept in memory
+        and reused while the ``_COMMITTED`` marker has the same inode and
+        mtime. Callers must not modify the list."""
+        marker = self.commit_marker_path(epoch)
+        try:
+            version = _version(marker)
+        except FileNotFoundError:
+            raise RuntimeError(f"epoch {epoch} is not committed") from None
+        if self._index is not None and self._index[:2] == (epoch, version):
+            return self._index[2]
+        manifests = self._load_index(epoch)
+        self._index = (epoch, version, manifests)
+        return manifests
+
+    def _load_index(self, epoch: int) -> list[PartitionManifest]:
+        """A committed epoch's index from its ``_index.arrow``, or, for an
+        epoch committed before the index existed, built from its JSON
+        manifests by way of the marker's source map."""
+        path = self.index_path(epoch)
+        if os.path.exists(path):
+            with pa.OSFile(path) as f:
+                return _index_manifests(pa.ipc.open_file(f).read_all())
+        summary = self.read_epoch_summary(epoch)
+        manifests = []
+        for p, src in sorted(summary_sources(summary, epoch).items()):
+            m = self.read_manifest(src, p)
+            if m is None:
+                raise RuntimeError(f"epoch {epoch}: missing manifest for part {p}")
+            manifests.append(m)
+        return manifests
 
     def latest_committed_epoch(self) -> int | None:
         """Highest epoch with a ``_COMMITTED`` marker. Markers are checked
@@ -811,12 +1047,12 @@ class SnapshotStore:
         }
 
     def epoch_history(self) -> list[dict]:
-        """Per-epoch lineage time series from commit markers + manifests
-        ONLY — no data files read: for every committed epoch, the row
-        count, applied-LSN watermark, events applied and rewritten vs
-        referenced partition counts (delta epochs reference untouched
-        partitions instead of rewriting them). The ops answer to "what
-        did each ingest cycle actually do?"."""
+        """Per-epoch lineage time series from the epoch indexes ONLY — no
+        data files read: for every committed epoch, the row count,
+        applied-LSN watermark, events applied and rewritten vs referenced
+        partition counts (delta epochs reference untouched partitions
+        instead of rewriting them). The ops answer to "what did each
+        ingest cycle actually do?"."""
         out: list[dict] = []
         if not os.path.isdir(self.root):
             return out
@@ -829,36 +1065,29 @@ class SnapshotStore:
             )
         )
         for e in epochs:
-            summary = self.read_epoch_summary(e)
-            sources = self.resolve_sources(e)
-            num_parts = summary["num_partitions"]
-            rewritten = sum(
-                1 for p in range(num_parts) if sources.get(p, e) == e
-            )
-            events = 0
-            for p in range(num_parts):
-                if sources.get(p, e) != e:
-                    continue  # referenced partition: no work this epoch
-                m = self.read_manifest(e, p)
-                if m is not None:
-                    events += int(m.metrics.get("events_applied", 0) or 0)
+            index = self.epoch_index(e)
+            # a referenced partition did no work this epoch
+            written = [m for m in index if m.epoch == e]
             out.append({
                 "epoch": e,
-                "row_count": summary["row_count"],
-                "last_lsn": summary["last_lsn"],
-                "num_partitions": num_parts,
-                "partitions_rewritten": rewritten,
-                "partitions_referenced": num_parts - rewritten,
-                "events_applied": events,
+                "row_count": sum(m.row_count for m in index),
+                "last_lsn": max((m.last_lsn for m in index), default=-1),
+                "num_partitions": len(index),
+                "partitions_rewritten": len(written),
+                "partitions_referenced": len(index) - len(written),
+                "events_applied": sum(
+                    int(m.metrics.get("events_applied", 0) or 0)
+                    for m in written),
             })
         return out
 
     def table_stats(self, epoch: int | str | None = None) -> dict:
-        """Table-level statistics from MANIFESTS ONLY — no data files read.
+        """Table-level statistics from the EPOCH INDEX ONLY — no data
+        files read.
 
         The ANALYZE / information-schema surface a query planner wants:
         row count, applied-LSN watermark, per-column global [min, max].
-        At 100 TB this is P small JSON reads (KBs), the same plan-time
+        At 100 TB this is one index read of P rows, the same plan-time
         cost class as ``plan_scan`` — never a data scan.
 
         A column's global bounds are reported only when EVERY non-empty
@@ -868,8 +1097,7 @@ class SnapshotStore:
         e = self._resolve_epoch_arg(epoch)
         if e is None:
             raise RuntimeError("no committed epoch")
-        sources = self.resolve_sources(e)
-        num_parts = self.read_epoch_summary(e)["num_partitions"]
+        index = self.epoch_index(e)
 
         row_count = 0
         applied_lsn = -1
@@ -879,10 +1107,7 @@ class SnapshotStore:
         col_lo: dict = {}
         col_hi: dict = {}
         col_seen: dict = {}
-        for p in range(num_parts):
-            m = self.read_manifest(sources.get(p, e), p)
-            if m is None:
-                continue
+        for m in index:
             row_count += m.row_count
             applied_lsn = max(applied_lsn, m.last_lsn)
             max_surviving = max(max_surviving, m.max_surviving_lsn)
@@ -901,7 +1126,7 @@ class SnapshotStore:
         }
         return {
             "epoch": e,
-            "partitions": num_parts,
+            "partitions": len(index),
             "nonempty_partitions": nonempty,
             "row_count": row_count,
             "applied_lsn": applied_lsn,
@@ -930,10 +1155,10 @@ class SnapshotStore:
         predicate: list[tuple] | None = None,
         changed_since_lsn: int | None = None,
     ) -> dict:
-        """Manifest-only pruning plan for a snapshot scan.
+        """Index-only pruning plan for a snapshot scan.
 
-        Decides, from manifests alone (KBs, no data I/O), which partition
-        files a scan must read:
+        Decides, from the epoch index alone (no data I/O), which
+        partition files a scan must read:
 
         - ``changed_since_lsn``: partitions whose applied watermark
           (``last_lsn``) is ≤ the given LSN provably received no event
@@ -960,17 +1185,11 @@ class SnapshotStore:
         e = self._resolve_epoch_arg(epoch)
         if e is None:
             raise RuntimeError("no committed epoch")
-        summary = self.read_epoch_summary(e)
-        sources = summary_sources(summary, e)
-        num_partitions = summary["num_partitions"]
+        index = self.epoch_index(e)
         bloom_prunes = _BloomProbes(predicate)
         files: list[str] = []
         pruned_lsn = pruned_stats = pruned_empty = pruned_bloom = 0
-        for p in range(num_partitions):
-            src = sources.get(p, e)
-            m = self.read_manifest(src, p)
-            if m is None:  # pragma: no cover - commit_epoch guarantees
-                raise RuntimeError(f"epoch {e}: missing manifest for part {p}")
+        for p, m in enumerate(index):
             if m.row_count == 0:
                 pruned_empty += 1
                 continue
@@ -983,11 +1202,11 @@ class SnapshotStore:
             if m.blooms and bloom_prunes(m.blooms):
                 pruned_bloom += 1
                 continue
-            files.append(self.part_data_path(src, p))
+            files.append(self.part_data_path(m.epoch, p))
         return {
             "epoch": e,
             "files": files,
-            "partitions_total": num_partitions,
+            "partitions_total": len(index),
             "pruned_lsn": pruned_lsn,
             "pruned_stats": pruned_stats,
             "pruned_bloom": pruned_bloom,
@@ -1006,13 +1225,14 @@ class SnapshotStore:
         """Pruned read of a committed snapshot as a Ray Dataset.
 
         Partition files are pruned by ``plan_scan`` (zone maps, blooms and
-        applied-LSN watermarks, manifests only). How the surviving files
+        applied-LSN watermarks, from the epoch index only). How the surviving files
         are read depends on their size on disk:
 
         - up to ``SMALL_SCAN_BYTES``, eagerly in this process: each file
           with ``pq.ParquetFile.read`` (``columns=`` plus the predicate's
           columns), the predicate applied as an Arrow filter, and the
-          table wrapped with ``ray.data.from_arrow``. A selective scan
+          table wrapped as one block (``ray.data.from_blocks``, which,
+          unlike ``from_arrow``, starts no task). A selective scan
           then costs its I/O, not the streaming executor's start-up;
         - above it, lazily with ``ray.data.read_parquet``, the SAME
           predicate pushed down as a pyarrow dataset filter (row-group/
@@ -1041,10 +1261,9 @@ class SnapshotStore:
         expr = _predicate_to_expr(clauses) if clauses else None
         if not plan["files"]:
             # typed empty dataset: schema from any live partition file
-            sources = self.resolve_sources(plan["epoch"])
             schema = None
-            for p, src in sorted(sources.items()):
-                path = self.part_data_path(src, p)
+            for p, m in enumerate(self.epoch_index(plan["epoch"])):
+                path = self.part_data_path(m.epoch, p)
                 if os.path.exists(path):
                     schema = pq.read_schema(path)
                     break
@@ -1053,9 +1272,10 @@ class SnapshotStore:
             empty = schema.empty_table()
             if columns:
                 empty = empty.select(columns)
-            return rd.from_arrow(empty)
+            return rd.from_blocks([empty])
         if sum(os.stat(f).st_size for f in plan["files"]) <= SMALL_SCAN_BYTES:
-            return rd.from_arrow(_read_small(plan["files"], columns, clauses, expr))
+            return rd.from_blocks(
+                [_read_small(plan["files"], columns, clauses, expr)])
         # partitioning=None: the hive-style ``epoch=N`` path segment must
         # not be inferred as a column — scan schema equals file schema.
         # (Ray 2.49 can't combine partitioning=None with columns=; with a
@@ -1070,9 +1290,9 @@ class SnapshotStore:
         The north-rule's per-partition lineage surface: one row per
         (epoch, partition) with the fence watermark, row count, sha256
         rollup, whether the file is live in the latest committed epoch's
-        source map, and the apply metrics as a JSON string. Reads only
-        manifests (KBs), never data files — constant-cost introspection
-        at any table size.
+        source map, and the apply metrics as a JSON string. A committed
+        epoch's rows come from its index; an uncommitted epoch's from its
+        files' manifests.
         """
         latest = self.latest_committed_epoch()
         live = self.resolve_sources(latest) if latest is not None else {}
@@ -1087,13 +1307,19 @@ class SnapshotStore:
                     continue
                 e = int(name.split("=", 1)[1])
                 committed = os.path.exists(self.commit_marker_path(e))
-                for f in sorted(os.listdir(os.path.join(self.root, name))):
-                    if not (f.startswith("manifest-") and f.endswith(".json")):
-                        continue
-                    p = int(f[len("manifest-"):-len(".json")])
-                    m = self.read_manifest(e, p)
-                    if m is None:
-                        continue
+                if committed:
+                    written = [m for m in self.epoch_index(e) if m.epoch == e]
+                else:
+                    parts = sorted({
+                        int(f.split("-", 1)[1].split(".", 1)[0])
+                        for f in os.listdir(os.path.join(self.root, name))
+                        if f.startswith(("part-", "manifest-"))
+                        and f.endswith((".parquet", ".json"))
+                    })
+                    written = [m for m in (self.read_manifest(e, p)
+                                           for p in parts) if m is not None]
+                for m in written:
+                    p = m.partition_id
                     rows["epoch"].append(e)
                     rows["partition_id"].append(p)
                     rows["last_lsn"].append(m.last_lsn)
@@ -1129,7 +1355,7 @@ class SnapshotStore:
         """Distributed integrity check of a committed snapshot.
 
         One Ray task per live partition re-reads its data file and checks,
-        against the manifest: row count and the order-free
+        against the epoch index: row count and the order-free
         ``sha256_rollup`` of the ``content_sha256`` column (detects a
         swapped/truncated/bit-rotted file). ``recompute_hashes=True``
         additionally re-hashes the ``content`` column with the same
@@ -1155,15 +1381,12 @@ class SnapshotStore:
         e = self._resolve_epoch_arg(epoch)
         if e is None:
             raise RuntimeError("no committed epoch")
-        sources = self.resolve_sources(e)
+        index = self.epoch_index(e)
         store = self
 
         @ray.remote(num_cpus=0.5)
-        def check(part: int, src: int) -> dict:
-            m = store.read_manifest(src, part)
-            if m is None:
-                return {"partition": part, "ok": False, "error": "no manifest"}
-            t = store.read_partition(src, part)
+        def check(part: int, m: PartitionManifest) -> dict:
+            t = store.read_partition(m.epoch, part)
             if t is None:
                 return {"partition": part, "ok": False, "error": "no data file"}
             errs = []
@@ -1192,12 +1415,14 @@ class SnapshotStore:
 
         todo = []
         skipped = 0
-        for p, src in sorted(sources.items()):
-            if changed_since_epoch is not None and src <= changed_since_epoch:
+        for p, m in enumerate(index):
+            if changed_since_epoch is not None and m.epoch <= changed_since_epoch:
                 skipped += 1
                 continue
-            todo.append((p, src))
-        results = ray.get([check.remote(p, src) for p, src in todo])
+            # the task needs the counts, not the blooms
+            todo.append((p, PartitionManifest(
+                p, m.epoch, m.last_lsn, m.row_count, m.sha256_rollup)))
+        results = ray.get([check.remote(p, m) for p, m in todo])
         bad = [r for r in results if not r["ok"]]
         return {
             "ok": not bad,

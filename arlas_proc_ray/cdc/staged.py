@@ -31,8 +31,9 @@ The P partitions are cut into G = min(P, CPUs in
                    partition's rows out of its inputs as zero-copy views
                    and runs the per-partition kernel
                    (``cdc.engine.apply_partition``: fence, prior read,
-                   the writer's fold, fenced write + manifest) over its
-                   partitions in turn.
+                   the writer's fold, fenced write) over its partitions
+                   in turn, and returns their manifests, from which the
+                   driver commits the epoch index.
 
 An exchange object is one table plus bounds, not a ``{partition: table}``
 dict, because Ray pays a fixed cost for every Arrow table it serializes:
@@ -153,14 +154,15 @@ class _Epoch:
     The writer supplies ``fold`` (its per-partition step, see
     ``cdc.engine.apply_partition``), and optionally ``head`` (a
     per-block step the split tasks run before routing), the fan-out
-    ``num_partitions`` (the engine's by default) and ``prior_src``
-    (partition → epoch of its committed file; ``None`` reads no prior
-    state). ``prev_epoch`` is the commit's ``expected_prev``.
+    ``num_partitions`` (the engine's by default) and ``prior``
+    (partition → ``(source epoch, applied watermark)`` of its committed
+    file, as ``open_epoch`` returns it; ``None`` reads no prior state).
+    ``prev_epoch`` is the commit's ``expected_prev``.
     """
 
     def __init__(self, engine, epoch: int, fold, *, head=None,
                  num_partitions: int | None = None, prev_epoch=None,
-                 prior_src=None, delta: bool = False,
+                 prior=None, delta: bool = False,
                  delta_max_age: int | None = None):
         self.store, self.epoch, self.fold, self.head = (
             engine.store, epoch, fold, head
@@ -168,7 +170,7 @@ class _Epoch:
         self.key_list = engine.dm.key_list
         self.num_partitions = num_partitions or engine.dm.num_partitions
         self.prev_epoch = prev_epoch
-        self.prior_src = prior_src or (lambda part: None)
+        self.prior = prior or {}
         self.delta, self.delta_max_age = delta, delta_max_age
         self.fault_hook = engine.fault_hook
 
@@ -184,11 +186,12 @@ class _Epoch:
         delta_max_age`` (then it is carried forward: compaction)."""
         if not self.delta or self.delta_max_age is None:
             return self.delta
-        src = self.prior_src(part)
-        return src is None or src >= self.epoch - self.delta_max_age
+        prior = self.prior.get(part)
+        return prior is None or prior[0] >= self.epoch - self.delta_max_age
 
     def finish(self, engine, results: list, publish: bool) -> dict:
-        # a kernel returns an int source epoch for a referenced partition
+        # a kernel returns an int source epoch for a referenced partition,
+        # and the manifest of the file it wrote otherwise
         sources = {
             p: r for p, r in enumerate(results) if isinstance(r, int)
         } or None
@@ -197,6 +200,8 @@ class _Epoch:
         return self.store.commit_epoch(
             self.epoch, self.num_partitions, sources=sources,
             expected_prev=self.prev_epoch,
+            _manifests={p: r for p, r in enumerate(results)
+                        if not isinstance(r, int)},
         )
 
 
@@ -206,14 +211,14 @@ def cdc_epoch(engine, epoch: int, dead_letter_dir=None, delta: bool = False,
     the fence and finalize per partition (``cdc.engine.cdc_fold``).
     ``opened`` is ``open_epoch``'s result when the caller has already
     validated the epoch; it is opened here otherwise."""
-    prev_epoch, prior_src = opened or open_epoch(engine.store, engine.dm, epoch)
+    prev_epoch, prior = opened or open_epoch(engine.store, engine.dm, epoch)
     # shared ingest head: structural validity (DLQ) or alignment, then
     # table-constraint enforcement (engine._ingest_fn / cdc/constraints.py)
     align = engine._ingest_fn(epoch, dead_letter_dir)
     return _Epoch(
         engine, epoch, partial(cdc_fold, engine.dm),
         head=partial(_combine, engine.dm, align), prev_epoch=prev_epoch,
-        prior_src=prior_src, delta=delta, delta_max_age=delta_max_age,
+        prior=prior, delta=delta, delta_max_age=delta_max_age,
     )
 
 
@@ -224,7 +229,7 @@ def _apply_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
     return [
         apply_partition(
             ctx.store, ctx.epoch, p, _partition_views(inputs, p),
-            ctx.prior_src(p), ctx.fold, delta=ctx.delta_for(p),
+            ctx.prior.get(p), ctx.fold, delta=ctx.delta_for(p),
             fault_hook=ctx.fault_hook,
         )
         for p in parts

@@ -464,8 +464,8 @@ def read_changelog_jsonl(paths, *, target_bytes: int = 64 * 1024 * 1024,
     over at most ``sizing.INLINE_BYTES`` is read and decoded in this
     process (``sizing.runs_in_process``), one decode and one block per
     range as the Ray Data path runs them, and comes back as a
-    ``from_arrow`` Dataset (unless ``batch_size`` asks for Ray Data's
-    re-batching)."""
+    ``from_blocks`` Dataset, which starts no task (unless ``batch_size``
+    asks for Ray Data's re-batching)."""
     import ray.data as rd
 
     plans = _jsonl_range_plans(
@@ -473,7 +473,7 @@ def read_changelog_jsonl(paths, *, target_bytes: int = 64 * 1024 * 1024,
     )
     if not plans:  # empty directory: typed empty stream
         return decode_debezium(
-            rd.from_arrow(pa.table({"text": pa.array([], pa.string())})),
+            rd.from_blocks([pa.table({"text": pa.array([], pa.string())})]),
             json_col="text", **decode_kwargs,
         )
     tasks = min(len(plans), sizing.session_cpus())
@@ -488,10 +488,10 @@ def read_changelog_jsonl(paths, *, target_bytes: int = 64 * 1024 * 1024,
         ]
         # one block per range that decoded to anything, its version
         # tables concatenated as Ray Data's block builder does
-        return rd.from_arrow([
+        return rd.from_blocks([
             pa.concat_tables(tables, promote_options="default")
             for tables in decoded if tables
-        ] or CANONICAL_EVENT_SCHEMA.empty_table())
+        ] or [CANONICAL_EVENT_SCHEMA.empty_table()])
 
     def read_ranges(batch: pa.Table) -> pa.Table:
         parts = [

@@ -43,7 +43,7 @@ Usage (each command owns the Ray session; on a cluster, submit with
     python -m arlas_proc_ray.jobs index --snapshot /s --kind secondary --value-col language
     python -m arlas_proc_ray.jobs curate --input docs.parquet --out /curated --mixture en:70,fr:30
 
-    # introspection: manifest-only stats/history, ad-hoc SQL, views, GC
+    # introspection: index-only stats/history, ad-hoc SQL, views, GC
     python -m arlas_proc_ray.jobs stats --snapshot /s
     python -m arlas_proc_ray.jobs history --snapshot /s
     python -m arlas_proc_ray.jobs sql --snapshot /s --query "SELECT count(*) FROM snapshot"
@@ -293,7 +293,7 @@ def cmd_purge(args) -> dict:
 
 def cmd_lineage(args) -> dict:
     """Dump the per-partition manifest history (SnapshotStore.lineage)
-    as JSON rows — constant-cost introspection (manifests only)."""
+    as JSON rows — from the epoch indexes, no data read."""
     from arlas_proc_ray.cdc.snapshot import SnapshotStore
 
     lin = SnapshotStore(args.snapshot).lineage()
@@ -525,7 +525,7 @@ def cmd_gc(args) -> dict:
 
 
 def cmd_history(args) -> dict:
-    """Per-epoch lineage time series (manifest-only; cdc/snapshot.py
+    """Per-epoch lineage time series (index-only; cdc/snapshot.py
     epoch_history): rows, watermark, events applied, rewritten vs
     referenced partitions for every committed epoch."""
     from arlas_proc_ray.cdc.snapshot import SnapshotStore
@@ -818,16 +818,12 @@ def cmd_verify(args) -> dict:
             recompute_hashes=getattr(args, "recompute_hashes", False),
             changed_since_epoch=getattr(args, "changed_since_epoch", None),
         )
-    sources = store.resolve_sources(epoch)
-    rows = 0
-    parts = 0
-    for p, e in sorted(sources.items()):
-        m = store.read_manifest(e, p)
-        if m is None:
-            return {"ok": False, "error": f"missing manifest for partition {p}"}
-        rows += m.row_count
-        parts += 1
-    return {"ok": True, "epoch": epoch, "partitions": parts, "rows": rows}
+    try:
+        index = store.epoch_index(epoch)
+    except RuntimeError as e:  # an old store with a manifest missing
+        return {"ok": False, "error": str(e)}
+    return {"ok": True, "epoch": epoch, "partitions": len(index),
+            "rows": sum(m.row_count for m in index)}
 
 
 def cmd_publish_es(args) -> dict:
@@ -1158,7 +1154,7 @@ def main(argv=None) -> int:
     hi.add_argument("--snapshot", required=True)
     hi.set_defaults(fn=cmd_history)
 
-    st = sub.add_parser("stats", help="manifest-only table statistics")
+    st = sub.add_parser("stats", help="index-only table statistics")
     st.add_argument("--snapshot", required=True)
     st.add_argument("--epoch", default=None,
                     help="epoch number or ref name (default: latest committed)")

@@ -71,7 +71,7 @@ def test_fork_applies_tail_without_double_apply(tmp_path):
     pd.testing.assert_frame_equal(_state(fork), _state(tip))
 
 
-def test_clone_resume_after_crash(tmp_path):
+def test_clone_resume_after_crash(tmp_path, parent_layout):
     """A clone that died mid-copy (some partition fences written, no
     commit marker) resumes: finished partitions are skipped, the result
     equals a clean clone."""
@@ -93,11 +93,7 @@ def test_clone_resume_after_crash(tmp_path):
         sh.copyfile(
             eng.store.part_data_path(src_e, p), d.part_data_path(0, p)
         )
-        import dataclasses
-
-        m = eng.store.read_manifest(src_e, p)
-        with open(d.part_manifest_path(0, p), "w") as f:
-            json.dump(dataclasses.asdict(dataclasses.replace(m, epoch=0)), f)
+    parent_layout(d, 0)
     before = os.path.getmtime(d.part_data_path(0, 0))
 
     res = clone_snapshot(eng.store, dst)

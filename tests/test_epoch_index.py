@@ -1,0 +1,399 @@
+"""One data file per partition, one index per epoch (cdc/snapshot.py).
+
+Pins: an epoch directory holds its partition files, ``_index.arrow`` and
+``_COMMITTED`` and nothing else; the index a commit writes equals the
+manifests rebuilt from the files' footers; the write path reads no
+metadata back (the commit takes the kernels' manifests, the next epoch
+the cached index); the cache follows the marker and stays out of
+pickles; footer zone maps prune exactly as the Arrow ``min_max`` zone
+maps did; a crash at every step of the moved fence resumes to the
+oracle for every writer; and a store written before the index (JSON
+manifests, no index) reads, prunes and takes new epochs as it did.
+"""
+
+import io
+import os
+import pickle
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+import ray.data as rd
+
+from arlas_proc_ray.cdc import sizing, snapshot, staged
+from arlas_proc_ray.cdc.engine import CdcEngine
+from arlas_proc_ray.cdc.events import ChangelogConfig, generate_changelog_tables
+from arlas_proc_ray.cdc.oracle import oracle_final_state
+from arlas_proc_ray.cdc.snapshot import SnapshotStore, _stats_may_match, _zone_maps
+from arlas_proc_ray.functions.hashing import sha256_hex
+from arlas_proc_ray.model import DataModel
+
+
+def one_group_plan(num_partitions: int) -> list[range]:
+    return staged.group_plan(num_partitions, 1)
+
+
+def _events(cfg, lo, hi):
+    return rd.from_arrow(generate_changelog_tables(cfg, lo, hi))
+
+
+def test_an_epoch_is_its_files_an_index_and_a_marker(tmp_path):
+    cfg = ChangelogConfig(num_events=2000, num_keys=1500, seed=61)
+    eng = CdcEngine(str(tmp_path), DataModel(num_partitions=64))
+    eng.apply_epoch(_events(cfg, 0, 1000), 1)
+    eng.apply_epoch(_events(cfg, 1000, 2000), 2)
+    for e in (1, 2):
+        names = sorted(os.listdir(eng.store.epoch_dir(e)))
+        assert len(names) == 66
+        assert names == ["_COMMITTED", "_index.arrow"] + [
+            f"part-{p:05d}.parquet" for p in range(64)]
+
+
+def test_index_equals_the_manifests_in_the_footers(tmp_path):
+    """The index a commit writes (and caches) is the manifests its
+    kernels returned; a fresh handle reads the same rows from disk, and
+    each equals the manifest rebuilt from its file's footer."""
+    cfg = ChangelogConfig(num_events=3000, num_keys=400, seed=62)
+    P = 8
+    eng = CdcEngine(str(tmp_path), DataModel(num_partitions=P))
+    eng.apply_epoch(_events(cfg, 0, 1500), 1)
+    eng.apply_epoch(_events(cfg, 1500, 1503), 2, delta=True)
+    cached = eng.store.epoch_index(2)
+    fresh = SnapshotStore(eng.store.root)
+    on_disk = fresh.epoch_index(2)
+    assert [vars(m) for m in on_disk] == [vars(m) for m in cached]
+    summary = fresh.read_epoch_summary(2)
+    assert {str(p): m.epoch for p, m in enumerate(on_disk)} == summary["sources"]
+    assert sum(m.row_count for m in on_disk) == summary["row_count"]
+    assert any(m.epoch == 1 for m in on_disk)  # the delta referenced some
+    for p, m in enumerate(on_disk):
+        assert vars(fresh.read_manifest(m.epoch, p)) == vars(m)
+        assert set(m.blooms) == {"repo", "path"} or m.row_count == 0
+    assert fresh.read_manifest(2, P) is None
+
+
+def test_write_path_reads_no_metadata(tmp_path, monkeypatch):
+    """After the first commit, further epochs, lookups and scans on the
+    same engine read no manifest, summary or index file: the commit
+    takes its manifests from the kernels and primes the cache."""
+    monkeypatch.setattr(staged, "session_groups", one_group_plan)
+    cfg = ChangelogConfig(num_events=3000, num_keys=400, seed=63)
+    state = oracle_final_state(generate_changelog_tables(cfg))
+    key = (state.column("repo")[0].as_py(), state.column("path")[0].as_py())
+    eng = CdcEngine(str(tmp_path), DataModel(num_partitions=8))
+    eng.apply_epoch(_events(cfg, 0, 1000), 1)
+    reads = []
+    for name in ("read_manifest", "read_epoch_summary", "_load_index"):
+        fn = getattr(SnapshotStore, name)
+        monkeypatch.setattr(
+            SnapshotStore, name,
+            lambda self, *a, _fn=fn, _name=name: reads.append(_name) or _fn(self, *a))
+    eng.apply_epoch(_events(cfg, 1000, 2000), 2)
+    eng.apply_epoch(_events(cfg, 2000, 3000), 3, delta=True)
+    assert eng.lookup([key]).num_rows == 1
+    assert eng.scan(predicate=[("repo", "==", key[0])]).count() >= 1
+    eng.store.table_stats()
+    assert reads == []
+
+
+def test_index_cache_follows_the_marker_and_stays_out_of_pickles(tmp_path):
+    store = SnapshotStore(str(tmp_path))
+    t = oracle_final_state(generate_changelog_tables(
+        ChangelogConfig(num_events=500, num_keys=100, seed=64)))
+    store.write_partition(1, 0, t)
+    store.commit_epoch(1, 1)
+    first = store.epoch_index(1)
+    assert store.epoch_index(1) is first  # cached
+    assert pickle.loads(pickle.dumps(store))._index is None
+    # the epoch rewritten under the same number (a new marker inode)
+    store.write_partition(1, 0, t.slice(0, 10))
+    SnapshotStore(store.root).commit_epoch(1, 1)
+    assert store.epoch_index(1)[0].row_count == 10
+    with pytest.raises(RuntimeError, match="not committed"):
+        store.epoch_index(2)
+
+
+# ---------------------------------------------------------------- zone maps
+def _column_stats_reference(table: pa.Table) -> dict:
+    """The zone maps manifests carried before they came from the footer:
+    the Arrow ``min_max`` kernel over every int, float and string column,
+    NaN bounds dropped, strings only when both bounds have ≤ 64 chars."""
+    import pyarrow.compute as pc
+    import pyarrow.types as pt
+
+    stats = {}
+    if table.num_rows == 0:
+        return stats
+    for name in table.column_names:
+        t = table.column(name).type
+        if not (pt.is_integer(t) or pt.is_floating(t) or pt.is_string(t)):
+            continue
+        mm = pc.min_max(table.column(name))
+        lo, hi = mm["min"].as_py(), mm["max"].as_py()
+        if lo is None or hi is None:
+            continue
+        if isinstance(lo, str) and (len(lo) > 64 or len(hi) > 64):
+            continue
+        if isinstance(lo, float) and (lo != lo or hi != hi):
+            continue
+        stats[name] = [lo, hi]
+    return stats
+
+
+def _random_table(rng, n: int) -> pa.Table:
+    def maybe_null(vals, frac):
+        return [None if rng.random() < frac else v for v in vals]
+
+    ints = rng.integers(-50, 50, n)
+    floats = rng.normal(0, 10, n).round(1)
+    floats[rng.random(n) < rng.choice([0.0, 0.3, 1.0])] = np.nan
+    alphabet = list("abcé")
+    short = ["".join(rng.choice(alphabet, rng.integers(0, 4))) for _ in range(n)]
+    long_ = ["x" * int(rng.choice([1, 40, 70, 5000])) + str(i) for i in range(n)]
+    return pa.table({
+        "i": pa.array(maybe_null(ints.tolist(), rng.choice([0.0, 0.2, 1.0])),
+                      pa.int64()),
+        "f": pa.array(maybe_null(floats.tolist(), rng.choice([0.0, 0.2])),
+                      pa.float64()),
+        "s": pa.array(maybe_null(short, rng.choice([0.0, 0.2])), pa.string()),
+        "l": pa.array(long_, pa.string()),
+    })
+
+
+def _random_predicate(rng, table: pa.Table) -> list:
+    col = str(rng.choice(table.column_names))
+    op = str(rng.choice(["==", "!=", "<", "<=", ">", ">="]))
+    vals = [v for v in table.column(col).to_pylist() if v is not None]
+    if col == "i":
+        val = int(rng.integers(-60, 60))
+    elif col == "f":
+        val = round(float(rng.normal(0, 12)), 1)
+    elif vals and rng.random() < 0.5:
+        val = vals[int(rng.integers(len(vals)))]
+    else:
+        val = "".join(rng.choice(list("abcéxz"), rng.integers(0, 5)))
+    return [(col, op, val)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_footer_zone_maps_prune_as_min_max_did(seed):
+    """Over random tables of several row groups and random predicates on
+    int, float (with NaN), short- and long-string columns, the zone maps
+    taken from the writer's row-group statistics prune exactly where the
+    ``min_max`` zone maps did."""
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        t = _random_table(rng, int(rng.integers(1, 60)))
+        written = []
+        pq.write_table(t, io.BytesIO(), row_group_size=int(rng.integers(3, 9)),
+                       metadata_collector=written)
+        assert written[0].num_row_groups > 1 or t.num_rows < 9
+        ref, got = _column_stats_reference(t), _zone_maps(written[0], t.schema)
+        assert set(got) == set(ref)
+        for _ in range(40):
+            pred = _random_predicate(rng, t)
+            assert _stats_may_match(got, pred) == _stats_may_match(ref, pred), (
+                pred, got, ref)
+
+
+def test_footer_zone_maps_skip_bounds_the_writer_dropped():
+    """A string longer than the writer keeps in its statistics reads back
+    as "" — never as a bound, also next to a real empty string."""
+    for vals in (["", "y" * 5000], ["a", "y" * 5000], ["y" * 5000]):
+        t = pa.table({"s": vals})
+        written = []
+        pq.write_table(t, io.BytesIO(), metadata_collector=written)
+        assert _zone_maps(written[0], t.schema) == {}
+    t = pa.table({"s": ["", ""]})
+    written = []
+    pq.write_table(t, io.BytesIO(), metadata_collector=written)
+    assert _zone_maps(written[0], t.schema) == {"s": ["", ""]}
+
+
+# ------------------------------------------------------------- crash matrix
+P = 8
+
+
+def _fail_on_index(monkeypatch):
+    """Crash after the last partition, before the index is written."""
+    def boom(manifests):
+        raise RuntimeError("injected crash before the index")
+    monkeypatch.setattr(snapshot, "_index_bytes", boom)
+
+
+def _fail_on_marker(monkeypatch):
+    """Crash after the index is written, before ``_COMMITTED``."""
+    write = snapshot._atomic_write_bytes
+
+    def guarded(path, payload):
+        if path.endswith("_COMMITTED"):
+            raise RuntimeError("injected crash before the marker")
+        write(path, payload)
+    monkeypatch.setattr(snapshot, "_atomic_write_bytes", guarded)
+
+
+def _tear_index(monkeypatch):
+    """Crash halfway through the index write, leaving a torn ``.tmp``."""
+    write = snapshot._atomic_write_bytes
+
+    def torn(path, payload):
+        if not path.endswith(snapshot.INDEX_NAME):
+            return write(path, payload)
+        with open(path + ".tmp", "wb") as f:
+            f.write(bytes(payload)[: len(payload) // 2])
+        raise RuntimeError("injected crash mid-index")
+    monkeypatch.setattr(snapshot, "_atomic_write_bytes", torn)
+
+
+def _crash_at_partition(part):
+    def hook(epoch, p):
+        if p == part:
+            raise RuntimeError("injected crash at a partition")
+    return hook
+
+
+def _writers(cfg, exp):
+    """(name, run(engine, epoch), expected state after it) per writer,
+    each applied on top of a committed first epoch and writing every
+    partition."""
+    from arlas_proc_ray.cdc.merge import merge_into
+
+    src = exp[["repo", "path", "commit", "language"]].assign(
+        content="M:" + exp["path"], lsn=np.arange(len(exp)) + 10**6
+    )
+    merged = exp.assign(
+        content=src["content"], content_size=src["content"].str.len(),
+        content_sha256=sha256_hex(pa.array(src["content"], pa.string())).to_pylist(),
+        last_lsn=src["lsn"],
+    )
+    return {
+        "apply_epoch": (lambda eng, e: eng.apply_epoch(
+            _events(cfg, 600, 1200), e), exp, P),
+        "merge_into": (lambda eng, e: merge_into(
+            eng, rd.from_pandas(src), e), merged, P),
+        "repartition_snapshot": (lambda eng, e: eng.repartition_snapshot(
+            P // 2, epoch=e), exp, P // 2),
+    }
+
+
+@pytest.mark.parametrize("fault", ["partition", "index", "marker", "torn_index"])
+@pytest.mark.parametrize("writer,exchange", [
+    ("apply_epoch", "inline"), ("apply_epoch", "remote"),
+    ("merge_into", "remote"), ("repartition_snapshot", "remote")])
+def test_crash_matrix_resumes_to_oracle(tmp_path, monkeypatch, writer,
+                                        exchange, fault):
+    """A crash at each step of the fence — k of P data files renamed, all
+    renamed but no index, the index but no marker, a torn index ``.tmp``
+    — leaves the epoch invisible; a fresh engine resumes it to the
+    oracle, drops no event at the fence and rewrites no finished file."""
+    cfg = ChangelogConfig(num_events=1200, num_keys=200, seed=65)
+    exp = oracle_final_state(generate_changelog_tables(cfg)).to_pandas()
+    run, want, parts = _writers(cfg, exp)[writer]
+    if exchange == "inline":
+        monkeypatch.setattr(staged, "session_groups", one_group_plan)
+    else:
+        monkeypatch.setattr(sizing, "INLINE_BYTES", -1)
+    snap = str(tmp_path / "snap")
+    dm = DataModel(num_partitions=P)
+    # the CDC epoch applies the second half; MERGE and the repartition
+    # run on the whole changelog
+    CdcEngine(snap, dm).apply_epoch(
+        _events(cfg, 0, 600 if writer == "apply_epoch" else 1200), 1)
+
+    crash_part = 1 if exchange == "remote" else 5  # mid-group either way
+    with monkeypatch.context() as m:
+        hook = None
+        if fault == "partition":
+            hook = _crash_at_partition(crash_part)
+        else:
+            {"index": _fail_on_index, "marker": _fail_on_marker,
+             "torn_index": _tear_index}[fault](m)
+        with pytest.raises(Exception, match="injected crash"):
+            run(CdcEngine(snap, dm, fault_hook=hook), 2)
+    store = SnapshotStore(snap)
+    assert store.latest_committed_epoch() == 1
+    done = {p: os.stat(store.part_data_path(2, p)).st_mtime_ns
+            for p in range(parts) if store.partition_done(2, p)}
+    if fault == "partition":
+        assert crash_part not in done and len(done) < parts
+        if exchange == "inline":  # one group, in order: k = 5 renamed
+            assert sorted(done) == list(range(crash_part))
+    else:
+        assert sorted(done) == list(range(parts))
+        assert os.path.exists(store.index_path(2)) == (fault == "marker")
+    if fault == "torn_index":
+        assert any(f.endswith(".tmp") for f in os.listdir(store.epoch_dir(2)))
+
+    resumed = CdcEngine(snap, DataModel(num_partitions=P))
+    run(resumed, 2)
+    after = CdcEngine(snap, DataModel(num_partitions=parts))
+    pd.testing.assert_frame_equal(after.final_state().to_pandas(), want)
+    assert {p: os.stat(store.part_data_path(2, p)).st_mtime_ns
+            for p in done} == done
+    index = SnapshotStore(snap).epoch_index(2)
+    assert [m.epoch for m in index] == [2] * parts
+    assert sum(m.metrics["fence_dropped"] for m in index) == 0
+    assert after.store.verify_deep()["ok"]
+
+
+# ------------------------------------------------------------ legacy store
+def test_store_written_before_the_index_reads_and_takes_new_epochs(
+        tmp_path, parent_layout):
+    """A store in the earlier layout (a JSON manifest per partition, no
+    epoch index) answers lookups, scans (with the same pruning), stats,
+    history and deep verification as the same store with its indexes,
+    and a delta epoch commits on top of it."""
+    cfg = ChangelogConfig(num_events=3000, num_keys=400, seed=66)
+    dm = DataModel(num_partitions=P)
+    snap = str(tmp_path / "snap")
+    eng = CdcEngine(snap, dm)
+    eng.apply_epoch(_events(cfg, 0, 1500), 1)
+    eng.apply_epoch(_events(cfg, 1500, 2000), 2, delta=True)
+    state = eng.final_state()
+    keys = list(zip(state.column("repo").to_pylist()[::7],
+                    state.column("path").to_pylist()[::7]))
+    keys += [(r, p + ".gone") for r, p in keys[:20]]
+    repos = sorted(set(state.column("repo").to_pylist()))[:6]
+    preds = [[("repo", "==", r)] for r in repos] + [
+        [("last_lsn", ">", 1200)], [("content_size", "<", 300)],
+        [("path", "==", keys[0][1]), ("repo", "==", keys[0][0])]]
+
+    def observe(e):
+        s = e.store
+        return {
+            "lookups": [e.lookup([k]).to_pylist() for k in keys],
+            "plans": [s.plan_scan(predicate=p) for p in preds],
+            "scans": [e.scan(predicate=p).count() for p in preds],
+            "stats": s.table_stats(),
+            "history": s.epoch_history(),
+            "deep": s.verify_deep(),
+            "delta_scan": e.scan(changed_since_lsn=1200).count(),
+        }
+
+    want = observe(eng)
+    # the answers are the oracle's
+    exp = oracle_final_state(generate_changelog_tables(cfg, 0, 2000)).to_pandas()
+    pd.testing.assert_frame_equal(state.to_pandas(), exp)
+    assert [len(rows) for rows in want["lookups"]] == [1] * (len(keys) - 20) + [0] * 20
+    assert want["scans"][:len(repos)] == [int((exp["repo"] == r).sum()) for r in repos]
+    assert want["stats"]["row_count"] == len(exp) and want["deep"]["ok"]
+    assert want["history"][-1]["row_count"] == len(exp)
+    for e in (1, 2):
+        parent_layout(eng.store, e)
+        names = os.listdir(eng.store.epoch_dir(e))
+        assert snapshot.INDEX_NAME not in names
+        assert any(n.startswith("manifest-") for n in names)
+    old = CdcEngine(snap, dm)
+    assert observe(old) == want
+    assert observe(eng) == want  # a cached index goes stale with the marker
+
+    old.apply_epoch(_events(cfg, 2000, 2003), 3, delta=True)
+    exp = oracle_final_state(generate_changelog_tables(cfg, 0, 2003)).to_pandas()
+    pd.testing.assert_frame_equal(old.final_state().to_pandas(), exp)
+    assert os.path.exists(old.store.index_path(3))
+    fresh = SnapshotStore(snap)
+    sources = {m.epoch for m in fresh.epoch_index(3)}
+    assert 3 in sources and sources - {3}  # written and referenced rows
+    assert fresh.verify_deep()["ok"]

@@ -16,8 +16,9 @@ def test_layer_bench_smoke(capsys):
     rows = layer_bench.main(["--smoke"])
     assert [r["kernel"] for r in rows] == [
         "split.per_partition", "split.exchange", "exchange.dict",
-        "exchange.object", "write.write_partition", "read.read_partition",
-        "read.read_table", "lookup.engine", "scan.engine", "scan.engine.lazy",
+        "exchange.object", "write.write_partition", "write.partition",
+        "write.floor", "read.read_partition", "read.read_table",
+        "plan_scan.index", "lookup.engine", "scan.engine", "scan.engine.lazy",
         "bloom.build", "read.inline.2k", "epoch.inline.2k", "read.remote.2k",
         "epoch.remote.2k",
     ]

@@ -74,21 +74,26 @@ def test_lookup_prunes_partitions(engine, monkeypatch):
     assert len(opened) == 1  # exactly one partition file touched
 
 
-def test_lookup_reads_the_summary_once(engine, monkeypatch):
-    """The commit summary is read once per lookup, however many
-    partition files the keys open: each file is read from its epoch in
-    the summary's source map."""
+def test_lookup_reads_no_metadata_file(engine, monkeypatch):
+    """A lookup opens the partition files its keys route to and no
+    commit summary or manifest: the fan-out, the source map and the
+    blooms come from the epoch index, which stays cached between
+    lookups."""
     state = engine.final_state().to_pandas()
     keys = list(state[["repo", "path"]].iloc[::7].itertuples(index=False,
                                                             name=None))
-    reads, opened = [], []
-    summary, partition = engine.store.read_epoch_summary, engine.store.read_partition
+    reads, loads, opened = [], [], []
+    summary, load = engine.store.read_epoch_summary, engine.store._load_index
+    partition = engine.store.read_partition
     monkeypatch.setattr(engine.store, "read_epoch_summary",
                         lambda e: reads.append(e) or summary(e))
+    monkeypatch.setattr(engine.store, "_load_index",
+                        lambda e: loads.append(e) or load(e))
     monkeypatch.setattr(engine.store, "read_partition",
                         lambda e, p: opened.append(p) or partition(e, p))
     assert engine.lookup(keys).num_rows == len(keys)
-    assert reads == [1] and len(opened) > 1
+    assert engine.lookup(keys).num_rows == len(keys)
+    assert reads == [] and len(loads) <= 1 and len(opened) > 1
 
 
 def test_lookup_time_travel_epoch(engine):

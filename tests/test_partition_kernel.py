@@ -23,6 +23,7 @@ from arlas_proc_ray.cdc import replay, sizing, staged
 from arlas_proc_ray.cdc.engine import CdcEngine
 from arlas_proc_ray.cdc.events import ChangelogConfig, generate_changelog_tables
 from arlas_proc_ray.cdc.oracle import oracle_final_state
+from arlas_proc_ray.cdc.snapshot import SnapshotStore
 from arlas_proc_ray.cdc.staged import _split_block, group_plan, session_groups
 from arlas_proc_ray.functions.hashing import sha256_hex
 from arlas_proc_ray.model import DataModel
@@ -175,9 +176,12 @@ def test_more_partitions_than_cpus_all_paths_identical(tmp_path, monkeypatch):
                 )
             ]
         assert eng.store.verify_deep(recompute_hashes=True)["ok"]
+        epochs = range(1, len(tables) + 1)
         manifests = [
-            untimed(eng.store.read_manifest(i, p))
-            for i in range(1, len(tables) + 1) for p in range(P)
+            untimed(eng.store.read_manifest(i, p)) for i in epochs for p in range(P)
+        ] + [  # the index rows, as a fresh handle reads them
+            untimed(m) for i in epochs
+            for m in SnapshotStore(eng.store.root).epoch_index(i)
         ]
         return eng.final_state().to_pandas(), sums, manifests
 

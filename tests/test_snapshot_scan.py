@@ -1,25 +1,28 @@
 """Zone-map + watermark-pruned snapshot scans (cdc/snapshot.py).
 
-Pins: per-partition [min, max] zone maps are collected at write time;
-plan_scan prunes partitions from MANIFESTS ONLY (predicate zone-map
-overlap, changed-since-LSN watermark, empty partitions); scan() returns
-a Ray Dataset whose rows equal a full read + row filter, read in process
-for small plans and through ``read_parquet`` above ``SMALL_SCAN_BYTES``,
+Pins: per-partition [min, max] zone maps are collected at write time,
+from the writer's row-group statistics (tests/test_epoch_index.py pins
+that they prune as the Arrow ``min_max`` ones did); plan_scan prunes
+partitions from the EPOCH INDEX ONLY (predicate zone-map overlap,
+changed-since-LSN watermark, empty partitions); scan() returns a Ray
+Dataset whose rows equal a full read + row filter, read in process for
+small plans and through ``read_parquet`` above ``SMALL_SCAN_BYTES``,
 with the same rows and schema on both paths; manifests written before
 zone maps existed never prune (conservative); delta epochs resolve
 source files through the metadata chain.
 """
 
-import json
 import os
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
+from ray.data.dataset import MaterializedDataset
 
 from arlas_proc_ray.cdc.snapshot import (
     SnapshotStore,
-    _column_stats,
     _stats_may_match,
+    _zone_maps,
 )
 from arlas_proc_ray.functions.hashing import sha256_hex
 
@@ -118,14 +121,13 @@ def test_changed_rows_only(store):
         store.scan(changed_rows_only=True)
 
 
-def test_legacy_manifest_never_prunes(store):
+def test_legacy_manifest_never_prunes(store, parent_layout):
     # simulate a manifest written before zone maps existed
-    p = store.part_manifest_path(0, 3)
-    with open(p) as f:
-        m = json.load(f)
-    del m["col_stats"]
-    with open(p, "w") as f:
-        json.dump(m, f)
+    def strip(part, m):
+        if part == 3:
+            del m["col_stats"]
+
+    parent_layout(store, 0, strip)
     plan = store.plan_scan(predicate=[("v", ">", 10_000)])
     assert len(plan["files"]) == 1  # part 3 kept: no stats → may match
     assert store.scan(predicate=[("v", ">", 10_000)]).count() == 0
@@ -176,6 +178,16 @@ def test_stats_may_match_ops():
         _stats_may_match(st, [("v", "~", 1)])
 
 
+def _written_zone_maps(t: pa.Table, row_group_rows=None) -> dict:
+    """``_zone_maps`` of ``t`` as the store's writer would derive them."""
+    import io
+
+    written = []
+    pq.write_table(t, io.BytesIO(), row_group_size=row_group_rows,
+                   metadata_collector=written)
+    return _zone_maps(written[0], t.schema)
+
+
 def test_column_stats_skips_long_and_null():
     t = pa.table(
         {
@@ -186,7 +198,7 @@ def test_column_stats_skips_long_and_null():
             "bin": pa.array([b"a", b"b"], pa.binary()),
         }
     )
-    st = _column_stats(t)
+    st = _written_zone_maps(t)
     assert "long" not in st and "nul" not in st and "bin" not in st
     assert st["ok"] == [1, 3]
     # NaN participates in Arrow min_max; bounds with NaN are dropped
@@ -258,18 +270,19 @@ def test_table_stats_manifest_only(store, monkeypatch):
     assert s["columns"]["key"] == ["k00-000", "k03-099"]
 
 
-def test_table_stats_partial_zone_maps_omit_column(store, tmp_path):
+def test_table_stats_partial_zone_maps_omit_column(store, tmp_path,
+                                                   parent_layout):
     """A column missing bounds in ANY non-empty partition reports no
     global bounds (absence = unknown, a subset bound would be wrong)."""
     # epoch 1: rewrite partition 2 with a manifest lacking col_stats
-    import dataclasses
-
     for p in range(4):
         store.write_partition(1, p, _part_table(p, p * 100))
-    mp = store.read_manifest(1, 2)
-    stripped = dataclasses.replace(mp, col_stats={})
-    with open(store.part_manifest_path(1, 2), "w") as f:
-        json.dump(dataclasses.asdict(stripped), f)
+
+    def strip(part, m):
+        if part == 2:
+            m["col_stats"] = {}
+
+    parent_layout(store, 1, strip)
     store.commit_epoch(1, 4)
     s = store.table_stats()
     assert s["row_count"] == 400
@@ -398,9 +411,13 @@ def _scan_both_paths(store, monkeypatch, **kw):
         epoch=kw.get("epoch"), predicate=kw.get("predicate"),
         changed_since_lsn=kw.get("changed_since_lsn"),
     )
-    assert eager._logical_plan.dag.name == "FromArrow"
+    # the in-process paths hand over one materialized block of a known
+    # size, which the staged exchange's one-task rule reads
+    assert eager._logical_plan.dag.name == "FromBlocks"
+    assert isinstance(eager, MaterializedDataset)
+    assert isinstance(eager.size_bytes(), int)
     assert lazy._logical_plan.dag.name == (
-        "ReadParquet" if plan["files"] else "FromArrow"
+        "ReadParquet" if plan["files"] else "FromBlocks"
     )
     return eager, lazy
 
@@ -455,5 +472,5 @@ def test_scan_over_threshold_stays_lazy(store, monkeypatch):
     # the threshold is inclusive and counts bytes on disk, not files
     [one] = store.plan_scan(predicate=[("v", "==", 150)])["files"]
     monkeypatch.setattr(snapshot, "SMALL_SCAN_BYTES", os.path.getsize(one))
-    assert store.scan(predicate=[("v", "==", 150)])._logical_plan.dag.name == "FromArrow"
+    assert store.scan(predicate=[("v", "==", 150)])._logical_plan.dag.name == "FromBlocks"
     assert store.scan()._logical_plan.dag.name == "ReadParquet"

@@ -3,14 +3,13 @@
 Reads go straight to ``pq.ParquetFile.read`` and must return the same
 table as ``pq.read_table``. Writes build the bloom bitmap with one
 boolean scatter, and fsync the Parquet file before the rename that
-makes it visible, since the manifest written after it certifies the
-bytes. Blooms hash with a siphash keyed apart from the router's and
+makes it visible, since its existence is the partition's fence and its
+footer carries the manifest. Blooms hash with a siphash keyed apart from the router's and
 say so; a store whose blooms predate the tag (sha256) prunes and looks
 up as it did.
 """
 
 import contextlib
-import json
 import os
 
 import numpy as np
@@ -55,8 +54,6 @@ def _bloom_bitmap_reference(col, bits: int) -> np.ndarray:
 @pytest.mark.parametrize("n,kind", [(1, "str"), (700, "str"), (5000, "int"),
                                     (20_000, "str"), (3000, "nulls")])
 def test_bloom_bitmap_equals_reference(n, kind):
-    import base64
-
     rng = np.random.default_rng(n)
     vals = rng.integers(0, 10 * n, n)
     if kind == "int":
@@ -67,7 +64,7 @@ def test_bloom_bitmap_equals_reference(n, kind):
             strs[::3] = [None] * len(strs[::3])
         col = pa.chunked_array([pa.array(strs, pa.string())])
     bloom = snapshot._bloom_build(col, n)
-    got = np.frombuffer(base64.b64decode(bloom["b64"]), dtype=np.uint8)
+    got = np.frombuffer(snapshot._bloom_bytes(bloom), dtype=np.uint8)
     np.testing.assert_array_equal(got, _bloom_bitmap_reference(col, bloom["m"]))
 
 
@@ -87,15 +84,13 @@ def test_partition_file_is_fsynced_before_it_is_visible(tmp_path, state,
     store.write_partition(1, 0, state)
     size = os.path.getsize(data_path)
     assert (size, False) in synced
-    assert len(synced) == 2  # the data file, then the manifest
+    assert len(synced) == 1  # the data file: its footer is the manifest
 
 
 def _may_contain_reference(bloom: dict, value) -> bool:
     """The per-value probe ``plan_scan`` used to run for every manifest:
     hash the value, then test its bits one by one."""
-    import base64
-
-    bm = base64.b64decode(bloom["b64"])
+    bm = snapshot._bloom_bytes(bloom)
     for pos in snapshot._bloom_positions(pa.array([value]), bloom["m"],
                                          bloom["k"], snapshot._scheme(bloom)):
         p = int(pos[0])
@@ -191,7 +186,8 @@ def _sha256_may_contain(bloom: dict, value) -> bool:
 
 
 def test_sha256_bloom_store_prunes_and_looks_up_as_before(tmp_path,
-                                                          monkeypatch):
+                                                          monkeypatch,
+                                                          parent_layout):
     """A store whose blooms were written before the scheme tag (sha256,
     untagged) keeps its pruning decisions and lookups: every probe of it
     is the sha256 probe, while new writes carry siphash blooms."""
@@ -208,17 +204,14 @@ def test_sha256_bloom_store_prunes_and_looks_up_as_before(tmp_path,
     rows = oracle_final_state(generate_changelog_tables(cfg))
     pids = partition_ids(rows, dm.key_list, 8)
     store = SnapshotStore(str(tmp_path / "old"), bloom_cols=dm.key_list)
+    def untag(part, mf):
+        for b in mf["blooms"].values():
+            del b["h"]
+
     with _sha256_blooms(monkeypatch):
         for p in range(8):
             store.write_partition(1, p, rows.filter(pa.array(pids == p)))
-    for p in range(8):
-        path = store.part_manifest_path(1, p)
-        with open(path) as f:
-            mf = json.load(f)
-        for b in mf["blooms"].values():
-            del b["h"]
-        with open(path, "w") as f:
-            json.dump(mf, f)
+        parent_layout(store, 1, untag)
     store.commit_epoch(1, 8)
     old = CdcEngine(store.root, dm)
     manifests = [old.store.read_manifest(1, p) for p in range(8)]

@@ -412,6 +412,7 @@ def test_small_read_in_process_equals_ray_data_read(tmp_path, monkeypatch):
     malformed lines included. Several ranges on several CPUs keep Ray
     Data's parallel read."""
     import ray
+    from ray.data.dataset import MaterializedDataset
 
     from arlas_proc_ray.cdc import sizing, wire
 
@@ -444,8 +445,14 @@ def test_small_read_in_process_equals_ray_data_read(tmp_path, monkeypatch):
     slow, slow_dlq = read(str(tmp_path / "dlq-slow"))
     assert len(in_caller) == ranges  # the ranges were read in tasks
     one_file = os.path.join(seg, min(set(os.listdir(seg)) - {"part-bad.jsonl"}))
-    assert wire.read_changelog_jsonl(one_file).count() > 0
+    inline = wire.read_changelog_jsonl(one_file)
     assert len(in_caller) == ranges + 1  # one range: in the caller
+    # one materialized block per range, of a known size: the staged
+    # exchange's one-task rule reads it
+    assert isinstance(inline, MaterializedDataset)
+    assert inline._logical_plan.dag.name == "FromBlocks"
+    assert inline.size_bytes() > 0
+    assert inline.count() > 0
     monkeypatch.setattr(sizing, "INLINE_BYTES", -1)
     wire.read_changelog_jsonl(one_file).count()
     assert len(in_caller) == ranges + 1

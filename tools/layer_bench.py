@@ -19,8 +19,18 @@ library call that does the same job on the same bytes:
   read.read_table       ``pq.read_table`` of the same files
       floor: ``pq.ParquetFile(path).read()``
   write.write_partition ``SnapshotStore.write_partition`` of P partitions
-                        (stats, blooms, rollup, fsynced file + manifest)
+                        (blooms, rollup, zone maps from the writer's
+                        statistics, fsynced file with its manifest footer)
       floor: ``pq.write_table`` of the same tables
+  write.partition       ``SnapshotStore.write_partition`` of one tail-sized
+                        partition (``TAIL_ROWS`` rows), P times
+  write.floor           the durable floor of that write: ``pq.write_table``
+                        to a temporary file, fsync, rename, P times
+      floor: ``pq.write_table`` of the same partition, P times
+  plan_scan.index       ``plan_scan`` of one ``==`` predicate over the P
+                        partitions, from a fresh store handle: the epoch
+                        index read, decoded and pruned
+      floor: the bare Arrow IPC read of the index file
   lookup.engine         ``CdcEngine.lookup`` of one stored key per partition
       floor: ``pq.ParquetFile(path).read()`` of the P files it opens
   scan.engine           ``CdcEngine.scan(predicate=[("repo", "==", r)])``
@@ -73,6 +83,9 @@ import pyarrow.parquet as pq  # noqa: E402
 
 # input sizes of the read.* and epoch.* rows, and the epochs' partitions
 EPOCH_EVENTS, EPOCH_PARTITIONS = (2000, 20_000, 40_000), 64
+# rows of a tail-sized partition: the median partition of the perfbench
+# tail workload's snapshot
+TAIL_ROWS = 175
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -181,6 +194,7 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
         row("write.write_partition", "pq.write_table",
             _median_s(write_store, repeats), _median_s(write_floor, repeats),
             s_rows, s_bytes)
+        _tail_write_rows(row, store, states, partitions, repeats, d)
 
         paths = [store.part_data_path(1, p) for p in range(partitions)]
         floor_read = _median_s(
@@ -194,6 +208,7 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
             floor_read, s_rows, s_bytes)
 
         store.commit_epoch(1, partitions)
+        _plan_rows(row, store, states, repeats)
         _serving_rows(row, CdcEngine(store.root, dm), states, repeats)
 
     keys = [(t.column(c), t.num_rows) for t in states if t.num_rows
@@ -206,6 +221,65 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
     for n in epoch_events:
         _one_task_rows(row, n, repeats, seed)
     return rows_out
+
+
+def _tail_write_rows(row, store, states, partitions: int, repeats: int,
+                     d: str) -> None:
+    """One tail-sized partition written P times by the store, and by the
+    durable floor the store's write keeps (write, fsync, rename), each
+    against bare ``pq.write_table``."""
+    from arlas_proc_ray.cdc.snapshot import SnapshotStore
+
+    tail = pa.concat_tables(states).slice(0, TAIL_ROWS).combine_chunks()
+    tail_store = SnapshotStore(os.path.join(d, "tail"),
+                               bloom_cols=store.bloom_cols)
+    floor_dir = os.path.join(d, "tail-floor")
+    os.makedirs(floor_dir)
+
+    def store_write():
+        for p in range(partitions):
+            tail_store.write_partition(1, p, tail)
+
+    def durable():
+        for p in range(partitions):
+            tmp = os.path.join(floor_dir, f"{p}.tmp")
+            with open(tmp, "wb") as f:
+                pq.write_table(tail, f, compression=store.compression)
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, os.path.join(floor_dir, f"{p}.parquet"))
+
+    def bare():
+        for p in range(partitions):
+            pq.write_table(tail, os.path.join(floor_dir, f"{p}.bare"),
+                           compression=store.compression)
+
+    floor_s = _median_s(bare, repeats)
+    n_rows, n_bytes = partitions * tail.num_rows, partitions * tail.nbytes
+    row("write.partition", "pq.write_table", _median_s(store_write, repeats),
+        floor_s, n_rows, n_bytes)
+    row("write.floor", "pq.write_table", _median_s(durable, repeats),
+        floor_s, n_rows, n_bytes)
+
+
+def _plan_rows(row, store, states, repeats: int) -> None:
+    """``plan_scan`` of one repo over every partition from a fresh handle,
+    against the bare read of the index it plans from."""
+    from arlas_proc_ray.cdc.snapshot import SnapshotStore
+
+    repo = next(t for t in states if t.num_rows).column("repo")[0].as_py()
+    path = store.index_path(1)
+
+    def plan():
+        return SnapshotStore(store.root).plan_scan(
+            epoch=1, predicate=[("repo", "==", repo)])
+
+    def read_index():
+        with pa.OSFile(path) as f:
+            return pa.ipc.open_file(f).read_all()
+
+    row("plan_scan.index", "IPC read", _median_s(plan, repeats),
+        _median_s(read_index, repeats), len(states), os.path.getsize(path))
 
 
 def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
