@@ -7,8 +7,10 @@ tables of source-code repositories, built Ray-Data-first:
 
 - ``ray.data.Dataset`` pipelines with ``map_batches`` over zero-copy Arrow
   batches for all per-record transforms,
-- hash-partitioned ``groupby(partition).map_groups`` for keyed, ordered,
-  stateful reductions (the reference's ``Window.partitionBy(id)`` surface),
+- one hash-partitioned keyed exchange in raw Ray tasks
+  (``arlas_proc_ray/exchange.py``) for keyed, ordered, stateful
+  reductions (the reference's ``Window.partitionBy(id)`` surface) and for
+  every writer of the CDC store,
 - actor pools for stateful stages (models, registries, merge state),
 - epoch-fenced, manifest-committed Parquet snapshots for exactly-once sinks.
 

@@ -87,7 +87,7 @@ class IncrementalPartitionedIndex:
     # delta build (subclasses that support them read these in
     # bootstrap_deltas / feed_deltas). They are CLEARED once deltas are
     # built: the fold closures capture ``self``, and a materialized
-    # Dataset riding in a task closure re-ships with every gather task.
+    # Dataset riding in a task closure re-ships with every group task.
     shared_state = None
     shared_feed = None
 
@@ -211,9 +211,9 @@ class IncrementalPartitionedIndex:
         incremental steady state, state-sized only at bootstrap), so the
         Dataset sort-groupby's sample/sort/re-block machinery dominated
         the actual routing work (measured ~1.4 s to route 1200 rows to 8
-        partitions). Gathers for untouched partitions short-circuit
-        without a part rewrite (refresh cost stays ∝ changed rows); at
-        bootstrap every partition folds so every part file exists. Stats
+        partitions). Untouched partitions short-circuit without a part
+        rewrite (refresh cost stays ∝ changed rows); at bootstrap every
+        partition folds so every part file exists. Stats
         rows (one per partition) are the only driver traffic.
         """
         from arlas_proc_ray.stages.keyed import staged_partition_apply
@@ -357,7 +357,7 @@ class IncrementalPartitionedIndex:
         base, target, ckpt = plan["base"], plan["target"], plan["ckpt"]
         deltas = self.tagged_deltas(base, target)
         self.shared_state = None  # never let a Dataset ride the fold
-        self.shared_feed = None   # closure (re-shipped per gather task)
+        self.shared_feed = None   # closure (re-shipped per group task)
         sources = dict(ckpt["sources"]) if ckpt else {}
         fold = self.make_fold(sources, target)
         stats = self._staged_fold(deltas, fold, bootstrap=base is None)

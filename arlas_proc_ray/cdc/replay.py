@@ -6,8 +6,8 @@ fragments/FlowFragmentMapper.scala:53-58) becomes, in CDC form:
 
   events ──map_batches──▶ schema-align (zero-copy renames, null-fill, cast)
          ──map_batches──▶ per-batch LWW combiner   (pre-shuffle reduction)
-         ──map_batches──▶ add _part_id = hash(repo,path) % P
-         ──groupby(_part_id).map_groups──▶ final LWW + tombstone drop + sha256
+         ──keyed exchange on hash(repo,path) % P──▶ per partition: final
+           LWW + tombstone drop + sha256 (arlas_proc_ray/exchange.py)
 
 Scale design:
 - The **combiner** keeps only the max-lsn event per key within each batch
@@ -17,26 +17,28 @@ Scale design:
   single-key flood reaches one partition). Salting is therefore needed only
   if a single *batch* can't hold a key's events, which batch sizing rules
   out.
-- ONE shuffle total, on ``_part_id`` (P groups), not on the raw composite
-  key (millions of groups): each group call processes a whole partition
-  vectorized, never one Python call per key.
-- All steps are ``batch_format="pyarrow"``: zero-copy from the object
-  store; the reduction itself is numpy argsort over dictionary-encoded
-  exact key ids (no uint64-collision risk, no pandas object conversion).
+- ONE shuffle total, on the partition id (P partitions in G = min(P,
+  CPUs) group tasks), not on the raw composite key (millions of groups):
+  each partition is processed whole and vectorized, never one Python
+  call per key.
+- All steps are Arrow: zero-copy from the object store; the reduction
+  itself is numpy argsort over dictionary-encoded exact key ids (no
+  uint64-collision risk, no pandas object conversion).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from arlas_proc_ray.cdc.events import CANONICAL_EVENT_SCHEMA, FINAL_STATE_SCHEMA
-from arlas_proc_ray.functions.hashing import partition_ids, sha256_hex
+from arlas_proc_ray.exchange import key_route, partition_map, per_partition
+from arlas_proc_ray.functions.hashing import sha256_hex
 from arlas_proc_ray.model import DataModel
 from arlas_proc_ray.schema import SchemaRegistry
-
-PART_COL = DataModel.PARTITION_COL
 
 
 def _combined_key(table: pa.Table, key_cols: list[str]) -> pa.Array:
@@ -295,17 +297,6 @@ def read_dead_letters(dead_letter_dir: str, epoch: int | None = None) -> pa.Tabl
     return pa.concat_tables(tables, promote_options="permissive")
 
 
-def add_partition_stage(ds, dm: DataModel):
-    def add_part(batch: pa.Table) -> pa.Table:
-        pids = partition_ids(batch, dm.key_list, dm.num_partitions)
-        batch = batch.append_column(PART_COL, pa.array(pids, type=pa.int32()))
-        # strip pandas-origin schema metadata (unhashable dict) so Ray's
-        # sort-reduce schema dedup works instead of warning per block
-        return batch.replace_schema_metadata(None)
-
-    return ds.map_batches(add_part, batch_format="pyarrow", batch_size=None)
-
-
 def finalize_partition_table(table: pa.Table, dm: DataModel) -> pa.Table:
     """Final LWW over one partition → final-state rows (tombstones dropped).
 
@@ -364,7 +355,9 @@ def _final_state_from_live(live: pa.Table, dm: DataModel) -> pa.Table:
 
 
 def replay_to_dataset(events_ds, dm: DataModel | None = None, registry=None):
-    """Full-replay pipeline returning the final-state Dataset (no sink)."""
+    """Full-replay pipeline returning the final-state Dataset (no sink):
+    normalize and combine per block, then the keyed exchange with
+    :func:`finalize_partition_table` per partition."""
     from arlas_proc_ray.cdc.events import default_registry
 
     dm = dm or DataModel()
@@ -376,9 +369,9 @@ def replay_to_dataset(events_ds, dm: DataModel | None = None, registry=None):
         batch_format="pyarrow",
         batch_size=None,
     )
-    ds = add_partition_stage(ds, dm)
-
-    def finalize(group: pa.Table) -> pa.Table:
-        return finalize_partition_table(group, dm)
-
-    return ds.groupby(PART_COL).map_groups(finalize, batch_format="pyarrow")
+    return partition_map(
+        ds,
+        route=partial(key_route, dm.key_list, dm.num_partitions),
+        body=partial(per_partition, partial(finalize_partition_table, dm=dm)),
+        num_partitions=dm.num_partitions,
+    )

@@ -33,11 +33,12 @@ exchange, a one-range jsonl read) runs in the calling process instead.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+
+from arlas_proc_ray.exchange import session_cpus  # noqa: F401 (re-exported)
 
 # In-flight byte amplification of the staged exchange, measured
 # (BASELINE.md round-3 high-volume addendum).
@@ -58,16 +59,6 @@ _INMEM_PER_CHUNK = AMPLIFICATION + 1.0
 # caller's heap: past it the input stays in the object store, which can
 # spill.
 INLINE_BYTES = 8 << 20
-
-
-def session_cpus() -> int:
-    """CPUs of the current Ray session; the machine's when none is up
-    yet, as Ray's auto-init would start it."""
-    import ray
-
-    if ray.is_initialized():
-        return int(ray.cluster_resources().get("CPU", 1))
-    return os.cpu_count() or 1
 
 
 def runs_in_process(tasks: int, nbytes: int | None) -> bool:

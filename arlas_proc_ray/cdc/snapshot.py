@@ -101,8 +101,27 @@ class PartitionManifest:
 
 _STATS_MAX_STR = 64
 # the Parquet writer's default statistics size limit: a string bound
-# longer than this many bytes is not kept, and reads back as ""
+# longer than this many bytes is not kept, and reads back as "" with
+# has_min_max true, which row-group pruning would take for real bounds
 _STATS_MAX_BYTES = 4096
+
+
+def _sound_statistics(table: pa.Table):
+    """``pq.write_table``'s ``write_statistics=``: every column, unless a
+    string or binary column holds a value longer than
+    ``_STATS_MAX_BYTES``; then every column but those, so no reader of
+    the file (pyarrow dataset filters, ``read_parquet(filter=)``, DuckDB)
+    can prune by a dropped bound."""
+    import pyarrow.types as pt
+
+    long = {
+        f.name for f in table.schema
+        if (pt.is_string(f.type) or pt.is_large_string(f.type)
+            or pt.is_binary(f.type) or pt.is_large_binary(f.type))
+        and (pa.compute.max(pa.compute.binary_length(table.column(f.name)))
+             .as_py() or 0) > _STATS_MAX_BYTES
+    }
+    return [n for n in table.column_names if n not in long] if long else True
 
 
 def _zone_maps(md: pq.FileMetaData, schema: pa.Schema) -> dict:
@@ -723,6 +742,7 @@ class SnapshotStore:
             pq.write_table(
                 table, tmp, compression=self.compression,
                 row_group_size=self.row_group_rows, metadata_collector=written,
+                write_statistics=_sound_statistics(table),
             )
             # durable before it is visible: its existence is the fence
             os.fsync(fd)

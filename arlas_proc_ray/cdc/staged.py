@@ -1,5 +1,4 @@
-"""The staged exchange — the one shuffle of every writer of the store, in
-raw Ray tasks.
+"""The staged exchange — the one shuffle of every writer of the store.
 
 Every writer runs it: CDC epochs (``CdcEngine.apply_epoch``,
 ``apply_epoch_staged`` and ``purge_keys``), ``merge_into`` and
@@ -7,42 +6,18 @@ Every writer runs it: CDC epochs (``CdcEngine.apply_epoch``,
 per-block step run before routing (a CDC epoch's ingest head and LWW
 combiner; nothing for MERGE or a repartition), the fan-out, where prior
 state lives (none for a repartition) and its per-partition fold, which
-``cdc.engine.apply_partition`` runs between the fence and the write. It
-is the classic two-phase external shuffle expressed directly in Ray Core: a
-fixed-fan-out exchange needs no ordering, no sampling and no aggregation,
-which a Ray Data keyed groupby cannot skip (its sort-based exchange sorts
-and re-blocks the full payload — measured ~56 MB/s end-to-end at 20M
-events where the map phase alone runs at >1 GB/s).
+``cdc.engine.apply_partition`` runs between the fence and the write.
 
-The exchange is sized to the session, not to the key space (the
-FP-Hadoop move: group the reduce work into units sized to the cluster).
-The P partitions are cut into G = min(P, CPUs in
-``ray.cluster_resources()``) contiguous groups (:func:`group_plan`):
-
-  phase 1  split:  one task per input block runs the writer's per-block
-                   step, routes its rows (ONE stable argsort by
-                   ``_part_id``) and returns G objects
-                   (``num_returns=G``), one per group: ``(first_partition,
-                   table, bounds)`` — the group's rows as ONE contiguous
-                   table sorted by partition, and the row offsets where
-                   each of its partitions starts (``len(group) + 1``
-                   ints) — B×G objects, not B×P;
-  phase 2  merge:  one task per group (G tasks, not P) cuts each
-                   partition's rows out of its inputs as zero-copy views
-                   and runs the per-partition kernel
-                   (``cdc.engine.apply_partition``: fence, prior read,
-                   the writer's fold, fenced write) over its partitions
-                   in turn, and returns their manifests, from which the
-                   driver commits the epoch index.
-
-An exchange object is one table plus bounds, not a ``{partition: table}``
-dict, because Ray pays a fixed cost for every Arrow table it serializes:
-on one CPU, the two split outputs of a 27 MB bootstrap epoch took 195 ms
-to ``ray.put`` + ``ray.get`` as two dicts of 64 tables and 17 ms as two
-contiguous tables with bounds. The per-partition views are cut inside the
-merge task and never pass through the object store. The group table is a
-``take`` (a copy), never a ``slice()`` of the block: a pyarrow slice
-pickles its whole parent buffer, a G× blow-up when G > 1.
+The exchange itself is the package's one keyed exchange
+(``arlas_proc_ray/exchange.py``: :func:`group_plan`,
+:func:`session_groups`, the split into B×G contiguous
+``(first_partition, table, bounds)`` objects and one task per group,
+where the per-partition views are cut). A store writer's route is
+:meth:`_Epoch.route` and its group body is :func:`_apply_group`: the
+per-partition kernel (``cdc.engine.apply_partition``: fence, prior read,
+the writer's fold, fenced write) over the group's partitions in turn,
+returning their manifests, from which the driver commits the epoch
+index.
 
 Within a group the partitions apply sequentially, in ascending order;
 across groups they run in parallel. Fences, watermarks and manifests stay
@@ -54,15 +29,15 @@ and two-level exchanges are interchangeable per epoch on one store.
 One group in the session (G = 1: one CPU, or P = 1) and an input of at
 most ``sizing.INLINE_BYTES`` (8 MiB, by ``size_bytes()``; an unknown size
 stays remote): the exchange runs in the calling process
-(:func:`_inline_exchange`). Each block goes through the same route,
-``_partition_order`` and ``_exchange_object`` a split task runs, then
-the group's body (:func:`_apply_group`, which the merge task wraps)
-applies every partition. One task buys no parallelism there, only two
-task round trips, which dominate a tail-sized epoch. Larger inputs,
-G > 1 and the two-level exchange keep the remote tasks.
+(:func:`_inline_exchange`). Each block goes through the same split step
+a split task runs, then the group's body applies every partition. One
+task buys no parallelism there, only two task round trips, which
+dominate a tail-sized epoch. Larger inputs, G > 1 and the two-level
+exchange keep the remote tasks.
 
 Past ~10 000 exchange objects (B×G) per-object overhead dominates and
-``CdcEngine._staged_exchange`` switches to the two-level exchange below.
+``CdcEngine._staged_exchange`` switches to the two-level exchange below,
+a store-writer concern.
 """
 
 from __future__ import annotations
@@ -77,26 +52,22 @@ import ray
 
 from arlas_proc_ray.cdc.engine import apply_partition, cdc_fold, open_epoch
 from arlas_proc_ray.cdc.replay import lww_reduce_table
-from arlas_proc_ray.cdc.sizing import runs_in_process, session_cpus
+from arlas_proc_ray.cdc.sizing import runs_in_process
+from arlas_proc_ray.exchange import (  # noqa: F401 (group_plan re-exported)
+    group_plan,
+    partition_order,
+    partition_views,
+    run_groups,
+    session_groups,
+    split_block,
+    split_blocks,
+)
 from arlas_proc_ray.functions.hashing import partition_ids
 from arlas_proc_ray.model import DataModel
 
 # object count (blocks × groups) above which the one-level exchange's
 # per-object overhead dominates and the two-level exchange wins
 TWO_LEVEL_OBJECTS = 10_000
-
-
-def group_plan(num_partitions: int, num_groups: int) -> list[range]:
-    """Cut partitions ``0..P-1`` into ``min(P, G)`` contiguous ranges whose
-    sizes differ by at most one."""
-    P = num_partitions
-    G = max(1, min(P, num_groups))
-    return [range(g * P // G, (g + 1) * P // G) for g in range(G)]
-
-
-def session_groups(num_partitions: int) -> list[range]:
-    """The merge groups for this Ray session: one per CPU, at most P."""
-    return group_plan(num_partitions, session_cpus())
 
 
 def _combine(dm: DataModel, align, table: pa.Table) -> pa.Table:
@@ -111,40 +82,14 @@ def _route(table: pa.Table, dm: DataModel, align) -> tuple[pa.Table, np.ndarray]
     return table, partition_ids(table, dm.key_list, dm.num_partitions)
 
 
-def _partition_order(pids: np.ndarray, lo: int, hi: int):
-    """ONE stable argsort of ``pids`` (all in ``[lo, hi)``) → the row
-    order and the ``hi - lo + 1`` offsets where each partition starts."""
-    order = np.argsort(pids, kind="stable")
-    return order, np.searchsorted(pids[order], np.arange(lo, hi + 1))
-
-
 def _split_block(table: pa.Table, dm: DataModel, align) -> list[pa.Table]:
     """normalize → combine → ONE argsort by partition → P tables, each a
     copy (``take``) of exactly its partition's rows."""
     table, pids = _route(table, dm, align)
-    order, bounds = _partition_order(pids, 0, dm.num_partitions)
+    order, bounds = partition_order(pids, 0, dm.num_partitions)
     return [
         table.take(order[bounds[p] : bounds[p + 1]])
         for p in range(dm.num_partitions)
-    ]
-
-
-def _exchange_object(first: int, table: pa.Table, order: np.ndarray,
-                     bounds: np.ndarray) -> tuple:
-    """``(first, rows, offsets)`` for partitions ``first .. first +
-    len(bounds) - 2``: ONE ``take`` of their rows (a copy, never a slice
-    of ``table``) in partition order, and offsets rebased to it."""
-    rows = table.take(order[bounds[0] : bounds[-1]])
-    return first, rows, bounds - bounds[0]
-
-
-def _partition_views(inputs, p: int) -> list[pa.Table]:
-    """Partition ``p``'s rows in every exchange object that covers it, as
-    zero-copy slices."""
-    return [
-        t.slice(b[p - lo], b[p - lo + 1] - b[p - lo])
-        for lo, t, b in inputs
-        if lo <= p < lo + len(b) - 1
     ]
 
 
@@ -225,10 +170,10 @@ def cdc_epoch(engine, epoch: int, dead_letter_dir=None, delta: bool = False,
 def _apply_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
     """Apply partitions ``parts`` in order; ``inputs`` are the
     ``(first_partition, table, bounds)`` exchange objects routed to this
-    group. The body of a merge task, and of the in-process exchange."""
+    group. The body of a group task, and of the in-process exchange."""
     return [
         apply_partition(
-            ctx.store, ctx.epoch, p, _partition_views(inputs, p),
+            ctx.store, ctx.epoch, p, partition_views(inputs, p),
             ctx.prior.get(p), ctx.fold, delta=ctx.delta_for(p),
             fault_hook=ctx.fault_hook,
         )
@@ -236,31 +181,24 @@ def _apply_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
     ]
 
 
-_merge_group = ray.remote(_apply_group)
-
-
 def _inline_exchange(ctx: _Epoch, events_ds) -> list:
     """The one-group exchange as plain calls in this process: each block
     is routed and cut into one exchange object, as a split task would,
     and the group's body applies every partition. Returns the kernels'
     results in partition order."""
-    P = ctx.num_partitions
-    inputs = []
-    for block in ray.get(events_ds.to_arrow_refs()):
-        table, pids = ctx.route(block)
-        order, bounds = _partition_order(pids, 0, P)
-        inputs.append(_exchange_object(0, table, order, bounds))
-    return _apply_group(ctx, range(P), *inputs)
+    whole = [range(ctx.num_partitions)]
+    inputs = [
+        split_block(block, ctx.route, whole)[0]
+        for block in ray.get(events_ds.to_arrow_refs())
+    ]
+    return _apply_group(ctx, whole[0], *inputs)
 
 
 def _run_groups(ctx: _Epoch, groups: list[range], inputs_of) -> list:
-    """One merge task per group; ``inputs_of(g)`` lists group g's refs.
+    """One group task per group; ``inputs_of(g)`` lists group g's refs.
     Returns the kernels' results in partition order."""
-    ctx_ref = ray.put(ctx)
-    out = ray.get([
-        _merge_group.remote(ctx_ref, grp, *inputs_of(g))
-        for g, grp in enumerate(groups)
-    ])
+    inputs = [inputs_of(g) for g in range(len(groups))]
+    out = ray.get(run_groups(partial(_apply_group, ctx), groups, inputs))
     return [r for group_results in out for r in group_results]
 
 
@@ -288,31 +226,19 @@ def staged_apply_epoch(engine, events_ds, epoch: int, *, writer=None,
     """
     ctx = writer or cdc_epoch(engine, epoch, dead_letter_dir, delta,
                               delta_max_age)
-    P, route = ctx.num_partitions, ctx.route
-    groups = session_groups(P)
-    G = len(groups)
-    if runs_in_process(G, events_ds.size_bytes()):
+    groups = session_groups(ctx.num_partitions)
+    if runs_in_process(len(groups), events_ds.size_bytes()):
         return ctx.finish(engine, _inline_exchange(ctx, events_ds), publish)
-
-    @ray.remote(num_returns=G)
-    def split(block: pa.Table):
-        table, pids = route(block)
-        order, bounds = _partition_order(pids, 0, P)
-        out = [
-            _exchange_object(grp[0], table, order,
-                             bounds[grp.start : grp.stop + 1])
-            for grp in groups
-        ]
-        return tuple(out) if G > 1 else out[0]
-
     # phase 1: one split task per input block (refs, never driver-local);
-    # num_returns=1 hands back a bare ObjectRef, not a 1-list
-    split_out = [split.remote(ref) for ref in events_ds.to_arrow_refs()]
-    if G == 1:
-        split_out = [[r] for r in split_out]
-    # phase 2: one merge task per group over the transposed ref matrix
-    results = _run_groups(ctx, groups, lambda g: [s[g] for s in split_out])
+    # phase 2: one group task per group over the transposed ref matrix
+    split = split_blocks(events_ds.to_arrow_refs(), ctx.route, groups)
+    results = _run_groups(ctx, groups, lambda g: [s[g] for s in split])
     return ctx.finish(engine, results, publish)
+
+
+def _pid_route(table: pa.Table) -> tuple[pa.Table, np.ndarray]:
+    """Level 2's route: the partition ids level 1 appended as ``_pid``."""
+    return table.drop_columns(["_pid"]), table.column("_pid").to_numpy()
 
 
 def staged_apply_epoch_two_level(
@@ -369,10 +295,8 @@ def staged_apply_epoch_two_level(
             [b for b in slices if b.num_rows] or slices[:1],
             promote_options="default",
         )
-        pids = t.column("_pid").to_numpy()
-        lo, hi = s * per_super, min(P, (s + 1) * per_super)
-        order, bounds = _partition_order(pids, lo, hi)
-        return _exchange_object(lo, t.drop_columns(["_pid"]), order, bounds)
+        parts = range(s * per_super, min(P, (s + 1) * per_super))
+        return split_block(t, _pid_route, [parts])[0]
 
     l1 = [split_l1.remote(ref) for ref in events_ds.to_arrow_refs()]
     if S == 1:

@@ -200,11 +200,9 @@ def edit_distance_pairs(
     def pairs_fn(pdf: pd.DataFrame) -> pd.DataFrame:
         return _pairs_from_rows(pdf, id_col, max_bucket)
 
-    # staged raw-task exchange: no sort machinery (seconds of fixed cost
-    # at any scale), one split + one gather task per partition — the
-    # same default the MinHash family uses; pairs_fn returns typed
-    # empties with a constant schema, as the staged contract requires
+    # pairs_fn returns typed empties with a constant schema, as the
+    # keyed exchange requires
     return keyed_partition_map(
         rows, keys=["bucket"], order_col=id_col, fn=pairs_fn,
-        num_partitions=num_partitions, exchange="staged",
+        num_partitions=num_partitions,
     )

@@ -388,9 +388,6 @@ def epoch_near_duplicates(
     def _involved_keys(*tables: pa.Table) -> set:
         ks: set = set()
         for tbl in tables:
-            # Ray's sort/groupby can emit schema-less empty blocks
-            if "doc_a" not in tbl.schema.names:
-                continue
             ks.update(tbl.column("doc_a").to_pylist())
             ks.update(tbl.column("doc_b").to_pylist())
         return ks

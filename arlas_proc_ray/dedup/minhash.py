@@ -226,7 +226,6 @@ def _distributed_verify(
     jaccard_threshold: float,
     num_partitions: int = 16,
     key_type: "pa.DataType | None" = None,
-    exchange: str = "staged",
 ):
     """Exact-Jaccard verification with ZERO whole-corpus driver state.
 
@@ -362,7 +361,6 @@ def _distributed_verify(
         order_col="kind",
         fn=attach_ends,
         num_partitions=num_partitions,
-        exchange=exchange,
     )
 
     def score_pairs(pdf: pd.DataFrame) -> "pd.DataFrame | pa.Table":
@@ -408,7 +406,6 @@ def _distributed_verify(
         order_col="end",
         fn=score_pairs,
         num_partitions=num_partitions,
-        exchange=exchange,
     )
 
 
@@ -425,7 +422,6 @@ def minhash_near_duplicates(
     max_bucket_size: int = 64,
     verify_mode: str = "distributed",
     algo: str = "oph",
-    exchange: str = "staged",
 ):
     """Near-duplicate pairs (doc_a < doc_b, verified Jaccard ≥ threshold).
 
@@ -555,7 +551,6 @@ def minhash_near_duplicates(
         order_col="doc_id",
         fn=partition_bucket_pairs,
         num_partitions=16,
-        exchange=exchange,
     )
     if verify_mode == "distributed":
         # pair dedup happens inside verify pass A (co-located on doc_a) —
@@ -567,7 +562,6 @@ def minhash_near_duplicates(
             text_col=text_col,
             ngram=ngram,
             jaccard_threshold=jaccard_threshold,
-            exchange=exchange,
         )
 
     def dedup_pairs(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -582,7 +576,6 @@ def minhash_near_duplicates(
         order_col="doc_b",
         fn=dedup_pairs,
         num_partitions=16,
-        exchange=exchange,
     )
 
     # Verify is a STATELESS task (not a second actor pool): two pools in one

@@ -772,16 +772,22 @@ def tfidf_top_terms(
     contract: ``max_tf · idf_scale < 2^63`` (tf is per-document — payload
     caps, not corpus size, bound it).
 
-    Shape (two stateless passes over the document Dataset, one keyed
-    exchange total):
+    A document is its ``doc_col`` value: its text may span several rows,
+    in any blocks, and counts as one document with the tokens of all of
+    them (the SQL oracle's ``GROUP BY doc_id``).
 
-    1. **df** — per-block DISTINCT (doc, term) partials (exact globally:
-       a document's row lives in exactly one block) → keyed sum → a
-       vocab-sized (term, df) table broadcast via ``ray.put`` — the same
-       broadcast contract as :func:`document_frequency_stop_terms`.
-    2. **score** — per block: tf recount, broadcast-df lookup, integer
-       score, per-document top-k with the deterministic tie-break —
-       all block-local, no second exchange.
+    Shape (one pass over the documents, two keyed exchanges of
+    token-count rows, never of text):
+
+    1. **tf** — per block, token counts per (doc, term) → keyed sum on
+       the document, so each document's (doc, term, tf) rows are exact
+       and sit in one block.
+    2. **df** — per block of those rows, term counts (exact: a document
+       lives in one block) → keyed sum on the term → a vocab-sized
+       (term, df) table broadcast via ``ray.put`` — the same broadcast
+       contract as :func:`document_frequency_stop_terms`.
+    3. **score** — per block: broadcast-df lookup, integer score,
+       per-document top-k with the deterministic tie-break.
 
     Tokens are ``pattern`` matches on the lowered text ([a-z]+ by
     default — no NUL-byte keys can arise, so plain pandas grouping is
@@ -794,24 +800,37 @@ def tfidf_top_terms(
     import ray
     from arlas_proc_ray.stages.keyed import keyed_partition_map
 
-    def partial_df(batch: pa.Table) -> pd.DataFrame:
+    def tf_partial(batch: pa.Table) -> pd.DataFrame:
+        ids = batch.column(doc_col).to_pandas().to_numpy()
         s = pc.utf8_lower(batch.column(text_col)).to_pandas().fillna("")
         toks = s.str.findall(pattern).explode().dropna()
         fr = pd.DataFrame(
-            {"d": toks.index.to_numpy(np.int64),
+            {doc_col: ids[toks.index.to_numpy(np.int64)],
              "term": toks.to_numpy(object)}
-        ).drop_duplicates()
-        vc = fr["term"].value_counts()
+        )
+        return fr.groupby([doc_col, "term"], sort=False).size().reset_index(
+            name="tf"
+        ).astype({"tf": "int64"})
+
+    tf = keyed_partition_map(
+        ds.map_batches(tf_partial, batch_format="pyarrow", batch_size=None),
+        keys=[doc_col], order_col="term",
+        fn=lambda pdf: pdf.groupby(
+            [doc_col, "term"], sort=False, as_index=False
+        )["tf"].sum(),
+        num_partitions=num_partitions,
+    ).materialize()
+
+    def partial_df(batch: pa.Table) -> pd.DataFrame:
+        vc = batch.column("term").to_pandas().value_counts()
         return pd.DataFrame(
             {"term": vc.index.to_numpy(object),
              "df_n": vc.to_numpy(np.int64)}
         )
 
-    partials = ds.map_batches(
-        partial_df, batch_format="pyarrow", batch_size=None
-    )
     df_tbl = keyed_partition_map(
-        partials, keys=["term"], order_col="df_n",
+        tf.map_batches(partial_df, batch_format="pyarrow", batch_size=None),
+        keys=["term"], order_col="df_n",
         fn=lambda pdf: pdf.groupby(
             "term", sort=False, as_index=False
         )["df_n"].sum(),
@@ -825,39 +844,17 @@ def tfidf_top_terms(
     df_ref = ray.put(df_map)
 
     def score(batch: pa.Table) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                doc_col: pd.Series([], dtype="int64"),
-                "term": pd.Series([], dtype=object),
-                "tf": pd.Series([], dtype="int64"),
-                "df_n": pd.Series([], dtype="int64"),
-                "tfidf_scaled": pd.Series([], dtype="int64"),
-            }
-        )
         dfm = ray.get(df_ref)
-        ids = batch.column(doc_col).to_pandas()
-        s = pc.utf8_lower(batch.column(text_col)).to_pandas().fillna("")
-        toks = s.str.findall(pattern).explode().dropna()
-        if toks.empty:
-            return empty
-        fr = pd.DataFrame(
-            {"i": toks.index.to_numpy(np.int64),
-             "term": toks.to_numpy(object)}
-        )
-        tf = (
-            fr.groupby(["i", "term"], sort=False, as_index=False)
-            .size()
-            .rename(columns={"size": "tf"})
-        )
-        dfn = tf["term"].map(dfm).to_numpy(np.int64)
-        sc = tf["tf"].to_numpy(np.int64) * (int(idf_scale) // dfn)
+        t = batch.to_pandas()
+        dfn = t["term"].map(dfm).to_numpy(np.int64)
+        tfs = t["tf"].to_numpy(np.int64)
         out = pd.DataFrame(
             {
-                doc_col: ids.iloc[tf["i"]].to_numpy(),
-                "term": tf["term"].to_numpy(object),
-                "tf": tf["tf"].to_numpy(np.int64),
+                doc_col: t[doc_col].to_numpy(),
+                "term": t["term"].to_numpy(object),
+                "tf": tfs,
                 "df_n": dfn,
-                "tfidf_scaled": sc,
+                "tfidf_scaled": tfs * (int(idf_scale) // dfn),
             }
         )
         out = out.sort_values(
@@ -866,4 +863,5 @@ def tfidf_top_terms(
         )
         return out.groupby(doc_col, sort=False).head(k).reset_index(drop=True)
 
-    return ds.map_batches(score, batch_format="pyarrow", batch_size=None)
+    # batch_size=None: one batch per block, so no document is split
+    return tf.map_batches(score, batch_format="pyarrow", batch_size=None)

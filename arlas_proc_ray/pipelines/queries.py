@@ -28,23 +28,10 @@ import ray.data as rd
 
 from arlas_proc_ray.sources.io import read_parquet as _rp
 
-from arlas_proc_ray.stages.keyed import keyed_partition_map, set_default_exchange
+from arlas_proc_ray.stages.keyed import keyed_partition_map
 
 NP = 16  # partition fan-out for keyed ops at test scale
 
-# Catalog-wide exchange default: every catalog execution runs
-# sub-crossover volumes (the Dataset sort's sample/sort/re-block
-# machinery only wins past ~1M co-partitioned rows — stages/keyed.py),
-# and the two-phase staged exchange measured 30-50% faster per keyed
-# query at sf0.1/32 cpus across the WHOLE catalog, library-internal
-# operators included (full pass 143.8 → 98.0 s, byte-identical results,
-# parity pinned in tests/test_staged_exchange.py). Sites where the sort
-# shuffle wins (event-sized object-heavy outputs, e.g. fragments) opt
-# back with an explicit exchange="sort"; importing this module flips
-# only the process-wide DEFAULT — the library ships with "sort", the
-# streaming no-materialization choice that stays right at 100-TB
-# volumes.
-set_default_exchange("staged")
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -214,11 +201,7 @@ def q_fragments(sf_dir: str):
         return out[keep.values]
 
     return keyed_partition_map(
-        ds, keys=["user_id"], order_col="event_id", fn=fn, num_partitions=NP,
-        # event-sized output with object-string ids: the sort shuffle's
-        # streaming re-block beats the staged gather here (0.66 vs 1.20 s
-        # at sf0.1) — the one measured exception to the staged default
-        exchange="sort",
+        ds, keys=["user_id"], order_col="event_id", fn=fn, num_partitions=NP
     )
 
 
@@ -1756,7 +1739,6 @@ def q_tpch_q3(sf_dir: str):
         right_cols=["o_orderdate", "o_orderpriority"],
         num_partitions=NP,
         post_fn=final,
-        exchange="staged",  # sub-crossover volume: skip the sort machinery
     ).to_pandas()  # ≤ 10 rows per partition
     out = tops.sort_values(
         ["revenue", "o_orderkey"], ascending=[False, True]
@@ -2647,9 +2629,6 @@ def q_customer_order_outer(sf_dir: str):
         cust, orders, on=["o_custkey"],
         right_cols=["o_orderkey", "o_totalprice"], how="outer",
         num_partitions=NP,
-        # sub-crossover volume at catalog scale: the two-phase staged
-        # exchange beats the Dataset sort below ~1M rows (stages/keyed.py)
-        exchange="staged",
     )
 
     def typed(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -2676,7 +2655,7 @@ def q_supplier_semi_lineitem(sf_dir: str):
     )
     li = _rp(f"{sf_dir}/lineitem.parquet", columns=["l_suppkey"])
     return equi_join(sup, li, on=["l_suppkey"], right_cols=[], how="semi",
-                     num_partitions=NP, exchange="staged")
+                     num_partitions=NP)
 
 
 def q_customer_anti_events(sf_dir: str):
@@ -2693,7 +2672,7 @@ def q_customer_anti_events(sf_dir: str):
     )
     ev = _rp(f"{sf_dir}/events.parquet", columns=["user_id"])
     return equi_join(cust, ev, on=["user_id"], right_cols=[],
-                     how="anti", num_partitions=NP, exchange="staged")
+                     how="anti", num_partitions=NP)
 
 
 def q_equi_join_order_lines(sf_dir: str):
@@ -2725,9 +2704,6 @@ def q_equi_join_order_lines(sf_dir: str):
         right_cols=["o_custkey", "o_orderstatus", "o_totalprice"],
         how="inner",
         num_partitions=NP,
-        # sub-crossover volume at catalog scale: the two-phase staged
-        # exchange beats the Dataset sort below ~1M rows (stages/keyed.py)
-        exchange="staged",
     )
 
 
@@ -5612,9 +5588,11 @@ def q_cdc_patch_upsert(sf_dir: str):
     end: adaptive pre-shuffle combiner (patch-safe prune) per batch, ONE
     keyed exchange, per-partition vectorized overlay fold.
     """
+    from functools import partial
+
     from arlas_proc_ray.cdc.patch import patch_fold_table
     from arlas_proc_ray.cdc.replay import lww_reduce_table
-    from arlas_proc_ray.functions.hashing import partition_ids
+    from arlas_proc_ray.exchange import key_route, partition_map, per_partition
 
     ds = _events(sf_dir, columns=["event_id", "user_id", "value", "props"])
 
@@ -5645,14 +5623,7 @@ def q_cdc_patch_upsert(sf_dir: str):
         lambda t: lww_reduce_table(t, ["user_id"], "lsn"), batch_format="pyarrow"
     , batch_size=None)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        pid = partition_ids(t, ["user_id"], NP)
-        return t.append_column("_part", pa.array(pid, pa.int32()))
-
-    ds = ds.map_batches(add_part, batch_format="pyarrow", batch_size=None)
-
     def finalize(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_part"])
         folded = patch_fold_table(g, ["user_id"], "lsn")
         live = folded.filter(
             pc.invert(
@@ -5671,7 +5642,12 @@ def q_cdc_patch_upsert(sf_dir: str):
             }
         )
 
-    return ds.groupby("_part").map_groups(finalize, batch_format="pyarrow")
+    return partition_map(
+        ds,
+        route=partial(key_route, ["user_id"], NP),
+        body=partial(per_partition, finalize),
+        num_partitions=NP,
+    )
 
 
 QUERIES["cdc_patch_upsert"] = q_cdc_patch_upsert
@@ -9506,9 +9482,6 @@ def q_tpch_q4(sf_dir: str):
         right_cols=["l_shipdate"],
         num_partitions=NP,
         post_fn=late_semi,
-        # sub-crossover volume at catalog scale: the two-phase staged
-        # exchange beats the Dataset sort below ~1M rows (stages/keyed.py)
-        exchange="staged",
     )
 
     def prio_partial(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -9589,9 +9562,6 @@ def q_tpch_q12(sf_dir: str):
         right_cols=["o_orderpriority"],
         num_partitions=NP,
         post_fn=split_counts,
-        # sub-crossover volume at catalog scale: the two-phase staged
-        # exchange beats the Dataset sort below ~1M rows (stages/keyed.py)
-        exchange="staged",
     )
     parts = joined.to_pandas()  # ≤ partitions × 3 flags
     out = parts.groupby("l_returnflag", as_index=False)[
@@ -9792,9 +9762,6 @@ def q_tpch_q5(sf_dir: str):
         right_cols=["l_suppkey", "s_nationkey", "l_extendedprice", "l_discount"],
         num_partitions=NP,
         post_fn=local_rev,
-        # sub-crossover volume at catalog scale: the two-phase staged
-        # exchange beats the Dataset sort below ~1M rows (stages/keyed.py)
-        exchange="staged",
     )
     parts = joined.to_pandas()  # ≤ partitions × nations
     out = parts.groupby("n_nationkey", as_index=False)["c4"].sum()
@@ -9894,9 +9861,6 @@ def q_tpch_q10(sf_dir: str):
         right_cols=["rev_c4"],
         num_partitions=NP,
         post_fn=cust_fold,
-        # sub-crossover volume at catalog scale: the two-phase staged
-        # exchange beats the Dataset sort below ~1M rows (stages/keyed.py)
-        exchange="staged",
     )
 
     # NO per-block top-k here: the join partitions by ORDER key, so one
@@ -10042,9 +10006,6 @@ def q_tpch_q7(sf_dir: str):
         ],
         num_partitions=NP,
         post_fn=direction_fold,
-        # sub-crossover volume at catalog scale: the two-phase staged
-        # exchange beats the Dataset sort below ~1M rows (stages/keyed.py)
-        exchange="staged",
     )
     parts = joined.to_pandas()  # ≤ partitions × 2 directions × 2 years
     out = parts.groupby(
@@ -10188,9 +10149,6 @@ def q_tpch_q8(sf_dir: str):
         right_cols=["s_nationkey", "l_extendedprice", "l_discount"],
         num_partitions=NP,
         post_fn=share_fold,
-        # sub-crossover volume at catalog scale: the two-phase staged
-        # exchange beats the Dataset sort below ~1M rows (stages/keyed.py)
-        exchange="staged",
     )
     parts = joined.to_pandas()  # ≤ partitions × 2 years
     out = parts.groupby("o_year", as_index=False)[
@@ -10602,9 +10560,6 @@ def q_tpch_q18(sf_dir: str):
         right_cols=["qty_c"],
         num_partitions=NP,
         post_fn=having_fold,
-        # sub-crossover volume at catalog scale: the two-phase staged
-        # exchange beats the Dataset sort below ~1M rows (stages/keyed.py)
-        exchange="staged",
     )
     surv = joined.to_pandas()  # qualifying orders only (survivor-sized)
     surv["totalprice_c"] = _cents(surv["o_totalprice"])
@@ -10778,9 +10733,6 @@ def q_tpch_q21(sf_dir: str):
         right_cols=["l_suppkey", "l_shipdate"],
         num_partitions=NP,
         post_fn=sole_late_partial,
-        # sub-crossover volume at catalog scale: the two-phase staged
-        # exchange beats the Dataset sort below ~1M rows (stages/keyed.py)
-        exchange="staged",
     )
     parts = joined.to_pandas()  # ≤ partitions × suppliers
     agg = parts.groupby("l_suppkey", as_index=False)["numwait"].sum()
@@ -10883,9 +10835,6 @@ def q_tpch_q22(sf_dir: str):
         right_cols=[],
         how="anti",
         num_partitions=NP,
-        # sub-crossover volume at catalog scale: the two-phase staged
-        # exchange beats the Dataset sort below ~1M rows (stages/keyed.py)
-        exchange="staged",
     )
 
     def nation_partial(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -14010,9 +13959,10 @@ ORACLE_SQL["degree_assortativity"] = """
 def q_tfidf_top_terms(sf_dir: str):
     """Per-document top-3 tf-idf terms with EXACT integer scores
     (functions/text.py:tfidf_top_terms — idf is ``10^12 // df``, one
-    integer division per term, no float log): per-block distinct
-    (doc, term) partials → one keyed df sum → vocab-sized broadcast →
-    block-local tf·idf scoring and (score DESC, term ASC) top-3."""
+    integer division per term, no float log): per-block (doc, term)
+    token counts → keyed tf sum per document → keyed df sum per term →
+    vocab-sized broadcast → block-local tf·idf scoring and (score DESC,
+    term ASC) top-3."""
     from arlas_proc_ray.functions.text import tfidf_top_terms
 
     ds = _docs(sf_dir, columns=["doc_id", "text"])

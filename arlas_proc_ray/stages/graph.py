@@ -39,6 +39,7 @@ import pyarrow as pa
 
 import ray
 
+from arlas_proc_ray.exchange import resident_blocks
 from arlas_proc_ray.stages.keyed import (
     byte_exact_group_cols,
     restore_object_cols,
@@ -294,9 +295,17 @@ def _stage_edge_partitions(edges_ds, *, key_col, cols, num_partitions):
     re-exchanged the (lazy) edge pipeline every round: R rounds × one
     full event-sized read + shuffle for a loop-INVARIANT input. Staging
     pays that cost exactly once (one split task per resident block, one
-    gather per partition, same shape as keyed._staged_keyed_map); every
-    round after touches edges only through these refs and moves nothing
-    but node-sized state. Routing uses the same value-stable hash as the
+    gather per partition); every round after touches edges only through
+    these refs and moves nothing but node-sized state.
+
+    This is deliberately NOT the package's keyed exchange
+    (``arlas_proc_ray/exchange.py``), whose B×G objects are consumed by
+    one task per group and then released: a Pregel loop keeps P
+    partitions resident across rounds and addresses each one per round
+    (:func:`_pregel_loop`), so its splits return B×P per-partition
+    tables and its gathers one table per partition.
+
+    Routing uses the same value-stable hash as the
     node-state splits (functions/hashing.partition_ids), so edge
     partition p holds exactly the edges whose ``key_col`` co-locates
     with state partition p.
@@ -306,12 +315,7 @@ def _stage_edge_partitions(edges_ds, *, key_col, cols, num_partitions):
     callers keep their documented empty-input behavior.
     """
     P = num_partitions
-    mat = edges_ds.materialize()
-    block_refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows is None or meta.num_rows > 0:
-                block_refs.append(ref)
+    block_refs = resident_blocks(edges_ds.materialize())
     if not block_refs:
         return None
 
@@ -367,7 +371,9 @@ def _pregel_loop(
     ``fold(state_p, slices…)`` folds candidates into the state and
     reports a changed count. The driver sees P ints per round, nothing
     else; edges never move after staging. 2·P raw tasks per round, zero
-    Dataset executions.
+    Dataset executions. Its per-partition splits are not the package's
+    keyed exchange on purpose: the P state partitions stay resident and
+    addressable across rounds (see :func:`_stage_edge_partitions`).
 
     ``relax_fn(edges_pdf, state_pdf) -> candidates_pdf`` (node-keyed);
     ``fold_fn(state_pdf_or_None, cand_pdf_or_None) -> (new_state_pdf,
@@ -1102,7 +1108,6 @@ def bellman_ford_exchange(
     node_col: str = "node",
     dist_col: str = "dist",
     num_partitions: int = 32,
-    exchange: str = "staged",
 ):
     """:func:`bellman_ford_dists` with NO driver-resident node state —
     the scale path for reached sets too large to broadcast (the same
@@ -1129,9 +1134,6 @@ def bellman_ford_exchange(
 
     Reserved internal column names: ``_d``, ``_st``;
     ``src_col``/``dst_col``/``node_col`` must not collide.
-
-    ``exchange`` is retained for signature compatibility and unused:
-    the resident-partition loop replaced both per-round exchanges.
 
     Returns the final state as a Dataset of ``(node_col, dist_col)``.
     """
@@ -1239,7 +1241,6 @@ def shortest_hops_exchange(
     node_col: str = "node",
     hops_col: str = "hops",
     num_partitions: int = 32,
-    exchange: str = "staged",
 ):
     """:func:`shortest_hops` with NO driver-resident frontier — the
     unweighted specialization of :func:`bellman_ford_exchange` (every
@@ -1259,7 +1260,6 @@ def shortest_hops_exchange(
         node_col=node_col,
         dist_col=hops_col,
         num_partitions=num_partitions,
-        exchange=exchange,
     )
 
 
@@ -1321,7 +1321,6 @@ def k_core_exchange(
     k: int,
     num_partitions: int = 32,
     max_rounds: int = 10_000,
-    exchange: str = "staged",
 ):
     """:func:`k_core` with NO driver-resident node state — the third
     member of the exchange-mode family (:func:`pagerank_exchange`,
@@ -1341,7 +1340,6 @@ def k_core_exchange(
     once, at staging. Fixpoint = a round with no deaths (early exit);
     a post-loop probe keeps the loud ``max_rounds`` contract.
 
-    ``exchange`` is retained for signature compatibility and unused.
     Returns a Dataset of ``(node, core_degree)``; bit-parity with
     :func:`k_core` is pinned in tests.
     """
@@ -1478,7 +1476,6 @@ def label_propagation(
     node_col: str = "node",
     label_col: str = "label",
     num_partitions: int = 32,
-    exchange: str = "staged",
 ) -> pd.DataFrame:
     """Synchronous label-propagation community detection, the
     DETERMINISTIC variant (Raghavan 2007's LPA with fixed tie-breaks so
@@ -1566,7 +1563,6 @@ def label_propagation(
             order_col="c",
             fn=pick,
             num_partitions=num_partitions,
-            exchange=exchange,
         ).to_pandas()  # node-sized by construction (one row per node)
         # dict-based update: .loc alignment on object string indexes is
         # hash-based and NUL-merges; Python dict lookups are byte-exact

@@ -489,7 +489,6 @@ def equi_join(
     suffix: str = "",
     num_partitions: int = 32,
     post_fn=None,
-    exchange: str = "sort",
 ):
     """Distributed large×large hash equi-join (inner or left).
 
@@ -646,10 +645,8 @@ def equi_join(
         return out[left_out + out_right].reset_index(drop=True)
 
     fn = merge if post_fn is None else (lambda pdf: post_fn(merge(pdf)))
-    # exchange="staged": the two-phase raw-task exchange (stages/keyed.py)
-    # — wins below the Dataset sort's ~1M-row crossover; fn already
-    # tolerates the 0-row partitions the staged path materializes.
+    # fn tolerates the 0-row input a group with no rows hands it
     return keyed_partition_map(
         union, keys=on, order_col="_side", fn=fn,
-        num_partitions=num_partitions, exchange=exchange,
+        num_partitions=num_partitions,
     )

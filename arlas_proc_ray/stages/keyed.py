@@ -4,36 +4,40 @@ Every operator in the reference's §2.4 family is a Spark
 ``Window.partitionBy(id).orderBy(arlas_timestamp)`` expression (e.g.
 /root/reference/src/main/scala/io/arlas/data/transform/features/
 WithDuration.scala:34-58, timeseries/WithStateId.scala:38-60). Ray Data has
-no window functions; the scale-correct mapping is:
+no window functions; the scale-correct mapping is ONE keyed exchange on
+``hash(keys) % P`` (``arlas_proc_ray/exchange.py``, the same exchange every
+writer of the CDC store runs) followed by a partition fn:
 
-    ds.map_batches(add _part_id = hash(keys) % P)      # cheap, vectorized
-      .groupby(_part_id).map_groups(partition_fn)      # ONE shuffle, P groups
+    route every block by partition_ids(keys)         # split tasks, B×G objects
+    per group of partitions: partition_fn(partition) # G group tasks
 
 ``partition_fn`` gets a whole hash partition (MANY keys) as one pandas
-DataFrame, sorts it once by (keys…, order), and computes every per-key
+DataFrame, sorted once by (keys…, order), and computes every per-key
 lag/lead/cumsum with ``df.groupby(keys)`` VECTORIZED operations — pandas'
 cython groupby runs across all keys at once. This beats the naive
-``groupby(key).map_groups`` (one Python call per key, millions of tiny
-groups) by orders of magnitude and is the pattern reused by every keyed
-operator below.
+per-key call (one Python call per key, millions of tiny groups) by orders
+of magnitude and is the pattern reused by every keyed operator below.
 
 Partition count P is the DataModel's single partitioning decision; the same
 key always lands in the same partition (stable siphash), so chained keyed
-operators could be fused into one partition pass (see ``chain`` param).
+operators are fused into one partition pass (see ``chain`` param).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from arlas_proc_ray.functions.hashing import partition_ids
-from arlas_proc_ray.model import DataModel
-
-PART_COL = DataModel.PARTITION_COL
+from arlas_proc_ray.exchange import (
+    concat_results,
+    key_route,
+    partition_map,
+    partition_tables,
+)
 
 _ARROW_STR = pd.ArrowDtype(pa.string())
 
@@ -85,28 +89,44 @@ def key_as_str(s: pd.Series) -> pd.Series:
     return s.astype(str)
 
 
-# Process-wide default for keyed_partition_map's exchange= when a call
-# site does not choose. "staged" (two-phase raw-task exchange) wins on
-# WALL TIME at every single-box volume measured — through 20M scalar
-# rows and 5M rows × 1KB payloads (tools/exchange_crossover.py curves in
-# BASELINE.md; full catalog 151.8 → 99.2 s at sf0.1/32 cpus) — but it
-# MATERIALIZES the upstream and ships blocks×P small objects, so at
-# cluster scale (thousands of blocks × hundreds of partitions over
-# multi-node object stores) the streaming sort shuffle's bounded memory
-# and single all-to-all win; "sort" therefore stays the library default.
-# The query catalog (pipelines/queries.py) opts into "staged" at import
-# — catalog executions are bounded, single-job volumes where the
-# materialization is cheap. Explicit exchange= at a call site always
-# wins over this default.
-DEFAULT_EXCHANGE = "sort"
+def _as_table(res) -> pa.Table:
+    """A partition fn's result as Arrow: pandas frames are converted
+    without their index and with the pandas schema metadata stripped (a
+    metadata-carrying schema is unhashable, which defeats Ray's schema
+    dedup downstream)."""
+    if isinstance(res, pa.Table):
+        return res
+    return pa.Table.from_pandas(
+        res.reset_index(drop=True), preserve_index=False
+    ).replace_schema_metadata(None)
 
 
-def set_default_exchange(mode: str) -> None:
-    """Set the process-wide exchange default ("sort" | "staged")."""
-    global DEFAULT_EXCHANGE
-    if mode not in ("sort", "staged"):
-        raise ValueError(f"unknown exchange: {mode!r}")
-    DEFAULT_EXCHANGE = mode
+def _run_chain(keys, order_col, fns, presorted, table: pa.Table) -> pa.Table:
+    """The fn chain over one partition's rows, each fn seeing them sorted
+    by (keys…, order_col)."""
+    pdf = byte_exact_group_cols(table.to_pandas(), keys)
+    for i, f in enumerate(fns):
+        if isinstance(pdf, pa.Table):  # chained fn returned Arrow
+            pdf = pdf.to_pandas()
+        if not (presorted and i == 0):
+            pdf = pdf.sort_values(keys + [order_col], kind="mergesort")
+        pdf = f(pdf)
+    if isinstance(pdf, pa.Table):
+        return pdf
+    return _as_table(restore_object_cols(pdf, pdf.columns))
+
+
+def _keyed_group(keys, order_col, fns, presorted, parts, *inputs) -> pa.Table:
+    """A group task of ``keyed_partition_map``: the chain over each
+    non-empty partition of ``parts``; a group that received no rows runs
+    it once over its empty input (the 0-row contract), so every block
+    has the chain's output columns."""
+    run = partial(_run_chain, keys, order_col, fns, presorted)
+    outs = [run(t) for _, t in partition_tables(inputs, parts) if t.num_rows]
+    if outs:
+        return concat_results(outs)
+    empty = inputs[0][1]  # no columns when the input had no schema either
+    return run(empty) if empty.num_columns else empty
 
 
 def keyed_partition_map(
@@ -118,12 +138,13 @@ def keyed_partition_map(
     num_partitions: int = 64,
     presorted: bool = False,
     chain: Sequence[Callable[[pd.DataFrame], pd.DataFrame]] | None = None,
-    exchange: str | None = None,
 ):
     """Hash-partition by ``keys`` and run ``fn`` per partition, sorted.
 
     ``fn`` sees all rows of a partition sorted by (keys…, order_col) and
     must be vectorized across keys (use ``pdf.groupby(list(keys))``).
+    ``presorted``: the first fn gets the partition's rows unsorted, in
+    input order (each block's rows in order, blocks in order).
 
     ``chain``: a SEQUENCE of partition fns fused into ONE shuffle — the
     same key always lands in the same partition, so N chained keyed
@@ -133,150 +154,41 @@ def keyed_partition_map(
     as the sequential version would (an in-memory mergesort, ~free next
     to the shuffle it replaces). Mutually exclusive with ``fn``.
 
-    ``exchange``: ``None`` (default) resolves to the process-wide
-    ``DEFAULT_EXCHANGE`` ("sort" unless ``set_default_exchange`` opted the
-    process into "staged" — the query catalog does). ``"sort"`` routes through Ray Data's
-    sort-based groupby — streaming, no materialization. ``"staged"``
-    routes through the same two-phase raw-task exchange the CDC engine
-    uses for high-volume epochs (cdc/staged.py rationale): one split
-    task per input block (ONE argsort + per-partition ``take``), one
-    gather task per partition — no sort machinery, no sampling, at the
-    cost of materializing the upstream once. Two semantic differences,
-    both documented: partition fns may be called on 0-row input (the
-    sort path never materializes empty groups — fns here already return
-    typed empties), and the fn must return a pa.Table or a pandas frame
-    convertible to one with a schema CONSTANT across partitions.
+    The exchange is the package's one keyed exchange
+    (``arlas_proc_ray/exchange.py``): it materializes ``ds`` once, and
+    the returned Dataset has one block per group of partitions, so a key
+    never straddles blocks. fns run only on partitions that received
+    rows, except that a group that received none runs the chain once on
+    0-row input (an input with no rows: once in all), so every fn must
+    accept an empty frame and return its typed empty result. A fn
+    returns a pa.Table, or a pandas frame convertible to one, with a
+    schema constant across partitions.
     """
     keys = list(keys)
     if (fn is None) == (chain is None):
         raise ValueError("pass exactly one of fn= or chain=")
     fns = [fn] if fn is not None else list(chain)
-    if exchange is None:
-        exchange = DEFAULT_EXCHANGE
-    if exchange not in ("sort", "staged"):
-        raise ValueError(f"unknown exchange: {exchange!r}")
-    if exchange == "staged":
-        return _staged_keyed_map(
-            ds,
-            keys=keys,
-            order_col=order_col,
-            fns=fns,
-            num_partitions=num_partitions,
-            presorted=presorted,
-        )
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        pids = partition_ids(batch, keys, num_partitions)
-        batch = batch.append_column(PART_COL, pa.array(pids, type=pa.int32()))
-        # pandas-origin schemas carry a metadata dict that breaks Ray's
-        # schema hashing in the sort reduce (cosmetic warning spam that can
-        # mask real schema drift) — strip it before the shuffle
-        return batch.replace_schema_metadata(None)
-
-    def run_group(pdf: pd.DataFrame):
-        pdf = byte_exact_group_cols(pdf.drop(columns=[PART_COL]), keys)
-        for i, f in enumerate(fns):
-            if isinstance(pdf, pa.Table):  # chained fn returned Arrow
-                pdf = pdf.to_pandas()
-            if not (presorted and i == 0):
-                pdf = pdf.sort_values(keys + [order_col], kind="mergesort")
-            pdf = f(pdf)
-        if isinstance(pdf, pa.Table):
-            # Arrow passthrough: partition fns may return typed-empty
-            # pa.Tables (Ray's pandas block sizing can't handle
-            # zero-length object columns)
-            return pdf
-        return restore_object_cols(pdf.reset_index(drop=True), pdf.columns)
-
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow", batch_size=None)
-        .groupby(PART_COL)
-        .map_groups(run_group, batch_format="pandas")
+    return partition_map(
+        ds,
+        route=partial(key_route, keys, num_partitions),
+        body=partial(_keyed_group, keys, order_col, fns, presorted),
+        num_partitions=num_partitions,
     )
 
 
-def _staged_keyed_map(ds, *, keys, order_col, fns, num_partitions, presorted):
-    """Two-phase raw-task exchange behind ``keyed_partition_map``.
+def _part_route(part_col: str, table: pa.Table):
+    return table, np.asarray(table.column(part_col).to_numpy(), np.int64)
 
-    Mirrors cdc/staged.py: split each resident block into P slices with
-    one argsort + per-partition ``take()`` (NOT ``slice()`` — a pyarrow
-    slice pickles the whole parent buffer, a P× blow-up through the
-    object store), then one gather task per partition concatenates its
-    slices and runs the partition fns. blocks×P small objects; use for
-    volumes where the Dataset sort's sample/sort/re-block overhead
-    dominates (the CDC engine's measured crossover is ~1M rows).
-    """
-    import ray
-    import ray.data as rd
 
-    P = num_partitions
-    mat = ds.materialize()
-    # drop 0-row blocks from metadata alone (no fetch): Ray 2.49 passes
-    # empty blocks through map stages carrying a STALE upstream schema
-    # (the RefBundle empty-schema artifact) — routing one through split
-    # would KeyError on the key columns. All-empty input falls back to
-    # the sort path, which resolves the output schema the normal way.
-    block_refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows is None or meta.num_rows > 0:
-                block_refs.append(ref)
-    if not block_refs:
-        return keyed_partition_map(
-            mat,
-            keys=keys,
-            order_col=order_col,
-            fn=fns[0] if len(fns) == 1 else None,
-            chain=None if len(fns) == 1 else fns,
-            num_partitions=P,
-            presorted=presorted,
-            exchange="sort",
-        )
-
-    @ray.remote(num_returns=P)
-    def split(block):
-        # internal refs are raw blocks — pandas when the upstream stage
-        # ran in pandas batch format (to_arrow_refs would have converted)
-        if isinstance(block, pd.DataFrame):
-            block = pa.Table.from_pandas(block, preserve_index=False)
-        block = block.combine_chunks()
-        pids = partition_ids(block, keys, P)
-        order = np.argsort(pids, kind="stable")
-        bounds = np.searchsorted(pids[order], np.arange(P + 1))
-        parts = [
-            block.take(pa.array(order[bounds[p] : bounds[p + 1]]))
-            for p in range(P)
-        ]
-        return tuple(parts) if P > 1 else parts[0]
-
-    @ray.remote
-    def gather(part: int, *slices: pa.Table) -> pa.Table:
-        t = pa.concat_tables(slices, promote_options="default")
-        pdf = byte_exact_group_cols(t.to_pandas(), keys)
-        for i, f in enumerate(fns):
-            if isinstance(pdf, pa.Table):
-                pdf = pdf.to_pandas()
-            if not (presorted and i == 0):
-                pdf = pdf.sort_values(keys + [order_col], kind="mergesort")
-            pdf = f(pdf)
-        if isinstance(pdf, pa.Table):
-            return pdf
-        # strip the b'pandas' schema metadata: a metadata-carrying schema
-        # is UNHASHABLE, which defeats Ray's schema dedup in every
-        # downstream shuffle (one warning per block)
-        return pa.Table.from_pandas(
-            restore_object_cols(pdf.reset_index(drop=True), pdf.columns),
-            preserve_index=False,
-        ).replace_schema_metadata(None)
-
-    split_out = [split.remote(ref) for ref in block_refs]
-    out_refs = [
-        gather.remote(
-            p, *([s[p] for s in split_out] if P > 1 else split_out)
-        )
-        for p in range(P)
-    ]
-    return rd.from_arrow_refs(out_refs)
+def _partition_apply_group(fn, empty_result, parts, *inputs) -> pa.Table:
+    """A group task of ``staged_partition_apply``."""
+    outs = []
+    for p, t in partition_tables(inputs, parts):
+        if not t.num_rows and empty_result is not None:
+            outs.append(empty_result)
+        else:
+            outs.append(_as_table(fn(p, t.to_pandas() if t.num_rows else None)))
+    return concat_results(outs)
 
 
 def staged_partition_apply(
@@ -287,92 +199,28 @@ def staged_partition_apply(
     empty_result: pa.Table | None = None,
     part_col: str = "_part",
 ):
-    """Two-phase raw-task exchange on a PRECOMPUTED partition-id column.
+    """``fn(p, pdf)`` per partition, routed by a PRECOMPUTED partition id.
 
-    The caller has already routed every row (an int32 ``part_col`` in
-    [0, num_partitions)); all that remains is a fixed-fan-out exchange —
-    no ordering, no sampling — so the Dataset sort-groupby's machinery
-    is pure overhead (measured ~1.4 s to route 1200 rows to 8
-    partitions). One split task per resident block (ONE argsort +
-    per-partition ``take()``, NOT ``slice()`` — a pyarrow slice pickles
-    the whole parent buffer), one gather task per partition running
-    ``fn(p, pdf)``.
+    The caller has already routed every row (an int ``part_col`` in
+    [0, num_partitions)), so the exchange routes by that column instead
+    of hashing keys; it is otherwise ``keyed_partition_map``'s exchange.
 
-    ``empty_result``: when given, gathers whose partition received zero
-    rows return it WITHOUT calling ``fn`` — the incremental contract
+    ``empty_result``: when given, a partition that received zero rows
+    yields it WITHOUT calling ``fn`` — the incremental contract
     (untouched partitions cost nothing). When ``None``, ``fn`` runs for
-    every partition, zero-row input included (bootstrap: every partition
-    must come into existence).
+    every partition, with ``pdf=None`` for one that received no rows
+    (bootstrap: every partition must come into existence).
 
-    Returns a Dataset with one block per partition. ``fn`` results must
-    share one schema; pandas results are converted (metadata-stripped).
+    Returns a Dataset with one block per group of partitions. ``fn``
+    results must share one schema; pandas results are converted
+    (metadata-stripped).
     """
-    import ray
-    import ray.data as rd
-
-    P = num_partitions
-    mat = ds.materialize()
-    # drop 0-row blocks from metadata alone — Ray 2.49 passes empty
-    # blocks through map stages with a stale upstream schema (the
-    # RefBundle artifact); routing one through split would KeyError on
-    # the part column.
-    block_refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows is None or meta.num_rows > 0:
-                block_refs.append(ref)
-
-    def _to_table(res) -> pa.Table:
-        if isinstance(res, pa.Table):
-            return res
-        return pa.Table.from_pandas(
-            res.reset_index(drop=True), preserve_index=False
-        ).replace_schema_metadata(None)
-
-    if not block_refs:
-        if empty_result is not None:
-            return rd.from_arrow(empty_result)
-
-        @ray.remote
-        def run_empty(p: int) -> pa.Table:
-            return _to_table(fn(p, None))
-
-        return rd.from_arrow_refs([run_empty.remote(p) for p in range(P)])
-
-    @ray.remote(num_returns=P)
-    def split(block):
-        if isinstance(block, pd.DataFrame):
-            block = pa.Table.from_pandas(
-                block, preserve_index=False
-            ).replace_schema_metadata(None)
-        block = block.combine_chunks()
-        pids = np.asarray(block.column(part_col).to_numpy(), np.int64)
-        order = np.argsort(pids, kind="stable")
-        bounds = np.searchsorted(pids[order], np.arange(P + 1))
-        parts = [
-            block.take(pa.array(order[bounds[p]: bounds[p + 1]]))
-            for p in range(P)
-        ]
-        return tuple(parts) if P > 1 else parts[0]
-
-    @ray.remote
-    def gather(p: int, *slices: pa.Table):
-        live = [s for s in slices if s.num_rows]
-        if not live and empty_result is not None:
-            return empty_result
-        pdf = (
-            pa.concat_tables(live, promote_options="default").to_pandas()
-            if live else None
-        )
-        return _to_table(fn(p, pdf))
-
-    split_out = [split.remote(ref) for ref in block_refs]
-    return rd.from_arrow_refs([
-        gather.remote(
-            p, *([s[p] for s in split_out] if P > 1 else split_out)
-        )
-        for p in range(P)
-    ])
+    return partition_map(
+        ds,
+        route=partial(_part_route, part_col),
+        body=partial(_partition_apply_group, fn, empty_result),
+        num_partitions=num_partitions,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ matching a predicate into ONE summary row while passing the rest through
 unchanged. The reference needs a placeholder-row/flatMap/window trick for
 this (documented at fragments/FragmentSummaryTransformer.scala:45-55,
 :240-259, :291-309) because SQL windows can't emit "one row per group plus
-the originals". ``map_groups`` does it naturally — no placeholder rows.
+the originals". A partition fn does it naturally — no placeholder rows.
 
 Implementation is partition-grouped and vectorized: ONE hash shuffle on the
 entity key, then a pandas groupby-aggregate over all matching rows of the
@@ -52,10 +52,10 @@ def run_collapse_fn(
         rest = pdf[~mask] if passthrough else pdf.iloc[0:0]
         if len(matching) == 0:
             if len(pdf) == 0:
-                # the staged exchange delivers 0-row partitions (the sort
-                # path never materializes empty groups): emit the SAME
-                # column set a non-empty partition would — rest columns ∪
-                # agg outputs — so downstream fns see a constant schema
+                # the keyed exchange hands a group with no rows over as
+                # 0-row input: emit the SAME column set a non-empty
+                # partition would — rest columns ∪ agg outputs — so
+                # downstream fns see a constant schema
                 empty = rest.copy()
                 for out_col in agg:
                     if out_col not in empty.columns:

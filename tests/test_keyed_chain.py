@@ -5,6 +5,7 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
+from arlas_proc_ray.stages import keyed
 from arlas_proc_ray.stages.keyed import keyed_partition_map, state_id_fn
 
 
@@ -20,7 +21,7 @@ def _fixture() -> pd.DataFrame:
     )
 
 
-def test_chain_matches_sequential():
+def test_chain_matches_sequential(monkeypatch):
     # closures (not module-level fns): workers can't import the test module
     def lag_fn(pdf):
         pdf["v_lag"] = pdf.groupby("id", sort=False)["v"].shift(1)
@@ -38,35 +39,31 @@ def test_chain_matches_sequential():
     sid = state_id_fn(["id"], "seq", "v", "seg")
     fns = [lag_fn, dur_fn, cum_fn, sid]
 
-    # exchange pinned to "sort": this test asserts the SORT-plan shape
-    # (one Sort operator for the fused chain) — the process-wide default
-    # may be "staged" when the catalog module was imported earlier in
-    # the session (pipelines/queries.py opt-in)
+    exchanges = []
+    run_exchange = keyed.partition_map
+    monkeypatch.setattr(
+        keyed, "partition_map",
+        lambda *a, **kw: exchanges.append(1) or run_exchange(*a, **kw),
+    )
     seq = rd.from_pandas(df)
     for f in fns:
         seq = keyed_partition_map(
             seq, keys=["id"], order_col="seq", fn=f, num_partitions=4,
-            exchange="sort",
         )
     expected = (
         seq.to_pandas().sort_values(["id", "seq"]).reset_index(drop=True)
     )
+    assert len(exchanges) == 4
 
     fused = keyed_partition_map(
         rd.from_pandas(df), keys=["id"], order_col="seq", chain=fns,
-        num_partitions=4, exchange="sort",
+        num_partitions=4,
     )
     got = fused.to_pandas().sort_values(["id", "seq"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got[expected.columns], expected)
 
-    # ONE shuffle in the fused plan (vs 4 sequentially)
-    stats = fused.materialize().stats()
-    sort_ops = [
-        line
-        for line in stats.splitlines()
-        if line.startswith("Operator") and "Sort" in line
-    ]
-    assert len(sort_ops) == 1, stats
+    # ONE exchange for the fused chain (vs 4 sequentially)
+    assert len(exchanges) == 5
 
 
 def test_chain_param_validation():

@@ -19,6 +19,7 @@ import pytest
 import ray
 import ray.data as rd
 
+from arlas_proc_ray import exchange
 from arlas_proc_ray.cdc import replay, sizing, staged
 from arlas_proc_ray.cdc.engine import CdcEngine
 from arlas_proc_ray.cdc.events import ChangelogConfig, generate_changelog_tables
@@ -96,7 +97,7 @@ def test_exchange_objects_are_contiguous_partition_sorted_tables(
                 assert range(first, first + len(bounds) - 1) == grp
         assert covered >= set(grp)
         for p in grp:
-            views = staged._partition_views(inputs, p)
+            views = exchange.partition_views(inputs, p)
             want = pa.concat_tables([r[p] for r in routed])
             assert pa.concat_tables(views).equals(want), p
     pd.testing.assert_frame_equal(
@@ -401,11 +402,36 @@ def _calls(root: str, attr: str) -> set[tuple[str, str]]:
     return found
 
 
+def _exchange_params(root: str) -> set[tuple[str, str]]:
+    """``(file, function)`` of every ``def`` under ``root`` that takes a
+    parameter named ``exchange``."""
+    import ast
+    import os
+
+    found = set()
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path) as f:
+                    tree = ast.parse(f.read(), path)
+                for node in ast.walk(tree):
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                        a = node.args
+                        params = a.posonlyargs + a.args + a.kwonlyargs
+                        if any(x.arg == "exchange" for x in params):
+                            found.add((os.path.relpath(path, root),
+                                       node.name))
+    return found
+
+
 def test_one_kernel_writes_and_one_exchange_routes_the_store():
     """Every writer of the snapshot store ends in ``apply_partition``:
     it is the only caller of ``SnapshotStore.write_partition`` in the
-    package. Under ``cdc/`` the only Ray Data ``map_groups`` exchange left
-    is the sinkless replay, which writes no store."""
+    package. No Ray Data ``map_groups`` exchange is left in the package,
+    and no function offers a choice of exchange: every keyed step runs
+    ``arlas_proc_ray/exchange.py``."""
     import os
 
     import arlas_proc_ray
@@ -414,6 +440,5 @@ def test_one_kernel_writes_and_one_exchange_routes_the_store():
     assert _calls(pkg, "write_partition") == {
         (os.path.join("cdc", "engine.py"), "apply_partition")
     }
-    assert _calls(os.path.join(pkg, "cdc"), "map_groups") == {
-        ("replay.py", "replay_to_dataset")
-    }
+    assert _calls(pkg, "map_groups") == set()
+    assert _exchange_params(pkg) == set()

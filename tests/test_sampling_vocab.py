@@ -534,6 +534,55 @@ def test_compression_ratio_signal_ordering_and_exactness():
     assert r[0] < r[1] < r[2]
 
 
+def test_tfidf_top_terms_counts_a_document_split_over_rows_once():
+    # doc 7's text spans two rows, in different blocks: it is ONE
+    # document for df and its tf sums both rows (the SQL oracle's
+    # GROUP BY doc_id), checked against the exact-integer oracle
+    import collections
+    import re
+
+    from arlas_proc_ray.functions.text import tfidf_top_terms
+
+    rows = [
+        (7, "apple banana"),
+        (1, "apple cherry cherry"),
+        (2, "banana date"),
+        (7, "apple fig"),
+    ]
+    df = pd.DataFrame(rows, columns=["doc_id", "text"])
+    out = (
+        tfidf_top_terms(
+            rd.from_pandas(df, override_num_blocks=2),
+            doc_col="doc_id", text_col="text", k=3, num_partitions=4,
+        )
+        .to_pandas()
+        .sort_values(["doc_id", "tfidf_scaled", "term"],
+                     ascending=[True, False, True])
+        .reset_index(drop=True)
+    )
+    tfs: dict = collections.defaultdict(collections.Counter)
+    for d, t in rows:
+        tfs[d].update(re.findall("[a-z]+", t.lower()))
+    dfc: collections.Counter = collections.Counter()
+    for c in tfs.values():
+        dfc.update(set(c))
+    assert dfc["apple"] == 2  # doc 7 counted once
+    S = 10**12
+    want = []
+    for d in sorted(tfs):
+        ranked = sorted(
+            ((tf * (S // dfc[t]), t, tf) for t, tf in tfs[d].items()),
+            key=lambda r: (-r[0], r[1]),
+        )[:3]
+        want += [(d, t, tf, dfc[t], sc) for sc, t, tf in ranked]
+    got = list(
+        out[["doc_id", "term", "tf", "df_n", "tfidf_scaled"]].itertuples(
+            index=False, name=None
+        )
+    )
+    assert got == want
+
+
 def test_tfidf_top_terms_exact_scores_ties_and_empties():
     from arlas_proc_ray.functions.text import tfidf_top_terms
 

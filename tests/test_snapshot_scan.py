@@ -474,3 +474,35 @@ def test_scan_over_threshold_stays_lazy(store, monkeypatch):
     monkeypatch.setattr(snapshot, "SMALL_SCAN_BYTES", os.path.getsize(one))
     assert store.scan(predicate=[("v", "==", 150)])._logical_plan.dag.name == "FromBlocks"
     assert store.scan()._logical_plan.dag.name == "ReadParquet"
+
+
+def test_long_string_predicate_keeps_its_row(tmp_path, monkeypatch):
+    """A string value over the Parquet writer's 4 KiB statistics limit
+    leaves no bound the writer would store as "": ``write_partition``
+    writes no statistics for that column, so the ``read_parquet`` scan's
+    pushed-down ``==`` filter returns the row and footer pruning counts
+    its row group as matching."""
+    from arlas_proc_ray.cdc import snapshot
+    from arlas_proc_ray.cdc.snapshot import row_group_pruning_stats
+
+    big = "y" * 5000
+    store = SnapshotStore(str(tmp_path / "snap"), row_group_rows=1)
+    content = pa.array([big, "b"], pa.string())
+    store.write_partition(0, 0, pa.table({
+        "key": ["a", "b"],
+        "content": content,
+        "last_lsn": pa.array([1, 2], pa.int64()),
+        "content_sha256": sha256_hex(pa.chunked_array([content])),
+    }))
+    store.commit_epoch(0, 1)
+    monkeypatch.setattr(snapshot, "SMALL_SCAN_BYTES", 0)
+    pred = [("content", "==", big)]
+    ds = store.scan(predicate=pred)
+    assert ds._logical_plan.dag.name == "ReadParquet"
+    assert _sorted_rows(ds).column("key").to_pylist() == ["a"]
+    stats = row_group_pruning_stats([store.part_data_path(0, 0)], pred)
+    assert stats["row_groups_total"] == 2
+    assert stats["row_groups_matching"] == 2  # no bounds: nothing prunes
+    # the other columns keep their statistics
+    md = pq.ParquetFile(store.part_data_path(0, 0)).metadata
+    assert md.row_group(0).column(2).statistics.has_min_max

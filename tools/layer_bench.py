@@ -106,7 +106,8 @@ def _routed(events: int, partitions: int, seed: int):
         default_registry,
         generate_changelog_tables,
     )
-    from arlas_proc_ray.cdc.staged import _partition_order, _route
+    from arlas_proc_ray.cdc.staged import _route
+    from arlas_proc_ray.exchange import partition_order
     from arlas_proc_ray.model import DataModel
 
     dm = DataModel(num_partitions=partitions)
@@ -116,7 +117,7 @@ def _routed(events: int, partitions: int, seed: int):
     align = make_ingest_head(default_registry(), dm, epoch=1,
                              dead_letter_dir=None, constraints=None)
     table, pids = _route(block, dm, align)
-    order, bounds = _partition_order(pids, 0, partitions)
+    order, bounds = partition_order(pids, 0, partitions)
     return dm, table, order, bounds
 
 
@@ -131,7 +132,7 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
         _bloom_build,
         _bloom_hashes,
     )
-    from arlas_proc_ray.cdc.staged import _exchange_object, group_plan
+    from arlas_proc_ray.exchange import exchange_object, group_plan
 
     dm, table, order, bounds = _routed(events, partitions, seed)
     plan = group_plan(partitions, groups)
@@ -142,8 +143,8 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
                 for p in range(partitions)]
 
     def exchange_objects():
-        return [_exchange_object(g[0], table, order,
-                                 bounds[g.start: g.stop + 1]) for g in plan]
+        return [exchange_object(g[0], table, order,
+                                bounds[g.start: g.stop + 1]) for g in plan]
 
     def put_get(objs):
         return lambda: ray.get([ray.put(o) for o in objs])
