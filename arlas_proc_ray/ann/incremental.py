@@ -140,7 +140,7 @@ class _VectorIndex(IncrementalPartitionedIndex):
             # sample would cover only the head of a clustered domain)
             vec_col = self.spec["vec_col"]
             state = state_dataset(self.store, target, [vec_col])
-            rows = self.store.read_epoch_summary(target)["row_count"]
+            rows = self.store.table_stats(target)["row_count"]
             frac = min(1.0, (self.train_sample * 1.5) / max(rows, 1))
             sampled = (
                 state if frac >= 1.0
@@ -541,7 +541,7 @@ class _PqVectorIndex(_VectorIndex):
         if self.cents is None or need_books:
             vec_col = self.spec["vec_col"]
             state = state_dataset(self.store, target, [vec_col])
-            rows = self.store.read_epoch_summary(target)["row_count"]
+            rows = self.store.table_stats(target)["row_count"]
             frac = min(1.0, (self.train_sample * 1.5) / max(rows, 1))
             sampled = (
                 state if frac >= 1.0

@@ -128,7 +128,8 @@ def sync_snapshot(
     metadata-chain mechanism as ``apply_epoch(delta=True)``), so an
     idle source costs one index read and zero data bytes. A source
     fan-out change forces a full re-copy into the new destination epoch
-    (pre-images across a repartition are not comparable). The synced
+    (pre-images across a repartition are not comparable), and so does a
+    last-synced source epoch that the source has since vacuumed. The synced
     source epoch is recorded in ``<dest>/_SYNC`` — the destination
     remains a normal store (scan/verify/vacuum all work), and a crashed
     sync re-runs idempotently through the partition fences.
@@ -168,21 +169,22 @@ def sync_snapshot(
         return {"mode": "noop", "epoch": dest_tip, "source_epoch": e,
                 "partitions_copied": 0}
 
+    # a vacuumed last-synced epoch leaves nothing to diff against
+    changed = (
+        src_store.changed_partitions(prev_src, e)
+        if os.path.exists(src_store.commit_marker_path(prev_src)) else None
+    )
     index = src_store.epoch_index(e)
     srcs = [m.epoch for m in index]
     num_parts = len(index)
-    prev_parts = src_store.read_epoch_summary(prev_src)["num_partitions"]
-    full = num_parts != prev_parts
-    if not full:
-        prev_sources = src_store.resolve_sources(prev_src)
-        changed = [
-            p for p in range(num_parts)
-            if srcs[p] != prev_sources.get(p, prev_src)
-        ]
-    else:
-        changed = list(range(num_parts))
+    full = changed is None
+    if full:
+        changed, sources = list(range(num_parts)), None
+    else:  # an unchanged partition keeps its destination file
+        moved = set(changed)
+        sources = {p: m.epoch for p, m in enumerate(dest.epoch_index(dest_tip))
+                   if p not in moved}
     dest_epoch = dest_tip + 1
-    dest_prev_sources = dest.resolve_sources(dest_tip)
     src_root = src_store.root
 
     @ray.remote(num_cpus=0.25)
@@ -191,11 +193,6 @@ def sync_snapshot(
                                part)
 
     copied = ray.get([copy_part.remote(p) for p in changed])
-    sources = {
-        p: dest_prev_sources.get(p, dest_tip)
-        for p in range(num_parts)
-        if p not in set(changed)
-    } if not full else None
     dest.commit_epoch(
         dest_epoch, num_parts, sources=sources, expected_prev=dest_tip,
         _manifests={p: dataclasses.replace(index[p], epoch=dest_epoch)

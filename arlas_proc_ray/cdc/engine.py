@@ -314,7 +314,7 @@ class CdcEngine:
 
         ``delta=True``: a partition with no surviving events this epoch
         (untouched, or every event at or below its fence) is NOT
-        rewritten — the commit marker's source map points at the epoch
+        rewritten — the epoch index's row for it points at the epoch
         that last wrote it (metadata-chained compaction). At low change
         rates this removes the dominant copy-forward cost;
         ``SnapshotStore.vacuum`` respects the chain.
@@ -466,7 +466,7 @@ class CdcEngine:
         if max_shrink_fraction is not None:
             prev = self.store.latest_committed_epoch()
             prev_rows = (
-                self.store.read_epoch_summary(prev)["row_count"]
+                self.store.table_stats(prev)["row_count"]
                 if prev is not None else 0
             )
             floor = int(prev_rows * (1.0 - max_shrink_fraction))
@@ -810,7 +810,7 @@ class CdcEngine:
         After the commit, subsequent engines must be constructed with
         ``DataModel(num_partitions=new_num_partitions)``; ``apply_epoch``
         enforces this (fan-out mismatch raises), and ``lookup`` reads the
-        committed fan-out from the epoch summary automatically.
+        committed fan-out from the epoch index automatically.
 
         Returns the commit summary of the rewrite epoch.
         """
@@ -836,7 +836,7 @@ class CdcEngine:
         new_p = int(new_num_partitions)
         if new_p < 1:
             raise ValueError("new_num_partitions must be >= 1")
-        watermark = int(store.read_epoch_summary(latest).get("last_lsn", -1))
+        watermark = store.table_stats(latest)["applied_lsn"]
         writer = _Epoch(
             self, epoch, partial(copy_fold, watermark), prev_epoch=latest,
             num_partitions=new_p,
@@ -850,9 +850,9 @@ class CdcEngine:
     def rollback(self, to_epoch, epoch: int | None = None) -> dict:
         """Roll the table back to a committed epoch — metadata only.
 
-        Commits a NEW epoch whose source map points at the target epoch's
+        Commits a NEW epoch whose index points at the target epoch's
         partition files (the same chain mechanism delta epochs use): no
-        data is copied, the rollback is one atomic marker write, and
+        data is copied, the rollback is one index and one marker write, and
         ``vacuum`` keeps the chain reachable. Because the new epoch's
         per-partition fences are the TARGET's manifests, the applied-LSN
         watermarks rewind with the state — events from the undone epochs
@@ -879,10 +879,10 @@ class CdcEngine:
             raise ValueError(
                 f"epoch {epoch} already committed (latest {latest})"
             )
-        sources = store.resolve_sources(target)
-        num_p = int(store.read_epoch_summary(target)["num_partitions"])
+        index = store.epoch_index(target)
         return store.commit_epoch(
-            epoch, num_p, sources=sources, expected_prev=latest
+            epoch, len(index), sources={p: m.epoch for p, m in enumerate(index)},
+            expected_prev=latest,
         )
 
     # ------------------------------------------------------------------
@@ -940,7 +940,7 @@ class CdcEngine:
         if epoch is None:
             epoch = (latest if latest is not None else 0) + 1
         watermark = (
-            int(self.store.read_epoch_summary(latest).get("last_lsn", -1))
+            self.store.table_stats(latest)["applied_lsn"]
             if latest is not None
             else -1
         )
@@ -1022,7 +1022,7 @@ class CdcEngine:
             order = np.lexsort((dlv.to_numpy(na_value=0), lsn.to_numpy(
                 na_value=np.iinfo(np.int64).max)))
             watermark = (
-                int(self.store.read_epoch_summary(latest).get("last_lsn", -1))
+                self.store.table_stats(latest)["applied_lsn"]
                 if latest is not None
                 else -1
             )

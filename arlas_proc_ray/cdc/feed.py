@@ -38,7 +38,6 @@ Scale shape:
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import pandas as pd
@@ -75,11 +74,12 @@ def change_feed(
     t = store._resolve_epoch_arg(target)
     if b is None or t is None:
         raise RuntimeError("change_feed: both epochs must be committed")
-    b_sum, t_sum = store.read_epoch_summary(b), store.read_epoch_summary(t)
     key_cols = list(key_cols)
     include_old = list(include_old)
 
-    if b_sum["num_partitions"] != t_sum["num_partitions"]:
+    # a partition whose file is the same in both epochs has no changes
+    todo = store.changed_partitions(b, t)
+    if todo is None:
         if include_old:
             raise ValueError(
                 "change_feed: fan-out changed between epochs; pre-images "
@@ -90,13 +90,8 @@ def change_feed(
             store, b, t, key_cols, compare_cols, columns, op_col
         )
 
-    num_partitions = t_sum["num_partitions"]
-    b_src, t_src = store.resolve_sources(b), store.resolve_sources(t)
-    todo = [
-        p
-        for p in range(num_partitions)
-        if b_src.get(p) != t_src.get(p)  # same immutable file ⇒ no changes
-    ]
+    b_src = [m.epoch for m in store.epoch_index(b)]
+    t_src = [m.epoch for m in store.epoch_index(t)]
 
     read_cols = None
     if columns is not None:
@@ -109,15 +104,13 @@ def change_feed(
             return tbl
         return tbl.select([c for c in cols if c in tbl.column_names])
 
-    empty_tmpl = _empty_feed_frame(
-        store, t, t_src, num_partitions, read_cols, include_old, op_col
-    )
+    empty_tmpl = _empty_feed_frame(store, t, read_cols, include_old, op_col)
 
     def diff_parts(batch: pd.DataFrame) -> pd.DataFrame:
         frames = []
         for p in batch["part"].tolist():
-            old = _select(store.read_partition(b_src.get(p, b), p), read_cols)
-            new = _select(store.read_partition(t_src.get(p, t), p), read_cols)
+            old = _select(store.read_partition(b_src[p], p), read_cols)
+            new = _select(store.read_partition(t_src[p], p), read_cols)
             if include_old:
                 d, imgs = diff_state_tables(
                     old, new, key_cols=key_cols, compare_cols=compare_cols,
@@ -148,8 +141,6 @@ def change_feed(
 def _empty_feed_frame(
     store: SnapshotStore,
     t: int,
-    t_src: dict,
-    num_partitions: int,
     read_cols,
     include_old: list[str],
     op_col: str,
@@ -157,14 +148,10 @@ def _empty_feed_frame(
     """Zero-row Arrow table with the feed's exact column set and types."""
     import pyarrow.parquet as pq
 
-    schema = None
-    for p in range(num_partitions):
-        path = store.part_data_path(t_src.get(p, t), p)
-        if os.path.exists(path):
-            schema = pq.read_schema(path)
-            break
-    if schema is None:
+    files = store.epoch_files(t)
+    if not files:
         return pa.table({op_col: pa.array([], pa.string())})
+    schema = pq.read_schema(files[0])
     fields = [
         f for f in schema
         if read_cols is None or f.name in read_cols
@@ -192,21 +179,15 @@ def _global_feed(
     from arlas_proc_ray.cdc.diff import snapshot_diff
     from arlas_proc_ray.cdc.publish import _state_columns
 
+    cols = None
+    if columns is not None:
+        cols = sorted(
+            set(key_cols) | set(columns)
+            | set(compare_cols if compare_cols is not None else ())
+        )
+
     def state_ds(e: int):
-        srcs = store.resolve_sources(e)
-        n = store.read_epoch_summary(e)["num_partitions"]
-        files = [
-            store.part_data_path(srcs.get(p, e), p)
-            for p in range(n)
-            if os.path.exists(store.part_data_path(srcs.get(p, e), p))
-        ]
-        cols = None
-        if columns is not None:
-            cols = sorted(
-                set(key_cols) | set(columns)
-                | set(compare_cols if compare_cols is not None else ())
-            )
-        return rd.read_parquet(files, columns=cols)
+        return rd.read_parquet(store.epoch_files(e), columns=cols)
 
     compare = list(
         compare_cols
@@ -223,5 +204,5 @@ def _global_feed(
         key=key_cols,
         compare=compare,
         op_col=op_col,
-        num_partitions=max(store.read_epoch_summary(t)["num_partitions"], 8),
+        num_partitions=max(len(store.epoch_index(t)), 8),
     )

@@ -54,13 +54,7 @@ def state_dataset(store: SnapshotStore, epoch: int, columns):
     16-partition fold that does ~10 ms of work per task)."""
     import ray.data as rd
 
-    srcs = store.resolve_sources(epoch)
-    n = store.read_epoch_summary(epoch)["num_partitions"]
-    files = [
-        store.part_data_path(srcs.get(p, epoch), p)
-        for p in range(n)
-        if os.path.exists(store.part_data_path(srcs.get(p, epoch), p))
-    ]
+    files = store.epoch_files(epoch)
     return rd.read_parquet(
         files, columns=list(columns),
         override_num_blocks=max(1, len(files)),
@@ -266,10 +260,7 @@ class IncrementalPartitionedIndex:
         if ckpt is not None and ckpt.get("spec") != self.spec:
             ckpt = None  # parameter drift: rows incomparable -> rebuild
         base = ckpt["epoch"] if ckpt else None
-        if base is not None and (
-            store.read_epoch_summary(base)["num_partitions"]
-            != store.read_epoch_summary(target)["num_partitions"]
-        ):
+        if base is not None and store.changed_partitions(base, target) is None:
             # store fan-out changed: the feed cannot supply pre-images
             # for removals across the boundary -> rebuild from state
             ckpt, base = None, None

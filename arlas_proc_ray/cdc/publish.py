@@ -307,13 +307,13 @@ def publish_to_elasticsearch(
     target = store._resolve_epoch_arg(epoch)
     if target is None:
         raise RuntimeError("no committed epoch to publish")
-    summary = store.read_epoch_summary(target)
-    num_partitions = summary["num_partitions"]
-    tgt_sources = store.resolve_sources(target)
+    tgt_src = [m.epoch for m in store.epoch_index(target)]
+    num_partitions = len(tgt_src)
 
     ckpt = None if full else read_publish_checkpoint(store, sink_id)
     base = ckpt["epoch"] if ckpt else None
-    base_sources: dict[int, int] = {}
+    base_src = None
+    todo = list(range(num_partitions))
     if base is not None:
         if base == target:
             return {
@@ -322,8 +322,9 @@ def publish_to_elasticsearch(
                 "partitions_skipped": num_partitions,
                 "indexed": 0, "deleted": 0, "rejected": 0, "mode": "noop",
             }
-        base_summary = store.read_epoch_summary(base)
-        if base_summary["num_partitions"] != num_partitions:
+        # an unchanged partition has the same immutable file both sides
+        todo = store.changed_partitions(base, target)
+        if todo is None:
             return _publish_global_diff(
                 store, base=base, target=target, index=index,
                 transport_factory=transport_factory, key_cols=key_cols,
@@ -331,25 +332,19 @@ def publish_to_elasticsearch(
                 mapping_excluded=mapping_excluded, chunk_rows=chunk_rows,
                 commit_checkpoint=commit_checkpoint,
             )
-        base_sources = store.resolve_sources(base)
-
-    todo, skipped = [], 0
-    for p in range(num_partitions):
-        if base is not None and base_sources.get(p) == tgt_sources.get(p):
-            skipped += 1  # same immutable file both sides — metadata-only skip
-            continue
-        todo.append(p)
+        base_src = [m.epoch for m in store.epoch_index(base)]
+    skipped = num_partitions - len(todo)
 
     key_cols = list(key_cols)
 
     @ray.remote(num_cpus=0.5)
     def publish_partition(part: int) -> dict:
         old = (
-            store.read_partition(base_sources.get(part, base), part)
+            store.read_partition(base_src[part], part)
             if base is not None
             else None
         )
-        new = store.read_partition(tgt_sources.get(part, target), part)
+        new = store.read_partition(tgt_src[part], part)
         diff = diff_state_tables(
             old, new, key_cols=key_cols, compare_cols=compare_cols
         )
@@ -429,17 +424,9 @@ def _publish_global_diff(
 
     from arlas_proc_ray.cdc.diff import snapshot_diff
 
-    def state_ds(e: int):
-        srcs = store.resolve_sources(e)
-        n = store.read_epoch_summary(e)["num_partitions"]
-        files = [
-            store.part_data_path(srcs.get(p, e), p)
-            for p in range(n)
-            if os.path.exists(store.part_data_path(srcs.get(p, e), p))
-        ]
-        return rd.read_parquet(files)
-
-    new_ds, old_ds = state_ds(target), state_ds(base)
+    num_partitions = len(store.epoch_index(target))
+    new_ds = rd.read_parquet(store.epoch_files(target))
+    old_ds = rd.read_parquet(store.epoch_files(base))
     key_cols = list(key_cols)
     diff = snapshot_diff(
         old_ds,
@@ -447,9 +434,7 @@ def _publish_global_diff(
         key=key_cols,
         compare=compare_cols
         or [c for c in _state_columns(store, target) if c not in key_cols],
-        num_partitions=max(
-            store.read_epoch_summary(target)["num_partitions"], 8
-        ),
+        num_partitions=max(num_partitions, 8),
     )
 
     def send(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -471,7 +456,7 @@ def _publish_global_diff(
         "index": index,
         "epoch": target,
         "base_epoch": base,
-        "partitions_published": store.read_epoch_summary(target)["num_partitions"],
+        "partitions_published": num_partitions,
         "partitions_skipped": 0,
         "mode": "global-diff",
         "indexed": int(counts["indexed"].sum()),
@@ -480,19 +465,12 @@ def _publish_global_diff(
         "partition_lineage": {},
     }
     if commit_checkpoint:
-        _commit_publish(
-            store, sink_id, out,
-            store.read_epoch_summary(target)["num_partitions"],
-        )
+        _commit_publish(store, sink_id, out, num_partitions)
     return out
 
 
 def _state_columns(store: SnapshotStore, epoch: int) -> list[str]:
     import pyarrow.parquet as pq
 
-    srcs = store.resolve_sources(epoch)
-    for p, e in sorted(srcs.items()):
-        path = store.part_data_path(e, p)
-        if os.path.exists(path):
-            return list(pq.read_schema(path).names)
-    return []
+    files = store.epoch_files(epoch)
+    return list(pq.read_schema(files[0]).names) if files else []

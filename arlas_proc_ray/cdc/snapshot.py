@@ -21,10 +21,14 @@ at-least-once, so correctness comes from *idempotent* writes. An epoch
   with one row per partition — source epoch, counts, LSNs, rollup, zone
   maps, raw bloom bitmaps and metrics — from the manifests the kernels
   returned and, for partitions a delta epoch references, from the
-  previous index. Planning, lookups, stats, history and audits read it,
-  never a per-partition file;
+  previous index. It is the only record of the epoch's layout that is
+  read: planning, lookups, stats, history and audits read it, and so
+  does every other module, through ``epoch_index``, ``epoch_files`` and
+  ``changed_partitions``; never a per-partition file;
 - the epoch becomes visible only when the ``_COMMITTED`` marker (written
   last, atomically) exists; readers resolve ``latest_committed_epoch``.
+  The marker also holds the epoch's summary and source map, for readers
+  older than the index.
 
 So a 64-partition epoch is 66 files. Each store handle keeps the last
 index it committed or read in memory, checked against the marker's inode
@@ -509,13 +513,6 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
             os.unlink(tmp)
 
 
-def summary_sources(summary: dict, epoch: int) -> dict[int, int]:
-    """partition → epoch holding its current file, from an epoch summary."""
-    if "sources" in summary:
-        return {int(p): int(e) for p, e in summary["sources"].items()}
-    return {p: epoch for p in range(summary["num_partitions"])}
-
-
 # the footer key-value entry holding a partition's non-derivable manifest
 # fields, and the file name of an epoch's index
 _FOOTER_KEY = b"arlas.cdc.manifest"
@@ -786,6 +783,14 @@ class SnapshotStore:
         read back. A written partition missing from it (a clone, a
         staged publish) has its manifest rebuilt from its file; a
         referenced one comes from the index that lists it.
+
+        Every reader here takes the epoch's layout from the index. The
+        marker still carries the summary and the whole source map for
+        code written before the index: that code reads the layout from
+        the marker, and takes a marker without ``sources`` to mean that
+        every partition lives in this epoch, which is wrong for a delta
+        epoch and raises no error. Keeping these bytes keeps a store
+        written here correct under such code.
         """
         if expected_prev is not ...:
             latest = self.latest_committed_epoch()
@@ -892,8 +897,10 @@ class SnapshotStore:
             with pa.OSFile(path) as f:
                 return _index_manifests(pa.ipc.open_file(f).read_all())
         summary = self.read_epoch_summary(epoch)
+        sources = summary.get("sources") or {
+            p: epoch for p in range(summary["num_partitions"])}
         manifests = []
-        for p, src in sorted(summary_sources(summary, epoch).items()):
+        for p, src in sorted((int(p), int(e)) for p, e in sources.items()):
             m = self.read_manifest(src, p)
             if m is None:
                 raise RuntimeError(f"epoch {epoch}: missing manifest for part {p}")
@@ -924,18 +931,35 @@ class SnapshotStore:
             return f.read()
 
     def read_epoch_summary(self, epoch: int) -> dict:
+        """The committed ``epoch``'s ``_COMMITTED`` marker. Readers take
+        the layout from ``epoch_index``; the marker is read only for an
+        epoch committed before the index existed (``_load_index``)."""
         with open(self.commit_marker_path(epoch)) as f:
             return json.load(f)
 
-    def resolve_sources(self, epoch: int) -> dict[int, int]:
-        """partition → epoch holding its current file, for a committed epoch."""
-        return summary_sources(self.read_epoch_summary(epoch), epoch)
-
     def read_partition_resolved(self, epoch: int, part: int) -> pa.Table | None:
-        return self.read_partition(self.resolve_sources(epoch).get(part, epoch), part)
+        """Partition ``part``'s rows as of the committed ``epoch``."""
+        return self.read_partition(self.epoch_index(epoch)[part].epoch, part)
 
-    def read_manifest_resolved(self, epoch: int, part: int) -> PartitionManifest | None:
-        return self.read_manifest(self.resolve_sources(epoch).get(part, epoch), part)
+    def epoch_files(self, epoch: int) -> list[str]:
+        """The data file holding each partition at the committed
+        ``epoch``, in partition order; a partition whose file is missing
+        is left out."""
+        paths = (self.part_data_path(m.epoch, p)
+                 for p, m in enumerate(self.epoch_index(epoch)))
+        return [f for f in paths if os.path.exists(f)]
+
+    def changed_partitions(self, base: int, target: int) -> list[int] | None:
+        """The partitions whose file at the committed ``target`` is not
+        the one at ``base``, in partition order; None when the two epochs
+        have different fan-outs, so partition p holds other keys on each
+        side. A partition whose file is unchanged has unchanged rows:
+        files are immutable, named by (epoch, partition)."""
+        old = [m.epoch for m in self.epoch_index(base)]
+        new = [m.epoch for m in self.epoch_index(target)]
+        if len(old) != len(new):
+            return None
+        return [p for p, (a, b) in enumerate(zip(old, new)) if a != b]
 
     def _resolve_epoch_arg(self, epoch) -> int | None:
         """int passes through; a str is a ref name; None = latest."""
@@ -958,16 +982,7 @@ class SnapshotStore:
         e = self._resolve_epoch_arg(epoch)
         if e is None:
             raise RuntimeError("no committed epoch")
-        sources = self.resolve_sources(e)
-        num_parts = self.read_epoch_summary(e)["num_partitions"]
-        files = [
-            p
-            for p in (
-                self.part_data_path(sources.get(i, e), i)
-                for i in range(num_parts)
-            )
-            if os.path.exists(p)
-        ]
+        files = self.epoch_files(e)
         if not files:
             raise RuntimeError(f"epoch {e} has no data files to query")
         con = duckdb.connect()
@@ -1160,11 +1175,11 @@ class SnapshotStore:
         e = self._resolve_epoch_arg(epoch)
         if e is None:
             raise RuntimeError("no committed epoch")
-        sources = self.resolve_sources(e)
         parts = []
-        for p in range(self.read_epoch_summary(e)["num_partitions"]):
-            t = self.read_partition(sources.get(p, e), p)
-            if t is not None and t.num_rows:
+        for f in self.epoch_files(e):
+            with pq.ParquetFile(f) as pf:
+                t = pf.read()
+            if t.num_rows:
                 parts.append(t)
         return pa.concat_tables(parts) if parts else None
 
@@ -1281,15 +1296,10 @@ class SnapshotStore:
         expr = _predicate_to_expr(clauses) if clauses else None
         if not plan["files"]:
             # typed empty dataset: schema from any live partition file
-            schema = None
-            for p, m in enumerate(self.epoch_index(plan["epoch"])):
-                path = self.part_data_path(m.epoch, p)
-                if os.path.exists(path):
-                    schema = pq.read_schema(path)
-                    break
-            if schema is None:
+            files = self.epoch_files(plan["epoch"])
+            if not files:
                 raise RuntimeError("no partition files to derive schema from")
-            empty = schema.empty_table()
+            empty = pq.read_schema(files[0]).empty_table()
             if columns:
                 empty = empty.select(columns)
             return rd.from_blocks([empty])
@@ -1310,12 +1320,13 @@ class SnapshotStore:
         The north-rule's per-partition lineage surface: one row per
         (epoch, partition) with the fence watermark, row count, sha256
         rollup, whether the file is live in the latest committed epoch's
-        source map, and the apply metrics as a JSON string. A committed
+        index, and the apply metrics as a JSON string. A committed
         epoch's rows come from its index; an uncommitted epoch's from its
         files' manifests.
         """
         latest = self.latest_committed_epoch()
-        live = self.resolve_sources(latest) if latest is not None else {}
+        live = ({p: m.epoch for p, m in enumerate(self.epoch_index(latest))}
+                if latest is not None else {})
         rows = {
             "epoch": [], "partition_id": [], "last_lsn": [],
             "row_count": [], "max_surviving_lsn": [], "sha256_rollup": [],
@@ -1532,7 +1543,7 @@ class SnapshotStore:
             e for e in self.list_refs().values() if e in set(committed)
         )
         for e in sorted(referenced):
-            referenced.update(self.resolve_sources(e).values())
+            referenced.update(m.epoch for m in self.epoch_index(e))
         latest = committed[-1]
         deleted = []
         for name in list(os.listdir(self.root)):

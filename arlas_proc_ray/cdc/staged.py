@@ -213,8 +213,8 @@ def staged_apply_epoch(engine, events_ds, epoch: int, *, writer=None,
     (:func:`_inline_exchange`).
 
     ``delta=True``: a partition that received NO surviving events this
-    epoch is not rewritten — the commit marker's source map references
-    the epoch that last wrote it. A re-delivered duplicate (every event
+    epoch is not rewritten — its row in the epoch index references the
+    epoch that last wrote it. A re-delivered duplicate (every event
     ≤ the partition fence) also references: the state AND watermark are
     provably unchanged. ``delta_max_age`` carries forward a partition
     whose file is older than ``epoch - delta_max_age`` instead

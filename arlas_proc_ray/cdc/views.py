@@ -242,9 +242,8 @@ def refresh_group_view(
     target = store._resolve_epoch_arg(epoch)
     if target is None:
         raise RuntimeError("no committed epoch to refresh from")
-    summary = store.read_epoch_summary(target)
-    num_partitions = summary["num_partitions"]
-    tgt_sources = store.resolve_sources(target)
+    tgt_src = [m.epoch for m in store.epoch_index(target)]
+    num_partitions = len(tgt_src)
 
     ckpt = None if full else read_view_checkpoint(store, view_id)
     spec = {
@@ -256,12 +255,11 @@ def refresh_group_view(
         spec["minmax_cols"] = minmax_cols
     if ckpt is not None and (
         ckpt.get("spec") != spec
-        or ckpt["num_partitions"] != num_partitions
         or not os.path.exists(
             os.path.join(_view_dir(store), ckpt["state_file"])
         )
     ):
-        ckpt = None  # column-spec drift / fan-out change -> full recompute
+        ckpt = None  # column-spec drift -> full recompute
     base = ckpt["epoch"] if ckpt else None
 
     if base == target:
@@ -272,20 +270,18 @@ def refresh_group_view(
             "state": read_view(store, view_id),
         }
 
-    base_sources = store.resolve_sources(base) if base is not None else {}
-    todo, skipped = [], 0
-    for p in range(num_partitions):
-        if base is not None and base_sources.get(p) == tgt_sources.get(p):
-            skipped += 1  # same immutable file both sides
-            continue
-        todo.append(p)
+    todo = None if base is None else store.changed_partitions(base, target)
+    if todo is None:  # bootstrap, or a fan-out change -> full recompute
+        base, todo = None, list(range(num_partitions))
+    base_src = None if base is None else [m.epoch for m in store.epoch_index(base)]
+    skipped = num_partitions - len(todo)
 
     read_cols = sorted(set(key_cols + group_cols + sum_cols + minmax_cols))
 
     @ray.remote(num_cpus=0.5)
     def partition_partial(part: int):
         """Returns (sum_partial, minmax_assert_partial, retracted_groups)."""
-        new = store.read_partition(tgt_sources.get(part, target), part)
+        new = store.read_partition(tgt_src[part], part)
         if base is None:
             if new is None or new.num_rows == 0:
                 return None, None, None
@@ -299,7 +295,7 @@ def refresh_group_view(
             )
             pdf["_n"] = np.int64(1)
             return _agg_partial(pdf, group_cols, sum_cols), mm, None
-        old = store.read_partition(base_sources.get(part, base), part)
+        old = store.read_partition(base_src[part], part)
         value_cols = sorted(
             set(group_cols + sum_cols + minmax_cols) - set(key_cols)
         )
@@ -390,8 +386,7 @@ def refresh_group_view(
             )
             n_recomputed = len(affected)
             recomputed = _recompute_group_minmax(
-                store, target, tgt_sources, num_partitions,
-                affected, group_cols, minmax_cols,
+                store, tgt_src, affected, group_cols, minmax_cols,
             )
             # recomputed values REPLACE the fold for affected groups
             # (merge-based anti-join: byte-exact on object strings)
@@ -423,9 +418,7 @@ def refresh_group_view(
 
 def _recompute_group_minmax(
     store: SnapshotStore,
-    target: int,
-    tgt_sources: dict,
-    num_partitions: int,
+    tgt_src: list[int],
     affected: pd.DataFrame,
     group_cols: list[str],
     minmax_cols: list[str],
@@ -443,7 +436,7 @@ def _recompute_group_minmax(
 
     @ray.remote(num_cpus=0.5)
     def part_minmax(part: int) -> pd.DataFrame | None:
-        t = store.read_partition(tgt_sources.get(part, target), part)
+        t = store.read_partition(tgt_src[part], part)
         if t is None or t.num_rows == 0:
             return None
         pdf = t.select(
@@ -457,7 +450,7 @@ def _recompute_group_minmax(
     parts = [
         r
         for r in ray.get(
-            [part_minmax.remote(p) for p in range(num_partitions)]
+            [part_minmax.remote(p) for p in range(len(tgt_src))]
         )
         if r is not None and len(r)
     ]

@@ -671,7 +671,7 @@ def cmd_repartition(args) -> dict:
     latest = store.latest_committed_epoch()
     if latest is None:
         return {"ok": False, "error": "no committed epoch"}
-    current_p = int(store.read_epoch_summary(latest)["num_partitions"])
+    current_p = len(store.epoch_index(latest))
     if args.epoch is not None and args.epoch <= latest:
         return {
             "epoch": args.epoch,
@@ -705,7 +705,7 @@ def cmd_rollback(args) -> dict:
     to = args.to
     if to.lstrip("-").isdigit():
         to = int(to)
-    current_p = int(store.read_epoch_summary(latest)["num_partitions"])
+    current_p = len(store.epoch_index(latest))
     engine = CdcEngine(args.snapshot, DataModel(num_partitions=current_p))
     summary = engine.rollback(to)
     return {
@@ -760,7 +760,7 @@ def cmd_optimize(args) -> dict:
     latest = store.latest_committed_epoch()
     if latest is None:
         return {"ok": False, "error": "no committed epoch"}
-    current_p = int(store.read_epoch_summary(latest)["num_partitions"])
+    current_p = len(store.epoch_index(latest))
     if args.epoch is not None and args.epoch <= latest:
         return {
             "epoch": args.epoch,
@@ -773,14 +773,11 @@ def cmd_optimize(args) -> dict:
         # (a recluster-only run must not silently transcode zstd→snappy)
         import pyarrow.parquet as pq
 
-        src = store.resolve_sources(latest)
-        for p, e in sorted(src.items()):
-            path = store.part_data_path(e, p)
-            if os.path.exists(path):
-                md = pq.ParquetFile(path).metadata
-                if md.num_row_groups:
-                    compression = md.row_group(0).column(0).compression.lower()
-                    break
+        for path in store.epoch_files(latest):
+            md = pq.ParquetFile(path).metadata
+            if md.num_row_groups:
+                compression = md.row_group(0).column(0).compression.lower()
+                break
         if compression in (None, "uncompressed"):
             compression = "none"
     engine = CdcEngine(

@@ -267,7 +267,7 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
             eng.repartition_snapshot(6, epoch=e + 2)
         out = [eng.final_state().to_pandas()]
         for ep, parts in ((e + 1, 4), (e + 2, 6)):
-            out.append(eng.store.resolve_sources(ep))
+            out.append([m.epoch for m in eng.store.epoch_index(ep)])
             for p in range(parts):
                 mf = eng.store.read_manifest(ep, p)
                 out.append((mf.row_count, mf.last_lsn, mf.sha256_rollup,

@@ -86,10 +86,10 @@ def test_clone_resume_after_crash(tmp_path, parent_layout):
     # fence last) into an uncommitted destination
     dst = str(tmp_path / "dst")
     d = SnapshotStore(dst)
-    sources = eng.store.resolve_sources(2)
+    sources = [m.epoch for m in eng.store.epoch_index(2)]
     os.makedirs(d.epoch_dir(0), exist_ok=True)
     for p in (0, 3):
-        src_e = sources.get(p, 2)
+        src_e = sources[p]
         sh.copyfile(
             eng.store.part_data_path(src_e, p), d.part_data_path(0, p)
         )
@@ -178,3 +178,35 @@ def test_sync_snapshot_incremental(tmp_path, ray_session):
     other.apply_epoch(rd.from_arrow(tables[0]), 1)
     with pytest.raises(RuntimeError, match="_SYNC"):
         sync_snapshot(src.store, str(tmp_path / "other"))
+
+
+def test_sync_after_the_source_vacuums_the_synced_epoch(tmp_path):
+    """The last-synced source epoch is gone (vacuumed): the next sync
+    has no base to diff against, so it re-copies in full, and the
+    destination equals the source and deep-verifies."""
+    import ray.data as rd
+
+    from arlas_proc_ray.cdc import generate_changelog_tables
+    from arlas_proc_ray.cdc.clone import sync_snapshot
+
+    cfg = ChangelogConfig(num_events=3000, num_keys=300, seed=62)
+
+    def events(e):
+        return rd.from_arrow(generate_changelog_tables(
+            cfg, (e - 1) * 1000, e * 1000))
+
+    src = CdcEngine(str(tmp_path / "src"), DataModel(num_partitions=8))
+    src.apply_epoch(events(1), 1)
+    dst_root = str(tmp_path / "dst")
+    assert sync_snapshot(src.store, dst_root)["mode"] == "bootstrap"
+
+    src.apply_epoch(events(2), 2)
+    assert src.store.vacuum(keep_last=1) == [1]
+    src.apply_epoch(events(3), 3)
+    r = sync_snapshot(src.store, dst_root)
+    assert r["mode"] == "full" and r["partitions_copied"] == 8
+
+    dst = CdcEngine(dst_root, DataModel(num_partitions=8))
+    pd.testing.assert_frame_equal(_state(dst), _state(src))
+    deep = dst.store.verify_deep(recompute_hashes=True)
+    assert deep["ok"], deep["failed"]

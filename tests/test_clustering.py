@@ -133,9 +133,9 @@ def test_engine_cluster_by_equals_unclustered_state(tmp_path, ray_session):
     # per-partition files are sorted by path; a selective path predicate
     # prunes row groups inside the surviving partitions
     e = clus.store.latest_committed_epoch()
-    src = clus.store.resolve_sources(e)
+    src = [m.epoch for m in clus.store.epoch_index(e)]
     files = [
-        clus.store.part_data_path(src.get(p, e), p)
+        clus.store.part_data_path(src[p], p)
         for p in range(dm.num_partitions)
     ]
     some_path = b["path"].iloc[len(b) // 2]
@@ -178,8 +178,8 @@ def test_compression_codec_roundtrip_and_rewrite(tmp_path, ray_session):
     ]) == 0
     store = SnapshotStore(snap)
     e = store.latest_committed_epoch()
-    src = store.resolve_sources(e)
-    p0 = store.part_data_path(src.get(0, e), 0)
+    src = [m.epoch for m in store.epoch_index(e)]
+    p0 = store.part_data_path(src[0], 0)
     assert pq.ParquetFile(p0).metadata.row_group(0).column(0).compression == "ZSTD"
 
 

@@ -52,10 +52,10 @@ def test_delta_epoch_rewrites_only_touched_partitions(tmp_path):
     assert len(files_e2) == 1
 
     # resolution chain: untouched partitions point at epoch 1
-    sources = engine.store.resolve_sources(2)
-    assert sorted(sources) == list(range(DM.num_partitions))
-    assert sum(1 for e in sources.values() if e == 2) == 1
-    assert sum(1 for e in sources.values() if e == 1) == DM.num_partitions - 1
+    sources = [m.epoch for m in engine.store.epoch_index(2)]
+    assert len(sources) == DM.num_partitions
+    assert sources.count(2) == 1
+    assert sources.count(1) == DM.num_partitions - 1
 
     # final state = full replay oracle + the extra key
     exp = oracle_final_state(
@@ -118,8 +118,8 @@ def test_delta_max_age_compaction_policy(tmp_path):
         lsn += 1
 
     # no source may point further back than epoch-3
-    sources = engine.store.resolve_sources(6)
-    assert all(e >= 6 - 3 for e in sources.values()), sources
+    sources = [m.epoch for m in engine.store.epoch_index(6)]
+    assert all(e >= 6 - 3 for e in sources), sources
 
     # vacuum keeping only the last commit now reclaims epochs 1-2
     deleted = engine.store.vacuum(keep_last=1)
@@ -164,8 +164,8 @@ def test_staged_delta_references_untouched_partitions(
         if f.endswith(".parquet")
     ]
     assert len(files_e2) == 1
-    srcs = engine.store.resolve_sources(2)
-    assert sorted(srcs.values()).count(1) == DM.num_partitions - 1
+    srcs = [m.epoch for m in engine.store.epoch_index(2)]
+    assert srcs.count(1) == DM.num_partitions - 1
 
     exp = oracle_final_state(
         generate_changelog_tables(CFG) + [_one_key_event(10_000)]
@@ -196,8 +196,46 @@ def test_staged_delta_duplicate_epoch_is_all_references(tmp_path):
             if f.endswith(".parquet")
         ]
         assert files_e2 == [], name
-        srcs = engine.store.resolve_sources(2)
-        assert all(e == 1 for e in srcs.values()), name
+        srcs = [m.epoch for m in engine.store.epoch_index(2)]
+        assert all(e == 1 for e in srcs), name
         pd.testing.assert_frame_equal(
             engine.final_state().to_pandas(), before
         )
+
+
+@pytest.fixture(scope="module")
+def layouts(tmp_path_factory):
+    """One store through each kind of epoch: 1 full, 2 a one-key delta,
+    3 a rollback to 1, 4 a repartition to half the fan-out."""
+    engine = CdcEngine(str(tmp_path_factory.mktemp("layouts")), DM)
+    engine.apply_epoch(rd.from_arrow(generate_changelog_tables(CFG)), epoch=1)
+    engine.apply_epoch(rd.from_arrow([_one_key_event(10_000)]), epoch=2,
+                       delta=True)
+    engine.rollback(1)
+    engine.repartition_snapshot(DM.num_partitions // 2)
+    assert engine.store.latest_committed_epoch() == 4
+    return engine.store
+
+
+def _resolved_files(store, epoch: int) -> list[str]:
+    """Each partition's file at ``epoch`` by the commit marker's source
+    map, the copy of the layout kept for readers older than the index."""
+    sources = store.read_epoch_summary(epoch)["sources"]
+    return [store.part_data_path(int(sources[str(p)]), p)
+            for p in range(len(sources))]
+
+
+@pytest.mark.parametrize("base, target, changed", [
+    (1, 2, 1),        # a delta epoch rewrote one partition
+    (2, 3, 1),        # the rollback points that partition back at 1
+    (2, 2, 0),        # an epoch against itself
+    (3, 4, None),     # a repartition changes the fan-out
+], ids=["delta", "rollback", "equal", "repartition"])
+def test_changed_partitions_are_the_partitions_whose_file_differs(
+        layouts, base, target, changed):
+    old, new = _resolved_files(layouts, base), _resolved_files(layouts, target)
+    oracle = (None if len(old) != len(new)
+              else [p for p, (a, b) in enumerate(zip(old, new)) if a != b])
+    got = layouts.changed_partitions(base, target)
+    assert got == oracle
+    assert (got if got is None else len(got)) == changed

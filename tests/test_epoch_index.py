@@ -25,6 +25,7 @@ import ray.data as rd
 from arlas_proc_ray.cdc import sizing, snapshot, staged
 from arlas_proc_ray.cdc.engine import CdcEngine
 from arlas_proc_ray.cdc.events import ChangelogConfig, generate_changelog_tables
+from arlas_proc_ray.cdc.feed import change_feed
 from arlas_proc_ray.cdc.oracle import oracle_final_state
 from arlas_proc_ray.cdc.snapshot import SnapshotStore, _stats_may_match, _zone_maps
 from arlas_proc_ray.functions.hashing import sha256_hex
@@ -64,9 +65,13 @@ def test_index_equals_the_manifests_in_the_footers(tmp_path):
     fresh = SnapshotStore(eng.store.root)
     on_disk = fresh.epoch_index(2)
     assert [vars(m) for m in on_disk] == [vars(m) for m in cached]
-    summary = fresh.read_epoch_summary(2)
-    assert {str(p): m.epoch for p, m in enumerate(on_disk)} == summary["sources"]
-    assert sum(m.row_count for m in on_disk) == summary["row_count"]
+    # each row names the newest file written for its partition, and
+    # counts that file's rows
+    assert [m.epoch for m in on_disk] == [
+        max(e for e in (1, 2) if fresh.partition_done(e, p)) for p in range(P)]
+    assert [m.row_count for m in on_disk] == [
+        pq.read_metadata(fresh.part_data_path(m.epoch, p)).num_rows
+        for p, m in enumerate(on_disk)]
     assert any(m.epoch == 1 for m in on_disk)  # the delta referenced some
     for p, m in enumerate(on_disk):
         assert vars(fresh.read_manifest(m.epoch, p)) == vars(m)
@@ -344,7 +349,9 @@ def test_store_written_before_the_index_reads_and_takes_new_epochs(
     """A store in the earlier layout (a JSON manifest per partition, no
     epoch index) answers lookups, scans (with the same pruning), stats,
     history and deep verification as the same store with its indexes,
-    and a delta epoch commits on top of it."""
+    and a delta epoch commits on top of it. Every reader of the layout
+    (SQL, the final state, the change feed, lineage) answers the same on
+    both."""
     cfg = ChangelogConfig(num_events=3000, num_keys=400, seed=66)
     dm = DataModel(num_partitions=P)
     snap = str(tmp_path / "snap")
@@ -362,6 +369,7 @@ def test_store_written_before_the_index_reads_and_takes_new_epochs(
 
     def observe(e):
         s = e.store
+        feed = change_feed(s, base=1, target=2).to_pandas()
         return {
             "lookups": [e.lookup([k]).to_pylist() for k in keys],
             "plans": [s.plan_scan(predicate=p) for p in preds],
@@ -370,6 +378,10 @@ def test_store_written_before_the_index_reads_and_takes_new_epochs(
             "history": s.epoch_history(),
             "deep": s.verify_deep(),
             "delta_scan": e.scan(changed_since_lsn=1200).count(),
+            "sql": s.sql("SELECT count(*) AS n FROM snapshot").to_pylist(),
+            "state": e.final_state().to_pylist(),
+            "feed": feed.sort_values(["repo", "path"]).to_dict("records"),
+            "lineage": s.lineage().to_pylist(),
         }
 
     want = observe(eng)
@@ -380,6 +392,9 @@ def test_store_written_before_the_index_reads_and_takes_new_epochs(
     assert want["scans"][:len(repos)] == [int((exp["repo"] == r).sum()) for r in repos]
     assert want["stats"]["row_count"] == len(exp) and want["deep"]["ok"]
     assert want["history"][-1]["row_count"] == len(exp)
+    assert want["sql"] == [{"n": len(exp)}] and len(want["state"]) == len(exp)
+    assert want["feed"] and {r["op"] for r in want["feed"]} <= {"I", "U", "D"}
+    assert {r["epoch"] for r in want["lineage"]} == {1, 2}
     for e in (1, 2):
         parent_layout(eng.store, e)
         names = os.listdir(eng.store.epoch_dir(e))

@@ -107,10 +107,10 @@ def test_pre_images_and_manifest_pruning(tmp_path, ray_session):
         rd.from_arrow([_event(9_000, content="v2" * 30)]), epoch=2, delta=True
     )
     # pruning precondition: exactly one partition's source differs
-    src1 = engine.store.resolve_sources(1)
-    src2 = engine.store.resolve_sources(2)
+    src1 = [m.epoch for m in engine.store.epoch_index(1)]
+    src2 = [m.epoch for m in engine.store.epoch_index(2)]
     changed_parts = [p for p in range(DM.num_partitions)
-                     if src1.get(p) != src2.get(p)]
+                     if src1[p] != src2[p]]
     assert len(changed_parts) == 1
 
     feed = change_feed(

@@ -1,7 +1,7 @@
 """Engine point lookup (cdc/engine.py:lookup): parity with final_state,
 partition pruning (only routed files opened, bloom-proven misses not
-even those), one summary read per lookup, epoch time travel by number
-and by ref, byte-exact keys."""
+even those), no metadata file read per lookup (the epoch index is
+cached), epoch time travel by number and by ref, byte-exact keys."""
 
 import pandas as pd
 import pyarrow as pa

@@ -431,14 +431,29 @@ def test_one_kernel_writes_and_one_exchange_routes_the_store():
     it is the only caller of ``SnapshotStore.write_partition`` in the
     package. No Ray Data ``map_groups`` exchange is left in the package,
     and no function offers a choice of exchange: every keyed step runs
-    ``arlas_proc_ray/exchange.py``."""
+    ``arlas_proc_ray/exchange.py``.
+
+    One reader knows an epoch's layout: the epoch index, behind
+    ``SnapshotStore``. The ``_COMMITTED`` marker is read only to build
+    the index of an epoch committed before the index existed, and
+    outside ``cdc/snapshot.py`` a partition file's path is built only
+    to copy a file (clone) or to list the files of an uncommitted
+    ``_STAGED`` cut."""
     import os
 
     import arlas_proc_ray
 
     pkg = os.path.dirname(arlas_proc_ray.__file__)
+    snapshot_py = os.path.join("cdc", "snapshot.py")
     assert _calls(pkg, "write_partition") == {
         (os.path.join("cdc", "engine.py"), "apply_partition")
     }
     assert _calls(pkg, "map_groups") == set()
     assert _exchange_params(pkg) == set()
+    assert _calls(pkg, "read_epoch_summary") == {(snapshot_py, "_load_index")}
+    assert _calls(pkg, "resolve_sources") == set()
+    assert {c for c in _calls(pkg, "part_data_path")
+            if c[0] != snapshot_py} == {
+        (os.path.join("cdc", "clone.py"), "_copy_partition"),
+        (os.path.join("cdc", "engine.py"), "_staged_files"),
+    }

@@ -231,5 +231,5 @@ def test_optimize_preserves_codec_by_default(tmp_path, ray_session, capsys):
     capsys.readouterr()
     store = SnapshotStore(snap)
     e = store.latest_committed_epoch()
-    p0 = store.part_data_path(store.resolve_sources(e).get(0, e), 0)
+    p0 = store.part_data_path(store.epoch_index(e)[0].epoch, 0)
     assert pq.ParquetFile(p0).metadata.row_group(0).column(0).compression == "ZSTD"

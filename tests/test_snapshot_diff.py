@@ -207,12 +207,12 @@ def test_lineage_table(tmp_path):
     lin = eng.store.lineage().to_pandas()
     assert set(lin["epoch"]) == {1, 2}
     assert lin["committed"].all()
-    # exactly num_partitions rows are live, and they match resolve_sources
+    # exactly num_partitions rows are live, and they match the epoch index
     live = lin[lin["live"]]
     assert len(live) == dm.num_partitions
-    src = eng.store.resolve_sources(2)
+    src = [m.epoch for m in eng.store.epoch_index(2)]
     got = dict(zip(live["partition_id"].astype(int), live["epoch"].astype(int)))
-    assert got == {int(p): int(e) for p, e in src.items()}
+    assert got == dict(enumerate(src))
     # fence watermarks are monotone per partition across epochs
     for p, grp in lin.sort_values("epoch").groupby("partition_id"):
         assert grp["last_lsn"].is_monotonic_increasing
