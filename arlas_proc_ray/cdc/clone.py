@@ -14,8 +14,9 @@ independent table:
 
 Scale design: one Ray task per partition copies its file (byte-for-byte,
 manifest footer included — content hashes and rollups carry over
-unchanged, so a post-clone ``verify_deep`` certifies the copy); the
-driver touches only the epoch indexes and the commit marker. Resumable: a
+unchanged, so a post-clone ``verify_deep`` certifies the copy), and the
+delta group files the partitions' chains name are copied as they are;
+the driver touches only the epoch indexes and the commit marker. Resumable: a
 crashed clone re-runs and skips partitions whose destination fence is
 already written; the index and the commit marker land last.
 
@@ -71,8 +72,9 @@ def clone_snapshot(
                                part)
 
     copied = ray.get([copy_part.remote(p) for p in range(num_parts)])
+    copied += _copy_segments(src_store, dest, dest_epoch, index)
     dest.commit_epoch(dest_epoch, num_parts, _manifests={
-        p: dataclasses.replace(m, epoch=dest_epoch) for p, m in enumerate(index)
+        p: _moved(m, dest_epoch) for p, m in enumerate(index)
     })
     return {
         "epoch": dest_epoch,
@@ -81,6 +83,33 @@ def clone_snapshot(
         "rows": sum(m.row_count for m in index),
         "bytes": sum(copied),
     }
+
+
+def _moved(m, dest_epoch: int):
+    """Manifest ``m`` with its base and segments in ``dest_epoch``."""
+    return dataclasses.replace(m, epoch=dest_epoch, chain=[
+        dataclasses.replace(s, epoch=dest_epoch) for s in m.chain])
+
+
+def _copy_file(src: str, dst: str) -> int:
+    """Copy ``src`` to ``dst`` byte for byte through a rename, unless it
+    is already there (crash-resume); returns the bytes copied."""
+    if os.path.exists(dst):
+        return 0
+    os.makedirs(os.path.dirname(dst), exist_ok=True)
+    shutil.copyfile(src, dst + ".tmp")  # byte-for-byte: hashes carry
+    os.replace(dst + ".tmp", dst)
+    return os.path.getsize(dst)
+
+
+def _copy_segments(src_store, dest, dest_epoch: int, manifests) -> list[int]:
+    """Copy every delta group file the chains of ``manifests`` name into
+    ``dest_epoch`` (a group file's name carries its epoch, so names from
+    different epochs never meet)."""
+    files = {(s.epoch, s.file) for m in manifests for s in m.chain}
+    return [_copy_file(os.path.join(src_store.epoch_dir(e), name),
+                       os.path.join(dest.epoch_dir(dest_epoch), name))
+            for e, name in sorted(files)]
 
 
 def _copy_partition(src_root: str, src_epoch: int, dest_root: str,
@@ -96,14 +125,10 @@ def _copy_partition(src_root: str, src_epoch: int, dest_root: str,
 
     # fresh store handles inside the task (no driver state shipped)
     s, d = SnapshotStore(src_root), SnapshotStore(dest_root)
-    if d.partition_done(dest_epoch, part):
+    if d.base_done(dest_epoch, part):
         return 0
-    os.makedirs(d.epoch_dir(dest_epoch), exist_ok=True)
-    data_src = s.part_data_path(src_epoch, part)
     data_dst = d.part_data_path(dest_epoch, part)
-    tmp = data_dst + ".tmp"
-    shutil.copyfile(data_src, tmp)  # byte-for-byte: hashes carry
-    os.replace(tmp, data_dst)
+    _copy_file(s.part_data_path(src_epoch, part), data_dst)
     if os.path.exists(s.part_manifest_path(src_epoch, part)):
         m = dataclasses.replace(s.read_manifest(src_epoch, part),
                                 epoch=dest_epoch)
@@ -193,10 +218,11 @@ def sync_snapshot(
                                part)
 
     copied = ray.get([copy_part.remote(p) for p in changed])
+    copied += _copy_segments(src_store, dest, dest_epoch,
+                             [index[p] for p in changed])
     dest.commit_epoch(
         dest_epoch, num_parts, sources=sources, expected_prev=dest_tip,
-        _manifests={p: dataclasses.replace(index[p], epoch=dest_epoch)
-                    for p in changed},
+        _manifests={p: _moved(index[p], dest_epoch) for p in changed},
     )
     _atomic_write_bytes(
         sync_path, json.dumps({"src_epoch": int(e)}).encode()

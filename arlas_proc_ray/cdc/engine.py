@@ -11,14 +11,21 @@ staged exchange (cdc/staged.py) in raw Ray tasks:
         partitions, each partition through ``apply_partition`` — the
         one kernel of every store writer (vectorized, whole partition),
         here with CDC's fold (``cdc_fold``):
-              · fence: if this epoch's file for p exists → skip (resume)
-              · read partition p of the previous committed snapshot
+              · fence: if this epoch's base file for p exists, or a
+                delta group file of this epoch lists p → skip (resume)
               · drop events with lsn <= its last_lsn in the previous
                 epoch's index (an event is never applied twice across runs)
-              · union prior state (as lsn=last_lsn upsert rows) + events,
+              · a partition with a base whose fold is not due: the
+                surviving events, LWW-reduced and hashed, tombstones
+                kept, become its delta SEGMENT (``cdc_segment``); the
+                group's segments are written last as ONE delta file,
+                its manifests in the footer
+              · otherwise (no base, or a fold): read partition p of the
+                previous committed snapshot, its chain overlaid; union
+                prior state (as lsn=last_lsn upsert rows) + events,
                 exact LWW by lsn, drop DELETE tombstones, sha256 only the
-                newly-surviving rows
-              · atomic write of part-p.parquet, its manifest in the footer
+                newly-surviving rows; atomic write of part-p.parquet,
+                its manifest in the footer
       → driver writes the epoch index, then the _COMMITTED marker
 
 With one merge group (a 1-CPU session, or P = 1) and at most
@@ -49,8 +56,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from arlas_proc_ray.cdc.events import FINAL_STATE_SCHEMA, default_registry
-from arlas_proc_ray.cdc.replay import finalize_partition_table
-from arlas_proc_ray.cdc.snapshot import SnapshotStore
+from arlas_proc_ray.cdc.patch import table_has_patches
+from arlas_proc_ray.cdc.replay import finalize_partition_table, lww_reduce_table
+from arlas_proc_ray.cdc.snapshot import DELETED, DeltaWrite, SnapshotStore
+from arlas_proc_ray.functions.hashing import sha256_hex
 from arlas_proc_ray.model import DataModel
 
 
@@ -120,6 +129,44 @@ def cdc_fold(dm: DataModel, ev, prior, prior_last: int):
     return final, watermark, (events_in, events_in - applied, applied)
 
 
+def cdc_segment(dm: DataModel, ev, prior_last: int):
+    """CDC's delta step: the fence of :func:`cdc_fold`, then the events
+    that survive it as a segment: LWW-reduced, content hashed, each
+    DELETE kept as a tombstone row (``DELETED``), in the order finalize
+    would keep them. Returns ``(rows or None, watermark, counts)`` like a
+    fold, ``None`` when nothing survives the fence. A segment row beats
+    every older row of its key, so the partition's prior state is not
+    read."""
+    events_in = ev.num_rows
+    watermark = max(prior_last, int(pc.max(ev.column("lsn")).as_py()))
+    if prior_last >= 0:
+        ev = ev.filter(pc.greater(ev.column("lsn"), pa.scalar(prior_last)))
+    applied = ev.num_rows
+    if not applied:
+        return None, watermark, (events_in, events_in, 0)
+    ev = lww_reduce_table(ev, dm.key_cols, dm.order_col)
+    deleted = pc.equal(ev.column("op"), pa.scalar("DELETE")).combine_chunks()
+    live = pc.invert(deleted)
+    sha = pa.nulls(ev.num_rows, pa.string())
+    if pc.any(live).as_py():
+        sha = pc.replace_with_mask(
+            sha, live, sha256_hex(ev.column("content").filter(live)).combine_chunks())
+    arrays = []
+    for f in FINAL_STATE_SCHEMA:
+        if f.name == "content_sha256":
+            arrays.append(sha)
+            continue
+        col = ev.column(dm.order_col if f.name == "last_lsn" else f.name)
+        col = col if col.type == f.type else pc.cast(col, f.type)
+        if f.name not in (*dm.key_cols, "last_lsn"):
+            col = pc.if_else(deleted, pa.scalar(None, f.type), col)
+        arrays.append(col)
+    arrays.append(deleted)
+    rows = pa.Table.from_arrays(
+        arrays, schema=FINAL_STATE_SCHEMA.append(pa.field(DELETED, pa.bool_())))
+    return rows, watermark, (events_in, events_in - applied, applied)
+
+
 def copy_fold(watermark: int, ev, prior, prior_last: int):
     """``repartition_snapshot``'s fold: the routed live rows as they are,
     under the source epoch's global watermark. No event is applied."""
@@ -131,76 +178,93 @@ def copy_fold(watermark: int, ev, prior, prior_last: int):
 
 
 def apply_partition(store: SnapshotStore, epoch: int, part: int, events,
-                    prior, fold, *, delta: bool = False,
-                    fault_hook=None):
+                    prior, fold, *, segment=None, delta: bool = False,
+                    fault_hook=None, resumed=None):
     """Apply one partition of one epoch: the step every writer of the
     store ends in (CDC epochs, ``merge_into``, ``repartition_snapshot``),
     after the staged exchange (cdc/staged.py) routed ``events`` to it.
 
     ``events`` is a list of tables routed to ``part`` (any may be empty);
-    ``prior`` is ``(source epoch, applied watermark)`` of the partition's
-    committed file, from the previous epoch's index (``None`` on an empty
-    store, or for a writer that reads no prior state). ``fold(events,
-    prior, prior_last)`` is the writer's own step:
+    ``prior`` is the partition's manifest in the previous epoch's index
+    (``None`` on an empty store, or for a writer that reads no prior
+    state). ``fold(events, prior, prior_last)`` is the writer's own step:
     it gets the concatenated events (``None`` if there are none), the
     prior state and its applied-LSN watermark, and returns ``(final,
     watermark, (events_in, fence_dropped, events_applied))``, where
-    ``final`` is the new state or ``None`` for "unchanged". In order:
+    ``final`` is the new state or ``None`` for "unchanged". ``segment``
+    (a CDC epoch whose partition's fold is not due, see
+    ``staged._Epoch.segment_for``) is the delta step of the same shape,
+    ``cdc_segment``. In order:
 
-    - fence: this epoch's file for ``part`` exists → return its manifest,
-      rebuilt from the file (resume);
-    - prior read: the state in the prior source epoch's file;
+    - fence: this epoch's base file for ``part`` exists, or a delta group
+      file of this epoch lists it (``resumed``, its manifest) → return
+      its manifest (resume);
+    - delta: with ``segment`` and surviving events, return a
+      ``DeltaWrite`` for the group's one delta file
+      (``SnapshotStore.write_delta_group``), after ``fault_hook``; the
+      prior state is not read;
+    - prior read: the prior state with its chain overlaid;
     - fold;
-    - unchanged: with ``delta`` and a prior file, return the prior source
+    - unchanged: with ``delta`` and a prior file, return the prior base's
       epoch (reference it, no rewrite); otherwise carry the prior state
       forward;
-    - ``fault_hook(epoch, part)``, then the atomic write.
+    - ``fault_hook(epoch, part)``, then the atomic base write.
 
-    Every written manifest carries the same metrics: ``events_in``,
+    Every manifest carries the same metrics: ``events_in``,
     ``fence_dropped``, ``events_applied`` and ``apply_s``.
     """
-    if store.partition_done(epoch, part):  # crash-resume fence
+    if resumed and part in resumed:  # crash-resume fence, delta group
+        return resumed[part]
+    if store.base_done(epoch, part):  # crash-resume fence, base file
         return store.read_manifest(epoch, part)
     t0 = time.perf_counter()
-    state, prior_last = None, -1
-    if prior is not None:
-        state = store.read_partition(prior[0], part)
-        prior_last = prior[1]
+    prior_last = -1 if prior is None else prior.last_lsn
     live = [t for t in events if t.num_rows]
     ev = pa.concat_tables(live, promote_options="default") if live else None
-    final, watermark, (events_in, dropped, applied) = fold(
-        ev, state, prior_last
-    )
-    if final is None:
-        if delta and prior is not None:
-            return int(prior[0])
-        final = state if state is not None else FINAL_STATE_SCHEMA.empty_table()
-    if fault_hook is not None:
-        fault_hook(epoch, part)
-    return store.write_partition(
-        epoch, part, final, last_lsn=watermark,
-        metrics={
+
+    def metrics(counts):
+        events_in, dropped, applied = counts
+        return {
             "events_in": events_in,
             "fence_dropped": dropped,
             "events_applied": applied,
             "apply_s": round(time.perf_counter() - t0, 4),
-        },
+        }
+
+    if segment is not None and ev is not None and not table_has_patches(ev):
+        rows, watermark, counts = segment(ev, prior_last)
+        if rows is not None:
+            if fault_hook is not None:
+                fault_hook(epoch, part)
+            return DeltaWrite(part, rows, prior, watermark, metrics(counts))
+        if delta:
+            return int(prior.epoch)
+    state = None if prior is None else store.read_resolved(prior, part)
+    final, watermark, counts = fold(ev, state, prior_last)
+    if final is None:
+        if delta and prior is not None:
+            return int(prior.epoch)
+        final = state if state is not None else FINAL_STATE_SCHEMA.empty_table()
+    if fault_hook is not None:
+        fault_hook(epoch, part)
+    return store.write_partition(
+        epoch, part, final, last_lsn=watermark, metrics=metrics(counts),
     )
 
 
 def open_epoch(store: SnapshotStore, dm: DataModel, epoch: int):
     """Check that ``epoch`` may be applied on top of the store; return
     ``(prev_epoch, prior)``: the latest committed epoch and, from its
-    index, each partition's ``(source epoch, applied watermark)`` (empty
-    on an empty store)."""
+    index, each partition's manifest (its base, chain and applied
+    watermark; empty on an empty store)."""
     prev = store.latest_committed_epoch()
     if prev is not None and prev >= epoch:
         raise ValueError(f"epoch {epoch} already committed (latest {prev})")
     prior = {}
-    if prev is not None:  # one index: the fan-out, sources and fences
+    if prev is not None:  # one index: the fan-out, layouts and fences
         index = store.epoch_index(prev)
         check_committed_fanout(dm, prev, len(index))
-        prior = {p: (m.epoch, m.last_lsn) for p, m in enumerate(index)}
+        prior = dict(enumerate(index))
     return prev, prior
 
 
@@ -374,14 +438,17 @@ class CdcEngine:
             return json.load(f)
 
     def _staged_files(self, epoch: int) -> list[str]:
+        """The base files of the staged cut; a partition its delta group
+        files list is chained (``SnapshotStore.delta_manifests``)."""
         st = self.read_staged(epoch)
         if st is None:
             raise RuntimeError(f"epoch {epoch} is not staged")
+        chained = self.store.delta_manifests(epoch)
         files = [
             self.store.part_data_path(
                 int(st["sources"].get(str(p), epoch)), p
             )
-            for p in range(st["num_partitions"])
+            for p in range(st["num_partitions"]) if p not in chained
         ]
         return [f for f in files if os.path.exists(f)]
 
@@ -390,7 +457,13 @@ class CdcEngine:
         import pyarrow.parquet as pq
 
         return sum(pq.read_metadata(f).num_rows
-                   for f in self._staged_files(epoch))
+                   for f in self._staged_files(epoch)) + sum(
+            m.row_count for m in self.store.delta_manifests(epoch).values())
+
+    def _staged_tables(self, epoch: int, columns=None) -> list:
+        """The staged cut's chained partitions' rows, each resolved."""
+        return [self.store.read_resolved(m, p, columns)
+                for p, m in sorted(self.store.delta_manifests(epoch).items())]
 
     def staged_state(self, epoch: int, columns=None):
         """The staged (uncommitted) cut as a pruned-column Dataset."""
@@ -398,7 +471,13 @@ class CdcEngine:
 
         files = self._staged_files(epoch)
         kwargs = {"columns": list(columns)} if columns else {}
-        return rd.read_parquet(files, **kwargs)
+        ds = rd.read_parquet(files, **kwargs) if files else None
+        chained = self._staged_tables(epoch, columns)
+        if chained:
+            extra = rd.from_arrow([t.replace_schema_metadata(None)
+                                   for t in chained])
+            ds = extra if ds is None else ds.union(extra)
+        return ds
 
     def publish_epoch(self, epoch: int) -> dict:
         """Commit a staged epoch (the P of write-audit-publish). The
@@ -503,17 +582,19 @@ class CdcEngine:
                 # execution's fixed cost (~0.3-1 s) by ~10×
                 import pyarrow.parquet as pq
 
+                tables = [pq.read_table(f, columns=cols) for f in files]
+                tables += self._staged_tables(epoch, cols)
                 tbl = (
                     pa.concat_tables(
-                        [pq.read_table(f, columns=cols) for f in files]
-                    )
-                    if files else pa.table({c: [] for c in cols})
+                        [t.replace_schema_metadata(None) for t in tables],
+                        promote_options="default")
+                    if tables else pa.table({c: [] for c in cols})
                 )
                 partials = count_bad(tbl).to_pandas()
             else:
                 import ray.data as rd
 
-                state = rd.read_parquet(files, columns=cols)
+                state = self.staged_state(epoch, cols)
                 partials = state.map_batches(
                     count_bad, batch_format="pyarrow", batch_size=None
                 ).to_pandas()  # one tiny row per block
@@ -882,7 +963,7 @@ class CdcEngine:
         index = store.epoch_index(target)
         return store.commit_epoch(
             epoch, len(index), sources={p: m.epoch for p, m in enumerate(index)},
-            expected_prev=latest,
+            expected_prev=latest, _manifests=dict(enumerate(index)),
         )
 
     # ------------------------------------------------------------------
@@ -1043,18 +1124,21 @@ class CdcEngine:
         The requested keys are hash-routed with the SAME ``partition_ids``
         kernel every write uses, so only the ≤ ``len(keys)`` partition
         files that can contain them are candidates — at P=64 a point read
-        touches 1/64th of a 100-TB snapshot, independent of table size. A
-        candidate whose blooms in the epoch index prove every key routed
-        to it absent is not opened. Each opened file is read in this
-        process and its matching rows kept with an Arrow semi join on the
-        key columns (byte-exact), in file order, partitions ascending.
+        touches 1/64th of a 100-TB snapshot, independent of table size.
+        Within a candidate, its delta segments are probed newest first by
+        their blooms, and only a segment that may hold a key has its one
+        row group read; the first segment holding a key decides it, and
+        the base file is read only for keys no segment holds and its
+        blooms do not exclude (``SnapshotStore.lookup_rows``). Each read
+        happens in this process and keeps the rows whose key columns
+        match (byte-exact), in the resolved partition's order, partitions
+        ascending.
         Missing and deleted keys simply return no row; a repeated key
         returns its row once. ``epoch`` (an epoch number or a ref name; default latest)
         time-travels to any committed epoch (merge-on-read resolved).
         """
         import numpy as np
 
-        from arlas_proc_ray.cdc.snapshot import blooms_exclude
         from arlas_proc_ray.functions.hashing import partition_ids
 
         key_cols = list(self.dm.key_cols)
@@ -1072,15 +1156,11 @@ class CdcEngine:
         pids = partition_ids(req, key_cols, len(index))
         out = []
         for p in np.unique(pids).tolist():
-            routed = req.filter(pa.array(pids == p))
             m = index[p]
-            if m.row_count == 0 or blooms_exclude(m.blooms, routed):
+            if m.row_count == 0:
                 continue
-            t = self.store.read_partition(m.epoch, p)
-            if t is None or t.num_rows == 0:
-                continue
-            hit = _rows_with_keys(t, routed)
-            if hit.num_rows:
+            hit = self.store.lookup_rows(m, p, req.filter(pa.array(pids == p)))
+            if hit is not None:
                 out.append(hit)
         if not out:
             return FINAL_STATE_SCHEMA.empty_table()
@@ -1111,20 +1191,6 @@ def _materialized(ds):
     from ray.data.dataset import MaterializedDataset
 
     return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
-
-
-def _rows_with_keys(table: pa.Table, keys: pa.Table) -> pa.Table:
-    """The rows of ``table`` whose key columns equal some row of ``keys``,
-    byte for byte, in ``table``'s row order."""
-    import numpy as np
-
-    cols = keys.column_names
-    keys = keys.cast(pa.schema([(c, table.schema.field(c).type) for c in cols]))
-    rows = table.select(cols).append_column(
-        "_row", pa.array(np.arange(table.num_rows))
-    )
-    hit = rows.join(keys, keys=cols, join_type="left semi")
-    return table.take(np.sort(hit.column("_row").to_numpy()))
 
 
 def check_committed_fanout(dm: DataModel, prev_epoch: int,

@@ -90,8 +90,8 @@ def change_feed(
             store, b, t, key_cols, compare_cols, columns, op_col
         )
 
-    b_src = [m.epoch for m in store.epoch_index(b)]
-    t_src = [m.epoch for m in store.epoch_index(t)]
+    b_parts = store.partition_layouts(b)
+    t_parts = store.partition_layouts(t)
 
     read_cols = None
     if columns is not None:
@@ -109,8 +109,8 @@ def change_feed(
     def diff_parts(batch: pd.DataFrame) -> pd.DataFrame:
         frames = []
         for p in batch["part"].tolist():
-            old = _select(store.read_partition(b_src[p], p), read_cols)
-            new = _select(store.read_partition(t_src[p], p), read_cols)
+            old = _select(store.read_resolved(b_parts[p], p), read_cols)
+            new = _select(store.read_resolved(t_parts[p], p), read_cols)
             if include_old:
                 d, imgs = diff_state_tables(
                     old, new, key_cols=key_cols, compare_cols=compare_cols,
@@ -174,8 +174,6 @@ def _global_feed(
     op_col: str,
 ):
     """Fan-out-mismatch fallback: one co-partitioned global diff."""
-    import ray.data as rd
-
     from arlas_proc_ray.cdc.diff import snapshot_diff
     from arlas_proc_ray.cdc.publish import _state_columns
 
@@ -187,7 +185,7 @@ def _global_feed(
         )
 
     def state_ds(e: int):
-        return rd.read_parquet(store.epoch_files(e), columns=cols)
+        return store.state_dataset(e, cols)
 
     compare = list(
         compare_cols

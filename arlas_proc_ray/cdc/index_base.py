@@ -52,12 +52,9 @@ def state_dataset(store: SnapshotStore, epoch: int, columns):
     downstream exchange's ref bookkeeping (measured: a 4-part store read
     ballooned to 128 blocks → 0.8 s of split/gather submission for a
     16-partition fold that does ~10 ms of work per task)."""
-    import ray.data as rd
-
-    files = store.epoch_files(epoch)
-    return rd.read_parquet(
-        files, columns=list(columns),
-        override_num_blocks=max(1, len(files)),
+    return store.state_dataset(
+        epoch, list(columns),
+        override_num_blocks=max(1, len(store.epoch_files(epoch))),
     )
 
 

@@ -307,12 +307,12 @@ def publish_to_elasticsearch(
     target = store._resolve_epoch_arg(epoch)
     if target is None:
         raise RuntimeError("no committed epoch to publish")
-    tgt_src = [m.epoch for m in store.epoch_index(target)]
-    num_partitions = len(tgt_src)
+    tgt = store.partition_layouts(target)
+    num_partitions = len(tgt)
 
     ckpt = None if full else read_publish_checkpoint(store, sink_id)
     base = ckpt["epoch"] if ckpt else None
-    base_src = None
+    base_parts = None
     todo = list(range(num_partitions))
     if base is not None:
         if base == target:
@@ -332,7 +332,7 @@ def publish_to_elasticsearch(
                 mapping_excluded=mapping_excluded, chunk_rows=chunk_rows,
                 commit_checkpoint=commit_checkpoint,
             )
-        base_src = [m.epoch for m in store.epoch_index(base)]
+        base_parts = store.partition_layouts(base)
     skipped = num_partitions - len(todo)
 
     key_cols = list(key_cols)
@@ -340,11 +340,11 @@ def publish_to_elasticsearch(
     @ray.remote(num_cpus=0.5)
     def publish_partition(part: int) -> dict:
         old = (
-            store.read_partition(base_src[part], part)
+            store.read_resolved(base_parts[part], part)
             if base is not None
             else None
         )
-        new = store.read_partition(tgt_src[part], part)
+        new = store.read_resolved(tgt[part], part)
         diff = diff_state_tables(
             old, new, key_cols=key_cols, compare_cols=compare_cols
         )
@@ -420,13 +420,11 @@ def _publish_global_diff(
 ) -> dict:
     """Fan-out changed between base and target: one co-partitioned global
     diff (cdc/diff.py) replaces the per-partition file alignment."""
-    import ray.data as rd
-
     from arlas_proc_ray.cdc.diff import snapshot_diff
 
     num_partitions = len(store.epoch_index(target))
-    new_ds = rd.read_parquet(store.epoch_files(target))
-    old_ds = rd.read_parquet(store.epoch_files(base))
+    new_ds = store.state_dataset(target)
+    old_ds = store.state_dataset(base)
     key_cols = list(key_cols)
     diff = snapshot_diff(
         old_ds,

@@ -59,6 +59,20 @@ _INMEM_PER_CHUNK = AMPLIFICATION + 1.0
 # caller's heap: past it the input stays in the object store, which can
 # spill.
 INLINE_BYTES = 8 << 20
+# The fold rule of a chained partition (``staged._Epoch._fold_due``): a
+# touched partition is written as a delta segment over its base until its
+# chain holds FOLD_SEGMENTS segments or the chain's rows reach
+# FOLD_ROWS_RATIO × the base's rows; then the epoch folds it into a new
+# base. Measured with tools/layer_bench.py on one vCPU (2k-event epochs
+# at P=64): a lookup through 6-segment chains costs what it costs on the
+# folded state (``lookup.chain`` 1.01×), a repo scan hitting every
+# partition twice as much (``scan.chain`` 2.17×), and the write side gains
+# 13-27% amortized over 24 epochs at every threshold pair tried (8/1.0,
+# 8/2.0, 4/1.0, 16/4.0; ``epoch.chain``), within run-to-run noise of each
+# other. So reads set the rule: fold once a partition's segments hold as
+# many rows as its base, and after 8 segments of tiny epochs.
+FOLD_SEGMENTS = 8
+FOLD_ROWS_RATIO = 1.0
 
 
 def runs_in_process(tasks: int, nbytes: int | None) -> bool:

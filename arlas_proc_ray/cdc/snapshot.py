@@ -1,43 +1,74 @@
-"""Epoch-fenced Parquet snapshot store: one data file per partition, one
-index per epoch.
+"""Epoch-fenced Parquet snapshot store: one base file per partition, one
+delta file per exchange group, one index per epoch.
 
 The exactly-once sink (BASELINE.json north_star): Ray tasks are
 at-least-once, so correctness comes from *idempotent* writes. An epoch
 ``e`` lives under ``snapshot_dir/epoch=<e>/``:
 
-- ``part-<p>.parquet``, one per partition written this epoch, is the only
-  durable file a partition write makes: written to a ``.tmp`` path,
-  fsynced, then atomically ``os.replace``d (a retried task overwrites
-  with identical bytes — harmless). Its Parquet key-value footer carries
-  what the rows cannot give back (``_FOOTER_KEY``): the applied-LSN
-  watermark ``last_lsn``, ``max_surviving_lsn``, ``row_count``, the
-  apply ``metrics`` and which columns have blooms;
-- a partition whose data file exists with that footer is SKIPPED on
-  re-run (crash-resume: finished partitions cost nothing), and only
-  then is its manifest rebuilt, from the footer plus the same rollup,
-  bloom and zone-map function the write ran;
+- ``part-<p>.parquet``, a BASE file, is a partition's whole state:
+  written for a partition that has no base yet, for a fold (below), by
+  ``merge_into`` and ``repartition_snapshot``, and for an untouched
+  partition carried forward by a non-delta epoch. It goes to a ``.tmp``
+  path, is fsynced, then atomically ``os.replace``d (a retried task
+  overwrites with identical bytes — harmless). Its Parquet key-value
+  footer carries what the rows cannot give back (``_FOOTER_KEY``): the
+  applied-LSN watermark ``last_lsn``, ``max_surviving_lsn``,
+  ``row_count``, the apply ``metrics`` and which columns have blooms;
+- ``delta-<e>-<first>-<digest>.parquet``, a DELTA GROUP file (named by
+  its epoch, first partition and a digest of its partition set), holds
+  one exchange group's delta segments, one row group per partition:
+  each touched partition's fence-surviving, LWW-reduced events of a CDC
+  epoch, hashed, DELETEs kept as tombstone rows (``DELETED``). Every
+  segment row has an LSN above the partition's watermark, so it beats
+  its base and every older segment: the newest segment that holds a key
+  decides it (``_overlay``). The file goes through the same tmp, fsync and
+  rename, all or nothing; its footer (``_SEGMENTS_KEY``) lists each
+  segment's partition and manifest fields, computed from the key,
+  ``content_sha256`` and ``last_lsn`` columns of the base and chain
+  (never ``content``), so the partition's ``row_count`` and
+  ``sha256_rollup`` are exact;
+- the FENCE: a partition is done when a base file of this epoch exists
+  with its footer, or when some delta group file of this epoch lists it.
+  A re-run skips exactly those partitions (crash-resume: finished
+  partitions cost nothing), under whatever group layout wrote them;
+  base files resume per partition, a delta group file is redone whole.
+  A group task of a failed attempt that renames its file late leaves a
+  file the index does not name, under a name of its own;
 - ``_index.arrow`` (``INDEX_NAME``), written by ``commit_epoch`` just
   before the marker, is the epoch's columnar index: an Arrow IPC table
-  with one row per partition — source epoch, counts, LSNs, rollup, zone
-  maps, raw bloom bitmaps and metrics — from the manifests the kernels
-  returned and, for partitions a delta epoch references, from the
-  previous index. It is the only record of the epoch's layout that is
-  read: planning, lookups, stats, history and audits read it, and so
-  does every other module, through ``epoch_index``, ``epoch_files`` and
+  with one row per partition — its base's epoch, its ``chain`` of
+  segments (epoch, file, row group, rows, zone maps, key blooms), counts,
+  LSNs, rollup, the base's zone maps and raw bloom bitmaps, and metrics —
+  from the manifests the kernels returned and, for partitions a delta
+  epoch references, from the previous index. It is the only record of
+  the epoch's layout that is read: planning, lookups, stats, history and
+  audits read it, and so does every other module, through
+  ``epoch_index``, ``read_partition_resolved``, ``state_dataset`` and
   ``changed_partitions``; never a per-partition file;
 - the epoch becomes visible only when the ``_COMMITTED`` marker (written
   last, atomically) exists; readers resolve ``latest_committed_epoch``.
-  The marker also holds the epoch's summary and source map, for readers
-  older than the index.
+  The marker also holds the epoch's summary and source map (each
+  partition's base epoch), for readers older than the index.
 
-So a 64-partition epoch is 66 files. Each store handle keeps the last
-index it committed or read in memory, checked against the marker's inode
-and mtime; it is never pickled into a task.
+FOLDS: a partition's chain grows by one segment per epoch that touches
+it, until its fold is due (``staged._Epoch._fold_due``: the chain holds
+``sizing.FOLD_SEGMENTS`` segments, its rows reach
+``sizing.FOLD_ROWS_RATIO`` × its base's, or ``delta_max_age`` passes);
+then the epoch reads the resolved state and writes a new base.
+``jobs optimize`` folds every chain.
+
+So a bootstrap epoch at P=64 is 66 files, and a tail epoch that touches
+every partition in one exchange group (one CPU) is 3: the group file,
+the index and the marker. Each store handle keeps the last two indexes
+it committed or read in memory, each checked against its marker's inode
+and mtime, and the footers of delta group files it wrote or read; they
+are never pickled into a task.
 
 Stores written before the index kept one ``manifest-<p>.json`` beside
 each data file and no ``_index.arrow``. They still read: such a manifest
 is returned as it is, and an epoch without an index has its index built
-in memory from its manifests (``_load_index``).
+in memory from its manifests (``_load_index``). An index written before
+chains has no ``chain`` column and reads as empty chains.
 
 Manifest per partition (FIXTURES.md §4): ``partition_id, last_lsn,
 row_count, sha256_rollup`` — the rollup is an order-free hash of the
@@ -56,8 +87,10 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -86,6 +119,9 @@ class PartitionManifest:
     # Zone maps: {column: [min, max]} over the partition's surviving rows,
     # for int/float columns and short strings (both bounds ≤ 64 chars),
     # taken from the Parquet writer's row-group statistics (``_zone_maps``).
+    # For a chained partition they bound its live rows: exact for the
+    # columns a delta write reads (keys, ``content_sha256``, ``last_lsn``),
+    # the union of the base's and its segments' bounds for the others.
     # Purely an OPTIMIZATION surface for scan-time partition pruning —
     # absence (older manifests) just means "cannot prune".
     col_stats: dict = field(default_factory=dict)
@@ -101,6 +137,52 @@ class PartitionManifest:
     # as "b64" instead of "bits" (``_bloom_bytes``). Same
     # optimization-only contract as col_stats: absence = cannot prune.
     blooms: dict = field(default_factory=dict)
+    # Rows in the base file ``epoch`` holds, tombstones never included;
+    # ``row_count`` is the partition's rows once ``chain`` is overlaid.
+    # ``None`` (a manifest written before chains) means ``row_count``.
+    base_rows: int | None = None
+    # The partition's delta segments over its base, oldest first
+    # (``Segment``): the newest segment that holds a key decides it.
+    # ``blooms`` above describe the base alone.
+    chain: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.base_rows is None:
+            self.base_rows = self.row_count
+
+    def layout(self) -> tuple:
+        """What identifies the partition's rows: its base file and chain
+        (files are immutable, named by epoch and partition or group)."""
+        return (self.epoch, *(s.place() for s in self.chain))
+
+    def written_in(self) -> int:
+        """The epoch that last wrote this partition: the newest segment's,
+        else the base's."""
+        return self.chain[-1].epoch if self.chain else self.epoch
+
+    def without_blooms(self) -> "PartitionManifest":
+        """This manifest with no blooms, its base's or its segments': what
+        a task needs to read or extend the partition, small to ship
+        (``commit_epoch`` fills a segment's blooms back in)."""
+        return replace(self, blooms=None, chain=[
+            replace(s, blooms=None) for s in self.chain])
+
+
+@dataclass
+class Segment:
+    """One partition's delta segment: row group ``row_group`` of the group
+    file ``file`` in ``epoch``'s directory, ``rows`` rows (tombstones
+    included), and the blooms of its key columns: ``None`` in a manifest
+    a task or a resume built, until ``commit_epoch`` takes them from the
+    previous index."""
+    epoch: int
+    file: str
+    row_group: int
+    rows: int
+    blooms: dict | None = None
+
+    def place(self) -> tuple:
+        return self.epoch, self.file, self.row_group
 
 
 _STATS_MAX_STR = 64
@@ -128,7 +210,8 @@ def _sound_statistics(table: pa.Table):
     return [n for n in table.column_names if n not in long] if long else True
 
 
-def _zone_maps(md: pq.FileMetaData, schema: pa.Schema) -> dict:
+def _zone_maps(md: pq.FileMetaData, schema: pa.Schema,
+               row_groups=None) -> dict:
     """JSON-serializable per-column [min, max] zone maps of one file, from
     the row-group statistics its writer kept: no pass over the rows.
 
@@ -140,11 +223,13 @@ def _zone_maps(md: pq.FileMetaData, schema: pa.Schema) -> dict:
     upper bound, and nobody range-filters on file content). A string
     bound over ``_STATS_MAX_BYTES`` is not stored by the writer and reads
     back as "", so a row group whose bounds read "" for a column chunk of
-    more than that many bytes leaves the column unbounded."""
+    more than that many bytes leaves the column unbounded. ``row_groups``
+    limits the maps to those row groups (a delta segment's)."""
     import pyarrow.types as pt
 
     stats: dict = {}
-    if md.num_rows == 0:
+    groups = range(md.num_row_groups) if row_groups is None else row_groups
+    if not sum(md.row_group(rg).num_rows for rg in groups):
         return stats
     leaf = {md.schema.column(i).path: i for i in range(md.num_columns)}
     for f in schema:
@@ -156,7 +241,7 @@ def _zone_maps(md: pq.FileMetaData, schema: pa.Schema) -> dict:
         ci = leaf[f.name]
         lo = hi = None
         known, valued = True, False
-        for rg in range(md.num_row_groups):
+        for rg in groups:
             col = md.row_group(rg).column(ci)
             st = col.statistics
             if st is None:
@@ -291,14 +376,14 @@ def _bloom_positions(vals, num_bits: int, num_hashes: int,
     return _hash_positions(_bloom_hashes(vals, scheme), num_bits, num_hashes)
 
 
-def _bloom_build(col, num_rows: int) -> dict:
+def _bloom_build(col, num_rows: int, min_bits: int = _BLOOM_MIN_BITS) -> dict:
     """One packed bitmap for a column; ~8 bits/row (FP ≈ 3% at k=3),
-    clamped to [1 KiB, 128 KiB] and rounded up to a power of two (h2 is
-    odd, hence coprime with a power-of-two m). Tagged ``"h"`` with its
-    value hash, ``_BLOOM_SCHEME``."""
+    clamped to [``min_bits``, 128 KiB] and rounded up to a power of two
+    (h2 is odd, hence coprime with a power-of-two m). Tagged ``"h"`` with
+    its value hash, ``_BLOOM_SCHEME``."""
     import numpy as np
 
-    bits = _BLOOM_MIN_BITS
+    bits = min_bits
     while bits < num_rows * 8 and bits < _BLOOM_MAX_BITS:
         bits <<= 1
     hit = np.zeros(bits, dtype=bool)
@@ -327,27 +412,46 @@ def _bloom_absent(bloom: dict, positions):
     never absent."""
     import numpy as np
 
+    if positions.shape[1] == 1:  # one probe: a few bit tests in Python
+        bits = _bloom_bytes(bloom)
+        return np.array([any(p >= 0 and not bits[p >> 3] >> (p & 7) & 1
+                             for p in positions[:, 0].tolist())])
     bm = np.frombuffer(_bloom_bytes(bloom), dtype=np.uint8)
     p = np.maximum(positions, 0)
     unset = ((bm[p >> 3] >> (p & 7).astype(np.uint8)) & 1) == 0
     return (unset & (positions >= 0)).any(axis=0)
 
 
-def blooms_exclude(blooms: dict, keys: pa.Table) -> bool:
-    """True when a partition's manifest ``blooms`` prove every row of
-    ``keys`` absent: for each key, some column's bloom misses its value."""
-    import numpy as np
+class _KeyProbes:
+    """The rows of a key table, tested against many blooms: each column
+    is hashed once per scheme and its bit positions computed once per
+    bloom shape, so a bloom costs only its bit tests."""
 
-    absent = np.zeros(keys.num_rows, dtype=bool)
-    for col in keys.column_names:
-        bloom = blooms.get(col)
-        if bloom is not None:
-            positions = _bloom_positions(
-                keys.column(col), int(bloom["m"]), int(bloom["k"]),
-                _scheme(bloom),
-            )
-            absent |= _bloom_absent(bloom, positions)
-    return bool(absent.all())
+    def __init__(self, keys: pa.Table):
+        self.keys = keys
+        self._hashes: dict = {}
+        self._positions: dict = {}
+
+    def excludes(self, blooms: dict) -> bool:
+        """True when ``blooms`` prove every key absent: for each key, some
+        column's bloom misses its value."""
+        import numpy as np
+
+        absent = np.zeros(self.keys.num_rows, dtype=bool)
+        for col in self.keys.column_names:
+            bloom = blooms.get(col)
+            if bloom is None:
+                continue
+            scheme = _scheme(bloom)
+            shape = (col, scheme, int(bloom["m"]), int(bloom["k"]))
+            if shape not in self._positions:
+                if (col, scheme) not in self._hashes:
+                    self._hashes[col, scheme] = _bloom_hashes(
+                        self.keys.column(col), scheme)
+                self._positions[shape] = _hash_positions(
+                    self._hashes[col, scheme], shape[2], shape[3])
+            absent |= _bloom_absent(bloom, self._positions[shape])
+        return bool(absent.all())
 
 
 class _BloomProbes:
@@ -453,21 +557,33 @@ def row_group_pruning_stats(files, predicate) -> dict:
     }
 
 
-def _predicate_to_expr(predicate):
-    """Conjunctive (col, op, value) list → pyarrow dataset expression."""
-    import operator
+def _conjunction(predicate, term):
+    """A conjunctive (col, op, value) list through the compute kernels,
+    each column given by ``term(col)``: a dataset field gives an
+    expression, a table column a mask. A null comparison drops its row
+    either way."""
+    pc = pa.compute
+    fns = {"==": pc.equal, "!=": pc.not_equal, "<": pc.less,
+           "<=": pc.less_equal, ">": pc.greater, ">=": pc.greater_equal}
+    out = None
+    for col, op, val in predicate:
+        e = fns[op](term(col), val)
+        out = e if out is None else pc.and_kleene(out, e)
+    return out
 
+
+def _predicate_to_expr(predicate):
+    """Conjunctive (col, op, value) list → pyarrow dataset expression,
+    for a filter pushed into ``read_parquet``."""
     import pyarrow.dataset as pads
 
-    ops = {
-        "==": operator.eq, "!=": operator.ne, "<": operator.lt,
-        "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    }
-    expr = None
-    for col, op, val in predicate:
-        e = ops[op](pads.field(col), val)
-        expr = e if expr is None else expr & e
-    return expr
+    return _conjunction(predicate, pads.field)
+
+
+def _predicate_mask(table: pa.Table, predicate):
+    """The rows of ``table`` a conjunctive (col, op, value) list keeps, as
+    a mask: an in-process filter."""
+    return _conjunction(predicate, table.column)
 
 
 # Plans up to this many bytes on disk are read in the calling process. After
@@ -479,9 +595,10 @@ def _predicate_to_expr(predicate):
 SMALL_SCAN_BYTES = 32 << 20
 
 
-def _read_small(files, columns, clauses, expr) -> pa.Table:
+def _read_small(files, columns, clauses) -> pa.Table:
     """``scan``'s in-process read: each file at the ``ParquetFile.read``
-    floor, then the residual filter and projection in Arrow."""
+    floor, then the residual filter (``_predicate_mask``) and projection
+    in Arrow."""
     need = None
     if columns is not None:
         need = list(dict.fromkeys([*columns, *(c for c, _, _ in clauses)]))
@@ -490,8 +607,8 @@ def _read_small(files, columns, clauses, expr) -> pa.Table:
         with pq.ParquetFile(f) as pf:
             tables.append(pf.read(columns=need))
     table = pa.concat_tables(tables, promote_options="default")
-    if expr is not None:
-        table = table.filter(expr)
+    if clauses:
+        table = table.filter(_predicate_mask(table, clauses))
     if columns is not None:
         table = table.select(columns)
     # one chunk per column: Ray serializes every chunk as its own array
@@ -544,12 +661,22 @@ _BLOOM_TYPE = pa.list_(pa.struct([
     ("column", pa.string()), ("m", pa.int64()), ("k", pa.int64()),
     ("h", pa.string()), ("bits", pa.binary()),
 ]))
+_CHAIN_TYPE = pa.list_(pa.struct([
+    ("epoch", pa.int64()), ("file", pa.string()), ("row_group", pa.int32()),
+    ("rows", pa.int64()), ("blooms", _BLOOM_TYPE),
+]))
+
+
+def _bloom_rows(blooms: dict) -> list:
+    return [{"column": c, "m": int(b["m"]), "k": int(b["k"]), "h": _scheme(b),
+             "bits": _bloom_bytes(b)} for c, b in blooms.items()]
 
 
 def _index_bytes(manifests: list[PartitionManifest]) -> pa.Buffer:
     """An epoch index as an Arrow IPC file: row p is partition p, its
-    ``source_epoch`` the epoch holding the file. Zone maps and metrics are
-    JSON text, blooms their raw bitmaps."""
+    ``source_epoch`` the epoch holding its base file and ``chain`` its
+    delta segments, oldest first. Zone maps and metrics are JSON text,
+    blooms their raw bitmaps."""
     table = pa.table({
         "partition_id": pa.array([m.partition_id for m in manifests], pa.int32()),
         "source_epoch": pa.array([m.epoch for m in manifests], pa.int64()),
@@ -559,12 +686,16 @@ def _index_bytes(manifests: list[PartitionManifest]) -> pa.Buffer:
             [m.max_surviving_lsn for m in manifests], pa.int64()),
         "sha256_rollup": pa.array([m.sha256_rollup for m in manifests], pa.string()),
         "col_stats": pa.array([json.dumps(m.col_stats) for m in manifests], pa.string()),
-        "blooms": pa.array([
-            [{"column": c, "m": int(b["m"]), "k": int(b["k"]), "h": _scheme(b),
-              "bits": _bloom_bytes(b)} for c, b in m.blooms.items()]
-            for m in manifests
-        ], _BLOOM_TYPE),
+        "blooms": pa.array([_bloom_rows(m.blooms) for m in manifests],
+                           _BLOOM_TYPE),
         "metrics": pa.array([json.dumps(m.metrics) for m in manifests], pa.string()),
+        "base_rows": pa.array([m.base_rows for m in manifests], pa.int64()),
+        "chain": pa.array([
+            [{"epoch": s.epoch, "file": s.file, "row_group": s.row_group,
+              "rows": s.rows, "blooms": _bloom_rows(s.blooms)}
+             for s in m.chain]
+            for m in manifests
+        ], _CHAIN_TYPE),
     })
     sink = pa.BufferOutputStream()
     with pa.ipc.new_file(sink, table.schema) as w:
@@ -573,26 +704,267 @@ def _index_bytes(manifests: list[PartitionManifest]) -> pa.Buffer:
 
 
 def _index_manifests(table: pa.Table) -> list[PartitionManifest]:
-    """The manifests of an epoch index table, in partition order."""
+    """The manifests of an epoch index table, in partition order. An
+    index written before chains has no ``base_rows`` or ``chain``
+    column: every partition is its base alone."""
     cols = table.to_pydict()
+    n_parts = table.num_rows
+    base_rows = cols.get("base_rows", [None] * n_parts)
+    chains = cols.get("chain", [[]] * n_parts)
     return [
         PartitionManifest(
             partition_id=p, epoch=e, last_lsn=lsn, row_count=n,
             sha256_rollup=rollup, max_surviving_lsn=surviving,
             metrics=json.loads(metrics), col_stats=json.loads(stats),
-            blooms={b.pop("column"): b for b in blooms},
+            blooms={b.pop("column"): b for b in blooms}, base_rows=rows,
+            chain=[Segment(
+                s["epoch"], s["file"], s["row_group"], s["rows"],
+                {b.pop("column"): b for b in s["blooms"]},
+            ) for s in chain],
         )
-        for p, e, n, lsn, surviving, rollup, stats, blooms, metrics in zip(
+        for p, e, n, lsn, surviving, rollup, stats, blooms, metrics, rows,
+        chain in zip(
             cols["partition_id"], cols["source_epoch"], cols["row_count"],
             cols["last_lsn"], cols["max_surviving_lsn"], cols["sha256_rollup"],
-            cols["col_stats"], cols["blooms"], cols["metrics"],
+            cols["col_stats"], cols["blooms"], cols["metrics"], base_rows,
+            chains,
         )
     ]
+
+
+# the footer key-value entry of a delta group file: its key columns and,
+# per row group, the segment's partition and manifest fields
+_SEGMENTS_KEY = b"arlas.cdc.segments"
+# a segment row's tombstone flag, the one column a segment adds to the
+# final-state rows
+DELETED = "_deleted"
+# segments hold a few rows each: their blooms start smaller than a base's
+_SEGMENT_BLOOM_MIN_BITS = 1 << 10
+# delta group files a store handle keeps open (``_group_file``): a chain
+# spans at most FOLD_SEGMENTS epochs' files per exchange group
+_OPEN_GROUP_FILES = 64
+
+
+def _delta_name(epoch: int, parts: list[int]) -> str:
+    """A group file's name: its epoch, its first partition and a digest of
+    the partitions it holds. Group files of different epochs never share
+    a name (``clone`` copies them into one directory), and neither do
+    two files of one epoch that hold different partition sets: a group
+    task of a failed attempt may rename its file after a resume under
+    another group layout wrote its own, and must not replace it. Files
+    that do share a name hold the same partitions' segments, from the
+    same events over the same prior state."""
+    import hashlib
+
+    digest = hashlib.blake2b(",".join(map(str, parts)).encode(),
+                             digest_size=6).hexdigest()
+    return f"delta-{epoch}-{parts[0]:05d}-{digest}.parquet"
+
+
+def _overlay(pieces: list[pa.Table], key_cols: list[str],
+             where: list | None = None) -> pa.Table:
+    """Overlay a partition's pieces, NEWEST FIRST (segments, then the
+    base): each key's row comes from the first piece that holds it, and a
+    tombstone there removes the key. Rows come out in piece order, so the
+    result is row for row what a full rewrite after each epoch would hold.
+    The tombstone column is dropped. ``where``, clauses on key columns
+    only, keeps the keys that match first (exact: all of a key's rows
+    share its key values)."""
+    import numpy as np
+
+    from arlas_proc_ray.cdc.replay import group_ids
+
+    tables = [
+        t if DELETED in t.column_names
+        else t.append_column(DELETED, pa.repeat(pa.scalar(False), t.num_rows))
+        for t in pieces
+    ]
+    table = pa.concat_tables(
+        [t.replace_schema_metadata(None) for t in tables],
+        promote_options="default")
+    if where:
+        table = table.filter(_predicate_mask(table, where))
+    if table.num_rows:
+        _, first = np.unique(group_ids(table, key_cols), return_index=True)
+        table = table.take(pa.array(np.sort(first)))
+        table = table.filter(pa.compute.invert(table.column(DELETED)))
+    return table.drop_columns([DELETED])
+
+
+def _key_in(table: pa.Table, others: pa.Table) -> pa.ChunkedArray:
+    """Per row of ``table``, whether some row of ``others`` holds its key
+    (``others``' columns), byte for byte: one hash-set probe of the
+    exact composite key, as LWW keys rows. On a 1 vCPU host it costs
+    0.08-0.11 ms at 20-150 rows and 1-64 keys, and 0.28-0.35 ms at 2 000
+    rows; a per-key column compare costs 0.10 ms at one key but 2.1 ms
+    at 64, an Arrow semi join 0.33-0.45 ms throughout."""
+    from arlas_proc_ray.cdc.replay import _combined_key
+
+    cols = others.column_names
+    return pa.compute.is_in(_combined_key(table, cols),
+                            value_set=_combined_key(others, cols))
+
+
+def _rows_with_keys(table: pa.Table, keys: pa.Table) -> pa.Table:
+    """The rows of ``table`` whose key columns equal some row of ``keys``,
+    byte for byte, in ``table``'s row order."""
+    cols = keys.column_names
+    keys = keys.cast(pa.schema([(c, table.schema.field(c).type) for c in cols]))
+    return table.filter(_key_in(table, keys))
+
+
+def _keys_without(keys: pa.Table, rows: pa.Table) -> pa.Table:
+    """The rows of ``keys`` that no row of ``rows`` holds."""
+    rows = rows.select(keys.column_names).cast(keys.schema)
+    return keys.filter(pa.compute.invert(_key_in(keys, rows)))
+
+
+class DeltaWrite(NamedTuple):
+    """One partition's segment for ``SnapshotStore.write_delta_group``:
+    its rows, the previous index's manifest of the partition, the applied
+    watermark and the apply metrics."""
+    part: int
+    rows: pa.Table
+    prior: PartitionManifest
+    last_lsn: int
+    metrics: dict
+
+
+def _segment_blooms(rows: pa.Table, keys: list[str]) -> dict:
+    return {c: _bloom_build(rows.column(c), rows.num_rows,
+                            _SEGMENT_BLOOM_MIN_BITS) for c in keys}
+
+
+def _exact_stats(live: pa.Table) -> dict:
+    """``_zone_maps``' bounds of ``live``'s int and string columns,
+    computed over the rows themselves."""
+    import pyarrow.types as pt
+
+    stats = {}
+    for name in live.column_names:
+        t = live.schema.field(name).type
+        if not (pt.is_integer(t) or pt.is_string(t) or pt.is_large_string(t)):
+            continue
+        mm = pa.compute.min_max(live.column(name))
+        lo, hi = mm["min"].as_py(), mm["max"].as_py()
+        if lo is None or (isinstance(lo, str) and (
+                len(lo) > _STATS_MAX_STR or len(hi) > _STATS_MAX_STR)):
+            continue
+        stats[name] = [lo, hi]
+    return stats
+
+
+def _chained_stats(exact: dict, prior: dict | None, segment: dict) -> dict:
+    """A chained partition's zone maps: ``exact`` (the live rows' bounds of
+    the columns the delta write read), and for every other column the
+    union of ``prior`` (the partition's before this segment) and
+    ``segment`` (the segment's rows', tombstones included), kept only
+    where both bound it. Without ``prior``, the exact columns alone."""
+    union = {
+        c: [min(lo, segment[c][0]), max(hi, segment[c][1])]
+        for c, (lo, hi) in (prior or {}).items() if c in segment
+    }
+    return {**union, **exact}
+
+
+def _segment_manifest(entry: dict, seg: Segment, seg_stats: dict,
+                      prior: PartitionManifest | None) -> PartitionManifest:
+    """A partition's manifest once ``seg`` (whose rows' zone maps are
+    ``seg_stats``) joins its chain: the group footer's ``entry``, and the
+    base and older segments from ``prior``, the previous index's manifest
+    of the partition (or, without it, their layout with no blooms, and
+    zone maps of the exact columns only)."""
+    chain = (list(prior.chain) if prior is not None else
+             [Segment(e, f, rg, n) for e, f, rg, n in entry["chain"]])
+    return PartitionManifest(
+        partition_id=entry["partition"], epoch=entry["base"],
+        last_lsn=entry["last_lsn"], row_count=entry["row_count"],
+        sha256_rollup=entry["sha256_rollup"],
+        max_surviving_lsn=entry["max_surviving_lsn"],
+        metrics=entry["metrics"],
+        col_stats=_chained_stats(entry["col_stats"],
+                                 prior.col_stats if prior else None, seg_stats),
+        blooms=None if prior is None else prior.blooms,
+        base_rows=entry["base_rows"], chain=[*chain, seg],
+    )
+
+
+def _durable_parquet(path: str, tables: list[pa.Table], *, compression: str,
+                     row_group_size: int | None = None,
+                     group_each: bool = False) -> pq.FileMetaData:
+    """Write ``tables`` (one schema, ``tables[0]``'s, footer metadata
+    included) as one Parquet file at ``path`` through tmp, fsync and
+    rename, and return its footer. ``group_each``: each table is one row
+    group."""
+    d = os.path.dirname(path)
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".parquet.tmp")
+    whole = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
+    written: list = []
+    try:
+        with pq.ParquetWriter(
+            tmp, tables[0].schema, compression=compression,
+            write_statistics=_sound_statistics(whole),
+            metadata_collector=written,
+        ) as w:
+            for t in tables:
+                w.write_table(t, row_group_size=(
+                    max(1, t.num_rows) if group_each else row_group_size))
+        # durable before it is visible: its existence is the fence
+        os.fsync(fd)
+        os.replace(tmp, path)
+    finally:
+        os.close(fd)
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return written[0]
 
 
 def _version(path: str) -> tuple:
     st = os.stat(path)
     return st.st_ino, st.st_mtime_ns
+
+
+class _Previous:
+    """The index of the newest epoch committed below ``epoch``, read on
+    first need: a referenced partition's manifest, and the blooms a
+    written partition's manifest inherits, come from it."""
+
+    def __init__(self, store, epoch: int):
+        self.store, self.epoch = store, epoch
+        self._index = None
+
+    def index(self) -> list:
+        if self._index is None:
+            below = [e for e in self.store.committed_epochs() if e < self.epoch]
+            self._index = self.store.epoch_index(below[-1]) if below else []
+        return self._index
+
+    def referenced(self, part: int, src: int):
+        """The previous index's manifest of ``part`` if its base is
+        ``src``'s file, else None."""
+        idx = self.index()
+        if part < len(idx) and idx[part].epoch == src:
+            return idx[part]
+        return None
+
+    def inherit(self, part: int, m: PartitionManifest) -> PartitionManifest:
+        """``m`` with every bloom that is ``None`` (a task or a resume
+        built it) taken from the previous index, or rebuilt from the file
+        when that index does not list the piece."""
+        if m.blooms is not None and all(s.blooms is not None for s in m.chain):
+            return m
+        idx = self.index()
+        old = idx[part] if part < len(idx) else None
+        if m.blooms is None:
+            base = (old if old is not None and old.epoch == m.epoch
+                    else self.store.read_manifest(m.epoch, part))
+            m = replace(m, blooms=base.blooms)
+        known = {s.place(): s for s in (old.chain if old is not None else [])}
+        return replace(m, chain=[
+            seg if seg.blooms is not None else replace(seg, blooms=(
+                known.get(seg.place()) or self.store._segment_meta(seg)).blooms)
+            for seg in m.chain])
 
 
 class ConcurrentCommitError(RuntimeError):
@@ -646,9 +1018,14 @@ class SnapshotStore:
         # of object-store footprint and scan I/O. A store can be rewritten
         # to a new codec with `jobs optimize --compression`.
         self.compression = compression
-        # (epoch, marker version, index) of the last index committed or
-        # read through this handle (``epoch_index``)
+        # {epoch: (marker version, index)} of the last two indexes
+        # committed or read through this handle (``epoch_index``): a diff
+        # reads two epochs
         self._index = None
+        # {group file path: (version, open ParquetFile, footer, segment
+        # entries)}, seeded by this handle's own delta writes
+        # (``_group_file``)
+        self._footers: dict = {}
         os.makedirs(root, exist_ok=True)
 
     # ---- paths -----------------------------------------------------------
@@ -670,22 +1047,113 @@ class SnapshotStore:
     def commit_marker_path(self, epoch: int) -> str:
         return os.path.join(self.epoch_dir(epoch), "_COMMITTED")
 
+    def segment_path(self, seg: Segment) -> str:
+        return os.path.join(self.epoch_dir(seg.epoch), seg.file)
+
     def __getstate__(self):
-        # a task reads what it needs itself: the cached index stays here
-        return {**self.__dict__, "_index": None}
+        # a task reads what it needs itself: the caches stay here
+        return {**self.__dict__, "_index": None, "_footers": {}}
+
+    def _cache_index(self, epoch: int, version: tuple, manifests: list) -> None:
+        cache = {e: v for e, v in (self._index or {}).items() if e != epoch}
+        cache[epoch] = (version, manifests)
+        self._index = dict(list(cache.items())[-2:])
+
+    def _cached_indexes(self) -> list:
+        return [m for _, m in (self._index or {}).values()]
+
+    def _group_file(self, path: str) -> tuple:
+        """``(open ParquetFile, footer, segment entries)`` of a delta group
+        file, kept open on this handle and checked against the file's
+        inode and mtime (a discarded staged epoch may be written again):
+        a group file's footer holds a row group per partition, so parsing
+        it (~2 ms at P=64), or even opening the file with a parsed footer
+        (~0.6 ms), costs more than reading one row group; a lookup pays
+        only the read."""
+        version = _version(path)
+        hit = self._footers.get(path)
+        if hit is None or hit[0] != version:
+            md = pq.read_metadata(path)
+            hit = self._remember_footer(
+                path, version, md, json.loads(md.metadata[_SEGMENTS_KEY]))
+        return hit[1:]
+
+    def _remember_footer(self, path: str, version: tuple,
+                         md: pq.FileMetaData, footer: dict) -> tuple:
+        old = self._footers.pop(path, None)
+        if old is not None:
+            old[1].close()
+        if len(self._footers) >= _OPEN_GROUP_FILES:
+            self._footers.pop(next(iter(self._footers)))[1].close()
+        hit = (version, pq.ParquetFile(path, metadata=md), md, footer)
+        self._footers[path] = hit
+        return hit
 
     # ---- write path ------------------------------------------------------
 
     def partition_done(self, epoch: int, part: int) -> bool:
-        """Whether ``part`` of ``epoch`` is written: its data file exists
-        and carries its manifest, in the footer or, in an old store, as a
-        JSON file beside it."""
+        """Whether ``part`` of ``epoch`` is written: a base file of this
+        epoch exists and carries its manifest (in the footer or, in an old
+        store, as a JSON file beside it), or some delta group file of
+        this epoch lists it."""
+        return (self.base_done(epoch, part)
+                or part in self._delta_listing(epoch))
+
+    def base_done(self, epoch: int, part: int) -> bool:
+        """Whether ``epoch`` wrote a base file for ``part``."""
         path = self.part_data_path(epoch, part)
         if not os.path.exists(path):
             return False
         if os.path.exists(self.part_manifest_path(epoch, part)):
             return True
         return _FOOTER_KEY in (pq.read_metadata(path).metadata or {})
+
+    def _delta_files(self, epoch: int) -> list[str]:
+        d = self.epoch_dir(epoch)
+        if not os.path.isdir(d):
+            return []
+        return sorted(n for n in os.listdir(d)
+                      if n.startswith("delta-") and n.endswith(".parquet"))
+
+    def _delta_listing(self, epoch: int) -> dict:
+        """``{partition: (group file name, row group, footer entry)}`` of
+        every segment the delta group files of ``epoch`` hold (footers
+        only)."""
+        out = {}
+        for name in self._delta_files(epoch):
+            footer = self._group_file(os.path.join(self.epoch_dir(epoch), name))[2]
+            for rg, entry in enumerate(footer["segments"]):
+                out[entry["partition"]] = (name, rg, entry)
+        return out
+
+    def delta_manifests(self, epoch: int,
+                        prior=None) -> dict[int, PartitionManifest]:
+        """``{partition: manifest}`` of every partition a delta group file
+        of ``epoch`` lists (resume, a staged publish): the footer's
+        fields, zone maps from them, the segment's row-group statistics
+        and ``prior`` (partition → its manifest in the previous index),
+        and the segment's key blooms rebuilt from its key columns. The
+        blooms it inherits (the base's and older segments') are ``None``
+        until ``commit_epoch`` fills them in."""
+        out = {}
+        for name in self._delta_files(epoch):
+            path = os.path.join(self.epoch_dir(epoch), name)
+            f, md, footer = self._group_file(path)
+            keys = footer["keys"]
+            schema = md.schema.to_arrow_schema()
+            rows = f.read(columns=keys)
+            start = 0
+            for rg, entry in enumerate(footer["segments"]):
+                n = entry["rows"]
+                seg_keys = rows.slice(start, n)
+                start += n
+                part = entry["partition"]
+                out[part] = _segment_manifest(
+                    entry, Segment(epoch, name, rg, n,
+                                   _segment_blooms(seg_keys, keys)),
+                    _zone_maps(md, schema, [rg]),
+                    prior.get(part) if prior else None)
+        return out
 
     def write_partition(
         self, epoch: int, part: int, table: pa.Table, *, last_lsn: int | None = None,
@@ -729,27 +1197,81 @@ class SnapshotStore:
             **(table.schema.metadata or {}),
             _FOOTER_KEY: json.dumps(footer).encode(),
         })
-        data_path = self.part_data_path(epoch, part)
-        os.makedirs(os.path.dirname(data_path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(data_path), suffix=".parquet.tmp"
+        md = _durable_parquet(
+            self.part_data_path(epoch, part), [table],
+            compression=self.compression, row_group_size=self.row_group_rows,
         )
-        written: list = []
-        try:
-            pq.write_table(
-                table, tmp, compression=self.compression,
-                row_group_size=self.row_group_rows, metadata_collector=written,
-                write_statistics=_sound_statistics(table),
-            )
-            # durable before it is visible: its existence is the fence
-            os.fsync(fd)
-            os.replace(tmp, data_path)
-        finally:
-            os.close(fd)
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return _derived_manifest(epoch, part, footer, table, written[0],
-                                 table.schema)
+        return _derived_manifest(epoch, part, footer, table, md, table.schema)
+
+    def write_delta_group(self, epoch: int, key_cols: list[str],
+                          segments: list) -> list[PartitionManifest]:
+        """Write one exchange group's delta segments as ONE Parquet file,
+        one row group per partition, and return each partition's
+        manifest.
+
+        ``segments`` are ``DeltaWrite``s in partition order: a segment's
+        rows are its partition's fence-surviving, LWW-reduced events,
+        hashed, tombstones kept (``DELETED``); each has an LSN above the
+        partition's watermark, so it beats every base and older-segment
+        row. The partition's exact ``row_count``, ``max_surviving_lsn``
+        and ``sha256_rollup`` come from the key, ``content_sha256`` and
+        ``last_lsn`` columns of its base and chain (each file read once
+        per call), never from ``content``.
+
+        The file goes through tmp, fsync and rename: all or nothing. Its
+        footer (``_SEGMENTS_KEY``) lists each segment's partition and
+        manifest fields, so a partition it lists is done
+        (``partition_done``) and resume rebuilds its manifest from it
+        (``delta_manifests``)."""
+        keys = list(key_cols)
+        cols = list(dict.fromkeys([*keys, "content_sha256", "last_lsn"]))
+        fetched = self._read_segments(
+            [s for w in segments for s in w.prior.chain], [*cols, DELETED])
+        entries = []
+        for rg, w in enumerate(segments):
+            pieces = [w.rows.select([*cols, DELETED])]
+            pieces += [fetched[s.place()] for s in reversed(w.prior.chain)]
+            if w.prior.base_rows:
+                pieces.append(self.read_partition(
+                    w.prior.epoch, w.part, columns=cols))
+            live = _overlay(pieces, keys)
+            n = live.num_rows
+            surviving = (int(pa.compute.max(live.column("last_lsn")).as_py())
+                         if n else -1)
+            entries.append({
+                "col_stats": _exact_stats(live),
+                "partition": w.part, "rows": w.rows.num_rows,
+                "base": w.prior.epoch, "base_rows": w.prior.base_rows,
+                "chain": [[s.epoch, s.file, s.row_group, s.rows]
+                          for s in w.prior.chain],
+                "last_lsn": max(int(w.last_lsn), surviving),
+                "max_surviving_lsn": surviving, "row_count": n,
+                "sha256_rollup": sha256_rollup(
+                    live.column("content_sha256") if n else []),
+                "metrics": dict(w.metrics),
+            })
+        footer = {"keys": keys, "segments": entries}
+        tables = [w.rows for w in segments]
+        schema = tables[0].schema.with_metadata(
+            {_SEGMENTS_KEY: json.dumps(footer).encode()})
+        tables = [t.replace_schema_metadata(schema.metadata) for t in tables]
+        name = _delta_name(epoch, [w.part for w in segments])
+        path = os.path.join(self.epoch_dir(epoch), name)
+        md = _durable_parquet(path, tables, compression=self.compression,
+                              group_each=True)
+        self._remember_footer(path, _version(path), md, footer)
+        return [
+            _segment_manifest(entry, Segment(
+                epoch, name, rg, entry["rows"], _segment_blooms(w.rows, keys)),
+                _zone_maps(md, schema, [rg]), w.prior)
+            for rg, (w, entry) in enumerate(zip(segments, entries))
+        ]
+
+    def _segment_rows(self, seg: Segment, columns: list[str] | None = None
+                      ) -> pa.Table:
+        """Segment ``seg``'s rows: its one row group."""
+        f = self._group_file(self.segment_path(seg))[0]
+        return f.read_row_group(seg.row_group, columns=columns)
 
     def commit_epoch(
         self,
@@ -779,10 +1301,19 @@ class SnapshotStore:
         Default ``...`` skips the check (legacy callers).
 
         ``_manifests``: partition → the manifest its kernel returned for
-        this epoch, handed over by the exchange so that no metadata is
-        read back. A written partition missing from it (a clone, a
-        staged publish) has its manifest rebuilt from its file; a
-        referenced one comes from the index that lists it.
+        this epoch (or, referenced, the previous index's), handed over by
+        the exchange so that no metadata is read back. A written
+        partition missing from it (a clone, a staged publish) has its
+        manifest rebuilt from its base file or from the delta group file
+        that lists it; a referenced one comes from the previous index.
+        The blooms a segment's manifest inherits (its base's and older
+        segments') are taken from the previous index.
+
+        A chained partition (a base plus delta segments) is listed in
+        the marker's source map by its base's epoch, so code older than
+        chains reads that base alone: stale rows, and no error. Run
+        ``jobs optimize`` (which folds every chain) before running such
+        code on a store.
 
         Every reader here takes the epoch's layout from the index. The
         marker still carries the summary and the whole source map for
@@ -801,16 +1332,24 @@ class SnapshotStore:
                     f"on top of the current state"
                 )
         sources = {int(p): int(e) for p, e in (sources or {}).items()}
-        written = _manifests or {}
+        written = dict(_manifests or {})
+        prev = _Previous(self, epoch)
+        if len(written) < num_partitions and any(
+                sources.get(p, epoch) == epoch and p not in written
+                for p in range(num_partitions)):
+            written = {**self.delta_manifests(
+                epoch, dict(enumerate(prev.index()))), **written}
         indexes: dict = {}
         manifests = []
         for p in range(num_partitions):
             src = sources.get(p, epoch)
-            if src != epoch:
-                m = self._indexed_manifest(src, p, indexes)
-            else:
-                m = written.get(p) or self.read_manifest(epoch, p)
-            manifests.append(m)
+            m = written.get(p)
+            if m is None and src != epoch:
+                m = prev.referenced(p, src) or self._indexed_manifest(
+                    src, p, indexes)
+            elif m is None:
+                m = self.read_manifest(epoch, p)
+            manifests.append(m if m is None else prev.inherit(p, m))
         missing = [p for p, m in enumerate(manifests) if m is None]
         if missing:
             raise RuntimeError(f"epoch {epoch}: partitions not done: {missing[:10]}")
@@ -820,23 +1359,23 @@ class SnapshotStore:
             "row_count": sum(m.row_count for m in manifests),
             "last_lsn": max((m.last_lsn for m in manifests), default=-1),
             "rollup": sha256_rollup([m.sha256_rollup for m in manifests]),
-            "sources": {str(p): sources.get(p, epoch) for p in range(num_partitions)},
+            "sources": {str(p): m.epoch for p, m in enumerate(manifests)},
         }
         _atomic_write_bytes(self.index_path(epoch), _index_bytes(manifests))
         marker = self.commit_marker_path(epoch)
         _atomic_write_bytes(marker, json.dumps(summary).encode())
-        self._index = (epoch, _version(marker), manifests)
+        self._cache_index(epoch, _version(marker), manifests)
         return summary
 
     def _indexed_manifest(self, src: int, part: int, indexes: dict):
-        """The manifest of ``part`` as written by epoch ``src``: from the
+        """The manifest of ``part`` as written by epoch ``src``: from a
         cached index when it lists that file, else from ``src``'s own
         index (loaded once per commit into ``indexes``), else from the
         file."""
         if src not in indexes:
-            cached = self._index[2] if self._index else None
-            if cached and part < len(cached) and cached[part].epoch == src:
-                return cached[part]
+            for cached in self._cached_indexes():
+                if part < len(cached) and cached[part].epoch == src:
+                    return cached[part]
             indexes[src] = (self._load_index(src)
                             if os.path.exists(self.commit_marker_path(src))
                             else None)
@@ -848,17 +1387,23 @@ class SnapshotStore:
     # ---- read path -------------------------------------------------------
 
     def read_manifest(self, epoch: int, part: int) -> PartitionManifest | None:
-        """The manifest of the file ``epoch`` wrote for ``part``, or None:
-        an old store's JSON manifest as it is, else one rebuilt from the
-        data file's footer and rows (``_derived_manifest``). For the cold
-        callers and resume; planning and lookups read the epoch index."""
+        """The manifest of what ``epoch`` wrote for ``part``, or None: an
+        old store's JSON manifest as it is, else one rebuilt from the
+        base file's footer and rows (``_derived_manifest``), else from
+        the delta group file that lists it (``delta_manifests``). For the
+        cold callers and resume; planning and lookups read the epoch
+        index."""
         p = self.part_manifest_path(epoch, part)
         if os.path.exists(p):
             with open(p) as f:
                 return PartitionManifest(**json.load(f))
         path = self.part_data_path(epoch, part)
         if not os.path.exists(path):
-            return None
+            if part not in self._delta_listing(epoch):
+                return None
+            below = [e for e in self.committed_epochs() if e < epoch]
+            prior = dict(enumerate(self.epoch_index(below[-1]))) if below else None
+            return self.delta_manifests(epoch, prior)[part]
         with pq.ParquetFile(path) as f:
             meta = f.metadata.metadata or {}
             if _FOOTER_KEY not in meta:
@@ -874,18 +1419,18 @@ class SnapshotStore:
         """The committed ``epoch``'s index: partition p's manifest at
         position p, its ``epoch`` being the epoch that holds the file.
 
-        The last index this handle committed or loaded is kept in memory
-        and reused while the ``_COMMITTED`` marker has the same inode and
-        mtime. Callers must not modify the list."""
+        The last two indexes this handle committed or loaded are kept in
+        memory, each reused while its ``_COMMITTED`` marker has the same
+        inode and mtime. Callers must not modify the list."""
         marker = self.commit_marker_path(epoch)
         try:
             version = _version(marker)
         except FileNotFoundError:
             raise RuntimeError(f"epoch {epoch} is not committed") from None
-        if self._index is not None and self._index[:2] == (epoch, version):
-            return self._index[2]
-        manifests = self._load_index(epoch)
-        self._index = (epoch, version, manifests)
+        hit = (self._index or {}).get(epoch)
+        manifests = (hit[1] if hit is not None and hit[0] == version
+                     else self._load_index(epoch))
+        self._cache_index(epoch, version, manifests)
         return manifests
 
     def _load_index(self, epoch: int) -> list[PartitionManifest]:
@@ -907,6 +1452,16 @@ class SnapshotStore:
             manifests.append(m)
         return manifests
 
+    def committed_epochs(self) -> list[int]:
+        """Every committed epoch, ascending."""
+        if not os.path.isdir(self.root):
+            return []
+        return sorted(
+            e for e in (int(n.split("=", 1)[1]) for n in os.listdir(self.root)
+                        if n.startswith("epoch="))
+            if os.path.exists(self.commit_marker_path(e))
+        )
+
     def latest_committed_epoch(self) -> int | None:
         """Highest epoch with a ``_COMMITTED`` marker. Markers are checked
         newest first, so the usual call stats one file however many
@@ -923,12 +1478,74 @@ class SnapshotStore:
                 return e
         return None
 
-    def read_partition(self, epoch: int, part: int) -> pa.Table | None:
+    def read_partition(self, epoch: int, part: int,
+                       columns: list[str] | None = None) -> pa.Table | None:
+        """The rows of the base file ``epoch`` wrote for ``part``, without
+        any chain: the raw read under the resolving readers
+        (``read_resolved``, ``lookup_rows``, ``write_delta_group``)."""
         p = self.part_data_path(epoch, part)
         if not os.path.exists(p):
             return None
         with pq.ParquetFile(p) as f:
-            return f.read()
+            return f.read(columns=columns)
+
+    def _segment_meta(self, seg: Segment) -> Segment:
+        """``seg`` with its key blooms rebuilt from its group file."""
+        keys = self._segment_keys(seg)
+        return replace(seg, blooms=_segment_blooms(
+            self._segment_rows(seg, keys), keys))
+
+    def _read_segments(self, segments: list,
+                       columns: list[str] | None = None) -> dict:
+        """``{segment.place(): rows}`` of ``segments``, each group file's
+        row groups in one read."""
+        by_file: dict = {}
+        for s in segments:
+            by_file.setdefault((s.epoch, s.file), set()).add(s.row_group)
+        out = {}
+        for (e, name), rgs in by_file.items():
+            f, _, footer = self._group_file(os.path.join(self.epoch_dir(e), name))
+            rgs = sorted(rgs)
+            table = f.read_row_groups(rgs, columns=columns)
+            start = 0
+            for rg in rgs:
+                n = footer["segments"][rg]["rows"]
+                out[e, name, rg] = table.slice(start, n)
+                start += n
+        return out
+
+    def _segment_keys(self, seg: Segment) -> list[str]:
+        return self._group_file(self.segment_path(seg))[2]["keys"]
+
+    def read_resolved(self, m: PartitionManifest, part: int,
+                      columns: list[str] | None = None,
+                      segments: list | None = None,
+                      base: bool = True,
+                      fetched: dict | None = None,
+                      where: list | None = None) -> pa.Table | None:
+        """Partition ``part``'s rows as manifest ``m`` describes them: its
+        base with its chain overlaid, newest segment first (``_overlay``).
+        ``segments`` overlays only those and ``base=False`` leaves the
+        base out (a scan's pruned pieces); ``columns`` projects the
+        result; ``fetched`` holds segments already read
+        (``_read_segments``). ``where``'s clauses on key columns filter
+        the pieces before the overlay (``_overlay``); the caller applies
+        the rest. None when the base file is missing and there is no
+        chain."""
+        chain = m.chain if segments is None else segments
+        base = (self.read_partition(m.epoch, part)
+                if base and (m.base_rows or not chain) else None)
+        if chain:
+            keys = self._segment_keys(chain[0])
+            fetched = fetched or {}
+            pieces = [fetched[s.place()] if s.place() in fetched
+                      else self._segment_rows(s) for s in reversed(chain)]
+            pieces += [] if base is None else [base]
+            base = _overlay(pieces, keys,
+                            [c for c in where or () if c[0] in keys])
+        if base is None or columns is None:
+            return base
+        return base.select(columns)
 
     def read_epoch_summary(self, epoch: int) -> dict:
         """The committed ``epoch``'s ``_COMMITTED`` marker. Readers take
@@ -938,28 +1555,95 @@ class SnapshotStore:
             return json.load(f)
 
     def read_partition_resolved(self, epoch: int, part: int) -> pa.Table | None:
-        """Partition ``part``'s rows as of the committed ``epoch``."""
-        return self.read_partition(self.epoch_index(epoch)[part].epoch, part)
+        """Partition ``part``'s rows as of the committed ``epoch``: its base
+        with its chain overlaid."""
+        return self.read_resolved(self.epoch_index(epoch)[part], part)
+
+    def lookup_rows(self, m: PartitionManifest, part: int,
+                    keys: pa.Table) -> pa.Table | None:
+        """The rows of partition ``part`` (as manifest ``m`` has it) whose
+        keys are in ``keys``, or None. Segments are probed newest first
+        by their blooms; a segment that may hold a key has its one row
+        group read (through the cached footer), and the first segment
+        that holds a key decides it: its row, or none for a tombstone.
+        Keys no segment holds are read from the base, unless its blooms
+        prove them absent. Rows come out in the resolved partition's
+        order."""
+        probes = _KeyProbes(keys)
+        out = []
+        for seg in reversed(m.chain):
+            if not keys.num_rows:
+                break
+            if seg.blooms and probes.excludes(seg.blooms):
+                continue
+            hit = _rows_with_keys(self._segment_rows(seg), keys)
+            if hit.num_rows:
+                keys = _keys_without(keys, hit)
+                probes = _KeyProbes(keys)
+                out.append(hit.filter(pa.compute.invert(hit.column(DELETED)))
+                           .drop_columns([DELETED]))
+        if keys.num_rows and m.base_rows and not (
+                m.blooms and probes.excludes(m.blooms)):
+            base = self.read_partition(m.epoch, part)
+            if base is not None:
+                out.append(_rows_with_keys(base, keys))
+        out = [t.replace_schema_metadata(None) for t in out if t.num_rows]
+        return pa.concat_tables(out, promote_options="default") if out else None
 
     def epoch_files(self, epoch: int) -> list[str]:
-        """The data file holding each partition at the committed
-        ``epoch``, in partition order; a partition whose file is missing
-        is left out."""
+        """The base file of each partition at the committed ``epoch``, in
+        partition order; a partition whose file is missing is left out.
+        Metadata only (a schema, a codec): a chained partition's rows are
+        not its base's, so row readers use ``read_partition_resolved``,
+        ``read_state`` or ``state_dataset``."""
         paths = (self.part_data_path(m.epoch, p)
                  for p, m in enumerate(self.epoch_index(epoch)))
         return [f for f in paths if os.path.exists(f)]
 
     def changed_partitions(self, base: int, target: int) -> list[int] | None:
-        """The partitions whose file at the committed ``target`` is not
-        the one at ``base``, in partition order; None when the two epochs
-        have different fan-outs, so partition p holds other keys on each
-        side. A partition whose file is unchanged has unchanged rows:
-        files are immutable, named by (epoch, partition)."""
-        old = [m.epoch for m in self.epoch_index(base)]
-        new = [m.epoch for m in self.epoch_index(target)]
+        """The partitions whose base file or chain at the committed
+        ``target`` is not the one at ``base``, in partition order (a
+        chain that grew counts); None when the two epochs have different
+        fan-outs, so partition p holds other keys on each side. A
+        partition whose files are unchanged has unchanged rows: files are
+        immutable, named by epoch and partition or group."""
+        old = [m.layout() for m in self.epoch_index(base)]
+        new = [m.layout() for m in self.epoch_index(target)]
         if len(old) != len(new):
             return None
         return [p for p, (a, b) in enumerate(zip(old, new)) if a != b]
+
+    def partition_layouts(self, epoch: int) -> list[PartitionManifest]:
+        """The committed ``epoch``'s manifests without zone maps or
+        blooms: what a task needs to read a partition
+        (``read_resolved``), small to ship."""
+        return [replace(m.without_blooms(), col_stats={})
+                for m in self.epoch_index(epoch)]
+
+    def state_dataset(self, epoch: int, columns: list[str] | None = None,
+                      **read_kwargs):
+        """The committed ``epoch``'s live state as a Ray Dataset:
+        ``read_parquet`` of the base files (with ``read_kwargs``) when no
+        partition has a chain, else one read task per partition that
+        overlays its chain."""
+        import ray
+        import ray.data as rd
+
+        index = self.partition_layouts(epoch)
+        if not any(m.chain for m in index):
+            kwargs = {"columns": list(columns)} if columns else {}
+            return rd.read_parquet(self.epoch_files(epoch), **kwargs,
+                                   **read_kwargs)
+        store = self
+
+        @ray.remote(num_cpus=0.25)
+        def read(part: int, m: PartitionManifest) -> pa.Table:
+            t = store.read_resolved(m, part, columns)
+            return t.combine_chunks() if t is not None else None
+
+        refs = [read.remote(p, m) for p, m in enumerate(index)
+                if m.chain or os.path.exists(self.part_data_path(m.epoch, p))]
+        return rd.from_arrow_refs(refs)
 
     def _resolve_epoch_arg(self, epoch) -> int | None:
         """int passes through; a str is a ref name; None = latest."""
@@ -970,11 +1654,15 @@ class SnapshotStore:
     def sql(self, query: str, *, epoch: int | str | None = None, view: str = "snapshot"):
         """Ad-hoc SQL over a committed cut with DuckDB (returns pa.Table).
 
-        The resolved partition files of ``epoch`` (or ref; default
-        latest) register as a read-only view named ``view`` — time
-        travel is just ``epoch="prod"``. An operational introspection
-        surface, not the distributed query path: DuckDB scans the
-        Parquet directly (its own projection/filter pushdown applies),
+        The resolved state of ``epoch`` (or ref; default latest)
+        registers as a read-only view named ``view`` — time travel is
+        just ``epoch="prod"``. DuckDB reads the Parquet files itself,
+        lazily, with its own projection and filter pushdown: an
+        unchained partition is its base file; a chained one is
+        ``_overlay`` in SQL, its chain's segments (each a row range of
+        its group file) newest first per key, tombstones dropped, over
+        the rows of its base that no segment holds. An operational
+        introspection surface, not the distributed query path:
         single-node — use ``scan()`` for cluster-scale pipelines.
         """
         import duckdb
@@ -982,15 +1670,49 @@ class SnapshotStore:
         e = self._resolve_epoch_arg(epoch)
         if e is None:
             raise RuntimeError("no committed epoch")
-        files = self.epoch_files(e)
-        if not files:
+        plain, based, segments = [], [], []
+        for p, m in enumerate(self.epoch_index(e)):
+            path = self.part_data_path(m.epoch, p)
+            if (m.base_rows or not m.chain) and os.path.exists(path):
+                (based if m.chain else plain).append(path)
+            for prio, seg in enumerate(m.chain):
+                path = self.segment_path(seg)
+                footer = self._group_file(path)[2]
+                lo = sum(s["rows"] for s in footer["segments"][:seg.row_group])
+                segments.append((path, lo, lo + seg.rows, prio))
+                keys = ", ".join(f'"{k}"' for k in footer["keys"])
+        if not (plain or based or segments):
             raise RuntimeError(f"epoch {e} has no data files to query")
+
+        def files(paths) -> str:
+            # the state's columns only: no hive ``epoch`` column from the path
+            return "[" + ", ".join(
+                "'" + f.replace("'", "''") + "'" for f in paths
+            ) + "], hive_partitioning = false"
+
+        pieces = [f"SELECT * FROM read_parquet({files(plain)})"] if plain else []
         con = duckdb.connect()
         try:
-            file_list = ", ".join("'" + f.replace("'", "''") + "'" for f in files)
-            con.execute(
-                f"CREATE VIEW {view} AS SELECT * FROM read_parquet([{file_list}])"
-            )
+            if segments:
+                path, lo, hi, prio = zip(*segments)
+                con.register(f"{view}_segments", pa.table(
+                    {"file": path, "lo": lo, "hi": hi, "prio": prio}))
+                # per key, the row of the newest segment that holds it
+                con.execute(
+                    f"CREATE VIEW {view}_newest AS SELECT s.* EXCLUDE "
+                    f"(filename, file_row_number) FROM read_parquet("
+                    f"{files(sorted(set(path)))}, filename = true, "
+                    f"file_row_number = true) s JOIN {view}_segments m "
+                    f"ON s.filename = m.file AND s.file_row_number >= m.lo "
+                    f"AND s.file_row_number < m.hi QUALIFY row_number() "
+                    f"OVER (PARTITION BY {keys} ORDER BY m.prio DESC) = 1")
+                pieces.append(f"SELECT * EXCLUDE ({DELETED}) FROM "
+                              f"{view}_newest WHERE NOT {DELETED}")
+                if based:
+                    pieces.append(f"SELECT * FROM read_parquet({files(based)}) "
+                                  f"ANTI JOIN {view}_newest USING ({keys})")
+            con.execute(f"CREATE VIEW {view} AS "
+                        + " UNION ALL BY NAME ".join(pieces))
             return con.execute(query).arrow()
         finally:
             con.close()
@@ -1102,7 +1824,7 @@ class SnapshotStore:
         for e in epochs:
             index = self.epoch_index(e)
             # a referenced partition did no work this epoch
-            written = [m for m in index if m.epoch == e]
+            written = [m for m in index if m.written_in() == e]
             out.append({
                 "epoch": e,
                 "row_count": sum(m.row_count for m in index),
@@ -1176,12 +1898,12 @@ class SnapshotStore:
         if e is None:
             raise RuntimeError("no committed epoch")
         parts = []
-        for f in self.epoch_files(e):
-            with pq.ParquetFile(f) as pf:
-                t = pf.read()
-            if t.num_rows:
+        for p, m in enumerate(self.epoch_index(e)):
+            t = self.read_resolved(m, p)
+            if t is not None and t.num_rows:
                 parts.append(t)
-        return pa.concat_tables(parts) if parts else None
+        return (pa.concat_tables(parts, promote_options="default")
+                if parts else None)
 
     def plan_scan(
         self,
@@ -1211,9 +1933,20 @@ class SnapshotStore:
           Each ``==`` value is hashed once per plan, not once per
           manifest.
 
-        Returns ``{"epoch", "files", "partitions_total", "pruned_lsn",
-        "pruned_stats", "pruned_bloom", "pruned_empty"}``. Pruning is
-        conservative: a
+        A chained partition's zone maps bound its live rows, so they
+        prune it as a whole. Its blooms prune it when the base's and
+        every segment's do. A surviving partition's base is read only if
+        its blooms may match, and its segments are pruned by their key
+        blooms for ``==`` on a key column alone (a segment without the
+        value holds no row of its keys); every other segment is overlaid,
+        since a segment row that does not match may hide a base row that
+        does.
+
+        Returns ``{"epoch", "files", "chains", "partitions_total",
+        "pruned_lsn", "pruned_stats", "pruned_bloom", "pruned_empty"}``:
+        ``files`` the base files to read, ``chains`` ``{partition:
+        (base file or None, [segments])}`` for each surviving partition
+        that has segments to overlay. Pruning is conservative: a
         surviving file may still contain no matching row; ``scan()``
         applies the predicate as a residual row filter.
         """
@@ -1223,6 +1956,7 @@ class SnapshotStore:
         index = self.epoch_index(e)
         bloom_prunes = _BloomProbes(predicate)
         files: list[str] = []
+        chains: dict = {}
         pruned_lsn = pruned_stats = pruned_empty = pruned_bloom = 0
         for p, m in enumerate(index):
             if m.row_count == 0:
@@ -1234,13 +1968,22 @@ class SnapshotStore:
             if predicate and not _stats_may_match(m.col_stats, predicate):
                 pruned_stats += 1
                 continue
-            if m.blooms and bloom_prunes(m.blooms):
+            base_ok = m.base_rows > 0 and not (
+                m.blooms and bloom_prunes(m.blooms))
+            segs = [s for s in m.chain
+                    if not (s.blooms and bloom_prunes(s.blooms))]
+            if not base_ok and not segs:
                 pruned_bloom += 1
                 continue
-            files.append(self.part_data_path(m.epoch, p))
+            path = self.part_data_path(m.epoch, p)
+            if segs:
+                chains[p] = (path if base_ok else None, segs)
+            if base_ok:
+                files.append(path)
         return {
             "epoch": e,
             "files": files,
+            "chains": chains,
             "partitions_total": len(index),
             "pruned_lsn": pruned_lsn,
             "pruned_stats": pruned_stats,
@@ -1294,6 +2037,8 @@ class SnapshotStore:
         if changed_rows_only:
             clauses.append(("last_lsn", ">", int(changed_since_lsn)))
         expr = _predicate_to_expr(clauses) if clauses else None
+        if plan["chains"]:
+            return self._scan_chains(plan, columns, clauses, expr)
         if not plan["files"]:
             # typed empty dataset: schema from any live partition file
             files = self.epoch_files(plan["epoch"])
@@ -1305,7 +2050,7 @@ class SnapshotStore:
             return rd.from_blocks([empty])
         if sum(os.stat(f).st_size for f in plan["files"]) <= SMALL_SCAN_BYTES:
             return rd.from_blocks(
-                [_read_small(plan["files"], columns, clauses, expr)])
+                [_read_small(plan["files"], columns, clauses)])
         # partitioning=None: the hive-style ``epoch=N`` path segment must
         # not be inferred as a column — scan schema equals file schema.
         # (Ray 2.49 can't combine partitioning=None with columns=; with a
@@ -1313,6 +2058,53 @@ class SnapshotStore:
         if columns is None:
             return rd.read_parquet(plan["files"], filter=expr, partitioning=None)
         return rd.read_parquet(plan["files"], columns=columns, filter=expr)
+
+    def _scan_chains(self, plan: dict, columns, clauses, expr):
+        """``scan`` of a plan with chained partitions: a partition without
+        segments to overlay reads its base file as ``scan`` does, and a
+        chained one overlays its surviving pieces, then the residual
+        filter and projection. Up to ``SMALL_SCAN_BYTES`` on disk in this
+        process (each group file's row groups in one read), else one Ray
+        task per partition."""
+        import ray
+        import ray.data as rd
+
+        index = self.epoch_index(plan["epoch"])
+        chains = plan["chains"]
+        chained = {base for base, _ in chains.values()}
+        plain = [f for f in plan["files"] if f not in chained]
+        seg_files = {self.segment_path(s) for _, segs in chains.values()
+                     for s in segs}
+        size = sum(os.stat(f).st_size for f in
+                   [*plan["files"], *seg_files])
+
+        def resolved(part, base, segs, fetched=None):
+            t = self.read_resolved(index[part], part, segments=segs,
+                                   base=base is not None, fetched=fetched,
+                                   where=clauses)
+            if clauses:
+                t = t.filter(_predicate_mask(t, clauses))
+            return t if columns is None else t.select(columns)
+
+        if size <= SMALL_SCAN_BYTES:
+            fetched = self._read_segments(
+                [s for _, segs in chains.values() for s in segs])
+            tables = [resolved(p, b, s, fetched)
+                      for p, (b, s) in sorted(chains.items())]
+            if plain:
+                tables.append(_read_small(plain, columns, clauses))
+            return rd.from_blocks([pa.concat_tables(
+                [t.replace_schema_metadata(None) for t in tables],
+                promote_options="default").combine_chunks()])
+        task = ray.remote(num_cpus=0.25)(
+            lambda p, b, s: resolved(p, b, s).combine_chunks())
+        ds = rd.from_arrow_refs([task.remote(p, b, s)
+                                 for p, (b, s) in sorted(chains.items())])
+        if plain:
+            kwargs = ({"partitioning": None} if columns is None
+                      else {"columns": columns})
+            ds = ds.union(rd.read_parquet(plain, filter=expr, **kwargs))
+        return ds
 
     def lineage(self) -> pa.Table:
         """Every partition manifest ever committed, as one queryable table.
@@ -1325,7 +2117,8 @@ class SnapshotStore:
         files' manifests.
         """
         latest = self.latest_committed_epoch()
-        live = ({p: m.epoch for p, m in enumerate(self.epoch_index(latest))}
+        live = ({p: {m.epoch, *(s.epoch for s in m.chain)}
+                 for p, m in enumerate(self.epoch_index(latest))}
                 if latest is not None else {})
         rows = {
             "epoch": [], "partition_id": [], "last_lsn": [],
@@ -1339,14 +2132,15 @@ class SnapshotStore:
                 e = int(name.split("=", 1)[1])
                 committed = os.path.exists(self.commit_marker_path(e))
                 if committed:
-                    written = [m for m in self.epoch_index(e) if m.epoch == e]
+                    written = [m for m in self.epoch_index(e)
+                               if m.written_in() == e]
                 else:
                     parts = sorted({
                         int(f.split("-", 1)[1].split(".", 1)[0])
                         for f in os.listdir(os.path.join(self.root, name))
                         if f.startswith(("part-", "manifest-"))
                         and f.endswith((".parquet", ".json"))
-                    })
+                    } | set(self._delta_listing(e)))
                     written = [m for m in (self.read_manifest(e, p)
                                            for p in parts) if m is not None]
                 for m in written:
@@ -1358,7 +2152,7 @@ class SnapshotStore:
                     rows["max_surviving_lsn"].append(m.max_surviving_lsn)
                     rows["sha256_rollup"].append(m.sha256_rollup)
                     rows["committed"].append(committed)
-                    rows["live"].append(live.get(p) == e)
+                    rows["live"].append(e in live.get(p, ()))
                     rows["metrics_json"].append(json.dumps(m.metrics, sort_keys=True))
         return pa.table(
             {
@@ -1385,8 +2179,9 @@ class SnapshotStore:
     ) -> dict:
         """Distributed integrity check of a committed snapshot.
 
-        One Ray task per live partition re-reads its data file and checks,
-        against the epoch index: row count and the order-free
+        One Ray task per live partition re-reads its data (its base with
+        its chain overlaid) and checks, against the epoch index: row
+        count and the order-free
         ``sha256_rollup`` of the ``content_sha256`` column (detects a
         swapped/truncated/bit-rotted file). ``recompute_hashes=True``
         additionally re-hashes the ``content`` column with the same
@@ -1397,7 +2192,7 @@ class SnapshotStore:
         only small verdict dicts).
 
         ``changed_since_epoch``: incremental audit — a partition whose
-        file physically lives in an epoch at or below the given
+        base and segments all live in epochs at or below the given
         (already-audited) epoch is skipped (reported in ``skipped``). The
         skip keys on the SOURCE epoch, not the LSN fence: carry-forward,
         repartition and OPTIMIZE rewrite files WITHOUT advancing
@@ -1413,11 +2208,12 @@ class SnapshotStore:
         if e is None:
             raise RuntimeError("no committed epoch")
         index = self.epoch_index(e)
+        layouts = self.partition_layouts(e)
         store = self
 
         @ray.remote(num_cpus=0.5)
         def check(part: int, m: PartitionManifest) -> dict:
-            t = store.read_partition(m.epoch, part)
+            t = store.read_resolved(m, part)
             if t is None:
                 return {"partition": part, "ok": False, "error": "no data file"}
             errs = []
@@ -1447,12 +2243,12 @@ class SnapshotStore:
         todo = []
         skipped = 0
         for p, m in enumerate(index):
-            if changed_since_epoch is not None and m.epoch <= changed_since_epoch:
+            if (changed_since_epoch is not None
+                    and m.written_in() <= changed_since_epoch):
                 skipped += 1
                 continue
-            # the task needs the counts, not the blooms
-            todo.append((p, PartitionManifest(
-                p, m.epoch, m.last_lsn, m.row_count, m.sha256_rollup)))
+            # the task needs the counts and the layout, not the blooms
+            todo.append((p, layouts[p]))
         results = ray.get([check.remote(p, m) for p, m in todo])
         bad = [r for r in results if not r["ok"]]
         return {
@@ -1525,14 +2321,7 @@ class SnapshotStore:
         epoch dirs NEWER than the latest commit are kept (they may be
         resumed); older uncommitted dirs are garbage and removed.
         """
-        committed = sorted(
-            int(n.split("=", 1)[1])
-            for n in os.listdir(self.root)
-            if n.startswith("epoch=")
-            and os.path.exists(
-                self.commit_marker_path(int(n.split("=", 1)[1]))
-            )
-        )
+        committed = self.committed_epochs()
         if not committed:
             return []
         keep_commits = committed[-keep_last:]
@@ -1543,7 +2332,9 @@ class SnapshotStore:
             e for e in self.list_refs().values() if e in set(committed)
         )
         for e in sorted(referenced):
-            referenced.update(m.epoch for m in self.epoch_index(e))
+            for m in self.epoch_index(e):
+                referenced.add(m.epoch)
+                referenced.update(s.epoch for s in m.chain)
         latest = committed[-1]
         deleted = []
         for name in list(os.listdir(self.root)):

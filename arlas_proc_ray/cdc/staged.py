@@ -15,9 +15,10 @@ The exchange itself is the package's one keyed exchange
 where the per-partition views are cut). A store writer's route is
 :meth:`_Epoch.route` and its group body is :func:`_apply_group`: the
 per-partition kernel (``cdc.engine.apply_partition``: fence, prior read,
-the writer's fold, fenced write) over the group's partitions in turn,
-returning their manifests, from which the driver commits the epoch
-index.
+the writer's fold or a CDC epoch's delta segment, fenced write) over the
+group's partitions in turn, then one delta file holding the group's
+segments, returning their manifests, from which the driver commits the
+epoch index.
 
 Within a group the partitions apply sequentially, in ascending order;
 across groups they run in parallel. Fences, watermarks and manifests stay
@@ -50,9 +51,16 @@ import pyarrow as pa
 
 import ray
 
-from arlas_proc_ray.cdc.engine import apply_partition, cdc_fold, open_epoch
+from arlas_proc_ray.cdc import sizing
+from arlas_proc_ray.cdc.engine import (
+    apply_partition,
+    cdc_fold,
+    cdc_segment,
+    open_epoch,
+)
 from arlas_proc_ray.cdc.replay import lww_reduce_table
 from arlas_proc_ray.cdc.sizing import runs_in_process
+from arlas_proc_ray.cdc.snapshot import DeltaWrite
 from arlas_proc_ray.exchange import (  # noqa: F401 (group_plan re-exported)
     group_plan,
     partition_order,
@@ -98,26 +106,36 @@ class _Epoch:
 
     The writer supplies ``fold`` (its per-partition step, see
     ``cdc.engine.apply_partition``), and optionally ``head`` (a
-    per-block step the split tasks run before routing), the fan-out
-    ``num_partitions`` (the engine's by default) and ``prior``
-    (partition → ``(source epoch, applied watermark)`` of its committed
-    file, as ``open_epoch`` returns it; ``None`` reads no prior state).
-    ``prev_epoch`` is the commit's ``expected_prev``.
+    per-block step the split tasks run before routing), ``segment`` (a
+    delta step, ``cdc_segment``: a touched partition whose fold is not
+    due is written as a delta segment), the fan-out ``num_partitions``
+    (the engine's by default) and ``prior`` (partition → its manifest in
+    the previous index, as ``open_epoch`` returns it; ``None`` reads no
+    prior state). ``prev_epoch`` is the commit's ``expected_prev``.
     """
 
-    def __init__(self, engine, epoch: int, fold, *, head=None,
+    def __init__(self, engine, epoch: int, fold, *, head=None, segment=None,
                  num_partitions: int | None = None, prev_epoch=None,
                  prior=None, delta: bool = False,
                  delta_max_age: int | None = None):
         self.store, self.epoch, self.fold, self.head = (
             engine.store, epoch, fold, head
         )
+        self.segment = segment
         self.key_list = engine.dm.key_list
         self.num_partitions = num_partitions or engine.dm.num_partitions
         self.prev_epoch = prev_epoch
         self.prior = prior or {}
         self.delta, self.delta_max_age = delta, delta_max_age
         self.fault_hook = engine.fault_hook
+        # decided here, in the driver, so every group task applies one rule
+        self.folds = frozenset(p for p in self.prior if self._fold_due(p))
+
+    def __getstate__(self):
+        # a group task needs each prior's layout, counts and zone maps; the
+        # blooms a segment inherits are filled in by the commit
+        return {**self.__dict__, "prior": {
+            p: m.without_blooms() for p, m in self.prior.items()}}
 
     def route(self, table: pa.Table) -> tuple[pa.Table, np.ndarray]:
         """The per-block step, then the partition id of every row."""
@@ -125,18 +143,40 @@ class _Epoch:
             table = self.head(table)
         return table, partition_ids(table, self.key_list, self.num_partitions)
 
+    def _fold_due(self, part: int) -> bool:
+        """The fold rule, a property of the partition: its chain holds
+        ``sizing.FOLD_SEGMENTS`` segments, or its chain's rows reach
+        ``sizing.FOLD_ROWS_RATIO`` × its base's rows, or its base is older
+        than ``epoch - delta_max_age``. A partition whose fold is due is
+        rewritten as a base: touched, it folds the events into its
+        resolved state; untouched, it is carried forward (compaction)."""
+        m = self.prior.get(part)
+        if m is None:
+            return False
+        if (self.delta_max_age is not None
+                and m.epoch < self.epoch - self.delta_max_age):
+            return True
+        return len(m.chain) >= sizing.FOLD_SEGMENTS or bool(m.chain) and (
+            sum(s.rows for s in m.chain) >= sizing.FOLD_ROWS_RATIO * m.base_rows)
+
     def delta_for(self, part: int) -> bool:
-        """Whether ``part`` may be referenced instead of rewritten: with
-        ``delta``, unless its file is older than ``epoch -
-        delta_max_age`` (then it is carried forward: compaction)."""
-        if not self.delta or self.delta_max_age is None:
-            return self.delta
-        prior = self.prior.get(part)
-        return prior is None or prior[0] >= self.epoch - self.delta_max_age
+        """Whether ``part`` may be referenced instead of rewritten when it
+        is unchanged: with ``delta``, unless its fold is due."""
+        return self.delta and part not in self.folds
+
+    def segment_for(self, part: int):
+        """The delta step for ``part``, or None when it must be written as
+        a base: no such step, no prior base, an empty base, or its fold
+        is due."""
+        m = self.prior.get(part)
+        if (self.segment is None or m is None or not m.base_rows
+                or part in self.folds):
+            return None
+        return self.segment
 
     def finish(self, engine, results: list, publish: bool) -> dict:
         # a kernel returns an int source epoch for a referenced partition,
-        # and the manifest of the file it wrote otherwise
+        # and the manifest of what it wrote otherwise
         sources = {
             p: r for p, r in enumerate(results) if isinstance(r, int)
         } or None
@@ -145,8 +185,8 @@ class _Epoch:
         return self.store.commit_epoch(
             self.epoch, self.num_partitions, sources=sources,
             expected_prev=self.prev_epoch,
-            _manifests={p: r for p, r in enumerate(results)
-                        if not isinstance(r, int)},
+            _manifests={p: self.prior[p] if isinstance(r, int) else r
+                        for p, r in enumerate(results)},
         )
 
 
@@ -162,7 +202,8 @@ def cdc_epoch(engine, epoch: int, dead_letter_dir=None, delta: bool = False,
     align = engine._ingest_fn(epoch, dead_letter_dir)
     return _Epoch(
         engine, epoch, partial(cdc_fold, engine.dm),
-        head=partial(_combine, engine.dm, align), prev_epoch=prev_epoch,
+        head=partial(_combine, engine.dm, align),
+        segment=partial(cdc_segment, engine.dm), prev_epoch=prev_epoch,
         prior=prior, delta=delta, delta_max_age=delta_max_age,
     )
 
@@ -170,15 +211,30 @@ def cdc_epoch(engine, epoch: int, dead_letter_dir=None, delta: bool = False,
 def _apply_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
     """Apply partitions ``parts`` in order; ``inputs`` are the
     ``(first_partition, table, bounds)`` exchange objects routed to this
-    group. The body of a group task, and of the in-process exchange."""
-    return [
+    group. The body of a group task, of the two-level exchange's merge
+    tasks and of the in-process exchange.
+
+    Base files are written per partition as the kernel reaches them; the
+    group's delta segments are written last, together, as one file
+    (``SnapshotStore.write_delta_group``), so a crash before that file's
+    rename redoes every segment of the group, and a resume skips the
+    partitions any delta file of this epoch lists, under whatever group
+    layout wrote it."""
+    resumed = ctx.store.delta_manifests(ctx.epoch, ctx.prior)
+    results = [
         apply_partition(
             ctx.store, ctx.epoch, p, partition_views(inputs, p),
-            ctx.prior.get(p), ctx.fold, delta=ctx.delta_for(p),
-            fault_hook=ctx.fault_hook,
+            ctx.prior.get(p), ctx.fold, segment=ctx.segment_for(p),
+            delta=ctx.delta_for(p), fault_hook=ctx.fault_hook,
+            resumed=resumed,
         )
         for p in parts
     ]
+    deltas = [r for r in results if isinstance(r, DeltaWrite)]
+    if not deltas:
+        return results
+    written = iter(ctx.store.write_delta_group(ctx.epoch, ctx.key_list, deltas))
+    return [next(written) if isinstance(r, DeltaWrite) else r for r in results]
 
 
 def _inline_exchange(ctx: _Epoch, events_ds) -> list:

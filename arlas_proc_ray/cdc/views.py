@@ -242,8 +242,8 @@ def refresh_group_view(
     target = store._resolve_epoch_arg(epoch)
     if target is None:
         raise RuntimeError("no committed epoch to refresh from")
-    tgt_src = [m.epoch for m in store.epoch_index(target)]
-    num_partitions = len(tgt_src)
+    tgt = store.partition_layouts(target)
+    num_partitions = len(tgt)
 
     ckpt = None if full else read_view_checkpoint(store, view_id)
     spec = {
@@ -273,7 +273,7 @@ def refresh_group_view(
     todo = None if base is None else store.changed_partitions(base, target)
     if todo is None:  # bootstrap, or a fan-out change -> full recompute
         base, todo = None, list(range(num_partitions))
-    base_src = None if base is None else [m.epoch for m in store.epoch_index(base)]
+    base_parts = None if base is None else store.partition_layouts(base)
     skipped = num_partitions - len(todo)
 
     read_cols = sorted(set(key_cols + group_cols + sum_cols + minmax_cols))
@@ -281,7 +281,7 @@ def refresh_group_view(
     @ray.remote(num_cpus=0.5)
     def partition_partial(part: int):
         """Returns (sum_partial, minmax_assert_partial, retracted_groups)."""
-        new = store.read_partition(tgt_src[part], part)
+        new = store.read_resolved(tgt[part], part)
         if base is None:
             if new is None or new.num_rows == 0:
                 return None, None, None
@@ -295,7 +295,7 @@ def refresh_group_view(
             )
             pdf["_n"] = np.int64(1)
             return _agg_partial(pdf, group_cols, sum_cols), mm, None
-        old = store.read_partition(base_src[part], part)
+        old = store.read_resolved(base_parts[part], part)
         value_cols = sorted(
             set(group_cols + sum_cols + minmax_cols) - set(key_cols)
         )
@@ -386,7 +386,7 @@ def refresh_group_view(
             )
             n_recomputed = len(affected)
             recomputed = _recompute_group_minmax(
-                store, tgt_src, affected, group_cols, minmax_cols,
+                store, tgt, affected, group_cols, minmax_cols,
             )
             # recomputed values REPLACE the fold for affected groups
             # (merge-based anti-join: byte-exact on object strings)
@@ -418,7 +418,7 @@ def refresh_group_view(
 
 def _recompute_group_minmax(
     store: SnapshotStore,
-    tgt_src: list[int],
+    tgt: list,
     affected: pd.DataFrame,
     group_cols: list[str],
     minmax_cols: list[str],
@@ -436,7 +436,7 @@ def _recompute_group_minmax(
 
     @ray.remote(num_cpus=0.5)
     def part_minmax(part: int) -> pd.DataFrame | None:
-        t = store.read_partition(tgt_src[part], part)
+        t = store.read_resolved(tgt[part], part)
         if t is None or t.num_rows == 0:
             return None
         pdf = t.select(
@@ -450,7 +450,7 @@ def _recompute_group_minmax(
     parts = [
         r
         for r in ray.get(
-            [part_minmax.remote(p) for p in range(len(tgt_src))]
+            [part_minmax.remote(p) for p in range(len(tgt))]
         )
         if r is not None and len(r)
     ]

@@ -66,8 +66,14 @@ def test_resume_from_checkpoint(tmp_path):
     # (parallel tasks); the crashing partitions can never have committed
     assert all(p < 4 for p in done_before)
     assert len(done_before) < DM.num_partitions
+    def written_file(store, p):
+        # epoch 2 writes delta segments over epoch 1's bases: a done
+        # partition's file is the group file that lists it
+        return os.path.join(store.epoch_dir(2),
+                            store._delta_listing(2)[p][0])
+
     mtimes = {
-        p: os.stat(crashy.store.part_data_path(2, p)).st_mtime_ns
+        p: os.stat(written_file(crashy.store, p)).st_mtime_ns
         for p in done_before
     }
 
@@ -79,7 +85,7 @@ def test_resume_from_checkpoint(tmp_path):
 
     # finished partitions were skipped, not rewritten
     for p in done_before:
-        assert os.stat(resumed.store.part_data_path(2, p)).st_mtime_ns == mtimes[p]
+        assert os.stat(written_file(resumed.store, p)).st_mtime_ns == mtimes[p]
 
     final = (
         resumed.final_state()

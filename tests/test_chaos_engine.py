@@ -177,13 +177,19 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
     byte-identical, with equal commit summaries for the same epochs, and
     write the same manifest metric keys and the same counts (every one
     goes through the shared partition kernel); every path's epoch index
-    equals the others' row for row, ``apply_s`` aside.
+    equals the others' row for row, ``apply_s`` aside, and so do the
+    delta segments' places (group file, row group), which follow the
+    exchange's group layout. That is the chained leg; in the folded leg
+    (``FOLD_SEGMENTS`` 0, so every touched partition is rewritten whole)
+    every path gives the same state, byte for byte, and summaries.
     ``merge_into`` and ``repartition_snapshot`` then give the same state,
     manifests and source maps on the one- and two-level and the
     in-process exchanges."""
+    import dataclasses
+
     import ray.data as rd
 
-    from arlas_proc_ray.cdc import staged
+    from arlas_proc_ray.cdc import sizing, staged
     from arlas_proc_ray.cdc.merge import merge_into
     from arlas_proc_ray.cdc.snapshot import SnapshotStore
 
@@ -199,9 +205,9 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
         summaries, metrics, manifests = [], [], []
         for i, t in enumerate(tables, start=1):
             ds = rd.from_arrow(t)
-            if mode == "apply_epoch":
+            if mode in ("apply_epoch", "apply_epoch_folded"):
                 s = eng.apply_epoch(ds, i)
-            elif mode == "inline":
+            elif mode in ("inline", "inline_folded"):
                 with monkeypatch.context() as m:
                     m.setattr(staged, "session_groups", one_group)
                     s = eng.apply_epoch(ds, i)
@@ -230,7 +236,9 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
         return [[{**m, "apply_s": None} for m in ep] for ep in metrics]
 
     def untimed(manifests):
-        return [[{**m, "metrics": {**m["metrics"], "apply_s": None}}
+        return [[{**m, "metrics": {**m["metrics"], "apply_s": None},
+                  "chain": [{**dataclasses.asdict(s), "file": None,
+                             "row_group": None} for s in m["chain"]]}
                  for m in ep] for ep in manifests]
 
     base_state, base_sum, base_metrics, base_manifests = run("apply_epoch")
@@ -239,12 +247,20 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
     assert {k for ep in base_metrics for m in ep for k in m} == {
         "events_in", "fence_dropped", "events_applied", "apply_s"
     }
+    assert any(m["chain"] for m in base_manifests[-1])  # the chained leg
     for mode in ("staged", "two_level", "wap", "inline"):
         state, summ, metrics, manifests = run(mode)
         pd.testing.assert_frame_equal(state, base_state)
         assert summ == base_sum, mode
         assert counts(metrics) == counts(base_metrics), mode
         assert untimed(manifests) == untimed(base_manifests), mode
+    with monkeypatch.context() as m:  # the folded leg
+        m.setattr(sizing, "FOLD_SEGMENTS", 0)
+        for mode in ("apply_epoch", "inline"):
+            state, summ, _, manifests = run(mode + "_folded")
+            assert not any(m["chain"] for ep in manifests for m in ep)
+            pd.testing.assert_frame_equal(state, base_state)
+            assert summ == base_sum, mode
 
     # MERGE (an update of every other key, a stale duplicate and an
     # insert) then a fan-out change, on the stores the two exchanges built

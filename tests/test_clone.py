@@ -180,14 +180,19 @@ def test_sync_snapshot_incremental(tmp_path, ray_session):
         sync_snapshot(src.store, str(tmp_path / "other"))
 
 
-def test_sync_after_the_source_vacuums_the_synced_epoch(tmp_path):
+def test_sync_after_the_source_vacuums_the_synced_epoch(tmp_path,
+                                                        monkeypatch):
     """The last-synced source epoch is gone (vacuumed): the next sync
     has no base to diff against, so it re-copies in full, and the
-    destination equals the source and deep-verifies."""
+    destination equals the source and deep-verifies. The source rewrites
+    every partition whole (``FOLD_SEGMENTS`` 0): a chained partition
+    would keep epoch 1's base reachable."""
     import ray.data as rd
 
-    from arlas_proc_ray.cdc import generate_changelog_tables
+    from arlas_proc_ray.cdc import generate_changelog_tables, sizing
     from arlas_proc_ray.cdc.clone import sync_snapshot
+
+    monkeypatch.setattr(sizing, "FOLD_SEGMENTS", 0)
 
     cfg = ChangelogConfig(num_events=3000, num_keys=300, seed=62)
 

@@ -44,18 +44,22 @@ def test_delta_epoch_rewrites_only_touched_partitions(tmp_path):
     engine = CdcEngine(snap, DM)
     engine.apply_epoch(rd.from_arrow(generate_changelog_tables(CFG)), epoch=1)
 
-    # epoch 2: one event for one key → exactly ONE partition file written
+    # epoch 2: one event for one key → exactly ONE file written: the
+    # delta group file holding that partition's segment
     engine.apply_epoch(rd.from_arrow([_one_key_event(10_000)]), epoch=2, delta=True)
     files_e2 = [
         f for f in os.listdir(engine.store.epoch_dir(2)) if f.endswith(".parquet")
     ]
-    assert len(files_e2) == 1
+    assert len(files_e2) == 1 and files_e2[0].startswith("delta-2-")
 
-    # resolution chain: untouched partitions point at epoch 1
-    sources = [m.epoch for m in engine.store.epoch_index(2)]
+    # resolution chain: untouched partitions point at epoch 1, the touched
+    # one keeps its epoch-1 base under an epoch-2 segment
+    index = engine.store.epoch_index(2)
+    sources = [m.written_in() for m in index]
     assert len(sources) == DM.num_partitions
     assert sources.count(2) == 1
     assert sources.count(1) == DM.num_partitions - 1
+    assert [m.epoch for m in index] == [1] * DM.num_partitions
 
     # final state = full replay oracle + the extra key
     exp = oracle_final_state(
@@ -92,11 +96,15 @@ def test_vacuum_respects_delta_chain(tmp_path):
     for e in deleted:
         assert not os.path.isdir(engine.store.epoch_dir(e))
 
-    # full-compaction epoch 4 consolidates; now 1..3 become collectable
+    # a full epoch carries the untouched partitions forward but only adds
+    # a segment to the touched one; the compaction (``jobs optimize``'s
+    # same-fan-out rewrite, epoch 5) folds it, and 1..4 become collectable
     engine.apply_epoch(rd.from_arrow([_one_key_event(10_002)]), epoch=4)
+    assert 1 not in engine.store.vacuum(keep_last=1)
+    engine.repartition_snapshot(DM.num_partitions)
     deleted = engine.store.vacuum(keep_last=1)
     assert set(deleted) >= {1}
-    assert engine.store.latest_committed_epoch() == 4
+    assert engine.store.latest_committed_epoch() == 5
     final = engine.final_state().to_pandas()
     assert final[final.path.eq("only.py")].iloc[0]["last_lsn"] == 10_002
 
@@ -164,7 +172,7 @@ def test_staged_delta_references_untouched_partitions(
         if f.endswith(".parquet")
     ]
     assert len(files_e2) == 1
-    srcs = [m.epoch for m in engine.store.epoch_index(2)]
+    srcs = [m.written_in() for m in engine.store.epoch_index(2)]
     assert srcs.count(1) == DM.num_partitions - 1
 
     exp = oracle_final_state(
@@ -217,12 +225,14 @@ def layouts(tmp_path_factory):
     return engine.store
 
 
-def _resolved_files(store, epoch: int) -> list[str]:
-    """Each partition's file at ``epoch`` by the commit marker's source
-    map, the copy of the layout kept for readers older than the index."""
+def _resolved_files(store, epoch: int) -> list:
+    """Each partition's files at ``epoch``: its base file by the commit
+    marker's source map, the copy of the layout kept for readers older
+    than the index, and the places of its delta segments."""
     sources = store.read_epoch_summary(epoch)["sources"]
-    return [store.part_data_path(int(sources[str(p)]), p)
-            for p in range(len(sources))]
+    return [(store.part_data_path(int(sources[str(p)]), p),
+             [(store.segment_path(s), s.row_group) for s in m.chain])
+            for p, m in enumerate(store.epoch_index(epoch))]
 
 
 @pytest.mark.parametrize("base, target, changed", [

@@ -1,19 +1,26 @@
-"""One data file per partition, one index per epoch (cdc/snapshot.py).
+"""One base file per partition, one delta file per exchange group, one
+index per epoch (cdc/snapshot.py).
 
-Pins: an epoch directory holds its partition files, ``_index.arrow`` and
-``_COMMITTED`` and nothing else; the index a commit writes equals the
-manifests rebuilt from the files' footers; the write path reads no
-metadata back (the commit takes the kernels' manifests, the next epoch
-the cached index); the cache follows the marker and stays out of
-pickles; footer zone maps prune exactly as the Arrow ``min_max`` zone
-maps did; a crash at every step of the moved fence resumes to the
-oracle for every writer; and a store written before the index (JSON
-manifests, no index) reads, prunes and takes new epochs as it did.
+Pins: an epoch directory holds its base files or its delta group files,
+``_index.arrow`` and ``_COMMITTED`` and nothing else; the index a commit
+writes equals the manifests rebuilt from the files' footers; the write
+path reads no metadata back (the commit takes the kernels' manifests,
+the next epoch the cached index); the cache keeps two indexes, follows
+the marker and stays out of pickles; footer zone maps prune exactly as
+the Arrow ``min_max`` zone maps did; a crash at every step of the fence
+(a base file, a delta group file, a fold, a resume under another group
+layout) resumes to the oracle for every writer; a store written before
+the index (JSON manifests, no index), and one whose index has no chains,
+reads, prunes and takes new epochs as it did, and ``jobs optimize``
+folds every chain.
 """
 
+import dataclasses
 import io
 import os
 import pickle
+import shutil
+import time
 
 import numpy as np
 import pandas as pd
@@ -40,16 +47,54 @@ def _events(cfg, lo, hi):
     return rd.from_arrow(generate_changelog_tables(cfg, lo, hi))
 
 
-def test_an_epoch_is_its_files_an_index_and_a_marker(tmp_path):
+def test_an_epoch_is_its_files_an_index_and_a_marker(tmp_path, monkeypatch):
+    """The first epoch writes a base file per partition (66 files at
+    P=64); the next, touching every partition, one delta group file per
+    exchange group: 3 files in a one-group session."""
+    monkeypatch.setattr(staged, "session_groups", one_group_plan)
     cfg = ChangelogConfig(num_events=2000, num_keys=1500, seed=61)
     eng = CdcEngine(str(tmp_path), DataModel(num_partitions=64))
     eng.apply_epoch(_events(cfg, 0, 1000), 1)
     eng.apply_epoch(_events(cfg, 1000, 2000), 2)
-    for e in (1, 2):
-        names = sorted(os.listdir(eng.store.epoch_dir(e)))
-        assert len(names) == 66
-        assert names == ["_COMMITTED", "_index.arrow"] + [
-            f"part-{p:05d}.parquet" for p in range(64)]
+    names = sorted(os.listdir(eng.store.epoch_dir(1)))
+    assert len(names) == 66
+    assert names == ["_COMMITTED", "_index.arrow"] + [
+        f"part-{p:05d}.parquet" for p in range(64)]
+    names = sorted(os.listdir(eng.store.epoch_dir(2)))
+    assert names == ["_COMMITTED", "_index.arrow", snapshot._delta_name(
+        2, list(range(64)))]
+    assert names[2].startswith("delta-2-00000-")
+    index = eng.store.epoch_index(2)
+    assert [(m.epoch, [(s.epoch, s.row_group) for s in m.chain])
+            for m in index] == [(1, [(2, p)]) for p in range(64)]
+
+
+def test_sql_reads_the_resolved_state_lazily(tmp_path, monkeypatch):
+    """``sql`` over chained, partly chained, time-travelled and folded
+    epochs returns ``read_state``'s rows, and a ``count(*)`` reads no
+    ``content`` column: DuckDB overlays the chains itself."""
+    monkeypatch.setattr(sizing, "FOLD_SEGMENTS", 3)
+    cfg = ChangelogConfig(num_events=3000, num_keys=400, seed=67)
+    eng = CdcEngine(str(tmp_path), DataModel(num_partitions=8))
+    # epoch 3 touches a few partitions, so the others keep one segment;
+    # epoch 5 folds every partition that reached three segments
+    for e, (lo, hi) in enumerate([(0, 1000), (1000, 1800), (1800, 1803),
+                                  (1803, 2400), (2400, 3000)], 1):
+        eng.apply_epoch(_events(cfg, lo, hi), e, delta=True)
+    store = SnapshotStore(str(tmp_path))
+    chains = {e: [len(m.chain) for m in store.epoch_index(e)]
+              for e in (3, 4, 5)}
+    assert 1 in chains[3] and 2 in chains[3] and 0 in chains[5]
+    key = ["repo", "path"]
+    for e in range(1, 6):
+        want = store.read_state(e).to_pandas().sort_values(key)
+        got = store.sql("SELECT * FROM snapshot", epoch=e).to_pandas()
+        pd.testing.assert_frame_equal(
+            got.sort_values(key).reset_index(drop=True),
+            want.reset_index(drop=True))
+    plan = store.sql("EXPLAIN SELECT count(*) FROM snapshot", epoch=4)
+    assert "content" not in "".join(plan.column(1).to_pylist()).replace(
+        "content_", "")
 
 
 def test_index_equals_the_manifests_in_the_footers(tmp_path):
@@ -65,16 +110,25 @@ def test_index_equals_the_manifests_in_the_footers(tmp_path):
     fresh = SnapshotStore(eng.store.root)
     on_disk = fresh.epoch_index(2)
     assert [vars(m) for m in on_disk] == [vars(m) for m in cached]
-    # each row names the newest file written for its partition, and
-    # counts that file's rows
-    assert [m.epoch for m in on_disk] == [
+    # each row names the newest epoch that wrote its partition, its base
+    # file's rows, and the rows of the base with its chain overlaid
+    assert [m.written_in() for m in on_disk] == [
         max(e for e in (1, 2) if fresh.partition_done(e, p)) for p in range(P)]
-    assert [m.row_count for m in on_disk] == [
+    assert [m.base_rows for m in on_disk] == [
         pq.read_metadata(fresh.part_data_path(m.epoch, p)).num_rows
         for p, m in enumerate(on_disk)]
-    assert any(m.epoch == 1 for m in on_disk)  # the delta referenced some
+    assert [m.row_count for m in on_disk] == [
+        fresh.read_partition_resolved(2, p).num_rows for p in range(P)]
+    assert any(m.written_in() == 1 for m in on_disk)  # the delta referenced some
+    assert any(m.chain for m in on_disk)  # and added a segment to others
     for p, m in enumerate(on_disk):
-        assert vars(fresh.read_manifest(m.epoch, p)) == vars(m)
+        rebuilt = fresh.read_manifest(m.written_in(), p)
+        if m.chain:  # what it inherits is the previous index's
+            assert rebuilt.chain[-1] == m.chain[-1]
+            rebuilt = dataclasses.replace(
+                rebuilt, col_stats=m.col_stats, blooms=m.blooms,
+                chain=m.chain)
+        assert vars(rebuilt) == vars(m)
         assert set(m.blooms) == {"repo", "path"} or m.row_count == 0
     assert fresh.read_manifest(2, P) is None
 
@@ -118,6 +172,22 @@ def test_index_cache_follows_the_marker_and_stays_out_of_pickles(tmp_path):
     assert store.epoch_index(1)[0].row_count == 10
     with pytest.raises(RuntimeError, match="not committed"):
         store.epoch_index(2)
+
+
+def test_a_diff_loads_each_index_once(tmp_path, monkeypatch):
+    """The handle keeps two indexes, so a change feed between two epochs
+    on a fresh handle loads each epoch's index exactly once."""
+    cfg = ChangelogConfig(num_events=2000, num_keys=300, seed=69)
+    eng = CdcEngine(str(tmp_path), DataModel(num_partitions=8))
+    eng.apply_epoch(_events(cfg, 0, 1000), 1)
+    eng.apply_epoch(_events(cfg, 1000, 2000), 2)
+    loads = []
+    load = SnapshotStore._load_index
+    monkeypatch.setattr(SnapshotStore, "_load_index",
+                        lambda self, e: loads.append(e) or load(self, e))
+    fresh = SnapshotStore(eng.store.root)
+    feed = change_feed(fresh, base=1, target=2).to_pandas()
+    assert len(feed) and loads == [1, 2]
 
 
 # ---------------------------------------------------------------- zone maps
@@ -252,9 +322,9 @@ def _tear_index(monkeypatch):
     monkeypatch.setattr(snapshot, "_atomic_write_bytes", torn)
 
 
-def _crash_at_partition(part):
+def _crash_at_partition(*parts):
     def hook(epoch, p):
-        if p == part:
+        if p in parts:
             raise RuntimeError("injected crash at a partition")
     return hook
 
@@ -283,16 +353,89 @@ def _writers(cfg, exp):
     }
 
 
-@pytest.mark.parametrize("fault", ["partition", "index", "marker", "torn_index"])
-@pytest.mark.parametrize("writer,exchange", [
-    ("apply_epoch", "inline"), ("apply_epoch", "remote"),
-    ("merge_into", "remote"), ("repartition_snapshot", "remote")])
+def _fail_after_group_file(monkeypatch):
+    """Crash after a delta group file's rename, before the commit."""
+    write = SnapshotStore.write_delta_group
+
+    def renamed_then_crash(self, *args):
+        write(self, *args)
+        raise RuntimeError("injected crash after the group file")
+    monkeypatch.setattr(SnapshotStore, "write_delta_group", renamed_then_crash)
+
+
+def _two_group_plan(num_partitions: int) -> list[range]:
+    return staged.group_plan(num_partitions, 2)
+
+
+def _wait_for_listing(store, epoch: int, parts: list[int]) -> None:
+    """Wait until the delta group files of ``epoch`` list ``parts``: a
+    group task of a failed attempt outlives the attempt."""
+    deadline = time.monotonic() + 60
+    while (sorted(store._delta_listing(epoch)) != parts
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+
+
+def _late_group_file(snap: str, twin: str, dm, epoch: int, run) -> str:
+    """The delta group file that group [0, 4) of an attempt at two groups
+    writes when the attempt fails at partition 5, made on a copy of the
+    store: what a group task of a failed attempt renames late."""
+    shutil.copytree(snap, twin)
+    with pytest.raises(Exception, match="injected crash"):
+        run(CdcEngine(twin, dm, fault_hook=_crash_at_partition(5)), epoch)
+    store = SnapshotStore(twin)
+    _wait_for_listing(store, epoch, [0, 1, 2, 3])
+    (name,) = store._delta_files(epoch)
+    return os.path.join(store.epoch_dir(epoch), name)
+
+
+def _land_before_commit(monkeypatch, late: str) -> None:
+    """Rename ``late`` into its epoch's directory just before the commit:
+    after the resume wrote its own group file."""
+    commit = SnapshotStore.commit_epoch
+
+    def land_then_commit(self, epoch, *args, **kwargs):
+        dst = os.path.join(self.epoch_dir(epoch), os.path.basename(late))
+        shutil.copyfile(late, dst + ".tmp")
+        os.replace(dst + ".tmp", dst)
+        return commit(self, epoch, *args, **kwargs)
+    monkeypatch.setattr(SnapshotStore, "commit_epoch", land_then_commit)
+
+
+def _written_file(store, epoch: int, part: int) -> str:
+    """The file ``epoch`` wrote ``part`` into: its base file, or the
+    delta group file that lists it."""
+    if store.base_done(epoch, part):
+        return store.part_data_path(epoch, part)
+    return os.path.join(store.epoch_dir(epoch),
+                        store._delta_listing(epoch)[part][0])
+
+
+_MATRIX = [
+    (w, x, f) for w, x in [
+        ("apply_epoch", "inline"), ("apply_epoch", "remote"),
+        ("merge_into", "remote"), ("repartition_snapshot", "remote")]
+    for f in ["partition", "index", "marker", "torn_index"]
+] + [("apply_epoch", "inline", "group_file"),
+     ("apply_epoch", "inline", "fold"), ("apply_epoch", "remote", "fold"),
+     ("apply_epoch", "remote", "layout"),
+     ("apply_epoch", "remote", "late_layout")]
+
+
+@pytest.mark.parametrize("writer,exchange,fault", _MATRIX)
 def test_crash_matrix_resumes_to_oracle(tmp_path, monkeypatch, writer,
                                         exchange, fault):
-    """A crash at each step of the fence — k of P data files renamed, all
-    renamed but no index, the index but no marker, a torn index ``.tmp``
-    — leaves the epoch invisible; a fresh engine resumes it to the
-    oracle, drops no event at the fence and rewrites no finished file."""
+    """A crash at each step of the fence — k of P base files renamed or
+    no delta group file of the fault's group, all renamed but no index,
+    the index but no marker, a torn index ``.tmp``, a group file renamed
+    but no commit, a fold of every chain stopped midway, a crash under
+    two exchange groups resumed in one, and the same where the failed
+    attempt's first group renames its file after the resume wrote its
+    own (it names its own file, so the index's file stays whole) —
+    leaves the epoch invisible; a fresh engine resumes it to the oracle,
+    drops no event at the fence and rewrites no finished file. A CDC epoch writes delta
+    segments here, except in the fold (``FOLD_SEGMENTS`` 1 over chains of
+    one segment), whose partitions are base files."""
     cfg = ChangelogConfig(num_events=1200, num_keys=200, seed=65)
     exp = oracle_final_state(generate_changelog_tables(cfg)).to_pandas()
     run, want, parts = _writers(cfg, exp)[writer]
@@ -306,58 +449,101 @@ def test_crash_matrix_resumes_to_oracle(tmp_path, monkeypatch, writer,
     # run on the whole changelog
     CdcEngine(snap, dm).apply_epoch(
         _events(cfg, 0, 600 if writer == "apply_epoch" else 1200), 1)
+    epoch = 2
+    if fault == "fold":  # a chain under every partition, then fold them
+        CdcEngine(snap, dm).apply_epoch(_events(cfg, 600, 900), 2)
+        assert all(m.chain for m in SnapshotStore(snap).epoch_index(2))
+        monkeypatch.setattr(sizing, "FOLD_SEGMENTS", 1)
+        epoch = 3
+
+        def run(eng, e):
+            return eng.apply_epoch(_events(cfg, 900, 1200), e)
+    layout = fault in ("layout", "late_layout")
+    if layout:
+        monkeypatch.setattr(staged, "session_groups", _two_group_plan)
 
     crash_part = 1 if exchange == "remote" else 5  # mid-group either way
+    if layout:
+        crash_part = 5  # second partition of group [4, 8)
+    if fault == "late_layout":
+        late = _late_group_file(snap, str(tmp_path / "twin"), dm, epoch, run)
     with monkeypatch.context() as m:
         hook = None
-        if fault == "partition":
+        if fault == "late_layout":  # neither group's file lands yet
+            hook = _crash_at_partition(1, crash_part)
+        elif fault in ("partition", "fold", "layout"):
             hook = _crash_at_partition(crash_part)
         else:
             {"index": _fail_on_index, "marker": _fail_on_marker,
-             "torn_index": _tear_index}[fault](m)
+             "torn_index": _tear_index,
+             "group_file": _fail_after_group_file}[fault](m)
         with pytest.raises(Exception, match="injected crash"):
-            run(CdcEngine(snap, dm, fault_hook=hook), 2)
+            run(CdcEngine(snap, dm, fault_hook=hook), epoch)
     store = SnapshotStore(snap)
-    assert store.latest_committed_epoch() == 1
-    done = {p: os.stat(store.part_data_path(2, p)).st_mtime_ns
-            for p in range(parts) if store.partition_done(2, p)}
-    if fault == "partition":
+    assert store.latest_committed_epoch() == epoch - 1
+    if fault == "layout":  # the other group's task outlives the failed one
+        _wait_for_listing(store, epoch, [0, 1, 2, 3])
+    done = {p: os.stat(_written_file(store, epoch, p)).st_mtime_ns
+            for p in range(parts) if store.partition_done(epoch, p)}
+    segments = writer == "apply_epoch" and fault != "fold"
+    if fault in ("partition", "fold") or layout:
         assert crash_part not in done and len(done) < parts
-        if exchange == "inline":  # one group, in order: k = 5 renamed
+        if exchange == "inline" and segments:  # one group file, not written
+            assert done == {}
+        elif exchange == "inline":  # one group, in order: k = 5 renamed
             assert sorted(done) == list(range(crash_part))
+        if fault == "layout":  # group [0, 4) wrote its file, [4, 8) did not
+            assert sorted(done) == [0, 1, 2, 3]
+        if fault == "late_layout":
+            assert done == {}
+            _land_before_commit(monkeypatch, late)
+        if layout:
+            monkeypatch.setattr(staged, "session_groups", one_group_plan)
     else:
         assert sorted(done) == list(range(parts))
-        assert os.path.exists(store.index_path(2)) == (fault == "marker")
+        assert os.path.exists(store.index_path(epoch)) == (fault == "marker")
     if fault == "torn_index":
-        assert any(f.endswith(".tmp") for f in os.listdir(store.epoch_dir(2)))
+        assert any(f.endswith(".tmp") for f in os.listdir(store.epoch_dir(epoch)))
 
     resumed = CdcEngine(snap, DataModel(num_partitions=P))
-    run(resumed, 2)
+    run(resumed, epoch)
     after = CdcEngine(snap, DataModel(num_partitions=parts))
     pd.testing.assert_frame_equal(after.final_state().to_pandas(), want)
-    assert {p: os.stat(store.part_data_path(2, p)).st_mtime_ns
+    assert {p: os.stat(_written_file(store, epoch, p)).st_mtime_ns
             for p in done} == done
-    index = SnapshotStore(snap).epoch_index(2)
-    assert [m.epoch for m in index] == [2] * parts
+    index = SnapshotStore(snap).epoch_index(epoch)
+    assert [m.written_in() for m in index] == [epoch] * parts
+    assert all(bool(m.chain) == segments for m in index)
     assert sum(m.metrics["fence_dropped"] for m in index) == 0
+    named = {s.file for m in index for s in m.chain if s.epoch == epoch}
+    if fault == "layout":  # the resume wrote the rest as one more file
+        listing = store._delta_listing(epoch)
+        assert named == set(store._delta_files(epoch))
+        assert sorted(sorted(p for p in listing if listing[p][0] == n)
+                      for n in named) == [[0, 1, 2, 3], [4, 5, 6, 7]]
+    if fault == "late_layout":  # the late file sits beside the index's
+        assert named == set(store._delta_files(epoch)) - {
+            os.path.basename(late)} and len(named) == 1
     assert after.store.verify_deep()["ok"]
 
 
 # ------------------------------------------------------------ legacy store
 def test_store_written_before_the_index_reads_and_takes_new_epochs(
-        tmp_path, parent_layout):
+        tmp_path, monkeypatch, parent_layout):
     """A store in the earlier layout (a JSON manifest per partition, no
-    epoch index) answers lookups, scans (with the same pruning), stats,
-    history and deep verification as the same store with its indexes,
-    and a delta epoch commits on top of it. Every reader of the layout
-    (SQL, the final state, the change feed, lineage) answers the same on
-    both."""
+    epoch index, no chains) answers lookups, scans (with the same
+    pruning), stats, history and deep verification as the same store
+    with its indexes, and a delta epoch commits chains on top of it.
+    Every reader of the layout (SQL, the final state, the change feed,
+    lineage) answers the same on both."""
     cfg = ChangelogConfig(num_events=3000, num_keys=400, seed=66)
     dm = DataModel(num_partitions=P)
     snap = str(tmp_path / "snap")
     eng = CdcEngine(snap, dm)
-    eng.apply_epoch(_events(cfg, 0, 1500), 1)
-    eng.apply_epoch(_events(cfg, 1500, 2000), 2, delta=True)
+    with monkeypatch.context() as m:  # that layout had base files only
+        m.setattr(sizing, "FOLD_SEGMENTS", 0)
+        eng.apply_epoch(_events(cfg, 0, 1500), 1)
+        eng.apply_epoch(_events(cfg, 1500, 2000), 2, delta=True)
     state = eng.final_state()
     keys = list(zip(state.column("repo").to_pylist()[::7],
                     state.column("path").to_pylist()[::7]))
@@ -409,6 +595,68 @@ def test_store_written_before_the_index_reads_and_takes_new_epochs(
     pd.testing.assert_frame_equal(old.final_state().to_pandas(), exp)
     assert os.path.exists(old.store.index_path(3))
     fresh = SnapshotStore(snap)
-    sources = {m.epoch for m in fresh.epoch_index(3)}
+    sources = {m.written_in() for m in fresh.epoch_index(3)}
     assert 3 in sources and sources - {3}  # written and referenced rows
+    assert any(m.chain for m in fresh.epoch_index(3))
     assert fresh.verify_deep()["ok"]
+
+
+# ------------------------------------------------------- index before chains
+def _drop_chain_columns(store, epoch: int) -> None:
+    """Rewrite ``epoch``'s index as code before chains wrote it, without
+    the ``base_rows`` and ``chain`` columns, and its marker with the same
+    bytes (a new inode, so a cached index goes stale)."""
+    with pa.OSFile(store.index_path(epoch)) as f:
+        table = pa.ipc.open_file(f).read_all()
+    table = table.drop_columns(["base_rows", "chain"])
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_file(sink, table.schema) as w:
+        w.write_table(table)
+    snapshot._atomic_write_bytes(store.index_path(epoch), sink.getvalue())
+    with open(store.commit_marker_path(epoch), "rb") as f:
+        marker = f.read()
+    os.unlink(store.commit_marker_path(epoch))
+    snapshot._atomic_write_bytes(store.commit_marker_path(epoch), marker)
+
+
+def test_index_without_chains_reads_and_takes_chained_epochs(
+        tmp_path, monkeypatch):
+    """A store whose indexes have no chain column (written before chains)
+    reads as empty chains, answers as before, and takes chained epochs;
+    ``jobs optimize`` then folds every chain into a base, with the same
+    state and a green deep audit."""
+    from arlas_proc_ray.jobs import main
+
+    cfg = ChangelogConfig(num_events=3000, num_keys=400, seed=67)
+    dm = DataModel(num_partitions=P)
+    snap = str(tmp_path / "snap")
+    eng = CdcEngine(snap, dm)
+    with monkeypatch.context() as m:
+        m.setattr(sizing, "FOLD_SEGMENTS", 0)
+        eng.apply_epoch(_events(cfg, 0, 1500), 1)
+        eng.apply_epoch(_events(cfg, 1500, 2000), 2, delta=True)
+    before = SnapshotStore(snap).epoch_index(2)
+    for e in (1, 2):
+        _drop_chain_columns(eng.store, e)
+    old = CdcEngine(snap, dm)
+    assert [vars(m) for m in old.store.epoch_index(2)] == [
+        vars(m) for m in before]
+    assert all(m.chain == [] and m.base_rows == m.row_count
+               for m in old.store.epoch_index(2))
+    exp = oracle_final_state(generate_changelog_tables(cfg, 0, 2000)).to_pandas()
+    pd.testing.assert_frame_equal(old.final_state().to_pandas(), exp)
+
+    old.apply_epoch(_events(cfg, 2000, 2500), 3)
+    old.apply_epoch(_events(cfg, 2500, 3000), 4)
+    assert all(len(m.chain) == 2 for m in old.store.epoch_index(4))
+    exp = oracle_final_state(generate_changelog_tables(cfg)).to_pandas()
+    pd.testing.assert_frame_equal(old.final_state().to_pandas(), exp)
+
+    assert main(["optimize", "--snapshot", snap]) == 0
+    store = SnapshotStore(snap)
+    latest = store.latest_committed_epoch()
+    assert latest == 5
+    assert not any(m.chain for m in store.epoch_index(latest))
+    pd.testing.assert_frame_equal(
+        CdcEngine(snap, dm).final_state().to_pandas(), exp)
+    assert store.verify_deep()["ok"]

@@ -106,9 +106,10 @@ def test_pre_images_and_manifest_pruning(tmp_path, ray_session):
     engine.apply_epoch(
         rd.from_arrow([_event(9_000, content="v2" * 30)]), epoch=2, delta=True
     )
-    # pruning precondition: exactly one partition's source differs
-    src1 = [m.epoch for m in engine.store.epoch_index(1)]
-    src2 = [m.epoch for m in engine.store.epoch_index(2)]
+    # pruning precondition: exactly one partition's files differ (a
+    # segment joined its chain)
+    src1 = [m.layout() for m in engine.store.epoch_index(1)]
+    src2 = [m.layout() for m in engine.store.epoch_index(2)]
     changed_parts = [p for p in range(DM.num_partitions)
                      if src1[p] != src2[p]]
     assert len(changed_parts) == 1

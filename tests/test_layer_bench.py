@@ -17,11 +17,13 @@ def test_layer_bench_smoke(capsys):
     assert [r["kernel"] for r in rows] == [
         "split.per_partition", "split.exchange", "exchange.dict",
         "exchange.object", "write.write_partition", "write.partition",
-        "write.floor", "read.read_partition", "read.read_table",
-        "plan_scan.index", "lookup.engine", "scan.engine", "scan.engine.lazy",
-        "bloom.build", "read.inline.2k", "epoch.inline.2k", "read.remote.2k",
-        "epoch.remote.2k",
+        "write.floor", "write.delta_group", "read.read_partition",
+        "read.read_table", "plan_scan.index", "lookup.engine", "scan.engine",
+        "scan.engine.lazy", "bloom.build", "read.inline.2k", "epoch.inline.2k",
+        "read.remote.2k", "epoch.remote.2k", "epoch.chain", "lookup.chain",
+        "scan.chain",
     ]
+    assert "folds in" in next(r for r in rows if r["kernel"] == "epoch.chain")["note"]
     for r in rows:
         for k in ("s", "floor_s", "ratio", "rows_per_s", "mb_per_s"):
             assert math.isfinite(r[k]) and r[k] > 0, (r["kernel"], k)

@@ -62,16 +62,24 @@ def test_lookup_prunes_partitions(engine, monkeypatch):
     state = engine.final_state().to_pandas()
     one = [tuple(state[["repo", "path"]].iloc[0])]
     opened = []
-    orig = engine.store.read_partition
+    orig, orig_segment = engine.store.read_partition, engine.store._segment_rows
+    # a segment's row group belongs to one partition
+    owner = {s.place(): p for p, m in enumerate(engine.store.epoch_index(1))
+             for s in m.chain}
 
     def spy(e, p):
         opened.append(p)
         return orig(e, p)
 
+    def spy_segment(seg, columns=None):
+        opened.append(owner[seg.place()])
+        return orig_segment(seg, columns)
+
     monkeypatch.setattr(engine.store, "read_partition", spy)
+    monkeypatch.setattr(engine.store, "_segment_rows", spy_segment)
     got = engine.lookup(one)
     assert got.num_rows == 1
-    assert len(opened) == 1  # exactly one partition file touched
+    assert len(set(opened)) == 1  # exactly one partition's files touched
 
 
 def test_lookup_reads_no_metadata_file(engine, monkeypatch):

@@ -144,9 +144,17 @@ def test_unknown_input_size_takes_the_remote_exchange(tmp_path, monkeypatch):
 
 
 def untimed(manifest) -> dict:
-    """A manifest's fields, its ``apply_s`` duration blanked."""
+    """A manifest's fields, its ``apply_s`` duration blanked, and its
+    delta segments' places (group file, row group), which follow the
+    exchange's group layout, blanked too."""
+    import dataclasses
+
+    if manifest is None:
+        return None
     return {**vars(manifest),
-            "metrics": {**manifest.metrics, "apply_s": None}}
+            "metrics": {**manifest.metrics, "apply_s": None},
+            "chain": [{**dataclasses.asdict(s), "file": None, "row_group": None}
+                      for s in manifest.chain]}
 
 
 def _apply(eng, mode, ds, epoch):
@@ -217,14 +225,29 @@ def assert_crashed_mid_group(store, epoch: int, fault: int, parts: int):
         assert store.partition_done(epoch, part) == (part < fault), part
 
 
+def assert_group_file_redone_whole(store, epoch: int, fault: int,
+                                   parts: int, listed_before: set):
+    """The crash at ``fault`` left no delta file that lists any partition
+    of its group; the resume wrote one file that lists all of them."""
+    (group,) = [g for g in staged.session_groups(parts) if fault in g]
+    assert not listed_before & set(group)
+    for part in group:
+        assert store.partition_done(epoch, part)
+    listing = store._delta_listing(epoch)
+    (name,) = {listing[p][0] for p in group}
+    assert name.startswith(f"delta-{epoch}-{group[0]:05d}-")
+    assert sorted(p for p, (n, _, _) in listing.items() if n == name) == list(group)
+
+
 @pytest.mark.parametrize("two_level", [False, True])
 def test_crash_mid_group_resumes_to_oracle(tmp_path, monkeypatch, two_level):
     """Every store writer, a CDC epoch, ``merge_into`` and
     ``repartition_snapshot``, crashes in the middle of a merge group and
-    is resumed by a fresh engine to the oracle's state."""
+    is resumed by a fresh engine to the oracle's state. Base files resume
+    per partition; a CDC epoch's delta group file is redone whole."""
     if two_level:  # every epoch past the object threshold
         monkeypatch.setattr(staged, "TWO_LEVEL_OBJECTS", -1)
-    _crash_mid_group_and_resume(tmp_path)
+    _crash_mid_group_and_resume(tmp_path, monkeypatch)
 
 
 def test_crash_mid_group_resumes_to_oracle_inline(tmp_path, monkeypatch):
@@ -232,10 +255,10 @@ def test_crash_mid_group_resumes_to_oracle_inline(tmp_path, monkeypatch):
     session: the crash raises in the caller, the partitions before the
     fault are committed and a fresh engine resumes to the oracle."""
     monkeypatch.setattr(staged, "session_groups", one_group_plan)
-    _crash_mid_group_and_resume(tmp_path)
+    _crash_mid_group_and_resume(tmp_path, monkeypatch)
 
 
-def _crash_mid_group_and_resume(tmp_path):
+def _crash_mid_group_and_resume(tmp_path, monkeypatch):
     from arlas_proc_ray.cdc.merge import merge_into
 
     cfg = ChangelogConfig(num_events=3000, num_keys=300, seed=43)
@@ -252,13 +275,28 @@ def _crash_mid_group_and_resume(tmp_path):
         deep = eng.store.verify_deep(recompute_hashes=True)
         assert deep["ok"], deep["failed"]
 
-    CdcEngine(snap, dm).apply_epoch_staged(epoch_ds(0, 1500), 1)
-    crashy = CdcEngine(snap, dm, fault_hook=crash_at(2, fault))
+    CdcEngine(snap, dm).apply_epoch_staged(epoch_ds(0, 1000), 1)
+    # base writes: every touched partition folds, so each is its own fence
+    with monkeypatch.context() as m:
+        m.setattr(sizing, "FOLD_SEGMENTS", 0)
+        crashy = CdcEngine(snap, dm, fault_hook=crash_at(2, fault))
+        with pytest.raises(Exception, match="injected crash"):
+            crashy.apply_epoch_staged(epoch_ds(1000, 2000), 2)
+        assert_crashed_mid_group(crashy.store, 2, fault, P)
+        resumed = CdcEngine(snap, dm)
+        resumed.apply_epoch_staged(epoch_ds(1000, 2000), 2)
+    check(resumed, oracle_final_state(
+        generate_changelog_tables(cfg, 0, 2000)).to_pandas())
+
+    # delta segments: the fault's group writes no file, and is redone whole
     with pytest.raises(Exception, match="injected crash"):
-        crashy.apply_epoch_staged(epoch_ds(1500, 3000), 2)
-    assert_crashed_mid_group(crashy.store, 2, fault, P)
-    resumed = CdcEngine(snap, dm)
-    resumed.apply_epoch_staged(epoch_ds(1500, 3000), 2)
+        CdcEngine(snap, dm, fault_hook=crash_at(3, fault)).apply_epoch_staged(
+            epoch_ds(2000, 3000), 3)
+    listed = set(crashy.store._delta_listing(3))
+    assert crashy.store.latest_committed_epoch() == 2
+    resumed.apply_epoch_staged(epoch_ds(2000, 3000), 3)
+    assert_group_file_redone_whole(resumed.store, 3, fault, P, listed)
+    assert all(m.chain for m in resumed.store.epoch_index(3))
     check(resumed, exp)
 
     # merge_into: new content for every key, so every partition is written
@@ -272,19 +310,19 @@ def _crash_mid_group_and_resume(tmp_path):
         last_lsn=src["lsn"],
     )
     with pytest.raises(Exception, match="injected crash"):
-        merge_into(CdcEngine(snap, dm, fault_hook=crash_at(3, fault)),
-                   rd.from_pandas(src), 3)
-    assert_crashed_mid_group(crashy.store, 3, fault, P)
-    merge_into(CdcEngine(snap, dm), rd.from_pandas(src), 3)
+        merge_into(CdcEngine(snap, dm, fault_hook=crash_at(4, fault)),
+                   rd.from_pandas(src), 4)
+    assert_crashed_mid_group(crashy.store, 4, fault, P)
+    merge_into(CdcEngine(snap, dm), rd.from_pandas(src), 4)
     check(CdcEngine(snap, dm), want)
 
     # repartition_snapshot to P/2: groups of two, the fault second in one
     with pytest.raises(Exception, match="injected crash"):
-        CdcEngine(snap, dm, fault_hook=crash_at(4, fault)).repartition_snapshot(
-            P // 2, epoch=4
+        CdcEngine(snap, dm, fault_hook=crash_at(5, fault)).repartition_snapshot(
+            P // 2, epoch=5
         )
-    assert_crashed_mid_group(crashy.store, 4, fault, P // 2)
-    CdcEngine(snap, dm).repartition_snapshot(P // 2, epoch=4)
+    assert_crashed_mid_group(crashy.store, 5, fault, P // 2)
+    CdcEngine(snap, dm).repartition_snapshot(P // 2, epoch=5)
     check(CdcEngine(snap, DataModel(num_partitions=P // 2)), want)
 
 
@@ -429,9 +467,12 @@ def _exchange_params(root: str) -> set[tuple[str, str]]:
 def test_one_kernel_writes_and_one_exchange_routes_the_store():
     """Every writer of the snapshot store ends in ``apply_partition``:
     it is the only caller of ``SnapshotStore.write_partition`` in the
-    package. No Ray Data ``map_groups`` exchange is left in the package,
-    and no function offers a choice of exchange: every keyed step runs
-    ``arlas_proc_ray/exchange.py``.
+    package, and the group body ``staged._apply_group`` the only caller
+    of ``SnapshotStore.write_delta_group``. No module reads a base file
+    without its chain: the raw ``read_partition`` is called only inside
+    the store's resolving readers. No Ray Data ``map_groups`` exchange
+    is left in the package, and no function offers a choice of exchange:
+    every keyed step runs ``arlas_proc_ray/exchange.py``.
 
     One reader knows an epoch's layout: the epoch index, behind
     ``SnapshotStore``. The ``_COMMITTED`` marker is read only to build
@@ -447,6 +488,13 @@ def test_one_kernel_writes_and_one_exchange_routes_the_store():
     snapshot_py = os.path.join("cdc", "snapshot.py")
     assert _calls(pkg, "write_partition") == {
         (os.path.join("cdc", "engine.py"), "apply_partition")
+    }
+    assert _calls(pkg, "write_delta_group") == {
+        (os.path.join("cdc", "staged.py"), "_apply_group")
+    }
+    assert _calls(pkg, "read_partition") == {
+        (snapshot_py, "read_resolved"), (snapshot_py, "lookup_rows"),
+        (snapshot_py, "write_delta_group"),
     }
     assert _calls(pkg, "map_groups") == set()
     assert _exchange_params(pkg) == set()

@@ -207,14 +207,20 @@ def test_lineage_table(tmp_path):
     lin = eng.store.lineage().to_pandas()
     assert set(lin["epoch"]) == {1, 2}
     assert lin["committed"].all()
-    # exactly num_partitions rows are live, and they match the epoch index
+    # the live rows are each partition's base and segments in the epoch
+    # index: one per partition and one more per segment of its chain
     live = lin[lin["live"]]
-    assert len(live) == dm.num_partitions
-    src = [m.epoch for m in eng.store.epoch_index(2)]
-    got = dict(zip(live["partition_id"].astype(int), live["epoch"].astype(int)))
-    assert got == dict(enumerate(src))
+    index = eng.store.epoch_index(2)
+    assert len(live) == sum(1 + len(m.chain) for m in index)
+    got = {}
+    for p, e in zip(live["partition_id"].astype(int), live["epoch"].astype(int)):
+        got.setdefault(p, set()).add(e)
+    assert got == {p: {m.epoch, *(s.epoch for s in m.chain)}
+                   for p, m in enumerate(index)}
     # fence watermarks are monotone per partition across epochs
     for p, grp in lin.sort_values("epoch").groupby("partition_id"):
         assert grp["last_lsn"].is_monotonic_increasing
-    # live row_counts sum to the final state size
-    assert live["row_count"].sum() == eng.final_state().num_rows
+    # each partition's newest live row counts its resolved rows, and
+    # those sum to the final state size
+    newest = live.sort_values("epoch").groupby("partition_id").tail(1)
+    assert newest["row_count"].sum() == eng.final_state().num_rows

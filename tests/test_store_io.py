@@ -250,8 +250,8 @@ def test_sha256_bloom_store_prunes_and_looks_up_as_before(tmp_path,
 
 
 def _bloom_absent_vals(bloom: dict, vals: pa.Array):
-    """Per value, True where ``bloom`` proves it absent (the probe
-    ``blooms_exclude`` runs for a lookup)."""
+    """Per value, True where ``bloom`` proves it absent (the probe a
+    lookup runs)."""
     return snapshot._bloom_absent(bloom, snapshot._bloom_positions(
         vals, bloom["m"], bloom["k"], snapshot._scheme(bloom)))
 

@@ -27,6 +27,12 @@ library call that does the same job on the same bytes:
   write.floor           the durable floor of that write: ``pq.write_table``
                         to a temporary file, fsync, rename, P times
       floor: ``pq.write_table`` of the same partition, P times
+  write.delta_group     ``SnapshotStore.write_delta_group`` of one tail
+                        epoch's P segments (``TAIL_SEGMENT_ROWS`` rows
+                        each) over those P partitions: one group file,
+                        its key reads of the bases, rollups and blooms
+      floor: ``write.partition``, the P whole-partition writes it
+                        replaces
   plan_scan.index       ``plan_scan`` of one ``==`` predicate over the P
                         partitions, from a fresh store handle: the epoch
                         index read, decoded and pruned
@@ -41,6 +47,22 @@ library call that does the same job on the same bytes:
   bloom.build           the store's bloom build over the key columns
       floor: the keyed siphash value hash the build needs
                         (``_bloom_hashes``)
+
+Merge-on-read chains (``sizing.FOLD_SEGMENTS``, ``FOLD_ROWS_RATIO``), on
+a store of ``TAIL_BASE_EVENTS`` events over P=64 (``--smoke``: smaller):
+
+  epoch.chain           per-epoch time over ``CHAIN_EPOCHS`` tail-sized
+                        (2k-event) epochs through ``apply_epoch`` in one
+                        merge group, chained, folds included (their count
+                        is printed)
+      floor: the same epochs with every partition rewritten whole
+                        (``FOLD_SEGMENTS`` 0)
+  lookup.chain          ``CdcEngine.lookup`` of one stored key per
+                        partition on a store whose chains hold
+                        ``CHAIN_LENGTH`` segments
+  scan.chain            four repo scans (``scan(...).count()``) on it
+      floor: the same reads of the same state folded (``jobs
+                        optimize``'s rewrite)
 
 Both sides of the one-task rule (``sizing.runs_in_process``), at 2k, 20k
 and 40k events (2k alone with ``--smoke``), ``<n>`` in thousands:
@@ -86,6 +108,11 @@ EPOCH_EVENTS, EPOCH_PARTITIONS = (2000, 20_000, 40_000), 64
 # rows of a tail-sized partition: the median partition of the perfbench
 # tail workload's snapshot
 TAIL_ROWS = 175
+# rows of one partition's segment in a 2k-event tail epoch at P=64
+TAIL_SEGMENT_ROWS = 25
+# the chain rows: base events, tail epochs run, and the chain length the
+# read rows are measured on
+TAIL_BASE_EVENTS, CHAIN_EPOCHS, CHAIN_LENGTH = 20_000, 24, 6
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -154,11 +181,12 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
     dicts = [{p: parts[p] for p in g if parts[p].num_rows} for g in plan]
     rows_out = []
 
-    def row(kernel, floor, kernel_s, floor_s, n_rows, n_bytes):
+    def row(kernel, floor, kernel_s, floor_s, n_rows, n_bytes, note=""):
         rows_out.append({
             "kernel": kernel, "floor": floor,
             "s": kernel_s, "floor_s": floor_s, "ratio": kernel_s / floor_s,
             "rows_per_s": n_rows / kernel_s, "mb_per_s": n_bytes / kernel_s / 1e6,
+            "note": note,
         })
 
     take_all = _median_s(lambda: table.take(order), repeats)
@@ -195,7 +223,7 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
         row("write.write_partition", "pq.write_table",
             _median_s(write_store, repeats), _median_s(write_floor, repeats),
             s_rows, s_bytes)
-        _tail_write_rows(row, store, states, partitions, repeats, d)
+        _tail_write_rows(row, store, states, partitions, repeats, d, dm)
 
         paths = [store.part_data_path(1, p) for p in range(partitions)]
         floor_read = _median_s(
@@ -221,15 +249,19 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
         s_rows * len(dm.key_list), k_bytes)
     for n in epoch_events:
         _one_task_rows(row, n, repeats, seed)
+    _chain_rows(row, repeats, seed, smoke=epoch_events != EPOCH_EVENTS)
     return rows_out
 
 
 def _tail_write_rows(row, store, states, partitions: int, repeats: int,
-                     d: str) -> None:
+                     d: str, dm) -> None:
     """One tail-sized partition written P times by the store, and by the
     durable floor the store's write keeps (write, fsync, rename), each
-    against bare ``pq.write_table``."""
-    from arlas_proc_ray.cdc.snapshot import SnapshotStore
+    against bare ``pq.write_table``; then one tail epoch's P segments over
+    those partitions as one delta group file, against the P writes."""
+    import pyarrow.compute as pc
+
+    from arlas_proc_ray.cdc.snapshot import DELETED, DeltaWrite, SnapshotStore
 
     tail = pa.concat_tables(states).slice(0, TAIL_ROWS).combine_chunks()
     tail_store = SnapshotStore(os.path.join(d, "tail"),
@@ -257,10 +289,26 @@ def _tail_write_rows(row, store, states, partitions: int, repeats: int,
 
     floor_s = _median_s(bare, repeats)
     n_rows, n_bytes = partitions * tail.num_rows, partitions * tail.nbytes
-    row("write.partition", "pq.write_table", _median_s(store_write, repeats),
+    partition_s = _median_s(store_write, repeats)
+    row("write.partition", "pq.write_table", partition_s,
         floor_s, n_rows, n_bytes)
     row("write.floor", "pq.write_table", _median_s(durable, repeats),
         floor_s, n_rows, n_bytes)
+
+    # a segment: the first rows of the partition, updated above its fence
+    tail_store.commit_epoch(1, partitions)
+    seg = tail.slice(0, TAIL_SEGMENT_ROWS)
+    seg = seg.set_column(
+        seg.schema.get_field_index("last_lsn"), "last_lsn",
+        pc.add(seg.column("last_lsn"), 10**9),
+    ).append_column(DELETED, pa.repeat(pa.scalar(False), seg.num_rows))
+    index = tail_store.epoch_index(1)
+    writes = [DeltaWrite(p, seg, index[p], 10**9 + p, {})
+              for p in range(partitions)]
+    row("write.delta_group", "write.partition",
+        _median_s(lambda: tail_store.write_delta_group(2, dm.key_list, writes),
+                  repeats),
+        partition_s, partitions * seg.num_rows, partitions * seg.nbytes)
 
 
 def _plan_rows(row, store, states, repeats: int) -> None:
@@ -351,6 +399,97 @@ def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
         staged.session_groups, sizing.INLINE_BYTES = groups, inline_bytes
 
 
+def _chain_rows(row, repeats: int, seed: int, smoke: bool = False) -> None:
+    """Tail-sized epochs on one store, chained and rewritten whole, and
+    lookups and scans on a store with ``CHAIN_LENGTH``-segment chains
+    against the same state folded. All in one merge group, in process."""
+    import shutil
+
+    import ray.data as rd
+
+    from arlas_proc_ray.cdc import sizing, staged
+    from arlas_proc_ray.cdc.engine import CdcEngine
+    from arlas_proc_ray.cdc.events import (
+        ChangelogConfig,
+        generate_changelog_tables,
+    )
+    from arlas_proc_ray.model import DataModel
+
+    parts, base_n, step, n_epochs, length = (
+        (8, 2000, 200, 6, 3) if smoke
+        else (EPOCH_PARTITIONS, TAIL_BASE_EVENTS, 2000, CHAIN_EPOCHS,
+              CHAIN_LENGTH))
+    dm = DataModel(num_partitions=parts)
+    total = base_n + step * n_epochs
+    cfg = ChangelogConfig(num_events=total, num_keys=base_n * 3 // 4,
+                          seed=seed)
+    epochs = [rd.from_arrow(generate_changelog_tables(cfg, lo, lo + step))
+              .materialize() for lo in range(base_n, total, step)]
+    base = rd.from_arrow(generate_changelog_tables(cfg, 0, base_n)).materialize()
+    saved = (staged.session_groups, sizing.INLINE_BYTES,
+             sizing.FOLD_SEGMENTS, sizing.FOLD_ROWS_RATIO)
+    staged.session_groups = lambda p: staged.group_plan(p, 1)
+    sizing.INLINE_BYTES = 1 << 62
+    try:
+        with tempfile.TemporaryDirectory() as d:
+            def run(name: str, fold_segments: int) -> tuple[float, int]:
+                sizing.FOLD_SEGMENTS = fold_segments
+                eng = CdcEngine(os.path.join(d, name), dm)
+                eng.apply_epoch(base, 1)
+                t0 = time.perf_counter()
+                for e, ds in enumerate(epochs, start=2):
+                    eng.apply_epoch(ds, e)
+                per_epoch = (time.perf_counter() - t0) / len(epochs)
+                store = eng.store
+                folds = sum(
+                    1 for e in range(2, len(epochs) + 2)
+                    for p, m in enumerate(store.epoch_index(e))
+                    if not m.chain and m.epoch == e
+                    and store.epoch_index(e - 1)[p].chain)
+                return per_epoch, folds
+
+            chained_s, folds = run("chained", saved[2])
+            full_s, _ = run("full", 0)
+            n_rows = sum(ds.count() for ds in epochs) // len(epochs)
+            n_bytes = sum(ds.size_bytes() for ds in epochs) // len(epochs)
+            row("epoch.chain", "full rewrite", chained_s, full_s, n_rows,
+                n_bytes, note=f"{folds} folds in {len(epochs)} epochs")
+
+            # chains of ``length`` segments, then the same state folded
+            sizing.FOLD_SEGMENTS, sizing.FOLD_ROWS_RATIO = 1 << 30, float("inf")
+            eng = CdcEngine(os.path.join(d, "long"), dm)
+            eng.apply_epoch(base, 1)
+            for e, ds in enumerate(epochs[:length], start=2):
+                eng.apply_epoch(ds, e)
+            assert all(len(m.chain) == length
+                       for m in eng.store.epoch_index(length + 1))
+            shutil.copytree(eng.store.root, os.path.join(d, "folded"))
+            folded = CdcEngine(os.path.join(d, "folded"), dm)
+            folded.repartition_snapshot(parts)
+            state = folded.final_state()
+            keys = list(zip(state.column("repo").to_pylist()[:: max(
+                1, state.num_rows // parts)], state.column("path").to_pylist()[
+                :: max(1, state.num_rows // parts)]))[:parts]
+            repos = sorted(set(state.column("repo").to_pylist()))
+            preds = [[("repo", "==", r)]
+                     for r in repos[:: max(1, len(repos) // 4)][:4]]
+
+            def lookups(engine):
+                return lambda: [engine.lookup([k]) for k in keys]
+
+            def scans(engine):
+                return lambda: [engine.scan(predicate=p).count() for p in preds]
+
+            row("lookup.chain", "lookup folded",
+                _median_s(lookups(eng), repeats),
+                _median_s(lookups(folded), repeats), len(keys), 1)
+            row("scan.chain", "scan folded", _median_s(scans(eng), repeats),
+                _median_s(scans(folded), repeats), len(preds), 1)
+    finally:
+        (staged.session_groups, sizing.INLINE_BYTES, sizing.FOLD_SEGMENTS,
+         sizing.FOLD_ROWS_RATIO) = saved
+
+
 def _serving_rows(row, engine, states, repeats: int) -> None:
     """``lookup`` of one stored key per partition, and pruned ``scan``s of
     four repos on both scan paths, each against ``ParquetFile.read`` of
@@ -402,7 +541,7 @@ def render(rows: list[dict]) -> str:
         lines.append(
             f"{r['kernel']:<22} {r['s']:>9.4f} {r['rows_per_s']:>11.0f} "
             f"{r['mb_per_s']:>8.1f}  {r['floor']:<17} {r['floor_s']:>9.4f} "
-            f"{r['ratio']:>6.2f}"
+            f"{r['ratio']:>6.2f}" + (f"  {r['note']}" if r["note"] else "")
         )
     return "\n".join(lines)
 
