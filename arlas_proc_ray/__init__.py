@@ -12,7 +12,7 @@ tables of source-code repositories, built Ray-Data-first:
   reductions (the reference's ``Window.partitionBy(id)`` surface) and for
   every writer of the CDC store,
 - actor pools for stateful stages (models, registries, merge state),
-- epoch-fenced, manifest-committed Parquet snapshots for exactly-once sinks.
+- epoch-fenced, index-committed Parquet snapshots for exactly-once sinks.
 
 Nothing here calls ``ray.init``/``ray.shutdown`` — sessions are owned by the
 caller (bench.py, CLI, test fixtures, or the verification driver).

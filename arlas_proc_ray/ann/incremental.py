@@ -34,7 +34,7 @@ Reference parity: ARLAS-proc has no vector search at all; the batch IVF
 (``ann/ivf.py``) is the from-scratch equivalent and the oracle (exact
 mode must equal brute force / DuckDB ``list_cosine_similarity``).
 
-Scale shape: refresh cost ∝ changed docs (manifest-pruned feed, one tiny
+Scale shape: refresh cost ∝ changed docs (index-pruned feed, one tiny
 matmul per changed batch against broadcast centroids, only touched bucket
 partitions rewrite); search cost ∝ probed partitions, not corpus;
 byte-exact removals; crash-safe parts-then-checkpoint commits — all

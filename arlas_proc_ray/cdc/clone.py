@@ -116,12 +116,8 @@ def _copy_partition(src_root: str, src_epoch: int, dest_root: str,
                     dest_epoch: int, part: int) -> int:
     """Copy one partition's file byte for byte into ``dest_epoch`` of the
     store at ``dest_root``, unless it is already there (crash-resume);
-    returns the bytes copied. A file from a store written before the
-    epoch index has its JSON manifest copied after it, renumbered, as
-    its fence."""
-    import json
-
-    from arlas_proc_ray.cdc.snapshot import SnapshotStore, _atomic_write_bytes
+    returns the bytes copied. The file's footer is its fence."""
+    from arlas_proc_ray.cdc.snapshot import SnapshotStore
 
     # fresh store handles inside the task (no driver state shipped)
     s, d = SnapshotStore(src_root), SnapshotStore(dest_root)
@@ -129,11 +125,6 @@ def _copy_partition(src_root: str, src_epoch: int, dest_root: str,
         return 0
     data_dst = d.part_data_path(dest_epoch, part)
     _copy_file(s.part_data_path(src_epoch, part), data_dst)
-    if os.path.exists(s.part_manifest_path(src_epoch, part)):
-        m = dataclasses.replace(s.read_manifest(src_epoch, part),
-                                epoch=dest_epoch)
-        _atomic_write_bytes(d.part_manifest_path(dest_epoch, part),
-                            json.dumps(dataclasses.asdict(m)).encode())
     return os.path.getsize(data_dst)
 
 

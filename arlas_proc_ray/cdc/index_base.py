@@ -15,7 +15,7 @@ rewritten atomically under the new epoch suffix.
 The contract every subclass inherits:
 
 - **Refresh cost ∝ changed rows** after bootstrap (the feed is
-  manifest-pruned; only touched partitions rewrite).
+  index-pruned; only touched partitions rewrite).
 - **Byte-exact identity.** Anti-joins encode string identity columns to
   UTF-8 bytes (pandas object-string merges collapse NUL-distinct keys).
 - **Crash-safe / idempotent.** Parts first, checkpoint last; a rerun

@@ -48,7 +48,8 @@ at-least-once, so correctness comes from *idempotent* writes. An epoch
 - the epoch becomes visible only when the ``_COMMITTED`` marker (written
   last, atomically) exists; readers resolve ``latest_committed_epoch``.
   The marker also holds the epoch's summary and source map (each
-  partition's base epoch), for readers older than the index.
+  partition's base epoch), for code older than the index; no reader here
+  takes the layout from it.
 
 FOLDS: a partition's chain grows by one segment per epoch that touches
 it, until its fold is due (``staged._Epoch._fold_due``: the chain holds
@@ -64,11 +65,15 @@ it committed or read in memory, each checked against its marker's inode
 and mtime, and the footers of delta group files it wrote or read; they
 are never pickled into a task.
 
-Stores written before the index kept one ``manifest-<p>.json`` beside
-each data file and no ``_index.arrow``. They still read: such a manifest
-is returned as it is, and an epoch without an index has its index built
-in memory from its manifests (``_load_index``). An index written before
-chains has no ``chain`` column and reads as empty chains.
+This is the one layout a store is read in. A committed epoch without
+``_index.arrow`` (written before the index, with a JSON manifest per
+data file), an index without the ``chain`` and ``base_rows`` columns
+(before chains) and a bloom not tagged ``_BLOOM_SCHEME`` (a sha256-prefix
+bloom) raise ``StoreLayoutError`` on the epoch's first read, never a
+short or stale answer. ``jobs optimize --snapshot S --vacuum-keep 1``
+run at commit ``f13d266`` migrates such a store: it rewrites the latest
+epoch in this layout and deletes the older ones (an epoch a ref pins is
+kept, and reading it raises).
 
 Manifest per partition (FIXTURES.md §4): ``partition_id, last_lsn,
 row_count, sha256_rollup`` — the rollup is an order-free hash of the
@@ -108,6 +113,9 @@ class PartitionManifest:
     last_lsn: int
     row_count: int
     sha256_rollup: str
+    # Rows in the base file ``epoch`` holds, tombstones never included;
+    # ``row_count`` is the partition's rows once ``chain`` is overlaid.
+    base_rows: int
     # Max last_lsn among SURVIVING rows (-1 if empty) — introspection only,
     # never used for fencing. May lag last_lsn when the newest event was a
     # DELETE.
@@ -123,7 +131,8 @@ class PartitionManifest:
     # columns a delta write reads (keys, ``content_sha256``, ``last_lsn``),
     # the union of the base's and its segments' bounds for the others.
     # Purely an OPTIMIZATION surface for scan-time partition pruning —
-    # absence (older manifests) just means "cannot prune".
+    # a column without bounds (a string over ``_STATS_MAX_BYTES``, which
+    # the writer keeps no statistics for) just means "cannot prune".
     col_stats: dict = field(default_factory=dict)
     # Bloom filters: {column: {"m": bits, "k": hashes, "h": "siphash:<key>",
     # "bits": bitmap bytes}} over the partition's surviving rows, for
@@ -131,24 +140,14 @@ class PartitionManifest:
     # predicates on hash-partitioned key columns (every partition spans
     # the full key domain); blooms can. "h" names the value hash:
     # pandas' siphash under the named 16-byte key, a key apart from the
-    # one partition routing uses; a bloom without it (written before the
-    # tag) hashed with a sha256 prefix and is still probed that way. A
-    # bloom read from an old JSON manifest holds its bitmap base64-encoded
-    # as "b64" instead of "bits" (``_bloom_bytes``). Same
-    # optimization-only contract as col_stats: absence = cannot prune.
+    # one partition routing uses (``_BLOOM_SCHEME``; an index holding any
+    # other raises ``StoreLayoutError``). Same optimization-only contract
+    # as col_stats: absence = cannot prune.
     blooms: dict = field(default_factory=dict)
-    # Rows in the base file ``epoch`` holds, tombstones never included;
-    # ``row_count`` is the partition's rows once ``chain`` is overlaid.
-    # ``None`` (a manifest written before chains) means ``row_count``.
-    base_rows: int | None = None
     # The partition's delta segments over its base, oldest first
     # (``Segment``): the newest segment that holds a key decides it.
     # ``blooms`` above describe the base alone.
     chain: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.base_rows is None:
-            self.base_rows = self.row_count
 
     def layout(self) -> tuple:
         """What identifies the partition's rows: its base file and chain
@@ -286,8 +285,6 @@ def _zorder_cluster(table: pa.Table, cols: list[str]) -> pa.Table:
     preserves locality regardless of the raw value range. Deterministic:
     ties broken by a stable argsort of the z-values.
     """
-    import numpy as np
-
     from arlas_proc_ray.stages.zorder import morton_interleave
 
     present = [c for c in cols if c in table.column_names]
@@ -314,36 +311,29 @@ _BLOOM_MAX_BITS = 1 << 20  # 128 KiB
 _BLOOM_HASHES = 3
 
 
-# the value hash of new blooms, tagged as "h" in each: pandas' siphash
+# the value hash of every bloom, tagged as "h" in each: pandas' siphash
 # under a key of its own. Under the router's key a partition's values
 # would share the low hash bits that picked the partition, and with them
-# part of every position. A bloom without the tag hashed with "sha256".
+# part of every position.
 _BLOOM_KEY = "arlas.cdc.bloom1"
 _BLOOM_SCHEME = "siphash:" + _BLOOM_KEY
 
 
-def _bloom_hashes(vals, scheme: str = _BLOOM_SCHEME):
+def _bloom_hashes(vals):
     """One non-negative 60-bit int per value (-1 for null), the input of
-    ``_hash_positions``. Values are cast to string first (one canonical
-    byte form per value). ``"siphash:<key>"`` is ``pd.util.hash_array``
-    under that 16-byte key, shifted to 60 bits; ``"sha256"`` is the first
-    15 hex digits of the value's sha256 (``sha256_prefix_int``), which
-    blooms written before the scheme tag used."""
-    import numpy as np
+    ``_hash_positions``: ``pd.util.hash_array`` under ``_BLOOM_KEY``,
+    shifted to 60 bits. Values are cast to string first (one canonical
+    byte form per value)."""
     import pandas as pd
     import pyarrow.compute as pc
-
-    from arlas_proc_ray.functions.hashing import sha256_prefix_int
 
     if isinstance(vals, pa.ChunkedArray):
         vals = vals.combine_chunks()
     if vals.type != pa.string():
         vals = pc.cast(vals, pa.string())
-    if scheme == "sha256":
-        return sha256_prefix_int(vals)
     hv = pd.util.hash_array(
         vals.to_numpy(zero_copy_only=False),
-        hash_key=scheme.removeprefix("siphash:"), categorize=False,
+        hash_key=_BLOOM_KEY, categorize=False,
     )
     hv = (hv >> np.uint64(4)).astype(np.int64)
     if vals.null_count:
@@ -351,19 +341,12 @@ def _bloom_hashes(vals, scheme: str = _BLOOM_SCHEME):
     return hv
 
 
-def _scheme(bloom: dict) -> str:
-    return bloom.get("h", "sha256")
-
-
 def _hash_positions(hv, num_bits: int, num_hashes: int):
     """Kirsch-Mitzenmacher double hashing of ``_bloom_hashes`` output —
     the same published scheme as stages/bloom.py:_salted_positions. The
-    positions are reproducible wherever the value hash is: pandas'
-    keyed ``hash_array`` for ``"siphash:<key>"`` blooms, and SQL's
-    ``sha256`` for the untagged ones. Returns a ``(num_hashes, len(hv))`` array; null
-    values get position -1."""
-    import numpy as np
-
+    positions are reproducible wherever pandas' keyed ``hash_array`` is.
+    Returns a ``(num_hashes, len(hv))`` array; null values get position
+    -1."""
     h1 = hv % num_bits
     h2 = (hv // num_bits) % num_bits | np.int64(1)
     pos = (h1 + np.arange(num_hashes, dtype=np.int64)[:, None] * h2) % num_bits
@@ -371,9 +354,8 @@ def _hash_positions(hv, num_bits: int, num_hashes: int):
     return pos
 
 
-def _bloom_positions(vals, num_bits: int, num_hashes: int,
-                     scheme: str = _BLOOM_SCHEME):
-    return _hash_positions(_bloom_hashes(vals, scheme), num_bits, num_hashes)
+def _bloom_positions(vals, num_bits: int, num_hashes: int):
+    return _hash_positions(_bloom_hashes(vals), num_bits, num_hashes)
 
 
 def _bloom_build(col, num_rows: int, min_bits: int = _BLOOM_MIN_BITS) -> dict:
@@ -381,8 +363,6 @@ def _bloom_build(col, num_rows: int, min_bits: int = _BLOOM_MIN_BITS) -> dict:
     clamped to [``min_bits``, 128 KiB] and rounded up to a power of two
     (h2 is odd, hence coprime with a power-of-two m). Tagged ``"h"`` with
     its value hash, ``_BLOOM_SCHEME``."""
-    import numpy as np
-
     bits = min_bits
     while bits < num_rows * 8 and bits < _BLOOM_MAX_BITS:
         bits <<= 1
@@ -395,28 +375,17 @@ def _bloom_build(col, num_rows: int, min_bits: int = _BLOOM_MIN_BITS) -> dict:
             "bits": bm.tobytes()}
 
 
-def _bloom_bytes(bloom: dict) -> bytes:
-    """A bloom's packed bitmap: ``"bits"``, or an old JSON manifest's
-    base64 ``"b64"``."""
-    import base64
-
-    bits = bloom.get("bits")
-    return base64.b64decode(bloom["b64"]) if bits is None else bits
-
-
 def _bloom_absent(bloom: dict, positions):
     """Per probe value, True only where ``bloom`` PROVES it absent.
 
-    ``positions`` is ``_bloom_positions(values, bloom["m"], bloom["k"],
-    _scheme(bloom))``; a null probe (position -1) says nothing, so it is
+    ``positions`` is ``_bloom_positions(values, bloom["m"],
+    bloom["k"])``; a null probe (position -1) says nothing, so it is
     never absent."""
-    import numpy as np
-
+    bits = bloom["bits"]
     if positions.shape[1] == 1:  # one probe: a few bit tests in Python
-        bits = _bloom_bytes(bloom)
         return np.array([any(p >= 0 and not bits[p >> 3] >> (p & 7) & 1
                              for p in positions[:, 0].tolist())])
-    bm = np.frombuffer(_bloom_bytes(bloom), dtype=np.uint8)
+    bm = np.frombuffer(bits, dtype=np.uint8)
     p = np.maximum(positions, 0)
     unset = ((bm[p >> 3] >> (p & 7).astype(np.uint8)) & 1) == 0
     return (unset & (positions >= 0)).any(axis=0)
@@ -424,8 +393,8 @@ def _bloom_absent(bloom: dict, positions):
 
 class _KeyProbes:
     """The rows of a key table, tested against many blooms: each column
-    is hashed once per scheme and its bit positions computed once per
-    bloom shape, so a bloom costs only its bit tests."""
+    is hashed once and its bit positions computed once per bloom shape,
+    so a bloom costs only its bit tests."""
 
     def __init__(self, keys: pa.Table):
         self.keys = keys
@@ -435,21 +404,17 @@ class _KeyProbes:
     def excludes(self, blooms: dict) -> bool:
         """True when ``blooms`` prove every key absent: for each key, some
         column's bloom misses its value."""
-        import numpy as np
-
         absent = np.zeros(self.keys.num_rows, dtype=bool)
         for col in self.keys.column_names:
             bloom = blooms.get(col)
             if bloom is None:
                 continue
-            scheme = _scheme(bloom)
-            shape = (col, scheme, int(bloom["m"]), int(bloom["k"]))
+            shape = (col, int(bloom["m"]), int(bloom["k"]))
             if shape not in self._positions:
-                if (col, scheme) not in self._hashes:
-                    self._hashes[col, scheme] = _bloom_hashes(
-                        self.keys.column(col), scheme)
+                if col not in self._hashes:
+                    self._hashes[col] = _bloom_hashes(self.keys.column(col))
                 self._positions[shape] = _hash_positions(
-                    self._hashes[col, scheme], shape[2], shape[3])
+                    self._hashes[col], shape[1], shape[2])
             absent |= _bloom_absent(bloom, self._positions[shape])
         return bool(absent.all())
 
@@ -457,9 +422,9 @@ class _KeyProbes:
 class _BloomProbes:
     """The ``==`` clauses of one scan plan, tested against many manifests.
 
-    Each probe value is hashed once per plan and hash scheme, and its bit
-    positions are computed once per bloom shape ``(scheme, m, k)``; a
-    manifest then costs only the bit tests on its decoded bitmap."""
+    Each probe value is hashed once per plan, and its bit positions are
+    computed once per bloom shape ``(m, k)``; a manifest then costs only
+    the bit tests on its bitmap."""
 
     def __init__(self, predicate):
         self.eq = [(col, val) for col, op, val in predicate or () if op == "=="]
@@ -472,14 +437,12 @@ class _BloomProbes:
             bloom = blooms.get(col)
             if bloom is None:
                 continue
-            scheme = _scheme(bloom)
-            shape = (i, scheme, int(bloom["m"]), int(bloom["k"]))
+            shape = (i, int(bloom["m"]), int(bloom["k"]))
             if shape not in self._positions:
-                if (i, scheme) not in self._hashes:
-                    self._hashes[i, scheme] = _bloom_hashes(
-                        pa.array([val]), scheme)
+                if i not in self._hashes:
+                    self._hashes[i] = _bloom_hashes(pa.array([val]))
                 self._positions[shape] = _hash_positions(
-                    self._hashes[i, scheme], shape[2], shape[3])
+                    self._hashes[i], shape[1], shape[2])
             if _bloom_absent(bloom, self._positions[shape])[0]:
                 return True
         return False
@@ -572,14 +535,6 @@ def _conjunction(predicate, term):
     return out
 
 
-def _predicate_to_expr(predicate):
-    """Conjunctive (col, op, value) list → pyarrow dataset expression,
-    for a filter pushed into ``read_parquet``."""
-    import pyarrow.dataset as pads
-
-    return _conjunction(predicate, pads.field)
-
-
 def _predicate_mask(table: pa.Table, predicate):
     """The rows of ``table`` a conjunctive (col, op, value) list keeps, as
     a mask: an in-process filter."""
@@ -636,6 +591,17 @@ _FOOTER_KEY = b"arlas.cdc.manifest"
 INDEX_NAME = "_index.arrow"
 
 
+class StoreLayoutError(RuntimeError):
+    """A committed epoch in an older layout (see the module docstring),
+    raised by ``epoch_index`` before any of the epoch's data is read."""
+
+    def __init__(self, epoch_dir: str, what: str):
+        super().__init__(
+            f"{epoch_dir}: {what}. This store layout is no longer read; "
+            f"rewrite the store with `jobs optimize --snapshot <store> "
+            f"--vacuum-keep 1` at commit f13d266, then open it here")
+
+
 def _derived_manifest(epoch: int, part: int, footer: dict, rows: pa.Table,
                       md: pq.FileMetaData, schema: pa.Schema) -> PartitionManifest:
     """A partition's manifest from its footer fields plus what they leave
@@ -650,6 +616,7 @@ def _derived_manifest(epoch: int, part: int, footer: dict, rows: pa.Table,
         last_lsn=footer["last_lsn"],
         row_count=n,
         sha256_rollup=sha256_rollup(rows.column("content_sha256") if n else []),
+        base_rows=n,
         max_surviving_lsn=footer["max_surviving_lsn"],
         metrics=footer["metrics"],
         col_stats=_zone_maps(md, schema),
@@ -668,8 +635,8 @@ _CHAIN_TYPE = pa.list_(pa.struct([
 
 
 def _bloom_rows(blooms: dict) -> list:
-    return [{"column": c, "m": int(b["m"]), "k": int(b["k"]), "h": _scheme(b),
-             "bits": _bloom_bytes(b)} for c, b in blooms.items()]
+    return [{"column": c, "m": int(b["m"]), "k": int(b["k"]), "h": b["h"],
+             "bits": b["bits"]} for c, b in blooms.items()]
 
 
 def _index_bytes(manifests: list[PartitionManifest]) -> pa.Buffer:
@@ -703,31 +670,43 @@ def _index_bytes(manifests: list[PartitionManifest]) -> pa.Buffer:
     return sink.getvalue()
 
 
-def _index_manifests(table: pa.Table) -> list[PartitionManifest]:
-    """The manifests of an epoch index table, in partition order. An
-    index written before chains has no ``base_rows`` or ``chain``
-    column: every partition is its base alone."""
+def _tagged_blooms(blooms: list, epoch_dir: str) -> dict:
+    for b in blooms:
+        if b["h"] != _BLOOM_SCHEME:
+            raise StoreLayoutError(
+                epoch_dir, f"a bloom of column {b['column']!r} hashed with "
+                f"{b['h']!r}, not {_BLOOM_SCHEME!r}")
+    return {b.pop("column"): b for b in blooms}
+
+
+def _index_manifests(table: pa.Table, epoch_dir: str) -> list[PartitionManifest]:
+    """The manifests of the epoch index table read from ``epoch_dir``, in
+    partition order. An index without the ``base_rows`` and ``chain``
+    columns, or holding a bloom of another value hash, raises
+    ``StoreLayoutError``."""
+    missing = {"base_rows", "chain"} - set(table.column_names)
+    if missing:
+        raise StoreLayoutError(
+            epoch_dir, f"an epoch index without {sorted(missing)} "
+            f"(written before delta chains)")
     cols = table.to_pydict()
-    n_parts = table.num_rows
-    base_rows = cols.get("base_rows", [None] * n_parts)
-    chains = cols.get("chain", [[]] * n_parts)
     return [
         PartitionManifest(
             partition_id=p, epoch=e, last_lsn=lsn, row_count=n,
-            sha256_rollup=rollup, max_surviving_lsn=surviving,
+            sha256_rollup=rollup, base_rows=rows, max_surviving_lsn=surviving,
             metrics=json.loads(metrics), col_stats=json.loads(stats),
-            blooms={b.pop("column"): b for b in blooms}, base_rows=rows,
+            blooms=_tagged_blooms(blooms, epoch_dir),
             chain=[Segment(
                 s["epoch"], s["file"], s["row_group"], s["rows"],
-                {b.pop("column"): b for b in s["blooms"]},
+                _tagged_blooms(s["blooms"], epoch_dir),
             ) for s in chain],
         )
         for p, e, n, lsn, surviving, rollup, stats, blooms, metrics, rows,
         chain in zip(
             cols["partition_id"], cols["source_epoch"], cols["row_count"],
             cols["last_lsn"], cols["max_surviving_lsn"], cols["sha256_rollup"],
-            cols["col_stats"], cols["blooms"], cols["metrics"], base_rows,
-            chains,
+            cols["col_stats"], cols["blooms"], cols["metrics"],
+            cols["base_rows"], cols["chain"],
         )
     ]
 
@@ -770,8 +749,6 @@ def _overlay(pieces: list[pa.Table], key_cols: list[str],
     The tombstone column is dropped. ``where``, clauses on key columns
     only, keeps the keys that match first (exact: all of a key's rows
     share its key values)."""
-    import numpy as np
-
     from arlas_proc_ray.cdc.replay import group_ids
 
     tables = [
@@ -967,6 +944,16 @@ class _Previous:
             for seg in m.chain])
 
 
+# ``SnapshotStore.lineage``'s columns
+_LINEAGE_SCHEMA = pa.schema([
+    ("epoch", pa.int64()), ("partition_id", pa.int32()),
+    ("last_lsn", pa.int64()), ("row_count", pa.int64()),
+    ("max_surviving_lsn", pa.int64()), ("sha256_rollup", pa.string()),
+    ("committed", pa.bool_()), ("live", pa.bool_()),
+    ("metrics_json", pa.string()),
+])
+
+
 class ConcurrentCommitError(RuntimeError):
     """Another writer committed an epoch since this writer planned its own."""
 
@@ -1036,11 +1023,6 @@ class SnapshotStore:
     def part_data_path(self, epoch: int, part: int) -> str:
         return os.path.join(self.epoch_dir(epoch), f"part-{part:05d}.parquet")
 
-    def part_manifest_path(self, epoch: int, part: int) -> str:
-        """Where a store written before the epoch index kept a partition's
-        JSON manifest (read, never written)."""
-        return os.path.join(self.epoch_dir(epoch), f"manifest-{part:05d}.json")
-
     def index_path(self, epoch: int) -> str:
         return os.path.join(self.epoch_dir(epoch), INDEX_NAME)
 
@@ -1093,9 +1075,8 @@ class SnapshotStore:
 
     def partition_done(self, epoch: int, part: int) -> bool:
         """Whether ``part`` of ``epoch`` is written: a base file of this
-        epoch exists and carries its manifest (in the footer or, in an old
-        store, as a JSON file beside it), or some delta group file of
-        this epoch lists it."""
+        epoch exists and carries its manifest in the footer, or some delta
+        group file of this epoch lists it."""
         return (self.base_done(epoch, part)
                 or part in self._delta_listing(epoch))
 
@@ -1104,8 +1085,6 @@ class SnapshotStore:
         path = self.part_data_path(epoch, part)
         if not os.path.exists(path):
             return False
-        if os.path.exists(self.part_manifest_path(epoch, part)):
-            return True
         return _FOOTER_KEY in (pq.read_metadata(path).metadata or {})
 
     def _delta_files(self, epoch: int) -> list[str]:
@@ -1309,19 +1288,16 @@ class SnapshotStore:
         The blooms a segment's manifest inherits (its base's and older
         segments') are taken from the previous index.
 
-        A chained partition (a base plus delta segments) is listed in
-        the marker's source map by its base's epoch, so code older than
-        chains reads that base alone: stale rows, and no error. Run
-        ``jobs optimize`` (which folds every chain) before running such
-        code on a store.
-
-        Every reader here takes the epoch's layout from the index. The
-        marker still carries the summary and the whole source map for
-        code written before the index: that code reads the layout from
-        the marker, and takes a marker without ``sources`` to mean that
-        every partition lives in this epoch, which is wrong for a delta
-        epoch and raises no error. Keeping these bytes keeps a store
-        written here correct under such code.
+        Every reader here takes the epoch's layout from the index, and
+        refuses an epoch without one (``StoreLayoutError``). The marker
+        still carries the summary and the whole source map for code
+        written before the index: that code reads the layout from the
+        marker, and takes a marker without ``sources`` to mean that every
+        partition lives in this epoch, which is wrong for a delta epoch
+        and raises no error. A chained partition (a base plus delta
+        segments) is listed there by its base's epoch, so such code reads
+        that base alone: stale rows. Run ``jobs optimize`` (which folds
+        every chain) before running such code on a store.
         """
         if expected_prev is not ...:
             latest = self.latest_committed_epoch()
@@ -1387,16 +1363,11 @@ class SnapshotStore:
     # ---- read path -------------------------------------------------------
 
     def read_manifest(self, epoch: int, part: int) -> PartitionManifest | None:
-        """The manifest of what ``epoch`` wrote for ``part``, or None: an
-        old store's JSON manifest as it is, else one rebuilt from the
-        base file's footer and rows (``_derived_manifest``), else from
-        the delta group file that lists it (``delta_manifests``). For the
-        cold callers and resume; planning and lookups read the epoch
-        index."""
-        p = self.part_manifest_path(epoch, part)
-        if os.path.exists(p):
-            with open(p) as f:
-                return PartitionManifest(**json.load(f))
+        """The manifest of what ``epoch`` wrote for ``part``, or None: one
+        rebuilt from the base file's footer and rows
+        (``_derived_manifest``), else from the delta group file that
+        lists it (``delta_manifests``). For the cold callers and resume;
+        planning and lookups read the epoch index."""
         path = self.part_data_path(epoch, part)
         if not os.path.exists(path):
             if part not in self._delta_listing(epoch):
@@ -1434,23 +1405,17 @@ class SnapshotStore:
         return manifests
 
     def _load_index(self, epoch: int) -> list[PartitionManifest]:
-        """A committed epoch's index from its ``_index.arrow``, or, for an
-        epoch committed before the index existed, built from its JSON
-        manifests by way of the marker's source map."""
-        path = self.index_path(epoch)
-        if os.path.exists(path):
-            with pa.OSFile(path) as f:
-                return _index_manifests(pa.ipc.open_file(f).read_all())
-        summary = self.read_epoch_summary(epoch)
-        sources = summary.get("sources") or {
-            p: epoch for p in range(summary["num_partitions"])}
-        manifests = []
-        for p, src in sorted((int(p), int(e)) for p, e in sources.items()):
-            m = self.read_manifest(src, p)
-            if m is None:
-                raise RuntimeError(f"epoch {epoch}: missing manifest for part {p}")
-            manifests.append(m)
-        return manifests
+        """A committed epoch's index from its ``_index.arrow``; an epoch
+        committed without one raises ``StoreLayoutError``."""
+        try:
+            f = pa.OSFile(self.index_path(epoch))
+        except FileNotFoundError:
+            raise StoreLayoutError(
+                self.epoch_dir(epoch), "a committed epoch without "
+                f"{INDEX_NAME} (written before the epoch index)") from None
+        with f:
+            return _index_manifests(pa.ipc.open_file(f).read_all(),
+                                    self.epoch_dir(epoch))
 
     def committed_epochs(self) -> list[int]:
         """Every committed epoch, ascending."""
@@ -1548,9 +1513,9 @@ class SnapshotStore:
         return base.select(columns)
 
     def read_epoch_summary(self, epoch: int) -> dict:
-        """The committed ``epoch``'s ``_COMMITTED`` marker. Readers take
-        the layout from ``epoch_index``; the marker is read only for an
-        epoch committed before the index existed (``_load_index``)."""
+        """The committed ``epoch``'s ``_COMMITTED`` marker: its summary
+        and source map. No reader in the package takes the layout from
+        it; ``epoch_index`` does."""
         with open(self.commit_marker_path(epoch)) as f:
             return json.load(f)
 
@@ -1720,7 +1685,10 @@ class SnapshotStore:
     def gc_orphans(self, *, min_age_s: float = 3600.0, dry_run: bool = False,
                    include_staged: bool = False) -> dict:
         """Remove crashed-run litter: uncommitted epoch dirs above the
-        committed tip, and stray ``*.tmp`` files anywhere in the store.
+        committed tip, stray ``*.tmp`` files anywhere in the store, and
+        delta group files in a committed epoch's dir that its index does
+        not name (a group task of a failed attempt renamed its file after
+        the resume wrote its own).
 
         Complements ``vacuum`` (which reclaims epochs BELOW the tip once
         nothing references them): a writer that died mid-epoch leaves an
@@ -1729,7 +1697,8 @@ class SnapshotStore:
 
         Safety: an uncommitted epoch is removed only when its newest
         file is older than ``min_age_s`` (a LIVE writer's in-flight
-        epoch keeps getting younger files; a crashed one never does).
+        epoch keeps getting younger files; a crashed one never does),
+        and a file only when it is older than that.
         The epoch exactly at tip+1 is additionally assumed in-flight
         unless stale. ``dry_run`` reports without deleting.
         """
@@ -1751,6 +1720,18 @@ class SnapshotStore:
                         pass
             return newest
 
+        def drop_stale(p: str) -> None:
+            nonlocal n_bytes
+            try:
+                if now - os.path.getmtime(p) < min_age_s:
+                    return
+                n_bytes += os.path.getsize(p)
+                removed.append(os.path.relpath(p, self.root))
+                if not dry_run:
+                    os.unlink(p)
+            except OSError:
+                pass
+
         for name in sorted(os.listdir(self.root)):
             full = os.path.join(self.root, name)
             if name.startswith("epoch=") and os.path.isdir(full):
@@ -1758,8 +1739,14 @@ class SnapshotStore:
                     e = int(name.split("=", 1)[1])
                 except ValueError:
                     continue
-                committed = os.path.exists(self.commit_marker_path(e))
-                if committed or (latest is not None and e <= latest):
+                if os.path.exists(self.commit_marker_path(e)):
+                    named = {s.file for m in self.epoch_index(e)
+                             for s in m.chain if s.epoch == e}
+                    for f in self._delta_files(e):
+                        if f not in named:
+                            drop_stale(os.path.join(full, f))
+                    continue
+                if latest is not None and e <= latest:
                     continue  # vacuum's jurisdiction, not ours
                 if (not include_staged
                         and os.path.exists(os.path.join(full, "_STAGED"))):
@@ -1782,19 +1769,12 @@ class SnapshotStore:
                     shutil.rmtree(full, ignore_errors=True)
 
         # stray tmp files (atomic-write leftovers) under any surviving dir
-        for base, _, files in os.walk(self.root):
+        # (one a dry run would remove does not survive)
+        for base, dirs, files in os.walk(self.root):
+            dirs[:] = [d for d in dirs if d not in removed]
             for f in files:
                 if f.endswith(".tmp"):
-                    p = os.path.join(base, f)
-                    try:
-                        if now - os.path.getmtime(p) < min_age_s:
-                            continue
-                        n_bytes += os.path.getsize(p)
-                        removed.append(os.path.relpath(p, self.root))
-                        if not dry_run:
-                            os.unlink(p)
-                    except OSError:
-                        pass
+                    drop_stale(os.path.join(base, f))
 
         return {
             "removed": removed,
@@ -1811,17 +1791,7 @@ class SnapshotStore:
         instead of rewriting them). The ops answer to "what did each
         ingest cycle actually do?"."""
         out: list[dict] = []
-        if not os.path.isdir(self.root):
-            return out
-        epochs = sorted(
-            int(n.split("=", 1)[1])
-            for n in os.listdir(self.root)
-            if n.startswith("epoch=")
-            and os.path.exists(
-                self.commit_marker_path(int(n.split("=", 1)[1]))
-            )
-        )
-        for e in epochs:
+        for e in self.committed_epochs():
             index = self.epoch_index(e)
             # a referenced partition did no work this epoch
             written = [m for m in index if m.written_in() == e]
@@ -1922,8 +1892,9 @@ class SnapshotStore:
           after it — skipped (incremental consumption).
         - ``predicate``: conjunctive ``(col, op, value)`` clauses tested
           against each partition's zone maps (``col_stats``); a partition
-          whose [min, max] proves no row can match is skipped. Manifests
-          written before zone maps existed simply never prune.
+          whose [min, max] proves no row can match is skipped. A column
+          without bounds (a string over ``_STATS_MAX_BYTES``) never
+          prunes.
         - empty partitions (row_count 0) are always skipped.
 
         - bloom filters (when the manifest carries them) prune ``==``
@@ -2026,6 +1997,7 @@ class SnapshotStore:
         filters to rows with ``last_lsn > changed_since_lsn`` — a true
         incremental changed-row feed for downstream consumers.
         """
+        import pyarrow.dataset as pads
         import ray.data as rd
 
         if changed_rows_only and changed_since_lsn is None:
@@ -2036,7 +2008,8 @@ class SnapshotStore:
         clauses = list(predicate or [])
         if changed_rows_only:
             clauses.append(("last_lsn", ">", int(changed_since_lsn)))
-        expr = _predicate_to_expr(clauses) if clauses else None
+        # the filter pushed into ``read_parquet``
+        expr = _conjunction(clauses, pads.field) if clauses else None
         if plan["chains"]:
             return self._scan_chains(plan, columns, clauses, expr)
         if not plan["files"]:
@@ -2120,11 +2093,7 @@ class SnapshotStore:
         live = ({p: {m.epoch, *(s.epoch for s in m.chain)}
                  for p, m in enumerate(self.epoch_index(latest))}
                 if latest is not None else {})
-        rows = {
-            "epoch": [], "partition_id": [], "last_lsn": [],
-            "row_count": [], "max_surviving_lsn": [], "sha256_rollup": [],
-            "committed": [], "live": [], "metrics_json": [],
-        }
+        rows = []
         if os.path.isdir(self.root):
             for name in sorted(os.listdir(self.root)):
                 if not name.startswith("epoch="):
@@ -2136,37 +2105,20 @@ class SnapshotStore:
                                if m.written_in() == e]
                 else:
                     parts = sorted({
-                        int(f.split("-", 1)[1].split(".", 1)[0])
+                        int(f[len("part-"):-len(".parquet")])
                         for f in os.listdir(os.path.join(self.root, name))
-                        if f.startswith(("part-", "manifest-"))
-                        and f.endswith((".parquet", ".json"))
+                        if f.startswith("part-") and f.endswith(".parquet")
                     } | set(self._delta_listing(e)))
                     written = [m for m in (self.read_manifest(e, p)
                                            for p in parts) if m is not None]
-                for m in written:
-                    p = m.partition_id
-                    rows["epoch"].append(e)
-                    rows["partition_id"].append(p)
-                    rows["last_lsn"].append(m.last_lsn)
-                    rows["row_count"].append(m.row_count)
-                    rows["max_surviving_lsn"].append(m.max_surviving_lsn)
-                    rows["sha256_rollup"].append(m.sha256_rollup)
-                    rows["committed"].append(committed)
-                    rows["live"].append(e in live.get(p, ()))
-                    rows["metrics_json"].append(json.dumps(m.metrics, sort_keys=True))
-        return pa.table(
-            {
-                "epoch": pa.array(rows["epoch"], pa.int64()),
-                "partition_id": pa.array(rows["partition_id"], pa.int32()),
-                "last_lsn": pa.array(rows["last_lsn"], pa.int64()),
-                "row_count": pa.array(rows["row_count"], pa.int64()),
-                "max_surviving_lsn": pa.array(rows["max_surviving_lsn"], pa.int64()),
-                "sha256_rollup": pa.array(rows["sha256_rollup"], pa.string()),
-                "committed": pa.array(rows["committed"], pa.bool_()),
-                "live": pa.array(rows["live"], pa.bool_()),
-                "metrics_json": pa.array(rows["metrics_json"], pa.string()),
-            }
-        )
+                rows += [(e, m.partition_id, m.last_lsn, m.row_count,
+                          m.max_surviving_lsn, m.sha256_rollup, committed,
+                          e in live.get(m.partition_id, ()),
+                          json.dumps(m.metrics, sort_keys=True))
+                         for m in written]
+        return pa.Table.from_pylist(
+            [dict(zip(_LINEAGE_SCHEMA.names, r)) for r in rows],
+            schema=_LINEAGE_SCHEMA)
 
     # ---- integrity ---------------------------------------------------------
 
@@ -2201,8 +2153,6 @@ class SnapshotStore:
         last audit.
         """
         import ray
-
-        from arlas_proc_ray.functions.hashing import sha256_rollup
 
         e = self._resolve_epoch_arg(epoch)
         if e is None:
@@ -2343,8 +2293,6 @@ class SnapshotStore:
             e = int(name.split("=", 1)[1])
             if e in referenced or e > latest:
                 continue
-            import shutil
-
             shutil.rmtree(os.path.join(self.root, name))
             deleted.append(e)
         return sorted(deleted)

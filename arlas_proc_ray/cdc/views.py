@@ -4,7 +4,7 @@
 column sums) of a snapshot store's state table, refreshed epoch-over-
 epoch by DELTA PROPAGATION instead of recomputation: each refresh diffs
 the last REFRESHED epoch against the target per partition (the same
-shuffle-free, manifest-pruned classification ``publish.py`` uses for
+shuffle-free, index-pruned classification ``publish.py`` uses for
 the search-index sink), turns every I/U/D row into signed deltas —
 retract the OLD image from its group, assert the NEW image into its
 (possibly different) group — pre-aggregates them per partition, and

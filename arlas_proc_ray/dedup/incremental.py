@@ -29,7 +29,7 @@ index bootstrapped from the final state, tuple for tuple).
 Scale shape:
 
 - **Refresh cost ∝ changed docs × bands**, not corpus size: the feed is
-  manifest-pruned, signatures are computed only for changed images, and
+  index-pruned, signatures are computed only for changed images, and
   ONE keyed exchange routes delta rows to their index partitions.
 - **Index partitioning is by band bucket, independent of the store's
   key fan-out** — a snapshot ``repartition_snapshot`` does NOT

@@ -6881,7 +6881,7 @@ QUERIES["incremental_pq_search"] = q_incremental_pq_search
 
 def q_epoch_history(sf_dir: str):
     """Per-epoch lineage time series (cdc/snapshot.py epoch_history —
-    manifest-only, no data read): the two-epoch events-derived snapshot
+    index only, no data read): the two-epoch events-derived snapshot
     reports each committed epoch's surviving row count and applied-LSN
     watermark. Hash-exact against SQL recomputing the LWW state at each
     epoch's cut."""

@@ -71,7 +71,7 @@ def test_fork_applies_tail_without_double_apply(tmp_path):
     pd.testing.assert_frame_equal(_state(fork), _state(tip))
 
 
-def test_clone_resume_after_crash(tmp_path, parent_layout):
+def test_clone_resume_after_crash(tmp_path):
     """A clone that died mid-copy (some partition fences written, no
     commit marker) resumes: finished partitions are skipped, the result
     equals a clean clone."""
@@ -82,8 +82,8 @@ def test_clone_resume_after_crash(tmp_path, parent_layout):
     eng = _engine(str(tmp_path / "src"))
     full = clone_snapshot(eng.store, str(tmp_path / "ref_dst"))
 
-    # simulate the crash: hand-copy partitions 0 and 3 (file + manifest,
-    # fence last) into an uncommitted destination
+    # simulate the crash: hand-copy partitions 0 and 3 (each file's
+    # footer is its fence) into an uncommitted destination
     dst = str(tmp_path / "dst")
     d = SnapshotStore(dst)
     sources = [m.epoch for m in eng.store.epoch_index(2)]
@@ -93,7 +93,6 @@ def test_clone_resume_after_crash(tmp_path, parent_layout):
         sh.copyfile(
             eng.store.part_data_path(src_e, p), d.part_data_path(0, p)
         )
-    parent_layout(d, 0)
     before = os.path.getmtime(d.part_data_path(0, 0))
 
     res = clone_snapshot(eng.store, dst)

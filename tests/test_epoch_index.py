@@ -9,10 +9,11 @@ the next epoch the cached index); the cache keeps two indexes, follows
 the marker and stays out of pickles; footer zone maps prune exactly as
 the Arrow ``min_max`` zone maps did; a crash at every step of the fence
 (a base file, a delta group file, a fold, a resume under another group
-layout) resumes to the oracle for every writer; a store written before
-the index (JSON manifests, no index), and one whose index has no chains,
-reads, prunes and takes new epochs as it did, and ``jobs optimize``
-folds every chain.
+layout) resumes to the oracle for every writer, and ``gc_orphans``
+removes the file a late group task leaves beside the index's; a store in
+an older layout (an epoch without an index, an index without chains, a
+bloom of another value hash) raises ``StoreLayoutError`` on its first
+read and is left as it was.
 """
 
 import dataclasses
@@ -525,138 +526,109 @@ def test_crash_matrix_resumes_to_oracle(tmp_path, monkeypatch, writer,
         assert named == set(store._delta_files(epoch)) - {
             os.path.basename(late)} and len(named) == 1
     assert after.store.verify_deep()["ok"]
+    if fault == "late_layout":  # gc takes the late file, and nothing else
+        late = os.path.join(store.epoch_dir(epoch), os.path.basename(late))
+        assert store.gc_orphans()["removed"] == []  # younger than an hour
+        gc = store.gc_orphans(min_age_s=0, dry_run=True)
+        assert gc["removed"] == [os.path.relpath(late, snap)]
+        assert os.path.exists(late)
+        assert store.gc_orphans(min_age_s=0)["removed"] == gc["removed"]
+        assert set(store._delta_files(epoch)) == named
+        pd.testing.assert_frame_equal(
+            CdcEngine(snap, DataModel(num_partitions=parts))
+            .final_state().to_pandas(), want)
+        assert SnapshotStore(snap).verify_deep()["ok"]
 
 
-# ------------------------------------------------------------ legacy store
-def test_store_written_before_the_index_reads_and_takes_new_epochs(
-        tmp_path, monkeypatch, parent_layout):
-    """A store in the earlier layout (a JSON manifest per partition, no
-    epoch index, no chains) answers lookups, scans (with the same
-    pruning), stats, history and deep verification as the same store
-    with its indexes, and a delta epoch commits chains on top of it.
-    Every reader of the layout (SQL, the final state, the change feed,
-    lineage) answers the same on both."""
-    cfg = ChangelogConfig(num_events=3000, num_keys=400, seed=66)
+# ------------------------------------------------------------ older layouts
+def _rewrite_index(store, epoch: int, edit) -> None:
+    """Rewrite ``epoch``'s index as ``edit(table)`` returns it (``None``:
+    no index at all), and its marker with the same bytes (a new inode, so
+    an index cached from it goes stale)."""
+    path = store.index_path(epoch)
+    with pa.OSFile(path) as f:
+        table = edit(pa.ipc.open_file(f).read_all())
+    if table is None:
+        os.unlink(path)
+    else:
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_file(sink, table.schema) as w:
+            w.write_table(table)
+        snapshot._atomic_write_bytes(path, sink.getvalue())
+    marker = store.commit_marker_path(epoch)
+    with open(marker, "rb") as f:
+        payload = f.read()
+    os.unlink(marker)
+    snapshot._atomic_write_bytes(marker, payload)
+
+
+def _untag_blooms(table: pa.Table) -> pa.Table:
+    """Every bloom, the base's and each segment's, listed with the hash
+    ``"sha256"``, as an index written before the siphash tag had it."""
+    def untag(blooms):
+        return [{**b, "h": "sha256"} for b in blooms]
+
+    blooms = [untag(row) for row in table.column("blooms").to_pylist()]
+    chains = [[{**s, "blooms": untag(s["blooms"])} for s in row]
+              for row in table.column("chain").to_pylist()]
+    table = table.set_column(table.schema.get_field_index("blooms"),
+                             "blooms", pa.array(blooms, snapshot._BLOOM_TYPE))
+    return table.set_column(table.schema.get_field_index("chain"),
+                            "chain", pa.array(chains, snapshot._CHAIN_TYPE))
+
+
+_OLDER_LAYOUTS = {
+    "no_index": lambda table: None,
+    "no_chain": lambda table: table.drop_columns(["base_rows", "chain"]),
+    "untagged_bloom": _untag_blooms,
+}
+
+
+def _tree(root: str) -> dict:
+    """Every file under ``root`` with its size and mtime."""
+    out = {}
+    for base, _, files in os.walk(root):
+        for f in files:
+            st = os.stat(os.path.join(base, f))
+            out[os.path.join(base, f)] = (st.st_size, st.st_mtime_ns)
+    return out
+
+
+@pytest.mark.parametrize("layout", sorted(_OLDER_LAYOUTS))
+def test_older_store_layouts_are_refused(tmp_path, monkeypatch, layout):
+    """A store whose latest epoch has no index (written before the epoch
+    index), an index without chains (written before delta chains), or a
+    bloom of another value hash (written before the siphash tag) raises
+    ``StoreLayoutError`` on its first read. ``epoch_index``, ``lookup``,
+    ``scan`` and a delta epoch on top each raise, none of them reads a
+    data file, and nothing in the store changes."""
+    cfg = ChangelogConfig(num_events=2000, num_keys=300, seed=66)
     dm = DataModel(num_partitions=P)
     snap = str(tmp_path / "snap")
     eng = CdcEngine(snap, dm)
-    with monkeypatch.context() as m:  # that layout had base files only
-        m.setattr(sizing, "FOLD_SEGMENTS", 0)
-        eng.apply_epoch(_events(cfg, 0, 1500), 1)
-        eng.apply_epoch(_events(cfg, 1500, 2000), 2, delta=True)
-    state = eng.final_state()
-    keys = list(zip(state.column("repo").to_pylist()[::7],
-                    state.column("path").to_pylist()[::7]))
-    keys += [(r, p + ".gone") for r, p in keys[:20]]
-    repos = sorted(set(state.column("repo").to_pylist()))[:6]
-    preds = [[("repo", "==", r)] for r in repos] + [
-        [("last_lsn", ">", 1200)], [("content_size", "<", 300)],
-        [("path", "==", keys[0][1]), ("repo", "==", keys[0][0])]]
+    eng.apply_epoch(_events(cfg, 0, 1000), 1)
+    eng.apply_epoch(_events(cfg, 1000, 1500), 2)
+    assert all(m.chain for m in eng.store.epoch_index(2))
+    key = eng.final_state().select(["repo", "path"]).to_pylist()[0]
+    _rewrite_index(eng.store, 2, _OLDER_LAYOUTS[layout])
+    before = _tree(snap)
+    reads = []
+    for name in ("read_partition", "_segment_rows", "_read_segments"):
+        fn = getattr(SnapshotStore, name)
+        monkeypatch.setattr(
+            SnapshotStore, name, lambda self, *a, _fn=fn, _name=name, **kw:
+            reads.append(_name) or _fn(self, *a, **kw))
 
-    def observe(e):
-        s = e.store
-        feed = change_feed(s, base=1, target=2).to_pandas()
-        return {
-            "lookups": [e.lookup([k]).to_pylist() for k in keys],
-            "plans": [s.plan_scan(predicate=p) for p in preds],
-            "scans": [e.scan(predicate=p).count() for p in preds],
-            "stats": s.table_stats(),
-            "history": s.epoch_history(),
-            "deep": s.verify_deep(),
-            "delta_scan": e.scan(changed_since_lsn=1200).count(),
-            "sql": s.sql("SELECT count(*) AS n FROM snapshot").to_pylist(),
-            "state": e.final_state().to_pylist(),
-            "feed": feed.sort_values(["repo", "path"]).to_dict("records"),
-            "lineage": s.lineage().to_pylist(),
-        }
-
-    want = observe(eng)
-    # the answers are the oracle's
-    exp = oracle_final_state(generate_changelog_tables(cfg, 0, 2000)).to_pandas()
-    pd.testing.assert_frame_equal(state.to_pandas(), exp)
-    assert [len(rows) for rows in want["lookups"]] == [1] * (len(keys) - 20) + [0] * 20
-    assert want["scans"][:len(repos)] == [int((exp["repo"] == r).sum()) for r in repos]
-    assert want["stats"]["row_count"] == len(exp) and want["deep"]["ok"]
-    assert want["history"][-1]["row_count"] == len(exp)
-    assert want["sql"] == [{"n": len(exp)}] and len(want["state"]) == len(exp)
-    assert want["feed"] and {r["op"] for r in want["feed"]} <= {"I", "U", "D"}
-    assert {r["epoch"] for r in want["lineage"]} == {1, 2}
-    for e in (1, 2):
-        parent_layout(eng.store, e)
-        names = os.listdir(eng.store.epoch_dir(e))
-        assert snapshot.INDEX_NAME not in names
-        assert any(n.startswith("manifest-") for n in names)
     old = CdcEngine(snap, dm)
-    assert observe(old) == want
-    assert observe(eng) == want  # a cached index goes stale with the marker
-
-    old.apply_epoch(_events(cfg, 2000, 2003), 3, delta=True)
-    exp = oracle_final_state(generate_changelog_tables(cfg, 0, 2003)).to_pandas()
-    pd.testing.assert_frame_equal(old.final_state().to_pandas(), exp)
-    assert os.path.exists(old.store.index_path(3))
-    fresh = SnapshotStore(snap)
-    sources = {m.written_in() for m in fresh.epoch_index(3)}
-    assert 3 in sources and sources - {3}  # written and referenced rows
-    assert any(m.chain for m in fresh.epoch_index(3))
-    assert fresh.verify_deep()["ok"]
-
-
-# ------------------------------------------------------- index before chains
-def _drop_chain_columns(store, epoch: int) -> None:
-    """Rewrite ``epoch``'s index as code before chains wrote it, without
-    the ``base_rows`` and ``chain`` columns, and its marker with the same
-    bytes (a new inode, so a cached index goes stale)."""
-    with pa.OSFile(store.index_path(epoch)) as f:
-        table = pa.ipc.open_file(f).read_all()
-    table = table.drop_columns(["base_rows", "chain"])
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_file(sink, table.schema) as w:
-        w.write_table(table)
-    snapshot._atomic_write_bytes(store.index_path(epoch), sink.getvalue())
-    with open(store.commit_marker_path(epoch), "rb") as f:
-        marker = f.read()
-    os.unlink(store.commit_marker_path(epoch))
-    snapshot._atomic_write_bytes(store.commit_marker_path(epoch), marker)
-
-
-def test_index_without_chains_reads_and_takes_chained_epochs(
-        tmp_path, monkeypatch):
-    """A store whose indexes have no chain column (written before chains)
-    reads as empty chains, answers as before, and takes chained epochs;
-    ``jobs optimize`` then folds every chain into a base, with the same
-    state and a green deep audit."""
-    from arlas_proc_ray.jobs import main
-
-    cfg = ChangelogConfig(num_events=3000, num_keys=400, seed=67)
-    dm = DataModel(num_partitions=P)
-    snap = str(tmp_path / "snap")
-    eng = CdcEngine(snap, dm)
-    with monkeypatch.context() as m:
-        m.setattr(sizing, "FOLD_SEGMENTS", 0)
-        eng.apply_epoch(_events(cfg, 0, 1500), 1)
-        eng.apply_epoch(_events(cfg, 1500, 2000), 2, delta=True)
-    before = SnapshotStore(snap).epoch_index(2)
-    for e in (1, 2):
-        _drop_chain_columns(eng.store, e)
-    old = CdcEngine(snap, dm)
-    assert [vars(m) for m in old.store.epoch_index(2)] == [
-        vars(m) for m in before]
-    assert all(m.chain == [] and m.base_rows == m.row_count
-               for m in old.store.epoch_index(2))
-    exp = oracle_final_state(generate_changelog_tables(cfg, 0, 2000)).to_pandas()
-    pd.testing.assert_frame_equal(old.final_state().to_pandas(), exp)
-
-    old.apply_epoch(_events(cfg, 2000, 2500), 3)
-    old.apply_epoch(_events(cfg, 2500, 3000), 4)
-    assert all(len(m.chain) == 2 for m in old.store.epoch_index(4))
-    exp = oracle_final_state(generate_changelog_tables(cfg)).to_pandas()
-    pd.testing.assert_frame_equal(old.final_state().to_pandas(), exp)
-
-    assert main(["optimize", "--snapshot", snap]) == 0
-    store = SnapshotStore(snap)
-    latest = store.latest_committed_epoch()
-    assert latest == 5
-    assert not any(m.chain for m in store.epoch_index(latest))
-    pd.testing.assert_frame_equal(
-        CdcEngine(snap, dm).final_state().to_pandas(), exp)
-    assert store.verify_deep()["ok"]
+    attempts = {
+        "epoch_index": lambda: old.store.epoch_index(2),
+        "lookup": lambda: old.lookup([(key["repo"], key["path"])]),
+        "scan": lambda: old.scan(predicate=[("repo", "==", key["repo"])]),
+        "delta": lambda: old.apply_epoch(_events(cfg, 1500, 2000), 3,
+                                         delta=True),
+    }
+    for name, attempt in attempts.items():
+        with pytest.raises(snapshot.StoreLayoutError, match="f13d266"):
+            attempt()
+    assert reads == []
+    assert _tree(snap) == before

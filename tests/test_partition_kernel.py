@@ -464,6 +464,25 @@ def _exchange_params(root: str) -> set[tuple[str, str]]:
     return found
 
 
+def _defined(root: str, names: set[str]) -> set[str]:
+    """The ``names`` that some ``def`` under ``root`` defines."""
+    import ast
+    import os
+
+    found = set()
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path) as f:
+                    tree = ast.parse(f.read(), path)
+                found |= {n.name for n in ast.walk(tree)
+                          if isinstance(n, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                          and n.name in names}
+    return found
+
+
 def test_one_kernel_writes_and_one_exchange_routes_the_store():
     """Every writer of the snapshot store ends in ``apply_partition``:
     it is the only caller of ``SnapshotStore.write_partition`` in the
@@ -475,11 +494,11 @@ def test_one_kernel_writes_and_one_exchange_routes_the_store():
     every keyed step runs ``arlas_proc_ray/exchange.py``.
 
     One reader knows an epoch's layout: the epoch index, behind
-    ``SnapshotStore``. The ``_COMMITTED`` marker is read only to build
-    the index of an epoch committed before the index existed, and
-    outside ``cdc/snapshot.py`` a partition file's path is built only
-    to copy a file (clone) or to list the files of an uncommitted
-    ``_STAGED`` cut."""
+    ``SnapshotStore``. No module reads the ``_COMMITTED`` marker's
+    summary, and nothing is left of the readers of older layouts (JSON
+    manifests, untagged blooms). Outside ``cdc/snapshot.py`` a partition
+    file's path is built only to copy a file (clone) or to list the
+    files of an uncommitted ``_STAGED`` cut."""
     import os
 
     import arlas_proc_ray
@@ -498,7 +517,9 @@ def test_one_kernel_writes_and_one_exchange_routes_the_store():
     }
     assert _calls(pkg, "map_groups") == set()
     assert _exchange_params(pkg) == set()
-    assert _calls(pkg, "read_epoch_summary") == {(snapshot_py, "_load_index")}
+    assert _calls(pkg, "read_epoch_summary") == set()
+    assert _defined(pkg, {"part_manifest_path", "_bloom_bytes",
+                          "_scheme"}) == set()
     assert _calls(pkg, "resolve_sources") == set()
     assert {c for c in _calls(pkg, "part_data_path")
             if c[0] != snapshot_py} == {

@@ -7,9 +7,9 @@ partitions from the EPOCH INDEX ONLY (predicate zone-map overlap,
 changed-since-LSN watermark, empty partitions); scan() returns a Ray
 Dataset whose rows equal a full read + row filter, read in process for
 small plans and through ``read_parquet`` above ``SMALL_SCAN_BYTES``,
-with the same rows and schema on both paths; manifests written before
-zone maps existed never prune (conservative); delta epochs resolve
-source files through the metadata chain.
+with the same rows and schema on both paths; a column without bounds
+(a string over ``_STATS_MAX_BYTES``) never prunes (conservative); delta
+epochs resolve source files through the metadata chain.
 """
 
 import os
@@ -20,6 +20,7 @@ import pytest
 from ray.data.dataset import MaterializedDataset
 
 from arlas_proc_ray.cdc.snapshot import (
+    _STATS_MAX_BYTES,
     SnapshotStore,
     _stats_may_match,
     _zone_maps,
@@ -121,16 +122,24 @@ def test_changed_rows_only(store):
         store.scan(changed_rows_only=True)
 
 
-def test_legacy_manifest_never_prunes(store, parent_layout):
-    # simulate a manifest written before zone maps existed
-    def strip(part, m):
-        if part == 3:
-            del m["col_stats"]
+def _long_key(part: int, lsn_base: int) -> pa.Table:
+    """``_part_table`` with one key longer than ``_STATS_MAX_BYTES``: the
+    writer keeps no statistics for ``key``, so its zone map has none."""
+    t = _part_table(part, lsn_base)
+    keys = t.column("key").to_pylist()
+    keys[0] += "x" * (_STATS_MAX_BYTES + 1)
+    return t.set_column(0, "key", pa.array(keys, pa.string()))
 
-    parent_layout(store, 0, strip)
-    plan = store.plan_scan(predicate=[("v", ">", 10_000)])
+
+def test_legacy_manifest_never_prunes(store):
+    """A partition without bounds for a column never prunes on it."""
+    store.write_partition(1, 3, _long_key(3, 300))
+    store.commit_epoch(1, 4, sources={0: 0, 1: 0, 2: 0})
+    assert "key" not in store.epoch_index(1)[3].col_stats
+    plan = store.plan_scan(predicate=[("key", ">", "k99")])
+    assert plan["pruned_stats"] == 3
     assert len(plan["files"]) == 1  # part 3 kept: no stats → may match
-    assert store.scan(predicate=[("v", ">", 10_000)]).count() == 0
+    assert store.scan(predicate=[("key", ">", "k99")]).count() == 0
 
 
 def test_empty_partition_pruned(tmp_path):
@@ -270,23 +279,17 @@ def test_table_stats_manifest_only(store, monkeypatch):
     assert s["columns"]["key"] == ["k00-000", "k03-099"]
 
 
-def test_table_stats_partial_zone_maps_omit_column(store, tmp_path,
-                                                   parent_layout):
+def test_table_stats_partial_zone_maps_omit_column(store):
     """A column missing bounds in ANY non-empty partition reports no
     global bounds (absence = unknown, a subset bound would be wrong)."""
-    # epoch 1: rewrite partition 2 with a manifest lacking col_stats
+    # epoch 1: rewrite partition 2 with a key the writer keeps no bounds for
     for p in range(4):
-        store.write_partition(1, p, _part_table(p, p * 100))
-
-    def strip(part, m):
-        if part == 2:
-            m["col_stats"] = {}
-
-    parent_layout(store, 1, strip)
+        store.write_partition(
+            1, p, (_long_key if p == 2 else _part_table)(p, p * 100))
     store.commit_epoch(1, 4)
     s = store.table_stats()
     assert s["row_count"] == 400
-    assert "v" not in s["columns"] and "key" not in s["columns"]
+    assert "key" not in s["columns"] and s["columns"]["v"] == [0, 399]
 
 
 def test_table_stats_delta_epoch_resolves_sources(store):
@@ -310,8 +313,10 @@ def test_gc_orphans(tmp_path):
         s.write_partition(1, p, _part_table(p, p * 100))
     s.commit_epoch(1, 2)
 
-    # crashed epoch 2: partition file, no commit marker
+    # crashed epoch 2: partition file and a torn write, no commit marker
     s.write_partition(2, 0, _part_table(0, 900))
+    with open(os.path.join(s.epoch_dir(2), "torn.parquet.tmp"), "w") as f:
+        f.write("x")
     # stray tmp litter
     tmp_file = os.path.join(s.epoch_dir(1), "junk.parquet.tmp")
     with open(tmp_file, "w") as f:
@@ -331,6 +336,8 @@ def test_gc_orphans(tmp_path):
 
     res = s.gc_orphans(min_age_s=3600)
     assert "epoch=2" in res["removed"]
+    # the dry run reports exactly what the real one removes
+    assert (dry["removed"], dry["bytes"]) == (res["removed"], res["bytes"])
     assert any(r.endswith("junk.parquet.tmp") for r in res["removed"])
     assert "epoch=3" in res["kept_inflight"]
     assert not os.path.isdir(s.epoch_dir(2))

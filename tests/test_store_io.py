@@ -4,12 +4,10 @@ Reads go straight to ``pq.ParquetFile.read`` and must return the same
 table as ``pq.read_table``. Writes build the bloom bitmap with one
 boolean scatter, and fsync the Parquet file before the rename that
 makes it visible, since its existence is the partition's fence and its
-footer carries the manifest. Blooms hash with a siphash keyed apart from the router's and
-say so; a store whose blooms predate the tag (sha256) prunes and looks
-up as it did.
+footer carries the manifest. Blooms hash with a siphash keyed apart
+from the router's and say so.
 """
 
-import contextlib
 import os
 
 import numpy as np
@@ -64,7 +62,7 @@ def test_bloom_bitmap_equals_reference(n, kind):
             strs[::3] = [None] * len(strs[::3])
         col = pa.chunked_array([pa.array(strs, pa.string())])
     bloom = snapshot._bloom_build(col, n)
-    got = np.frombuffer(snapshot._bloom_bytes(bloom), dtype=np.uint8)
+    got = np.frombuffer(bloom["bits"], dtype=np.uint8)
     np.testing.assert_array_equal(got, _bloom_bitmap_reference(col, bloom["m"]))
 
 
@@ -90,9 +88,9 @@ def test_partition_file_is_fsynced_before_it_is_visible(tmp_path, state,
 def _may_contain_reference(bloom: dict, value) -> bool:
     """The per-value probe ``plan_scan`` used to run for every manifest:
     hash the value, then test its bits one by one."""
-    bm = snapshot._bloom_bytes(bloom)
+    bm = bloom["bits"]
     for pos in snapshot._bloom_positions(pa.array([value]), bloom["m"],
-                                         bloom["k"], snapshot._scheme(bloom)):
+                                         bloom["k"]):
         p = int(pos[0])
         if p < 0:
             return True
@@ -101,32 +99,17 @@ def _may_contain_reference(bloom: dict, value) -> bool:
     return True
 
 
-@contextlib.contextmanager
-def _sha256_blooms(monkeypatch):
-    """A context in which the store builds blooms over the sha256 prefix
-    hash, as it did before the scheme tag; the caller drops their "h"."""
-    hashes = snapshot._bloom_hashes
-    with monkeypatch.context() as m:
-        m.setattr(snapshot, "_bloom_hashes",
-                  lambda vals, scheme=None: hashes(vals, "sha256"))
-        yield
-
-
-def test_bloom_probes_prune_like_the_per_value_probe(monkeypatch):
-    """Hashing each probe once per plan and scheme changes no pruning
-    decision, with blooms of both schemes in one plan."""
+def test_bloom_probes_prune_like_the_per_value_probe():
+    """Hashing each probe once per plan changes no pruning decision, with
+    blooms of several shapes in one plan."""
     def build(p):
         return snapshot._bloom_build(pa.chunked_array([pa.array(
             [f"k{v}" for v in range(p, 3000, 7)])]), 3000 // 7)
 
-    with _sha256_blooms(monkeypatch):
-        untagged = [build(p) for p in range(7)]
-    for b in untagged:
-        del b["h"]
-    blooms = untagged + [build(p) for p in range(7)] + [
+    blooms = [build(p) for p in range(7)] + [
         snapshot._bloom_build(pa.chunked_array([pa.array(range(5000))]), 5000)]
-    assert {snapshot._scheme(b) for b in blooms} == {
-        snapshot._BLOOM_SCHEME, "sha256"}
+    assert {b["h"] for b in blooms} == {snapshot._BLOOM_SCHEME}
+    assert len({b["m"] for b in blooms}) == 2
     probes = [f"k{v}" for v in range(0, 4000, 13)] + [None, 17, 4999, 6001]
     for value in probes:
         pruner = snapshot._BloomProbes([("c", "==", value)])
@@ -169,91 +152,11 @@ def test_latest_committed_epoch_stats_one_marker(tmp_path, monkeypatch):
     assert stats == [store.commit_marker_path(200)]
 
 
-def _sha256_may_contain(bloom: dict, value) -> bool:
-    """How an untagged bloom was probed before the scheme tag existed:
-    the value's sha256 prefix, double-hashed, bit by bit."""
-    import base64
-
-    from arlas_proc_ray.functions.hashing import sha256_prefix_int
-
-    bm = base64.b64decode(bloom["b64"])
-    hv = sha256_prefix_int(pa.array([value]).cast(pa.string()))
-    for pos in snapshot._hash_positions(hv, bloom["m"], bloom["k"]):
-        p = int(pos[0])
-        if p >= 0 and not (bm[p >> 3] >> (p & 7)) & 1:
-            return False
-    return True
-
-
-def test_sha256_bloom_store_prunes_and_looks_up_as_before(tmp_path,
-                                                          monkeypatch,
-                                                          parent_layout):
-    """A store whose blooms were written before the scheme tag (sha256,
-    untagged) keeps its pruning decisions and lookups: every probe of it
-    is the sha256 probe, while new writes carry siphash blooms."""
-    import ray.data as rd
-
-    from arlas_proc_ray.cdc.engine import CdcEngine
-    from arlas_proc_ray.functions.hashing import partition_ids
-    from arlas_proc_ray.model import DataModel
-
-    cfg = ChangelogConfig(num_events=3000, num_keys=600, seed=53)
-    dm = DataModel(num_partitions=8)
-    # the store an engine wrote before the tag: the oracle's state,
-    # routed, with sha256 blooms
-    rows = oracle_final_state(generate_changelog_tables(cfg))
-    pids = partition_ids(rows, dm.key_list, 8)
-    store = SnapshotStore(str(tmp_path / "old"), bloom_cols=dm.key_list)
-    def untag(part, mf):
-        for b in mf["blooms"].values():
-            del b["h"]
-
-    with _sha256_blooms(monkeypatch):
-        for p in range(8):
-            store.write_partition(1, p, rows.filter(pa.array(pids == p)))
-        parent_layout(store, 1, untag)
-    store.commit_epoch(1, 8)
-    old = CdcEngine(store.root, dm)
-    manifests = [old.store.read_manifest(1, p) for p in range(8)]
-    assert all(set(b) == {"m", "k", "b64"}
-               for mf in manifests for b in mf.blooms.values())
-
-    state = old.final_state()
-    present = state.select(["repo", "path"]).to_pylist()[::9]
-    absent = [{"repo": r["repo"], "path": r["path"] + ".gone"}
-              for r in present]
-    probes = [(c, r[c]) for r in present + absent for c in ("repo", "path")]
-    pruned = 0
-    for col, value in probes:
-        prune = snapshot._BloomProbes([(col, "==", value)])
-        for mf in manifests:
-            want = not _sha256_may_contain(mf.blooms[col], value)
-            assert prune(mf.blooms) == want, (col, value, mf.partition_id)
-            pruned += want
-    assert pruned > len(probes) * 8 // 2  # the blooms do prune
-
-    keys = [tuple(r.values()) for r in present + absent]
-    got = old.lookup(keys).select(state.column_names)
-    assert got.sort_by([("repo", "ascending"), ("path", "ascending")]).equals(
-        state.filter(pa.compute.is_in(
-            state.column("path"),
-            value_set=pa.array([r["path"] for r in present]))))
-    for key in keys[len(present):]:
-        assert old.lookup([key]).num_rows == 0
-
-    # a redelivered slice: every partition is carried into epoch 2 and
-    # written with keyed siphash blooms
-    old.apply_epoch(rd.from_arrow(generate_changelog_tables(cfg, 0, 300)), 2)
-    assert {snapshot._scheme(b) for p in range(8)
-            for b in old.store.read_manifest(2, p).blooms.values()} == {
-        snapshot._BLOOM_SCHEME}
-
-
 def _bloom_absent_vals(bloom: dict, vals: pa.Array):
     """Per value, True where ``bloom`` proves it absent (the probe a
     lookup runs)."""
     return snapshot._bloom_absent(bloom, snapshot._bloom_positions(
-        vals, bloom["m"], bloom["k"], snapshot._scheme(bloom)))
+        vals, bloom["m"], bloom["k"]))
 
 
 @pytest.mark.parametrize("partitions,num_keys", [
