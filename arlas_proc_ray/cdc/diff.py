@@ -1,46 +1,54 @@
-"""Snapshot diff — the INVERSE of CDC apply.
+"""Snapshot diff — the INVERSE of CDC apply, and the one I/U/D kernel.
+
+``diff_state_tables(old, new, key_cols=...)`` classifies two co-located
+state tables (at most one row per key each) into the minimal changelog
+between them: one row per changed key with ``op`` ∈ {'I','U','D'}, the
+NEW image on I/U and the OLD image on D, optionally with the old images
+aligned beside them (what retraction-based consumers need). It is the
+only I/U/D classifier of the package: the change feed (``cdc/feed.py``,
+and through it the search-index publish, the materialized views and
+every feed-maintained index) runs it per store partition, and
+``snapshot_diff`` runs it per exchange partition.
 
 ``snapshot_diff(old_ds, new_ds, key=..., compare=...)`` takes two table
-states (e.g. yesterday's snapshot and today's) and emits the minimal
-changelog that transforms one into the other: one row per changed key
-with ``op`` ∈ {'I','U','D'}. Applying the emitted changes to ``old``
-via the LWW engine reproduces ``new`` — the round-trip property pinned
-in tests.
+states as Datasets (e.g. yesterday's snapshot and today's) and emits
+that changelog. Applying the emitted changes to ``old`` via the LWW
+engine reproduces ``new`` — the round-trip property pinned in tests.
 
 Reference parity: ARLAS-proc has no diff operator (its pipelines always
 re-ingest full extracts); this is the missing half of a CDC engine —
 bootstrapping a change stream from periodic full snapshots
 (DBLog/Netflix-style full-fetch reconciliation, published design).
 
-Scale shape: both snapshots are tagged and exchanged together in ONE
-hash co-partition on the key (the same union trick as
-``stages/joins.py:equi_join``); each partition classifies its keys with
-three vectorized merges (key-frame outer merge with indicator →
-insert/delete/matched masks → null-safe compare of the matched block).
-Nothing is broadcast or driver-resident; each snapshot moves exactly
-once. Partitioning assumption: one key's rows (both sides) fit one
-partition — trivially true for snapshots, which hold ≤1 row per key.
+Scale shape: both snapshots are tagged with their ``_side`` and
+exchanged together in ONE hash co-partition on the key (the package's
+keyed exchange, ``arlas_proc_ray/exchange.py``, the same union trick as
+``stages/joins.py:equi_join``); each partition splits its rows by side
+and classifies them with ``diff_state_tables``. Nothing is broadcast or
+driver-resident; each snapshot moves exactly once. Partitioning
+assumption: one key's rows (both sides) fit one partition — trivially
+true for snapshots, which hold ≤1 row per key.
 
 Dtype discipline: classification runs on byte-exact integer key codes
 (Arrow ``dictionary_encode`` via ``cdc.replay.group_ids`` — the same
 kernel the LWW engine groups with, so NUL-embedded keys stay distinct
-where a pandas merge would collapse them), and output rows are selected
-positionally (``iloc``) from the partition frame, so payload columns
-never take the pandas NaN→float64 upcast; I/U images come straight from
-the ``new`` block and D images from ``old`` with their original dtypes
-(int64 LSNs survive beyond 2^53).
+where a pandas merge would collapse them), and output rows are taken
+from the two Arrow tables by position, so I/U images come straight from
+``new`` and D images from ``old`` with their Arrow types.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from arlas_proc_ray.cdc.replay import group_ids, lww_reduce_table
+from arlas_proc_ray.exchange import key_route, partition_map, per_partition
 from arlas_proc_ray.stages.joins import _arrow_schema, _side_rows
-from arlas_proc_ray.stages.keyed import keyed_partition_map
 
 
 def _null_safe_neq(a: pd.Series, b: pd.Series) -> np.ndarray:
@@ -52,6 +60,118 @@ def _null_safe_neq(a: pd.Series, b: pd.Series) -> np.ndarray:
     # NaN != NaN is True in numpy; repair: differ iff exactly one is null,
     # or neither is null and values differ.
     return (an ^ bn) | (~an & ~bn & neq)
+
+
+def diff_state_tables(
+    old: pa.Table | None,
+    new: pa.Table | None,
+    *,
+    key_cols: Sequence[str],
+    compare_cols: Sequence[str] | None = None,
+    op_col: str = "op",
+    old_image_cols: Sequence[str] | None = None,
+):
+    """Changelog between two co-located, unique-per-key state tables.
+
+    Returns a pandas frame of the I rows, then the U rows (NEW images),
+    then the D rows (OLD images), with ``op_col`` appended. A key is
+    updated when any ``compare_cols`` column (default: every non-key
+    column) IS DISTINCT FROM its old value. ``None`` stands for an
+    empty side: ``old=None`` makes every row of ``new`` an insert.
+    A side holding a key twice raises ``ValueError``.
+
+    ``old_image_cols``: additionally return a second frame, positionally
+    aligned with the first, holding the OLD values of the named columns
+    (NA on I rows, the pre-update image on U, the deleted image on D) —
+    what delta-propagation consumers (cdc/views.py) retract. Kept as a
+    separate frame so the main output's dtypes stay exact.
+    """
+    key_cols = list(key_cols)
+    ref = new if new is not None else old
+    old = ref.schema.empty_table() if old is None else old
+    new = ref.schema.empty_table() if new is None else new
+    if compare_cols is None:
+        compare_cols = [c for c in ref.column_names if c not in key_cols]
+
+    codes = group_ids(
+        pa.concat_tables([old.select(key_cols), new.select(key_cols)]),
+        key_cols,
+    )
+    oc, nc = codes[: old.num_rows], codes[old.num_rows :]
+    # dense codes: row of each key on each side, -1 where it is absent
+    n_codes = int(codes.max()) + 1 if len(codes) else 0
+    row_of = {}
+    for name, c in (("old", oc), ("new", nc)):
+        at = np.full(n_codes, -1, dtype=np.int64)
+        at[c] = np.arange(len(c))
+        if np.count_nonzero(at >= 0) != len(c):
+            raise ValueError(f"diff_state_tables: {name} side not unique per key")
+        row_of[name] = at
+    matched = row_of["old"][nc]
+    ins_pos = np.flatnonzero(matched < 0)
+    common_new = np.flatnonzero(matched >= 0)
+    common_old = matched[common_new]
+    del_pos = np.flatnonzero(row_of["new"][oc] < 0)
+
+    changed = np.zeros(len(common_new), dtype=bool)
+    if len(common_new) and compare_cols:
+        a = old.select(list(compare_cols)).take(common_old).to_pandas()
+        b = new.select(list(compare_cols)).take(common_new).to_pandas()
+        for c in compare_cols:
+            changed |= _null_safe_neq(a[c], b[c])
+    upd_new, upd_old = common_new[changed], common_old[changed]
+
+    # a pandas index stored in the schema would come back; rows are
+    # positional here
+    out = pa.concat_tables(
+        [new.take(np.concatenate([ins_pos, upd_new])), old.take(del_pos)],
+        promote_options="permissive",
+    ).to_pandas().reset_index(drop=True)
+    out[op_col] = np.repeat(
+        np.array(["I", "U", "D"], dtype=object),
+        [len(ins_pos), len(upd_new), len(del_pos)],
+    )
+    if old_image_cols is None:
+        return out
+    # positionally aligned old images for [I..., U..., D...]: reindex with
+    # label -1 (absent from the RangeIndex) yields the NA rows for inserts;
+    # nullable dtypes first, so int64 does not upcast to float64 (which
+    # would round large LSNs)
+    labels = np.concatenate(
+        [np.full(len(ins_pos), -1, dtype=np.int64), upd_old, del_pos]
+    )
+    src = (
+        old.select(list(old_image_cols))
+        .to_pandas()
+        .reset_index(drop=True)
+        .convert_dtypes(convert_string=False)
+    )
+    return out, src.reindex(labels).reset_index(drop=True)
+
+
+def _diff_partition(
+    key: list[str],
+    compare: list[str],
+    lsn_col: str | None,
+    op_col: str,
+    out_schema: pa.Schema,
+    rows: pa.Table,
+) -> pa.Table:
+    """One exchange partition of ``snapshot_diff``: split the tagged rows
+    by ``_side``, LWW-reduce each side when ``lsn_col`` is set, classify."""
+    side = rows.column("_side").to_numpy()
+    cols = key + compare
+    old, new = (rows.filter(pa.array(side == s)) for s in (0, 1))
+    if lsn_col is not None:
+        old = lww_reduce_table(old, key, lsn_col)
+        new = lww_reduce_table(new, key, lsn_col)
+    out = diff_state_tables(
+        old.select(cols), new.select(cols), key_cols=key,
+        compare_cols=compare, op_col=op_col,
+    )
+    if not len(out):
+        return out_schema.empty_table()
+    return pa.Table.from_pandas(out, schema=out_schema, preserve_index=False)
 
 
 def snapshot_diff(
@@ -74,107 +194,42 @@ def snapshot_diff(
     (they are snapshots); duplicate keys raise rather than guess. With
     ``lsn_col`` each input may be a RAW change stream: a per-batch LWW
     combiner collapses each block to one row per key before the
-    exchange, and each side is LWW-reduced (max ``lsn_col`` wins) inside
-    the partition before classifying — two streams are snapshotted AND
-    diffed in the SAME single exchange, no per-side snapshot shuffle.
+    exchange, and each side is LWW-reduced again (max ``lsn_col`` wins,
+    the later row on ties) inside the partition before classifying —
+    two streams are snapshotted AND diffed in the SAME single exchange,
+    no per-side snapshot shuffle.
     """
     key = list(key)
     compare = list(compare)
     cols = key + compare
     extra_lsn = lsn_col is not None and lsn_col not in cols
     ucols = cols + ([lsn_col] if extra_lsn else [])
-    order_col = lsn_col if lsn_col is not None else "_side"
 
     o_schema = _arrow_schema(old_ds)
     union_schema = pa.schema([o_schema.field(c) for c in ucols])
-
-    if lsn_col is not None:
-        from arlas_proc_ray.cdc.replay import lww_reduce_table
-
-        def old_rows(batch: pa.Table) -> pa.Table:
-            batch = lww_reduce_table(batch.select(ucols), key, lsn_col)
-            return _side_rows(batch, union_schema, 0)
-
-        def new_rows(batch: pa.Table) -> pa.Table:
-            batch = lww_reduce_table(batch.select(ucols), key, lsn_col)
-            return _side_rows(batch, union_schema, 1)
-    else:
-
-        def old_rows(batch: pa.Table) -> pa.Table:
-            return _side_rows(batch.select(ucols), union_schema, 0)
-
-        def new_rows(batch: pa.Table) -> pa.Table:
-            return _side_rows(batch.select(ucols), union_schema, 1)
-
-    union = old_ds.map_batches(
-        old_rows, batch_format="pyarrow", batch_size=None
-    ).union(
-        new_ds.map_batches(new_rows, batch_format="pyarrow", batch_size=None)
+    out_schema = pa.schema(
+        [union_schema.field(c) for c in cols] + [pa.field(op_col, pa.string())]
     )
 
-    def classify(pdf: pd.DataFrame) -> pd.DataFrame:
-        from arlas_proc_ray.cdc.replay import group_ids
-
-        # Byte-exact dense key codes over the WHOLE partition frame (both
-        # sides share one code space) — pandas merge/index lookups NUL-merge
-        # string keys, so all set logic below runs on these int codes.
-        key_tbl = pa.table(
-            {c: pa.Array.from_pandas(pdf[c]) for c in key}
-        )
-        codes = group_ids(key_tbl, key)
-        is_new = pdf["_side"].to_numpy() == 1
-        old_pos, new_pos = np.flatnonzero(~is_new), np.flatnonzero(is_new)
-        oc, nc = codes[old_pos], codes[new_pos]
-        # stable sort by code: within a code the (key…, lsn) upstream sort
-        # order survives, so 'last of run' is the max-lsn row
-        for _arr in ("o", "n"):
-            pos, c = (old_pos, oc) if _arr == "o" else (new_pos, nc)
-            order = np.argsort(c, kind="stable")
-            if _arr == "o":
-                old_pos, oc = pos[order], c[order]
-            else:
-                new_pos, nc = pos[order], c[order]
+    def tagged(side: int, batch: pa.Table) -> pa.Table:
+        batch = batch.select(ucols)
         if lsn_col is not None:
-            keep_o = np.append(oc[1:] != oc[:-1], True) if len(oc) else np.zeros(0, bool)
-            keep_n = np.append(nc[1:] != nc[:-1], True) if len(nc) else np.zeros(0, bool)
-            old_pos, oc = old_pos[keep_o], oc[keep_o]
-            new_pos, nc = new_pos[keep_n], nc[keep_n]
-        elif (len(oc) and (oc[1:] == oc[:-1]).any()) or (
-            len(nc) and (nc[1:] == nc[:-1]).any()
-        ):
-            raise ValueError("snapshot_diff inputs must be unique per key")
-        # oc / nc are now sorted unique → classify with searchsorted set ops
-        ins_mask = ~np.isin(nc, oc)
-        del_mask = ~np.isin(oc, nc)
-        common_new_pos = new_pos[~ins_mask]
-        common_old_pos = old_pos[np.searchsorted(oc, nc[~ins_mask])]
-        changed = np.zeros(len(common_new_pos), dtype=bool)
-        for c in compare:
-            changed |= _null_safe_neq(
-                pdf[c].iloc[common_old_pos], pdf[c].iloc[common_new_pos]
-            )
-        out_pos = np.concatenate(
-            [new_pos[ins_mask], common_new_pos[changed], old_pos[del_mask]]
-        )
-        ops = np.concatenate(
-            [
-                np.full(int(ins_mask.sum()), "I", dtype=object),
-                np.full(int(changed.sum()), "U", dtype=object),
-                np.full(int(del_mask.sum()), "D", dtype=object),
-            ]
-        )
-        if not len(out_pos):
-            # Arrow typed empty (run_group passes it through): Ray's
-            # pandas block sizing can't handle zero-length object columns
-            return pa.table(
-                {**{c: pa.array([], union_schema.field(c).type) for c in cols},
-                 op_col: pa.array([], pa.string())}
-            )
-        out = pdf.iloc[out_pos][cols].copy()
-        out[op_col] = ops
-        return out.reset_index(drop=True)
+            batch = lww_reduce_table(batch, key, lsn_col)
+        return _side_rows(batch, union_schema, side)
 
-    return keyed_partition_map(
-        union, keys=key, order_col=order_col, fn=classify,
+    union = old_ds.map_batches(
+        partial(tagged, 0), batch_format="pyarrow", batch_size=None
+    ).union(
+        new_ds.map_batches(
+            partial(tagged, 1), batch_format="pyarrow", batch_size=None
+        )
+    )
+    return partition_map(
+        union,
+        route=partial(key_route, key, num_partitions),
+        body=partial(
+            per_partition,
+            partial(_diff_partition, key, compare, lsn_col, op_col, out_schema),
+        ),
         num_partitions=num_partitions,
     )

@@ -40,7 +40,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from arlas_proc_ray.cdc.snapshot import SnapshotStore, _atomic_write_bytes
+from arlas_proc_ray.cdc.snapshot import (
+    SnapshotStore,
+    _atomic_write_bytes,
+    _read_json,
+)
 
 
 def state_dataset(store: SnapshotStore, epoch: int, columns):
@@ -182,11 +186,7 @@ class IncrementalPartitionedIndex:
 
     # ------------------------------------------------------- checkpoint
     def read_checkpoint(self) -> dict | None:
-        p = os.path.join(self.dir(), "checkpoint.json")
-        if not os.path.exists(p):
-            return None
-        with open(p) as f:
-            return json.load(f)
+        return _read_json(os.path.join(self.dir(), "checkpoint.json"))
 
     # ---------------------------------------------------------- refresh
     _STATS_SCHEMA = pa.schema(

@@ -3,28 +3,25 @@
 The reference's whole purpose is transform-and-LOAD: every ARLAS-proc
 pipeline ends in ``writeToElasticsearch`` re-indexing its full output
 (sql/WritableDataFrame.scala:83-107). The CDC-native replacement ships
-only what changed: ``publish_to_elasticsearch(store, ...)`` diffs the
-last PUBLISHED epoch against the target epoch per partition and sends
+only what changed: ``publish_to_elasticsearch(store, ...)`` reads the
+change feed from the last PUBLISHED epoch to the target epoch and sends
 the minimal ``_bulk`` action stream — ``index`` for inserted/updated
 keys, ``delete`` for keys that left the state — through the same
 injectable transport as the batch sink.
 
 Scale shape (the part that matters at 100 TB):
 
-- **No shuffle at all.** Both epochs share the store's hash fan-out, so
-  partition ``p`` holds the same key range in both states; one Ray task
-  per partition reads its two files and classifies locally (the same
-  vectorized kernel as ``cdc/diff.py``, minus the exchange it no longer
-  needs).
-- **Metadata-only pruning.** A partition whose resolved SOURCE epoch is
-  identical in both states points at the same immutable file — skipped
-  without reading a byte (the delta-epoch chain makes "untouched since
-  last publish" a manifest fact, exactly like ``verify_deep``'s
-  incremental audit). A sparse epoch over a 100 TB table publishes only
-  the partitions its events touched.
+- **The change feed is the diff.** The publish sends the batches of
+  ``cdc/feed.py:change_feed`` from the last published epoch to the
+  target through ``send_change_actions`` in one ``map_batches``; the
+  first publish sends the feed from nothing (every live row an I). The
+  feed's per-partition diff needs no shuffle (both epochs share the
+  store's hash fan-out), and partitions whose files are the same in
+  both epoch indexes are skipped without reading a byte. A sparse epoch
+  over a 100 TB table publishes only the partitions its events touched.
 - **Exactly-once effect.** Document actions are idempotent (upsert /
   delete by stable ``_id``); the publish checkpoint — an atomic JSON
-  under ``<root>/publish/`` — is written only after every partition
+  under ``<root>/publish/`` — is written only after every action
   posted. A crash mid-publish re-runs the same diff from the same base
   and re-sends the same idempotent actions; the sink converges to the
   target state either way.
@@ -33,9 +30,10 @@ Scale shape (the part that matters at 100 TB):
   the next successful publish moves the pin.
 
 Fan-out changes (``repartition_snapshot``) break per-partition file
-alignment; the publish then falls back to ONE co-partitioned global
-diff (``cdc/diff.py:snapshot_diff``) — correct, just no longer
-shuffle-free — and the next incremental publish re-aligns.
+alignment; the feed then falls back to ONE co-partitioned global diff
+(``cdc/diff.py:snapshot_diff``), reported as ``mode="global-diff"`` —
+correct, just no longer shuffle-free — and the next incremental publish
+re-aligns.
 """
 
 from __future__ import annotations
@@ -45,11 +43,14 @@ import json
 import os
 from typing import Callable, Sequence
 
-import numpy as np
 import pandas as pd
-import pyarrow as pa
 
-from arlas_proc_ray.cdc.snapshot import SnapshotStore, _atomic_write_bytes
+from arlas_proc_ray.cdc.feed import change_feed
+from arlas_proc_ray.cdc.snapshot import (
+    SnapshotStore,
+    _atomic_write_bytes,
+    _read_json,
+)
 from arlas_proc_ray.sources.elastic import EsWriteAbort, _bulk_ndjson
 
 
@@ -95,121 +96,6 @@ def split_doc_id(doc_id: str) -> tuple[str, ...]:
             i += 1
     parts.append("".join(cur))
     return tuple(parts)
-
-
-# ---- local (already co-located) snapshot diff ------------------------------
-
-
-def _null_safe_neq(a: pd.Series, b: pd.Series) -> np.ndarray:
-    an, bn = a.isna().to_numpy(), b.isna().to_numpy()
-    neq = (
-        (a.to_numpy(object) != b.to_numpy(object))
-        if a.dtype == object
-        else (a.to_numpy() != b.to_numpy())
-    )
-    return (an ^ bn) | (~an & ~bn & neq)
-
-
-def diff_state_tables(
-    old: pa.Table | None,
-    new: pa.Table | None,
-    *,
-    key_cols: Sequence[str],
-    compare_cols: Sequence[str] | None = None,
-    op_col: str = "op",
-    old_image_cols: Sequence[str] | None = None,
-):
-    """Local changelog between two unique-per-key state tables.
-
-    Same classification as ``cdc/diff.py:snapshot_diff`` but for inputs
-    that are ALREADY co-located (two files of the same store partition) —
-    no exchange, no Dataset. I/U rows carry the NEW image, D rows the OLD
-    image. Byte-exact key codes (Arrow dictionary encoding), so NUL-embedded
-    keys stay distinct where a pandas merge would collapse them.
-
-    ``old_image_cols``: additionally return a second frame, positionally
-    aligned with the first, holding the OLD values of the named columns
-    (NA on I rows, the pre-update image on U, the deleted image on D) —
-    what delta-propagation consumers (cdc/views.py) retract. Kept as a
-    separate frame so the main output's dtypes stay exact.
-    """
-    from arlas_proc_ray.cdc.replay import group_ids
-
-    key_cols = list(key_cols)
-    o_rows = old.num_rows if old is not None else 0
-    n_rows = new.num_rows if new is not None else 0
-    ref = new if new is not None else old
-    cols = list(ref.column_names)
-    if compare_cols is None:
-        compare_cols = [c for c in cols if c not in key_cols]
-    empty = pd.DataFrame({**{c: [] for c in cols}, op_col: []})
-
-    def with_old(out: pd.DataFrame, old_images: pd.DataFrame | None):
-        if old_image_cols is None:
-            return out
-        if old_images is None:  # every row is an insert: no prior image
-            old_images = pd.DataFrame(
-                {c: pd.Series([pd.NA] * len(out)) for c in old_image_cols}
-            )
-        return out, old_images.reset_index(drop=True)
-
-    if not o_rows and not n_rows:
-        return with_old(empty, None)
-    if not o_rows:
-        out = new.to_pandas()
-        out[op_col] = "I"
-        return with_old(out, None)
-    if not n_rows:
-        out = old.to_pandas()
-        out[op_col] = "D"
-        return with_old(out, out[list(old_image_cols)] if old_image_cols else None)
-
-    union_keys = pa.concat_tables(
-        [old.select(key_cols), new.select(key_cols)]
-    )
-    codes = group_ids(union_keys, key_cols)
-    oc, nc = codes[:o_rows], codes[o_rows:]
-    for name, arr in (("old", oc), ("new", nc)):
-        if len(arr) > 1 and len(np.unique(arr)) != len(arr):
-            raise ValueError(f"diff_state_tables: {name} side not unique per key")
-    o_order = np.argsort(oc)
-    oc_sorted = oc[o_order]
-    ins_mask = ~np.isin(nc, oc_sorted)
-    del_mask = ~np.isin(oc, nc)
-    common_new = np.flatnonzero(~ins_mask)
-    common_old = o_order[np.searchsorted(oc_sorted, nc[~ins_mask])]
-
-    old_pdf, new_pdf = old.to_pandas(), new.to_pandas()
-    changed = np.zeros(len(common_new), dtype=bool)
-    for c in compare_cols:
-        changed |= _null_safe_neq(
-            old_pdf[c].iloc[common_old].reset_index(drop=True),
-            new_pdf[c].iloc[common_new].reset_index(drop=True),
-        )
-    iu = new_pdf.iloc[np.concatenate([np.flatnonzero(ins_mask), common_new[changed]])]
-    iu = iu.assign(
-        **{op_col: ["I"] * int(ins_mask.sum()) + ["U"] * int(changed.sum())}
-    )
-    d = old_pdf.iloc[np.flatnonzero(del_mask)].assign(**{op_col: "D"})
-    out = pd.concat([iu, d], ignore_index=True) if len(d) or len(iu) else empty
-    if old_image_cols is None:
-        return out
-    # positionally aligned old images for [I..., U..., D...]: reindex with
-    # label -1 (absent from the RangeIndex) yields the NA rows for inserts
-    # without a per-dtype NA construction
-    labels = np.concatenate(
-        [
-            np.full(int(ins_mask.sum()), -1, dtype=np.int64),
-            common_old[changed],
-            np.flatnonzero(del_mask),
-        ]
-    )
-    if not len(labels):
-        return with_old(out, None)
-    # nullable dtypes first: reindex then inserts pd.NA for the I rows
-    # without upcasting int64 -> float64 (which would round large LSNs)
-    src = old_pdf[list(old_image_cols)].convert_dtypes(convert_string=False)
-    return with_old(out, src.reindex(labels))
 
 
 # ---- bulk action stream -----------------------------------------------------
@@ -266,16 +152,15 @@ def send_change_actions(
 # ---- the incremental publish -------------------------------------------------
 
 
+_COUNTS = ("indexed", "deleted", "rejected")
+
+
 def _checkpoint_path(store: SnapshotStore, sink_id: str) -> str:
     return os.path.join(store.root, "publish", f"{sink_id}.json")
 
 
 def read_publish_checkpoint(store: SnapshotStore, sink_id: str) -> dict | None:
-    p = _checkpoint_path(store, sink_id)
-    if not os.path.exists(p):
-        return None
-    with open(p) as f:
-        return json.load(f)
+    return _read_json(_checkpoint_path(store, sink_id))
 
 
 def publish_to_elasticsearch(
@@ -294,93 +179,65 @@ def publish_to_elasticsearch(
 ) -> dict:
     """Publish a committed snapshot to a search index, incrementally.
 
-    First publish (or ``full=True``): every live row is an ``index``
-    action. Subsequent publishes diff the checkpointed base epoch against
-    the target per partition — unchanged partitions (same resolved source
-    file) are skipped from manifests alone — and send only I/U/D actions.
-    The checkpoint and the ``published-<sink>`` vacuum pin move only after
-    every partition posted, so a crashed publish re-runs the same
+    Sends the change feed from the checkpointed base epoch to the target
+    as ``_bulk`` actions. First publish (or ``full=True``): the feed from
+    nothing, so every live row is an ``index`` action. Later publishes
+    send only I/U/D actions for the partitions whose files changed; a
+    fan-out change between the two epochs takes the feed's global diff.
+    The checkpoint and the ``published-<sink>`` vacuum pin move only
+    after every action posted, so a crashed publish re-runs the same
     idempotent diff.
     """
-    import ray
-
     target = store._resolve_epoch_arg(epoch)
     if target is None:
         raise RuntimeError("no committed epoch to publish")
-    tgt = store.partition_layouts(target)
-    num_partitions = len(tgt)
+    num_partitions = len(store.epoch_index(target))
 
     ckpt = None if full else read_publish_checkpoint(store, sink_id)
     base = ckpt["epoch"] if ckpt else None
-    base_parts = None
-    todo = list(range(num_partitions))
-    if base is not None:
-        if base == target:
-            return {
-                "sink_id": sink_id, "index": index, "epoch": target,
-                "base_epoch": base, "partitions_published": 0,
-                "partitions_skipped": num_partitions,
-                "indexed": 0, "deleted": 0, "rejected": 0, "mode": "noop",
-            }
-        # an unchanged partition has the same immutable file both sides
-        todo = store.changed_partitions(base, target)
-        if todo is None:
-            return _publish_global_diff(
-                store, base=base, target=target, index=index,
-                transport_factory=transport_factory, key_cols=key_cols,
-                compare_cols=compare_cols, sink_id=sink_id,
-                mapping_excluded=mapping_excluded, chunk_rows=chunk_rows,
-                commit_checkpoint=commit_checkpoint,
-            )
-        base_parts = store.partition_layouts(base)
-    skipped = num_partitions - len(todo)
+    if base is None:
+        mode, published = "bootstrap", num_partitions
+    elif base == target:
+        mode, published = "noop", 0
+    else:
+        changed = store.changed_partitions(base, target)
+        mode, published = (
+            ("global-diff", num_partitions) if changed is None
+            else ("incremental", len(changed))
+        )
 
     key_cols = list(key_cols)
 
-    @ray.remote(num_cpus=0.5)
-    def publish_partition(part: int) -> dict:
-        old = (
-            store.read_resolved(base_parts[part], part)
-            if base is not None
-            else None
-        )
-        new = store.read_resolved(tgt[part], part)
-        diff = diff_state_tables(
-            old, new, key_cols=key_cols, compare_cols=compare_cols
-        )
-        if not len(diff):
-            return {"partition": part, "indexed": 0, "deleted": 0,
-                    "rejected": 0, "actions": 0}
-        counts = send_change_actions(
-            diff,
-            transport=transport_factory(),
-            index=index,
-            key_cols=key_cols,
-            mapping_excluded=mapping_excluded,
-            chunk_rows=chunk_rows,
-        )
-        return {"partition": part, "actions": len(diff), **counts}
+    def send(pdf: pd.DataFrame) -> pd.DataFrame:
+        counts = dict.fromkeys(_COUNTS, 0)
+        if len(pdf):
+            counts = send_change_actions(
+                pdf, transport=transport_factory(), index=index,
+                key_cols=key_cols, mapping_excluded=mapping_excluded,
+                chunk_rows=chunk_rows,
+            )
+        return pd.DataFrame({k: [counts[k]] for k in _COUNTS})
 
-    results = ray.get([publish_partition.remote(p) for p in todo])
+    rows = []
+    if mode != "noop":
+        rows = change_feed(
+            store, base=base, target=target, key_cols=key_cols,
+            compare_cols=compare_cols,
+        ).map_batches(
+            send, batch_format="pandas", batch_size=None, num_cpus=0.5
+        ).take_all()
 
-    totals = {
-        k: sum(r[k] for r in results) for k in ("indexed", "deleted", "rejected")
-    }
     out = {
         "sink_id": sink_id,
         "index": index,
         "epoch": target,
         "base_epoch": base,
-        "partitions_published": len(todo),
-        "partitions_skipped": skipped,
-        "mode": "bootstrap" if base is None else "incremental",
-        **totals,
-        "partition_lineage": {
-            str(r["partition"]): {k: r[k] for k in ("actions", "indexed", "deleted", "rejected")}
-            for r in results
-        },
+        "partitions_published": published,
+        "partitions_skipped": num_partitions - published,
+        "mode": mode,
+        **{k: sum(int(r[k]) for r in rows) for k in _COUNTS},
     }
-    if commit_checkpoint:
+    if commit_checkpoint and mode != "noop":
         _commit_publish(store, sink_id, out, num_partitions)
     return out
 
@@ -404,71 +261,4 @@ def _commit_publish(store: SnapshotStore, sink_id: str, out: dict, num_partition
     store.tag(f"published-{sink_id}", out["epoch"])
 
 
-def _publish_global_diff(
-    store: SnapshotStore,
-    *,
-    base: int,
-    target: int,
-    index: str,
-    transport_factory,
-    key_cols,
-    compare_cols,
-    sink_id: str,
-    mapping_excluded,
-    chunk_rows: int,
-    commit_checkpoint: bool = True,
-) -> dict:
-    """Fan-out changed between base and target: one co-partitioned global
-    diff (cdc/diff.py) replaces the per-partition file alignment."""
-    from arlas_proc_ray.cdc.diff import snapshot_diff
 
-    num_partitions = len(store.epoch_index(target))
-    new_ds = store.state_dataset(target)
-    old_ds = store.state_dataset(base)
-    key_cols = list(key_cols)
-    diff = snapshot_diff(
-        old_ds,
-        new_ds,
-        key=key_cols,
-        compare=compare_cols
-        or [c for c in _state_columns(store, target) if c not in key_cols],
-        num_partitions=max(num_partitions, 8),
-    )
-
-    def send(pdf: pd.DataFrame) -> pd.DataFrame:
-        if not len(pdf):
-            return pd.DataFrame({"indexed": [0], "deleted": [0], "rejected": [0]})
-        c = send_change_actions(
-            pdf,
-            transport=transport_factory(),
-            index=index,
-            key_cols=key_cols,
-            mapping_excluded=mapping_excluded,
-            chunk_rows=chunk_rows,
-        )
-        return pd.DataFrame({k: [v] for k, v in c.items()})
-
-    counts = diff.map_batches(send, batch_format="pandas", batch_size=None).to_pandas()
-    out = {
-        "sink_id": sink_id,
-        "index": index,
-        "epoch": target,
-        "base_epoch": base,
-        "partitions_published": num_partitions,
-        "partitions_skipped": 0,
-        "mode": "global-diff",
-        "indexed": int(counts["indexed"].sum()),
-        "deleted": int(counts["deleted"].sum()),
-        "rejected": int(counts["rejected"].sum()),
-        "partition_lineage": {},
-    }
-    if commit_checkpoint:
-        _commit_publish(store, sink_id, out, num_partitions)
-    return out
-
-
-def _state_columns(store: SnapshotStore, epoch: int) -> list[str]:
-    import pyarrow.parquet as pq
-
-    files = store.epoch_files(epoch)
-    return list(pq.read_schema(files[0]).names) if files else []

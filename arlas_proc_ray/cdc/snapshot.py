@@ -585,6 +585,15 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
             os.unlink(tmp)
 
 
+def _read_json(path: str):
+    """The JSON document ``_atomic_write_bytes`` left at ``path``; None
+    when there is none yet."""
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        return json.load(f)
+
+
 # the footer key-value entry holding a partition's non-derivable manifest
 # fields, and the file name of an epoch's index
 _FOOTER_KEY = b"arlas.cdc.manifest"

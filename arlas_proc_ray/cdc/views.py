@@ -2,13 +2,16 @@
 
 ``refresh_group_view`` keeps a per-group aggregate (live-row count +
 column sums) of a snapshot store's state table, refreshed epoch-over-
-epoch by DELTA PROPAGATION instead of recomputation: each refresh diffs
-the last REFRESHED epoch against the target per partition (the same
-shuffle-free, index-pruned classification ``publish.py`` uses for
-the search-index sink), turns every I/U/D row into signed deltas —
-retract the OLD image from its group, assert the NEW image into its
-(possibly different) group — pre-aggregates them per partition, and
-folds the tiny per-partition partials into the persisted view state.
+epoch by DELTA PROPAGATION instead of recomputation: each refresh takes
+the I/U/D rows and old images between the last REFRESHED epoch and the
+target from the change feed's per-partition step
+(``cdc/feed.py:partition_feed``, the same shuffle-free, index-pruned
+diff the search-index publish sends), turns every row into signed
+deltas — retract the OLD image from its group, assert the NEW image
+into its (possibly different) group — pre-aggregates them per
+partition, and folds the tiny per-partition partials into the persisted
+view state. A bootstrap is the feed from nothing: every live row is an
+assert.
 
 This is the store-resident sibling of ``cdc/ivm.py`` (which maintains
 the same algebra from a flowing changelog): ``ivm.py`` never sees the
@@ -25,9 +28,9 @@ the CDC-native replacement.
 Scale shape (the 100 TB argument):
 
 - **No shuffle.** Both epochs share the store's hash fan-out; one Ray
-  task per partition reads its two immutable files, classifies locally,
-  and pre-aggregates. Only ``partitions x groups`` tiny partial rows
-  reach the driver fold.
+  task per partition runs the feed's diff of its two immutable
+  partitions and pre-aggregates. Only ``partitions x groups`` tiny
+  partial rows reach the driver fold.
 - **Metadata pruning.** A partition whose resolved source epoch is
   unchanged since the last refresh is skipped without reading a byte —
   a sparse epoch over a 100 TB table refreshes only the partitions its
@@ -42,8 +45,9 @@ Scale shape (the 100 TB argument):
   the same base. The refreshed epoch is pinned with a store ref
   (``view-<id>``) so vacuum keeps the next refresh's base readable.
 - **Fan-out changes** (``repartition_snapshot``) break per-partition
-  file alignment; the refresh falls back to a full recompute — still
-  one shuffle-free partial-agg pass — and re-aligns from there.
+  file alignment; the refresh falls back to a full recompute — the feed
+  from nothing, still one shuffle-free partial-agg pass — and re-aligns
+  from there.
 """
 
 from __future__ import annotations
@@ -56,8 +60,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from arlas_proc_ray.cdc.publish import diff_state_tables
-from arlas_proc_ray.cdc.snapshot import SnapshotStore, _atomic_write_bytes
+from arlas_proc_ray.cdc.feed import partition_feed
+from arlas_proc_ray.cdc.snapshot import (
+    SnapshotStore,
+    _atomic_write_bytes,
+    _read_json,
+)
 
 
 def _view_dir(store: SnapshotStore) -> str:
@@ -73,11 +81,7 @@ def _state_path(store: SnapshotStore, view_id: str, epoch: int) -> str:
 
 
 def read_view_checkpoint(store: SnapshotStore, view_id: str) -> dict | None:
-    p = _checkpoint_path(store, view_id)
-    if not os.path.exists(p):
-        return None
-    with open(p) as f:
-        return json.load(f)
+    return _read_json(_checkpoint_path(store, view_id))
 
 
 def read_view(store: SnapshotStore, view_id: str) -> pd.DataFrame:
@@ -270,46 +274,31 @@ def refresh_group_view(
             "state": read_view(store, view_id),
         }
 
-    todo = None if base is None else store.changed_partitions(base, target)
-    if todo is None:  # bootstrap, or a fan-out change -> full recompute
-        base, todo = None, list(range(num_partitions))
-    base_parts = None if base is None else store.partition_layouts(base)
+    image_cols = list(dict.fromkeys(group_cols + sum_cols + minmax_cols))
+    feed_args = {
+        "key_cols": key_cols,
+        "compare_cols": sorted(set(image_cols) - set(key_cols)),
+        "columns": image_cols,
+        "include_old": image_cols,
+    }
+    plan = None if base is None else partition_feed(
+        store, base, target, **feed_args
+    )
+    if plan is None:  # bootstrap, or a fan-out change -> full recompute
+        base = None
+        plan = partition_feed(store, None, target, **feed_args)
+    todo, diff_partition = plan
     skipped = num_partitions - len(todo)
-
-    read_cols = sorted(set(key_cols + group_cols + sum_cols + minmax_cols))
 
     @ray.remote(num_cpus=0.5)
     def partition_partial(part: int):
         """Returns (sum_partial, minmax_assert_partial, retracted_groups)."""
-        new = store.read_resolved(tgt[part], part)
-        if base is None:
-            if new is None or new.num_rows == 0:
-                return None, None, None
-            pdf = new.select(
-                [c for c in read_cols if c in new.column_names]
-            ).to_pandas()
-            mm = (
-                _minmax_partial(pdf, group_cols, minmax_cols)
-                if minmax_cols
-                else None
-            )
-            pdf["_n"] = np.int64(1)
-            return _agg_partial(pdf, group_cols, sum_cols), mm, None
-        old = store.read_resolved(base_parts[part], part)
-        value_cols = sorted(
-            set(group_cols + sum_cols + minmax_cols) - set(key_cols)
-        )
-        diff, old_images = diff_state_tables(
-            _select(old, read_cols),
-            _select(new, read_cols),
-            key_cols=key_cols,
-            compare_cols=value_cols,
-            old_image_cols=list(
-                dict.fromkeys(group_cols + sum_cols + minmax_cols)
-            ),
-        )
+        diff = diff_partition(part)
         if not len(diff):
             return None, None, None
+        old_images = diff[[f"old_{c}" for c in image_cols]].set_axis(
+            image_cols, axis=1
+        )
         deltas = _deltas_from_diff(diff, old_images, group_cols, sum_cols)
         mm = None
         retracted = None
@@ -460,12 +449,6 @@ def _recompute_group_minmax(
         ]
         return pd.DataFrame(columns=cols)
     return _fold_minmax(parts, group_cols, minmax_cols)
-
-
-def _select(tbl: pa.Table | None, cols: list[str]) -> pa.Table | None:
-    if tbl is None:
-        return None
-    return tbl.select([c for c in cols if c in tbl.column_names])
 
 
 def _commit_view(

@@ -847,7 +847,7 @@ def cmd_publish_es(args) -> dict:
     epoch = args.epoch
     if epoch is not None and str(epoch).lstrip("-").isdigit():
         epoch = int(epoch)
-    out = publish_to_elasticsearch(
+    return publish_to_elasticsearch(
         store,
         index=args.index,
         transport_factory=factory,
@@ -857,8 +857,6 @@ def cmd_publish_es(args) -> dict:
         full=args.full,
         commit_checkpoint=not args.dry_run,
     )
-    out.pop("partition_lineage", None)
-    return out
 
 
 def main(argv=None) -> int:

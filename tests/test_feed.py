@@ -176,6 +176,38 @@ def test_identical_epochs_feed_is_empty_with_schema(tmp_path, ray_session):
     assert len(pdf) == 0
 
 
+def test_feed_from_nothing_is_every_live_row_inserted(tmp_path, ray_session):
+    """``base=None`` diffs against nothing: the feed is the target's
+    state, every row an I, every pre-image NULL."""
+    engine = CdcEngine(str(tmp_path / "snap"), DM)
+    engine.apply_epoch(
+        rd.from_arrow(generate_changelog_tables(
+            ChangelogConfig(num_events=2_000, num_keys=150, seed=53)
+        )),
+        epoch=1,
+    )
+    engine.apply_epoch(
+        rd.from_arrow([_event(9_000, content="v2" * 30)]), epoch=2, delta=True
+    )
+    state = (
+        engine.store.read_state(2).to_pandas()
+        .sort_values(KEY).reset_index(drop=True)
+    )
+    feed = (
+        change_feed(engine.store, base=None, target=2).to_pandas()
+        .sort_values(KEY).reset_index(drop=True)
+    )
+    assert (feed["op"] == "I").all()
+    pd.testing.assert_frame_equal(feed[state.columns.tolist()], state)
+
+    with_old = change_feed(
+        engine.store, base=None, target=2, include_old=COMPARE,
+    ).to_pandas()
+    assert len(with_old) == len(state)
+    for c in COMPARE:
+        assert with_old[f"old_{c}"].isna().all()
+
+
 def test_refs_as_epoch_args(tmp_path, ray_session):
     engine = CdcEngine(str(tmp_path / "snap"), DM)
     engine.apply_epoch(rd.from_arrow([_event(1)]), epoch=1)

@@ -410,8 +410,9 @@ def test_finalize_hashes_only_new_survivors(monkeypatch):
 
 
 def _calls(root: str, attr: str) -> set[tuple[str, str]]:
-    """``(file, enclosing function)`` of every call of a method named
-    ``attr`` in the Python sources under ``root``, read with ``ast``."""
+    """``(file, enclosing function)`` of every call of a function or
+    method named ``attr`` in the Python sources under ``root``, read
+    with ``ast``."""
     import ast
     import os
 
@@ -430,9 +431,10 @@ def _calls(root: str, attr: str) -> set[tuple[str, str]]:
                     if isinstance(child, (ast.FunctionDef,
                                           ast.AsyncFunctionDef)):
                         inner = f"{scope}.{child.name}" if scope else child.name
-                    if (isinstance(child, ast.Call)
-                            and isinstance(child.func, ast.Attribute)
-                            and child.func.attr == attr):
+                    func = getattr(child, "func", None)
+                    if isinstance(child, ast.Call) and attr in (
+                        getattr(func, "attr", None), getattr(func, "id", None)
+                    ):
                         found.add((os.path.relpath(path, root), scope))
                     visit(child, inner)
 
@@ -464,23 +466,25 @@ def _exchange_params(root: str) -> set[tuple[str, str]]:
     return found
 
 
-def _defined(root: str, names: set[str]) -> set[str]:
-    """The ``names`` that some ``def`` under ``root`` defines."""
+def _defined(root: str, names: set[str]) -> list[tuple[str, str]]:
+    """``(file, name)`` of every ``def`` under ``root`` of one of
+    ``names``, sorted (a name defined twice is listed twice)."""
     import ast
     import os
 
-    found = set()
+    found = []
     for dirpath, _, files in os.walk(root):
         for name in files:
             if name.endswith(".py"):
                 path = os.path.join(dirpath, name)
                 with open(path) as f:
                     tree = ast.parse(f.read(), path)
-                found |= {n.name for n in ast.walk(tree)
+                found += [(os.path.relpath(path, root), n.name)
+                          for n in ast.walk(tree)
                           if isinstance(n, (ast.FunctionDef,
                                             ast.AsyncFunctionDef))
-                          and n.name in names}
-    return found
+                          and n.name in names]
+    return sorted(found)
 
 
 def test_one_kernel_writes_and_one_exchange_routes_the_store():
@@ -498,7 +502,12 @@ def test_one_kernel_writes_and_one_exchange_routes_the_store():
     summary, and nothing is left of the readers of older layouts (JSON
     manifests, untagged blooms). Outside ``cdc/snapshot.py`` a partition
     file's path is built only to copy a file (clone) or to list the
-    files of an uncommitted ``_STAGED`` cut."""
+    files of an uncommitted ``_STAGED`` cut.
+
+    One kernel classifies I/U/D rows: ``diff_state_tables`` (and its
+    null-safe compare) is defined once, in ``cdc/diff.py``, and called
+    only there (``snapshot_diff``) and in the change feed, the one
+    reader that diffs two epochs; the publish keeps no diff of its own."""
     import os
 
     import arlas_proc_ray
@@ -519,10 +528,20 @@ def test_one_kernel_writes_and_one_exchange_routes_the_store():
     assert _exchange_params(pkg) == set()
     assert _calls(pkg, "read_epoch_summary") == set()
     assert _defined(pkg, {"part_manifest_path", "_bloom_bytes",
-                          "_scheme"}) == set()
+                          "_scheme"}) == []
     assert _calls(pkg, "resolve_sources") == set()
     assert {c for c in _calls(pkg, "part_data_path")
             if c[0] != snapshot_py} == {
         (os.path.join("cdc", "clone.py"), "_copy_partition"),
         (os.path.join("cdc", "engine.py"), "_staged_files"),
     }
+    # one I/U/D kernel, and the change feed the only reader that diffs
+    # two epochs with it
+    diff_py = os.path.join("cdc", "diff.py")
+    assert _defined(pkg, {"diff_state_tables", "_null_safe_neq"}) == [
+        (diff_py, "_null_safe_neq"), (diff_py, "diff_state_tables"),
+    ]
+    assert {f for f, _ in _calls(pkg, "diff_state_tables")} == {
+        diff_py, os.path.join("cdc", "feed.py"),
+    }
+    assert _defined(pkg, {"_publish_global_diff"}) == []

@@ -23,7 +23,8 @@ from arlas_proc_ray.cdc import (
     read_publish_checkpoint,
 )
 from arlas_proc_ray.cdc.events import EVENT_SCHEMA_V1
-from arlas_proc_ray.cdc.publish import diff_state_tables, stable_doc_ids
+from arlas_proc_ray.cdc.diff import diff_state_tables
+from arlas_proc_ray.cdc.publish import stable_doc_ids
 from arlas_proc_ray.model import DataModel
 from arlas_proc_ray.sources.elastic import ActorTransport, MockElasticsearch
 

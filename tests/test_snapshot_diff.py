@@ -3,19 +3,27 @@
 Pins the round-trip property: applying the emitted I/U/D rows to ``old``
 LWW-style reproduces ``new`` exactly (the operator is the inverse of the
 CDC apply engine), plus null-safe compare semantics, the raw-stream LWW
-mode, duplicate-key rejection, and NUL-byte key exactness.
+mode, duplicate-key rejection, and NUL-byte key exactness. The
+classification tests run both entry points of the one I/U/D kernel —
+``snapshot_diff`` over Datasets and ``diff_state_tables`` over two
+co-located tables — and require the same rows from each.
 """
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from arlas_proc_ray.cdc.diff import snapshot_diff
+from arlas_proc_ray.cdc.diff import diff_state_tables, snapshot_diff
 
 
 def _df(rows, cols=("repo", "path", "lang", "content")):
     return pd.DataFrame(rows, columns=list(cols))
+
+
+def _sorted(out: pd.DataFrame) -> pd.DataFrame:
+    return out.sort_values(["op", "repo", "path"]).reset_index(drop=True)
 
 
 def _run(old, new, **kw):
@@ -23,11 +31,23 @@ def _run(old, new, **kw):
     kw.setdefault("compare", ["lang", "content"])
     kw.setdefault("num_partitions", 4)
     out = snapshot_diff(rd.from_pandas(old), rd.from_pandas(new), **kw)
-    return (
-        out.to_pandas()
-        .sort_values(["op", "repo", "path"])
-        .reset_index(drop=True)
-    )
+    return _sorted(out.to_pandas())
+
+
+def _local(old, new):
+    """``diff_state_tables`` over the same two states as local tables."""
+    return _sorted(diff_state_tables(
+        pa.Table.from_pandas(old, preserve_index=False),
+        pa.Table.from_pandas(new, preserve_index=False),
+        key_cols=["repo", "path"], compare_cols=["lang", "content"],
+    ))
+
+
+def _run_both(old, new):
+    """The rows of both entry points of the kernel, which must agree."""
+    out = _run(old, new)
+    pd.testing.assert_frame_equal(_local(old, new), out)
+    return out
 
 
 def _apply_diff(old: pd.DataFrame, diff: pd.DataFrame, key) -> pd.DataFrame:
@@ -66,7 +86,7 @@ def test_classify_insert_update_delete():
             ("d", "q", "c", "5"),       # I
         ]
     )
-    out = _run(old, new)
+    out = _run_both(old, new)
     assert out["op"].tolist() == ["D", "I", "U"]
     # D carries the OLD image, I/U the NEW image
     assert out.loc[out["op"] == "D", "content"].tolist() == ["4"]
@@ -125,7 +145,7 @@ def test_null_safe_compare():
             ("a", "z", None, "9"),   # value appears = U
         ]
     )
-    out = _run(old, new)
+    out = _run_both(old, new)
     assert out["op"].tolist() == ["U", "U"]
     assert sorted(out["path"]) == ["x", "z"]
 
@@ -135,6 +155,8 @@ def test_duplicate_keys_raise():
     new = _df([("a", "x", "py", "1")])
     with pytest.raises(Exception):  # surfaces as RayTaskError(ValueError)
         _run(old, new)
+    with pytest.raises(ValueError, match="not unique"):
+        _local(old, new)
 
 
 def test_lsn_mode_raw_streams():
@@ -168,7 +190,7 @@ def test_lsn_mode_raw_streams():
 def test_nul_byte_keys_stay_distinct():
     old = _df([("a", "x", "py", "1"), ("a", "x\x00", "py", "2")])
     new = _df([("a", "x", "py", "1"), ("a", "x\x00", "py", "CHANGED")])
-    out = _run(old, new)
+    out = _run_both(old, new)
     assert out["op"].tolist() == ["U"]
     assert out["path"].tolist() == ["x\x00"]
     assert out["content"].tolist() == ["CHANGED"]

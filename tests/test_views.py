@@ -14,7 +14,7 @@ import ray.data as rd
 
 from arlas_proc_ray.cdc import CdcEngine, ChangelogConfig, generate_changelog_tables
 from arlas_proc_ray.cdc.events import EVENT_SCHEMA_V1
-from arlas_proc_ray.cdc.publish import diff_state_tables
+from arlas_proc_ray.cdc.diff import diff_state_tables
 from arlas_proc_ray.cdc.views import (
     read_view,
     read_view_checkpoint,
@@ -93,6 +93,18 @@ def test_diff_old_images_alignment():
         old, old, key_cols=["k"], old_image_cols=["v"],
     )
     assert len(diff3) == 0 and len(imgs3) == 0
+
+    # a pandas index stored in the old table's schema does not shift the
+    # positional old images
+    old4 = pa.Table.from_pandas(
+        old.to_pandas().set_axis(pd.RangeIndex(5, 8))
+    )
+    diff4, imgs4 = diff_state_tables(
+        old4, new, key_cols=["k"], compare_cols=["grp", "v"],
+        old_image_cols=["grp", "v"],
+    )
+    pd.testing.assert_frame_equal(diff4, diff)
+    pd.testing.assert_frame_equal(imgs4, imgs)
 
 
 def test_bootstrap_then_incremental_matches_state(tmp_path, ray_session):
