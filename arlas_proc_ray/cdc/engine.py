@@ -8,18 +8,20 @@ staged exchange (cdc/staged.py) in raw Ray tasks:
           normalize (schema registry align) → per-block LWW combiner
           → _part_id = hash(repo, path) % P → ONE argsort by partition
       → G = min(P, CPUs) merge tasks, each over a contiguous group of
-        partitions, each partition through ``apply_partition`` — the
-        one kernel of every store writer (vectorized, whole partition),
-        here with CDC's fold (``cdc_fold``):
+        partitions, each partition that writes a base through
+        ``apply_partition`` — the one kernel of every store writer
+        (vectorized, whole partition), here with CDC's fold
+        (``cdc_fold``):
               · fence: if this epoch's base file for p exists, or a
                 delta group file of this epoch lists p → skip (resume)
               · drop events with lsn <= its last_lsn in the previous
                 epoch's index (an event is never applied twice across runs)
               · a partition with a base whose fold is not due: the
                 surviving events, LWW-reduced and hashed, tombstones
-                kept, become its delta SEGMENT (``cdc_segment``); the
-                group's segments are written last as ONE delta file,
-                its manifests in the footer
+                kept, become its delta SEGMENT, made for the whole
+                group in one pass (``cdc_segments``); the group's
+                segments are written last as ONE delta file, its
+                manifests in the footer
               · otherwise (no base, or a fold): read partition p of the
                 previous committed snapshot, its chain overlaid; union
                 prior state (as lsn=last_lsn upsert rows) + events,
@@ -52,13 +54,13 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from arlas_proc_ray.cdc.events import FINAL_STATE_SCHEMA, default_registry
-from arlas_proc_ray.cdc.patch import table_has_patches
-from arlas_proc_ray.cdc.replay import finalize_partition_table, lww_reduce_table
-from arlas_proc_ray.cdc.snapshot import DELETED, DeltaWrite, SnapshotStore
+from arlas_proc_ray.cdc.replay import finalize_partition_table, lww_order
+from arlas_proc_ray.cdc.snapshot import DELETED, SnapshotStore
 from arlas_proc_ray.functions.hashing import sha256_hex
 from arlas_proc_ray.model import DataModel
 
@@ -129,22 +131,36 @@ def cdc_fold(dm: DataModel, ev, prior, prior_last: int):
     return final, watermark, (events_in, events_in - applied, applied)
 
 
-def cdc_segment(dm: DataModel, ev, prior_last: int):
-    """CDC's delta step: the fence of :func:`cdc_fold`, then the events
-    that survive it as a segment: LWW-reduced, content hashed, each
-    DELETE kept as a tombstone row (``DELETED``), in the order finalize
-    would keep them. Returns ``(rows or None, watermark, counts)`` like a
-    fold, ``None`` when nothing survives the fence. A segment row beats
-    every older row of its key, so the partition's prior state is not
-    read."""
-    events_in = ev.num_rows
-    watermark = max(prior_last, int(pc.max(ev.column("lsn")).as_py()))
-    if prior_last >= 0:
-        ev = ev.filter(pc.greater(ev.column("lsn"), pa.scalar(prior_last)))
-    applied = ev.num_rows
-    if not applied:
-        return None, watermark, (events_in, events_in, 0)
-    ev = lww_reduce_table(ev, dm.key_cols, dm.order_col)
+def cdc_segments(dm: DataModel, ev: pa.Table, tags: np.ndarray,
+                 prior_last: np.ndarray, reduced: bool):
+    """CDC's delta step, over the rows of many partitions at once: the
+    fence of :func:`cdc_fold`, then the events that survive it as each
+    partition's segment: LWW-reduced, content hashed, each DELETE kept as
+    a tombstone row (``DELETED``), in the order finalize would keep them.
+    A segment row beats every older row of its key, so no prior state is
+    read.
+
+    ``ev`` holds the events partition by partition; ``tags`` is each
+    row's partition index ``i`` (non-decreasing) and ``prior_last[i]``
+    that partition's applied watermark. ``reduced``: no key has two
+    events (one exchange input, which the per-block combine reduced), so
+    LWW has nothing to do. Returns ``(rows, row tags, watermarks,
+    events_in, events_applied)``, the last three one entry per
+    partition; a partition's watermark is ``max(prior, max event lsn)``,
+    taken before the fence."""
+    n = len(prior_last)
+    lsn = ev.column("lsn").to_numpy()
+    events_in = np.bincount(tags, minlength=n)
+    top = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(top, tags, lsn)
+    watermark = np.maximum(prior_last, top)
+    fence = prior_last[tags]
+    keep = (fence < 0) | (lsn > fence)
+    ev, tags = ev.filter(pa.array(keep)), tags[keep]
+    applied = np.bincount(tags, minlength=n)
+    if not reduced:
+        kept = lww_order(ev, dm.key_cols, dm.order_col, tags)
+        ev, tags = ev.take(pa.array(kept)), tags[kept]
     deleted = pc.equal(ev.column("op"), pa.scalar("DELETE")).combine_chunks()
     live = pc.invert(deleted)
     sha = pa.nulls(ev.num_rows, pa.string())
@@ -164,7 +180,7 @@ def cdc_segment(dm: DataModel, ev, prior_last: int):
     arrays.append(deleted)
     rows = pa.Table.from_arrays(
         arrays, schema=FINAL_STATE_SCHEMA.append(pa.field(DELETED, pa.bool_())))
-    return rows, watermark, (events_in, events_in - applied, applied)
+    return rows, tags, watermark, events_in, applied
 
 
 def copy_fold(watermark: int, ev, prior, prior_last: int):
@@ -178,11 +194,14 @@ def copy_fold(watermark: int, ev, prior, prior_last: int):
 
 
 def apply_partition(store: SnapshotStore, epoch: int, part: int, events,
-                    prior, fold, *, segment=None, delta: bool = False,
-                    fault_hook=None, resumed=None):
-    """Apply one partition of one epoch: the step every writer of the
-    store ends in (CDC epochs, ``merge_into``, ``repartition_snapshot``),
-    after the staged exchange (cdc/staged.py) routed ``events`` to it.
+                    prior, fold, *, delta: bool = False, fault_hook=None,
+                    resumed=None):
+    """Apply one partition of one epoch as a base: the step every writer
+    of the store ends in (CDC epochs, ``merge_into``,
+    ``repartition_snapshot``), after the staged exchange (cdc/staged.py)
+    routed ``events`` to it. A CDC epoch's delta segments are not
+    written here but by its exchange group at once
+    (``staged._apply_group``).
 
     ``events`` is a list of tables routed to ``part`` (any may be empty);
     ``prior`` is the partition's manifest in the previous epoch's index
@@ -191,18 +210,11 @@ def apply_partition(store: SnapshotStore, epoch: int, part: int, events,
     it gets the concatenated events (``None`` if there are none), the
     prior state and its applied-LSN watermark, and returns ``(final,
     watermark, (events_in, fence_dropped, events_applied))``, where
-    ``final`` is the new state or ``None`` for "unchanged". ``segment``
-    (a CDC epoch whose partition's fold is not due, see
-    ``staged._Epoch.segment_for``) is the delta step of the same shape,
-    ``cdc_segment``. In order:
+    ``final`` is the new state or ``None`` for "unchanged". In order:
 
     - fence: this epoch's base file for ``part`` exists, or a delta group
       file of this epoch lists it (``resumed``, its manifest) → return
       its manifest (resume);
-    - delta: with ``segment`` and surviving events, return a
-      ``DeltaWrite`` for the group's one delta file
-      (``SnapshotStore.write_delta_group``), after ``fault_hook``; the
-      prior state is not read;
     - prior read: the prior state with its chain overlaid;
     - fold;
     - unchanged: with ``delta`` and a prior file, return the prior base's
@@ -221,24 +233,6 @@ def apply_partition(store: SnapshotStore, epoch: int, part: int, events,
     prior_last = -1 if prior is None else prior.last_lsn
     live = [t for t in events if t.num_rows]
     ev = pa.concat_tables(live, promote_options="default") if live else None
-
-    def metrics(counts):
-        events_in, dropped, applied = counts
-        return {
-            "events_in": events_in,
-            "fence_dropped": dropped,
-            "events_applied": applied,
-            "apply_s": round(time.perf_counter() - t0, 4),
-        }
-
-    if segment is not None and ev is not None and not table_has_patches(ev):
-        rows, watermark, counts = segment(ev, prior_last)
-        if rows is not None:
-            if fault_hook is not None:
-                fault_hook(epoch, part)
-            return DeltaWrite(part, rows, prior, watermark, metrics(counts))
-        if delta:
-            return int(prior.epoch)
     state = None if prior is None else store.read_resolved(prior, part)
     final, watermark, counts = fold(ev, state, prior_last)
     if final is None:
@@ -248,8 +242,21 @@ def apply_partition(store: SnapshotStore, epoch: int, part: int, events,
     if fault_hook is not None:
         fault_hook(epoch, part)
     return store.write_partition(
-        epoch, part, final, last_lsn=watermark, metrics=metrics(counts),
+        epoch, part, final, last_lsn=watermark,
+        metrics=apply_metrics(counts, time.perf_counter() - t0),
     )
+
+
+def apply_metrics(counts, seconds: float) -> dict:
+    """A manifest's apply metrics from ``(events_in, fence_dropped,
+    events_applied)`` and the seconds spent."""
+    events_in, dropped, applied = counts
+    return {
+        "events_in": int(events_in),
+        "fence_dropped": int(dropped),
+        "events_applied": int(applied),
+        "apply_s": round(seconds, 4),
+    }
 
 
 def open_epoch(store: SnapshotStore, dm: DataModel, epoch: int):

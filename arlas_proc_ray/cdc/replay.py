@@ -52,12 +52,18 @@ def _combined_key(table: pa.Table, key_cols: list[str]) -> pa.Array:
     return pc.binary_join_element_wise(*arrays, "\x00")
 
 
-def group_ids(table: pa.Table, key_cols: list[str]) -> np.ndarray:
-    """Exact dense group id per row via Arrow dictionary encoding."""
+def group_ids(table: pa.Table, key_cols: list[str],
+              tags: np.ndarray | None = None) -> np.ndarray:
+    """Exact dense group id per row via Arrow dictionary encoding. With
+    ``tags`` (a partition per row), a key is one group per partition:
+    rows of different partitions never share an id."""
     combined = _combined_key(table, key_cols)
     if isinstance(combined, pa.ChunkedArray):
         combined = combined.combine_chunks()
-    return pc.dictionary_encode(combined).indices.to_numpy(zero_copy_only=False)
+    gid = pc.dictionary_encode(combined).indices.to_numpy(zero_copy_only=False)
+    if tags is None or not len(gid):
+        return gid
+    return tags.astype(np.int64) * (int(gid.max()) + 1) + gid
 
 
 def lww_reduce_table(
@@ -82,13 +88,23 @@ def lww_reduce_table(
 
     if table_has_patches(table):
         return patch_prune_table(table, key_cols, order_col)
-    gid = group_ids(table, list(key_cols))
+    return table.take(pa.array(lww_order(table, key_cols, order_col)))
+
+
+def lww_order(table: pa.Table, key_cols, order_col: str = "lsn",
+              tags: np.ndarray | None = None) -> np.ndarray:
+    """The positions ``lww_reduce_table`` keeps (no PATCH dispatch),
+    ascending. With ``tags`` (a partition per row), a key is one per
+    partition: rows of different partitions never collapse, as if each
+    partition were reduced on its own."""
+    if table.num_rows <= 1:
+        return np.arange(table.num_rows)
+    gid = group_ids(table, list(key_cols), tags)
     order = table.column(order_col).to_numpy()
     sel = np.lexsort((order, gid))
     gid_sorted = gid[sel]
     last_of_group = np.append(gid_sorted[1:] != gid_sorted[:-1], True)
-    keep = np.sort(sel[last_of_group])
-    return table.take(pa.array(keep))
+    return np.sort(sel[last_of_group])
 
 
 def make_align_fn(registry: SchemaRegistry):

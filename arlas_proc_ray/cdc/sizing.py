@@ -33,6 +33,7 @@ exchange, a one-range jsonl read) runs in the calling process instead.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,12 @@ INLINE_BYTES = 8 << 20
 # many rows as its base, and after 8 segments of tiny epochs.
 FOLD_SEGMENTS = 8
 FOLD_ROWS_RATIO = 1.0
+# Rows of live key, content_sha256 and last_lsn columns a store handle
+# keeps between delta epochs (``SnapshotStore.write_delta_group``), so an
+# in-process tailer's next segment reads no base or chain. A row of two
+# short string keys, a hex digest and an LSN is ~150 bytes, so this
+# bounds the cache near 80 MB of the caller's heap.
+LIVE_CACHE_ROWS = 1 << 19
 
 
 def runs_in_process(tasks: int, nbytes: int | None) -> bool:
@@ -80,6 +87,27 @@ def runs_in_process(tasks: int, nbytes: int | None) -> bool:
     runs in the caller: only a single task's worth of a known size of at
     most ``INLINE_BYTES``. An unknown size (``None``) keeps the tasks."""
     return tasks == 1 and nbytes is not None and nbytes <= INLINE_BYTES
+
+
+# Datasets an in-process stage built from tables it holds, with those
+# tables (``hold``): the next in-process stage takes them back (``held``)
+# instead of fetching its own blocks from the object store. Weak keys: an
+# entry lives as long as its Dataset.
+_HELD: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def hold(ds, tables: list):
+    """``ds``, a Dataset whose blocks are ``tables``, remembered with them
+    (``read_changelog_jsonl``'s in-process read)."""
+    _HELD[ds] = tables
+    return ds
+
+
+def held(ds) -> list | None:
+    """The tables ``ds`` was built from in this process (``hold``), or
+    None: a one-group exchange in process reads them without a round
+    trip through the object store (``staged._inline_exchange``)."""
+    return _HELD.get(ds)
 
 
 def object_store_bytes(default: int = 2 * 1024**3) -> int:

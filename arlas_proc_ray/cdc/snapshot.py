@@ -99,7 +99,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from arlas_proc_ray.functions.hashing import sha256_rollup
+from arlas_proc_ray.functions.hashing import sha256_rollup, sha256_rollups
 
 
 @dataclass
@@ -122,7 +122,10 @@ class PartitionManifest:
     max_surviving_lsn: int = -1
     # Free-form per-partition apply metrics (events_applied, apply_s, …) —
     # the north-rule's "per-partition lineage + metrics"; purely
-    # observational, never read by the fence/resume logic.
+    # observational, never read by the fence/resume logic. A partition
+    # its exchange group wrote as a delta segment gets, as ``apply_s``,
+    # the group pass's seconds ÷ the segments it wrote, so the epoch's
+    # sum still adds up.
     metrics: dict = field(default_factory=dict)
     # Zone maps: {column: [min, max]} over the partition's surviving rows,
     # for int/float columns and short strings (both bounds ≤ 64 chars),
@@ -224,24 +227,50 @@ def _zone_maps(md: pq.FileMetaData, schema: pa.Schema,
     back as "", so a row group whose bounds read "" for a column chunk of
     more than that many bytes leaves the column unbounded. ``row_groups``
     limits the maps to those row groups (a delta segment's)."""
+    groups = range(md.num_row_groups) if row_groups is None else row_groups
+    rgs = [md.row_group(rg) for rg in groups]
+    if not sum(rg.num_rows for rg in rgs):
+        return {}
+    return _bounded(_zone_fields(md, schema), rgs)
+
+
+def _row_group_zone_maps(md: pq.FileMetaData, schema: pa.Schema) -> list:
+    """``_zone_maps(md, schema, [rg])`` of every row group ``rg``, from one
+    walk of the footer (a delta group file's segments)."""
+    fields = _zone_fields(md, schema)
+    out = []
+    for i in range(md.num_row_groups):
+        rg = md.row_group(i)
+        out.append(_bounded(fields, [rg]) if rg.num_rows else {})
+    return out
+
+
+def _zone_fields(md: pq.FileMetaData, schema: pa.Schema) -> list:
+    """``(name, leaf column index, is string, is float)`` of the columns
+    ``_zone_maps`` bounds: int, float and string columns of ``schema``
+    that ``md`` stores."""
     import pyarrow.types as pt
 
-    stats: dict = {}
-    groups = range(md.num_row_groups) if row_groups is None else row_groups
-    if not sum(md.row_group(rg).num_rows for rg in groups):
-        return stats
     leaf = {md.schema.column(i).path: i for i in range(md.num_columns)}
+    fields = []
     for f in schema:
         t = f.type
         is_str = pt.is_string(t) or pt.is_large_string(t)
         is_float = pt.is_floating(t)
-        if f.name not in leaf or not (pt.is_integer(t) or is_float or is_str):
-            continue
-        ci = leaf[f.name]
+        if f.name in leaf and (pt.is_integer(t) or is_float or is_str):
+            fields.append((f.name, leaf[f.name], is_str, is_float))
+    return fields
+
+
+def _bounded(fields: list, rgs: list) -> dict:
+    """The zone maps of ``fields`` (``_zone_fields``) over the row groups
+    ``rgs`` (``RowGroupMetaData``), by ``_zone_maps``' rules."""
+    stats: dict = {}
+    for name, ci, is_str, is_float in fields:
         lo = hi = None
         known, valued = True, False
-        for rg in groups:
-            col = md.row_group(rg).column(ci)
+        for rg in rgs:
+            col = rg.column(ci)
             st = col.statistics
             if st is None:
                 known = False
@@ -268,7 +297,7 @@ def _zone_maps(md: pq.FileMetaData, schema: pa.Schema,
             lo, hi = float("inf"), float("-inf")
         if is_str and (len(lo) > _STATS_MAX_STR or len(hi) > _STATS_MAX_STR):
             continue
-        stats[f.name] = [lo, hi]
+        stats[name] = [lo, hi]
     return stats
 
 
@@ -363,11 +392,17 @@ def _bloom_build(col, num_rows: int, min_bits: int = _BLOOM_MIN_BITS) -> dict:
     clamped to [``min_bits``, 128 KiB] and rounded up to a power of two
     (h2 is odd, hence coprime with a power-of-two m). Tagged ``"h"`` with
     its value hash, ``_BLOOM_SCHEME``."""
+    return _bloom_of_hashes(_bloom_hashes(col), num_rows, min_bits)
+
+
+def _bloom_of_hashes(hv, num_rows: int, min_bits: int) -> dict:
+    """``_bloom_build`` from the column's ``_bloom_hashes``: a caller that
+    cuts one hashed column into many blooms hashes it once."""
     bits = min_bits
     while bits < num_rows * 8 and bits < _BLOOM_MAX_BITS:
         bits <<= 1
     hit = np.zeros(bits, dtype=bool)
-    for pos in _bloom_positions(col, bits, _BLOOM_HASHES):
+    for pos in _hash_positions(hv, bits, _BLOOM_HASHES):
         hit[pos[pos >= 0]] = True
     # bit p lives in byte p >> 3 at position p & 7
     bm = np.packbits(hit, bitorder="little")
@@ -758,23 +793,54 @@ def _overlay(pieces: list[pa.Table], key_cols: list[str],
     The tombstone column is dropped. ``where``, clauses on key columns
     only, keeps the keys that match first (exact: all of a key's rows
     share its key values)."""
-    from arlas_proc_ray.cdc.replay import group_ids
-
-    tables = [
-        t if DELETED in t.column_names
-        else t.append_column(DELETED, pa.repeat(pa.scalar(False), t.num_rows))
-        for t in pieces
-    ]
-    table = pa.concat_tables(
-        [t.replace_schema_metadata(None) for t in tables],
-        promote_options="default")
+    table = _tombstoned(pieces)
     if where:
         table = table.filter(_predicate_mask(table, where))
     if table.num_rows:
-        _, first = np.unique(group_ids(table, key_cols), return_index=True)
-        table = table.take(pa.array(np.sort(first)))
+        table = table.take(pa.array(_first_rows(table, key_cols)))
         table = table.filter(pa.compute.invert(table.column(DELETED)))
     return table.drop_columns([DELETED])
+
+
+def _tombstoned(pieces: list[pa.Table]) -> pa.Table:
+    """``pieces`` as one table with a ``DELETED`` column (False where a
+    piece has none)."""
+    return pa.concat_tables(
+        [(t if DELETED in t.column_names else t.append_column(
+            DELETED, pa.repeat(pa.scalar(False), t.num_rows)))
+         .replace_schema_metadata(None) for t in pieces],
+        promote_options="default")
+
+
+def _first_rows(table: pa.Table, key_cols: list[str],
+                tags: np.ndarray | None = None) -> np.ndarray:
+    """The position of each key's first row, ascending. With ``tags`` (a
+    partition per row), a key is one per partition: rows of different
+    partitions never decide each other."""
+    from arlas_proc_ray.cdc.replay import group_ids
+
+    _, first = np.unique(group_ids(table, key_cols, tags), return_index=True)
+    return np.sort(first)
+
+
+def _group_overlay(pieces: list[pa.Table], tags: list[np.ndarray],
+                   key_cols: list[str], num_parts: int) -> list[pa.Table]:
+    """``_overlay`` of many partitions at once: ``tags[i]`` is the
+    partition index (``0 .. num_parts - 1``) of each row of
+    ``pieces[i]``, and a partition's pieces come newest first. Returns
+    each partition's live rows, in ``_overlay``'s row order, each table
+    its own copy (a cache may keep one without the others)."""
+    table = _tombstoned(pieces)
+    tag = np.concatenate(tags).astype(np.int64)
+    keep = _first_rows(table, key_cols, tag) if table.num_rows else tag[:0]
+    dead = table.column(DELETED).combine_chunks().to_numpy(zero_copy_only=False)
+    keep = keep[~dead[keep]]
+    tag = tag[keep]
+    order = np.argsort(tag, kind="stable")
+    bounds = np.searchsorted(tag[order], np.arange(num_parts + 1))
+    table = table.drop_columns([DELETED]).combine_chunks()
+    return [table.take(pa.array(keep[order[bounds[i]:bounds[i + 1]]]))
+            for i in range(num_parts)]
 
 
 def _key_in(table: pa.Table, others: pa.Table) -> pa.ChunkedArray:
@@ -805,38 +871,53 @@ def _keys_without(keys: pa.Table, rows: pa.Table) -> pa.Table:
     return keys.filter(pa.compute.invert(_key_in(keys, rows)))
 
 
-class DeltaWrite(NamedTuple):
-    """One partition's segment for ``SnapshotStore.write_delta_group``:
-    its rows, the previous index's manifest of the partition, the applied
-    watermark and the apply metrics."""
-    part: int
+class DeltaGroup(NamedTuple):
+    """One exchange group's delta segments for
+    ``SnapshotStore.write_delta_group``. ``rows`` holds every segment's
+    rows, partition by partition in the ascending order of ``parts``;
+    segment ``i`` is rows ``bounds[i]`` to ``bounds[i + 1]``. Per
+    partition: its manifest in the previous index (``priors``), its
+    applied watermark (``last_lsn``) and its apply metrics."""
+    parts: list
     rows: pa.Table
-    prior: PartitionManifest
-    last_lsn: int
-    metrics: dict
+    bounds: np.ndarray
+    priors: list
+    last_lsn: list
+    metrics: list
 
 
-def _segment_blooms(rows: pa.Table, keys: list[str]) -> dict:
-    return {c: _bloom_build(rows.column(c), rows.num_rows,
-                            _SEGMENT_BLOOM_MIN_BITS) for c in keys}
+def _segment_blooms(rows: pa.Table, keys: list[str],
+                    bounds: np.ndarray) -> list[dict]:
+    """The key blooms of each segment ``rows[bounds[i]:bounds[i + 1]]``:
+    each key column hashed once, cut per segment."""
+    hashed = [(c, _bloom_hashes(rows.column(c))) for c in keys]
+    return [{c: _bloom_of_hashes(hv[a:b], int(b - a), _SEGMENT_BLOOM_MIN_BITS)
+             for c, hv in hashed}
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _exact_stats(live: pa.Table) -> dict:
-    """``_zone_maps``' bounds of ``live``'s int and string columns,
-    computed over the rows themselves."""
+def _exact_stats(live: list[pa.Table]) -> list[dict]:
+    """Per table of ``live`` (one partition's live rows each), the
+    ``_zone_maps`` bounds of its int and string columns, computed over
+    the rows themselves by one group-by over all of them."""
     import pyarrow.types as pt
 
-    stats = {}
-    for name in live.column_names:
-        t = live.schema.field(name).type
-        if not (pt.is_integer(t) or pt.is_string(t) or pt.is_large_string(t)):
-            continue
-        mm = pa.compute.min_max(live.column(name))
-        lo, hi = mm["min"].as_py(), mm["max"].as_py()
-        if lo is None or (isinstance(lo, str) and (
-                len(lo) > _STATS_MAX_STR or len(hi) > _STATS_MAX_STR)):
-            continue
-        stats[name] = [lo, hi]
+    names = [f.name for f in live[0].schema
+             if pt.is_integer(f.type) or pt.is_string(f.type)
+             or pt.is_large_string(f.type)]
+    sizes = [t.num_rows for t in live]
+    whole = pa.concat_tables(live).select(names).append_column(
+        "_part", pa.array(np.repeat(np.arange(len(live)), sizes)))
+    agg = whole.group_by("_part", use_threads=False).aggregate(
+        [(c, f) for c in names for f in ("min", "max")]).to_pydict()
+    stats: list[dict] = [{} for _ in live]
+    for i, part in enumerate(agg["_part"]):
+        for c in names:
+            lo, hi = agg[c + "_min"][i], agg[c + "_max"][i]
+            if lo is None or (isinstance(lo, str) and (
+                    len(lo) > _STATS_MAX_STR or len(hi) > _STATS_MAX_STR)):
+                continue
+            stats[part][c] = [lo, hi]
     return stats
 
 
@@ -875,27 +956,28 @@ def _segment_manifest(entry: dict, seg: Segment, seg_stats: dict,
     )
 
 
-def _durable_parquet(path: str, tables: list[pa.Table], *, compression: str,
+def _durable_parquet(path: str, table: pa.Table, *, compression: str,
                      row_group_size: int | None = None,
-                     group_each: bool = False) -> pq.FileMetaData:
-    """Write ``tables`` (one schema, ``tables[0]``'s, footer metadata
-    included) as one Parquet file at ``path`` through tmp, fsync and
-    rename, and return its footer. ``group_each``: each table is one row
-    group."""
+                     group_rows: list[int] | None = None) -> pq.FileMetaData:
+    """Write ``table`` (footer metadata included) as one Parquet file at
+    ``path`` through tmp, fsync and rename, and return its footer.
+    ``group_rows``: the row count of each row group, in order."""
     d = os.path.dirname(path)
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".parquet.tmp")
-    whole = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
     written: list = []
     try:
         with pq.ParquetWriter(
-            tmp, tables[0].schema, compression=compression,
-            write_statistics=_sound_statistics(whole),
+            tmp, table.schema, compression=compression,
+            write_statistics=_sound_statistics(table),
             metadata_collector=written,
         ) as w:
-            for t in tables:
-                w.write_table(t, row_group_size=(
-                    max(1, t.num_rows) if group_each else row_group_size))
+            if group_rows is None:
+                w.write_table(table, row_group_size=row_group_size)
+            start = 0
+            for n in group_rows or ():
+                w.write_table(table.slice(start, n), row_group_size=max(1, n))
+                start += n
         # durable before it is visible: its existence is the fence
         os.fsync(fd)
         os.replace(tmp, path)
@@ -908,7 +990,7 @@ def _durable_parquet(path: str, tables: list[pa.Table], *, compression: str,
 
 def _version(path: str) -> tuple:
     st = os.stat(path)
-    return st.st_ino, st.st_mtime_ns
+    return st.st_ino, st.st_mtime_ns, st.st_size
 
 
 class _Previous:
@@ -1022,6 +1104,14 @@ class SnapshotStore:
         # entries)}, seeded by this handle's own delta writes
         # (``_group_file``)
         self._footers: dict = {}
+        # {partition: (layout, file versions, live key, content_sha256 and
+        # last_lsn columns)} as this handle's last committed delta write
+        # of the partition left them, oldest first, at most
+        # ``sizing.LIVE_CACHE_ROWS`` rows (``write_delta_group``), and
+        # {partition: (epoch, *entry)} of the writes not committed yet
+        # (``_promote_live``)
+        self._live: dict = {}
+        self._live_pending: dict = {}
         os.makedirs(root, exist_ok=True)
 
     # ---- paths -----------------------------------------------------------
@@ -1043,7 +1133,8 @@ class SnapshotStore:
 
     def __getstate__(self):
         # a task reads what it needs itself: the caches stay here
-        return {**self.__dict__, "_index": None, "_footers": {}}
+        return {**self.__dict__, "_index": None, "_footers": {}, "_live": {},
+                "_live_pending": {}}
 
     def _cache_index(self, epoch: int, version: tuple, manifests: list) -> None:
         cache = {e: v for e, v in (self._index or {}).items() if e != epoch}
@@ -1128,19 +1219,18 @@ class SnapshotStore:
             path = os.path.join(self.epoch_dir(epoch), name)
             f, md, footer = self._group_file(path)
             keys = footer["keys"]
-            schema = md.schema.to_arrow_schema()
-            rows = f.read(columns=keys)
-            start = 0
-            for rg, entry in enumerate(footer["segments"]):
-                n = entry["rows"]
-                seg_keys = rows.slice(start, n)
-                start += n
+            entries = footer["segments"]
+            blooms = _segment_blooms(f.read(columns=keys), keys, np.cumsum(
+                [0] + [e["rows"] for e in entries]))
+            zone_maps = _row_group_zone_maps(md, md.schema.to_arrow_schema())
+            for rg, entry in enumerate(entries):
                 part = entry["partition"]
                 out[part] = _segment_manifest(
-                    entry, Segment(epoch, name, rg, n,
-                                   _segment_blooms(seg_keys, keys)),
-                    _zone_maps(md, schema, [rg]),
-                    prior.get(part) if prior else None)
+                    entry, Segment(epoch, name, rg, entry["rows"], blooms[rg]),
+                    zone_maps[rg], prior.get(part) if prior else None)
+                # a resumed partition's live columns are this attempt's to
+                # recompute, never an earlier attempt's to keep
+                self._live_pending.pop(part, None)
         return out
 
     def write_partition(
@@ -1186,25 +1276,27 @@ class SnapshotStore:
             _FOOTER_KEY: json.dumps(footer).encode(),
         })
         md = _durable_parquet(
-            self.part_data_path(epoch, part), [table],
+            self.part_data_path(epoch, part), table,
             compression=self.compression, row_group_size=self.row_group_rows,
         )
         return _derived_manifest(epoch, part, footer, table, md, table.schema)
 
     def write_delta_group(self, epoch: int, key_cols: list[str],
-                          segments: list) -> list[PartitionManifest]:
+                          group: DeltaGroup) -> list[PartitionManifest]:
         """Write one exchange group's delta segments as ONE Parquet file,
         one row group per partition, and return each partition's
         manifest.
 
-        ``segments`` are ``DeltaWrite``s in partition order: a segment's
-        rows are its partition's fence-surviving, LWW-reduced events,
-        hashed, tombstones kept (``DELETED``); each has an LSN above the
-        partition's watermark, so it beats every base and older-segment
-        row. The partition's exact ``row_count``, ``max_surviving_lsn``
-        and ``sha256_rollup`` come from the key, ``content_sha256`` and
-        ``last_lsn`` columns of its base and chain (each file read once
-        per call), never from ``content``.
+        A segment's rows are its partition's fence-surviving, LWW-reduced
+        events, hashed, tombstones kept (``DELETED``); each has an LSN
+        above the partition's watermark, so it beats every base and
+        older-segment row. Each partition's exact ``row_count``,
+        ``max_surviving_lsn``, ``sha256_rollup`` and key zone maps come
+        from its live key, ``content_sha256`` and ``last_lsn`` columns
+        once the segment is overlaid, never from ``content``; each is
+        computed once over the whole group's columns, not per partition.
+        A partition's prior live columns come from this handle's cache
+        (``_cached_live``) or from its chain and base.
 
         The file goes through tmp, fsync and rename: all or nothing. Its
         footer (``_SEGMENTS_KEY``) lists each segment's partition and
@@ -1213,47 +1305,103 @@ class SnapshotStore:
         (``delta_manifests``)."""
         keys = list(key_cols)
         cols = list(dict.fromkeys([*keys, "content_sha256", "last_lsn"]))
+        # one overlay over the whole group's pieces, newest first per
+        # partition: the segments, then each partition's prior live columns
+        versions, cached = self._cached_live(group)
         fetched = self._read_segments(
-            [s for w in segments for s in w.prior.chain], [*cols, DELETED])
+            [s for i, m in enumerate(group.priors) if i not in cached
+             for s in m.chain], [*cols, DELETED])
+        pieces = [group.rows.select([*cols, DELETED])]
+        tags = [np.repeat(np.arange(len(group.parts)), np.diff(group.bounds))]
+        for i, (part, m) in enumerate(zip(group.parts, group.priors)):
+            if i in cached:
+                prior = [cached[i]]
+            else:
+                prior = [fetched[s.place()] for s in reversed(m.chain)]
+                base = (self.read_partition(m.epoch, part, columns=cols)
+                        if m.base_rows else None)
+                prior += [] if base is None else [base]
+            pieces += prior
+            tags += [np.full(t.num_rows, i) for t in prior]
+        live = _group_overlay(pieces, tags, keys, len(group.parts))
+        stats = _exact_stats(live)
+        rollups = sha256_rollups([t.column("content_sha256") for t in live])
         entries = []
-        for rg, w in enumerate(segments):
-            pieces = [w.rows.select([*cols, DELETED])]
-            pieces += [fetched[s.place()] for s in reversed(w.prior.chain)]
-            if w.prior.base_rows:
-                pieces.append(self.read_partition(
-                    w.prior.epoch, w.part, columns=cols))
-            live = _overlay(pieces, keys)
-            n = live.num_rows
-            surviving = (int(pa.compute.max(live.column("last_lsn")).as_py())
-                         if n else -1)
+        for i, (part, prior) in enumerate(zip(group.parts, group.priors)):
+            n = live[i].num_rows
+            surviving = stats[i]["last_lsn"][1] if "last_lsn" in stats[i] else -1
             entries.append({
-                "col_stats": _exact_stats(live),
-                "partition": w.part, "rows": w.rows.num_rows,
-                "base": w.prior.epoch, "base_rows": w.prior.base_rows,
+                "col_stats": stats[i],
+                "partition": part,
+                "rows": int(group.bounds[i + 1] - group.bounds[i]),
+                "base": prior.epoch, "base_rows": prior.base_rows,
                 "chain": [[s.epoch, s.file, s.row_group, s.rows]
-                          for s in w.prior.chain],
-                "last_lsn": max(int(w.last_lsn), surviving),
+                          for s in prior.chain],
+                "last_lsn": max(int(group.last_lsn[i]), surviving),
                 "max_surviving_lsn": surviving, "row_count": n,
-                "sha256_rollup": sha256_rollup(
-                    live.column("content_sha256") if n else []),
-                "metrics": dict(w.metrics),
+                "sha256_rollup": rollups[i],
+                "metrics": dict(group.metrics[i]),
             })
         footer = {"keys": keys, "segments": entries}
-        tables = [w.rows for w in segments]
-        schema = tables[0].schema.with_metadata(
+        rows = group.rows.replace_schema_metadata(
             {_SEGMENTS_KEY: json.dumps(footer).encode()})
-        tables = [t.replace_schema_metadata(schema.metadata) for t in tables]
-        name = _delta_name(epoch, [w.part for w in segments])
+        name = _delta_name(epoch, list(group.parts))
         path = os.path.join(self.epoch_dir(epoch), name)
-        md = _durable_parquet(path, tables, compression=self.compression,
-                              group_each=True)
-        self._remember_footer(path, _version(path), md, footer)
-        return [
-            _segment_manifest(entry, Segment(
-                epoch, name, rg, entry["rows"], _segment_blooms(w.rows, keys)),
-                _zone_maps(md, schema, [rg]), w.prior)
-            for rg, (w, entry) in enumerate(zip(segments, entries))
-        ]
+        md = _durable_parquet(path, rows, compression=self.compression,
+                              group_rows=[e["rows"] for e in entries])
+        version = _version(path)
+        self._remember_footer(path, version, md, footer)
+        blooms = _segment_blooms(rows, keys, group.bounds)
+        zone_maps = _row_group_zone_maps(md, rows.schema)
+        out = []
+        for rg, (entry, prior) in enumerate(zip(entries, group.priors)):
+            m = _segment_manifest(entry, Segment(
+                epoch, name, rg, entry["rows"], blooms[rg]), zone_maps[rg], prior)
+            out.append(m)
+            if versions[rg] is not None:
+                self._live_pending[m.partition_id] = (
+                    epoch, m.layout(), {**versions[rg], path: version},
+                    live[rg])
+        return out
+
+    def _cached_live(self, group: DeltaGroup) -> tuple:
+        """``{path: version}`` of the files of each prior layout of
+        ``group`` (None for one with a file missing), and ``{i: live
+        columns}`` for each partition ``i`` whose prior live columns this
+        handle caches for that layout under the same file versions (an
+        epoch number can be reused: ``discard_staged``)."""
+        stat: dict = {}
+        versions, hits = [], {}
+        for i, (part, m) in enumerate(zip(group.parts, group.priors)):
+            files = [self.segment_path(s) for s in m.chain]
+            if m.base_rows:
+                files.append(self.part_data_path(m.epoch, part))
+            try:
+                v = {f: stat[f] if f in stat else stat.setdefault(
+                    f, _version(f)) for f in files}
+            except FileNotFoundError:
+                v = None
+            versions.append(v)
+            hit = self._live.get(part)
+            if v is not None and hit is not None and hit[:2] == (m.layout(), v):
+                hits[i] = hit[2]
+        return versions, hits
+
+    def _promote_live(self, epoch: int) -> None:
+        """Cache the live columns this handle's delta writes of ``epoch``
+        computed, now that ``epoch`` is committed, dropping the oldest
+        past ``sizing.LIVE_CACHE_ROWS`` rows. Columns of an epoch that was
+        never committed here (a crash, ``discard_staged``) are dropped."""
+        from arlas_proc_ray.cdc import sizing
+
+        for part, (e, *entry) in self._live_pending.items():
+            if e == epoch:
+                self._live.pop(part, None)
+                self._live[part] = tuple(entry)
+        self._live_pending = {}
+        total = sum(t.num_rows for *_, t in self._live.values())
+        while total > sizing.LIVE_CACHE_ROWS:
+            total -= self._live.pop(next(iter(self._live)))[2].num_rows
 
     def _segment_rows(self, seg: Segment, columns: list[str] | None = None
                       ) -> pa.Table:
@@ -1350,6 +1498,7 @@ class SnapshotStore:
         marker = self.commit_marker_path(epoch)
         _atomic_write_bytes(marker, json.dumps(summary).encode())
         self._cache_index(epoch, _version(marker), manifests)
+        self._promote_live(epoch)
         return summary
 
     def _indexed_manifest(self, src: int, part: int, indexes: dict):
@@ -1466,8 +1615,9 @@ class SnapshotStore:
     def _segment_meta(self, seg: Segment) -> Segment:
         """``seg`` with its key blooms rebuilt from its group file."""
         keys = self._segment_keys(seg)
+        rows = self._segment_rows(seg, keys)
         return replace(seg, blooms=_segment_blooms(
-            self._segment_rows(seg, keys), keys))
+            rows, keys, np.array([0, rows.num_rows]))[0])
 
     def _read_segments(self, segments: list,
                        columns: list[str] | None = None) -> dict:

@@ -13,19 +13,26 @@ The exchange itself is the package's one keyed exchange
 :func:`session_groups`, the split into B×G contiguous
 ``(first_partition, table, bounds)`` objects and one task per group,
 where the per-partition views are cut). A store writer's route is
-:meth:`_Epoch.route` and its group body is :func:`_apply_group`: the
-per-partition kernel (``cdc.engine.apply_partition``: fence, prior read,
-the writer's fold or a CDC epoch's delta segment, fenced write) over the
-group's partitions in turn, then one delta file holding the group's
-segments, returning their manifests, from which the driver commits the
-epoch index.
+:meth:`_Epoch.route` and its group body is :func:`_apply_group`. A CDC
+epoch's delta work runs there ONCE over the group's rows
+(:func:`_segments`: one fence against the partitions' watermarks, one
+LWW, one hash pass), and the group's segments are written as one delta
+file whose manifest fields are computed over the group's columns at once
+(``SnapshotStore.write_delta_group``). Every partition that writes a
+base (no base yet, a fold, a PATCH, every event fenced without
+``delta``, MERGE, a repartition) goes through the per-partition kernel
+(``cdc.engine.apply_partition``: fence, prior read, the writer's fold,
+fenced write) in turn. The kernels' manifests go back to the driver,
+which commits the epoch index.
 
-Within a group the partitions apply sequentially, in ascending order;
+Within a group the partitions apply in ascending order (``fault_hook``
+fires per partition in that order, before the group file's rename);
 across groups they run in parallel. Fences, watermarks and manifests stay
-per partition, so a crash inside a group leaves the group's earlier
-partitions committed and resume skips them. Partition routing is the
-stable hash (``partition_ids``) that point lookups route by too; the one-
-and two-level exchanges are interchangeable per epoch on one store.
+per partition, so a crash inside a group leaves the group's earlier base
+partitions committed and resume skips them; the group file is redone
+whole. Partition routing is the stable hash (``partition_ids``) that
+point lookups route by too; the one- and two-level exchanges are
+interchangeable per epoch on one store.
 
 One group in the session (G = 1: one CPU, or P = 1) and an input of at
 most ``sizing.INLINE_BYTES`` (8 MiB, by ``size_bytes()``; an unknown size
@@ -43,24 +50,29 @@ a store-writer concern.
 
 from __future__ import annotations
 
+import copy
 import math
+import time
 from functools import partial
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
 from arlas_proc_ray.cdc import sizing
 from arlas_proc_ray.cdc.engine import (
+    apply_metrics,
     apply_partition,
     cdc_fold,
-    cdc_segment,
+    cdc_segments,
     open_epoch,
 )
+from arlas_proc_ray.cdc.patch import PATCH_OP, table_has_patches
 from arlas_proc_ray.cdc.replay import lww_reduce_table
 from arlas_proc_ray.cdc.sizing import runs_in_process
-from arlas_proc_ray.cdc.snapshot import DeltaWrite
+from arlas_proc_ray.cdc.snapshot import DeltaGroup
 from arlas_proc_ray.exchange import (  # noqa: F401 (group_plan re-exported)
     group_plan,
     partition_order,
@@ -107,11 +119,12 @@ class _Epoch:
     The writer supplies ``fold`` (its per-partition step, see
     ``cdc.engine.apply_partition``), and optionally ``head`` (a
     per-block step the split tasks run before routing), ``segment`` (a
-    delta step, ``cdc_segment``: a touched partition whose fold is not
-    due is written as a delta segment), the fan-out ``num_partitions``
-    (the engine's by default) and ``prior`` (partition → its manifest in
-    the previous index, as ``open_epoch`` returns it; ``None`` reads no
-    prior state). ``prev_epoch`` is the commit's ``expected_prev``.
+    delta step over a group's rows, ``cdc_segments``: a touched partition
+    whose fold is not due is written as a delta segment), the fan-out
+    ``num_partitions`` (the engine's by default) and ``prior`` (partition
+    → its manifest in the previous index, as ``open_epoch`` returns it;
+    ``None`` reads no prior state). ``prev_epoch`` is the commit's
+    ``expected_prev``.
     """
 
     def __init__(self, engine, epoch: int, fold, *, head=None, segment=None,
@@ -128,6 +141,10 @@ class _Epoch:
         self.prior = prior or {}
         self.delta, self.delta_max_age = delta, delta_max_age
         self.fault_hook = engine.fault_hook
+        # each exchange object holds a key once: a split task's block,
+        # which the per-block step combined (a two-level exchange's merged
+        # objects do not)
+        self.reduced = True
         # decided here, in the driver, so every group task applies one rule
         self.folds = frozenset(p for p in self.prior if self._fold_due(p))
 
@@ -164,15 +181,13 @@ class _Epoch:
         is unchanged: with ``delta``, unless its fold is due."""
         return self.delta and part not in self.folds
 
-    def segment_for(self, part: int):
-        """The delta step for ``part``, or None when it must be written as
-        a base: no such step, no prior base, an empty base, or its fold
-        is due."""
+    def segments(self, part: int) -> bool:
+        """Whether ``part``, when touched, is written as a delta segment
+        rather than as a base: the writer has a delta step, and the
+        partition has a non-empty base whose fold is not due."""
         m = self.prior.get(part)
-        if (self.segment is None or m is None or not m.base_rows
-                or part in self.folds):
-            return None
-        return self.segment
+        return (self.segment is not None and m is not None
+                and bool(m.base_rows) and part not in self.folds)
 
     def finish(self, engine, results: list, publish: bool) -> dict:
         # a kernel returns an int source epoch for a referenced partition,
@@ -203,7 +218,7 @@ def cdc_epoch(engine, epoch: int, dead_letter_dir=None, delta: bool = False,
     return _Epoch(
         engine, epoch, partial(cdc_fold, engine.dm),
         head=partial(_combine, engine.dm, align),
-        segment=partial(cdc_segment, engine.dm), prev_epoch=prev_epoch,
+        segment=partial(cdc_segments, engine.dm), prev_epoch=prev_epoch,
         prior=prior, delta=delta, delta_max_age=delta_max_age,
     )
 
@@ -214,39 +229,126 @@ def _apply_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
     group. The body of a group task, of the two-level exchange's merge
     tasks and of the in-process exchange.
 
-    Base files are written per partition as the kernel reaches them; the
-    group's delta segments are written last, together, as one file
-    (``SnapshotStore.write_delta_group``), so a crash before that file's
-    rename redoes every segment of the group, and a resume skips the
+    A CDC epoch's delta work runs once over the group's rows, not once
+    per partition (:func:`_segments`): one fence, one LWW, one hash pass
+    make every touched partition's segment, and
+    ``SnapshotStore.write_delta_group`` writes them together as one file
+    after the group's last partition, every manifest field computed over
+    the whole group's columns. The partitions that write a base go
+    through ``apply_partition`` in turn. ``fault_hook`` fires per
+    partition in ascending order either way, so a crash before the group
+    file's rename leaves the bases of the partitions before it and no
+    segment: resume redoes every segment of the group, and skips the
     partitions any delta file of this epoch lists, under whatever group
     layout wrote it."""
     resumed = ctx.store.delta_manifests(ctx.epoch, ctx.prior)
-    results = [
-        apply_partition(
-            ctx.store, ctx.epoch, p, partition_views(inputs, p),
-            ctx.prior.get(p), ctx.fold, segment=ctx.segment_for(p),
-            delta=ctx.delta_for(p), fault_hook=ctx.fault_hook,
-            resumed=resumed,
-        )
-        for p in parts
-    ]
-    deltas = [r for r in results if isinstance(r, DeltaWrite)]
-    if not deltas:
+    group, referenced = _segments(ctx, parts, inputs, resumed,
+                                  ctx.reduced and len(inputs) == 1)
+    written = set(group.parts) if group is not None else ()
+    results = []
+    for p in parts:
+        if p in written:
+            if ctx.fault_hook is not None:
+                ctx.fault_hook(ctx.epoch, p)
+            results.append(None)
+        elif p in referenced:
+            results.append(int(ctx.prior[p].epoch))
+        else:
+            results.append(apply_partition(
+                ctx.store, ctx.epoch, p, partition_views(inputs, p),
+                ctx.prior.get(p), ctx.fold, delta=ctx.delta_for(p),
+                fault_hook=ctx.fault_hook, resumed=resumed,
+            ))
+    if group is None:
         return results
-    written = iter(ctx.store.write_delta_group(ctx.epoch, ctx.key_list, deltas))
-    return [next(written) if isinstance(r, DeltaWrite) else r for r in results]
+    manifests = iter(ctx.store.write_delta_group(ctx.epoch, ctx.key_list, group))
+    return [next(manifests) if r is None else r for r in results]
+
+
+def _segments(ctx: _Epoch, parts: range, inputs: tuple, resumed: dict,
+              reduced: bool):
+    """The delta segments of a group, made once over its rows by the
+    writer's delta step (``cdc_segments``). Returns ``(DeltaGroup or
+    None, partitions to reference)``.
+
+    A partition takes part when it ``ctx.segments`` and received events,
+    none of them a PATCH (a patch folds into the resolved state), and no
+    file of this epoch holds it yet (resume). Of those, one whose events
+    all fall at or below its fence writes nothing: with ``delta`` it is
+    referenced, otherwise ``apply_partition`` carries it forward.
+    A written partition's ``apply_s`` is this pass's seconds ÷ the
+    partitions it wrote, so the epoch's sum still adds up."""
+    if ctx.segment is None:
+        return None, set()
+    t0 = time.perf_counter()
+    n = len(parts)
+    counts = np.zeros(n, dtype=np.int64)
+    patched = np.zeros(n, dtype=bool)
+    tagged = []
+    for lo, t, b in inputs:
+        tags = np.repeat(np.arange(lo - parts.start, lo - parts.start + len(b) - 1),
+                         np.diff(b))
+        mine = (tags >= 0) & (tags < n)
+        tagged.append((t, tags, mine))
+        counts += np.bincount(tags[mine], minlength=n)
+        if table_has_patches(t):
+            is_patch = pc.fill_null(pc.equal(t.column("op"), PATCH_OP), False)
+            patched[tags[mine & is_patch.to_numpy(zero_copy_only=False)]] = True
+    eligible = np.array([
+        counts[i] > 0 and not patched[i] and p not in resumed
+        and ctx.segments(p) and not ctx.store.base_done(ctx.epoch, p)
+        for i, p in enumerate(parts)], dtype=bool)
+    if not eligible.any():
+        return None, set()
+    # rows of eligible partitions only, partition by partition, each
+    # partition's rows in input order
+    tables, tags = [], []
+    for t, tag, mine in tagged:
+        keep = mine & eligible[np.where(mine, tag, 0)]
+        if keep.any():
+            tables.append(t if keep.all() else t.filter(pa.array(keep)))
+            tags.append(tag[keep])
+    ev = (tables[0] if len(tables) == 1
+          else pa.concat_tables(tables, promote_options="default"))
+    tag = np.concatenate(tags)
+    if len(tables) > 1:
+        order = np.argsort(tag, kind="stable")
+        ev, tag = ev.take(pa.array(order)), tag[order]
+    which = np.flatnonzero(eligible)  # group index of each taking part
+    compact = np.cumsum(eligible) - 1
+    prior_last = np.array([ctx.prior[parts[i]].last_lsn for i in which],
+                          dtype=np.int64)
+    rows, row_tags, watermark, events_in, applied = ctx.segment(
+        ev, compact[tag], prior_last, reduced)
+    wrote = applied > 0
+    referenced = {parts[i] for i in which[~wrote]
+                  if ctx.delta_for(parts[i])}
+    if not wrote.any():
+        return None, referenced
+    bounds = np.searchsorted(row_tags, np.arange(len(which) + 1))
+    bounds = np.append(bounds[:-1][wrote], bounds[-1])
+    seconds = (time.perf_counter() - t0) / int(wrote.sum())
+    return DeltaGroup(
+        parts=[parts[i] for i in which[wrote]], rows=rows, bounds=bounds,
+        priors=[ctx.prior[parts[i]] for i in which[wrote]],
+        last_lsn=[int(w) for w in watermark[wrote]],
+        metrics=[apply_metrics((e, e - a, a), seconds)
+                 for e, a in zip(events_in[wrote], applied[wrote])],
+    ), referenced
 
 
 def _inline_exchange(ctx: _Epoch, events_ds) -> list:
     """The one-group exchange as plain calls in this process: each block
     is routed and cut into one exchange object, as a split task would,
-    and the group's body applies every partition. Returns the kernels'
-    results in partition order."""
+    and the group's body applies every partition. Blocks an in-process
+    read built here (``sizing.held``) are taken as they are, the others
+    fetched from the object store. Returns the kernels' results in
+    partition order."""
     whole = [range(ctx.num_partitions)]
-    inputs = [
-        split_block(block, ctx.route, whole)[0]
-        for block in ray.get(events_ds.to_arrow_refs())
-    ]
+    blocks = sizing.held(events_ds)
+    if blocks is None:
+        blocks = ray.get(events_ds.to_arrow_refs())
+    inputs = [split_block(block, ctx.route, whole)[0] for block in blocks]
     return _apply_group(ctx, whole[0], *inputs)
 
 
@@ -360,6 +462,8 @@ def staged_apply_epoch_two_level(
     l2 = [split_l2.remote(s, *[b[s] for b in l1]) for s in range(S)]
 
     merge_groups = session_groups(P)
+    ctx = copy.copy(ctx)
+    ctx.reduced = False  # a level-2 object merges many blocks
     results = _run_groups(ctx, merge_groups, lambda g: l2[
         merge_groups[g][0] // per_super : merge_groups[g][-1] // per_super + 1
     ])

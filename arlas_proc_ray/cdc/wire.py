@@ -465,7 +465,9 @@ def read_changelog_jsonl(paths, *, target_bytes: int = 64 * 1024 * 1024,
     process (``sizing.runs_in_process``), one decode and one block per
     range as the Ray Data path runs them, and comes back as a
     ``from_blocks`` Dataset, which starts no task (unless ``batch_size``
-    asks for Ray Data's re-batching)."""
+    asks for Ray Data's re-batching). The Dataset is held with its tables
+    (``sizing.hold``), so an in-process exchange over it reads them
+    directly."""
     import ray.data as rd
 
     plans = _jsonl_range_plans(
@@ -487,11 +489,13 @@ def read_changelog_jsonl(paths, *, target_bytes: int = 64 * 1024 * 1024,
             for p in plans
         ]
         # one block per range that decoded to anything, its version
-        # tables concatenated as Ray Data's block builder does
-        return rd.from_blocks([
+        # tables concatenated as Ray Data's block builder does; an
+        # in-process exchange takes them back without the object store
+        blocks = [
             pa.concat_tables(tables, promote_options="default")
             for tables in decoded if tables
-        ] or [CANONICAL_EVENT_SCHEMA.empty_table()])
+        ] or [CANONICAL_EVENT_SCHEMA.empty_table()]
+        return sizing.hold(rd.from_blocks(blocks), blocks)
 
     def read_ranges(batch: pa.Table) -> pa.Table:
         parts = [

@@ -82,6 +82,35 @@ def sha256_rollup(hex_digests) -> str:
     return h.hexdigest()
 
 
+def sha256_rollups(columns: list) -> list[str]:
+    """``sha256_rollup`` of each Arrow digest column of ``columns``, from
+    ONE sort of all of them by (column, digest) and one hash per column:
+    the same bytes, so the same hex, as a call per column."""
+    chunks = []
+    for c in columns:
+        c = c.cast(pa.string())
+        chunks += c.chunks if isinstance(c, pa.ChunkedArray) else [c]
+    t = pa.table({
+        "i": np.repeat(np.arange(len(columns)), [len(c) for c in columns]),
+        "d": pa.chunked_array(chunks, pa.string()),
+    })
+    t = t.filter(pc.is_valid(t.column("d")))
+    if not t.num_rows:
+        return [hashlib.sha256().hexdigest() for _ in columns]
+    t = t.take(pc.sort_indices(t, [("i", "ascending"), ("d", "ascending")]))
+    d = t.column("d").combine_chunks()
+    cuts = np.searchsorted(t.column("i").to_numpy(), np.arange(len(columns) + 1))
+    offs = np.frombuffer(d.buffers()[1], dtype=np.int32, count=len(d) + 1,
+                         offset=d.offset * 4)
+    data = memoryview(d.buffers()[2])
+    out = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        h = hashlib.sha256()
+        h.update(data[offs[lo] : offs[hi]])
+        out.append(h.hexdigest())
+    return out
+
+
 def sha256_prefix_int(col: pa.Array | pa.ChunkedArray, chars: int = 15) -> np.ndarray:
     """First ``chars`` hex digits of sha256 per row, as int64 — vectorized.
 

@@ -20,6 +20,7 @@ from arlas_proc_ray.cdc.events import (
 )
 from arlas_proc_ray.cdc.oracle import oracle_final_state
 from arlas_proc_ray.model import DataModel
+from segment_reference import reference_apply_group
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -173,7 +174,8 @@ def test_engine_chaos_with_crashes(tmp_path, ray_session, seed):
 def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
     """Cross-path equivalence: ``apply_epoch``, the staged one- and
     two-level exchanges, write-audit-publish and the in-process exchange
-    of a one-group session produce the oracle's final state,
+    of a one-group session, and the per-partition delta step the group
+    pass replaced (``segment_reference``), produce the oracle's final state,
     byte-identical, with equal commit summaries for the same epochs, and
     write the same manifest metric keys and the same counts (every one
     goes through the shared partition kernel); every path's epoch index
@@ -207,9 +209,11 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
             ds = rd.from_arrow(t)
             if mode in ("apply_epoch", "apply_epoch_folded"):
                 s = eng.apply_epoch(ds, i)
-            elif mode in ("inline", "inline_folded"):
+            elif mode in ("inline", "inline_folded", "reference"):
                 with monkeypatch.context() as m:
                     m.setattr(staged, "session_groups", one_group)
+                    if mode == "reference":  # the per-partition delta step
+                        m.setattr(staged, "_apply_group", reference_apply_group)
                     s = eng.apply_epoch(ds, i)
             elif mode == "staged":
                 s = eng.apply_epoch_staged(ds, i)
@@ -248,7 +252,7 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
         "events_in", "fence_dropped", "events_applied", "apply_s"
     }
     assert any(m["chain"] for m in base_manifests[-1])  # the chained leg
-    for mode in ("staged", "two_level", "wap", "inline"):
+    for mode in ("staged", "two_level", "wap", "inline", "reference"):
         state, summ, metrics, manifests = run(mode)
         pd.testing.assert_frame_equal(state, base_state)
         assert summ == base_sum, mode

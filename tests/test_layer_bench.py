@@ -21,7 +21,8 @@ def test_layer_bench_smoke(capsys):
         "read.read_table", "plan_scan.index", "lookup.engine", "scan.engine",
         "scan.engine.lazy", "bloom.build", "read.inline.2k", "epoch.inline.2k",
         "read.remote.2k", "epoch.remote.2k", "epoch.chain", "lookup.chain",
-        "scan.chain",
+        "scan.chain", "epoch.segment.P16", "epoch.segment.P64",
+        "epoch.segment.P256",
     ]
     assert "folds in" in next(r for r in rows if r["kernel"] == "epoch.chain")["note"]
     for r in rows:

@@ -64,6 +64,16 @@ a store of ``TAIL_BASE_EVENTS`` events over P=64 (``--smoke``: smaller):
       floor: the same reads of the same state folded (``jobs
                         optimize``'s rewrite)
 
+The delta epoch in one pass per group, at P = 16, 64 and 256 (the sweep
+shape of SNIPPETS [1]/[3], over fan-out instead of batch size):
+
+  epoch.segment.P<P>    one tail-sized (2k-event) delta epoch on a
+                        chained store of ``TAIL_BASE_EVENTS`` events,
+                        from a fresh store handle (cold: each touched
+                        partition's base and chain read)
+      floor: the same epoch from the handle that wrote the previous
+                        one (warm: its live key columns cached)
+
 Both sides of the one-task rule (``sizing.runs_in_process``), at 2k, 20k
 and 40k events (2k alone with ``--smoke``), ``<n>`` in thousands:
 
@@ -113,6 +123,8 @@ TAIL_SEGMENT_ROWS = 25
 # the chain rows: base events, tail epochs run, and the chain length the
 # read rows are measured on
 TAIL_BASE_EVENTS, CHAIN_EPOCHS, CHAIN_LENGTH = 20_000, 24, 6
+# the fan-outs of the epoch.segment rows
+SEGMENT_PARTITIONS = (16, 64, 256)
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -250,6 +262,7 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
     for n in epoch_events:
         _one_task_rows(row, n, repeats, seed)
     _chain_rows(row, repeats, seed, smoke=epoch_events != EPOCH_EVENTS)
+    _segment_rows(row, repeats, seed, smoke=epoch_events != EPOCH_EVENTS)
     return rows_out
 
 
@@ -261,7 +274,9 @@ def _tail_write_rows(row, store, states, partitions: int, repeats: int,
     those partitions as one delta group file, against the P writes."""
     import pyarrow.compute as pc
 
-    from arlas_proc_ray.cdc.snapshot import DELETED, DeltaWrite, SnapshotStore
+    import numpy as np
+
+    from arlas_proc_ray.cdc.snapshot import DELETED, DeltaGroup, SnapshotStore
 
     tail = pa.concat_tables(states).slice(0, TAIL_ROWS).combine_chunks()
     tail_store = SnapshotStore(os.path.join(d, "tail"),
@@ -303,10 +318,14 @@ def _tail_write_rows(row, store, states, partitions: int, repeats: int,
         pc.add(seg.column("last_lsn"), 10**9),
     ).append_column(DELETED, pa.repeat(pa.scalar(False), seg.num_rows))
     index = tail_store.epoch_index(1)
-    writes = [DeltaWrite(p, seg, index[p], 10**9 + p, {})
-              for p in range(partitions)]
+    group = DeltaGroup(
+        parts=list(range(partitions)),
+        rows=pa.concat_tables([seg] * partitions).combine_chunks(),
+        bounds=np.arange(partitions + 1) * seg.num_rows, priors=index,
+        last_lsn=[10**9 + p for p in range(partitions)],
+        metrics=[{}] * partitions)
     row("write.delta_group", "write.partition",
-        _median_s(lambda: tail_store.write_delta_group(2, dm.key_list, writes),
+        _median_s(lambda: tail_store.write_delta_group(2, dm.key_list, group),
                   repeats),
         partition_s, partitions * seg.num_rows, partitions * seg.nbytes)
 
@@ -488,6 +507,69 @@ def _chain_rows(row, repeats: int, seed: int, smoke: bool = False) -> None:
     finally:
         (staged.session_groups, sizing.INLINE_BYTES, sizing.FOLD_SEGMENTS,
          sizing.FOLD_ROWS_RATIO) = saved
+
+
+def _segment_rows(row, repeats: int, seed: int, smoke: bool = False) -> None:
+    """One tail-sized delta epoch (``delta=True``) on a chained store at
+    P = 16, 64 and 256, through ``apply_epoch`` in one merge group, in
+    process: from a
+    fresh handle (cold: every touched partition's base and chain read)
+    and from the handle that wrote the previous epoch (warm: the live key
+    columns cached). Each run starts from a copy of the same store."""
+    import shutil
+
+    import ray.data as rd
+
+    from arlas_proc_ray.cdc import sizing, staged
+    from arlas_proc_ray.cdc.engine import CdcEngine
+    from arlas_proc_ray.cdc.events import (
+        ChangelogConfig,
+        generate_changelog_tables,
+    )
+    from arlas_proc_ray.model import DataModel
+
+    base_n, step = (2000, 200) if smoke else (TAIL_BASE_EVENTS, 2000)
+    cfg = ChangelogConfig(num_events=base_n + 2 * step,
+                          num_keys=base_n * 3 // 4, seed=seed)
+    base, second, third = (
+        rd.from_arrow(generate_changelog_tables(cfg, lo, hi)).materialize()
+        for lo, hi in ((0, base_n), (base_n, base_n + step),
+                       (base_n + step, base_n + 2 * step)))
+    saved = staged.session_groups, sizing.INLINE_BYTES
+    staged.session_groups = lambda p: staged.group_plan(p, 1)
+    sizing.INLINE_BYTES = 1 << 62
+    try:
+        with tempfile.TemporaryDirectory() as d:
+            for parts in SEGMENT_PARTITIONS:
+                dm = DataModel(num_partitions=parts)
+                seed_dir = os.path.join(d, f"P{parts}")
+                CdcEngine(seed_dir, dm).apply_epoch(base, 1)
+                work = os.path.join(d, "work")
+
+                def fresh():
+                    shutil.rmtree(work, ignore_errors=True)
+                    shutil.copytree(seed_dir, work)
+                    return CdcEngine(work, dm)
+
+                def timed(warm: bool) -> float:
+                    times = []
+                    for _ in range(repeats + 1):  # the first is a warm-up
+                        eng = fresh()
+                        eng.apply_epoch(second, 2, delta=True)
+                        if not warm:
+                            eng = CdcEngine(work, dm)
+                        t0 = time.perf_counter()
+                        eng.apply_epoch(third, 3, delta=True)
+                        times.append(time.perf_counter() - t0)
+                        assert any(m.chain for m in eng.store.epoch_index(3))
+                    return statistics.median(times[1:])
+
+                cold_s, warm_s = timed(False), timed(True)
+                row(f"epoch.segment.P{parts}", "warm handle", cold_s, warm_s,
+                    step, third.size_bytes(),
+                    note=f"cold {cold_s:.4f}s, warm {warm_s:.4f}s")
+    finally:
+        staged.session_groups, sizing.INLINE_BYTES = saved
 
 
 def _serving_rows(row, engine, states, repeats: int) -> None:
