@@ -152,15 +152,16 @@ def diff_state_tables(
 def _diff_partition(
     key: list[str],
     compare: list[str],
+    cols: list[str],
     lsn_col: str | None,
     op_col: str,
     out_schema: pa.Schema,
     rows: pa.Table,
 ) -> pa.Table:
     """One exchange partition of ``snapshot_diff``: split the tagged rows
-    by ``_side``, LWW-reduce each side when ``lsn_col`` is set, classify."""
+    by ``_side``, LWW-reduce each side when ``lsn_col`` is set, classify
+    on ``compare``, keep the image columns ``cols``."""
     side = rows.column("_side").to_numpy()
-    cols = key + compare
     old, new = (rows.filter(pa.array(side == s)) for s in (0, 1))
     if lsn_col is not None:
         old = lww_reduce_table(old, key, lsn_col)
@@ -201,7 +202,17 @@ def snapshot_diff(
     """
     key = list(key)
     compare = list(compare)
-    cols = key + compare
+    return _keyed_diff(old_ds, new_ds, key, compare, key + compare, op_col,
+                       lsn_col, num_partitions)
+
+
+def _keyed_diff(old_ds, new_ds, key: list[str], compare: list[str],
+                cols: list[str], op_col: str, lsn_col: str | None,
+                num_partitions: int):
+    """``snapshot_diff`` whose images carry ``cols`` (the key and compare
+    columns among them), in that order; a key is updated when a
+    ``compare`` column changed. The change feed's fan-out fallback
+    carries its whole read set this way."""
     extra_lsn = lsn_col is not None and lsn_col not in cols
     ucols = cols + ([lsn_col] if extra_lsn else [])
 
@@ -229,7 +240,8 @@ def snapshot_diff(
         route=partial(key_route, key, num_partitions),
         body=partial(
             per_partition,
-            partial(_diff_partition, key, compare, lsn_col, op_col, out_schema),
+            partial(_diff_partition, key, compare, cols, lsn_col, op_col,
+                    out_schema),
         ),
         num_partitions=num_partitions,
     )

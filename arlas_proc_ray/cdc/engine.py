@@ -31,7 +31,7 @@ staged exchange (cdc/staged.py) in raw Ray tasks:
       → driver writes the epoch index, then the _COMMITTED marker
 
 With one merge group (a 1-CPU session, or P = 1) and at most
-``sizing.INLINE_BYTES`` (8 MiB) of input, the split and the merge run as
+``sizing.INLINE_BYTES`` (64 MiB) of input, the split and the merge run as
 plain calls in the calling process instead: the same route, exchange
 object and group body, without the two task round trips.
 

@@ -38,8 +38,9 @@ Scale shape:
   requested columns before the diff kernel runs.
 - **Fan-out changes** (``repartition_snapshot``) break per-partition
   alignment: the feed falls back to ONE co-partitioned global diff
-  (``cdc/diff.py:snapshot_diff``) — correct, one exchange, but no
-  pre-images (pass ``include_old=()`` or realign first).
+  (``cdc/diff.py:snapshot_diff``'s exchange) — correct, one exchange,
+  the same columns, but no pre-images (pass ``include_old=()`` or
+  realign first).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Sequence
 import pandas as pd
 import pyarrow as pa
 
-from arlas_proc_ray.cdc.diff import diff_state_tables, snapshot_diff
+from arlas_proc_ray.cdc.diff import _keyed_diff, diff_state_tables
 from arlas_proc_ray.cdc.snapshot import SnapshotStore
 
 
@@ -224,17 +225,18 @@ def _global_feed(
     columns,
     op_col: str,
 ):
-    """Fan-out-mismatch fallback: one co-partitioned global diff."""
-    if compare_cols is None:
-        schema = _epoch_schema(store, t)
-        names = columns or (schema.names if schema is not None else [])
-        compare_cols = [c for c in names if c not in key_cols]
+    """Fan-out-mismatch fallback: one co-partitioned global diff whose
+    rows carry the columns the per-partition path's rows carry (the read
+    set, in its order), classified on ``compare_cols``."""
+    schema = _epoch_schema(store, t)
+    names = schema.names if schema is not None else []
     cols = _read_columns(key_cols, compare_cols, columns, ())
-    return snapshot_diff(
+    image = names if cols is None else [c for c in cols if c in names]
+    if compare_cols is None:
+        compare_cols = [c for c in image if c not in key_cols]
+    return _keyed_diff(
         store.state_dataset(b, cols),
         store.state_dataset(t, cols),
-        key=key_cols,
-        compare=list(compare_cols),
-        op_col=op_col,
-        num_partitions=max(len(store.epoch_index(t)), 8),
+        key_cols, list(compare_cols), image, op_col, None,
+        max(len(store.epoch_index(t)), 8),
     )

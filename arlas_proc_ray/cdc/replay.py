@@ -42,14 +42,19 @@ from arlas_proc_ray.schema import SchemaRegistry
 
 
 def _combined_key(table: pa.Table, key_cols: list[str]) -> pa.Array:
-    """Exact composite key as one binary column (zero-copy-ish concat)."""
+    """Exact composite key as one binary column, injective: the components
+    are joined with ``\\x00\\x00`` and every NUL byte of a component but
+    the last is written ``\\x00\\x01``, so no component but the last holds
+    the separator and distinct keys never join to the same bytes. A key
+    without NUL bytes is its components joined, as it is in any table."""
     cols = [table.column(c).combine_chunks() for c in key_cols]
     if len(cols) == 1:
         return cols[0]
-    arrays = []
-    for c in cols:
-        arrays.append(c.chunk(0) if isinstance(c, pa.ChunkedArray) else c)
-    return pc.binary_join_element_wise(*arrays, "\x00")
+    arrays = [c.chunk(0) if isinstance(c, pa.ChunkedArray) else c
+              for c in cols]
+    escaped = [pc.replace_substring(c, "\x00", "\x00\x01")
+               for c in arrays[:-1]]
+    return pc.binary_join_element_wise(*escaped, arrays[-1], "\x00\x00")
 
 
 def group_ids(table: pa.Table, key_cols: list[str],

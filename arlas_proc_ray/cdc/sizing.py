@@ -27,7 +27,8 @@ oversized epochs into LSN-range sub-epochs.
 
 The other end of the scale: ``runs_in_process(tasks, bytes)`` is the one
 rule by which a stage that would be a single task (a one-group staged
-exchange, a one-range jsonl read) runs in the calling process instead.
+exchange, a one-range jsonl read, a one-task local Parquet read) runs in
+the calling process instead.
 """
 
 from __future__ import annotations
@@ -58,8 +59,13 @@ _INMEM_PER_CHUNK = AMPLIFICATION + 1.0
 # (2-40 MB of JSONL, 1.7-33 MiB of Arrow; tools/layer_bench.py's read.*
 # and epoch.* rows). So this is no speed crossover but a bound on the
 # caller's heap: past it the input stays in the object store, which can
-# spill.
-INLINE_BYTES = 8 << 20
+# spill. At 64 MiB it covers a 40k-event Parquet load (33.6 MB decoded)
+# and its exchange. Driver peak RSS (``resource.getrusage`` ru_maxrss) for
+# an in-process read of two Parquet files stating 60 MiB decoded plus its
+# one-group epoch (76k events, P=64, one CPU): 399 MiB against 187 MiB
+# before the read, +212 MiB (3.4x the input); with the read and exchange
+# as tasks (INLINE_BYTES = -1) the driver grew 3 MiB.
+INLINE_BYTES = 64 << 20
 # The fold rule of a chained partition (``staged._Epoch._fold_due``): a
 # touched partition is written as a delta segment over its base until its
 # chain holds FOLD_SEGMENTS segments or the chain's rows reach

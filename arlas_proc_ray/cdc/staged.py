@@ -35,7 +35,7 @@ point lookups route by too; the one- and two-level exchanges are
 interchangeable per epoch on one store.
 
 One group in the session (G = 1: one CPU, or P = 1) and an input of at
-most ``sizing.INLINE_BYTES`` (8 MiB, by ``size_bytes()``; an unknown size
+most ``sizing.INLINE_BYTES`` (64 MiB, by ``size_bytes()``; an unknown size
 stays remote): the exchange runs in the calling process
 (:func:`_inline_exchange`). Each block goes through the same split step
 a split task runs, then the group's body applies every partition. One

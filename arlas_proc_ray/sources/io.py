@@ -10,10 +10,28 @@ seam where they would plug in.
 
 Reads always take ``columns=`` — prune at the read; a read that loads all
 columns for a 2-column transform is wrong at any scale.
+
+``read_parquet`` has two paths, chosen by the one in-process rule of the
+package, ``cdc.sizing.runs_in_process(tasks, nbytes)``:
+
+  * in the caller: a list of local files (no directory, no ``k=v`` path
+    segment Ray would read hive columns from, no ``min_parallelism`` past
+    1, no other ``ray.data.read_parquet`` option) that Ray would read as
+    one task — ``tasks = min(files, session CPUs)`` — and whose footers
+    state at most ``sizing.INLINE_BYTES`` decoded (the row groups'
+    ``total_byte_size``) is decoded here with ``pyarrow.dataset``, one
+    block per non-empty file, and comes back as a ``from_blocks`` Dataset
+    held with its tables (``sizing.hold``): no sampling task, no read
+    task, no executor;
+  * every other read goes through ``ray.data.read_parquet``.
+
+Both read under the same schema (the first file's, metadata stripped),
+columns and filter.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Sequence
 
 import pyarrow as pa
@@ -34,7 +52,16 @@ def read_parquet(paths, *, columns: Sequence[str] | None = None, filter_expr=Non
     schema unhashable, which defeats Ray's schema deduplication in every
     downstream shuffle (one warning per block, and a real risk of masking
     actual schema drift).
+
+    A read Ray would run as one task over at most ``sizing.INLINE_BYTES``
+    is decoded in this process (module docstring).
     """
+    from arlas_proc_ray.cdc import sizing
+
+    files = None if kwargs or min_parallelism > 1 else _local_files(paths)
+    if files is not None and sizing.runs_in_process(
+            min(len(files), sizing.session_cpus()), _decoded_bytes(files)):
+        return _read_in_process(files, columns, filter_expr)
     opts = dict(kwargs)
     if columns is not None:
         opts["columns"] = list(columns)
@@ -42,25 +69,8 @@ def read_parquet(paths, *, columns: Sequence[str] | None = None, filter_expr=Non
         opts["filter"] = filter_expr  # pyarrow dataset expression pushdown
     if "schema" not in opts:
         try:
-            import pyarrow.parquet as pq
-
             first = paths if isinstance(paths, str) else list(paths)[0]
-            file_schema = pq.read_schema(first).remove_metadata()
-            if columns is not None:  # schema must match the pruned read
-                # a pushdown filter may reference non-projected columns
-                # (legal in plain read_parquet); the pruned schema would
-                # fail the scan, so fall back to Ray's inference then
-                expr_s = str(filter_expr) if filter_expr is not None else ""
-                refs_outside = any(
-                    f.name in expr_s
-                    for f in file_schema
-                    if f.name not in columns
-                )
-                file_schema = pa.schema(
-                    [file_schema.field(c) for c in columns]
-                )
-                if refs_outside:
-                    file_schema = None
+            file_schema = _read_schema(first, columns, filter_expr)
             if file_schema is not None:
                 opts["schema"] = file_schema
         except Exception:
@@ -73,8 +83,6 @@ def read_parquet(paths, *, columns: Sequence[str] | None = None, filter_expr=Non
         # cpus × _MIN_BLOCK_BYTES (i.e. any real workload) this never
         # triggers and Ray's own parallelism wins.
         try:
-            import os
-
             if isinstance(paths, str) and os.path.isfile(paths):
                 size = os.path.getsize(paths)
                 # floor: callers feeding compute-heavy per-row stages
@@ -89,6 +97,75 @@ def read_parquet(paths, *, columns: Sequence[str] | None = None, filter_expr=Non
         except Exception:
             pass
     return rd.read_parquet(paths, **opts)
+
+
+def _read_schema(path: str, columns, filter_expr) -> pa.Schema | None:
+    """The schema ``read_parquet`` gives Ray for a read of ``path``: the
+    file's, metadata stripped, pruned to ``columns``. None (Ray infers)
+    when the filter references a column outside ``columns`` — legal in a
+    plain read, but the pruned schema would fail the scan."""
+    import pyarrow.parquet as pq
+
+    file_schema = pq.read_schema(path).remove_metadata()
+    if columns is None:
+        return file_schema
+    expr_s = str(filter_expr) if filter_expr is not None else ""
+    if any(f.name in expr_s for f in file_schema if f.name not in columns):
+        return None
+    return pa.schema([file_schema.field(c) for c in columns])
+
+
+def _local_files(paths) -> list[str] | None:
+    """``paths`` as a list of local files, or None when Ray's read must
+    resolve them: a directory, a URI, a missing path, or a ``k=v`` path
+    segment, from which Ray would add hive partition columns."""
+    listed = [paths] if isinstance(paths, (str, os.PathLike)) else list(paths)
+    files = []
+    for p in listed:
+        if not isinstance(p, (str, os.PathLike)):
+            return None
+        p = os.fspath(p)
+        if "://" in p or not os.path.isfile(p):
+            return None
+        if any("=" in seg for seg in os.path.abspath(p).split(os.sep)):
+            return None
+        files.append(p)
+    return files or None
+
+
+def _decoded_bytes(files: list[str]) -> int:
+    """Decoded bytes of ``files`` as their footers state them: the sum of
+    every row group's ``total_byte_size``."""
+    import pyarrow.parquet as pq
+
+    total = 0
+    for f in files:
+        md = pq.read_metadata(f)
+        total += sum(md.row_group(i).total_byte_size
+                     for i in range(md.num_row_groups))
+    return total
+
+
+def _read_in_process(files: list[str], columns, filter_expr):
+    """Decode ``files`` here with ``pyarrow.dataset``, under the first
+    file's schema (metadata stripped), ``columns`` and ``filter_expr``:
+    one block per file that has rows, a typed empty one when none has.
+    The Dataset is held with its blocks (``sizing.hold``), so an
+    in-process exchange over it takes them directly."""
+    import pyarrow.dataset as pds
+
+    from arlas_proc_ray.cdc import sizing
+
+    # the whole file schema: a filter may reference non-projected columns
+    schema = _read_schema(files[0], None, None)
+    cols = list(columns) if columns is not None else None
+    tables = [
+        pds.dataset(f, schema=schema, format="parquet").to_table(
+            columns=cols, filter=filter_expr)
+        for f in files
+    ]
+    blocks = [t for t in tables if t.num_rows] or tables[:1]
+    return sizing.hold(rd.from_blocks(blocks), blocks)
 
 
 def read_csv(paths, *, delimiter: str = ",", header: bool = True,

@@ -243,3 +243,19 @@ def test_fanout_change_falls_back_to_global_diff(tmp_path, ray_session):
     s1, s3 = engine.store.read_state(1), engine.store.read_state(3)
     exp = _expected_feed(s1, s3, COMPARE)
     pd.testing.assert_frame_equal(_norm(feed), exp)
+    # the fallback classifies on compare_cols but its rows carry the
+    # columns the per-partition path's rows carry (epochs 2 and 3 share a
+    # fan-out): the whole read set, new images on I/U, old ones on D
+    for kw in ({}, {"columns": COMPARE}, {"columns": ["content"]}):
+        across = change_feed(engine.store, base=1, target=3,
+                             compare_cols=COMPARE, **kw).to_pandas()
+        aligned = change_feed(engine.store, base=2, target=3,
+                              compare_cols=COMPARE, **kw).to_pandas()
+        assert len(aligned) and list(across.columns) == list(aligned.columns)
+        pd.testing.assert_frame_equal(_norm(across), exp)
+        for op, state in (("U", s3), ("I", s3), ("D", s1)):
+            rows = across[across["op"] == op].drop(columns="op")
+            want = state.to_pandas().merge(rows[KEY], on=KEY)[rows.columns]
+            pd.testing.assert_frame_equal(
+                rows.sort_values(KEY).reset_index(drop=True),
+                want.sort_values(KEY).reset_index(drop=True), obj=(op, kw))

@@ -19,8 +19,9 @@ def test_layer_bench_smoke(capsys):
         "exchange.object", "write.write_partition", "write.partition",
         "write.floor", "write.delta_group", "read.read_partition",
         "read.read_table", "plan_scan.index", "lookup.engine", "scan.engine",
-        "scan.engine.lazy", "bloom.build", "read.inline.2k", "epoch.inline.2k",
-        "read.remote.2k", "epoch.remote.2k", "epoch.chain", "lookup.chain",
+        "scan.engine.lazy", "bloom.build", "read.inline.2k",
+        "read.parquet.inline.2k", "epoch.inline.2k", "read.remote.2k",
+        "read.parquet.remote.2k", "epoch.remote.2k", "epoch.chain", "lookup.chain",
         "scan.chain", "epoch.segment.P16", "epoch.segment.P64",
         "epoch.segment.P256",
     ]

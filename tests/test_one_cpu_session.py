@@ -6,9 +6,13 @@ with no error. The shared test session has 4 CPUs and cannot show this,
 so the writers run in a subprocess with its own ``ray.init(num_cpus=1)``
 under a timeout: the three apply paths, then ``merge_into``,
 ``repartition_snapshot`` and ``purge_keys`` over the same store, each
-checked against a pandas oracle and ``verify_deep``. One CPU is one merge
-group, so these small epochs run their exchange in process; a second leg
-forces the remote tasks (``sizing.INLINE_BYTES = -1``).
+checked against a pandas oracle and ``verify_deep``, then a staged epoch
+of the same events loaded from Parquet (``sources.io.read_parquet``, one
+file per schema version, as ``jobs replay`` feeds it). One CPU is one
+merge group, so these small epochs run their exchange in process and the
+one-file reads decode in the caller, with no call to Ray's read; a
+second leg forces the remote tasks and Ray's read
+(``sizing.INLINE_BYTES = -1``).
 """
 
 import os
@@ -22,7 +26,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 LEGS = ("apply_epoch", "staged", "two_level", "merge_into",
-        "repartition_snapshot", "purge_keys")
+        "repartition_snapshot", "purge_keys", "read_parquet")
 
 SCRIPT = textwrap.dedent(
     """
@@ -101,7 +105,23 @@ SCRIPT = textwrap.dedent(
     victims = want.iloc[::5][["repo", "path"]]
     eng.purge_keys(victims, epoch=4)
     check(eng, want.drop(index=victims.index), "purge_keys")
-    print("inline", len(inline_runs))
+
+    import pyarrow.parquet as pq
+    from arlas_proc_ray.sources import io
+
+    ray_reads = []
+    ray_read = io.rd.read_parquet
+    io.rd.read_parquet = lambda *a, **k: ray_reads.append(a) or ray_read(*a, **k)
+    files = [f"{sys.argv[1]}/events-v{i}.parquet" for i in range(len(tables))]
+    for f, t in zip(files, tables):
+        pq.write_table(t, f)
+    ds = io.read_parquet(files[0])
+    for f in files[1:]:
+        ds = ds.union(io.read_parquet(f))
+    eng = CdcEngine(f"{sys.argv[1]}/read_parquet", dm)
+    eng.apply_epoch_staged(ds, 1)
+    check(eng, exp, "read_parquet")
+    print("inline", len(inline_runs), "ray_reads", len(ray_reads))
     ray.shutdown()
     """
 )
@@ -124,8 +144,11 @@ def test_every_apply_path_finishes_on_one_cpu(tmp_path):
                         f"done: {out!r}")
         assert proc.returncode == 0, (leg, err[-2000:])
         words = out.split()
-        assert words[:-2] == [w for name in LEGS for w in ("ok", name)], (
+        assert words[:-4] == [w for name in LEGS for w in ("ok", name)], (
             leg, out)
         # every one-level epoch in process, or none: apply_epoch, staged,
-        # merge_into, repartition_snapshot, purge_keys
-        assert words[-2:] == ["inline", "5" if leg == "inline" else "0"], out
+        # merge_into, repartition_snapshot, purge_keys, read_parquet; and
+        # the two one-file Parquet reads in process, or both by Ray's read
+        assert words[-4:] == (["inline", "6", "ray_reads", "0"]
+                              if leg == "inline" else
+                              ["inline", "0", "ray_reads", "2"]), out

@@ -81,6 +81,14 @@ and 40k events (2k alone with ``--smoke``), ``<n>`` in thousands:
                         segment, decoded in process, materialized
   read.remote.<n>k      the same read through Ray Data tasks
       floor: the decode function over the segment's lines, bare
+  read.parquet.inline.<n>k
+                        ``sources.io.read_parquet`` of the n events as
+                        Parquet, one file per schema version, unioned
+                        and materialized as ``jobs replay`` feeds an
+                        epoch, each file decoded in process
+  read.parquet.remote.<n>k
+                        the same reads through Ray's read tasks
+      floor: ``pq.read_table`` of the files
   epoch.inline.<n>k     one n-event epoch (P=64) through
                         ``staged_apply_epoch`` in one merge group, its
                         exchange in process, into a fresh store
@@ -89,7 +97,8 @@ and 40k events (2k alone with ``--smoke``), ``<n>`` in thousands:
 
 Each inline row runs whatever its size (``sizing.INLINE_BYTES`` raised
 past it) and each remote row with ``INLINE_BYTES`` set to -1; MB/s is of
-the JSONL bytes for reads and of the Arrow input for epochs.
+the JSONL bytes for JSONL reads and of the Arrow input for Parquet reads
+and epochs.
 
 The routing (align, combine, partition ids) and the argsort run once,
 outside every timed region. Times are medians over ``--repeats`` runs;
@@ -351,9 +360,10 @@ def _plan_rows(row, store, states, repeats: int) -> None:
 
 
 def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
-    """An n-event JSONL segment read, and an n-event epoch applied through
-    ``staged_apply_epoch`` with one merge group into a fresh store each
-    repeat, both once in process and once as Ray tasks."""
+    """An n-event JSONL segment read, the same events' Parquet read, and
+    an n-event epoch applied through ``staged_apply_epoch`` with one merge
+    group into a fresh store each repeat, each once in process and once as
+    Ray tasks."""
     import ray.data as rd
 
     from arlas_proc_ray.cdc import sizing, staged
@@ -369,6 +379,7 @@ def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
         read_changelog_jsonl,
     )
     from arlas_proc_ray.model import DataModel
+    from arlas_proc_ray.sources.io import read_parquet
 
     dm = DataModel(num_partitions=EPOCH_PARTITIONS)
     tables = generate_changelog_tables(
@@ -386,6 +397,19 @@ def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
                     f.write("\n".join(encode(t).column("value").to_pylist()))
                     f.write("\n")
             seg_bytes = os.path.getsize(seg)
+            pq_files = [os.path.join(d, f"events-{i}.parquet")
+                        for i in range(len(tables))]
+            for f, t in zip(pq_files, tables):
+                pq.write_table(t, f)
+
+            def read_pq():
+                ds = read_parquet(pq_files[0])
+                for f in pq_files[1:]:
+                    ds = ds.union(read_parquet(f))
+                return ds.materialize()
+
+            read_pq_floor_s = _median_s(
+                lambda: [pq.read_table(f) for f in pq_files], repeats)
             decode = make_decode_fn(json_col="text")
             decode_s = _median_s(lambda: list(decode(pa.table(
                 {"text": _read_jsonl_range(seg, 0, seg_bytes)}))), repeats)
@@ -412,6 +436,9 @@ def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
                     _median_s(lambda: read_changelog_jsonl(seg).materialize(),
                               repeats),
                     decode_s, n, seg_bytes)
+                row(f"read.parquet.{path}.{tag}", "pq.read_table",
+                    _median_s(read_pq, repeats), read_pq_floor_s, n,
+                    events.size_bytes())
                 row(f"epoch.{path}.{tag}", "pq.write_table",
                     _median_s(epoch, repeats), floor_s, n, events.size_bytes())
     finally:
