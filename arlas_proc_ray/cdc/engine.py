@@ -58,6 +58,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from arlas_proc_ray.cdc import sizing
 from arlas_proc_ray.cdc.events import FINAL_STATE_SCHEMA, default_registry
 from arlas_proc_ray.cdc.replay import finalize_partition_table, lww_order
 from arlas_proc_ray.cdc.snapshot import DELETED, SnapshotStore
@@ -702,7 +703,8 @@ class CdcEngine:
         # whole upstream and to_arrow_refs() would then re-execute it —
         # measured 2× the generation cost on the 2M-event headline. The
         # staged exchange needs the blocks resident anyway (its split
-        # tasks consume the refs); oversized epochs are split below.
+        # tasks consume the refs); oversized epochs are split below. A
+        # held read is not run: its tables are decoded in this process.
         events_ds = _materialized(events_ds)
 
         plan = None
@@ -732,7 +734,7 @@ class CdcEngine:
             # hand ownership through a box so this frame drops its
             # reference — the chunked path frees the pinned input once
             # the chunk copies exist
-            box = [events_ds]
+            box = [sizing.stored(events_ds)]
             events_ds = None
             return self._apply_epoch_chunked(
                 box, epoch, plan,
@@ -1191,13 +1193,21 @@ class CdcEngine:
 
 
 def _materialized(ds):
-    """``ds`` with its blocks in the object store. A
-    ``MaterializedDataset`` (``from_arrow``, a small ``scan``, a prior
-    ``materialize``) already is one; materializing it again only
-    deep-copies its plan."""
-    from ray.data.dataset import MaterializedDataset
+    """``ds`` with its blocks at hand. A held read, or a union of held
+    reads (``sizing.held``), comes back as a ``sizing.HeldDataset`` over
+    the same plan: its tables are decoded in this process and its size
+    and block count are theirs, so nothing runs and nothing is put in the
+    object store. Any other Dataset comes back with its blocks in the
+    object store; a ``MaterializedDataset`` (``from_arrow``, a small
+    ``scan``, a prior ``materialize``) already is one, and materializing
+    it again only deep-copies its plan."""
+    from ray.data.dataset import Dataset, MaterializedDataset
 
-    return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+    if isinstance(ds, MaterializedDataset):
+        return ds
+    if sizing.held(ds) is not None:
+        return Dataset.copy(ds, _as=sizing.HeldDataset)
+    return ds.materialize()
 
 
 def check_committed_fanout(dm: DataModel, prev_epoch: int,

@@ -48,7 +48,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from arlas_proc_ray.cdc.engine import open_epoch
+from arlas_proc_ray.cdc.engine import _materialized, open_epoch
 from arlas_proc_ray.cdc.events import FINAL_STATE_SCHEMA
 
 _ACTIONS_MATCHED = ("update", "delete", "ignore")
@@ -112,7 +112,7 @@ def merge_into(
     writer = _Epoch(engine, epoch, fold, prev_epoch=prev_epoch,
                     prior=prior, delta=True)
     return engine._staged_exchange(
-        source_ds.materialize(), epoch, writer=writer
+        _materialized(source_ds), epoch, writer=writer
     )
 
 

@@ -28,17 +28,22 @@ oversized epochs into LSN-range sub-epochs.
 The other end of the scale: ``runs_in_process(tasks, bytes)`` is the one
 rule by which a stage that would be a single task (a one-group staged
 exchange, a one-range jsonl read, a one-task local Parquet read) runs in
-the calling process instead.
+the calling process instead. Such a read returns a lazy plan over a
+:class:`Held` source (``hold``); ``held`` decodes it here, also through a
+``union`` of held reads, so a one-group epoch over it puts nothing in the
+object store. Only an exchange run as tasks puts its tables (``stored``).
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
+from ray.data import Dataset
+from ray.data.datasource import Datasource
 
 from arlas_proc_ray.exchange import session_cpus  # noqa: F401 (re-exported)
 
@@ -95,25 +100,114 @@ def runs_in_process(tasks: int, nbytes: int | None) -> bool:
     return tasks == 1 and nbytes is not None and nbytes <= INLINE_BYTES
 
 
-# Datasets an in-process stage built from tables it holds, with those
-# tables (``hold``): the next in-process stage takes them back (``held``)
-# instead of fetching its own blocks from the object store. Weak keys: an
-# entry lives as long as its Dataset.
-_HELD: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+class Held(Datasource):
+    """The source of an in-process read (``hold``): one part per block,
+    each a zero-argument callable (a ``functools.partial`` of a module
+    function) that decodes its block from where it lives, a file or a
+    byte range. This process decodes the parts once, on first use
+    (``tables``), and keeps them; a read task that Ray runs calls its own
+    part, so no decoded table rides in a task or in a pickled source."""
+
+    def __init__(self, parts: list, nbytes: int | None):
+        self._parts = list(parts)
+        self._nbytes = nbytes
+        self._tables = None
+
+    def tables(self) -> list:
+        """The decoded blocks: every part that has rows, or the first
+        part's typed empty table when none has."""
+        if self._tables is None:
+            tables = [part() for part in self._parts]
+            self._tables = [t for t in tables if t.num_rows] or tables[:1]
+        return self._tables
+
+    def __getstate__(self):
+        return {**self.__dict__, "_tables": None}
+
+    def get_name(self) -> str:
+        return "Held"
+
+    def estimate_inmemory_data_size(self) -> int | None:
+        return self._nbytes
+
+    @property
+    def supports_distributed_reads(self) -> bool:
+        return False  # the parts read files of this node
+
+    def get_read_tasks(self, parallelism: int) -> list:
+        from ray.data.block import BlockMetadata
+        from ray.data.datasource import ReadTask
+
+        meta = BlockMetadata(num_rows=None, size_bytes=None,
+                             input_files=None, exec_stats=None)
+        return [ReadTask(partial(_read_part, part), meta)
+                for part in self._parts]
 
 
-def hold(ds, tables: list):
-    """``ds``, a Dataset whose blocks are ``tables``, remembered with them
-    (``read_changelog_jsonl``'s in-process read)."""
-    _HELD[ds] = tables
-    return ds
+def _read_part(part) -> list:
+    return [part()]
+
+
+def hold(parts: list, nbytes: int | None):
+    """A lazy Dataset of an in-process read (``read_changelog_jsonl``,
+    ``sources.io.read_parquet``): ``ray.data.read_datasource`` over a
+    :class:`Held` source of ``parts``, one block each, ``nbytes`` its
+    estimated decoded size. Building it puts nothing in the object store
+    and runs nothing; ``held`` decodes it in this process, and anything
+    else that runs it (a query, ``take_all``, ``to_arrow_refs``) runs one
+    Ray read task per part and gets the same rows."""
+    import ray.data as rd
+
+    return rd.read_datasource(Held(parts, nbytes),
+                              override_num_blocks=max(1, len(parts)))
 
 
 def held(ds) -> list | None:
-    """The tables ``ds`` was built from in this process (``hold``), or
-    None: a one-group exchange in process reads them without a round
-    trip through the object store (``staged._inline_exchange``)."""
-    return _HELD.get(ds)
+    """The tables of a held read (``hold``), decoded in this process, or
+    of a ``union`` whose every input is one; None for any other plan,
+    read from ``ds``'s logical plan without running it. A one-group
+    exchange in process takes them as its blocks
+    (``staged._inline_exchange``), so the epoch puts nothing in the
+    object store and runs no Ray Data executor."""
+    sources = _held_sources(getattr(getattr(ds, "_logical_plan", None), "dag", None))
+    if sources is None:
+        return None
+    return [t for source in sources for t in source.tables()]
+
+
+def _held_sources(op) -> list | None:
+    from ray.data._internal.logical.operators.n_ary_operator import Union
+
+    source = getattr(op, "_datasource", None)
+    if isinstance(source, Held):
+        return [source]
+    if isinstance(op, Union):
+        inputs = [_held_sources(i) for i in op.input_dependencies]
+        if all(i is not None for i in inputs):
+            return [s for i in inputs for s in i]
+    return None
+
+
+class HeldDataset(Dataset):
+    """A Dataset over a plan that ``held`` reads, as ``CdcEngine`` takes
+    an epoch's input: its block count and size are its tables', decoded
+    in this process, so neither runs the plan."""
+
+    def num_blocks(self) -> int:
+        return len(held(self))
+
+    def size_bytes(self) -> int:
+        return sum(t.nbytes for t in held(self))
+
+
+def stored(ds):
+    """``ds`` with its blocks in the object store: a held read's tables
+    are put there once (``from_blocks``), for an exchange run as tasks;
+    any other Dataset is returned as it is."""
+    import ray.data as rd
+
+    tables = held(ds)
+    return ds if tables is None else rd.from_blocks(tables)
 
 
 def object_store_bytes(default: int = 2 * 1024**3) -> int:

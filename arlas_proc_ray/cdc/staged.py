@@ -35,13 +35,15 @@ point lookups route by too; the one- and two-level exchanges are
 interchangeable per epoch on one store.
 
 One group in the session (G = 1: one CPU, or P = 1) and an input of at
-most ``sizing.INLINE_BYTES`` (64 MiB, by ``size_bytes()``; an unknown size
-stays remote): the exchange runs in the calling process
+most ``sizing.INLINE_BYTES`` (64 MiB, by ``size_bytes()``, which a held
+input the engine passes answers from its tables; an unknown size stays
+remote): the exchange runs in the calling process
 (:func:`_inline_exchange`). Each block goes through the same split step
 a split task runs, then the group's body applies every partition. One
 task buys no parallelism there, only two task round trips, which
 dominate a tail-sized epoch. Larger inputs, G > 1 and the two-level
-exchange keep the remote tasks.
+exchange keep the remote tasks; a held input then has its tables put in
+the object store once (``sizing.stored``).
 
 Past ~10 000 exchange objects (B×G) per-object overhead dominates and
 ``CdcEngine._staged_exchange`` switches to the two-level exchange below,
@@ -340,10 +342,11 @@ def _segments(ctx: _Epoch, parts: range, inputs: tuple, resumed: dict,
 def _inline_exchange(ctx: _Epoch, events_ds) -> list:
     """The one-group exchange as plain calls in this process: each block
     is routed and cut into one exchange object, as a split task would,
-    and the group's body applies every partition. Blocks an in-process
-    read built here (``sizing.held``) are taken as they are, the others
-    fetched from the object store. Returns the kernels' results in
-    partition order."""
+    and the group's body applies every partition. A held read, or a
+    union of held reads (``sizing.held``), gives its tables, decoded
+    here: nothing is put in the object store or read back from it. Any
+    other Dataset's blocks are fetched from the object store. Returns the
+    kernels' results in partition order."""
     whole = [range(ctx.num_partitions)]
     blocks = sizing.held(events_ds)
     if blocks is None:
@@ -389,7 +392,8 @@ def staged_apply_epoch(engine, events_ds, epoch: int, *, writer=None,
         return ctx.finish(engine, _inline_exchange(ctx, events_ds), publish)
     # phase 1: one split task per input block (refs, never driver-local);
     # phase 2: one group task per group over the transposed ref matrix
-    split = split_blocks(events_ds.to_arrow_refs(), ctx.route, groups)
+    refs = sizing.stored(events_ds).to_arrow_refs()
+    split = split_blocks(refs, ctx.route, groups)
     results = _run_groups(ctx, groups, lambda g: [s[g] for s in split])
     return ctx.finish(engine, results, publish)
 
@@ -456,7 +460,8 @@ def staged_apply_epoch_two_level(
         parts = range(s * per_super, min(P, (s + 1) * per_super))
         return split_block(t, _pid_route, [parts])[0]
 
-    l1 = [split_l1.remote(ref) for ref in events_ds.to_arrow_refs()]
+    l1 = [split_l1.remote(ref)
+          for ref in sizing.stored(events_ds).to_arrow_refs()]
     if S == 1:
         l1 = [[r] for r in l1]
     l2 = [split_l2.remote(s, *[b[s] for b in l1]) for s in range(S)]

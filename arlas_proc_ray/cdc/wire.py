@@ -18,10 +18,12 @@ Design (100-TB discipline):
 - **Decode fast path is C++, not Python.** A batch of JSON lines is
   newline-joined and handed to ``pyarrow.json.read_json`` once — Arrow's
   SIMD JSON parser — with an explicit envelope schema so output types
-  never drift by inference. Python-per-row parsing happens ONLY for
-  batches that contain at least one malformed line (the C++ parse
-  fails), and then only to isolate the bad rows into the dead-letter
-  queue; clean batches never touch a Python loop.
+  never drift by inference. A held read's range skips the split and the
+  join: its bytes go to that one call as they are (``_decode_range``).
+  Python-per-row parsing happens ONLY for batches that contain at least
+  one malformed line (the C++ parse fails), and then only to isolate the
+  bad rows into the dead-letter queue; clean batches never touch a
+  Python loop.
 - **Envelope → canonical columns is pure ``pyarrow.compute``**:
   ``struct_field`` projections, ``coalesce`` for before/after row
   images, dictionary-free string ops.
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import io
 import json
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -336,14 +339,7 @@ def make_decode_fn(
             )
 
         events = _envelope_to_events(env)
-        # contract checks on the PARSED rows (vectorized)
-        viol = pc.or_kleene(
-            pc.is_null(events.column("op")),
-            pc.is_null(events.column("lsn")),
-        )
-        viol = pc.or_kleene(viol, pc.is_null(events.column("repo")))
-        viol = pc.or_kleene(viol, pc.is_null(events.column("path")))
-        viol_np = viol.to_numpy(zero_copy_only=False).astype(bool)
+        viol_np = _violations(events)
         if viol_np.any():
             if dead_letter_dir is None:
                 first = int(np.flatnonzero(viol_np)[0])
@@ -372,15 +368,33 @@ def make_decode_fn(
             )
             write_quarantine(quarantined, dead_letter_dir, epoch)
 
-        if table_col is not None:
-            events = events.rename_columns(
-                [table_col if c == "table" else c for c in events.column_names]
-            )
-            yield from _project_versions(events, extra_cols=[table_col])
-        else:
-            yield from _project_versions(events)
+        yield from _versioned(events, table_col)
 
     return fn
+
+
+def _violations(events: pa.Table) -> np.ndarray:
+    """Rows that break the event contract (null op, lsn, repo or path),
+    checked on the PARSED rows (vectorized)."""
+    viol = pc.or_kleene(
+        pc.is_null(events.column("op")),
+        pc.is_null(events.column("lsn")),
+    )
+    viol = pc.or_kleene(viol, pc.is_null(events.column("repo")))
+    viol = pc.or_kleene(viol, pc.is_null(events.column("path")))
+    return viol.to_numpy(zero_copy_only=False).astype(bool)
+
+
+def _versioned(events: pa.Table, table_col: str | None):
+    """``_project_versions`` of the decoded events, the envelope's table
+    name surfaced as ``table_col`` when it is set."""
+    if table_col is None:
+        yield from _project_versions(events)
+        return
+    events = events.rename_columns(
+        [table_col if c == "table" else c for c in events.column_names]
+    )
+    yield from _project_versions(events, extra_cols=[table_col])
 
 
 def _jsonl_range_plans(paths, target_bytes: int) -> list[dict]:
@@ -416,8 +430,11 @@ def _read_jsonl_range(path: str, lo: int, hi: int) -> pa.Array:
     per-line Python objects (``ray.data.read_text`` materializes a
     Python str per line, measured 10× slower than the decode it feeds
     at 20M events)."""
-    import pyarrow.compute as pc
+    return _split_lines(_range_bytes(path, lo, hi))
 
+
+def _range_bytes(path: str, lo: int, hi: int) -> bytes:
+    """The bytes of the lines whose first byte lies in ``[lo, hi)``."""
     with open(path, "rb") as f:
         start = lo
         if lo > 0:
@@ -429,12 +446,12 @@ def _read_jsonl_range(path: str, lo: int, hi: int) -> pa.Array:
                 chunk = f.read(hi - lo)
                 nl = chunk.find(b"\n")
                 if nl < 0:
-                    return pa.array([], pa.string())  # interior of one line
+                    return b""  # interior of one line
                 start = lo + nl + 1
         f.seek(start)
         data = f.read(hi - start)
         if not data:
-            return pa.array([], pa.string())
+            return b""
         # the last owned line may continue past hi: extend to its newline
         if not data.endswith(b"\n"):
             tail = f.read(1 << 20)
@@ -445,11 +462,68 @@ def _read_jsonl_range(path: str, lo: int, hi: int) -> pa.Array:
                     break
                 data += tail
                 tail = f.read(1 << 20)
+    return data
+
+
+def _split_lines(data: bytes) -> pa.Array:
+    """The non-empty lines of ``data`` as a string array (UTF-8 checked)."""
+    if not data:
+        return pa.array([], pa.string())
     lines = pc.list_flatten(
         pc.split_pattern(pa.array([data], pa.large_binary()), pattern=b"\n")
     )
     lines = pc.cast(lines, pa.string())
     return lines.filter(pc.not_equal(lines, pa.scalar("")))
+
+
+def _line_count(data: bytes) -> int:
+    """How many non-empty lines ``data`` holds (``_split_lines``' length)."""
+    a = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(a == ord("\n"))
+    starts = np.concatenate(([0], ends + 1))
+    return int(np.count_nonzero(np.append(ends, len(a)) > starts))
+
+
+def _parse_clean(data: bytes, table_col: str | None) -> list | None:
+    """The decoded version tables of ``data``, whole lines, from ONE C++
+    parse of its bytes — no line split, no join, no Python string. None
+    when that cannot give what the per-line decode gives: the bytes are
+    not UTF-8, the parse raises, it yields fewer rows than there are
+    non-empty lines (the reader skips blank and whitespace lines, which
+    the per-line decode quarantines), or a row breaks the event contract
+    (the dead-letter rows need their raw lines). The caller then runs
+    the per-line decode."""
+    buf = pa.py_buffer(data)
+    offsets = pa.py_buffer(np.array([0, len(data)], np.int64))
+    try:
+        pa.LargeStringArray.from_buffers(1, offsets, buf).validate(full=True)
+        env = pj.read_json(pa.BufferReader(buf), read_options=_READ_OPTS,
+                           parse_options=_PARSE_OPTS)
+    except (pa.ArrowInvalid, pa.ArrowCapacityError):
+        return None
+    if env.num_rows != _line_count(data):
+        return None
+    events = _envelope_to_events(env)
+    if _violations(events).any():
+        return None
+    return list(_versioned(events, table_col))
+
+
+def _decode_range(path: str, lo: int, hi: int, decode_kwargs: dict) -> pa.Table:
+    """One range of a held JSONL read (``read_changelog_jsonl``), decoded:
+    its bytes parsed once (``_parse_clean``), or, when that cannot, its
+    lines through ``make_decode_fn`` as the Ray Data read decodes them,
+    dead-letter rows included. The version tables are concatenated as Ray
+    Data's block builder does; a range that decodes to nothing is a typed
+    empty table."""
+    data = _range_bytes(path, lo, hi)
+    tables = _parse_clean(data, decode_kwargs.get("table_col")) if data else None
+    if tables is None:
+        decode = make_decode_fn(json_col="text", **decode_kwargs)
+        tables = list(decode(pa.table({"text": _split_lines(data)})))
+    if not tables:
+        return CANONICAL_EVENT_SCHEMA.empty_table()
+    return pa.concat_tables(tables, promote_options="default")
 
 
 def read_changelog_jsonl(paths, *, target_bytes: int = 64 * 1024 * 1024,
@@ -461,13 +535,16 @@ def read_changelog_jsonl(paths, *, target_bytes: int = 64 * 1024 * 1024,
     runs per batch with the C++ fast path.
 
     A read that would be one task (one range, or one CPU in the session)
-    over at most ``sizing.INLINE_BYTES`` is read and decoded in this
-    process (``sizing.runs_in_process``), one decode and one block per
-    range as the Ray Data path runs them, and comes back as a
-    ``from_blocks`` Dataset, which starts no task (unless ``batch_size``
-    asks for Ray Data's re-batching). The Dataset is held with its tables
-    (``sizing.hold``), so an in-process exchange over it reads them
-    directly."""
+    over at most ``sizing.INLINE_BYTES`` (``sizing.runs_in_process``;
+    unless ``batch_size`` asks for Ray Data's re-batching) comes back as
+    a held read (``sizing.hold``): a lazy plan with one part per range,
+    which reads and decodes nothing until it is consumed. An epoch
+    decodes it in the consuming process (``sizing.held``); a Ray read
+    task decodes its own range. Either way each range is decoded once per
+    consumer, one block per range, by ``_decode_range``: one C++ parse of
+    the range's bytes, or the Ray Data path's per-line decode when the
+    bytes hold a blank, malformed or contract-breaking line, which writes
+    the same dead-letter rows."""
     import ray.data as rd
 
     plans = _jsonl_range_plans(
@@ -479,23 +556,12 @@ def read_changelog_jsonl(paths, *, target_bytes: int = 64 * 1024 * 1024,
             json_col="text", **decode_kwargs,
         )
     tasks = min(len(plans), sizing.session_cpus())
+    nbytes = sum(p["hi"] - p["lo"] for p in plans)
     if decode_kwargs.get("batch_size") is None and sizing.runs_in_process(
-            tasks, sum(p["hi"] - p["lo"] for p in plans)):
+            tasks, nbytes):
         kw = {k: v for k, v in decode_kwargs.items() if k != "batch_size"}
-        decode = make_decode_fn(json_col="text", **kw)
-        decoded = [
-            list(decode(pa.table(
-                {"text": _read_jsonl_range(p["path"], p["lo"], p["hi"])})))
-            for p in plans
-        ]
-        # one block per range that decoded to anything, its version
-        # tables concatenated as Ray Data's block builder does; an
-        # in-process exchange takes them back without the object store
-        blocks = [
-            pa.concat_tables(tables, promote_options="default")
-            for tables in decoded if tables
-        ] or [CANONICAL_EVENT_SCHEMA.empty_table()]
-        return sizing.hold(rd.from_blocks(blocks), blocks)
+        return sizing.hold([partial(_decode_range, p["path"], p["lo"],
+                                    p["hi"], kw) for p in plans], nbytes)
 
     def read_ranges(batch: pa.Table) -> pa.Table:
         parts = [

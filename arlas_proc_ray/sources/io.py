@@ -19,19 +19,25 @@ package, ``cdc.sizing.runs_in_process(tasks, nbytes)``:
     1, no other ``ray.data.read_parquet`` option) that Ray would read as
     one task — ``tasks = min(files, session CPUs)`` — and whose footers
     state at most ``sizing.INLINE_BYTES`` decoded (the row groups'
-    ``total_byte_size``) is decoded here with ``pyarrow.dataset``, one
-    block per non-empty file, and comes back as a ``from_blocks`` Dataset
-    held with its tables (``sizing.hold``): no sampling task, no read
-    task, no executor;
+    ``total_byte_size``) comes back as a held read (``sizing.hold``): a
+    lazy plan with one part per file, which puts nothing in the object
+    store and starts no sampling task. An epoch over it, or over a
+    ``union`` of such reads, decodes the files in this process with
+    ``pyarrow.dataset`` (``sizing.held``) and runs no read task and no
+    executor; anything else that runs it runs one Ray read task per
+    file, which decodes that file;
   * every other read goes through ``ray.data.read_parquet``.
 
 Both read under the same schema (the first file's, metadata stripped),
-columns and filter.
+columns and filter. Where the filter references a column outside
+``columns``, Ray's scan can take no schema, and each block's metadata is
+stripped instead.
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Sequence
 
 import pyarrow as pa
@@ -54,25 +60,31 @@ def read_parquet(paths, *, columns: Sequence[str] | None = None, filter_expr=Non
     actual schema drift).
 
     A read Ray would run as one task over at most ``sizing.INLINE_BYTES``
-    is decoded in this process (module docstring).
+    is a held read, decoded in the process that consumes it (module
+    docstring).
     """
     from arlas_proc_ray.cdc import sizing
 
     files = None if kwargs or min_parallelism > 1 else _local_files(paths)
-    if files is not None and sizing.runs_in_process(
-            min(len(files), sizing.session_cpus()), _decoded_bytes(files)):
-        return _read_in_process(files, columns, filter_expr)
+    if files is not None:
+        nbytes = _decoded_bytes(files)
+        if sizing.runs_in_process(min(len(files), sizing.session_cpus()),
+                                  nbytes):
+            return _read_in_process(files, columns, filter_expr, nbytes)
     opts = dict(kwargs)
     if columns is not None:
         opts["columns"] = list(columns)
     if filter_expr is not None:
         opts["filter"] = filter_expr  # pyarrow dataset expression pushdown
+    strip = False
     if "schema" not in opts:
         try:
             first = paths if isinstance(paths, str) else list(paths)[0]
             file_schema = _read_schema(first, columns, filter_expr)
             if file_schema is not None:
                 opts["schema"] = file_schema
+            else:  # no schema Ray's scan can take: strip each block's
+                strip = True
         except Exception:
             pass  # directories / remote stores: let Ray infer
     if "override_num_blocks" not in opts:
@@ -96,14 +108,24 @@ def read_parquet(paths, *, columns: Sequence[str] | None = None, filter_expr=Non
                     opts["override_num_blocks"] = int(cap)
         except Exception:
             pass
-    return rd.read_parquet(paths, **opts)
+    ds = rd.read_parquet(paths, **opts)
+    if strip:
+        ds = ds.map_batches(_without_metadata, batch_format="pyarrow",
+                            batch_size=None, zero_copy_batch=True)
+    return ds
+
+
+def _without_metadata(block: pa.Table) -> pa.Table:
+    return block.replace_schema_metadata(None)
 
 
 def _read_schema(path: str, columns, filter_expr) -> pa.Schema | None:
     """The schema ``read_parquet`` gives Ray for a read of ``path``: the
     file's, metadata stripped, pruned to ``columns``. None (Ray infers)
     when the filter references a column outside ``columns`` — legal in a
-    plain read, but the pruned schema would fail the scan."""
+    plain read, but the pruned schema would fail the scan, and so would
+    the whole file schema, which Ray checks each projected block against;
+    ``read_parquet`` then strips the metadata from each block instead."""
     import pyarrow.parquet as pq
 
     file_schema = pq.read_schema(path).remove_metadata()
@@ -146,26 +168,29 @@ def _decoded_bytes(files: list[str]) -> int:
     return total
 
 
-def _read_in_process(files: list[str], columns, filter_expr):
-    """Decode ``files`` here with ``pyarrow.dataset``, under the first
-    file's schema (metadata stripped), ``columns`` and ``filter_expr``:
-    one block per file that has rows, a typed empty one when none has.
-    The Dataset is held with its blocks (``sizing.hold``), so an
-    in-process exchange over it takes them directly."""
-    import pyarrow.dataset as pds
-
+def _read_in_process(files: list[str], columns, filter_expr, nbytes: int):
+    """A held read of ``files`` (``sizing.hold``): one part per file, each
+    decoded with ``pyarrow.dataset`` under the first file's schema
+    (metadata stripped), ``columns`` and ``filter_expr`` (``_read_file``).
+    Nothing is decoded here: ``sizing.held`` decodes the files in the
+    consuming process, keeping those that have rows (or one typed empty
+    table when none has); a Ray read task decodes its own file."""
     from arlas_proc_ray.cdc import sizing
 
     # the whole file schema: a filter may reference non-projected columns
     schema = _read_schema(files[0], None, None)
     cols = list(columns) if columns is not None else None
-    tables = [
-        pds.dataset(f, schema=schema, format="parquet").to_table(
-            columns=cols, filter=filter_expr)
-        for f in files
-    ]
-    blocks = [t for t in tables if t.num_rows] or tables[:1]
-    return sizing.hold(rd.from_blocks(blocks), blocks)
+    return sizing.hold(
+        [partial(_read_file, f, schema, cols, filter_expr) for f in files],
+        nbytes)
+
+
+def _read_file(path: str, schema: pa.Schema, columns, filter_expr) -> pa.Table:
+    """One file of a held read, decoded."""
+    import pyarrow.dataset as pds
+
+    return pds.dataset(path, schema=schema, format="parquet").to_table(
+        columns=columns, filter=filter_expr)
 
 
 def read_csv(paths, *, delimiter: str = ",", header: bool = True,

@@ -140,14 +140,19 @@ def _parquet_cases(tmp_path):
         "filter": ([plain], {"filter_expr": pds.field("v") >= 3.0}),
         "pandas_metadata": ([pandas_written], {"columns": ["v", "k"]}),
         "pandas_metadata_all": ([pandas_written], {}),
+        "pandas_filter_outside_columns": (
+            [pandas_written], {"columns": ["k"],
+                               "filter_expr": pds.field("n") > 2}),
         "empty": ([empty], {}),
         "two_files": ([plain, pandas_written], {}),
     }
 
 
 def _read_spied(monkeypatch, paths, kw):
-    """``read_parquet(paths, **kw)``'s rows, schema and count, and whether
-    it called Ray's read."""
+    """``read_parquet(paths, **kw)``'s rows, schema and count as Ray runs
+    it, the rows of its held tables (``sizing.held``; None when it is not
+    a held read), and whether it called Ray's read."""
+    from arlas_proc_ray.cdc import sizing
     from arlas_proc_ray.sources import io
 
     calls = []
@@ -156,42 +161,53 @@ def _read_spied(monkeypatch, paths, kw):
         m.setattr(io.rd, "read_parquet",
                   lambda *a, **k: calls.append(a) or ray_read(*a, **k))
         ds = read_parquet(paths[0] if len(paths) == 1 else paths, **kw)
-        schema = ds.schema().base_schema.remove_metadata()
-        return ds.to_pandas(), schema, ds.count(), bool(calls)
+        tables = sizing.held(ds)
+        held = (None if tables is None
+                else pa.concat_tables(tables).to_pandas())
+        return (ds.to_pandas(), ds.schema().base_schema, ds.count(), held,
+                bool(calls))
 
 
 def test_parquet_read_in_process_equals_ray_read(tmp_path, monkeypatch):
-    """A local read Ray would run as one task within ``INLINE_BYTES`` is
-    decoded in the caller and returns what Ray's read returns (forced
-    with ``INLINE_BYTES = -1``): the same rows in the same order, the same
-    schema and column order, the same count, for projections, filters
-    (also on a column outside the projection), a pandas-written file
-    whose schema carries metadata, an empty file and a list of two files
-    (whose rows Ray's parallel tasks may return in either order).
-    Schemas are compared without metadata: Ray's read keeps a
-    pandas-written file's metadata where the filter references a
-    non-projected column, the in-process read strips it always."""
-    from ray.data.dataset import MaterializedDataset
-
+    """A local read Ray would run as one task within ``INLINE_BYTES`` is a
+    held read that returns what Ray's read returns (forced with
+    ``INLINE_BYTES = -1``), whether it is decoded in the caller
+    (``sizing.held``) or run by Ray's read tasks: the same rows in the
+    same order, the same schema and column order, the same count, for
+    projections, filters (also on a column outside the projection), a
+    pandas-written file whose schema carries metadata, an empty file and
+    a list of two files (whose rows Ray's parallel tasks may return in
+    either order). Neither leg keeps a pandas-written file's metadata,
+    also where the filter references a non-projected column and Ray's
+    scan takes no schema."""
     from arlas_proc_ray.cdc import sizing
 
     monkeypatch.setattr(sizing, "session_cpus", lambda: 1)  # two files: one task
     for name, (paths, kw) in _parquet_cases(tmp_path).items():
-        fast, fast_schema, fast_n, fast_ray = _read_spied(monkeypatch, paths, kw)
+        fast, fast_schema, fast_n, fast_held, fast_ray = _read_spied(
+            monkeypatch, paths, kw)
         with monkeypatch.context() as m:
             m.setattr(sizing, "INLINE_BYTES", -1)
-            slow, slow_schema, slow_n, slow_ray = _read_spied(
+            slow, slow_schema, slow_n, slow_held, slow_ray = _read_spied(
                 monkeypatch, paths, kw)
         assert not fast_ray and slow_ray, name
+        assert fast_held is not None and slow_held is None, name
+        assert fast_schema.metadata is None, name
+        assert slow_schema.metadata is None, name
         assert fast_schema.equals(slow_schema), (name, fast_schema, slow_schema)
         assert fast_n == slow_n, name
         if len(paths) > 1:  # Ray's tasks may finish in either order
-            fast, slow = (f.sort_values(list(f.columns), ignore_index=True)
-                          for f in (fast, slow))
+            fast, slow, fast_held = (
+                f.sort_values(list(f.columns), ignore_index=True)
+                for f in (fast, slow, fast_held))
         pd.testing.assert_frame_equal(fast, slow, obj=name)
+        if len(slow):
+            pd.testing.assert_frame_equal(fast_held, slow, obj=name)
+        else:  # Ray's frame of no rows has no columns
+            assert fast_held.empty, name
+            assert list(fast_held.columns) == slow_schema.names, name
     inline = read_parquet(_parquet_cases(tmp_path)["plain"][0][0])
-    assert isinstance(inline, MaterializedDataset)
-    assert inline._logical_plan.dag.name == "FromBlocks"
+    assert inline._logical_plan.dag.name == "ReadHeld"
     assert sizing.held(inline) is not None
 
 

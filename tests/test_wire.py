@@ -407,12 +407,13 @@ def test_ranged_jsonl_reader_matches_readlines(tmp_path):
 
 def test_small_read_in_process_equals_ray_data_read(tmp_path, monkeypatch):
     """A read that would be one task (one CPU, or one range) of at most
-    ``sizing.INLINE_BYTES`` is read and decoded in the caller: the same
-    blocks and the same dead-letter files as the Ray Data read,
+    ``sizing.INLINE_BYTES`` is a held read: nothing is read until it is
+    consumed, ``sizing.held`` decodes each range once in the caller, and
+    Ray's read tasks, when Ray runs it, decode their own ranges. Both give
+    the same blocks and the same dead-letter files as the Ray Data read,
     malformed lines included. Several ranges on several CPUs keep Ray
     Data's parallel read."""
     import ray
-    from ray.data.dataset import MaterializedDataset
 
     from arlas_proc_ray.cdc import sizing, wire
 
@@ -422,40 +423,146 @@ def test_small_read_in_process_equals_ray_data_read(tmp_path, monkeypatch):
     with open(os.path.join(seg, "part-bad.jsonl"), "w") as f:
         f.write('{not json\n{"payload": {"op": "z", "after": {"repo": "r"}}}\n')
     in_caller = []
-    read_range = wire._read_jsonl_range
-    monkeypatch.setattr(wire, "_read_jsonl_range",
-                        lambda *a: in_caller.append(a) or read_range(*a))
+    decode_range = wire._decode_range
+    monkeypatch.setattr(wire, "_decode_range",
+                        lambda *a: in_caller.append(a) or decode_range(*a))
 
-    def read(dlq):
-        ds = wire.read_changelog_jsonl(seg, dead_letter_dir=dlq, epoch=3,
-                                       target_bytes=1 << 14)
+    def by_lsn(blocks):
         # the Ray Data read keeps an empty block for an all-bad range
-        blocks = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-        files = {
+        return sorted((t for t in blocks if t.num_rows),
+                      key=lambda t: t.column("lsn")[0].as_py())
+
+    def dead_letters(dlq):
+        return {
             name: open(os.path.join(dlq, "epoch=3", name), "rb").read()
             for name in os.listdir(os.path.join(dlq, "epoch=3"))
         }
-        return sorted(blocks, key=lambda t: t.column("lsn")[0].as_py()), files
+
+    def read(dlq):
+        return wire.read_changelog_jsonl(seg, dead_letter_dir=dlq, epoch=3,
+                                         target_bytes=1 << 14)
 
     with monkeypatch.context() as m:
         m.setattr(sizing, "session_cpus", lambda: 1)
-        fast, fast_dlq = read(str(tmp_path / "dlq-fast"))
+        held_ds = read(str(tmp_path / "dlq-fast"))
+    assert not in_caller  # a plan: nothing read yet
+    fast = by_lsn(sizing.held(held_ds))
+    fast_dlq = dead_letters(str(tmp_path / "dlq-fast"))
     ranges = len(in_caller)
     assert ranges > len(os.listdir(seg))  # several ranges per segment
-    slow, slow_dlq = read(str(tmp_path / "dlq-slow"))
-    assert len(in_caller) == ranges  # the ranges were read in tasks
+    sizing.held(held_ds)
+    assert len(in_caller) == ranges  # decoded once
+    ran = by_lsn(ray.get(held_ds.to_arrow_refs()))  # Ray's read tasks
+    assert len(in_caller) == ranges  # ... decoded in the tasks
+    slow_ds = read(str(tmp_path / "dlq-slow"))
+    assert sizing.held(slow_ds) is None
+    slow = by_lsn(ray.get(slow_ds.to_arrow_refs()))
+    slow_dlq = dead_letters(str(tmp_path / "dlq-slow"))
+    assert len(in_caller) == ranges  # the Ray Data read holds no ranges
     one_file = os.path.join(seg, min(set(os.listdir(seg)) - {"part-bad.jsonl"}))
     inline = wire.read_changelog_jsonl(one_file)
+    assert inline._logical_plan.dag.name == "ReadHeld"
+    assert sum(t.num_rows for t in sizing.held(inline)) == inline.count() > 0
     assert len(in_caller) == ranges + 1  # one range: in the caller
-    # one materialized block per range, of a known size: the staged
-    # exchange's one-task rule reads it
-    assert isinstance(inline, MaterializedDataset)
-    assert inline._logical_plan.dag.name == "FromBlocks"
-    assert inline.size_bytes() > 0
-    assert inline.count() > 0
     monkeypatch.setattr(sizing, "INLINE_BYTES", -1)
-    wire.read_changelog_jsonl(one_file).count()
-    assert len(in_caller) == ranges + 1
-    assert len(fast) == len(slow)
+    assert sizing.held(wire.read_changelog_jsonl(one_file)) is None
+    assert len(fast) == len(slow) == len(ran)
     assert all(a.equals(b) for a, b in zip(fast, slow))
+    assert all(a.equals(b) for a, b in zip(ran, slow))
     assert fast_dlq == slow_dlq and len(fast_dlq) == 1
+    assert dead_letters(str(tmp_path / "dlq-fast")) == fast_dlq
+
+
+def _jsonl_fixtures(tmp_path) -> dict:
+    """Segment files for the byte-range decode: clean, with blank and
+    whitespace lines, malformed lines, well-formed lines that break the
+    event contract, CRLF line ends, and an empty file."""
+    lines = [r["value"] for r in encode_debezium(changelog_dataset(
+        ChangelogConfig(num_events=300, seed=9))).take_all()]
+    lines.sort(key=lambda s: json.loads(s)["payload"]["source"]["lsn"])
+    bad = ['{not json', '[1, 2]', '7',
+           '{"payload": {"op": "z", "after": {"repo": "r", "path": "p"}}}',
+           '{"payload": {"op": "c", "after": {"path": "p"},'
+           ' "source": {"lsn": 5}}}']
+    mid = len(lines) // 2
+    out = {
+        "clean": "\n".join(lines) + "\n",
+        "no_final_newline": "\n".join(lines),
+        "blank_lines": "\n" + "\n\n".join(lines[:mid]) + "\n\n\n"
+                       + "\n".join(lines[mid:]) + "\n\n",
+        "whitespace_line": "\n".join(lines[:mid] + ["   "] + lines[mid:]),
+        "malformed": "\n".join(lines[:mid] + bad + lines[mid:]) + "\n",
+        "contract": "\n".join(lines[:mid] + bad[3:] + lines[mid:]) + "\n",
+        "crlf": "\r\n".join(lines) + "\r\n",
+        "empty": "",
+    }
+    paths = {}
+    for name, text in out.items():
+        paths[name] = str(tmp_path / f"{name}.jsonl")
+        with open(paths[name], "w", newline="") as f:
+            f.write(text)
+    return paths
+
+
+def test_range_decode_parses_bytes_once_and_matches_line_decode(
+        tmp_path, monkeypatch):
+    """``_decode_range`` hands a clean range's bytes to ONE
+    ``pyarrow.json.read_json`` call, with no line split; a range with a
+    blank, whitespace, malformed or contract-breaking line takes the
+    per-line decode. Either way its table and its dead-letter files are
+    byte for byte those of the per-line decode of the same lines (what
+    the Ray Data read runs), also for several ranges of a file, CRLF line
+    ends and with ``table_col``; bytes that are not UTF-8 raise as the
+    line split does."""
+    from arlas_proc_ray.cdc import wire
+
+    split = []
+    split_lines = wire._split_lines
+    monkeypatch.setattr(wire, "_split_lines",
+                        lambda d: split.append(len(d)) or split_lines(d))
+    paths = _jsonl_fixtures(tmp_path)
+    case = 0
+    for name, path in paths.items():
+        size = os.path.getsize(path)
+        for target in (size or 1, max(1, size // 3)):
+            for kw in ({}, {"table_col": "source_table"}):
+                for plan in wire._jsonl_range_plans([path], target):
+                    args = (plan["path"], plan["lo"], plan["hi"])
+                    tag = (name, target, tuple(kw), args[1:])
+                    case += 1
+                    dlq = {side: str(tmp_path / f"dlq-{side}-{case}")
+                           for side in ("bytes", "lines")}
+                    del split[:]
+                    got = wire._decode_range(
+                        *args, {"dead_letter_dir": dlq["bytes"], "epoch": 1,
+                                **kw})
+                    took_lines = bool(split)
+                    decode = wire.make_decode_fn(
+                        json_col="text", dead_letter_dir=dlq["lines"],
+                        epoch=1, **kw)
+                    want = list(decode(pa.table(
+                        {"text": wire._read_jsonl_range(*args)})))
+                    want = (pa.concat_tables(want, promote_options="default")
+                            if want else got.schema.empty_table())
+                    assert got.equals(want), tag
+                    files = {
+                        side: {f: open(os.path.join(d, "epoch=1", f),
+                                       "rb").read()
+                               for f in (os.listdir(os.path.join(d, "epoch=1"))
+                                         if os.path.isdir(d) else [])}
+                        for side, d in dlq.items()
+                    }
+                    assert files["bytes"] == files["lines"], tag
+                    if name in ("clean", "no_final_newline", "crlf") and (
+                            got.num_rows):
+                        assert not took_lines, tag
+                    if name in ("malformed", "contract") and files["lines"]:
+                        assert took_lines, tag
+    not_utf8 = str(tmp_path / "not_utf8.jsonl")
+    with open(not_utf8, "wb") as f:
+        f.write(b'{"payload": {"op": "c", "after": {"repo": "r\xff", '
+                b'"path": "p"}, "source": {"lsn": 1}}}\n')
+    with pytest.raises(pa.ArrowInvalid):
+        wire._read_jsonl_range(not_utf8, 0, os.path.getsize(not_utf8))
+    with pytest.raises(pa.ArrowInvalid):
+        wire._decode_range(not_utf8, 0, os.path.getsize(not_utf8), {})

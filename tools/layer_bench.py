@@ -78,16 +78,21 @@ Both sides of the one-task rule (``sizing.runs_in_process``), at 2k, 20k
 and 40k events (2k alone with ``--smoke``), ``<n>`` in thousands:
 
   read.inline.<n>k      ``read_changelog_jsonl`` of one n-event JSONL
-                        segment, decoded in process, materialized
-  read.remote.<n>k      the same read through Ray Data tasks
+                        segment, a held read decoded in process
+                        (``sizing.held``, as an epoch takes it)
+  read.remote.<n>k      the same read through Ray Data tasks,
+                        materialized
       floor: the decode function over the segment's lines, bare
   read.parquet.inline.<n>k
                         ``sources.io.read_parquet`` of the n events as
-                        Parquet, one file per schema version, unioned
-                        and materialized as ``jobs replay`` feeds an
-                        epoch, each file decoded in process
+                        Parquet, one file per schema version, each a
+                        held read decoded in process
+  read.parquet.inline.union.<n>k
+                        the same held reads unioned as ``jobs replay``
+                        and perfbench's ``bootstrap`` feed an epoch, the
+                        union's tables taken with ``sizing.held``
   read.parquet.remote.<n>k
-                        the same reads through Ray's read tasks
+                        the union through Ray's read tasks, materialized
       floor: ``pq.read_table`` of the files
   epoch.inline.<n>k     one n-event epoch (P=64) through
                         ``staged_apply_epoch`` in one merge group, its
@@ -406,7 +411,7 @@ def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
                 ds = read_parquet(pq_files[0])
                 for f in pq_files[1:]:
                     ds = ds.union(read_parquet(f))
-                return ds.materialize()
+                return ds
 
             read_pq_floor_s = _median_s(
                 lambda: [pq.read_table(f) for f in pq_files], repeats)
@@ -430,17 +435,29 @@ def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
                                    compression=store.compression)
 
             floor_s = _median_s(write_floor, repeats)
-            for path, inline in (("inline", 1 << 62), ("remote", -1)):
-                sizing.INLINE_BYTES = inline
-                row(f"read.{path}.{tag}", "decode, bare",
-                    _median_s(lambda: read_changelog_jsonl(seg).materialize(),
-                              repeats),
-                    decode_s, n, seg_bytes)
-                row(f"read.parquet.{path}.{tag}", "pq.read_table",
-                    _median_s(read_pq, repeats), read_pq_floor_s, n,
-                    events.size_bytes())
-                row(f"epoch.{path}.{tag}", "pq.write_table",
-                    _median_s(epoch, repeats), floor_s, n, events.size_bytes())
+            nbytes = events.size_bytes()
+            sizing.INLINE_BYTES = 1 << 62
+            row(f"read.inline.{tag}", "decode, bare",
+                _median_s(lambda: sizing.held(read_changelog_jsonl(seg)),
+                          repeats), decode_s, n, seg_bytes)
+            row(f"read.parquet.inline.{tag}", "pq.read_table",
+                _median_s(lambda: [sizing.held(read_parquet(f))
+                                   for f in pq_files], repeats),
+                read_pq_floor_s, n, nbytes)
+            row(f"read.parquet.inline.union.{tag}", "pq.read_table",
+                _median_s(lambda: sizing.held(read_pq()), repeats),
+                read_pq_floor_s, n, nbytes)
+            row(f"epoch.inline.{tag}", "pq.write_table",
+                _median_s(epoch, repeats), floor_s, n, nbytes)
+            sizing.INLINE_BYTES = -1
+            row(f"read.remote.{tag}", "decode, bare",
+                _median_s(lambda: read_changelog_jsonl(seg).materialize(),
+                          repeats), decode_s, n, seg_bytes)
+            row(f"read.parquet.remote.{tag}", "pq.read_table",
+                _median_s(lambda: read_pq().materialize(), repeats),
+                read_pq_floor_s, n, nbytes)
+            row(f"epoch.remote.{tag}", "pq.write_table",
+                _median_s(epoch, repeats), floor_s, n, nbytes)
     finally:
         staged.session_groups, sizing.INLINE_BYTES = groups, inline_bytes
 
