@@ -15,13 +15,13 @@ format, not any reference code.
 
 Design (100-TB discipline):
 
-- **Decode fast path is C++, not Python.** A batch of JSON lines is
-  newline-joined and handed to ``pyarrow.json.read_json`` once — Arrow's
-  SIMD JSON parser — with an explicit envelope schema so output types
-  never drift by inference. A held read's range skips the split and the
-  join: its bytes go to that one call as they are (``_decode_range``).
-  Python-per-row parsing happens ONLY for batches that contain at least
-  one malformed line (the C++ parse fails), and then only to isolate the
+- **Decode fast path is C++, not Python.** A JSONL byte range goes as
+  it is to ``pyarrow.json.read_json`` once — Arrow's SIMD JSON parser —
+  with an explicit envelope schema so output types never drift by
+  inference (``_decode_range``); a column of JSON strings
+  (``decode_debezium``) is newline-joined into that one call. Python-per-
+  row parsing happens ONLY for batches that contain at least one
+  malformed line (the C++ parse fails), and then only to isolate the
   bad rows into the dead-letter queue; clean batches never touch a
   Python loop.
 - **Envelope → canonical columns is pure ``pyarrow.compute``**:
@@ -424,15 +424,6 @@ def _jsonl_range_plans(paths, target_bytes: int) -> list[dict]:
     return plans
 
 
-def _read_jsonl_range(path: str, lo: int, hi: int) -> pa.Array:
-    """One range's complete lines as an Arrow string array. Line
-    splitting is one C++ ``split_pattern`` over the raw buffer — no
-    per-line Python objects (``ray.data.read_text`` materializes a
-    Python str per line, measured 10× slower than the decode it feeds
-    at 20M events)."""
-    return _split_lines(_range_bytes(path, lo, hi))
-
-
 def _range_bytes(path: str, lo: int, hi: int) -> bytes:
     """The bytes of the lines whose first byte lies in ``[lo, hi)``."""
     with open(path, "rb") as f:
@@ -466,7 +457,10 @@ def _range_bytes(path: str, lo: int, hi: int) -> bytes:
 
 
 def _split_lines(data: bytes) -> pa.Array:
-    """The non-empty lines of ``data`` as a string array (UTF-8 checked)."""
+    """The non-empty lines of ``data`` as a string array (UTF-8 checked):
+    one C++ ``split_pattern`` over the raw buffer, no per-line Python
+    object (``ray.data.read_text`` makes a Python str per line, measured
+    10× slower than the decode it feeds at 20M events)."""
     if not data:
         return pa.array([], pa.string())
     lines = pc.list_flatten(
@@ -510,12 +504,12 @@ def _parse_clean(data: bytes, table_col: str | None) -> list | None:
 
 
 def _decode_range(path: str, lo: int, hi: int, decode_kwargs: dict) -> pa.Table:
-    """One range of a held JSONL read (``read_changelog_jsonl``), decoded:
-    its bytes parsed once (``_parse_clean``), or, when that cannot, its
-    lines through ``make_decode_fn`` as the Ray Data read decodes them,
-    dead-letter rows included. The version tables are concatenated as Ray
-    Data's block builder does; a range that decodes to nothing is a typed
-    empty table."""
+    """One range of a JSONL read (``read_changelog_jsonl``), decoded: its
+    bytes parsed once (``_parse_clean``), or, when that cannot, its lines
+    through the per-line decode (``make_decode_fn``), which quarantines
+    the bad ones. The version tables are concatenated as Ray Data's block
+    builder does; a range that decodes to nothing is a typed empty
+    table."""
     data = _range_bytes(path, lo, hi)
     tables = _parse_clean(data, decode_kwargs.get("table_col")) if data else None
     if tables is None:
@@ -527,62 +521,49 @@ def _decode_range(path: str, lo: int, hi: int, decode_kwargs: dict) -> pa.Table:
 
 
 def read_changelog_jsonl(paths, *, target_bytes: int = 64 * 1024 * 1024,
-                         **decode_kwargs):
+                         batch_size: int | None = None, **decode_kwargs):
     """Tail a directory/file list of JSON-lines change events → canonical
     events Dataset. Files are sharded into ``target_bytes`` byte ranges
     (newline-aligned, so one 10 GB segment parallelizes like 160 small
-    ones) and each range splits its lines with one Arrow kernel; decode
-    runs per batch with the C++ fast path.
+    ones). Every range is decoded by ``_decode_range``, one block per
+    range: one C++ parse of its bytes, or the per-line decode when they
+    hold a blank, malformed or contract-breaking line, which writes the
+    dead-letter rows; ``decode_kwargs`` are ``decode_debezium``'s
+    (``dead_letter_dir``, ``epoch``, ``table_col``). ``batch_size``
+    re-batches the decoded events.
 
     A read that would be one task (one range, or one CPU in the session)
-    over at most ``sizing.INLINE_BYTES`` (``sizing.runs_in_process``;
-    unless ``batch_size`` asks for Ray Data's re-batching) comes back as
-    a held read (``sizing.hold``): a lazy plan with one part per range,
-    which reads and decodes nothing until it is consumed. An epoch
-    decodes it in the consuming process (``sizing.held``); a Ray read
-    task decodes its own range. Either way each range is decoded once per
-    consumer, one block per range, by ``_decode_range``: one C++ parse of
-    the range's bytes, or the Ray Data path's per-line decode when the
-    bytes hold a blank, malformed or contract-breaking line, which writes
-    the same dead-letter rows."""
+    over at most ``sizing.INLINE_BYTES`` (``sizing.runs_in_process``),
+    with no ``batch_size``, comes back as a held read (``sizing.hold``):
+    a lazy plan with one part per range, which reads and decodes nothing
+    until it is consumed. An epoch decodes it in the consuming process
+    (``sizing.held``); a Ray read task decodes its own range. Any other
+    read decodes each range in a Ray task."""
     import ray.data as rd
 
     plans = _jsonl_range_plans(
         [paths] if isinstance(paths, str) else list(paths), target_bytes
     )
     if not plans:  # empty directory: typed empty stream
-        return decode_debezium(
-            rd.from_blocks([pa.table({"text": pa.array([], pa.string())})]),
-            json_col="text", **decode_kwargs,
-        )
+        return rd.from_blocks([CANONICAL_EVENT_SCHEMA.empty_table()])
     tasks = min(len(plans), sizing.session_cpus())
     nbytes = sum(p["hi"] - p["lo"] for p in plans)
-    if decode_kwargs.get("batch_size") is None and sizing.runs_in_process(
-            tasks, nbytes):
-        kw = {k: v for k, v in decode_kwargs.items() if k != "batch_size"}
+    if batch_size is None and sizing.runs_in_process(tasks, nbytes):
         return sizing.hold([partial(_decode_range, p["path"], p["lo"],
-                                    p["hi"], kw) for p in plans], nbytes)
+                                    p["hi"], decode_kwargs) for p in plans],
+                           nbytes)
 
-    def read_ranges(batch: pa.Table) -> pa.Table:
-        parts = [
-            _read_jsonl_range(p, int(lo), int(hi))
-            for p, lo, hi in zip(
-                batch.column("path").to_pylist(),
-                batch.column("lo").to_pylist(),
-                batch.column("hi").to_pylist(),
-            )
-        ]
-        out = (
-            pa.concat_arrays([p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p for p in parts])
-            if parts
-            else pa.array([], pa.string())
-        )
-        return pa.table({"text": out})
+    def decode_ranges(batch: pa.Table):
+        for path, lo, hi in zip(*(batch.column(c).to_pylist()
+                                  for c in ("path", "lo", "hi"))):
+            yield _decode_range(path, lo, hi, decode_kwargs)
 
-    text = rd.from_items(plans, override_num_blocks=max(1, len(plans))).map_batches(
-        read_ranges, batch_format="pyarrow", batch_size=None
-    )
-    return decode_debezium(text, json_col="text", **decode_kwargs)
+    ds = rd.from_items(plans, override_num_blocks=len(plans)).map_batches(
+        decode_ranges, batch_format="pyarrow", batch_size=None)
+    if batch_size is not None:
+        ds = ds.map_batches(lambda b: b, batch_format="pyarrow",
+                            batch_size=batch_size)
+    return ds
 
 
 def encode_debezium(

@@ -414,7 +414,7 @@ def cmd_curate(args) -> dict:
         curate_documents,
     )
     from arlas_proc_ray.sources.io import (
-        read_parquet,
+        read_parquet_stored,
         write_partitioned_parquet,
     )
 
@@ -438,7 +438,7 @@ def cmd_curate(args) -> dict:
         mixture_weights=mixture,
         mixture_budget=args.mixture_budget,
     )
-    ds = read_parquet(args.input)
+    ds = read_parquet_stored(args.input)
     survivors, stats = curate_documents(ds, cfg)
     write_partitioned_parquet(survivors, args.out)
     return stats

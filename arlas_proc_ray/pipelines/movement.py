@@ -25,7 +25,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from arlas_proc_ray.sources.io import read_parquet as _rp
+from arlas_proc_ray.sources.io import read_parquet_stored as _rp
 
 from arlas_proc_ray.stages.keyed import keyed_partition_map
 from arlas_proc_ray.stages.ml import STILLMOVE_MODEL_JSON, HmmModel

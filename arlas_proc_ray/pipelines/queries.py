@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from arlas_proc_ray.sources.io import read_parquet as _rp
+from arlas_proc_ray.sources.io import read_parquet_stored as _rp
 
 from arlas_proc_ray.stages.keyed import keyed_partition_map
 

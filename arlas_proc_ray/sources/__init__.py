@@ -1,6 +1,7 @@
 from arlas_proc_ray.sources.io import (
     read_csv,
     read_parquet,
+    read_parquet_stored,
     write_csv_single,
     write_partitioned_parquet,
 )
@@ -8,6 +9,7 @@ from arlas_proc_ray.sources.io import (
 __all__ = [
     "read_csv",
     "read_parquet",
+    "read_parquet_stored",
     "write_partitioned_parquet",
     "write_csv_single",
 ]

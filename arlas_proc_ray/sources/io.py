@@ -25,7 +25,8 @@ package, ``cdc.sizing.runs_in_process(tasks, nbytes)``:
     ``union`` of such reads, decodes the files in this process with
     ``pyarrow.dataset`` (``sizing.held``) and runs no read task and no
     executor; anything else that runs it runs one Ray read task per
-    file, which decodes that file;
+    file, which decodes that file. ``read_parquet_stored`` decodes and
+    puts a held read once, for queries, which may run a Dataset often;
   * every other read goes through ``ray.data.read_parquet``.
 
 Both read under the same schema (the first file's, metadata stripped),
@@ -113,6 +114,17 @@ def read_parquet(paths, *, columns: Sequence[str] | None = None, filter_expr=Non
         ds = ds.map_batches(_without_metadata, batch_format="pyarrow",
                             batch_size=None, zero_copy_batch=True)
     return ds
+
+
+def read_parquet_stored(paths, **kwargs):
+    """``read_parquet`` with its blocks in the object store, for a
+    consumer other than an epoch (a query, a pipeline): a held read is
+    decoded once, here, and put once (``sizing.stored``), so a Dataset
+    run several times, or in many tasks, reuses those blocks where a held
+    read's plan would decode its files again in a read task each run."""
+    from arlas_proc_ray.cdc import sizing
+
+    return sizing.stored(read_parquet(paths, **kwargs))
 
 
 def _without_metadata(block: pa.Table) -> pa.Table:

@@ -372,8 +372,12 @@ def test_ranged_jsonl_reader_matches_readlines(tmp_path):
 
     from arlas_proc_ray.cdc.wire import (
         _jsonl_range_plans,
-        _read_jsonl_range,
+        _range_bytes,
+        _split_lines,
     )
+
+    def _read_jsonl_range(path, lo, hi):
+        return _split_lines(_range_bytes(path, lo, hi))
 
     rng = __import__("random").Random(7)
     lines = [
@@ -510,9 +514,8 @@ def test_range_decode_parses_bytes_once_and_matches_line_decode(
     ``pyarrow.json.read_json`` call, with no line split; a range with a
     blank, whitespace, malformed or contract-breaking line takes the
     per-line decode. Either way its table and its dead-letter files are
-    byte for byte those of the per-line decode of the same lines (what
-    the Ray Data read runs), also for several ranges of a file, CRLF line
-    ends and with ``table_col``; bytes that are not UTF-8 raise as the
+    byte for byte those of the per-line decode of the same lines, also
+    for several ranges of a file, CRLF line ends and with ``table_col``; bytes that are not UTF-8 raise as the
     line split does."""
     from arlas_proc_ray.cdc import wire
 
@@ -541,7 +544,7 @@ def test_range_decode_parses_bytes_once_and_matches_line_decode(
                         json_col="text", dead_letter_dir=dlq["lines"],
                         epoch=1, **kw)
                     want = list(decode(pa.table(
-                        {"text": wire._read_jsonl_range(*args)})))
+                        {"text": split_lines(wire._range_bytes(*args))})))
                     want = (pa.concat_tables(want, promote_options="default")
                             if want else got.schema.empty_table())
                     assert got.equals(want), tag
@@ -563,6 +566,7 @@ def test_range_decode_parses_bytes_once_and_matches_line_decode(
         f.write(b'{"payload": {"op": "c", "after": {"repo": "r\xff", '
                 b'"path": "p"}, "source": {"lsn": 1}}}\n')
     with pytest.raises(pa.ArrowInvalid):
-        wire._read_jsonl_range(not_utf8, 0, os.path.getsize(not_utf8))
+        wire._split_lines(wire._range_bytes(
+            not_utf8, 0, os.path.getsize(not_utf8)))
     with pytest.raises(pa.ArrowInvalid):
         wire._decode_range(not_utf8, 0, os.path.getsize(not_utf8), {})

@@ -80,20 +80,21 @@ and 40k events (2k alone with ``--smoke``), ``<n>`` in thousands:
   read.inline.<n>k      ``read_changelog_jsonl`` of one n-event JSONL
                         segment, a held read decoded in process
                         (``sizing.held``, as an epoch takes it)
-  read.remote.<n>k      the same read through Ray Data tasks,
-                        materialized
+  read.remote.<n>k      the same read through Ray Data tasks, its
+                        blocks fetched to the caller (``to_arrow_refs``)
       floor: the decode function over the segment's lines, bare
-  read.parquet.inline.<n>k
-                        ``sources.io.read_parquet`` of the n events as
-                        Parquet, one file per schema version, each a
-                        held read decoded in process
   read.parquet.inline.union.<n>k
-                        the same held reads unioned as ``jobs replay``
-                        and perfbench's ``bootstrap`` feed an epoch, the
-                        union's tables taken with ``sizing.held``
+                        ``sources.io.read_parquet`` of the n events as
+                        Parquet, one file per schema version, the held
+                        reads unioned as ``jobs replay`` and perfbench's
+                        ``bootstrap`` feed an epoch, the union's tables
+                        taken with ``sizing.held``
   read.parquet.remote.<n>k
-                        the union through Ray's read tasks, materialized
+                        the union through Ray's read tasks, its blocks
+                        fetched to the caller
       floor: ``pq.read_table`` of the files
+
+Each read row ends with the decoded tables in the caller.
   epoch.inline.<n>k     one n-event epoch (P=64) through
                         ``staged_apply_epoch`` in one merge group, its
                         exchange in process, into a fresh store
@@ -369,6 +370,7 @@ def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
     an n-event epoch applied through ``staged_apply_epoch`` with one merge
     group into a fresh store each repeat, each once in process and once as
     Ray tasks."""
+    import ray
     import ray.data as rd
 
     from arlas_proc_ray.cdc import sizing, staged
@@ -378,7 +380,8 @@ def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
         generate_changelog_tables,
     )
     from arlas_proc_ray.cdc.wire import (
-        _read_jsonl_range,
+        _range_bytes,
+        _split_lines,
         make_decode_fn,
         make_encode_fn,
         read_changelog_jsonl,
@@ -413,11 +416,15 @@ def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
                     ds = ds.union(read_parquet(f))
                 return ds
 
+            def fetched(ds):
+                return ray.get(ds.to_arrow_refs())
+
             read_pq_floor_s = _median_s(
                 lambda: [pq.read_table(f) for f in pq_files], repeats)
             decode = make_decode_fn(json_col="text")
             decode_s = _median_s(lambda: list(decode(pa.table(
-                {"text": _read_jsonl_range(seg, 0, seg_bytes)}))), repeats)
+                {"text": _split_lines(_range_bytes(seg, 0, seg_bytes))}))),
+                repeats)
             runs = itertools.count()
 
             def epoch():
@@ -440,10 +447,6 @@ def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
             row(f"read.inline.{tag}", "decode, bare",
                 _median_s(lambda: sizing.held(read_changelog_jsonl(seg)),
                           repeats), decode_s, n, seg_bytes)
-            row(f"read.parquet.inline.{tag}", "pq.read_table",
-                _median_s(lambda: [sizing.held(read_parquet(f))
-                                   for f in pq_files], repeats),
-                read_pq_floor_s, n, nbytes)
             row(f"read.parquet.inline.union.{tag}", "pq.read_table",
                 _median_s(lambda: sizing.held(read_pq()), repeats),
                 read_pq_floor_s, n, nbytes)
@@ -451,10 +454,10 @@ def _one_task_rows(row, n: int, repeats: int, seed: int) -> None:
                 _median_s(epoch, repeats), floor_s, n, nbytes)
             sizing.INLINE_BYTES = -1
             row(f"read.remote.{tag}", "decode, bare",
-                _median_s(lambda: read_changelog_jsonl(seg).materialize(),
+                _median_s(lambda: fetched(read_changelog_jsonl(seg)),
                           repeats), decode_s, n, seg_bytes)
             row(f"read.parquet.remote.{tag}", "pq.read_table",
-                _median_s(lambda: read_pq().materialize(), repeats),
+                _median_s(lambda: fetched(read_pq()), repeats),
                 read_pq_floor_s, n, nbytes)
             row(f"epoch.remote.{tag}", "pq.write_table",
                 _median_s(epoch, repeats), floor_s, n, nbytes)
