@@ -409,6 +409,13 @@ def test_ranged_jsonl_reader_matches_readlines(tmp_path):
         assert got == lines, f"no-trailing-newline target={target}"
 
 
+def _rows(blocks):
+    """The rows of ``blocks`` in one order of columns and rows."""
+    t = pa.concat_tables(blocks, promote_options="default")
+    t = t.select(sorted(t.column_names))
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
 def test_small_read_in_process_equals_ray_data_read(tmp_path, monkeypatch):
     """A read that would be one task (one CPU, or one range) of at most
     ``sizing.INLINE_BYTES`` is a held read: nothing is read until it is
@@ -416,7 +423,8 @@ def test_small_read_in_process_equals_ray_data_read(tmp_path, monkeypatch):
     Ray's read tasks, when Ray runs it, decode their own ranges. Both give
     the same blocks and the same dead-letter files as the Ray Data read,
     malformed lines included. Several ranges on several CPUs keep Ray
-    Data's parallel read."""
+    Data's parallel read, and so does a ``batch_size``, which re-batches
+    the decoded events."""
     import ray
 
     from arlas_proc_ray.cdc import sizing, wire
@@ -463,6 +471,14 @@ def test_small_read_in_process_equals_ray_data_read(tmp_path, monkeypatch):
     slow = by_lsn(ray.get(slow_ds.to_arrow_refs()))
     slow_dlq = dead_letters(str(tmp_path / "dlq-slow"))
     assert len(in_caller) == ranges  # the Ray Data read holds no ranges
+    with monkeypatch.context() as m:  # batch_size keeps Ray Data's read
+        m.setattr(sizing, "session_cpus", lambda: 1)
+        batched = wire.read_changelog_jsonl(
+            seg, dead_letter_dir=str(tmp_path / "dlq-batched"), epoch=3,
+            target_bytes=1 << 14, batch_size=100)
+    assert sizing.held(batched) is None
+    assert _rows(ray.get(batched.to_arrow_refs())).equals(_rows(fast))
+    assert dead_letters(str(tmp_path / "dlq-batched")) == slow_dlq
     one_file = os.path.join(seg, min(set(os.listdir(seg)) - {"part-bad.jsonl"}))
     inline = wire.read_changelog_jsonl(one_file)
     assert inline._logical_plan.dag.name == "ReadHeld"
