@@ -6,28 +6,29 @@ staged exchange (cdc/staged.py) in raw Ray tasks:
     events (Dataset, any schema version, out-of-order within the epoch)
       → materialize; one split task per block:
           normalize (schema registry align) → per-block LWW combiner
-          → _part_id = hash(repo, path) % P → ONE argsort by partition
+          → _part_id = hash(repo, path) % P → ONE argsort by partition,
+            ONE take of the combiner's kept rows per group
       → G = min(P, CPUs) merge tasks, each over a contiguous group of
-        partitions, each partition that writes a base through
-        ``apply_partition`` — the one kernel of every store writer
-        (vectorized, whole partition), here with CDC's fold
-        (``cdc_fold``):
+        partitions, the whole group in ONE pass (``cdc_segments``):
               · fence: if this epoch's base file for p exists, or a
                 delta group file of this epoch lists p → skip (resume)
               · drop events with lsn <= its last_lsn in the previous
                 epoch's index (an event is never applied twice across runs)
-              · a partition with a base whose fold is not due: the
-                surviving events, LWW-reduced and hashed, tombstones
-                kept, become its delta SEGMENT, made for the whole
-                group in one pass (``cdc_segments``); the group's
-                segments are written last as ONE delta file, its
-                manifests in the footer
-              · otherwise (no base, or a fold): read partition p of the
-                previous committed snapshot, its chain overlaid; union
-                prior state (as lsn=last_lsn upsert rows) + events,
-                exact LWW by lsn, drop DELETE tombstones, sha256 only the
-                newly-surviving rows; atomic write of part-p.parquet,
-                its manifest in the footer
+              · one LWW with partition tags, one sha256 pass over the
+                live rows, one gather
+              · a partition with a base whose fold is not due: its
+                surviving events, tombstones kept, become its delta
+                SEGMENT; the group's segments are written last as ONE
+                delta file, its manifests in the footer
+              · no base yet, or a fold: its rows laid over partition p
+                of the previous committed snapshot (chain overlaid),
+                tombstones dropped; atomic write of part-p.parquet, a
+                slice of the group's rows, its manifest in the footer
+        a partition whose events hold a PATCH, or that is carried
+        forward, goes through ``apply_partition`` with CDC's fold
+        (``cdc_fold``): read, union prior state (as lsn=last_lsn upsert
+        rows) + events, exact LWW by lsn, drop tombstones, hash the
+        newly-surviving rows, write
       → driver writes the epoch index, then the _COMMITTED marker
 
 With one merge group (a 1-CPU session, or P = 1) and at most
@@ -133,19 +134,24 @@ def cdc_fold(dm: DataModel, ev, prior, prior_last: int):
 
 
 def cdc_segments(dm: DataModel, ev: pa.Table, tags: np.ndarray,
-                 prior_last: np.ndarray, reduced: bool):
-    """CDC's delta step, over the rows of many partitions at once: the
+                 prior_last: np.ndarray, reduced: bool,
+                 live: np.ndarray | None = None):
+    """CDC's group step, over the rows of many partitions at once: the
     fence of :func:`cdc_fold`, then the events that survive it as each
-    partition's segment: LWW-reduced, content hashed, each DELETE kept as
-    a tombstone row (``DELETED``), in the order finalize would keep them.
-    A segment row beats every older row of its key, so no prior state is
-    read.
+    partition's rows: LWW-reduced, content hashed, each DELETE kept as a
+    tombstone row (``DELETED``), in the order finalize would keep them.
+    A row beats every older row of its key, so a delta segment needs no
+    prior state, and a partition with no prior rows needs only its
+    tombstones dropped to be its new base.
 
-    ``ev`` holds the events partition by partition; ``tags`` is each
-    row's partition index ``i`` (non-decreasing) and ``prior_last[i]``
-    that partition's applied watermark. ``reduced``: no key has two
-    events (one exchange input, which the per-block combine reduced), so
-    LWW has nothing to do. Returns ``(rows, row tags, watermarks,
+    ``ev`` holds the events of every partition, each partition's in
+    input order; ``tags`` is each row's partition index ``i`` and
+    ``prior_last[i]`` that partition's applied watermark. ``reduced``: no
+    key has two events (one exchange input, which the per-block combine
+    reduced), so LWW has nothing to do. ``live[i]``: drop partition
+    ``i``'s DELETEs instead of keeping them as tombstones. The rows come
+    out partition by partition, from ONE ``take`` of ``ev`` (none when
+    every event is kept in place). Returns ``(rows, row tags, watermarks,
     events_in, events_applied)``, the last three one entry per
     partition; a partition's watermark is ``max(prior, max event lsn)``,
     taken before the fence."""
@@ -157,17 +163,29 @@ def cdc_segments(dm: DataModel, ev: pa.Table, tags: np.ndarray,
     watermark = np.maximum(prior_last, top)
     fence = prior_last[tags]
     keep = (fence < 0) | (lsn > fence)
-    ev, tags = ev.filter(pa.array(keep)), tags[keep]
+    if not keep.all():
+        ev, tags = ev.filter(pa.array(keep)), tags[keep]
     applied = np.bincount(tags, minlength=n)
-    if not reduced:
-        kept = lww_order(ev, dm.key_cols, dm.order_col, tags)
+    kept = (np.arange(ev.num_rows) if reduced
+            else lww_order(ev, dm.key_cols, dm.order_col, tags))
+    deleted = pc.equal(ev.column("op"), pa.scalar("DELETE"))
+    if live is not None and live.any() and deleted.null_count == 0:
+        dead = deleted.to_numpy(zero_copy_only=False) & live[tags]
+        kept = kept[~dead[kept]]
+    kept = kept[np.argsort(tags[kept], kind="stable")]
+    if len(kept) < ev.num_rows or (np.diff(kept) < 0).any():
         ev, tags = ev.take(pa.array(kept)), tags[kept]
-    deleted = pc.equal(ev.column("op"), pa.scalar("DELETE")).combine_chunks()
-    live = pc.invert(deleted)
-    sha = pa.nulls(ev.num_rows, pa.string())
-    if pc.any(live).as_py():
-        sha = pc.replace_with_mask(
-            sha, live, sha256_hex(ev.column("content").filter(live)).combine_chunks())
+        deleted = pc.equal(ev.column("op"), pa.scalar("DELETE"))
+    deleted = deleted.combine_chunks()
+    tombstones = deleted.true_count > 0 or deleted.null_count > 0
+    if not tombstones:
+        sha = sha256_hex(ev.column("content")).combine_chunks()
+    else:
+        live_rows = pc.invert(deleted)
+        sha = pa.nulls(ev.num_rows, pa.string())
+        if pc.any(live_rows).as_py():
+            sha = pc.replace_with_mask(sha, live_rows, sha256_hex(
+                ev.column("content").filter(live_rows)).combine_chunks())
     arrays = []
     for f in FINAL_STATE_SCHEMA:
         if f.name == "content_sha256":
@@ -175,7 +193,7 @@ def cdc_segments(dm: DataModel, ev: pa.Table, tags: np.ndarray,
             continue
         col = ev.column(dm.order_col if f.name == "last_lsn" else f.name)
         col = col if col.type == f.type else pc.cast(col, f.type)
-        if f.name not in (*dm.key_cols, "last_lsn"):
+        if tombstones and f.name not in (*dm.key_cols, "last_lsn"):
             col = pc.if_else(deleted, pa.scalar(None, f.type), col)
         arrays.append(col)
     arrays.append(deleted)
@@ -197,11 +215,13 @@ def copy_fold(watermark: int, ev, prior, prior_last: int):
 def apply_partition(store: SnapshotStore, epoch: int, part: int, events,
                     prior, fold, *, delta: bool = False, fault_hook=None,
                     resumed=None):
-    """Apply one partition of one epoch as a base: the step every writer
-    of the store ends in (CDC epochs, ``merge_into``,
-    ``repartition_snapshot``), after the staged exchange (cdc/staged.py)
-    routed ``events`` to it. A CDC epoch's delta segments are not
-    written here but by its exchange group at once
+    """Apply one partition of one epoch as a base, after the staged
+    exchange (cdc/staged.py) routed ``events`` to it: the step of a CDC
+    partition whose events hold a PATCH, of one carried forward (every
+    event fenced, without ``delta``, or no event), and of every
+    partition of ``merge_into`` and ``repartition_snapshot``. A CDC
+    epoch's delta segments, and its bases with no base before them or a
+    fold due, are made by its exchange group at once
     (``staged._apply_group``).
 
     ``events`` is a list of tables routed to ``part`` (any may be empty);

@@ -85,7 +85,8 @@ def lww_reduce_table(
     to the combiner-safe prune instead: a patch must not be LWW-collapsed
     away, and folding it here would be unsound on a stream subset. The
     dispatch is one vectorized equality scan; patch-free streams take the
-    plain LWW path unchanged.
+    plain LWW path unchanged. A table in which no key repeats is returned
+    as it is, not copied.
     """
     if table.num_rows <= 1:
         return table
@@ -93,7 +94,8 @@ def lww_reduce_table(
 
     if table_has_patches(table):
         return patch_prune_table(table, key_cols, order_col)
-    return table.take(pa.array(lww_order(table, key_cols, order_col)))
+    kept = lww_order(table, key_cols, order_col)
+    return table if len(kept) == table.num_rows else table.take(pa.array(kept))
 
 
 def lww_order(table: pa.Table, key_cols, order_col: str = "lsn",
@@ -109,6 +111,8 @@ def lww_order(table: pa.Table, key_cols, order_col: str = "lsn",
     sel = np.lexsort((order, gid))
     gid_sorted = gid[sel]
     last_of_group = np.append(gid_sorted[1:] != gid_sorted[:-1], True)
+    if last_of_group.all():  # no key repeats: every row is kept
+        return np.arange(len(gid))
     return np.sort(sel[last_of_group])
 
 

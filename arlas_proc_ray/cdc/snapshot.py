@@ -194,22 +194,29 @@ _STATS_MAX_STR = 64
 _STATS_MAX_BYTES = 4096
 
 
-def _sound_statistics(table: pa.Table):
-    """``pq.write_table``'s ``write_statistics=``: every column, unless a
-    string or binary column holds a value longer than
-    ``_STATS_MAX_BYTES``; then every column but those, so no reader of
-    the file (pyarrow dataset filters, ``read_parquet(filter=)``, DuckDB)
-    can prune by a dropped bound."""
+def _sound_statistics(table: pa.Table, bounds) -> list:
+    """``pq.write_table``'s ``write_statistics=`` for each slice
+    ``table[bounds[i]:bounds[i + 1]]`` written as a file of its own:
+    every column, unless a string or binary column holds a value longer
+    than ``_STATS_MAX_BYTES``; then every column but those, so no reader
+    of the file (pyarrow dataset filters, ``read_parquet(filter=)``,
+    DuckDB) can prune by a dropped bound. One length pass per column
+    over the whole table."""
     import pyarrow.types as pt
 
-    long = {
-        f.name for f in table.schema
-        if (pt.is_string(f.type) or pt.is_large_string(f.type)
-            or pt.is_binary(f.type) or pt.is_large_binary(f.type))
-        and (pa.compute.max(pa.compute.binary_length(table.column(f.name)))
-             .as_py() or 0) > _STATS_MAX_BYTES
-    }
-    return [n for n in table.column_names if n not in long] if long else True
+    cuts = np.asarray(bounds)
+    long: list = [set() for _ in cuts[1:]]
+    for f in table.schema:
+        if not (pt.is_string(f.type) or pt.is_large_string(f.type)
+                or pt.is_binary(f.type) or pt.is_large_binary(f.type)):
+            continue
+        lengths = pa.compute.fill_null(
+            pa.compute.binary_length(table.column(f.name)), 0)
+        over = np.flatnonzero(lengths.to_numpy() > _STATS_MAX_BYTES)
+        for i in np.unique(np.searchsorted(cuts, over, side="right") - 1):
+            long[i].add(f.name)
+    return [[n for n in table.column_names if n not in lg] if lg else True
+            for lg in long]
 
 
 def _zone_maps(md: pq.FileMetaData, schema: pa.Schema,
@@ -427,14 +434,56 @@ def _bloom_absent(bloom: dict, positions):
 
 
 class _KeyProbes:
-    """The rows of a key table, tested against many blooms: each column
-    is hashed once and its bit positions computed once per bloom shape,
-    so a bloom costs only its bit tests."""
+    """The rows of a key table, tested against many blooms and tables:
+    each column is hashed once and its bit positions computed once per
+    bloom shape, so a bloom costs only its bit tests, and the keys'
+    exact composite key is built once per set of key column types it is
+    compared at (one, in a store)."""
 
-    def __init__(self, keys: pa.Table):
+    def __init__(self, keys: pa.Table, hashes: dict | None = None,
+                 composite: dict | None = None):
         self.keys = keys
-        self._hashes: dict = {}
+        self._hashes: dict = hashes or {}
         self._positions: dict = {}
+        self._composite: dict = composite or {}
+
+    def composite(self, schema: pa.Schema):
+        """The keys' composite key (``replay._combined_key``), their
+        columns cast to ``schema``'s types."""
+        from arlas_proc_ray.cdc.replay import _combined_key
+
+        cols = self.keys.column_names
+        types = tuple(schema.field(c).type for c in cols)
+        if types not in self._composite:
+            self._composite[types] = _combined_key(self.keys.cast(
+                pa.schema(list(zip(cols, types)))), cols)
+        return self._composite[types]
+
+    def rows_in(self, table: pa.Table) -> tuple:
+        """The rows of ``table`` whose key columns equal some key, byte
+        for byte, in ``table``'s row order, and their composite keys: one
+        hash-set probe of the exact composite key, as LWW keys rows. On a
+        1 vCPU host it costs 0.08-0.11 ms at 20-150 rows and 1-64 keys,
+        and 0.28-0.35 ms at 2 000 rows; a per-key column compare costs
+        0.10 ms at one key but 2.1 ms at 64, an Arrow semi join 0.33-0.45
+        ms throughout."""
+        from arlas_proc_ray.cdc.replay import _combined_key
+
+        key = _combined_key(table, self.keys.column_names)
+        hit = pa.compute.is_in(key, value_set=self.composite(table.schema))
+        return table.filter(hit), key.filter(hit)
+
+    def without(self, held, schema: pa.Schema) -> "_KeyProbes":
+        """The probes of the keys not in ``held``, composite keys at
+        ``schema``'s types (``rows_in``), their hashes and composite keys
+        cut from these."""
+        keep = pa.compute.invert(pa.compute.is_in(
+            self.composite(schema), value_set=held))
+        mask = keep.to_numpy(zero_copy_only=False)
+        return _KeyProbes(
+            self.keys.filter(keep),
+            {c: hv[mask] for c, hv in self._hashes.items()},
+            {t: k.filter(keep) for t, k in self._composite.items()})
 
     def excludes(self, blooms: dict) -> bool:
         """True when ``blooms`` prove every key absent: for each key, some
@@ -646,11 +695,41 @@ class StoreLayoutError(RuntimeError):
             f"--vacuum-keep 1` at commit f13d266, then open it here")
 
 
-def _derived_manifest(epoch: int, part: int, footer: dict, rows: pa.Table,
+def _derived_fields(rows: pa.Table, bounds, bloom_cols: list[str]) -> list:
+    """``(sha256_rollup, blooms)`` of each base ``rows[bounds[i]:bounds[i
+    + 1]]``, the manifest fields its footer leaves out but its rows give:
+    the rollup of its ``content_sha256`` column and the blooms of
+    ``bloom_cols`` (none for an empty base). One ``sha256_rollups`` and
+    one ``_bloom_hashes`` pass per bloom column over the whole table, cut
+    per base, so a rebuilt manifest equals the written one however many
+    bases were written together."""
+    cuts = np.asarray(bounds)
+    sizes = np.diff(cuts)
+    sha = rows.column("content_sha256")
+    rollups = sha256_rollups([sha.slice(a, k) for a, k in zip(cuts[:-1], sizes)])
+    hashed = [(c, _bloom_hashes(rows.column(c))) for c in bloom_cols]
+    return [
+        (rollup, {c: _bloom_of_hashes(hv[a:a + k], int(k), _BLOOM_MIN_BITS)
+                  for c, hv in hashed} if k else {})
+        for rollup, a, k in zip(rollups, cuts[:-1], sizes)
+    ]
+
+
+class BaseFields(NamedTuple):
+    """What a base's write derives from its rows: its manifest's
+    ``sha256_rollup`` and ``blooms``, its ``max_surviving_lsn`` and the
+    Parquet writer's ``write_statistics`` (``SnapshotStore.base_fields``)."""
+    sha256_rollup: str
+    blooms: dict
+    max_surviving_lsn: int
+    write_statistics: object
+
+
+def _derived_manifest(epoch: int, part: int, footer: dict, derived: tuple,
                       md: pq.FileMetaData, schema: pa.Schema) -> PartitionManifest:
     """A partition's manifest from its footer fields plus what they leave
-    out: the rollup of the ``content_sha256`` column, the blooms of the
-    footer's ``bloom_cols`` and the zone maps of the file's row-group
+    out: ``derived``, its rows' ``(sha256_rollup, blooms)``
+    (``_derived_fields``), and the zone maps of the file's row-group
     statistics ``md``. The one derivation of both the write and a
     resume, so a rebuilt manifest equals the written one."""
     n = footer["row_count"]
@@ -659,12 +738,12 @@ def _derived_manifest(epoch: int, part: int, footer: dict, rows: pa.Table,
         epoch=epoch,
         last_lsn=footer["last_lsn"],
         row_count=n,
-        sha256_rollup=sha256_rollup(rows.column("content_sha256") if n else []),
+        sha256_rollup=derived[0],
         base_rows=n,
         max_surviving_lsn=footer["max_surviving_lsn"],
         metrics=footer["metrics"],
         col_stats=_zone_maps(md, schema),
-        blooms={c: _bloom_build(rows.column(c), n) for c in footer["bloom_cols"]},
+        blooms=derived[1],
     )
 
 
@@ -824,12 +903,13 @@ def _first_rows(table: pa.Table, key_cols: list[str],
 
 
 def _group_overlay(pieces: list[pa.Table], tags: list[np.ndarray],
-                   key_cols: list[str], num_parts: int) -> list[pa.Table]:
+                   key_cols: list[str], num_parts: int) -> tuple:
     """``_overlay`` of many partitions at once: ``tags[i]`` is the
     partition index (``0 .. num_parts - 1``) of each row of
     ``pieces[i]``, and a partition's pieces come newest first. Returns
-    each partition's live rows, in ``_overlay``'s row order, each table
-    its own copy (a cache may keep one without the others)."""
+    ``(rows, bounds)``: every partition's live rows, gathered by ONE
+    ``take`` partition by partition, each partition's in ``_overlay``'s
+    row order, and the ``num_parts + 1`` offsets where each starts."""
     table = _tombstoned(pieces)
     tag = np.concatenate(tags).astype(np.int64)
     keep = _first_rows(table, key_cols, tag) if table.num_rows else tag[:0]
@@ -838,37 +918,7 @@ def _group_overlay(pieces: list[pa.Table], tags: list[np.ndarray],
     tag = tag[keep]
     order = np.argsort(tag, kind="stable")
     bounds = np.searchsorted(tag[order], np.arange(num_parts + 1))
-    table = table.drop_columns([DELETED]).combine_chunks()
-    return [table.take(pa.array(keep[order[bounds[i]:bounds[i + 1]]]))
-            for i in range(num_parts)]
-
-
-def _key_in(table: pa.Table, others: pa.Table) -> pa.ChunkedArray:
-    """Per row of ``table``, whether some row of ``others`` holds its key
-    (``others``' columns), byte for byte: one hash-set probe of the
-    exact composite key, as LWW keys rows. On a 1 vCPU host it costs
-    0.08-0.11 ms at 20-150 rows and 1-64 keys, and 0.28-0.35 ms at 2 000
-    rows; a per-key column compare costs 0.10 ms at one key but 2.1 ms
-    at 64, an Arrow semi join 0.33-0.45 ms throughout."""
-    from arlas_proc_ray.cdc.replay import _combined_key
-
-    cols = others.column_names
-    return pa.compute.is_in(_combined_key(table, cols),
-                            value_set=_combined_key(others, cols))
-
-
-def _rows_with_keys(table: pa.Table, keys: pa.Table) -> pa.Table:
-    """The rows of ``table`` whose key columns equal some row of ``keys``,
-    byte for byte, in ``table``'s row order."""
-    cols = keys.column_names
-    keys = keys.cast(pa.schema([(c, table.schema.field(c).type) for c in cols]))
-    return table.filter(_key_in(table, keys))
-
-
-def _keys_without(keys: pa.Table, rows: pa.Table) -> pa.Table:
-    """The rows of ``keys`` that no row of ``rows`` holds."""
-    rows = rows.select(keys.column_names).cast(keys.schema)
-    return keys.filter(pa.compute.invert(_key_in(keys, rows)))
+    return table.drop_columns([DELETED]).take(pa.array(keep[order])), bounds
 
 
 class DeltaGroup(NamedTuple):
@@ -896,21 +946,20 @@ def _segment_blooms(rows: pa.Table, keys: list[str],
             for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _exact_stats(live: list[pa.Table]) -> list[dict]:
-    """Per table of ``live`` (one partition's live rows each), the
-    ``_zone_maps`` bounds of its int and string columns, computed over
-    the rows themselves by one group-by over all of them."""
+def _exact_stats(live: pa.Table, bounds: np.ndarray) -> list[dict]:
+    """Per partition ``live[bounds[i]:bounds[i + 1]]``, the ``_zone_maps``
+    bounds of its int and string columns, computed over the rows
+    themselves by one group-by over all of them."""
     import pyarrow.types as pt
 
-    names = [f.name for f in live[0].schema
+    names = [f.name for f in live.schema
              if pt.is_integer(f.type) or pt.is_string(f.type)
              or pt.is_large_string(f.type)]
-    sizes = [t.num_rows for t in live]
-    whole = pa.concat_tables(live).select(names).append_column(
-        "_part", pa.array(np.repeat(np.arange(len(live)), sizes)))
+    whole = live.select(names).append_column(
+        "_part", pa.array(np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))))
     agg = whole.group_by("_part", use_threads=False).aggregate(
         [(c, f) for c in names for f in ("min", "max")]).to_pydict()
-    stats: list[dict] = [{} for _ in live]
+    stats: list[dict] = [{} for _ in bounds[1:]]
     for i, part in enumerate(agg["_part"]):
         for c in names:
             lo, hi = agg[c + "_min"][i], agg[c + "_max"][i]
@@ -958,10 +1007,13 @@ def _segment_manifest(entry: dict, seg: Segment, seg_stats: dict,
 
 def _durable_parquet(path: str, table: pa.Table, *, compression: str,
                      row_group_size: int | None = None,
-                     group_rows: list[int] | None = None) -> pq.FileMetaData:
+                     group_rows: list[int] | None = None,
+                     write_statistics=None) -> pq.FileMetaData:
     """Write ``table`` (footer metadata included) as one Parquet file at
     ``path`` through tmp, fsync and rename, and return its footer.
-    ``group_rows``: the row count of each row group, in order."""
+    ``group_rows``: the row count of each row group, in order.
+    ``write_statistics``: the table's ``_sound_statistics``, when the caller
+    has it."""
     d = os.path.dirname(path)
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".parquet.tmp")
@@ -969,7 +1021,9 @@ def _durable_parquet(path: str, table: pa.Table, *, compression: str,
     try:
         with pq.ParquetWriter(
             tmp, table.schema, compression=compression,
-            write_statistics=_sound_statistics(table),
+            write_statistics=(_sound_statistics(table, [0, table.num_rows])[0]
+                              if write_statistics is None
+                              else write_statistics),
             metadata_collector=written,
         ) as w:
             if group_rows is None:
@@ -1233,9 +1287,26 @@ class SnapshotStore:
                 self._live_pending.pop(part, None)
         return out
 
+    def base_fields(self, rows: pa.Table, bounds) -> list[BaseFields]:
+        """The ``BaseFields`` of each base ``rows[bounds[i]:bounds[i +
+        1]]``, each computed once over ``rows``' columns and cut per base:
+        what an exchange group's bases hand ``write_partition``."""
+        cuts = np.asarray(bounds)
+        derived = _derived_fields(
+            rows, cuts, [c for c in self.bloom_cols if c in rows.column_names])
+        lsn = rows.column("last_lsn")
+        surviving = [
+            pa.compute.max(lsn.slice(a, b - a)).as_py() if b > a else None
+            for a, b in zip(cuts[:-1], cuts[1:])]
+        return [
+            BaseFields(rollup, blooms, -1 if top is None else int(top), stats)
+            for (rollup, blooms), top, stats in zip(
+                derived, surviving, _sound_statistics(rows, cuts))
+        ]
+
     def write_partition(
         self, epoch: int, part: int, table: pa.Table, *, last_lsn: int | None = None,
-        metrics: dict | None = None,
+        metrics: dict | None = None, fields: BaseFields | None = None,
     ) -> PartitionManifest:
         """Idempotent atomic write of one partition's compacted state.
 
@@ -1247,8 +1318,12 @@ class SnapshotStore:
 
         One durable file: the manifest's non-derivable fields ride in its
         footer, and the rest is derived from the rows and the writer's
-        own statistics (``_derived_manifest``).
+        own statistics (``_derived_manifest``). ``fields``: the table's
+        ``base_fields``, when its exchange group computed them with its
+        other bases'.
         """
+        if fields is None:
+            fields = self.base_fields(table, [0, table.num_rows])[0]
         if self.cluster_zorder and table.num_rows > 1:
             table = _zorder_cluster(table, self.cluster_zorder)
         elif self.cluster_by and table.num_rows > 1:
@@ -1258,18 +1333,13 @@ class SnapshotStore:
             ]
             if sort_keys:
                 table = table.sort_by(sort_keys)
-        surviving = (
-            int(pa.compute.max(table.column("last_lsn")).as_py())
-            if table.num_rows
-            else -1
-        )
+        surviving = fields.max_surviving_lsn
         footer = {
             "last_lsn": surviving if last_lsn is None else max(int(last_lsn), surviving),
             "max_surviving_lsn": surviving,
             "row_count": table.num_rows,
             "metrics": dict(metrics or {}),
-            "bloom_cols": [c for c in self.bloom_cols
-                           if c in table.column_names and table.num_rows],
+            "bloom_cols": list(fields.blooms),
         }
         table = table.replace_schema_metadata({
             **(table.schema.metadata or {}),
@@ -1278,8 +1348,10 @@ class SnapshotStore:
         md = _durable_parquet(
             self.part_data_path(epoch, part), table,
             compression=self.compression, row_group_size=self.row_group_rows,
+            write_statistics=fields.write_statistics,
         )
-        return _derived_manifest(epoch, part, footer, table, md, table.schema)
+        return _derived_manifest(epoch, part, footer, fields[:2], md,
+                                 table.schema)
 
     def write_delta_group(self, epoch: int, key_cols: list[str],
                           group: DeltaGroup) -> list[PartitionManifest]:
@@ -1323,12 +1395,14 @@ class SnapshotStore:
                 prior += [] if base is None else [base]
             pieces += prior
             tags += [np.full(t.num_rows, i) for t in prior]
-        live = _group_overlay(pieces, tags, keys, len(group.parts))
-        stats = _exact_stats(live)
-        rollups = sha256_rollups([t.column("content_sha256") for t in live])
+        live, cuts = _group_overlay(pieces, tags, keys, len(group.parts))
+        stats = _exact_stats(live, cuts)
+        sha = live.column("content_sha256")
+        rollups = sha256_rollups(
+            [sha.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])])
         entries = []
         for i, (part, prior) in enumerate(zip(group.parts, group.priors)):
-            n = live[i].num_rows
+            n = int(cuts[i + 1] - cuts[i])
             surviving = stats[i]["last_lsn"][1] if "last_lsn" in stats[i] else -1
             entries.append({
                 "col_stats": stats[i],
@@ -1358,10 +1432,10 @@ class SnapshotStore:
             m = _segment_manifest(entry, Segment(
                 epoch, name, rg, entry["rows"], blooms[rg]), zone_maps[rg], prior)
             out.append(m)
-            if versions[rg] is not None:
+            if versions[rg] is not None:  # its own copy, not a view
                 self._live_pending[m.partition_id] = (
                     epoch, m.layout(), {**versions[rg], path: version},
-                    live[rg])
+                    live.take(pa.array(np.arange(cuts[rg], cuts[rg + 1]))))
         return out
 
     def _cached_live(self, group: DeltaGroup) -> tuple:
@@ -1539,9 +1613,10 @@ class SnapshotStore:
                 return None
             footer = json.loads(meta[_FOOTER_KEY])
             cols = ["content_sha256", *footer["bloom_cols"]]
-            rows = f.read(columns=list(dict.fromkeys(cols))
-                          if footer["row_count"] else [])
-            return _derived_manifest(epoch, part, footer, rows, f.metadata,
+            rows = f.read(columns=list(dict.fromkeys(cols)))
+            derived = _derived_fields(rows, [0, rows.num_rows],
+                                      footer["bloom_cols"])[0]
+            return _derived_manifest(epoch, part, footer, derived, f.metadata,
                                      f.schema_arrow)
 
     def epoch_index(self, epoch: int) -> list[PartitionManifest]:
@@ -1696,21 +1771,20 @@ class SnapshotStore:
         probes = _KeyProbes(keys)
         out = []
         for seg in reversed(m.chain):
-            if not keys.num_rows:
+            if not probes.keys.num_rows:
                 break
             if seg.blooms and probes.excludes(seg.blooms):
                 continue
-            hit = _rows_with_keys(self._segment_rows(seg), keys)
+            hit, held = probes.rows_in(self._segment_rows(seg))
             if hit.num_rows:
-                keys = _keys_without(keys, hit)
-                probes = _KeyProbes(keys)
+                probes = probes.without(held, hit.schema)
                 out.append(hit.filter(pa.compute.invert(hit.column(DELETED)))
                            .drop_columns([DELETED]))
-        if keys.num_rows and m.base_rows and not (
+        if probes.keys.num_rows and m.base_rows and not (
                 m.blooms and probes.excludes(m.blooms)):
             base = self.read_partition(m.epoch, part)
             if base is not None:
-                out.append(_rows_with_keys(base, keys))
+                out.append(probes.rows_in(base)[0])
         out = [t.replace_schema_metadata(None) for t in out if t.num_rows]
         return pa.concat_tables(out, promote_options="default") if out else None
 

@@ -3,9 +3,10 @@
 Every writer runs it: CDC epochs (``CdcEngine.apply_epoch``,
 ``apply_epoch_staged`` and ``purge_keys``), ``merge_into`` and
 ``repartition_snapshot``. A writer is an :class:`_Epoch`: an optional
-per-block step run before routing (a CDC epoch's ingest head and LWW
-combiner; nothing for MERGE or a repartition), the fan-out, where prior
-state lives (none for a repartition) and its per-partition fold, which
+per-block route (a CDC epoch's ingest head and LWW combiner, whose kept
+rows the split's one ``take`` gathers; the plain key route for MERGE or
+a repartition), the fan-out, where prior state lives (none for a
+repartition) and its per-partition fold, which
 ``cdc.engine.apply_partition`` runs between the fence and the write.
 
 The exchange itself is the package's one keyed exchange
@@ -14,19 +15,25 @@ The exchange itself is the package's one keyed exchange
 ``(first_partition, table, bounds)`` objects and one task per group,
 where the per-partition views are cut). A store writer's route is
 :meth:`_Epoch.route` and its group body is :func:`_apply_group`. A CDC
-epoch's delta work runs there ONCE over the group's rows
-(:func:`_segments`: one fence against the partitions' watermarks, one
-LWW, one hash pass), and the group's segments are written as one delta
-file whose manifest fields are computed over the group's columns at once
-(``SnapshotStore.write_delta_group``). Every partition that writes a
-base (no base yet, a fold, a PATCH, every event fenced without
-``delta``, MERGE, a repartition) goes through the per-partition kernel
-(``cdc.engine.apply_partition``: fence, prior read, the writer's fold,
-fenced write) in turn. The kernels' manifests go back to the driver,
-which commits the epoch index.
+epoch's work runs there ONCE over the group's rows (:func:`_segments`:
+one fence against the partitions' watermarks, one LWW, one hash pass,
+one gather), for delta segments and bases alike. The group's segments
+are written as one delta file whose manifest fields are computed over
+the group's columns at once (``SnapshotStore.write_delta_group``). A
+partition with no base yet (every partition of a first epoch) or whose
+fold is due writes its base as a slice of the pass's rows, a fold's
+laid over its prior resolved rows by one ``_group_overlay``, every
+manifest field computed over the group's columns at once
+(``SnapshotStore.base_fields``), one file per partition
+(``SnapshotStore.write_partition``). The bases left (a PATCH, every
+event fenced without ``delta``, MERGE, a repartition) go through the
+per-partition kernel (``cdc.engine.apply_partition``: fence, prior read,
+the writer's fold, fenced write) in turn. The manifests go back to the
+driver, which commits the epoch index.
 
 Within a group the partitions apply in ascending order (``fault_hook``
-fires per partition in that order, before the group file's rename);
+fires per partition in that order, before its base file's rename or
+the group file's);
 across groups they run in parallel. Fences, watermarks and manifests stay
 per partition, so a crash inside a group leaves the group's earlier base
 partitions committed and resume skips them; the group file is redone
@@ -56,6 +63,7 @@ import copy
 import math
 import time
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -71,10 +79,11 @@ from arlas_proc_ray.cdc.engine import (
     cdc_segments,
     open_epoch,
 )
-from arlas_proc_ray.cdc.patch import PATCH_OP, table_has_patches
-from arlas_proc_ray.cdc.replay import lww_reduce_table
+from arlas_proc_ray.cdc.events import CANONICAL_EVENT_SCHEMA
+from arlas_proc_ray.cdc.patch import PATCH_OP, patch_prune_table, table_has_patches
+from arlas_proc_ray.cdc.replay import lww_order
 from arlas_proc_ray.cdc.sizing import runs_in_process
-from arlas_proc_ray.cdc.snapshot import DeltaGroup
+from arlas_proc_ray.cdc.snapshot import DELETED, DeltaGroup, _group_overlay
 from arlas_proc_ray.exchange import (  # noqa: F401 (group_plan re-exported)
     group_plan,
     partition_order,
@@ -92,22 +101,32 @@ from arlas_proc_ray.model import DataModel
 TWO_LEVEL_OBJECTS = 10_000
 
 
-def _combine(dm: DataModel, align, table: pa.Table) -> pa.Table:
-    """A CDC epoch's per-block step: the ingest head, then the LWW
-    combiner."""
-    return lww_reduce_table(align(table), dm.key_cols, dm.order_col)
-
-
 def _route(table: pa.Table, dm: DataModel, align) -> tuple[pa.Table, np.ndarray]:
-    """normalize → combine → partition id per row."""
-    table = _combine(dm, align, table)
+    """A CDC epoch's per-block route: normalize → combine → partition id
+    per row. The LWW combiner's kept rows are not copied out: a row it
+    drops gets partition id -1, so the split's one argsort and one
+    ``take`` per group leave it out (``exchange.split_block``). A block
+    holding a PATCH is pruned by the combiner-safe
+    ``patch_prune_table`` first."""
+    table = align(table)
+    if table_has_patches(table):
+        table = patch_prune_table(table, dm.key_cols, dm.order_col)
+    else:
+        kept = lww_order(table, dm.key_cols, dm.order_col)
+        if len(kept) < table.num_rows:
+            pids = np.full(table.num_rows, -1, dtype=np.int32)
+            pids[kept] = partition_ids(
+                table.select(dm.key_list).take(pa.array(kept)), dm.key_list,
+                dm.num_partitions)
+            return table, pids
     return table, partition_ids(table, dm.key_list, dm.num_partitions)
 
 
 def _split_block(table: pa.Table, dm: DataModel, align) -> list[pa.Table]:
     """normalize → combine → ONE argsort by partition → P tables, each a
-    copy (``take``) of exactly its partition's rows."""
+    copy (``take``) of exactly its partition's kept rows."""
     table, pids = _route(table, dm, align)
+    table = table.combine_chunks()  # P takes of a chunked column: P concats
     order, bounds = partition_order(pids, 0, dm.num_partitions)
     return [
         table.take(order[bounds[p] : bounds[p + 1]])
@@ -119,14 +138,17 @@ class _Epoch:
     """What every exchange task of one epoch of one writer needs to know.
 
     The writer supplies ``fold`` (its per-partition step, see
-    ``cdc.engine.apply_partition``), and optionally ``head`` (a
-    per-block step the split tasks run before routing), ``segment`` (a
-    delta step over a group's rows, ``cdc_segments``: a touched partition
-    whose fold is not due is written as a delta segment), the fan-out
-    ``num_partitions`` (the engine's by default) and ``prior`` (partition
-    → its manifest in the previous index, as ``open_epoch`` returns it;
-    ``None`` reads no prior state). ``prev_epoch`` is the commit's
-    ``expected_prev``.
+    ``cdc.engine.apply_partition``), and optionally ``head`` (its own
+    per-block route, which the split tasks run in place of the plain
+    key route: ``block → (rows, partition id per row)``, -1 for a row
+    it drops), ``segment`` (a group step over a group's rows,
+    ``cdc_segments``: a touched partition whose fold is not due is
+    written as a delta segment, and every other partition that writes
+    a base from events or a fold is made in the same pass, see
+    :func:`_segments`), the fan-out ``num_partitions`` (the engine's by
+    default) and ``prior`` (partition → its manifest in the previous
+    index, as ``open_epoch`` returns it; ``None`` reads no prior state).
+    ``prev_epoch`` is the commit's ``expected_prev``.
     """
 
     def __init__(self, engine, epoch: int, fold, *, head=None, segment=None,
@@ -157,9 +179,10 @@ class _Epoch:
             p: m.without_blooms() for p, m in self.prior.items()}}
 
     def route(self, table: pa.Table) -> tuple[pa.Table, np.ndarray]:
-        """The per-block step, then the partition id of every row."""
+        """The writer's per-block route, or the partition id of every
+        row."""
         if self.head is not None:
-            table = self.head(table)
+            return self.head(table)
         return table, partition_ids(table, self.key_list, self.num_partitions)
 
     def _fold_due(self, part: int) -> bool:
@@ -209,8 +232,10 @@ class _Epoch:
 
 def cdc_epoch(engine, epoch: int, dead_letter_dir=None, delta: bool = False,
               delta_max_age: int | None = None, opened=None) -> _Epoch:
-    """A CDC epoch: the engine's ingest head and LWW combiner per block,
-    the fence and finalize per partition (``cdc.engine.cdc_fold``).
+    """A CDC epoch: the engine's ingest head and LWW combiner per block
+    (:func:`_route`), then one group pass per exchange group
+    (``cdc.engine.cdc_segments``), and the fence and finalize per
+    partition (``cdc.engine.cdc_fold``) for the partitions it leaves.
     ``opened`` is ``open_epoch``'s result when the caller has already
     validated the epoch; it is opened here otherwise."""
     prev_epoch, prior = opened or open_epoch(engine.store, engine.dm, epoch)
@@ -219,10 +244,24 @@ def cdc_epoch(engine, epoch: int, dead_letter_dir=None, delta: bool = False,
     align = engine._ingest_fn(epoch, dead_letter_dir)
     return _Epoch(
         engine, epoch, partial(cdc_fold, engine.dm),
-        head=partial(_combine, engine.dm, align),
+        head=partial(_route, dm=engine.dm, align=align),
         segment=partial(cdc_segments, engine.dm), prev_epoch=prev_epoch,
         prior=prior, delta=delta, delta_max_age=delta_max_age,
     )
+
+
+class _Bases(NamedTuple):
+    """One exchange group's bases, made by its group pass: ``rows`` holds
+    every base's final-state rows, partition by partition in the
+    ascending order of ``parts``; base ``i`` is rows ``bounds[i]`` to
+    ``bounds[i + 1]``, with its applied watermark ``last_lsn[i]``, its
+    apply metrics and its ``SnapshotStore.base_fields``."""
+    parts: list
+    rows: pa.Table
+    bounds: np.ndarray
+    last_lsn: list
+    metrics: list
+    fields: list
 
 
 def _apply_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
@@ -231,28 +270,41 @@ def _apply_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
     group. The body of a group task, of the two-level exchange's merge
     tasks and of the in-process exchange.
 
-    A CDC epoch's delta work runs once over the group's rows, not once
-    per partition (:func:`_segments`): one fence, one LWW, one hash pass
-    make every touched partition's segment, and
-    ``SnapshotStore.write_delta_group`` writes them together as one file
-    after the group's last partition, every manifest field computed over
-    the whole group's columns. The partitions that write a base go
-    through ``apply_partition`` in turn. ``fault_hook`` fires per
-    partition in ascending order either way, so a crash before the group
-    file's rename leaves the bases of the partitions before it and no
-    segment: resume redoes every segment of the group, and skips the
-    partitions any delta file of this epoch lists, under whatever group
-    layout wrote it."""
+    A CDC epoch's work runs once over the group's rows, not once per
+    partition (:func:`_segments`): one fence, one LWW, one hash pass make
+    every touched partition's delta segment and every base it writes
+    from events or a fold (no base yet, or a fold due).
+    ``SnapshotStore.write_delta_group`` writes the segments together as
+    one file after the group's last partition, every manifest field
+    computed over the whole group's columns; each base is a slice of the
+    pass's rows, written by ``SnapshotStore.write_partition`` with the
+    manifest fields the pass computed for all of them. The partitions
+    left (a PATCH, a carry-forward, MERGE, a repartition) go through
+    ``apply_partition`` in turn. ``fault_hook`` fires per partition in
+    ascending order either way, before its base file's rename or the
+    group file's, so a crash leaves the bases of the partitions before
+    it and no segment: resume skips those bases (``base_done``), redoes
+    every segment of the group, and skips the partitions any delta file
+    of this epoch lists, under whatever group layout wrote it."""
     resumed = ctx.store.delta_manifests(ctx.epoch, ctx.prior)
-    group, referenced = _segments(ctx, parts, inputs, resumed,
-                                  ctx.reduced and len(inputs) == 1)
+    group, bases, referenced = _segments(ctx, parts, inputs, resumed,
+                                         ctx.reduced and len(inputs) == 1)
     written = set(group.parts) if group is not None else ()
+    based = {p: i for i, p in enumerate(bases.parts)} if bases else {}
     results = []
     for p in parts:
-        if p in written:
+        if p in written or p in based:
             if ctx.fault_hook is not None:
                 ctx.fault_hook(ctx.epoch, p)
+        if p in written:
             results.append(None)
+        elif p in based:
+            i = based[p]
+            a, b = bases.bounds[i], bases.bounds[i + 1]
+            results.append(ctx.store.write_partition(
+                ctx.epoch, p, bases.rows.slice(a, b - a),
+                last_lsn=bases.last_lsn[i], metrics=bases.metrics[i],
+                fields=bases.fields[i]))
         elif p in referenced:
             results.append(int(ctx.prior[p].epoch))
         else:
@@ -267,21 +319,40 @@ def _apply_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
     return [next(manifests) if r is None else r for r in results]
 
 
+def _picked(rows: pa.Table, bounds: np.ndarray, pick: np.ndarray):
+    """The rows of the partitions ``pick`` marks (one bool per partition
+    of ``bounds``) and their offsets; no copy when the others hold no
+    rows."""
+    sizes = np.diff(bounds)
+    mask = np.repeat(pick, sizes)
+    if not mask.all():
+        rows = rows.filter(pa.array(mask))
+    return rows, np.concatenate([[0], np.cumsum(sizes[pick])])
+
+
 def _segments(ctx: _Epoch, parts: range, inputs: tuple, resumed: dict,
               reduced: bool):
-    """The delta segments of a group, made once over its rows by the
-    writer's delta step (``cdc_segments``). Returns ``(DeltaGroup or
-    None, partitions to reference)``.
+    """The group pass: every partition of the group that the writer's
+    group step (``cdc_segments``) writes, made once over the group's
+    rows. Returns ``(DeltaGroup or None, _Bases or None, partitions to
+    reference)``.
 
-    A partition takes part when it ``ctx.segments`` and received events,
-    none of them a PATCH (a patch folds into the resolved state), and no
-    file of this epoch holds it yet (resume). Of those, one whose events
-    all fall at or below its fence writes nothing: with ``delta`` it is
-    referenced, otherwise ``apply_partition`` carries it forward.
-    A written partition's ``apply_s`` is this pass's seconds ÷ the
-    partitions it wrote, so the epoch's sum still adds up."""
+    A partition takes part when it received events or its fold is due,
+    none of its events is a PATCH (a patch folds into the resolved
+    state), and no file of this epoch holds it yet (resume). One with a
+    non-empty base whose fold is not due (``ctx.segments``) becomes a
+    delta segment. Every other writes a base: the pass's rows laid over
+    its prior resolved rows (a fold's) by one ``_group_overlay`` for the
+    group, tombstones dropped, in the row order ``cdc_fold``'s finalize
+    gives; a partition with no prior rows drops its DELETEs in the pass
+    and is overlaid on nothing. Of the partitions that take part, one
+    whose events all fall at or below its fence and whose fold is not
+    due writes nothing: with ``delta`` it is referenced, otherwise
+    ``apply_partition`` carries it forward. A written partition's
+    ``apply_s`` is this pass's seconds ÷ the partitions it wrote, so the
+    epoch's sum still adds up."""
     if ctx.segment is None:
-        return None, set()
+        return None, None, set()
     t0 = time.perf_counter()
     n = len(parts)
     counts = np.zeros(n, dtype=np.int64)
@@ -296,47 +367,76 @@ def _segments(ctx: _Epoch, parts: range, inputs: tuple, resumed: dict,
         if table_has_patches(t):
             is_patch = pc.fill_null(pc.equal(t.column("op"), PATCH_OP), False)
             patched[tags[mine & is_patch.to_numpy(zero_copy_only=False)]] = True
+    fold = np.array([p in ctx.folds for p in parts], dtype=bool)
     eligible = np.array([
-        counts[i] > 0 and not patched[i] and p not in resumed
-        and ctx.segments(p) and not ctx.store.base_done(ctx.epoch, p)
+        (counts[i] > 0 or fold[i]) and not patched[i] and p not in resumed
+        and not ctx.store.base_done(ctx.epoch, p)
         for i, p in enumerate(parts)], dtype=bool)
     if not eligible.any():
-        return None, set()
-    # rows of eligible partitions only, partition by partition, each
-    # partition's rows in input order
+        return None, None, set()
+    # rows of eligible partitions only, each partition's in input order
     tables, tags = [], []
     for t, tag, mine in tagged:
         keep = mine & eligible[np.where(mine, tag, 0)]
         if keep.any():
             tables.append(t if keep.all() else t.filter(pa.array(keep)))
             tags.append(tag[keep])
+    if not tables:  # folds alone: no events
+        tables, tags = [CANONICAL_EVENT_SCHEMA.empty_table()], [np.zeros(0, int)]
     ev = (tables[0] if len(tables) == 1
           else pa.concat_tables(tables, promote_options="default"))
     tag = np.concatenate(tags)
-    if len(tables) > 1:
-        order = np.argsort(tag, kind="stable")
-        ev, tag = ev.take(pa.array(order)), tag[order]
     which = np.flatnonzero(eligible)  # group index of each taking part
     compact = np.cumsum(eligible) - 1
-    prior_last = np.array([ctx.prior[parts[i]].last_lsn for i in which],
+    priors = [ctx.prior.get(parts[i]) for i in which]
+    prior_last = np.array([-1 if m is None else m.last_lsn for m in priors],
                           dtype=np.int64)
+    base = np.array([not ctx.segments(parts[i]) for i in which], dtype=bool)
+    overlaid = base & np.array([m is not None and m.row_count > 0
+                                for m in priors], dtype=bool)
     rows, row_tags, watermark, events_in, applied = ctx.segment(
-        ev, compact[tag], prior_last, reduced)
-    wrote = applied > 0
+        ev, compact[tag], prior_last, reduced, base & ~overlaid)
+    wrote = (applied > 0) | fold[which]
     referenced = {parts[i] for i in which[~wrote]
                   if ctx.delta_for(parts[i])}
     if not wrote.any():
-        return None, referenced
+        return None, None, referenced
     bounds = np.searchsorted(row_tags, np.arange(len(which) + 1))
-    bounds = np.append(bounds[:-1][wrote], bounds[-1])
+    seg, on = wrote & ~base, wrote & base
+    if seg.any():
+        seg_rows, seg_bounds = _picked(rows, bounds, seg)
+    if on.any():
+        live, cuts = _picked(rows, bounds, on)
+        if overlaid[on].any():  # a fold: its events over its resolved rows
+            pieces = [live]
+            piece_tags = [np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))]
+            for j, i in enumerate(which[on]):
+                if overlaid[compact[i]]:
+                    pieces.append(ctx.store.read_resolved(ctx.prior[parts[i]],
+                                                          parts[i]))
+                    piece_tags.append(np.full(pieces[-1].num_rows, j))
+            live, cuts = _group_overlay(pieces, piece_tags, ctx.key_list,
+                                        len(cuts) - 1)
+        else:
+            live = live.drop_columns([DELETED])
+        fields = ctx.store.base_fields(live, cuts)
     seconds = (time.perf_counter() - t0) / int(wrote.sum())
-    return DeltaGroup(
-        parts=[parts[i] for i in which[wrote]], rows=rows, bounds=bounds,
-        priors=[ctx.prior[parts[i]] for i in which[wrote]],
-        last_lsn=[int(w) for w in watermark[wrote]],
-        metrics=[apply_metrics((e, e - a, a), seconds)
-                 for e, a in zip(events_in[wrote], applied[wrote])],
-    ), referenced
+
+    def made(pick):
+        return dict(
+            parts=[parts[i] for i in which[pick]],
+            last_lsn=[int(w) for w in watermark[pick]],
+            metrics=[apply_metrics((e, e - a, a), seconds)
+                     for e, a in zip(events_in[pick], applied[pick])])
+
+    group = bases = None
+    if seg.any():
+        kw = made(seg)
+        group = DeltaGroup(rows=seg_rows, bounds=seg_bounds,
+                           priors=[ctx.prior[p] for p in kw["parts"]], **kw)
+    if on.any():
+        bases = _Bases(rows=live, bounds=cuts, fields=fields, **made(on))
+    return group, bases, referenced
 
 
 def _inline_exchange(ctx: _Epoch, events_ds) -> list:

@@ -76,8 +76,10 @@ def session_groups(num_partitions: int) -> list[range]:
 
 
 def partition_order(pids: np.ndarray, lo: int, hi: int):
-    """ONE stable argsort of ``pids`` (all in ``[lo, hi)``) → the row
-    order and the ``hi - lo + 1`` offsets where each partition starts."""
+    """ONE stable argsort of ``pids`` (each in ``[lo, hi)``, or below
+    ``lo`` for a row the route drops: it sorts before ``offsets[0]``) →
+    the row order and the ``hi - lo + 1`` offsets where each partition
+    starts."""
     order = np.argsort(pids, kind="stable")
     return order, np.searchsorted(pids[order], np.arange(lo, hi + 1))
 
@@ -140,8 +142,9 @@ def key_route(keys: list[str], num_partitions: int, table: pa.Table):
 def split_block(block, route, groups: list[range]) -> list[tuple]:
     """The split step: ``route(table) → (rows, partition ids)``, ONE
     argsort, then one exchange object per group of ``groups``
-    (contiguous, ascending). A pandas block (the output of a pandas
-    stage) is converted to Arrow first."""
+    (contiguous, ascending). A row whose id is -1 is in no object: a
+    route drops rows that way without a copy of its own. A pandas block
+    (the output of a pandas stage) is converted to Arrow first."""
     if isinstance(block, pd.DataFrame):
         block = pa.Table.from_pandas(
             block, preserve_index=False

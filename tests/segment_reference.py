@@ -1,12 +1,16 @@
-"""A test-only copy of the per-partition delta step a CDC epoch ran before
-its group pass: ``cdc_segment`` per partition, then a ``write_delta_group``
-that overlays, hashes, bounds and blooms each partition on its own.
+"""A test-only copy of the per-partition steps a CDC epoch ran before its
+group pass: ``cdc_segment`` per partition, then a ``write_delta_group``
+that overlays, hashes, bounds and blooms each partition on its own; and
+every base (a first epoch, a fold, a carry-forward, a PATCH) through
+``reference_base``, the kernel ``apply_partition`` with the fold
+``cdc_fold`` as they were: concat, fence, prior read, finalize, hash,
+then ``write_partition`` deriving each manifest field from its own rows.
 
 ``reference_apply_group`` has ``staged._apply_group``'s signature, so a
 test swaps it in (``monkeypatch.setattr(staged, "_apply_group", ...)``)
 for an in-process exchange and compares the store it writes with the
-group pass's: the same group file rows and the same index rows, ``apply_s``
-aside. Nothing in the package imports this module.
+group pass's: the same group file rows, base file rows and index rows,
+``apply_s`` aside. Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from typing import NamedTuple
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from arlas_proc_ray.cdc.engine import apply_partition
+from arlas_proc_ray.cdc.engine import _events_as_merge_rows, _state_as_merge_rows
 from arlas_proc_ray.cdc.events import FINAL_STATE_SCHEMA
 from arlas_proc_ray.cdc.patch import table_has_patches
-from arlas_proc_ray.cdc.replay import lww_reduce_table
+from arlas_proc_ray.cdc.replay import finalize_partition_table, lww_reduce_table
 from arlas_proc_ray.cdc.snapshot import (
     _SEGMENT_BLOOM_MIN_BITS,
     _SEGMENTS_KEY,
@@ -79,6 +83,52 @@ def cdc_segment(dm, ev, prior_last: int):
     rows = pa.Table.from_arrays(
         arrays, schema=FINAL_STATE_SCHEMA.append(pa.field(DELETED, pa.bool_())))
     return rows, watermark, (events_in, events_in - applied, applied)
+
+
+def cdc_fold(dm, ev, prior, prior_last: int):
+    """One partition's fold: fence, then finalize of events ∪ prior."""
+    if ev is None:
+        return None, prior_last, (0, 0, 0)
+    events_in = ev.num_rows
+    watermark = max(prior_last, int(pc.max(ev.column("lsn")).as_py()))
+    if prior_last >= 0:
+        ev = ev.filter(pc.greater(ev.column("lsn"), pa.scalar(prior_last)))
+    applied = ev.num_rows
+    if not applied:
+        return None, watermark, (events_in, events_in, 0)
+    inputs = [_events_as_merge_rows(ev)]
+    if prior is not None and prior.num_rows:
+        inputs.append(_state_as_merge_rows(prior))
+    final = finalize_partition_table(
+        pa.concat_tables(inputs, promote_options="default"), dm)
+    return final, watermark, (events_in, events_in - applied, applied)
+
+
+def reference_base(ctx, dm, p: int, views: list, resumed: dict):
+    """One partition as a base: resume fence, prior read, ``cdc_fold``,
+    reference or carry-forward when nothing applies, ``fault_hook``,
+    then ``write_partition`` on the partition's own rows."""
+    store, epoch, prior = ctx.store, ctx.epoch, ctx.prior.get(p)
+    if p in resumed:
+        return resumed[p]
+    if store.base_done(epoch, p):
+        return store.read_manifest(epoch, p)
+    t0 = time.perf_counter()
+    prior_last = -1 if prior is None else prior.last_lsn
+    live = [t for t in views if t.num_rows]
+    ev = pa.concat_tables(live, promote_options="default") if live else None
+    state = None if prior is None else store.read_resolved(prior, p)
+    final, watermark, (e_in, dropped, applied) = cdc_fold(
+        dm, ev, state, prior_last)
+    if final is None:
+        if ctx.delta_for(p) and prior is not None:
+            return int(prior.epoch)
+        final = state if state is not None else FINAL_STATE_SCHEMA.empty_table()
+    if ctx.fault_hook is not None:
+        ctx.fault_hook(epoch, p)
+    return store.write_partition(epoch, p, final, last_lsn=watermark, metrics={
+        "events_in": e_in, "fence_dropped": dropped, "events_applied": applied,
+        "apply_s": round(time.perf_counter() - t0, 4)})
 
 
 def _exact_stats(live: pa.Table) -> dict:
@@ -144,7 +194,8 @@ def write_delta_group(store, epoch: int, key_cols, segments: list) -> list:
 
 
 def reference_apply_group(ctx, parts, *inputs) -> list:
-    """The group body with the per-partition segment step."""
+    """The group body with the per-partition segment and base steps, for
+    a CDC epoch (the epoch's other writers keep their own folds)."""
     dm = ctx.segment.args[0] if ctx.segment is not None else None
     resumed = ctx.store.delta_manifests(ctx.epoch, ctx.prior)
     results = []
@@ -170,9 +221,7 @@ def reference_apply_group(ctx, parts, *inputs) -> list:
                 if ctx.delta_for(p):
                     results.append(int(prior.epoch))
                     continue
-        results.append(apply_partition(
-            ctx.store, ctx.epoch, p, views, ctx.prior.get(p), ctx.fold,
-            delta=ctx.delta_for(p), fault_hook=ctx.fault_hook, resumed=resumed))
+        results.append(reference_base(ctx, dm, p, views, resumed))
     deltas = [r for r in results if isinstance(r, DeltaWrite)]
     if not deltas:
         return results

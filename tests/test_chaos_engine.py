@@ -10,6 +10,7 @@ seed drives a different deterministic interleaving.
 import random
 
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 
 from arlas_proc_ray.cdc.engine import CdcEngine
@@ -174,8 +175,8 @@ def test_engine_chaos_with_crashes(tmp_path, ray_session, seed):
 def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
     """Cross-path equivalence: ``apply_epoch``, the staged one- and
     two-level exchanges, write-audit-publish and the in-process exchange
-    of a one-group session, and the per-partition delta step the group
-    pass replaced (``segment_reference``), produce the oracle's final state,
+    of a one-group session, and the per-partition steps the group pass
+    replaced (``segment_reference``), produce the oracle's final state,
     byte-identical, with equal commit summaries for the same epochs, and
     write the same manifest metric keys and the same counts (every one
     goes through the shared partition kernel); every path's epoch index
@@ -183,7 +184,10 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
     delta segments' places (group file, row group), which follow the
     exchange's group layout. That is the chained leg; in the folded leg
     (``FOLD_SEGMENTS`` 0, so every touched partition is rewritten whole)
-    every path gives the same state, byte for byte, and summaries.
+    every epoch writes bases only, the first on an empty store, and every
+    path, the per-partition base step (``reference_bases``) among them,
+    gives the same state, summaries, metric counts and index rows, and
+    the in-process paths the same base file rows in the same order.
     ``merge_into`` and ``repartition_snapshot`` then give the same state,
     manifests and source maps on the one- and two-level and the
     in-process exchanges."""
@@ -204,15 +208,16 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
     def run(mode):
         snap = str(tmp_path / mode)
         eng = CdcEngine(snap, DataModel(num_partitions=4))
-        summaries, metrics, manifests = [], [], []
+        summaries, metrics, manifests, bases = [], [], [], []
         for i, t in enumerate(tables, start=1):
             ds = rd.from_arrow(t)
             if mode in ("apply_epoch", "apply_epoch_folded"):
                 s = eng.apply_epoch(ds, i)
-            elif mode in ("inline", "inline_folded", "reference"):
+            elif mode in ("inline", "inline_folded", "reference",
+                          "reference_bases"):
                 with monkeypatch.context() as m:
                     m.setattr(staged, "session_groups", one_group)
-                    if mode == "reference":  # the per-partition delta step
+                    if mode.startswith("reference"):  # per-partition steps
                         m.setattr(staged, "_apply_group", reference_apply_group)
                     s = eng.apply_epoch(ds, i)
             elif mode == "staged":
@@ -233,7 +238,12 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
             manifests.append([  # the index as a fresh handle reads it
                 vars(m) for m in SnapshotStore(snap).epoch_index(i)
             ])
-        return eng.final_state().to_pandas(), summaries, metrics, manifests
+            bases.append([  # the base files the epoch wrote, rows in order
+                pq.read_table(eng.store.part_data_path(i, p))
+                .replace_schema_metadata(None)
+                for p in range(4) if eng.store.base_done(i, p)])
+        return (eng.final_state().to_pandas(), summaries, metrics, manifests,
+                bases)
 
     def counts(metrics):
         # apply_s is a duration: its key must match, not its value
@@ -245,7 +255,7 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
                              "row_group": None} for s in m["chain"]]}
                  for m in ep] for ep in manifests]
 
-    base_state, base_sum, base_metrics, base_manifests = run("apply_epoch")
+    base_state, base_sum, base_metrics, base_manifests, _ = run("apply_epoch")
     exp = oracle_final_state(tables).to_pandas()
     pd.testing.assert_frame_equal(base_state, exp)
     assert {k for ep in base_metrics for m in ep for k in m} == {
@@ -253,18 +263,26 @@ def test_all_apply_paths_identical(tmp_path, ray_session, monkeypatch, seed):
     }
     assert any(m["chain"] for m in base_manifests[-1])  # the chained leg
     for mode in ("staged", "two_level", "wap", "inline", "reference"):
-        state, summ, metrics, manifests = run(mode)
+        state, summ, metrics, manifests, _ = run(mode)
         pd.testing.assert_frame_equal(state, base_state)
         assert summ == base_sum, mode
         assert counts(metrics) == counts(base_metrics), mode
         assert untimed(manifests) == untimed(base_manifests), mode
     with monkeypatch.context() as m:  # the folded leg
         m.setattr(sizing, "FOLD_SEGMENTS", 0)
-        for mode in ("apply_epoch", "inline"):
-            state, summ, _, manifests = run(mode + "_folded")
-            assert not any(m["chain"] for ep in manifests for m in ep)
-            pd.testing.assert_frame_equal(state, base_state)
-            assert summ == base_sum, mode
+        folded = {mode: run(mode) for mode in (
+            "apply_epoch_folded", "inline_folded", "reference_bases")}
+    ref = folded["reference_bases"]
+    assert not any(m["chain"] for ep in ref[3] for m in ep)
+    assert all(len(ep) == 4 for ep in ref[4])  # every partition a base
+    for mode, (state, summ, metrics, manifests, bases) in folded.items():
+        pd.testing.assert_frame_equal(state, base_state)
+        assert summ == base_sum, mode
+        assert counts(metrics) == counts(ref[2]), mode
+        assert untimed(manifests) == untimed(ref[3]), mode
+    for got, want in zip(folded["inline_folded"][4], ref[4]):
+        assert len(got) == len(want)
+        assert all(g.equals(w) for g, w in zip(got, want))
 
     # MERGE (an update of every other key, a stale duplicate and an
     # insert) then a fan-out change, on the stores the two exchanges built

@@ -418,6 +418,7 @@ _MATRIX = [
         ("merge_into", "remote"), ("repartition_snapshot", "remote")]
     for f in ["partition", "index", "marker", "torn_index"]
 ] + [("apply_epoch", "inline", "group_file"),
+     ("apply_epoch", "inline", "bootstrap"),
      ("apply_epoch", "inline", "fold"), ("apply_epoch", "remote", "fold"),
      ("apply_epoch", "remote", "layout"),
      ("apply_epoch", "remote", "late_layout")]
@@ -432,11 +433,13 @@ def test_crash_matrix_resumes_to_oracle(tmp_path, monkeypatch, writer,
     but no commit, a fold of every chain stopped midway, a crash under
     two exchange groups resumed in one, and the same where the failed
     attempt's first group renames its file after the resume wrote its
-    own (it names its own file, so the index's file stays whole) —
-    leaves the epoch invisible; a fresh engine resumes it to the oracle,
-    drops no event at the fence and rewrites no finished file. A CDC epoch writes delta
-    segments here, except in the fold (``FOLD_SEGMENTS`` 1 over chains of
-    one segment), whose partitions are base files."""
+    own (it names its own file, so the index's file stays whole), and a
+    crash between two bases of a first epoch on an empty store — leaves
+    the epoch invisible; a fresh engine resumes it to the oracle, drops
+    no event at the fence and rewrites no finished file (same mtime and
+    inode). A CDC epoch writes delta segments here, except in the fold
+    (``FOLD_SEGMENTS`` 1 over chains of one segment) and the first epoch,
+    whose partitions are base files."""
     cfg = ChangelogConfig(num_events=1200, num_keys=200, seed=65)
     exp = oracle_final_state(generate_changelog_tables(cfg)).to_pandas()
     run, want, parts = _writers(cfg, exp)[writer]
@@ -447,10 +450,16 @@ def test_crash_matrix_resumes_to_oracle(tmp_path, monkeypatch, writer,
     snap = str(tmp_path / "snap")
     dm = DataModel(num_partitions=P)
     # the CDC epoch applies the second half; MERGE and the repartition
-    # run on the whole changelog
-    CdcEngine(snap, dm).apply_epoch(
-        _events(cfg, 0, 600 if writer == "apply_epoch" else 1200), 1)
+    # run on the whole changelog; a first epoch applies it all
     epoch = 2
+    if fault == "bootstrap":
+        epoch = 1
+
+        def run(eng, e):
+            return eng.apply_epoch(_events(cfg, 0, 1200), e)
+    else:
+        CdcEngine(snap, dm).apply_epoch(
+            _events(cfg, 0, 600 if writer == "apply_epoch" else 1200), 1)
     if fault == "fold":  # a chain under every partition, then fold them
         CdcEngine(snap, dm).apply_epoch(_events(cfg, 600, 900), 2)
         assert all(m.chain for m in SnapshotStore(snap).epoch_index(2))
@@ -472,7 +481,7 @@ def test_crash_matrix_resumes_to_oracle(tmp_path, monkeypatch, writer,
         hook = None
         if fault == "late_layout":  # neither group's file lands yet
             hook = _crash_at_partition(1, crash_part)
-        elif fault in ("partition", "fold", "layout"):
+        elif fault in ("partition", "fold", "layout", "bootstrap"):
             hook = _crash_at_partition(crash_part)
         else:
             {"index": _fail_on_index, "marker": _fail_on_marker,
@@ -481,13 +490,18 @@ def test_crash_matrix_resumes_to_oracle(tmp_path, monkeypatch, writer,
         with pytest.raises(Exception, match="injected crash"):
             run(CdcEngine(snap, dm, fault_hook=hook), epoch)
     store = SnapshotStore(snap)
-    assert store.latest_committed_epoch() == epoch - 1
+    assert store.latest_committed_epoch() == (epoch - 1 or None)
     if fault == "layout":  # the other group's task outlives the failed one
         _wait_for_listing(store, epoch, [0, 1, 2, 3])
-    done = {p: os.stat(_written_file(store, epoch, p)).st_mtime_ns
-            for p in range(parts) if store.partition_done(epoch, p)}
-    segments = writer == "apply_epoch" and fault != "fold"
-    if fault in ("partition", "fold") or layout:
+
+    def version(p):
+        st = os.stat(_written_file(store, epoch, p))
+        return st.st_mtime_ns, st.st_ino
+
+    done = {p: version(p) for p in range(parts)
+            if store.partition_done(epoch, p)}
+    segments = writer == "apply_epoch" and fault not in ("fold", "bootstrap")
+    if fault in ("partition", "fold", "bootstrap") or layout:
         assert crash_part not in done and len(done) < parts
         if exchange == "inline" and segments:  # one group file, not written
             assert done == {}
@@ -510,8 +524,7 @@ def test_crash_matrix_resumes_to_oracle(tmp_path, monkeypatch, writer,
     run(resumed, epoch)
     after = CdcEngine(snap, DataModel(num_partitions=parts))
     pd.testing.assert_frame_equal(after.final_state().to_pandas(), want)
-    assert {p: os.stat(_written_file(store, epoch, p)).st_mtime_ns
-            for p in done} == done
+    assert {p: version(p) for p in done} == done
     index = SnapshotStore(snap).epoch_index(epoch)
     assert [m.written_in() for m in index] == [epoch] * parts
     assert all(bool(m.chain) == segments for m in index)

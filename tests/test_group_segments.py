@@ -1,7 +1,8 @@
-"""A tail epoch's delta work runs once per exchange group: the group pass
-(``staged._segments`` → ``cdc_segments`` → ``write_delta_group``) against
-the per-partition step it replaced (``segment_reference``), and the store
-handle's cache of each partition's live key columns."""
+"""A CDC epoch's work runs once per exchange group: the group pass
+(``staged._segments`` → ``cdc_segments`` → ``write_delta_group`` for delta
+segments, ``write_partition`` for bases) against the per-partition steps
+it replaced (``segment_reference``), and the store handle's cache of each
+partition's live key columns."""
 
 import dataclasses
 import json
@@ -18,7 +19,7 @@ from arlas_proc_ray.cdc import sizing, staged
 from arlas_proc_ray.cdc.engine import CdcEngine
 from arlas_proc_ray.cdc.events import CANONICAL_EVENT_SCHEMA
 from arlas_proc_ray.cdc.oracle import oracle_final_state
-from arlas_proc_ray.cdc.snapshot import _SEGMENTS_KEY, SnapshotStore
+from arlas_proc_ray.cdc.snapshot import _FOOTER_KEY, _SEGMENTS_KEY, SnapshotStore
 from arlas_proc_ray.functions.hashing import partition_ids
 from arlas_proc_ray.model import DataModel
 from segment_reference import reference_apply_group
@@ -95,16 +96,22 @@ def _untimed(m: dict) -> dict:
 
 def _epoch_written(snap: str, epoch: int) -> dict:
     """What the epoch wrote as a fresh handle reads it: its index rows
-    (``apply_s`` aside), and each group file's rows, row groups and
-    footer entries (``apply_s`` aside)."""
+    (``apply_s`` aside), each group file's rows, row groups and footer
+    entries, and each base file's rows, row groups and footer (``apply_s``
+    aside in both)."""
     store = SnapshotStore(snap)
     out = {"index": [_untimed(vars(m)) for m in store.epoch_index(epoch)]}
     d = store.epoch_dir(epoch)
-    for name in sorted(n for n in os.listdir(d) if n.startswith("delta-")):
+    for name in sorted(n for n in os.listdir(d)
+                       if n.startswith(("delta-", "part-"))):
         f = pq.ParquetFile(os.path.join(d, name))
-        footer = json.loads(f.metadata.metadata[_SEGMENTS_KEY])
-        for e in footer["segments"]:
-            e["metrics"]["apply_s"] = None
+        if name.startswith("delta-"):
+            footer = json.loads(f.metadata.metadata[_SEGMENTS_KEY])
+            for e in footer["segments"]:
+                e["metrics"]["apply_s"] = None
+        else:
+            footer = json.loads(f.metadata.metadata[_FOOTER_KEY])
+            footer["metrics"]["apply_s"] = None
         out[name] = (f.read().replace_schema_metadata(None),
                      [f.metadata.row_group(i).num_rows
                       for i in range(f.metadata.num_row_groups)], footer)

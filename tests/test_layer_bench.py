@@ -16,10 +16,12 @@ def test_layer_bench_smoke(capsys):
     rows = layer_bench.main(["--smoke"])
     assert [r["kernel"] for r in rows] == [
         "split.per_partition", "split.exchange", "exchange.dict",
-        "exchange.object", "write.write_partition", "write.partition",
+        "exchange.object", "write.write_partition", "finalize.group",
+        "write.group_bases", "write.partition",
         "write.floor", "write.delta_group", "read.read_partition",
         "read.read_table", "plan_scan.index", "lookup.engine", "scan.engine",
-        "scan.engine.lazy", "bloom.build", "read.inline.2k",
+        "scan.engine.lazy", "bloom.build", "combine.lww.1k",
+        "route.partition_ids.1k", "sha256.hex.1k", "read.inline.2k",
         "read.parquet.inline.union.2k",
         "epoch.inline.2k", "read.remote.2k",
         "read.parquet.remote.2k", "epoch.remote.2k", "epoch.chain", "lookup.chain",

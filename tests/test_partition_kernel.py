@@ -488,10 +488,11 @@ def _defined(root: str, names: set[str]) -> list[tuple[str, str]]:
 
 
 def test_one_kernel_writes_and_one_exchange_routes_the_store():
-    """Every writer of the snapshot store ends in ``apply_partition``:
-    it is the only caller of ``SnapshotStore.write_partition`` in the
-    package, and the group body ``staged._apply_group`` the only caller
-    of ``SnapshotStore.write_delta_group``. No module reads a base file
+    """Every writer of the snapshot store ends in ``apply_partition`` or
+    in the group body ``staged._apply_group`` (a CDC epoch's group pass):
+    they are the only callers of ``SnapshotStore.write_partition`` in the
+    package, and the group body the only caller of
+    ``SnapshotStore.write_delta_group``. No module reads a base file
     without its chain: the raw ``read_partition`` is called only inside
     the store's resolving readers. No Ray Data ``map_groups`` exchange
     is left in the package, and no function offers a choice of exchange:
@@ -515,7 +516,8 @@ def test_one_kernel_writes_and_one_exchange_routes_the_store():
     pkg = os.path.dirname(arlas_proc_ray.__file__)
     snapshot_py = os.path.join("cdc", "snapshot.py")
     assert _calls(pkg, "write_partition") == {
-        (os.path.join("cdc", "engine.py"), "apply_partition")
+        (os.path.join("cdc", "engine.py"), "apply_partition"),
+        (os.path.join("cdc", "staged.py"), "_apply_group"),
     }
     assert _calls(pkg, "write_delta_group") == {
         (os.path.join("cdc", "staged.py"), "_apply_group")

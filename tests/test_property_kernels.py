@@ -68,6 +68,19 @@ def test_lww_combiner_is_associative(rows, split):
     assert _canon(whole) == _canon(partial)
 
 
+def test_lww_without_a_repeated_key_returns_its_input():
+    """No key repeats: the combiner keeps every row, and hands back the
+    table itself, not a copy; one repeat makes it reduce."""
+    t = _events_table([("a", 3, 1), ("b", 1, 2), ("c", 2, 3)])
+    out = lww_reduce_table(t, ["k"], "lsn")
+    assert out is t
+    assert out.to_pydict() == {"k": ["a", "b", "c"], "lsn": [3, 1, 2],
+                               "v": [1, 2, 3]}
+    dup = _events_table([("a", 3, 1), ("b", 1, 2), ("a", 4, 3)])
+    assert lww_reduce_table(dup, ["k"], "lsn").to_pydict() == {
+        "k": ["b", "a"], "lsn": [1, 4], "v": [2, 3]}
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.binary(min_size=0, max_size=200), st.integers(1, 16))
 def test_rolling_hash_equals_horner(data, w):

@@ -48,6 +48,33 @@ library call that does the same job on the same bytes:
       floor: the keyed siphash value hash the build needs
                         (``_bloom_hashes``)
 
+A bootstrap epoch's group pass over the routed block, its P partitions
+in one merge group:
+
+  finalize.group        ``cdc_segments`` over the group's rows: one
+                        fence, one LWW with partition tags, one sha256
+                        pass, DELETEs dropped (every partition's base
+                        rows at once)
+      floor: ``finalize.partition``, P ``finalize_partition_table``
+                        calls, one per partition (the step it replaces)
+  write.group_bases     the P bases written from the group pass's one
+                        table: ``SnapshotStore.base_fields`` once, then
+                        P ``write_partition`` calls, each on a slice
+      floor: ``pq.write_table`` of the same P tables
+                        (``write.write_partition``'s time is printed)
+
+The per-block kernels across batch size (the sweep shape of SNIPPETS
+[1]/[3]), on the first ``<n>`` thousand events of the block
+(``BATCH_ROWS``; 1k alone with ``--smoke``):
+
+  combine.lww.<n>k      ``lww_reduce_table``, the per-block combiner
+      floor: Arrow ``group_by(keys).aggregate([(lsn, "max")])``
+  route.partition_ids.<n>k
+                        ``partition_ids`` of the combined rows
+      floor: ``pd.util.hash_array`` of each key column, bare
+  sha256.hex.<n>k       ``sha256_hex`` of the ``content`` column
+      floor: bare ``hashlib.sha256`` over the same bytes
+
 Merge-on-read chains (``sizing.FOLD_SEGMENTS``, ``FOLD_ROWS_RATIO``), on
 a store of ``TAIL_BASE_EVENTS`` events over P=64 (``--smoke``: smaller):
 
@@ -140,6 +167,8 @@ TAIL_SEGMENT_ROWS = 25
 TAIL_BASE_EVENTS, CHAIN_EPOCHS, CHAIN_LENGTH = 20_000, 24, 6
 # the fan-outs of the epoch.segment rows
 SEGMENT_PARTITIONS = (16, 64, 256)
+# the batch sizes of the per-block kernel sweep
+BATCH_ROWS = (1000, 4000, 16_000)
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -153,7 +182,8 @@ def _median_s(fn, repeats: int) -> float:
 
 
 def _routed(events: int, partitions: int, seed: int):
-    """One combined, routed block: ``(dm, table, order, bounds)``."""
+    """One combined, routed block: ``(dm, table, order, bounds)``, and
+    the aligned block before the combiner."""
     from arlas_proc_ray.cdc.constraints import make_ingest_head
     from arlas_proc_ray.cdc.events import (
         ChangelogConfig,
@@ -170,13 +200,17 @@ def _routed(events: int, partitions: int, seed: int):
                              promote_options="default")
     align = make_ingest_head(default_registry(), dm, epoch=1,
                              dead_letter_dir=None, constraints=None)
-    table, pids = _route(block, dm, align)
+    block = align(block)
+    table, pids = _route(block, dm, lambda t: t)
+    kept = pids >= 0  # the rows the combiner keeps
+    table, pids = table.filter(pa.array(kept)).combine_chunks(), pids[kept]
     order, bounds = partition_order(pids, 0, partitions)
-    return dm, table, order, bounds
+    return dm, table, order, bounds, block
 
 
 def measure(events: int, partitions: int, groups: int, repeats: int,
-            seed: int, epoch_events=EPOCH_EVENTS) -> list[dict]:
+            seed: int, epoch_events=EPOCH_EVENTS,
+            batch_rows=BATCH_ROWS) -> list[dict]:
     import ray
 
     from arlas_proc_ray.cdc.engine import CdcEngine, _events_as_merge_rows
@@ -188,7 +222,7 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
     )
     from arlas_proc_ray.exchange import exchange_object, group_plan
 
-    dm, table, order, bounds = _routed(events, partitions, seed)
+    dm, table, order, bounds, block = _routed(events, partitions, seed)
     plan = group_plan(partitions, groups)
     rows, nbytes = table.num_rows, table.nbytes
 
@@ -247,9 +281,12 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
                 pq.write_table(t, os.path.join(floor_dir, f"{p}.parquet"),
                                compression=store.compression)
 
-        row("write.write_partition", "pq.write_table",
-            _median_s(write_store, repeats), _median_s(write_floor, repeats),
-            s_rows, s_bytes)
+        write_s = _median_s(write_store, repeats)
+        write_floor_s = _median_s(write_floor, repeats)
+        row("write.write_partition", "pq.write_table", write_s,
+            write_floor_s, s_rows, s_bytes)
+        _group_rows(row, dm, table, order, bounds, repeats, d,
+                    store.bloom_cols, write_s, write_floor_s)
         _tail_write_rows(row, store, states, partitions, repeats, d, dm)
 
         paths = [store.part_data_path(1, p) for p in range(partitions)]
@@ -274,11 +311,106 @@ def measure(events: int, partitions: int, groups: int, repeats: int,
         _median_s(lambda: [_bloom_build(c, n) for c, n in keys], repeats),
         _median_s(lambda: [_bloom_hashes(c) for c, _ in keys], repeats),
         s_rows * len(dm.key_list), k_bytes)
+    for n in batch_rows:
+        _batch_rows(row, dm, block.slice(0, n), repeats)
     for n in epoch_events:
         _one_task_rows(row, n, repeats, seed)
     _chain_rows(row, repeats, seed, smoke=epoch_events != EPOCH_EVENTS)
     _segment_rows(row, repeats, seed, smoke=epoch_events != EPOCH_EVENTS)
     return rows_out
+
+
+def _group_rows(row, dm, table, order, bounds, repeats: int,
+               d: str, bloom_cols, write_s: float, write_floor_s: float
+               ) -> None:
+    """A bootstrap epoch's group pass over the routed block (all of its
+    partitions in one group) against P per-partition finalizes, and its
+    bases written from the pass's one table against P plain
+    ``write_partition`` calls and their ``pq.write_table`` floor."""
+    import numpy as np
+
+    from arlas_proc_ray.cdc.engine import _events_as_merge_rows, cdc_segments
+    from arlas_proc_ray.cdc.replay import finalize_partition_table
+    from arlas_proc_ray.cdc.snapshot import DELETED, SnapshotStore
+
+    P = len(bounds) - 1
+    ev = table.take(order)  # the group's exchange object
+    tags = np.repeat(np.arange(P), np.diff(bounds))
+    never = np.full(P, -1, dtype=np.int64)
+    everywhere = np.ones(P, dtype=bool)
+
+    def group():
+        return cdc_segments(dm, ev, tags, never, False, everywhere)[0]
+
+    def per_partition():
+        return [finalize_partition_table(_events_as_merge_rows(
+            ev.slice(bounds[p], bounds[p + 1] - bounds[p])), dm)
+            for p in range(P)]
+
+    row("finalize.group", "finalize.partition", _median_s(group, repeats),
+        _median_s(per_partition, repeats), ev.num_rows, ev.nbytes)
+
+    rows, row_tags = cdc_segments(dm, ev, tags, never, False, everywhere)[:2]
+    rows = rows.drop_columns([DELETED])
+    cuts = np.searchsorted(row_tags, np.arange(P + 1))
+    store = SnapshotStore(os.path.join(d, "group-bases"), bloom_cols=bloom_cols)
+
+    def write_group():
+        fields = store.base_fields(rows, cuts)
+        for p in range(P):
+            store.write_partition(
+                1, p, rows.slice(cuts[p], cuts[p + 1] - cuts[p]),
+                fields=fields[p])
+
+    group_s = _median_s(write_group, repeats)
+    row("write.group_bases", "pq.write_table", group_s, write_floor_s,
+        rows.num_rows, rows.nbytes,
+        note=f"write.write_partition {write_s:.4f}s")
+
+
+def _batch_rows(row, dm, batch: pa.Table, repeats: int) -> None:
+    """The per-block combiner, routing and content hash over one batch
+    of ``batch.num_rows`` aligned events, each against its library
+    floor."""
+    import hashlib
+
+    import numpy as np
+    import pandas as pd
+
+    from arlas_proc_ray.cdc.replay import lww_reduce_table
+    from arlas_proc_ray.functions.hashing import partition_ids, sha256_hex
+
+    tag = f"{batch.num_rows // 1000}k"
+    n, nbytes = batch.num_rows, batch.nbytes
+    keys = dm.key_list
+    row(f"combine.lww.{tag}", "arrow group_by",
+        _median_s(lambda: lww_reduce_table(batch, dm.key_cols, dm.order_col),
+                  repeats),
+        _median_s(lambda: batch.group_by(keys).aggregate(
+            [(dm.order_col, "max")]), repeats), n, nbytes)
+    combined = lww_reduce_table(batch, dm.key_cols, dm.order_col)
+    cols = [combined.column(c).to_numpy(zero_copy_only=False) for c in keys]
+    row(f"route.partition_ids.{tag}", "siphash, bare",
+        _median_s(lambda: partition_ids(combined, keys, dm.num_partitions),
+                  repeats),
+        _median_s(lambda: [pd.util.hash_array(c, categorize=False)
+                           for c in cols], repeats),
+        combined.num_rows, sum(combined.column(c).nbytes for c in keys))
+    content = batch.column("content").combine_chunks()
+    offs = np.frombuffer(content.buffers()[1], dtype=np.int32,
+                         count=len(content) + 1, offset=content.offset * 4)
+    data = memoryview(content.buffers()[2])
+    valid = content.is_valid().to_numpy(zero_copy_only=False)
+    views = [data[offs[i]:offs[i + 1]] for i in range(len(content)) if valid[i]]
+
+    def bare():
+        sha = hashlib.sha256
+        for v in views:
+            sha(v).hexdigest()
+
+    row(f"sha256.hex.{tag}", "hashlib, bare",
+        _median_s(lambda: sha256_hex(content), repeats),
+        _median_s(bare, repeats), n, content.nbytes)
 
 
 def _tail_write_rows(row, store, states, partitions: int, repeats: int,
@@ -696,7 +828,8 @@ def main(argv=None) -> list[dict]:
         ray.init(address="local", num_cpus=1, include_dashboard=False,
                  logging_level="ERROR")
     rows = measure(args.events, args.partitions, args.groups, args.repeats,
-                   args.seed, EPOCH_EVENTS[:1] if args.smoke else EPOCH_EVENTS)
+                   args.seed, EPOCH_EVENTS[:1] if args.smoke else EPOCH_EVENTS,
+                   BATCH_ROWS[:1] if args.smoke else BATCH_ROWS)
     print(f"events={args.events} partitions={args.partitions} "
           f"groups={args.groups} repeats={args.repeats} seed={args.seed}")
     print(render(rows))

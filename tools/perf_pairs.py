@@ -13,8 +13,11 @@ For every end-to-end metric of the change's ``BENCHMARK.json`` it prints
 each side's median and quartiles, how many pairs the change won (ties count
 for neither side) and whether the pairs support a gain: the change wins at
 least nine tenths of the pairs, and the medians differ, in the metric's
-better direction, by more than the parent's interquartile range. The last
-line is the same summary as one JSON object.
+better direction, by more than the parent's interquartile range. The same
+rows follow for each metric before perfbench scales it by its host-speed
+probe (``unscaled.<metric>``, from the run's ``unscaled`` line), since the
+probe's reading can move with the program under test. The last line is
+the same summary as one JSON object.
 """
 
 from __future__ import annotations
@@ -74,17 +77,20 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     summary = json.loads(lines[-1])
     values = {k: v["value"] for k, v in summary["metrics"].items()}
     values["failed_share"] = summary["failed"] / max(1, summary["attempted"])
+    for ln in lines[:-1]:
+        values.update({f"unscaled.{k}": v
+                       for k, v in json.loads(ln).get("unscaled", {}).items()})
     return values
 
 
 def render(summary: dict) -> str:
-    head = (f"{'metric':<15} {'parent median [q1, q3]':>32} "
+    head = (f"{'metric':<22} {'parent median [q1, q3]':>32} "
             f"{'change median [q1, q3]':>32} {'wins':>7}  gain")
     lines = [head, "-" * len(head)]
     for name, s in summary.items():
         cells = [f"{s[side]['median']:.4g} [{s[side]['q1']:.4g}, "
                  f"{s[side]['q3']:.4g}]" for side in ("parent", "change")]
-        lines.append(f"{name:<15} {cells[0]:>32} {cells[1]:>32} "
+        lines.append(f"{name:<22} {cells[0]:>32} {cells[1]:>32} "
                      f"{s['wins']:>3}/{s['pairs']:<3}  {s['gain']}")
     return "\n".join(lines)
 
@@ -100,6 +106,7 @@ def main(argv=None) -> dict:
     args = ap.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+    better.update({f"unscaled.{k}": v for k, v in better.items()})
     better["failed_share"] = "lower"
     pairs = []
     for i in range(args.pairs):
