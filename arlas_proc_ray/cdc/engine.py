@@ -134,8 +134,7 @@ def cdc_fold(dm: DataModel, ev, prior, prior_last: int):
 
 
 def cdc_segments(dm: DataModel, ev: pa.Table, tags: np.ndarray,
-                 prior_last: np.ndarray, reduced: bool,
-                 live: np.ndarray | None = None):
+                 prior_last: np.ndarray, reduced: bool, live: np.ndarray):
     """CDC's group step, over the rows of many partitions at once: the
     fence of :func:`cdc_fold`, then the events that survive it as each
     partition's rows: LWW-reduced, content hashed, each DELETE kept as a
@@ -149,7 +148,9 @@ def cdc_segments(dm: DataModel, ev: pa.Table, tags: np.ndarray,
     ``prior_last[i]`` that partition's applied watermark. ``reduced``: no
     key has two events (one exchange input, which the per-block combine
     reduced), so LWW has nothing to do. ``live[i]``: drop partition
-    ``i``'s DELETEs instead of keeping them as tombstones. The rows come
+    ``i``'s DELETEs (and rows with a null ``op``, which finalize's
+    ``op != 'DELETE'`` filter drops too) instead of keeping them as
+    tombstones. The rows come
     out partition by partition, from ONE ``take`` of ``ev`` (none when
     every event is kept in place). Returns ``(rows, row tags, watermarks,
     events_in, events_applied)``, the last three one entry per
@@ -169,9 +170,9 @@ def cdc_segments(dm: DataModel, ev: pa.Table, tags: np.ndarray,
     kept = (np.arange(ev.num_rows) if reduced
             else lww_order(ev, dm.key_cols, dm.order_col, tags))
     deleted = pc.equal(ev.column("op"), pa.scalar("DELETE"))
-    if live is not None and live.any() and deleted.null_count == 0:
-        dead = deleted.to_numpy(zero_copy_only=False) & live[tags]
-        kept = kept[~dead[kept]]
+    if live.any():
+        dead = pc.fill_null(deleted, True).to_numpy(zero_copy_only=False)
+        kept = kept[~(dead & live[tags])[kept]]
     kept = kept[np.argsort(tags[kept], kind="stable")]
     if len(kept) < ev.num_rows or (np.diff(kept) < 0).any():
         ev, tags = ev.take(pa.array(kept)), tags[kept]

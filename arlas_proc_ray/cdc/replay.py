@@ -90,12 +90,21 @@ def lww_reduce_table(
     """
     if table.num_rows <= 1:
         return table
+    table, kept = lww_combine(table, key_cols, order_col)
+    return table if kept is None else table.take(pa.array(kept))
+
+
+def lww_combine(table: pa.Table, key_cols, order_col: str = "lsn") -> tuple:
+    """The combiner's step without its copy: ``(table, kept)``, ``kept``
+    the ascending positions of ``table`` that ``lww_reduce_table`` keeps,
+    or ``None`` when it keeps every row. A table holding a PATCH comes
+    back pruned by ``patch_prune_table``, every row of it kept."""
     from arlas_proc_ray.cdc.patch import patch_prune_table, table_has_patches
 
     if table_has_patches(table):
-        return patch_prune_table(table, key_cols, order_col)
+        return patch_prune_table(table, key_cols, order_col), None
     kept = lww_order(table, key_cols, order_col)
-    return table if len(kept) == table.num_rows else table.take(pa.array(kept))
+    return table, None if len(kept) == table.num_rows else kept
 
 
 def lww_order(table: pa.Table, key_cols, order_col: str = "lsn",

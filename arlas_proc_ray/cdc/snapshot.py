@@ -434,56 +434,14 @@ def _bloom_absent(bloom: dict, positions):
 
 
 class _KeyProbes:
-    """The rows of a key table, tested against many blooms and tables:
-    each column is hashed once and its bit positions computed once per
-    bloom shape, so a bloom costs only its bit tests, and the keys'
-    exact composite key is built once per set of key column types it is
-    compared at (one, in a store)."""
+    """The rows of a key table, tested against many blooms: each column
+    is hashed once and its bit positions computed once per bloom shape,
+    so a bloom costs only its bit tests."""
 
-    def __init__(self, keys: pa.Table, hashes: dict | None = None,
-                 composite: dict | None = None):
+    def __init__(self, keys: pa.Table):
         self.keys = keys
-        self._hashes: dict = hashes or {}
+        self._hashes: dict = {}
         self._positions: dict = {}
-        self._composite: dict = composite or {}
-
-    def composite(self, schema: pa.Schema):
-        """The keys' composite key (``replay._combined_key``), their
-        columns cast to ``schema``'s types."""
-        from arlas_proc_ray.cdc.replay import _combined_key
-
-        cols = self.keys.column_names
-        types = tuple(schema.field(c).type for c in cols)
-        if types not in self._composite:
-            self._composite[types] = _combined_key(self.keys.cast(
-                pa.schema(list(zip(cols, types)))), cols)
-        return self._composite[types]
-
-    def rows_in(self, table: pa.Table) -> tuple:
-        """The rows of ``table`` whose key columns equal some key, byte
-        for byte, in ``table``'s row order, and their composite keys: one
-        hash-set probe of the exact composite key, as LWW keys rows. On a
-        1 vCPU host it costs 0.08-0.11 ms at 20-150 rows and 1-64 keys,
-        and 0.28-0.35 ms at 2 000 rows; a per-key column compare costs
-        0.10 ms at one key but 2.1 ms at 64, an Arrow semi join 0.33-0.45
-        ms throughout."""
-        from arlas_proc_ray.cdc.replay import _combined_key
-
-        key = _combined_key(table, self.keys.column_names)
-        hit = pa.compute.is_in(key, value_set=self.composite(table.schema))
-        return table.filter(hit), key.filter(hit)
-
-    def without(self, held, schema: pa.Schema) -> "_KeyProbes":
-        """The probes of the keys not in ``held``, composite keys at
-        ``schema``'s types (``rows_in``), their hashes and composite keys
-        cut from these."""
-        keep = pa.compute.invert(pa.compute.is_in(
-            self.composite(schema), value_set=held))
-        mask = keep.to_numpy(zero_copy_only=False)
-        return _KeyProbes(
-            self.keys.filter(keep),
-            {c: hv[mask] for c, hv in self._hashes.items()},
-            {t: k.filter(keep) for t, k in self._composite.items()})
 
     def excludes(self, blooms: dict) -> bool:
         """True when ``blooms`` prove every key absent: for each key, some
@@ -919,6 +877,34 @@ def _group_overlay(pieces: list[pa.Table], tags: list[np.ndarray],
     order = np.argsort(tag, kind="stable")
     bounds = np.searchsorted(tag[order], np.arange(num_parts + 1))
     return table.drop_columns([DELETED]).take(pa.array(keep[order])), bounds
+
+
+def _key_in(table: pa.Table, others: pa.Table) -> pa.ChunkedArray:
+    """Per row of ``table``, whether some row of ``others`` holds its key
+    (``others``' columns), byte for byte: one hash-set probe of the
+    exact composite key, as LWW keys rows. On a 1 vCPU host it costs
+    0.08-0.11 ms at 20-150 rows and 1-64 keys, and 0.28-0.35 ms at 2 000
+    rows; a per-key column compare costs 0.10 ms at one key but 2.1 ms
+    at 64, an Arrow semi join 0.33-0.45 ms throughout."""
+    from arlas_proc_ray.cdc.replay import _combined_key
+
+    cols = others.column_names
+    return pa.compute.is_in(_combined_key(table, cols),
+                            value_set=_combined_key(others, cols))
+
+
+def _rows_with_keys(table: pa.Table, keys: pa.Table) -> pa.Table:
+    """The rows of ``table`` whose key columns equal some row of ``keys``,
+    byte for byte, in ``table``'s row order."""
+    cols = keys.column_names
+    keys = keys.cast(pa.schema([(c, table.schema.field(c).type) for c in cols]))
+    return table.filter(_key_in(table, keys))
+
+
+def _keys_without(keys: pa.Table, rows: pa.Table) -> pa.Table:
+    """The rows of ``keys`` that no row of ``rows`` holds."""
+    rows = rows.select(keys.column_names).cast(keys.schema)
+    return keys.filter(pa.compute.invert(_key_in(keys, rows)))
 
 
 class DeltaGroup(NamedTuple):
@@ -1771,20 +1757,21 @@ class SnapshotStore:
         probes = _KeyProbes(keys)
         out = []
         for seg in reversed(m.chain):
-            if not probes.keys.num_rows:
+            if not keys.num_rows:
                 break
             if seg.blooms and probes.excludes(seg.blooms):
                 continue
-            hit, held = probes.rows_in(self._segment_rows(seg))
+            hit = _rows_with_keys(self._segment_rows(seg), keys)
             if hit.num_rows:
-                probes = probes.without(held, hit.schema)
+                keys = _keys_without(keys, hit)
+                probes = _KeyProbes(keys)
                 out.append(hit.filter(pa.compute.invert(hit.column(DELETED)))
                            .drop_columns([DELETED]))
-        if probes.keys.num_rows and m.base_rows and not (
+        if keys.num_rows and m.base_rows and not (
                 m.blooms and probes.excludes(m.blooms)):
             base = self.read_partition(m.epoch, part)
             if base is not None:
-                out.append(probes.rows_in(base)[0])
+                out.append(_rows_with_keys(base, keys))
         out = [t.replace_schema_metadata(None) for t in out if t.num_rows]
         return pa.concat_tables(out, promote_options="default") if out else None
 

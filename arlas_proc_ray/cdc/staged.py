@@ -22,9 +22,10 @@ are written as one delta file whose manifest fields are computed over
 the group's columns at once (``SnapshotStore.write_delta_group``). A
 partition with no base yet (every partition of a first epoch) or whose
 fold is due writes its base as a slice of the pass's rows, a fold's
-laid over its prior resolved rows by one ``_group_overlay``, every
-manifest field computed over the group's columns at once
-(``SnapshotStore.base_fields``), one file per partition
+laid over its prior resolved rows by ``_group_overlay``, every manifest
+field computed over a batch's columns at once
+(``SnapshotStore.base_fields``); a batch of folds holds about
+``sizing.BASE_BATCH_BYTES`` of prior rows. One file per partition
 (``SnapshotStore.write_partition``). The bases left (a PATCH, every
 event fenced without ``delta``, MERGE, a repartition) go through the
 per-partition kernel (``cdc.engine.apply_partition``: fence, prior read,
@@ -63,7 +64,7 @@ import copy
 import math
 import time
 from functools import partial
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -80,8 +81,8 @@ from arlas_proc_ray.cdc.engine import (
     open_epoch,
 )
 from arlas_proc_ray.cdc.events import CANONICAL_EVENT_SCHEMA
-from arlas_proc_ray.cdc.patch import PATCH_OP, patch_prune_table, table_has_patches
-from arlas_proc_ray.cdc.replay import lww_order
+from arlas_proc_ray.cdc.patch import PATCH_OP, table_has_patches
+from arlas_proc_ray.cdc.replay import lww_combine
 from arlas_proc_ray.cdc.sizing import runs_in_process
 from arlas_proc_ray.cdc.snapshot import DELETED, DeltaGroup, _group_overlay
 from arlas_proc_ray.exchange import (  # noqa: F401 (group_plan re-exported)
@@ -107,19 +108,14 @@ def _route(table: pa.Table, dm: DataModel, align) -> tuple[pa.Table, np.ndarray]
     drops gets partition id -1, so the split's one argsort and one
     ``take`` per group leave it out (``exchange.split_block``). A block
     holding a PATCH is pruned by the combiner-safe
-    ``patch_prune_table`` first."""
-    table = align(table)
-    if table_has_patches(table):
-        table = patch_prune_table(table, dm.key_cols, dm.order_col)
-    else:
-        kept = lww_order(table, dm.key_cols, dm.order_col)
-        if len(kept) < table.num_rows:
-            pids = np.full(table.num_rows, -1, dtype=np.int32)
-            pids[kept] = partition_ids(
-                table.select(dm.key_list).take(pa.array(kept)), dm.key_list,
-                dm.num_partitions)
-            return table, pids
-    return table, partition_ids(table, dm.key_list, dm.num_partitions)
+    ``patch_prune_table`` (``lww_combine``)."""
+    table, kept = lww_combine(align(table), dm.key_cols, dm.order_col)
+    if kept is None:
+        return table, partition_ids(table, dm.key_list, dm.num_partitions)
+    pids = np.full(table.num_rows, -1, dtype=np.int32)
+    pids[kept] = partition_ids(table.select(dm.key_list).take(pa.array(kept)),
+                               dm.key_list, dm.num_partitions)
+    return table, pids
 
 
 def _split_block(table: pa.Table, dm: DataModel, align) -> list[pa.Table]:
@@ -251,17 +247,12 @@ def cdc_epoch(engine, epoch: int, dead_letter_dir=None, delta: bool = False,
 
 
 class _Bases(NamedTuple):
-    """One exchange group's bases, made by its group pass: ``rows`` holds
-    every base's final-state rows, partition by partition in the
-    ascending order of ``parts``; base ``i`` is rows ``bounds[i]`` to
-    ``bounds[i + 1]``, with its applied watermark ``last_lsn[i]``, its
-    apply metrics and its ``SnapshotStore.base_fields``."""
+    """One exchange group's bases, made by its group pass: ``parts`` in
+    ascending order, and ``made`` yielding each one's ``(rows, metrics,
+    SnapshotStore.base_fields)`` in that order (:func:`_made_bases`)."""
     parts: list
-    rows: pa.Table
-    bounds: np.ndarray
     last_lsn: list
-    metrics: list
-    fields: list
+    made: Iterator
 
 
 def _apply_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
@@ -278,8 +269,8 @@ def _apply_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
     one file after the group's last partition, every manifest field
     computed over the whole group's columns; each base is a slice of the
     pass's rows, written by ``SnapshotStore.write_partition`` with the
-    manifest fields the pass computed for all of them. The partitions
-    left (a PATCH, a carry-forward, MERGE, a repartition) go through
+    manifest fields computed for its batch (:func:`_made_bases`). The
+    partitions left (a PATCH, a carry-forward, MERGE, a repartition) go through
     ``apply_partition`` in turn. ``fault_hook`` fires per partition in
     ascending order either way, before its base file's rename or the
     group file's, so a crash leaves the bases of the partitions before
@@ -291,6 +282,7 @@ def _apply_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
                                          ctx.reduced and len(inputs) == 1)
     written = set(group.parts) if group is not None else ()
     based = {p: i for i, p in enumerate(bases.parts)} if bases else {}
+    made = bases.made if bases else None
     results = []
     for p in parts:
         if p in written or p in based:
@@ -299,12 +291,10 @@ def _apply_group(ctx: _Epoch, parts: range, *inputs: tuple) -> list:
         if p in written:
             results.append(None)
         elif p in based:
-            i = based[p]
-            a, b = bases.bounds[i], bases.bounds[i + 1]
+            rows, metrics, fields = next(made)
             results.append(ctx.store.write_partition(
-                ctx.epoch, p, bases.rows.slice(a, b - a),
-                last_lsn=bases.last_lsn[i], metrics=bases.metrics[i],
-                fields=bases.fields[i]))
+                ctx.epoch, p, rows, last_lsn=bases.last_lsn[based[p]],
+                metrics=metrics, fields=fields))
         elif p in referenced:
             results.append(int(ctx.prior[p].epoch))
         else:
@@ -342,14 +332,16 @@ def _segments(ctx: _Epoch, parts: range, inputs: tuple, resumed: dict,
     state), and no file of this epoch holds it yet (resume). One with a
     non-empty base whose fold is not due (``ctx.segments``) becomes a
     delta segment. Every other writes a base: the pass's rows laid over
-    its prior resolved rows (a fold's) by one ``_group_overlay`` for the
-    group, tombstones dropped, in the row order ``cdc_fold``'s finalize
-    gives; a partition with no prior rows drops its DELETEs in the pass
-    and is overlaid on nothing. Of the partitions that take part, one
-    whose events all fall at or below its fence and whose fold is not
-    due writes nothing: with ``delta`` it is referenced, otherwise
-    ``apply_partition`` carries it forward. A written partition's
-    ``apply_s`` is this pass's seconds ÷ the partitions it wrote, so the
+    its prior resolved rows (a fold's) by ``_group_overlay``, tombstones
+    dropped, in the row order ``cdc_fold``'s finalize gives, in batches
+    bounded by the prior bytes they read (:func:`_made_bases`, run as
+    ``_apply_group`` writes the bases); a partition with no prior rows
+    drops its DELETEs in the pass and is overlaid on nothing. Of the
+    partitions that take part, one whose events all fall at or below its
+    fence and whose fold is not due writes nothing: with ``delta`` it is
+    referenced, otherwise ``apply_partition`` carries it forward. A
+    written partition's ``apply_s`` is this pass's seconds ÷ the
+    partitions it wrote (plus its batch's share for a base), so the
     epoch's sum still adds up."""
     if ctx.segment is None:
         return None, None, set()
@@ -407,36 +399,64 @@ def _segments(ctx: _Epoch, parts: range, inputs: tuple, resumed: dict,
         seg_rows, seg_bounds = _picked(rows, bounds, seg)
     if on.any():
         live, cuts = _picked(rows, bounds, on)
-        if overlaid[on].any():  # a fold: its events over its resolved rows
-            pieces = [live]
-            piece_tags = [np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))]
-            for j, i in enumerate(which[on]):
-                if overlaid[compact[i]]:
-                    pieces.append(ctx.store.read_resolved(ctx.prior[parts[i]],
-                                                          parts[i]))
-                    piece_tags.append(np.full(pieces[-1].num_rows, j))
-            live, cuts = _group_overlay(pieces, piece_tags, ctx.key_list,
-                                        len(cuts) - 1)
-        else:
-            live = live.drop_columns([DELETED])
-        fields = ctx.store.base_fields(live, cuts)
     seconds = (time.perf_counter() - t0) / int(wrote.sum())
 
     def made(pick):
-        return dict(
-            parts=[parts[i] for i in which[pick]],
-            last_lsn=[int(w) for w in watermark[pick]],
-            metrics=[apply_metrics((e, e - a, a), seconds)
-                     for e, a in zip(events_in[pick], applied[pick])])
+        return ([parts[i] for i in which[pick]],
+                [int(w) for w in watermark[pick]],
+                [(e, e - a, a) for e, a in zip(events_in[pick], applied[pick])])
 
     group = bases = None
     if seg.any():
-        kw = made(seg)
-        group = DeltaGroup(rows=seg_rows, bounds=seg_bounds,
-                           priors=[ctx.prior[p] for p in kw["parts"]], **kw)
+        done, last_lsn, counts = made(seg)
+        group = DeltaGroup(
+            rows=seg_rows, bounds=seg_bounds, parts=done, last_lsn=last_lsn,
+            metrics=[apply_metrics(c, seconds) for c in counts],
+            priors=[ctx.prior[p] for p in done])
     if on.any():
-        bases = _Bases(rows=live, bounds=cuts, fields=fields, **made(on))
+        done, last_lsn, counts = made(on)
+        bases = _Bases(done, last_lsn, _made_bases(
+            ctx, done, live, cuts, overlaid[on], counts, seconds))
     return group, bases, referenced
+
+
+def _made_bases(ctx: _Epoch, parts: list, rows: pa.Table, bounds: np.ndarray,
+                overlaid: np.ndarray, counts: list, seconds: float) -> Iterator:
+    """Each base of ``parts`` in order, as ``(rows, metrics, fields)``:
+    base ``i`` is the pass's rows ``rows[bounds[i]:bounds[i + 1]]``,
+    laid over its prior resolved rows when it folds (``overlaid[i]``),
+    tombstones dropped. Made in batches of consecutive bases, each by one
+    ``_group_overlay`` and one ``SnapshotStore.base_fields``: a batch
+    ends once the prior rows it read reach ``sizing.BASE_BATCH_BYTES``,
+    so a group holds about that much prior state at once however much
+    of the store folds in one epoch. ``counts[i]`` and ``seconds`` are
+    base ``i``'s apply counts and its share of the pass; a batch's own
+    seconds are spread over its bases' ``apply_s``."""
+    lo = 0
+    while lo < len(parts):
+        t0 = time.perf_counter()
+        pieces, tags, held, hi = [], [], 0, lo
+        while hi < len(parts) and held < sizing.BASE_BATCH_BYTES:
+            if overlaid[hi]:
+                prior = ctx.store.read_resolved(ctx.prior[parts[hi]], parts[hi])
+                pieces.append(prior)
+                tags.append(np.full(prior.num_rows, hi - lo))
+                held += prior.nbytes
+            hi += 1
+        live = rows.slice(bounds[lo], bounds[hi] - bounds[lo])
+        if pieces:  # a fold: its events over its resolved rows
+            live, cuts = _group_overlay(
+                [live, *pieces],
+                [np.repeat(np.arange(hi - lo), np.diff(bounds[lo:hi + 1])), *tags],
+                ctx.key_list, hi - lo)
+        else:
+            live, cuts = live.drop_columns([DELETED]), bounds[lo:hi + 1] - bounds[lo]
+        fields = ctx.store.base_fields(live, cuts)
+        share = seconds + (time.perf_counter() - t0) / (hi - lo)
+        for i in range(hi - lo):
+            yield (live.slice(cuts[i], cuts[i + 1] - cuts[i]),
+                   apply_metrics(counts[lo + i], share), fields[i])
+        lo = hi
 
 
 def _inline_exchange(ctx: _Epoch, events_ds) -> list:

@@ -240,6 +240,60 @@ def test_patch_in_a_group_falls_back_per_partition(tmp_path, ray_session,
         assert state[key]["content"] == "patched"
 
 
+def test_null_op_in_a_first_epoch_is_dropped_as_finalize_drops_it(
+        tmp_path, ray_session, monkeypatch):
+    """A first epoch read without a dead-letter dir, one event of which
+    has a null ``op``, and which DELETEs other keys: the group pass drops
+    the DELETEs and the null-op row from the new bases, as finalize's
+    ``op != 'DELETE'`` filter does, so no deleted key comes back."""
+    stream = Stream(11)
+    rows = stream.base()[0].to_pylist()
+    gone = set(KEY_SET[:12])
+    rows += [stream.next("DELETE", k) for k in KEY_SET[:12]]
+    odd = stream.next("UPDATE", KEY_SET[20])
+    odd["op"] = None
+    rows.append(odd)
+    pair = _pair(tmp_path, 4, "null-op")
+    _apply_both(pair, [_table(rows)], 1, monkeypatch)
+    for eng in pair:
+        state = {(r["repo"], r["path"]) for r in eng.final_state().to_pylist()}
+        assert not state & gone and KEY_SET[20] not in state
+        assert len(state) == len(KEY_SET) - len(gone) - 1
+
+
+@pytest.mark.parametrize("budget", [1, 6000])
+def test_folds_in_prior_byte_batches_match_the_reference(tmp_path, ray_session,
+                                                          monkeypatch, budget):
+    """Every base ages out under ``delta_max_age`` and folds in one
+    epoch, touched or not. The group pass overlays and writes them in
+    batches of ``sizing.BASE_BATCH_BYTES`` of prior rows (one fold per
+    batch at one byte, a few at 6000) and writes the bases the
+    per-partition step writes."""
+    monkeypatch.setattr(sizing, "BASE_BATCH_BYTES", budget)
+    overlays: list = []
+    overlay = staged._group_overlay
+
+    def spy(pieces, tags, key_cols, num_parts):
+        overlays.append(num_parts)
+        return overlay(pieces, tags, key_cols, num_parts)
+    monkeypatch.setattr(staged, "_group_overlay", spy)
+    stream = Stream(17)
+    P = 8
+    pair = _pair(tmp_path, P, f"batches-{budget}")
+    _apply_both(pair, stream.base(), 1, monkeypatch, delta=True)
+    _apply_both(pair, stream.epoch(40), 2, monkeypatch, delta=True)
+    overlays.clear()
+    got = _apply_both(pair, stream.epoch(6, blocks=1), 3, monkeypatch,
+                      delta=True, delta_max_age=1)
+    assert all(m["epoch"] == 3 and not m["chain"] for m in got["index"])
+    assert sum(overlays) == P
+    assert len(overlays) == P if budget == 1 else 1 < len(overlays) < P
+    exp = oracle_final_state([_table(stream.history)])
+    for eng in pair:
+        assert eng.final_state().equals(exp)
+        assert eng.store.verify_deep(recompute_hashes=True)["ok"]
+
+
 # ---- the live key column cache -------------------------------------------
 
 
